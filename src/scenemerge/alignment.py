@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clusters import ClusterReconstruction, cluster_pointcloud
+from .clusters import ClusterReconstruction
 from .errors import (
     ConfigError,
     DataError,
     DegenerateGeometryError,
+    DivergenceError,
     InsufficientOverlapError,
     MissingFrameError,
 )
@@ -257,9 +258,10 @@ def estimate_sim3_irls(
             psi_over_r = np.where(r > delta, delta / np.maximum(r, np.finfo(float).tiny), 1.0)
         t_new = weighted_umeyama(c.points_a, c.points_b, c.confidences * psi_over_r)
         obj_after = float(np.sum(c.confidences * huber_rho(_residuals(c, t_new), delta)))
-        assert obj_after <= obj_before + 1e-12 * (1.0 + obj_before), (
-            f"IRLS objective increased: {obj_before} -> {obj_after}"
-        )
+        if obj_after > obj_before + 1e-12 * (1.0 + obj_before):
+            raise DivergenceError(
+                f"IRLS objective increased: {obj_before} -> {obj_after}", iteration=iterations
+            )
         iterations += 1
         new_params = _sim3_params(t_new)
         change = np.linalg.norm(new_params - params) / max(1.0, np.linalg.norm(params))
@@ -322,13 +324,13 @@ def _select_winner_instances(clusters) -> dict:
 
 
 class MergedGeometry:
-    """Per-frame globally-aligned geometry for track verification/fusion.
+    """Per-frame globally-aligned geometry for tracking, BA and the dense cloud.
 
-    Holds, for each frame id, the winning cluster instance's camera mapped
-    into the global frame, its cluster-local depth and confidence maps,
-    and the cluster transform's scale. Depth values are multiplied by that
-    scale at sample time (in float64), since a Sim(3)-transformed camera
-    sees all depths scaled.
+    run_pipeline builds it once, after alignment. Holds, for each frame id,
+    the winning cluster instance's camera mapped into the global frame, its
+    cluster-local depth and confidence maps, and the cluster transform's
+    scale. Depth values are multiplied by that scale at sample time (in
+    float64), since a Sim(3)-transformed camera sees all depths scaled.
     """
 
     def __init__(self, clusters, transforms):
@@ -377,53 +379,25 @@ class MergedGeometry:
         confs = np.where(valid, conf.sample_nearest(pixels), 0.0)
         return pts, confs, valid
 
+    def dense_cloud(self, cameras=None) -> PointCloud:
+        """Every valid-depth pixel of every frame, unprojected in frame order.
 
-def build_merged_geometry(clusters, transforms) -> MergedGeometry:
-    """Winner-per-frame global geometry shared by tracking and merging."""
-    return MergedGeometry(clusters, transforms)
-
-
-def merge_clusters(
-    clusters: list[ClusterReconstruction],
-    transforms: list[Sim3Transform],
-    conf_floor: float = 0.0,
-) -> tuple[list[CameraParams], PointCloud]:
-    """Map every cluster into the global frame and fuse duplicates.
-
-    Each frame appears exactly once: when clusters share a frame, the
-    instance from the cluster with the higher mean valid-pixel confidence
-    wins (earlier cluster on ties), contributing both its camera and its
-    unprojected pixels. Cameras come back sorted by frame id.
-    """
-    if len(clusters) != len(transforms):
-        raise ConfigError(
-            f"need one transform per cluster, got {len(clusters)} clusters and {len(transforms)} transforms"
-        )
-    if not clusters:
-        raise ConfigError("no clusters to merge")
-
-    winners = _select_winner_instances(clusters)
-
-    cameras = []
-    pts, confs = [], []
-    for fid in sorted(winners):
-        _, ci, fi = winners[fid]
-        cluster, t = clusters[ci], transforms[ci]
-        cameras.append(transform_camera(t, cluster.cameras[fi]))
-        frame_only = ClusterReconstruction(
-            cluster_id=cluster.cluster_id,
-            frame_ids=[fid],
-            cameras=[cluster.cameras[fi]],
-            depths=[cluster.depths[fi]],
-            confidences=[cluster.confidences[fi]],
-        )
-        cloud = cluster_pointcloud(frame_only, conf_floor=conf_floor)
-        if len(cloud.points):
-            pts.append(apply_sim3(t, cloud.points))
-            confs.append(cloud.confidences)
-
-    if pts:
-        cloud = PointCloud(points=np.concatenate(pts), confidences=np.concatenate(confs))
-    else:
-        cloud = PointCloud(points=np.zeros((0, 3)), confidences=np.zeros(0))
-    return cameras, cloud
+        cameras, one per frame in frames() order, replace the merged global
+        cameras; apply_ba_result passes the refined ones.
+        """
+        frames = self.frames()
+        if cameras is None:
+            cameras = [self.camera(fid) for fid in frames]
+        pts, confs = [], []
+        for fid, cam in zip(frames, cameras):
+            _, depth, conf, scale = self._frames[fid]
+            d = depth.values.astype(np.float64)
+            rows, cols = np.nonzero(d > 0)
+            if len(rows) == 0:
+                continue
+            pixels = np.stack([cols, rows], axis=1).astype(np.float64)
+            pts.append(unproject_pixels(pixels, d[rows, cols] * scale, cam))
+            confs.append(conf.values[rows, cols].astype(np.float64))
+        if not pts:
+            return PointCloud(points=np.zeros((0, 3)), confidences=np.zeros(0))
+        return PointCloud(points=np.concatenate(pts), confidences=np.concatenate(confs))

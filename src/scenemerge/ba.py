@@ -38,9 +38,7 @@ from .geometry import (
     CameraIntrinsics,
     CameraParams,
     CameraPose,
-    PointCloud,
     rotation_exp,
-    unproject_pixels,
 )
 
 _BEHIND_PENALTY = 1e4  # px-equivalent floor for behind-camera observations
@@ -455,23 +453,9 @@ def apply_ba_result(result: BAResult, merged, tracks):
     ]
 
     cameras = []
-    pts, confs = [], []
     for fid in merged.frames():
-        _, depth, conf, scale = merged.frame_geometry(fid)
         cam = by_frame.get(fid)
         if cam is None:
             raise DataError(f"refined problem lacks a camera for frame {fid}")
         cameras.append(cam)
-        d = depth.values.astype(np.float64)
-        rows, cols = np.nonzero(d > 0)
-        if len(rows) == 0:
-            continue
-        pixels = np.stack([cols, rows], axis=1).astype(np.float64)
-        pts.append(unproject_pixels(pixels, d[rows, cols] * scale, cam))
-        confs.append(conf.values[rows, cols].astype(np.float64))
-
-    if pts:
-        cloud = PointCloud(points=np.concatenate(pts), confidences=np.concatenate(confs))
-    else:
-        cloud = PointCloud(points=np.zeros((0, 3)), confidences=np.zeros(0))
-    return cameras, new_tracks, cloud
+    return cameras, new_tracks, merged.dense_cloud(cameras)

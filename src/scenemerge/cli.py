@@ -1,8 +1,9 @@
 """Command-line entry point: synth, plan, align, track, ba, eval, run.
 
-Each subcommand consumes and produces only interchange artifacts, so any
-stage can be swapped with an external tool (including foundation-model
-outputs dropped into the cluster directory). Exit codes: 0 success, 2
+Each stage subcommand reads its interchange artifacts, calls the same stage
+function run_pipeline calls, and writes the stage's artifacts, so any stage
+can be swapped with an external tool (including foundation-model outputs
+dropped into the cluster directory). Exit codes: 0 success, 2
 configuration error, 3 data error, 4 numerical divergence. The MERG3R_LOG
 environment variable selects the log level (default WARNING); logs go to
 stderr so stdout stays machine-readable.
@@ -17,11 +18,10 @@ import os
 import sys
 from pathlib import Path
 
-from .alignment import build_merged_geometry
-from .ba import BAConfig, BAProblem, apply_ba_result, run_ba
+from .alignment import MergedGeometry
+from .ba import BAConfig
 from .errors import ConfigError, DataError, DivergenceError
-from .evaluation import evaluate_trajectories, point_cloud_distance, umeyama_align
-from .geometry import CameraPose, apply_sim3, quat_wxyz_to_matrix
+from .geometry import CameraPose, quat_wxyz_to_matrix
 from .io_formats import (
     JSON_FORMAT_VERSION,
     plan_document,
@@ -33,7 +33,6 @@ from .io_formats import (
     read_tracks,
     read_transforms,
     sim3_from_transform_record,
-    transform_record_from_sim3,
     write_plan,
     write_ply,
     write_poses,
@@ -44,7 +43,9 @@ from .ordering import SimilarityMatrix, plan_scene
 from .pipeline import (
     PipelineConfig,
     align_clusters,
+    bundle_adjust,
     check_plan_matches_clusters,
+    evaluate_reconstruction,
     load_scene,
     matcher_from_scene_dir,
     run_pipeline,
@@ -157,7 +158,7 @@ def cmd_align(args) -> None:
     plan = read_plan(args.plan)
     data = load_scene(args.clusters)
     check_plan_matches_clusters(data.clusters, plan)
-    transforms, results = align_clusters(data.clusters, args.conf_percentile, args.threads)
+    _, records, results = align_clusters(data.clusters, args.conf_percentile)
     for cluster, res in zip(data.clusters[1:], results):
         logger.info(
             "cluster %d: %d inliers, objective %.6g after %d IRLS iterations",
@@ -166,29 +167,24 @@ def cmd_align(args) -> None:
             res.final_objective,
             res.iterations_used,
         )
-    write_transforms(
-        args.out,
-        [transform_record_from_sim3(c.cluster_id, t) for c, t in zip(data.clusters, transforms)],
-    )
-    print(f"wrote {args.out} ({len(transforms)} cluster transforms)")
+    write_transforms(args.out, records)
+    print(f"wrote {args.out} ({len(records)} cluster transforms)")
 
 
 def cmd_track(args) -> None:
     plan = read_plan(args.plan)
     data = load_scene(args.clusters)
+    check_plan_matches_clusters(data.clusters, plan)
     records = read_transforms(args.transforms)
     transforms = _transforms_for_clusters(records, data.clusters, args.transforms)
     matcher = matcher_from_scene_dir(data.root, args.max_keypoints)
     tracking = run_tracking(
-        plan,
         data.similarity,
-        data.clusters,
-        transforms,
+        MergedGeometry(data.clusters, transforms),
         matcher,
         k=args.k,
         tau_reproj=args.tau,
         max_keypoints=args.max_keypoints,
-        threads=args.threads,
     )
     write_tracks(args.out, tracking.tracks)
     print(
@@ -211,12 +207,10 @@ def cmd_ba(args) -> None:
     records = read_transforms(transforms_path)
     transforms = _transforms_for_clusters(records, data.clusters, transforms_path)
 
-    merged = build_merged_geometry(data.clusters, transforms)
-    cameras = [merged.camera(fid) for fid in merged.frames()]
-    problem = BAProblem.from_tracks(cameras, tracks)
     cfg = BAConfig(iterations=args.iters, initial_lr=args.lr, lambda_exp=args.lambda_exp)
-    result = run_ba(problem, cfg)
-    refined_cameras, _, cloud = apply_ba_result(result, merged, tracks)
+    problem, result, refined_cameras, _, cloud = bundle_adjust(
+        MergedGeometry(data.clusters, transforms), tracks, cfg
+    )
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -239,22 +233,12 @@ def cmd_eval(args) -> None:
     if sorted(est) != sorted(gt):
         raise DataError(f"{args.est} and {args.gt} cover different frame ids")
     frame_ids = sorted(gt)
-    est_poses = [est[f] for f in frame_ids]
-    gt_poses = [gt[f] for f in frame_ids]
-    metrics = evaluate_trajectories(est_poses, gt_poses)
-    doc = {
-        "format_version": JSON_FORMAT_VERSION,
-        "n_cameras": len(frame_ids),
-        "trajectory": metrics.to_dict(),
-    }
-    if args.pred_cloud is not None:
-        # The predicted cloud shares the estimated trajectory's frame, so the
-        # trajectory's fitted gauge maps it into ground-truth coordinates.
-        gauge = umeyama_align(est_poses, gt_poses)
-        accuracy, completion = point_cloud_distance(
-            apply_sim3(gauge, read_ply(args.pred_cloud).points), read_ply(args.gt_cloud)
-        )
-        doc["point_cloud"] = {"accuracy": accuracy, "completion": completion}
+    pred_cloud = None if args.pred_cloud is None else read_ply(args.pred_cloud)
+    gt_cloud = None if args.gt_cloud is None else read_ply(args.gt_cloud)
+    metrics = evaluate_reconstruction(
+        [est[f] for f in frame_ids], [gt[f] for f in frame_ids], pred_cloud, gt_cloud
+    )
+    doc = {"format_version": JSON_FORMAT_VERSION, "n_cameras": len(frame_ids), **metrics}
     print(json.dumps(doc, indent=2))
 
 
@@ -270,8 +254,6 @@ def cmd_run(args) -> None:
         "ba_iterations": args.iters,
         "ba_lr": args.lr,
         "lambda_exp": args.lambda_exp,
-        "threads": args.threads,
-        "seed": args.seed,
         "n_subsequences": args.n_subsequences,
         "similarity_constrained": args.similarity_band,
     }
@@ -279,7 +261,7 @@ def cmd_run(args) -> None:
     if args.synth:
         synthesize_scene_dir(
             args.scene,
-            seed=cfg.seed,
+            seed=args.seed,
             n_cameras=args.cameras,
             n_landmarks=args.landmarks,
             layout=args.layout,
@@ -338,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", required=True)
     p.add_argument("--clusters", required=True, help="scene directory with cluster reconstructions")
     p.add_argument("--conf-percentile", type=float, default=70.0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True, help="transforms JSON path")
     p.set_defaults(func=cmd_align)
 
@@ -349,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=5, help="frame-graph neighbor count")
     p.add_argument("--tau", type=float, default=8.0, help="reprojection gate in pixels")
     p.add_argument("--max-keypoints", type=int, default=4096)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True, help="tracks binary path")
     p.set_defaults(func=cmd_track)
 
@@ -389,8 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--lambda", dest="lambda_exp", type=float, default=None)
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0, help="with --synth")
     p.add_argument("--n-subsequences", type=int, default=None,
                    help="number of interleaved subsequences")
     p.add_argument("--similarity-band", dest="similarity_band",

@@ -21,7 +21,7 @@ from .errors import (
     MissingFrameError,
     SchemaViolationError,
 )
-from .geometry import CameraParams, PointCloud, unproject_pixels
+from .geometry import CameraParams
 from .io_formats import (
     ClusterEntry,
     SceneManifest,
@@ -153,8 +153,8 @@ def load_cluster(manifest_path, cluster_id: int) -> ClusterReconstruction:
 
     Paths in the manifest are resolved relative to the manifest file.
     Raises MissingFrameError naming the frame when a per-frame file is
-    absent, DataCorruptionError for NaN payloads or truncated tensors, and
-    SchemaViolationError for dimension mismatches.
+    absent, DataCorruptionError for non-finite payloads or truncated
+    tensors, and SchemaViolationError for dimension mismatches.
     """
     manifest_path = Path(manifest_path)
     manifest = read_manifest(manifest_path)
@@ -178,8 +178,10 @@ def load_cluster(manifest_path, cluster_id: int) -> ClusterReconstruction:
         d = read_tensor(base / dpath)
         c = read_tensor(base / cpath)
         for kind, arr, rel in (("depth", d, dpath), ("confidence", c, cpath)):
-            if np.any(np.isnan(arr)):
-                raise DataCorruptionError(f"cluster {cluster_id} frame {fid}: NaN in {kind} tensor {rel}")
+            if not np.all(np.isfinite(arr)):
+                raise DataCorruptionError(
+                    f"cluster {cluster_id} frame {fid}: non-finite value in {kind} tensor {rel}"
+                )
         depths.append(DepthMap(d))
         confidences.append(ConfidenceMap(c))
 
@@ -218,26 +220,3 @@ def write_cluster(scene_dir, cluster: ClusterReconstruction) -> ClusterEntry:
         depth_paths=depth_paths,
         confidence_paths=conf_paths,
     )
-
-
-def cluster_pointcloud(cluster: ClusterReconstruction, conf_floor: float = 0.0) -> PointCloud:
-    """Unproject every valid-depth pixel with confidence >= conf_floor.
-
-    Points land in the cluster's own frame; confidences ride along on the
-    cloud. The count is monotone nonincreasing in conf_floor.
-    """
-    if conf_floor < 0:
-        raise SchemaViolationError(f"conf_floor must be >= 0, got {conf_floor}")
-    pts, confs = [], []
-    for cam, depth, conf in zip(cluster.cameras, cluster.depths, cluster.confidences):
-        d = depth.values.astype(np.float64)
-        keep = (d > 0) & (conf.values >= conf_floor)
-        if not keep.any():
-            continue
-        rows, cols = np.nonzero(keep)
-        pixels = np.stack([cols, rows], axis=1).astype(np.float64)
-        pts.append(unproject_pixels(pixels, d[rows, cols], cam))
-        confs.append(conf.values[rows, cols].astype(np.float64))
-    if not pts:
-        return PointCloud(points=np.zeros((0, 3)), confidences=np.zeros(0))
-    return PointCloud(points=np.concatenate(pts), confidences=np.concatenate(confs))

@@ -343,12 +343,3 @@ def matrix_to_quat_wxyz(r) -> np.ndarray:
     if q[0] < 0:
         q = -q
     return q
-
-
-def sim3_distance(a: Sim3Transform, b: Sim3Transform) -> tuple[float, float, float]:
-    """(|scale difference|, rotation angle in radians, translation distance)."""
-    return (
-        abs(a.scale - b.scale),
-        rotation_distance(a.rotation, b.rotation),
-        float(np.linalg.norm(a.translation - b.translation)),
-    )

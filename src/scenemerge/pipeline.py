@@ -1,16 +1,15 @@
 """End-to-end merge pipeline: plan, align, track, refine, evaluate.
 
-Each stage consumes and produces interchange artifacts, so a pipeline run
-is reproducible stage by stage from cached files. With a fixed seed and
-thread count every artifact is byte-identical across runs; worker pools
-only parallelize per-pair work and reduce results in task order.
+Each stage is one function that run_pipeline composes and the matching CLI
+subcommand calls after reading its files. Stages consume and produce
+interchange artifacts, so a pipeline run is reproducible stage by stage
+from cached files, and every artifact is byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .alignment import (
-    build_merged_geometry,
+    MergedGeometry,
     chain_alignments,
     estimate_sim3_irls,
     extract_overlap_correspondences,
@@ -27,7 +26,7 @@ from .ba import BAConfig, BAProblem, apply_ba_result, run_ba
 from .clusters import load_cluster
 from .errors import ConfigError, DataError, SceneMergeError
 from .evaluation import evaluate_trajectories, point_cloud_distance, umeyama_align
-from .geometry import PointCloud, Sim3Transform, apply_sim3
+from .geometry import PointCloud, apply_sim3
 from .io_formats import (
     JSON_FORMAT_VERSION,
     camera_from_pose_record,
@@ -71,8 +70,6 @@ class PipelineConfig:
     ba_iterations: int = 300
     ba_lr: float = 3e-3
     lambda_exp: float = 0.5
-    threads: int = 1
-    seed: int = 0
     n_subsequences: int | None = None
     similarity_constrained: bool = False
 
@@ -91,8 +88,6 @@ class PipelineConfig:
             raise ConfigError(f"tau_reproj must be positive, got {self.tau_reproj}")
         if self.max_keypoints < 1:
             raise ConfigError(f"max_keypoints must be >= 1, got {self.max_keypoints}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
         self.ba_config()  # validates the BA fields
 
     def ba_config(self) -> BAConfig:
@@ -273,32 +268,27 @@ def matcher_from_scene_dir(scene_dir, max_keypoints: int = 4096):
     return synthetic_matcher(scene, perturb, max_keypoints=max_keypoints)
 
 
-def align_clusters(clusters, conf_percentile: float = 70.0, threads: int = 1):
+def align_clusters(clusters, conf_percentile: float = 70.0):
     """Robust Sim(3) for each consecutive cluster pair, chained to cluster 0.
 
-    Returns (per-cluster transforms into the global frame, per-pair
-    AlignmentResult list). Pair problems run on a thread pool when
-    threads > 1; results are reduced in pair order, so output does not
-    depend on the thread count.
+    Returns (per-cluster transforms into the global frame, their
+    transforms.json records, per-pair AlignmentResult list). The transforms
+    are read back from the records: rotation -> quaternion -> rotation
+    loses ~1e-16, so later stages must consume exactly what a reader of
+    transforms.json reconstructs, or a stage-by-stage run from cached files
+    would drift from the end-to-end run by ulps.
     """
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
     if not clusters:
         raise ConfigError("no clusters to align")
-    if len(clusters) == 1:
-        return [Sim3Transform.identity()], []
-
-    def solve(i: int):
-        corr = extract_overlap_correspondences(clusters[i], clusters[i + 1], conf_percentile)
-        return estimate_sim3_irls(corr)
-
-    indices = range(len(clusters) - 1)
-    if threads == 1:
-        results = [solve(i) for i in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(solve, indices))
-    return chain_alignments(results), results
+    results = [
+        estimate_sim3_irls(extract_overlap_correspondences(a, b, conf_percentile))
+        for a, b in zip(clusters, clusters[1:])
+    ]
+    records = [
+        transform_record_from_sim3(c.cluster_id, t)
+        for c, t in zip(clusters, chain_alignments(results))
+    ]
+    return [sim3_from_transform_record(r) for r in records], records, results
 
 
 @contextmanager
@@ -347,25 +337,50 @@ def _gt_cameras_for(data: SceneData, frame_ids):
     return cams
 
 
+def bundle_adjust(merged: MergedGeometry, tracks, cfg: BAConfig):
+    """Global BA over the merged cameras and the tracks.
+
+    Returns (problem before BA, BAResult, refined cameras sorted by frame
+    id, tracks with refined points, dense cloud under the refined cameras).
+    """
+    cameras = [merged.camera(fid) for fid in merged.frames()]
+    problem = BAProblem.from_tracks(cameras, tracks)
+    result = run_ba(problem, cfg)
+    refined_cameras, refined_tracks, cloud = apply_ba_result(result, merged, tracks)
+    return problem, result, refined_cameras, refined_tracks, cloud
+
+
+def evaluate_reconstruction(
+    est, gt, pred_cloud: PointCloud | None = None, gt_cloud: PointCloud | None = None
+) -> dict:
+    """Trajectory metrics of est against gt (parallel camera or pose lists),
+    plus point-cloud accuracy and completion when both clouds are given.
+
+    The predicted cloud shares the estimated trajectory's coordinate frame,
+    so the trajectory's fitted Sim(3) gauge maps it into ground-truth
+    coordinates before comparing.
+    """
+    metrics = {"trajectory": evaluate_trajectories(est, gt).to_dict()}
+    if pred_cloud is not None and gt_cloud is not None:
+        gauge = umeyama_align(est, gt)
+        accuracy, completion = point_cloud_distance(apply_sim3(gauge, pred_cloud.points), gt_cloud)
+        metrics["point_cloud"] = {"accuracy": accuracy, "completion": completion}
+    return metrics
+
+
 def evaluate_run(data: SceneData, cameras, cloud: PointCloud | None) -> dict | None:
     """Metrics against the gt/ directory; None when the scene has no GT.
 
-    The merged cloud shares the estimated trajectory's coordinate frame, so
-    the trajectory's fitted Sim(3) gauge is applied to it before comparing
-    against the ground-truth landmarks.
+    The cloud is scored only when it holds points and gt/landmarks.ply
+    exists.
     """
     gt_cams = _gt_cameras_for(data, [c.frame_id for c in cameras])
     if gt_cams is None:
         return None
-    metrics = {"trajectory": evaluate_trajectories(cameras, gt_cams).to_dict()}
     gt_cloud_path = data.root / "gt" / "landmarks.ply"
     if cloud is not None and len(cloud.points) and gt_cloud_path.exists():
-        gauge = umeyama_align(cameras, gt_cams)
-        accuracy, completion = point_cloud_distance(
-            apply_sim3(gauge, cloud.points), read_ply(gt_cloud_path)
-        )
-        metrics["point_cloud"] = {"accuracy": accuracy, "completion": completion}
-    return metrics
+        return evaluate_reconstruction(cameras, gt_cams, cloud, read_ply(gt_cloud_path))
+    return evaluate_reconstruction(cameras, gt_cams)
 
 
 def run_pipeline(
@@ -397,37 +412,25 @@ def run_pipeline(
         check_plan_matches_clusters(data.clusters, plan)
 
     with _stage("align", timings):
-        chained, alignments = align_clusters(data.clusters, cfg.conf_percentile, cfg.threads)
-        # Canonicalize through the serialized record: rotation -> quaternion
-        # -> rotation loses ~1e-16, so later stages must consume exactly what
-        # a reader of transforms.json reconstructs, or a stage-by-stage run
-        # from cached files would drift from the end-to-end run by ulps.
-        transform_records = [
-            transform_record_from_sim3(c.cluster_id, t) for c, t in zip(data.clusters, chained)
-        ]
-        transforms = [sim3_from_transform_record(r) for r in transform_records]
+        transforms, transform_records, alignments = align_clusters(data.clusters, cfg.conf_percentile)
 
     with _stage("track", timings):
         if matcher is None:
             matcher = matcher_from_scene_dir(data.root, cfg.max_keypoints)
+        merged = MergedGeometry(data.clusters, transforms)
         tracking = run_tracking(
-            plan,
             data.similarity,
-            data.clusters,
-            transforms,
+            merged,
             matcher,
             k=cfg.k,
             tau_reproj=cfg.tau_reproj,
             max_keypoints=cfg.max_keypoints,
-            threads=cfg.threads,
         )
 
     with _stage("ba", timings):
-        merged = build_merged_geometry(data.clusters, transforms)
-        cameras = [merged.camera(fid) for fid in merged.frames()]
-        problem = BAProblem.from_tracks(cameras, tracking.tracks)
-        ba_result = run_ba(problem, cfg.ba_config())
-        refined_cameras, refined_tracks, cloud = apply_ba_result(ba_result, merged, tracking.tracks)
+        problem, ba_result, refined_cameras, refined_tracks, cloud = bundle_adjust(
+            merged, tracking.tracks, cfg.ba_config()
+        )
 
     with _stage("eval", timings):
         metrics = evaluate_run(data, refined_cameras, cloud)

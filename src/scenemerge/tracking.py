@@ -9,7 +9,6 @@ confidence is the mean of the observation confidences.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -304,53 +303,41 @@ def merge_tracks(all_matches, merged, min_track_len: int = 2) -> list:
 
 
 def run_tracking(
-    plan,
     m,
-    clusters,
-    transforms,
+    merged,
     matcher,
     k: int = 5,
     tau_reproj: float = 8.0,
     max_keypoints: int = 4096,
     min_track_len: int = 2,
-    threads: int = 1,
 ) -> TrackingResult:
     """Graph, per-edge matching, verification, DSU, and fusion.
 
-    The matcher is invoked once per graph edge (at most k * n times); an
-    edge whose matcher call raises is skipped and counted in failed_edges.
-    Match sets larger than max_keypoints are truncated. With threads > 1
-    the per-edge phase runs in a thread pool; results are reduced in edge
-    order, so the output is identical to the single-threaded run.
+    merged is the MergedGeometry of the aligned clusters; verification and
+    fusion read every frame's camera and depth from it. The matcher is
+    invoked once per graph edge (at most k * n times), in edge order; an
+    edge whose matcher call raises DataError is skipped and counted in
+    failed_edges, while any other exception propagates. Match sets larger
+    than max_keypoints are truncated.
     """
-    from .alignment import build_merged_geometry
-
-    if plan is not None:
-        for idx, cluster in enumerate(clusters):
-            if list(cluster.frame_ids) != list(plan.subsets[idx]):
-                raise ConfigError(
-                    f"cluster {cluster.cluster_id} frames do not match plan subset {idx}"
-                )
     if max_keypoints < 1:
         raise ConfigError(f"max_keypoints must be >= 1, got {max_keypoints}")
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
 
     graph = build_frame_graph(m, k)
-    merged = build_merged_geometry(clusters, transforms)
-    for i, j in graph.edges:
-        if i not in merged.frames() or j not in merged.frames():
-            raise MissingFrameError(f"graph edge ({i}, {j}) references a frame missing from all clusters")
+    missing = {f for edge in graph.edges for f in edge} - set(merged.frames())
+    if missing:
+        raise MissingFrameError(
+            f"graph edges reference frames missing from all clusters: {sorted(missing)[:5]}"
+        )
 
-    invocations = 0
+    verified = []
     failures = 0
-
-    def match_edge(edge):
-        i, j = edge
+    for i, j in graph.edges:
         try:
             ms = matcher(i, j)
-        except Exception:
-            return None
+        except DataError:
+            failures += 1
+            continue
         if len(ms) > max_keypoints:
             ms = MatchSet(
                 frame_i=ms.frame_i,
@@ -361,26 +348,12 @@ def run_tracking(
             )
         cam_i, depth_i, _, s_i = merged.frame_geometry(i)
         cam_j, depth_j, _, s_j = merged.frame_geometry(j)
-        return verify_matches(ms, cam_i, depth_i, cam_j, depth_j, tau_reproj, s_i, s_j)
-
-    if threads == 1:
-        raw = [match_edge(e) for e in graph.edges]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            raw = list(pool.map(match_edge, graph.edges))
-
-    verified = []
-    for out in raw:
-        invocations += 1
-        if out is None:
-            failures += 1
-        else:
-            verified.append(out)
+        verified.append(verify_matches(ms, cam_i, depth_i, cam_j, depth_j, tau_reproj, s_i, s_j))
 
     tracks = merge_tracks(verified, merged, min_track_len=min_track_len)
     return TrackingResult(
         tracks=tracks,
         graph=graph,
-        matcher_invocations=invocations,
+        matcher_invocations=len(graph.edges),
         failed_edges=failures,
     )

@@ -10,20 +10,16 @@ from scenemerge.alignment import (
     estimate_sim3_irls,
     estimate_sim3_least_squares,
     extract_overlap_correspondences,
+    MergedGeometry,
     huber_rho,
-    merge_clusters,
     weighted_umeyama,
 )
-from scenemerge.clusters import (
-    ClusterReconstruction,
-    ConfidenceMap,
-    DepthMap,
-    cluster_pointcloud,
-)
+from scenemerge.clusters import ClusterReconstruction, ConfidenceMap, DepthMap
 from scenemerge.errors import (
     ConfigError,
     DataError,
     DegenerateGeometryError,
+    DivergenceError,
     InsufficientOverlapError,
 )
 from scenemerge.geometry import (
@@ -35,6 +31,7 @@ from scenemerge.geometry import (
     compose_sim3,
     project_points,
     random_rotation,
+    unproject_pixels,
 )
 from scenemerge.synthetic import PerturbationSpec, generate_scene, render_cluster
 
@@ -324,6 +321,30 @@ class TestEstimateSim3:
         assert res.final_objective <= float(np.sum(conf * r_init * r_init))
         assert np.median(r_final) <= np.median(r_init)
 
+    def test_objective_increase_raises_divergence(self, monkeypatch):
+        """A step that raises the Huber objective breaks the majorize-minimize
+        guarantee; it must raise DivergenceError, which python -O keeps."""
+        from scenemerge import alignment
+
+        rng = np.random.default_rng(11)
+        pts = rng.normal(size=(100, 3))
+        a = apply_sim3(_random_sim3(rng), pts) + rng.normal(size=(100, 3)) * 0.01
+        cs = CorrespondenceSet(points_a=a, points_b=pts, confidences=np.ones(100))
+        real = alignment.weighted_umeyama
+        calls = []
+
+        def worse_after_init(pa, pb, w):
+            t = real(pa, pb, w)
+            calls.append(t)
+            if len(calls) == 1:
+                return t
+            return Sim3Transform(scale=2.0 * t.scale, rotation=t.rotation, translation=t.translation)
+
+        monkeypatch.setattr(alignment, "weighted_umeyama", worse_after_init)
+        with pytest.raises(DivergenceError, match="IRLS objective increased") as exc:
+            estimate_sim3_irls(cs)
+        assert exc.value.iteration == 0
+
     def test_equivariance_under_source_transform(self):
         """Estimating against S-pre-warped sources recovers T o S^-1."""
         rng = np.random.default_rng(8)
@@ -418,41 +439,48 @@ class TestChainAlignments:
 
 
 class TestMergeClusters:
+    """MergedGeometry: one winning instance per frame, mapped into the global frame."""
+
     def test_single_cluster_identity_unchanged(self):
         rng = np.random.default_rng(13)
         depth = rng.uniform(1.0, 2.0, size=(4, 4)).astype(np.float32)
         conf = rng.uniform(0.1, 1.0, size=(4, 4)).astype(np.float32)
         cluster = _cluster(0, [(0, depth, conf)])
-        cams, cloud = merge_clusters([cluster], [Sim3Transform.identity()])
-        assert len(cams) == 1
-        assert np.allclose(cams[0].pose.rotation, np.eye(3), atol=1e-15)
-        assert np.allclose(cams[0].pose.translation, 0.0, atol=1e-15)
-        direct = cluster_pointcloud(cluster)
-        assert np.allclose(cloud.points, direct.points, atol=1e-12)
+        merged = MergedGeometry([cluster], [Sim3Transform.identity()])
+        assert merged.frames() == [0]
+        cam = merged.camera(0)
+        assert np.allclose(cam.pose.rotation, np.eye(3), atol=1e-15)
+        assert np.allclose(cam.pose.translation, 0.0, atol=1e-15)
+        rows, cols = np.nonzero(depth > 0)
+        pixels = np.stack([cols, rows], axis=1).astype(np.float64)
+        direct = unproject_pixels(pixels, depth[rows, cols].astype(np.float64), cluster.cameras[0])
+        assert np.allclose(merged.dense_cloud().points, direct, atol=1e-12)
 
     def test_duplicate_frame_keeps_higher_confidence(self):
         """Frame 5 appears with mean confidences 0.9 and 0.3."""
         depth = np.ones((4, 4), dtype=np.float32)
         strong = _cluster(0, [(5, depth, np.full((4, 4), 0.9))])
         weak = _cluster(1, [(5, depth * 2.0, np.full((4, 4), 0.3))])
-        cams, cloud = merge_clusters(
-            [weak, strong], [Sim3Transform.identity(), Sim3Transform.identity()]
-        )
-        assert len(cams) == 1
+        merged = MergedGeometry([weak, strong], [Sim3Transform.identity(), Sim3Transform.identity()])
+        assert merged.frames() == [5]
+        cloud = merged.dense_cloud()
         assert np.all(cloud.confidences == np.float32(0.9))
         assert np.allclose(cloud.points[:, 2], 1.0)
 
     def test_reprojection_invariance(self):
-        """project(T(p), T(cam)) == project(p, cam) within 1e-6 px."""
+        """project(T(p), T(cam)) == project(p, cam) within 1e-6 px, and the
+        merged dense cloud is the cluster-local cloud mapped by T."""
         rng = np.random.default_rng(14)
         scene = generate_scene(seed=1, n_cameras=4, n_landmarks=1000, layout="room")
         spec = PerturbationSpec(per_cluster_sim3_noise=(0.2, 20.0, 0.5))
         cluster, _ = render_cluster(scene, [0, 1], spec, cluster_id=0)
         t = _random_sim3(rng)
-        cams, _ = merge_clusters([cluster], [t])
-        cloud = cluster_pointcloud(cluster)
-        pts = cloud.points[:: max(1, len(cloud.points) // 500)]
-        for raw_cam, new_cam in zip(cluster.cameras, cams):
+        merged = MergedGeometry([cluster], [t])
+        local = MergedGeometry([cluster], [Sim3Transform.identity()]).dense_cloud()
+        assert np.allclose(merged.dense_cloud().points, apply_sim3(t, local.points), atol=1e-9)
+        pts = local.points[:: max(1, len(local.points) // 500)]
+        for raw_cam in cluster.cameras:
+            new_cam = merged.camera(raw_cam.frame_id)
             uv_old, front_old = project_points(pts, raw_cam)
             uv_new, front_new = project_points(apply_sim3(t, pts), new_cam)
             assert np.array_equal(front_old, front_new)
@@ -477,18 +505,17 @@ class TestMergeClusters:
             estimate_sim3_irls(extract_overlap_correspondences(clusters[i], clusters[i + 1], 0.0))
             for i in range(2)
         ]
-        transforms = chain_alignments(pairwise)
-        cams, _ = merge_clusters(clusters, transforms)
-        assert [c.frame_id for c in cams] == list(range(9))
+        merged = MergedGeometry(clusters, chain_alignments(pairwise))
+        assert merged.frames() == list(range(9))
         gt_centers = np.array([scene.gt_cameras[i].pose.center for i in range(9)])
         expected = apply_sim3(warps[0], gt_centers)
-        got = np.array([c.pose.center for c in cams])
+        got = np.array([merged.camera(f).pose.center for f in merged.frames()])
         assert np.abs(got - expected).max() < 1e-5
 
     def test_rejects_mismatched_lists(self):
         depth = np.ones((4, 4), dtype=np.float32)
         cluster = _cluster(0, [(0, depth, depth)])
         with pytest.raises(ConfigError):
-            merge_clusters([cluster], [])
+            MergedGeometry([cluster], [])
         with pytest.raises(ConfigError):
-            merge_clusters([], [])
+            MergedGeometry([], [])

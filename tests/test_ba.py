@@ -578,16 +578,16 @@ class TestRunBA:
 
 class TestApplyBAResult:
     def _merged_setup(self, seed=4):
-        from scenemerge.alignment import build_merged_geometry, merge_clusters
+        from scenemerge.alignment import MergedGeometry
         from scenemerge.synthetic import PerturbationSpec, generate_scene, render_cluster
         from scenemerge.geometry import Sim3Transform
 
         scene = generate_scene(seed, n_cameras=6, n_landmarks=2000, layout="room")
         cluster, _ = render_cluster(scene, list(range(6)), PerturbationSpec.none(), cluster_id=0)
         transforms = [Sim3Transform.identity()]
-        merged = build_merged_geometry([cluster], transforms)
-        cameras, cloud = merge_clusters([cluster], transforms)
-        return merged, cameras, cloud
+        merged = MergedGeometry([cluster], transforms)
+        cameras = [merged.camera(fid) for fid in merged.frames()]
+        return merged, cameras, merged.dense_cloud()
 
     def test_identity_refinement_preserves_scene(self):
         """Running zero iterations of refinement and writing back must

@@ -261,22 +261,6 @@ class TestRun:
         assert (tmp_path / "out" / "metrics.json").exists()
         assert "merged 12 images" in capsys.readouterr().out
 
-    def test_threads_flag_does_not_change_artifacts(self, scene_dir, staged, tmp_path):
-        args = [
-            "run",
-            "--scene", str(scene_dir),
-            "--out", "",
-            "--subset-size", str(SUBSET_SIZE),
-            "--overlap", str(OVERLAP),
-            "--threads", "",
-        ]
-        for threads, out in (("1", tmp_path / "t1"), ("8", tmp_path / "t8")):
-            args[4] = str(out)
-            args[-1] = threads
-            assert main(args) == 0
-        for name in ("transforms.json", "poses_refined.json"):
-            assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t8" / name).read_bytes()
-
     def test_config_file_and_flag_precedence(self, scene_dir, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
@@ -304,6 +288,18 @@ class TestRun:
         )
         assert code == 2
         assert "unknown config field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["threads", "seed"])
+    def test_removed_config_fields_exit_2(self, scene_dir, tmp_path, capsys, field):
+        """threads and seed left PipelineConfig; a config file naming them is
+        rejected like any other unknown field."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: 1}))
+        code = main(
+            ["run", "--scene", str(scene_dir), "--out", str(tmp_path / "o"), "--config", str(cfg)]
+        )
+        assert code == 2
+        assert f"unknown config field {field!r}" in capsys.readouterr().err
 
     def test_malformed_config_exits_2(self, scene_dir, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -349,6 +345,72 @@ class TestExitCodes:
         )
         assert code == 4
         assert "iteration" in capsys.readouterr().err
+
+    def test_irls_divergence_exits_4(self, scene_dir, staged, tmp_path, monkeypatch, capsys):
+        from scenemerge import alignment
+        from scenemerge.geometry import Sim3Transform
+
+        real = alignment.weighted_umeyama
+        calls = []
+
+        def worse_after_init(pa, pb, w):
+            t = real(pa, pb, w)
+            calls.append(t)
+            if len(calls) == 1:
+                return t
+            return Sim3Transform(scale=2.0 * t.scale, rotation=t.rotation, translation=t.translation)
+
+        monkeypatch.setattr(alignment, "weighted_umeyama", worse_after_init)
+        code = main(
+            [
+                "align",
+                "--plan", str(staged["plan"]),
+                "--clusters", str(scene_dir),
+                "--out", str(tmp_path / "t.json"),
+            ]
+        )
+        assert code == 4
+        assert "IRLS objective increased" in capsys.readouterr().err
+
+    def test_infinite_depth_exits_3_naming_frame(self, scene_dir, tmp_path, capsys):
+        import shutil
+
+        from scenemerge.io_formats import read_manifest, read_tensor, write_tensor
+
+        scene = tmp_path / "scene"
+        shutil.copytree(scene_dir, scene)
+        entry = read_manifest(scene / "manifest.json").clusters[1]
+        fid, rel = entry.frame_ids[0], entry.depth_paths[0]
+        depth = read_tensor(scene / rel)
+        depth[3, 4] = float("inf")
+        write_tensor(scene / rel, depth)
+        code = main(["run", "--scene", str(scene), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"load stage: cluster 1 frame {fid}: non-finite value in depth tensor {rel}" in err
+
+    def test_track_plan_mismatch_exits_2(self, scene_dir, staged, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        assert main(
+            [
+                "plan",
+                "--similarity", str(scene_dir / "similarity.mrgt"),
+                "--subset-size", str(SUBSET_SIZE + 3),
+                "--overlap", str(OVERLAP),
+                "--out", str(plan),
+            ]
+        ) == 0
+        code = main(
+            [
+                "track",
+                "--plan", str(plan),
+                "--clusters", str(scene_dir),
+                "--transforms", str(staged["transforms"]),
+                "--out", str(tmp_path / "tracks.bin"),
+            ]
+        )
+        assert code == 2
+        assert "partition settings" in capsys.readouterr().err
 
     def test_bad_flag_value_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from scenemerge.alignment import MergedGeometry
 from scenemerge.clusters import (
     ClusterReconstruction,
     ConfidenceMap,
     DepthMap,
-    cluster_pointcloud,
     load_cluster,
     write_cluster,
 )
@@ -21,10 +21,11 @@ from scenemerge.geometry import (
     CameraIntrinsics,
     CameraParams,
     CameraPose,
+    Sim3Transform,
     apply_sim3,
     project_points,
 )
-from scenemerge.io_formats import read_manifest, write_tensor
+from scenemerge.io_formats import read_manifest, read_tensor, write_tensor
 from scenemerge.synthetic import (
     PerturbationSpec,
     generate_scene,
@@ -165,6 +166,17 @@ class TestLoadCluster:
         with pytest.raises(DataCorruptionError):
             load_cluster(path, 0)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_depth_names_cluster_frame_and_file(self, tmp_path, value):
+        path, _, clusters = _write_synthetic_scene(tmp_path)
+        fid = clusters[1].frame_ids[2]
+        rel = f"clusters/001/depth_{fid:05d}.mrgt"
+        bad = read_tensor(path.parent / rel)
+        bad[5, 7] = value
+        write_tensor(path.parent / rel, bad)
+        with pytest.raises(DataCorruptionError, match=f"cluster 1 frame {fid}: non-finite value in depth tensor {rel}"):
+            load_cluster(path, 1)
+
     def test_wrong_shape_tensor(self, tmp_path):
         """A depth grid that disagrees with the manifest image size fails."""
         path, _, clusters = _write_synthetic_scene(tmp_path)
@@ -189,6 +201,11 @@ class TestLoadCluster:
         assert [c.cluster_id for c in manifest.clusters] == [c.cluster_id for c in clusters]
 
 
+def _dense_cloud(cluster):
+    """The cluster's own cloud: its dense merged cloud under the identity."""
+    return MergedGeometry([cluster], [Sim3Transform.identity()]).dense_cloud()
+
+
 class TestClusterPointcloud:
     def test_four_by_four_reprojects_to_source_pixels(self):
         """16 valid pixels unproject then project back within 1e-6 px.
@@ -198,7 +215,7 @@ class TestClusterPointcloud:
         """
         depth = (1.0 + np.arange(16, dtype=np.float32).reshape(4, 4) / 8.0)
         cluster = _tiny_cluster(depth, np.ones((4, 4)))
-        cloud = cluster_pointcloud(cluster, conf_floor=0.0)
+        cloud = _dense_cloud(cluster)
         assert len(cloud.points) == 16
         uv, in_front = project_points(cloud.points, cluster.cameras[0])
         assert in_front.all()
@@ -210,30 +227,8 @@ class TestClusterPointcloud:
         depth = np.ones((4, 4), dtype=np.float32)
         depth[0, 0] = 0.0
         depth[3, 3] = -2.0
-        cloud = cluster_pointcloud(_tiny_cluster(depth, np.ones((4, 4))))
+        cloud = _dense_cloud(_tiny_cluster(depth, np.ones((4, 4))))
         assert len(cloud.points) == 14
-
-    def test_floor_above_max_confidence_empties_cloud(self):
-        cluster = _tiny_cluster(np.ones((4, 4)), np.full((4, 4), 0.5))
-        cloud = cluster_pointcloud(cluster, conf_floor=0.6)
-        assert len(cloud.points) == 0
-        assert cloud.points.shape == (0, 3)
-
-    def test_count_monotone_in_floor(self):
-        rng = np.random.default_rng(0)
-        conf = rng.uniform(0.0, 1.0, size=(8, 8)).astype(np.float32)
-        cluster = _tiny_cluster(np.ones((8, 8)), conf, frame_id=0)
-        counts = [
-            len(cluster_pointcloud(cluster, conf_floor=f).points)
-            for f in np.linspace(0.0, 1.1, 12)
-        ]
-        assert counts[0] == 64
-        assert all(a >= b for a, b in zip(counts, counts[1:]))
-
-    def test_negative_floor_rejected(self):
-        cluster = _tiny_cluster(np.ones((4, 4)), np.ones((4, 4)))
-        with pytest.raises(SchemaViolationError):
-            cluster_pointcloud(cluster, conf_floor=-0.1)
 
     def test_noisy_cloud_stays_within_injected_noise(self):
         """Mean cloud-to-surface distance < sigma times mean scene depth.
@@ -246,7 +241,7 @@ class TestClusterPointcloud:
         cluster, warp = render_cluster(
             scene, list(range(10)), PerturbationSpec(depth_noise_sigma=sigma), cluster_id=0
         )
-        cloud = cluster_pointcloud(cluster)
+        cloud = _dense_cloud(cluster)
         unwarped = apply_sim3(warp.inverse(), cloud.points)
         dist, _ = cKDTree(scene.landmarks).query(unwarped)
         gt_depths = np.concatenate(

@@ -16,11 +16,12 @@ import pytest
 
 from scenemerge.errors import ConfigError, DataError
 from scenemerge.geometry import Sim3Transform
-from scenemerge.io_formats import read_manifest, read_tensor
+from scenemerge.io_formats import read_manifest, read_tensor, sim3_from_transform_record
 from scenemerge.ordering import plan_scene
 from scenemerge.pipeline import (
     PipelineConfig,
     align_clusters,
+    bundle_adjust,
     check_plan_matches_clusters,
     load_scene,
     matcher_from_scene_dir,
@@ -77,7 +78,6 @@ class TestPipelineConfig:
         assert cfg.ba_iterations == 300
         assert cfg.ba_lr == 3e-3
         assert cfg.lambda_exp == 0.5
-        assert cfg.threads == 1
         assert cfg.n_subsequences is None
         assert cfg.similarity_constrained is False
 
@@ -108,7 +108,7 @@ class TestPipelineConfig:
             PipelineConfig.from_sources(overrides={"lr": 0.1})
 
     def test_to_dict_round_trips(self):
-        cfg = PipelineConfig(subset_size=15, overlap=2, seed=9)
+        cfg = PipelineConfig(subset_size=15, overlap=2, k=3)
         assert PipelineConfig.from_sources(file_values=cfg.to_dict()) == cfg
 
     def test_rejects_bad_ranges(self):
@@ -124,8 +124,6 @@ class TestPipelineConfig:
             PipelineConfig(tau_reproj=0.0)
         with pytest.raises(ConfigError, match="max_keypoints"):
             PipelineConfig(max_keypoints=0)
-        with pytest.raises(ConfigError, match="threads"):
-            PipelineConfig(threads=0)
         with pytest.raises(ConfigError, match="iterations"):
             PipelineConfig(ba_iterations=0)
 
@@ -212,28 +210,25 @@ class TestMatcherFromSceneDir:
 class TestAlignClusters:
     def test_single_cluster_identity(self, scene_dir):
         data = load_scene(scene_dir)
-        transforms, results = align_clusters(data.clusters[:1])
+        transforms, records, results = align_clusters(data.clusters[:1])
         assert results == []
-        assert len(transforms) == 1
+        assert len(transforms) == len(records) == 1
         identity = Sim3Transform.identity()
         assert transforms[0].scale == identity.scale
         assert np.array_equal(transforms[0].rotation, identity.rotation)
         assert np.array_equal(transforms[0].translation, identity.translation)
 
-    def test_thread_count_does_not_change_result(self, scene_dir):
+    def test_transforms_are_read_back_from_records(self, scene_dir):
         data = load_scene(scene_dir)
-        serial, _ = align_clusters(data.clusters, threads=1)
-        pooled, _ = align_clusters(data.clusters, threads=4)
-        assert len(serial) == len(pooled) == 3
-        for a, b in zip(serial, pooled):
-            assert a.scale == b.scale
-            assert np.array_equal(a.rotation, b.rotation)
-            assert np.array_equal(a.translation, b.translation)
+        transforms, records, _ = align_clusters(data.clusters)
+        assert [r.cluster_id for r in records] == [c.cluster_id for c in data.clusters]
+        for t, r in zip(transforms, records):
+            back = sim3_from_transform_record(r)
+            assert t.scale == back.scale
+            assert np.array_equal(t.rotation, back.rotation)
+            assert np.array_equal(t.translation, back.translation)
 
-    def test_validation(self, scene_dir):
-        data = load_scene(scene_dir)
-        with pytest.raises(ConfigError, match="threads"):
-            align_clusters(data.clusters, threads=0)
+    def test_validation(self):
         with pytest.raises(ConfigError, match="no clusters"):
             align_clusters([])
 
@@ -315,9 +310,9 @@ class TestRunPipeline:
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["trajectory"]["rra_at"]["30"] == 100.0
 
-    def test_rerun_and_threads_byte_identical(self, scene_dir, run_output, tmp_path):
+    def test_rerun_byte_identical(self, scene_dir, run_output, tmp_path):
         _, first = run_output
-        run_pipeline(scene_dir, _small_config(threads=4), out_dir=tmp_path)
+        run_pipeline(scene_dir, _small_config(), out_dir=tmp_path)
         for name in (
             "plan.json",
             "transforms.json",
@@ -333,8 +328,6 @@ class TestRunPipeline:
         ref = json.loads((first / "report.json").read_text())
         own.pop("timings_sec")
         ref.pop("timings_sec")
-        own["config"].pop("threads")
-        ref["config"].pop("threads")
         assert own == ref
 
     def test_zero_noise_recovers_ground_truth(self, tmp_path):
@@ -384,27 +377,19 @@ class TestRunPipeline:
 
     def test_stage_by_stage_matches_end_to_end(self, scene_dir, run_output, tmp_path):
         """Recomputing later stages from cached artifacts reproduces the run."""
-        from scenemerge.alignment import build_merged_geometry
-        from scenemerge.ba import BAProblem, apply_ba_result, run_ba
-        from scenemerge.io_formats import (
-            read_plan,
-            read_tracks,
-            read_transforms,
-            sim3_from_transform_record,
-            write_tracks,
-        )
+        from scenemerge.alignment import MergedGeometry
+        from scenemerge.io_formats import read_plan, read_tracks, read_transforms, write_tracks
         from scenemerge.tracking import run_tracking
 
         result, out = run_output
         data = load_scene(scene_dir)
         cfg = _small_config()
-        plan = read_plan(out / "plan.json")
+        check_plan_matches_clusters(data.clusters, read_plan(out / "plan.json"))
         transforms = [sim3_from_transform_record(r) for r in read_transforms(out / "transforms.json")]
+        merged = MergedGeometry(data.clusters, transforms)
         tracking = run_tracking(
-            plan,
             data.similarity,
-            data.clusters,
-            transforms,
+            merged,
             matcher_from_scene_dir(scene_dir, cfg.max_keypoints),
             k=cfg.k,
             tau_reproj=cfg.tau_reproj,
@@ -413,11 +398,8 @@ class TestRunPipeline:
         write_tracks(tmp_path / "tracks.bin", tracking.tracks)
         assert (tmp_path / "tracks.bin").read_bytes() == (out / "tracks.bin").read_bytes()
 
-        merged = build_merged_geometry(data.clusters, transforms)
-        cameras = [merged.camera(fid) for fid in merged.frames()]
         tracks = read_tracks(out / "tracks.bin")
-        ba = run_ba(BAProblem.from_tracks(cameras, tracks), cfg.ba_config())
-        refined, _, cloud = apply_ba_result(ba, merged, tracks)
+        _, _, refined, _, cloud = bundle_adjust(merged, tracks, cfg.ba_config())
         for mine, theirs in zip(refined, result.cameras):
             assert mine.frame_id == theirs.frame_id
             assert np.array_equal(mine.pose.rotation, theirs.pose.rotation)

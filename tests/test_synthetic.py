@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from scenemerge.clusters import cluster_pointcloud
+from scenemerge.alignment import MergedGeometry
 from scenemerge.errors import ConfigError, GenerationFailureError
-from scenemerge.geometry import apply_sim3, rotation_angle
+from scenemerge.geometry import Sim3Transform, apply_sim3, rotation_angle
 from scenemerge.synthetic import (
     PerturbationSpec,
     generate_scene,
@@ -142,7 +142,7 @@ class TestRenderCluster:
         scene = generate_scene(seed=2, n_cameras=10, n_landmarks=3000, layout="room")
         spec = PerturbationSpec(per_cluster_sim3_noise=(0.2, 20.0, 0.5))
         cluster, warp = render_cluster(scene, [0, 1, 2], spec, cluster_id=3)
-        cloud = cluster_pointcloud(cluster)
+        cloud = MergedGeometry([cluster], [Sim3Transform.identity()]).dense_cloud()
         gt = np.concatenate([_unproject_gt_frame(scene, fi) for fi in (0, 1, 2)])
         assert len(gt) == len(cloud.points)
         assert np.abs(apply_sim3(warp, gt) - cloud.points).max() < 1e-5

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from scenemerge.alignment import (
-    build_merged_geometry,
+    MergedGeometry,
     chain_alignments,
     estimate_sim3_irls,
     extract_overlap_correspondences,
 )
 from scenemerge.clusters import ClusterReconstruction, ConfidenceMap, DepthMap
-from scenemerge.errors import ConfigError, DataError
+from scenemerge.errors import ConfigError, DataError, MissingFrameError
 from scenemerge.geometry import (
     CameraIntrinsics,
     CameraParams,
@@ -62,7 +62,7 @@ def _flat_cluster(frame_ids, depth_value=2.0, conf_values=None, size=8):
 
 def _merged_flat(frame_ids, **kwargs):
     cluster = _flat_cluster(frame_ids, **kwargs)
-    return build_merged_geometry([cluster], [Sim3Transform.identity()])
+    return MergedGeometry([cluster], [Sim3Transform.identity()])
 
 
 def _pair(fi, fj, pixels):
@@ -158,7 +158,7 @@ class TestVerifyMatches:
             seed=seed, n_cameras=n_cameras, n_landmarks=n_landmarks, layout="room", image_size=image_size
         )
         cluster, _ = render_cluster(scene, list(range(n_cameras)), PerturbationSpec.none())
-        merged = build_merged_geometry([cluster], [Sim3Transform.identity()])
+        merged = MergedGeometry([cluster], [Sim3Transform.identity()])
         return scene, merged
 
     def test_perfect_matches_fully_retained(self):
@@ -394,13 +394,13 @@ class TestRunTracking:
             estimate_sim3_irls(extract_overlap_correspondences(clusters[i], clusters[i + 1], 70.0))
             for i in range(len(clusters) - 1)
         ]
-        transforms = chain_alignments(pairwise)
-        return scene, spec, sim, plan, clusters, warps, transforms
+        merged = MergedGeometry(clusters, chain_alignments(pairwise))
+        return scene, spec, sim, plan, clusters, warps, merged
 
     def test_invocation_budget_and_track_quality(self):
         """Matcher calls <= k*n; fused points sit near their GT landmarks."""
-        scene, spec, sim, plan, clusters, warps, transforms = self._pipeline_pieces()
-        res = run_tracking(plan, sim, clusters, transforms, synthetic_matcher(scene, spec), k=5)
+        scene, spec, sim, plan, clusters, warps, merged = self._pipeline_pieces()
+        res = run_tracking(sim, merged, synthetic_matcher(scene, spec), k=5)
         assert res.matcher_invocations <= 5 * scene.n_cameras
         assert res.matcher_invocations == len(res.graph.edges)
         assert res.failed_edges == 0
@@ -414,18 +414,32 @@ class TestRunTracking:
         assert (dist < bound).mean() >= 0.95
 
     def test_matcher_failure_skips_edge(self):
-        scene, spec, sim, plan, clusters, warps, transforms = self._pipeline_pieces(n_cameras=10)
+        scene, spec, sim, plan, clusters, warps, merged = self._pipeline_pieces(n_cameras=10)
         base = synthetic_matcher(scene, spec)
 
         def flaky(i, j):
             if (i, j) == tuple(sorted((0, 1))):
-                raise RuntimeError("matcher crashed")
+                raise DataError("no matches for this pair")
             return base(i, j)
 
-        res = run_tracking(plan, sim, clusters, transforms, flaky, k=2)
+        res = run_tracking(sim, merged, flaky, k=2)
         assert res.failed_edges >= 1
         assert res.matcher_invocations == len(res.graph.edges)
         assert len(res.tracks) > 0
+
+    def test_matcher_bug_propagates(self):
+        """Only DataError marks an edge as failed; any other exception is a
+        bug in the matcher and must surface, not be counted away."""
+        scene, spec, sim, plan, clusters, warps, merged = self._pipeline_pieces(n_cameras=10)
+        base = synthetic_matcher(scene, spec)
+
+        def buggy(i, j):
+            if (i, j) == tuple(sorted((0, 1))):
+                raise RuntimeError("matcher crashed")
+            return base(i, j)
+
+        with pytest.raises(RuntimeError, match="matcher crashed"):
+            run_tracking(sim, merged, buggy, k=2)
 
     def test_max_keypoints_truncates(self):
         """Only the first max_keypoints pairs of an oversized match set
@@ -439,30 +453,30 @@ class TestRunTracking:
         def fat_matcher(i, j):
             return MatchSet(frame_i=0, frame_j=1, pixels_i=pts, pixels_j=pts)
 
-        res = run_tracking(
-            None, sim, [cluster], [Sim3Transform.identity()], fat_matcher, k=1, max_keypoints=10
-        )
+        merged = MergedGeometry([cluster], [Sim3Transform.identity()])
+        res = run_tracking(sim, merged, fat_matcher, k=1, max_keypoints=10)
         allowed = {(float(u), float(v)) for u, v in pts[:10]}
         for t in res.tracks:
             for _, uv in t.observations:
                 assert (float(uv[0]), float(uv[1])) in allowed
 
-    def test_threads_do_not_change_result(self):
-        scene, spec, sim, plan, clusters, warps, transforms = self._pipeline_pieces(n_cameras=12)
-        matcher = synthetic_matcher(scene, spec)
-        one = run_tracking(plan, sim, clusters, transforms, matcher, k=3, threads=1)
-        four = run_tracking(plan, sim, clusters, transforms, matcher, k=3, threads=4)
-        assert len(one.tracks) == len(four.tracks)
-        for a, b in zip(one.tracks, four.tracks):
-            assert np.array_equal(a.point, b.point)
-            assert len(a.observations) == len(b.observations)
-            for (fa, pa), (fb, pb) in zip(a.observations, b.observations):
-                assert fa == fb
-                assert np.array_equal(pa, pb)
-
     def test_plan_mismatch_rejected(self):
-        """A 20-camera plan has several subsets, so reversal misaligns."""
-        scene, spec, sim, plan, clusters, warps, transforms = self._pipeline_pieces(n_cameras=20)
+        """A 20-camera plan has several subsets, so reversal misaligns; the
+        track stage checks its clusters against the plan before tracking."""
+        from scenemerge.pipeline import check_plan_matches_clusters
+
+        scene, spec, sim, plan, clusters, warps, merged = self._pipeline_pieces(n_cameras=20)
         assert len(clusters) > 1
         with pytest.raises(ConfigError):
-            run_tracking(plan, sim, list(reversed(clusters)), transforms, synthetic_matcher(scene, spec), k=2)
+            check_plan_matches_clusters(list(reversed(clusters)), plan)
+
+    def test_frame_missing_from_clusters_rejected(self):
+        """A graph edge to a frame no cluster holds fails before matching."""
+        sim = SimilarityMatrix(np.array([[1.0, 0.9, 0.5], [0.9, 1.0, 0.4], [0.5, 0.4, 1.0]]))
+        merged = MergedGeometry([_flat_cluster([0, 1])], [Sim3Transform.identity()])
+
+        def never(i, j):
+            raise AssertionError("matcher must not run")
+
+        with pytest.raises(MissingFrameError, match=r"\[2\]"):
+            run_tracking(sim, merged, never, k=1)
