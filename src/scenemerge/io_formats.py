@@ -203,9 +203,8 @@ def write_manifest(path, manifest: SceneManifest) -> None:
 def read_manifest(path) -> SceneManifest:
     doc = _read_json(path, "manifest")
     _check_version(doc, path)
-    for key in ("pose_convention", "images", "clusters"):
-        if key not in doc:
-            raise SchemaViolationError(f"{path}: manifest missing field {key!r}")
+    if "pose_convention" not in doc:
+        raise SchemaViolationError(f"{path}: manifest missing field 'pose_convention'")
     images = [
         ImageEntry(
             frame_id=int(im["frame_id"]),
@@ -213,7 +212,7 @@ def read_manifest(path) -> SceneManifest:
             height=int(im["height"]),
             image_path=im.get("image_path"),
         )
-        for im in doc["images"]
+        for im in _entries(doc, "images", ("frame_id", "width", "height"), path)
     ]
     clusters = [
         ClusterEntry(
@@ -223,7 +222,9 @@ def read_manifest(path) -> SceneManifest:
             depth_paths=[str(p) for p in c["depth_paths"]],
             confidence_paths=[str(p) for p in c["confidence_paths"]],
         )
-        for c in doc["clusters"]
+        for c in _entries(
+            doc, "clusters", ("cluster_id", "frame_ids", "poses_path", "depth_paths", "confidence_paths"), path
+        )
     ]
     return SceneManifest(
         images=images,
@@ -293,10 +294,9 @@ def write_poses(path, records: list[PoseRecord]) -> None:
 def read_poses(path) -> list[PoseRecord]:
     doc = _read_json(path, "poses")
     _check_version(doc, path)
-    if "poses" not in doc:
-        raise SchemaViolationError(f"{path}: poses file missing field 'poses'")
     out = []
-    for i, p in enumerate(doc["poses"]):
+    fields = ("frame_id", "quat_wxyz", "translation", "fx", "fy", "cx", "cy")
+    for i, p in enumerate(_entries(doc, "poses", fields, path)):
         q = _read_quat(p["quat_wxyz"], f"{path}: poses[{i}].quat_wxyz")
         out.append(
             PoseRecord(
@@ -366,10 +366,9 @@ def write_transforms(path, records: list[TransformRecord]) -> None:
 def read_transforms(path) -> list[TransformRecord]:
     doc = _read_json(path, "transforms")
     _check_version(doc, path)
-    if "clusters" not in doc:
-        raise SchemaViolationError(f"{path}: transforms file missing field 'clusters'")
     out = []
-    for i, c in enumerate(doc["clusters"]):
+    fields = ("cluster_id", "scale", "quat_wxyz", "translation")
+    for i, c in enumerate(_entries(doc, "clusters", fields, path)):
         q = _read_quat(c["quat_wxyz"], f"{path}: clusters[{i}].quat_wxyz")
         out.append(
             TransformRecord(
@@ -551,7 +550,7 @@ def read_plan(path):
 
     doc = _read_json(path, "plan")
     _check_version(doc, path)
-    for key in ("subset_size", "overlap", "pseudo_order", "interleaved_order", "subsets"):
+    for key in ("subset_size", "overlap", "n_subsequences", "pseudo_order", "interleaved_order", "subsets"):
         if key not in doc:
             raise SchemaViolationError(f"{path}: plan missing field {key!r}")
     return SceneGraphPlan(
@@ -591,6 +590,26 @@ def _read_json(path, kind: str):
     if not isinstance(doc, dict):
         raise SchemaViolationError(f"{path}: {kind} file must contain a JSON object")
     return doc
+
+
+def _entries(doc, key: str, fields, path) -> list:
+    """doc[key] as a list of JSON objects that each hold every name in fields.
+
+    Raises SchemaViolationError naming the file, the entry and the field,
+    e.g. "poses.json: poses[0]: missing field 'fx'".
+    """
+    if key not in doc:
+        raise SchemaViolationError(f"{path}: missing field {key!r}")
+    entries = doc[key]
+    if not isinstance(entries, list):
+        raise SchemaViolationError(f"{path}: field {key!r} must be a list, got {type(entries).__name__}")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise SchemaViolationError(f"{path}: {key}[{i}]: must be a JSON object, got {type(entry).__name__}")
+        for name in fields:
+            if name not in entry:
+                raise SchemaViolationError(f"{path}: {key}[{i}]: missing field {name!r}")
+    return entries
 
 
 def _check_version(doc, path) -> None:

@@ -427,7 +427,6 @@ def write_scene(
     clusters: list[ClusterReconstruction],
     similarity: SimilarityMatrix,
     warps: list[Sim3Transform] | None = None,
-    include_gt: bool = True,
 ) -> Path:
     """Write the full interchange layout (manifest, tensors, clusters, gt/).
 
@@ -449,14 +448,13 @@ def write_scene(
     )
     manifest_path = scene_dir / "manifest.json"
     write_manifest(manifest_path, manifest)
-    if include_gt:
-        gt_dir = scene_dir / "gt"
-        gt_dir.mkdir(exist_ok=True)
-        write_poses(gt_dir / "poses.json", [pose_record_from_camera(c) for c in scene.gt_cameras])
-        write_ply(gt_dir / "landmarks.ply", scene.gt_pointcloud())
-        if warps is not None:
-            write_transforms(
-                gt_dir / "warps.json",
-                [transform_record_from_sim3(c.cluster_id, t) for c, t in zip(clusters, warps)],
-            )
+    gt_dir = scene_dir / "gt"
+    gt_dir.mkdir(exist_ok=True)
+    write_poses(gt_dir / "poses.json", [pose_record_from_camera(c) for c in scene.gt_cameras])
+    write_ply(gt_dir / "landmarks.ply", scene.gt_pointcloud())
+    if warps is not None:
+        write_transforms(
+            gt_dir / "warps.json",
+            [transform_record_from_sim3(c.cluster_id, t) for c, t in zip(clusters, warps)],
+        )
     return manifest_path

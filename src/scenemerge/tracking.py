@@ -1,10 +1,12 @@
 """Multi-view track building over a sparse k-NN frame graph.
 
 Pairwise matches are verified by bidirectional reprojection against the
-globally aligned geometry, then merged into tracks with a disjoint-set
-union keyed on (frame id, rounded pixel). Each track fuses its
-per-observation 3D points by confidence-weighted averaging; the fused
-confidence is the mean of the observation confidences.
+globally aligned geometry, then merged into tracks: the connected
+components of the match graph over keypoints keyed on (frame id, rounded
+pixel). Every pixel is lifted to 3D through MergedGeometry.sample. Each
+track fuses its per-observation 3D points by confidence-weighted
+averaging; the fused confidence is the mean of the observation
+confidences.
 """
 
 from __future__ import annotations
@@ -12,9 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import ConfigError, DataError, MissingFrameError
-from .geometry import project_points, unproject_pixels
+from .geometry import project_points
 
 __all__ = [
     "MatchSet",
@@ -57,6 +61,11 @@ class MatchSet:
 
     def __len__(self) -> int:
         return len(self.pixels_i)
+
+    def select(self, rows) -> MatchSet:
+        """The pairs at rows (an index array, slice or boolean mask)."""
+        scores = None if self.scores is None else self.scores[rows]
+        return MatchSet(self.frame_i, self.frame_j, self.pixels_i[rows], self.pixels_j[rows], scores)
 
 
 @dataclass(frozen=True)
@@ -155,148 +164,126 @@ def build_frame_graph(m, k: int) -> FrameGraph:
     return FrameGraph(n_frames=n, edges=edges)
 
 
-def verify_matches(
-    ms: MatchSet,
-    cam_i,
-    depth_i,
-    cam_j,
-    depth_j,
-    tau_reproj: float = 8.0,
-    scale_i: float = 1.0,
-    scale_j: float = 1.0,
-) -> MatchSet:
+def verify_matches(ms: MatchSet, merged, tau_reproj: float = 8.0) -> MatchSet:
     """Bidirectional reprojection gate at tau_reproj pixels.
 
-    A pair survives iff both pixels sample valid depth, the unprojection
-    of pixel i reprojects into frame j within tau_reproj of its partner
-    (landing in front of the camera), and the symmetric j to i check
-    passes. Depth values are multiplied by scale_i/scale_j before
-    unprojection so cluster-local maps can be verified against
-    globally-aligned cameras.
+    A pair survives iff both pixels sample valid depth, the point that
+    merged.sample lifts from pixel i reprojects through merged's camera of
+    frame j within tau_reproj of its partner (landing in front of the
+    camera), and the symmetric j to i check passes.
     """
     if tau_reproj <= 0:
         raise ConfigError(f"tau_reproj must be positive, got {tau_reproj}")
     if len(ms) == 0:
         return ms
     keep = np.ones(len(ms), dtype=bool)
-    for pix_src, pix_dst, cam_src, cam_dst, depth_src, s_src in (
-        (ms.pixels_i, ms.pixels_j, cam_i, cam_j, depth_i, scale_i),
-        (ms.pixels_j, ms.pixels_i, cam_j, cam_i, depth_j, scale_j),
+    for src, pix_src, dst, pix_dst in (
+        (ms.frame_i, ms.pixels_i, ms.frame_j, ms.pixels_j),
+        (ms.frame_j, ms.pixels_j, ms.frame_i, ms.pixels_i),
     ):
-        d, valid = depth_src.sample_nearest(pix_src)
-        keep &= valid
-        pts = unproject_pixels(pix_src, np.where(valid, d, 1.0) * s_src, cam_src)
-        uv, in_front = project_points(pts, cam_dst)
-        keep &= in_front
+        pts, _, valid = merged.sample(src, pix_src)
+        uv, in_front = project_points(pts, merged.camera(dst))
         err = np.linalg.norm(np.where(np.isfinite(uv), uv, np.inf) - pix_dst, axis=1)
-        keep &= err <= tau_reproj
-    return MatchSet(
-        frame_i=ms.frame_i,
-        frame_j=ms.frame_j,
-        pixels_i=ms.pixels_i[keep],
-        pixels_j=ms.pixels_j[keep],
-        scores=None if ms.scores is None else ms.scores[keep],
-    )
+        keep &= valid & in_front & (err <= tau_reproj)
+    return ms.select(keep)
 
 
-class _DisjointSet:
-    """Array DSU with path compression and union by size."""
+def _intern_keypoints(all_matches):
+    """Keypoint identities of the merge_tracks table.
 
-    def __init__(self):
-        self.parent = []
-        self.size = []
-
-    def add(self) -> int:
-        self.parent.append(len(self.parent))
-        self.size.append(1)
-        return len(self.parent) - 1
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
+    Returns (node of each table row, first table row of each node, node
+    frame ids, node subpixel coordinates). Each row is keyed by one int64,
+    the mixed-radix number (frame index, rounded row, rounded column), so
+    np.unique runs on a flat array no larger than the table.
+    """
+    nonempty = [ms for ms in all_matches if len(ms)]
+    lo = np.rint(np.min([np.minimum(ms.pixels_i.min(axis=0), ms.pixels_j.min(axis=0)) for ms in nonempty], axis=0))
+    hi = np.rint(np.max([np.maximum(ms.pixels_i.max(axis=0), ms.pixels_j.max(axis=0)) for ms in nonempty], axis=0))
+    frame_ids = sorted({f for ms in nonempty for f in (ms.frame_i, ms.frame_j)})
+    w, h = (hi - lo + 1).tolist()
+    if not (np.abs([lo, hi]).max() < 2**31 and len(frame_ids) * w * h < 2**62):
+        raise DataError(
+            f"match pixels must be finite and span fewer than 2**62 keys, got rounded pixels "
+            f"from {lo.tolist()} to {hi.tolist()} over {len(frame_ids)} frames"
+        )
+    w, h, lo = int(w), int(h), lo.astype(np.int64)
+    frame_index = {f: i for i, f in enumerate(frame_ids)}
+    offsets = np.cumsum([0] + [2 * len(ms) for ms in all_matches])
+    key = np.empty(offsets[-1], dtype=np.int64)
+    for start, ms in zip(offsets, all_matches):
+        for side, fid, px in ((0, ms.frame_i, ms.pixels_i), (1, ms.frame_j, ms.pixels_j)):
+            u, v = (np.rint(px).astype(np.int64) - lo).T
+            key[start + side : start + 2 * len(ms) : 2] = (frame_index[fid] * h + v) * w + u
+    uniq, first, node = np.unique(key, return_index=True, return_inverse=True)
+    del key
+    node_frame = np.asarray(frame_ids)[uniq // (w * h)]
+    # An identity keeps the subpixel coordinate of its first table row.
+    node_pixel = np.empty((len(first), 2))
+    by_row = np.argsort(first)
+    cuts = np.searchsorted(first[by_row], offsets)
+    for k, ms in enumerate(all_matches):
+        nodes = by_row[cuts[k] : cuts[k + 1]]
+        pair, side = np.divmod(first[nodes] - offsets[k], 2)
+        node_pixel[nodes] = np.where(side[:, None] == 0, ms.pixels_i[pair], ms.pixels_j[pair])
+    return node, first, node_frame, node_pixel
 
 
 def merge_tracks(all_matches, merged, min_track_len: int = 2) -> list:
-    """DSU over keypoints, then confidence-weighted fusion per component.
+    """Connected components over one keypoint table, then fusion per component.
 
-    Keypoint identity is (frame id, pixel rounded to the nearest integer);
-    the first subpixel coordinate seen for an identity is kept. Components
-    with two distinct keypoints in one frame are ambiguous and discarded,
-    as are components shorter than min_track_len. Fusion follows
-    x = sum(C_k x_k) / sum(C_k) and C = sum(C_k) / K with per-observation
-    points unprojected from the merged global geometry and confidences
-    sampled at the nearest pixel.
+    The table lists both keypoints of every pair: match sets in order,
+    pairs in order, frame_i before frame_j. Keypoint identity is (frame id,
+    pixel rounded half to even); an identity keeps the first subpixel
+    coordinate the table holds for it. Components with two keypoints in
+    one frame are ambiguous and discarded, as are components shorter than
+    min_track_len. The remaining keypoints are lifted with one
+    merged.sample call per frame, and a component keeps only its valid
+    samples, needing at least min_track_len of them. Fusion follows
+    x = sum(C_k x_k) / sum(C_k) and C = sum(C_k) / K.
+
+    Tracks come out in the order of their first keypoint in the table,
+    each with its observations sorted by frame id.
     """
     if min_track_len < 2:
         raise ConfigError(f"min_track_len must be >= 2, got {min_track_len}")
-    dsu = _DisjointSet()
-    node_of = {}
-    node_frame = []
-    node_pixel = []
+    if not any(len(ms) for ms in all_matches):
+        return []
+    node, first, node_frame, node_pixel = _intern_keypoints(all_matches)
+    n_nodes = len(first)
+    pairs = coo_matrix((np.ones(len(node) // 2), (node[0::2], node[1::2])), shape=(n_nodes, n_nodes))
+    n_comp, label = connected_components(pairs, directed=False)
 
-    def intern(frame_id, uv):
-        key = (frame_id, int(round(uv[0])), int(round(uv[1])))
-        idx = node_of.get(key)
-        if idx is None:
-            idx = dsu.add()
-            node_of[key] = idx
-            node_frame.append(frame_id)
-            node_pixel.append(uv)
-        return idx
+    first_row = np.full(n_comp, len(node))
+    np.minimum.at(first_row, label, first)
+    order = np.lexsort((node_frame, first_row[label]))
+    comp, obs_frame = label[order], node_frame[order]
+    ambiguous = np.zeros(n_comp, dtype=bool)
+    ambiguous[comp[1:][(comp[1:] == comp[:-1]) & (obs_frame[1:] == obs_frame[:-1])]] = True
+    usable = (np.bincount(label, minlength=n_comp) >= min_track_len) & ~ambiguous
+    order = order[usable[comp]]
+    comp, obs_frame, obs_pixel = label[order], node_frame[order], node_pixel[order]
 
-    for ms in all_matches:
-        for a, b in zip(ms.pixels_i, ms.pixels_j):
-            dsu.union(intern(ms.frame_i, a), intern(ms.frame_j, b))
-
-    components = {}
-    for idx in range(len(node_frame)):
-        components.setdefault(dsu.find(idx), []).append(idx)
+    pts = np.empty((len(order), 3))
+    confs = np.empty(len(order))
+    ok = np.empty(len(order), dtype=bool)
+    for fid in np.unique(obs_frame):
+        rows = np.flatnonzero(obs_frame == fid)
+        pts[rows], confs[rows], ok[rows] = merged.sample(int(fid), obs_pixel[rows])
 
     tracks = []
-    for root in sorted(components):
-        nodes = components[root]
-        if len(nodes) < min_track_len:
+    starts = np.flatnonzero(np.r_[True, comp[1:] != comp[:-1]])
+    for lo, hi in zip(starts, np.r_[starts[1:], len(comp)]):
+        good = ok[lo:hi]
+        if good.sum() < min_track_len:
             continue
-        frames = [node_frame[i] for i in nodes]
-        if len(set(frames)) != len(frames):
-            continue
-        order = np.argsort(frames, kind="stable")
-        obs_frames = [frames[i] for i in order]
-        pixels = np.array([node_pixel[nodes[i]] for i in order])
-        pts = np.full((len(nodes), 3), np.nan)
-        confs = np.zeros(len(nodes))
-        ok = np.zeros(len(nodes), dtype=bool)
-        for fid in set(obs_frames):
-            rows = [i for i, f in enumerate(obs_frames) if f == fid]
-            p, c, valid = merged.sample(fid, pixels[rows])
-            pts[rows], confs[rows], ok[rows] = p, c, valid
-        if ok.sum() < min_track_len:
-            continue
-        pts, confs = pts[ok], confs[ok]
-        kept = [i for i, good in enumerate(ok) if good]
-        total = confs.sum()
-        if total > 0:
-            fused = (confs[:, None] * pts).sum(axis=0) / total
-        else:
-            fused = pts.mean(axis=0)
+        p, c = pts[lo:hi][good], confs[lo:hi][good]
+        total = c.sum()
+        fused = (c[:, None] * p).sum(axis=0) / total if total > 0 else p.mean(axis=0)
         tracks.append(
             Track(
                 point=fused,
-                confidence=float(total / len(pts)),
-                observations=[(obs_frames[i], pixels[i].copy()) for i in kept],
+                confidence=float(total / len(p)),
+                observations=[(int(f), uv) for f, uv in zip(obs_frame[lo:hi][good], obs_pixel[lo:hi][good])],
             )
         )
     return tracks
@@ -309,12 +296,11 @@ def run_tracking(
     k: int = 5,
     tau_reproj: float = 8.0,
     max_keypoints: int = 4096,
-    min_track_len: int = 2,
 ) -> TrackingResult:
-    """Graph, per-edge matching, verification, DSU, and fusion.
+    """Graph, per-edge matching, verification, then merge_tracks.
 
     merged is the MergedGeometry of the aligned clusters; verification and
-    fusion read every frame's camera and depth from it. The matcher is
+    fusion lift pixels and project points only through it. The matcher is
     invoked once per graph edge (at most k * n times), in edge order; an
     edge whose matcher call raises DataError is skipped and counted in
     failed_edges, while any other exception propagates. Match sets larger
@@ -339,18 +325,10 @@ def run_tracking(
             failures += 1
             continue
         if len(ms) > max_keypoints:
-            ms = MatchSet(
-                frame_i=ms.frame_i,
-                frame_j=ms.frame_j,
-                pixels_i=ms.pixels_i[:max_keypoints],
-                pixels_j=ms.pixels_j[:max_keypoints],
-                scores=None if ms.scores is None else ms.scores[:max_keypoints],
-            )
-        cam_i, depth_i, _, s_i = merged.frame_geometry(i)
-        cam_j, depth_j, _, s_j = merged.frame_geometry(j)
-        verified.append(verify_matches(ms, cam_i, depth_i, cam_j, depth_j, tau_reproj, s_i, s_j))
+            ms = ms.select(slice(max_keypoints))
+        verified.append(verify_matches(ms, merged, tau_reproj))
 
-    tracks = merge_tracks(verified, merged, min_track_len=min_track_len)
+    tracks = merge_tracks(verified, merged)
     return TrackingResult(
         tracks=tracks,
         graph=graph,

@@ -616,8 +616,9 @@ class TestApplyBAResult:
 
     def test_refined_cloud_reprojects_to_pixels(self):
         """Each frame's cloud points are unprojected from the stored depths
-        under the (here: slightly moved) refined cameras, so projecting them
-        back through those cameras must land on the original pixel grid."""
+        under the (here: slightly moved) refined cameras, so projecting the
+        returned cloud's frame-0 rows back through the refined frame-0
+        camera must land on frame 0's valid pixel grid, in row-major order."""
         from scenemerge.tracking import Track
 
         merged, cameras, _ = self._merged_setup()
@@ -635,18 +636,16 @@ class TestApplyBAResult:
         prob = BAProblem.from_tracks(moved, tracks)
         res = BAResult(problem=prob, loss_history=np.array([1.0]), initial_loss=1.0,
                        final_loss=1.0, best_iteration=0)
-        out_cams, _, _ = apply_ba_result(res, merged, tracks)
-        cam0 = out_cams[0]
-        _, depth, _, scale = merged.frame_geometry(0)
-        d = depth.values.astype(np.float64)
-        rows, cols = np.nonzero(d > 0)
+        out_cams, _, out_cloud = apply_ba_result(res, merged, tracks)
+        assert merged.frames()[0] == out_cams[0].frame_id == 0
+        rows, cols = np.nonzero(merged.frame_geometry(0)[1].values > 0)
         pixels = np.stack([cols, rows], axis=1).astype(np.float64)
-        from scenemerge.geometry import unproject_pixels
-
-        world = unproject_pixels(pixels, d[rows, cols] * scale, cam0)
-        uv, front = project_points(world, cam0)
+        frame0 = out_cloud.points[: len(pixels)]
+        uv, front = project_points(frame0, out_cams[0])
         assert front.all()
         assert np.abs(uv - pixels).max() < 1e-6
+        stale, _ = project_points(frame0, cameras[0])
+        assert np.abs(stale - pixels).max() > 1e-3
 
     def test_track_count_mismatch_rejected(self):
         from scenemerge.tracking import Track

@@ -8,6 +8,7 @@ byte-for-byte.
 """
 
 import json
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -411,6 +412,68 @@ class TestExitCodes:
         )
         assert code == 2
         assert "partition settings" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rel, edit, reader, message",
+        [
+            (
+                "clusters/000/poses.json",
+                lambda doc: doc["poses"][0].pop("fx"),
+                "read_poses",
+                "poses[0]: missing field 'fx'",
+            ),
+            (
+                "manifest.json",
+                lambda doc: doc["images"][0].pop("width"),
+                "read_manifest",
+                "images[0]: missing field 'width'",
+            ),
+            (
+                "clusters/000/poses.json",
+                lambda doc: doc["poses"].__setitem__(0, list(doc["poses"][0].values())),
+                "read_poses",
+                "poses[0]: must be a JSON object, got list",
+            ),
+            (
+                "clusters/000/poses.json",
+                lambda doc: doc.__setitem__("poses", dict(enumerate(doc["poses"]))),
+                "read_poses",
+                "field 'poses' must be a list, got dict",
+            ),
+            ("plan.json", lambda doc: doc.pop("n_subsequences"), "read_plan", "missing field 'n_subsequences'"),
+        ],
+        ids=["pose-without-fx", "image-without-width", "pose-as-list", "poses-as-object", "plan-without-n_subsequences"],
+    )
+    def test_malformed_json_entry_exits_3(self, scene_dir, staged, tmp_path, capsys, rel, edit, reader, message):
+        """A missing field or a non-object entry is a SchemaViolationError
+        naming the file, the entry and the field, and the CLI exits 3."""
+        import shutil
+
+        from scenemerge import io_formats
+        from scenemerge.errors import SchemaViolationError
+
+        scene = tmp_path / "scene"
+        shutil.copytree(scene_dir, scene)
+        shutil.copy(staged["plan"], scene / "plan.json")
+        path = scene / rel
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaViolationError, match=re.escape(message)):
+            getattr(io_formats, reader)(path)
+        if rel == "plan.json":
+            argv = [
+                "track",
+                "--plan", str(path),
+                "--clusters", str(scene),
+                "--transforms", str(staged["transforms"]),
+                "--out", str(tmp_path / "tracks.bin"),
+            ]
+        else:
+            argv = ["run", "--scene", str(scene), "--out", str(tmp_path / "o")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"{path}: " in err and message in err
 
     def test_bad_flag_value_exits_2(self):
         with pytest.raises(SystemExit) as exc:

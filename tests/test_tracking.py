@@ -1,5 +1,7 @@
 """Tests for frame-graph construction, match verification, and tracks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,106 @@ def _pair(fi, fj, pixels):
         pixels_i=np.array([p[0] for p in pixels], dtype=np.float64),
         pixels_j=np.array([p[1] for p in pixels], dtype=np.float64),
     )
+
+
+class _DisjointSet:
+    """Array DSU with path compression and union by size."""
+
+    def __init__(self):
+        self.parent = []
+        self.size = []
+
+    def add(self) -> int:
+        self.parent.append(len(self.parent))
+        self.size.append(1)
+        return len(self.parent) - 1
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+
+
+def _reference_merge_tracks(all_matches, merged, min_track_len=2):
+    """The loop version of merge_tracks: union-find over interned keypoints,
+    one merged.sample call per (track, frame). Tracks come out in the order
+    of their union-find root."""
+    dsu = _DisjointSet()
+    node_of = {}
+    node_frame = []
+    node_pixel = []
+
+    def intern(frame_id, uv):
+        key = (frame_id, int(round(uv[0])), int(round(uv[1])))
+        idx = node_of.get(key)
+        if idx is None:
+            idx = dsu.add()
+            node_of[key] = idx
+            node_frame.append(frame_id)
+            node_pixel.append(uv)
+        return idx
+
+    for ms in all_matches:
+        for a, b in zip(ms.pixels_i, ms.pixels_j):
+            dsu.union(intern(ms.frame_i, a), intern(ms.frame_j, b))
+
+    components = {}
+    for idx in range(len(node_frame)):
+        components.setdefault(dsu.find(idx), []).append(idx)
+
+    tracks = []
+    for root in sorted(components):
+        nodes = components[root]
+        if len(nodes) < min_track_len:
+            continue
+        frames = [node_frame[i] for i in nodes]
+        if len(set(frames)) != len(frames):
+            continue
+        order = np.argsort(frames, kind="stable")
+        obs_frames = [frames[i] for i in order]
+        pixels = np.array([node_pixel[nodes[i]] for i in order])
+        pts = np.full((len(nodes), 3), np.nan)
+        confs = np.zeros(len(nodes))
+        ok = np.zeros(len(nodes), dtype=bool)
+        for fid in set(obs_frames):
+            rows = [i for i, f in enumerate(obs_frames) if f == fid]
+            p, c, valid = merged.sample(fid, pixels[rows])
+            pts[rows], confs[rows], ok[rows] = p, c, valid
+        if ok.sum() < min_track_len:
+            continue
+        pts, confs = pts[ok], confs[ok]
+        kept = [i for i, good in enumerate(ok) if good]
+        total = confs.sum()
+        if total > 0:
+            fused = (confs[:, None] * pts).sum(axis=0) / total
+        else:
+            fused = pts.mean(axis=0)
+        tracks.append(
+            Track(
+                point=fused,
+                confidence=float(total / len(pts)),
+                observations=[(obs_frames[i], pixels[i].copy()) for i in kept],
+            )
+        )
+    return tracks
+
+
+def _track_bits(track):
+    """A track as bytes: point, confidence and every observation, bit for bit."""
+    obs = tuple((int(f), np.asarray(uv, dtype=np.float64).tobytes()) for f, uv in track.observations)
+    return track.point.tobytes(), np.float64(track.confidence).tobytes(), obs
 
 
 class TestMatchSetAndTrack:
@@ -165,9 +267,7 @@ class TestVerifyMatches:
         """Exact projected landmarks survive tau=8 at 100%."""
         scene, merged = self._scene_geometry()
         ms = synthetic_matcher(scene, PerturbationSpec.none())(1, 2)
-        ci, di, _, si = merged.frame_geometry(1)
-        cj, dj, _, sj = merged.frame_geometry(2)
-        kept = verify_matches(ms, ci, di, cj, dj, 8.0, si, sj)
+        kept = verify_matches(ms, merged, 8.0)
         assert len(kept) == len(ms) > 0
 
     def test_offset_matches_fully_rejected(self):
@@ -177,9 +277,7 @@ class TestVerifyMatches:
         shifted = MatchSet(
             frame_i=1, frame_j=2, pixels_i=ms.pixels_i, pixels_j=ms.pixels_j + [20.0, 0.0]
         )
-        ci, di, _, si = merged.frame_geometry(1)
-        cj, dj, _, sj = merged.frame_geometry(2)
-        assert len(verify_matches(shifted, ci, di, cj, dj, 8.0, si, sj)) == 0
+        assert len(verify_matches(shifted, merged, 8.0)) == 0
 
     def test_outlier_rejection_rate(self):
         """80 true + 20 uniform-random pairs on 640x480: true all kept,
@@ -188,8 +286,6 @@ class TestVerifyMatches:
             seed=3, n_cameras=6, n_landmarks=20000, image_size=(640, 480)
         )
         full = synthetic_matcher(scene, PerturbationSpec.none())(2, 3)
-        ci, di, _, si = merged.frame_geometry(2)
-        cj, dj, _, sj = merged.frame_geometry(3)
         for seed in range(3):
             rng = np.random.default_rng(seed)
             pick = rng.choice(len(full), size=80, replace=False)
@@ -201,19 +297,19 @@ class TestVerifyMatches:
                 pixels_i=np.concatenate([full.pixels_i[pick], rnd_i]),
                 pixels_j=np.concatenate([full.pixels_j[pick], rnd_j]),
             )
-            kept = verify_matches(mixed, ci, di, cj, dj, 8.0, si, sj)
+            kept = verify_matches(mixed, merged, 8.0)
             kept_set = {tuple(p) for p in kept.pixels_i}
             assert sum(tuple(p) in kept_set for p in full.pixels_i[pick]) == 80
             assert sum(tuple(p) in kept_set for p in rnd_i) <= 2
 
     def test_invalid_depth_rejects_pair(self):
         """A pair whose source pixel has zero depth cannot verify."""
-        merged = _merged_flat([0, 1])
-        cam0, d0, _, s0 = merged.frame_geometry(0)
-        cam1, d1, _, s1 = merged.frame_geometry(1)
+        flat = _flat_cluster([0, 1])
         hole = DepthMap(np.where(np.arange(8)[None, :] < 4, 0.0, 2.0).astype(np.float32) * np.ones((8, 8), dtype=np.float32))
+        cluster = dataclasses.replace(flat, depths=[hole, flat.depths[1]])
+        merged = MergedGeometry([cluster], [Sim3Transform.identity()])
         ms = _pair(0, 1, [(((2.0, 2.0)), (2.0, 2.0)), ((6.0, 6.0), (4.4, 6.0))])
-        kept = verify_matches(ms, cam0, hole, cam1, d1, 8.0, s0, s1)
+        kept = verify_matches(ms, merged, 8.0)
         assert len(kept) == 1
         assert kept.pixels_i[0, 0] == 6.0
 
@@ -222,21 +318,17 @@ class TestVerifyMatches:
         ms = synthetic_matcher(scene, PerturbationSpec(match_pixel_noise_sigma=2.0))(1, 2)
         perm = np.random.default_rng(0).permutation(len(ms))
         shuffled = MatchSet(frame_i=1, frame_j=2, pixels_i=ms.pixels_i[perm], pixels_j=ms.pixels_j[perm])
-        ci, di, _, si = merged.frame_geometry(1)
-        cj, dj, _, sj = merged.frame_geometry(2)
-        a = verify_matches(ms, ci, di, cj, dj, 8.0, si, sj)
-        b = verify_matches(shuffled, ci, di, cj, dj, 8.0, si, sj)
+        a = verify_matches(ms, merged, 8.0)
+        b = verify_matches(shuffled, merged, 8.0)
         set_a = {tuple(np.concatenate([p, q])) for p, q in zip(a.pixels_i, a.pixels_j)}
         set_b = {tuple(np.concatenate([p, q])) for p, q in zip(b.pixels_i, b.pixels_j)}
         assert set_a == set_b
 
     def test_rejects_bad_tau(self):
         merged = _merged_flat([0, 1])
-        cam0, d0, _, s0 = merged.frame_geometry(0)
-        cam1, d1, _, s1 = merged.frame_geometry(1)
         ms = _pair(0, 1, [((2.0, 2.0), (2.0, 2.0))])
         with pytest.raises(ConfigError):
-            verify_matches(ms, cam0, d0, cam1, d1, 0.0, s0, s1)
+            verify_matches(ms, merged, 0.0)
 
 
 class TestMergeTracks:
@@ -296,6 +388,12 @@ class TestMergeTracks:
         assert merge_tracks(matches, merged, min_track_len=4) == []
         with pytest.raises(ConfigError):
             merge_tracks(matches, merged, min_track_len=1)
+
+    def test_non_finite_pixel_rejected(self):
+        merged = _merged_flat([0, 1])
+        matches = [_pair(0, 1, [((1.0, 1.0), (2.0, 2.0)), ((np.nan, 3.0), (4.0, 4.0))])]
+        with pytest.raises(DataError, match="finite"):
+            merge_tracks(matches, merged)
 
     def test_subpixel_coordinates_share_rounded_node(self):
         """(1.4, 1.4) and (0.6, 0.6) both round to pixel (1, 1)."""
@@ -375,6 +473,47 @@ class TestMergeTracks:
         assert got == expected
 
 
+    def test_tracks_in_first_seen_order(self):
+        """Tracks are ordered by their first keypoint in the table, not by
+        union-find root. The 5-frame component starts with the very first
+        keypoint but is merged by size under the root of a later pair, so
+        the union-find order puts the 2-frame component first."""
+        merged = _merged_flat(list(range(5)))
+        matches = [
+            _pair(0, 1, [((1.0, 1.0), (2.0, 2.0))]),
+            _pair(0, 1, [((5.0, 5.0), (6.0, 6.0))]),
+            _pair(2, 3, [((1.0, 1.0), (2.0, 2.0))]),
+            _pair(3, 4, [((2.0, 2.0), (3.0, 3.0))]),
+            _pair(0, 4, [((1.0, 1.0), (3.0, 3.0))]),
+        ]
+        tracks = merge_tracks(matches, merged)
+        assert [t.frames() for t in tracks] == [[0, 1, 2, 3, 4], [0, 1]]
+        assert [tuple(t.observations[0][1]) for t in tracks] == [(1.0, 1.0), (5.0, 5.0)]
+        reference = _reference_merge_tracks(matches, merged)
+        assert [t.frames() for t in reference] == [[0, 1], [0, 1, 2, 3, 4]]
+        assert sorted(map(_track_bits, tracks)) == sorted(map(_track_bits, reference))
+
+    def test_one_sample_call_per_frame(self, monkeypatch):
+        """Every keypoint of a frame is lifted in a single merged.sample call."""
+        merged = _merged_flat(list(range(4)))
+        matches = [
+            _pair(0, 1, [((1.0, 1.0), (2.0, 2.0)), ((5.0, 5.0), (6.0, 6.0))]),
+            _pair(1, 2, [((2.0, 2.0), (3.0, 3.0)), ((6.0, 6.0), (4.0, 4.0))]),
+            _pair(2, 3, [((3.0, 3.0), (1.0, 5.0))]),
+        ]
+        calls = []
+        sample = merged.sample
+
+        def counting_sample(fid, pixels):
+            calls.append(fid)
+            return sample(fid, pixels)
+
+        monkeypatch.setattr(merged, "sample", counting_sample)
+        tracks = merge_tracks(matches, merged)
+        assert len(tracks) == 2
+        assert sorted(calls) == [0, 1, 2, 3]
+
+
 class TestRunTracking:
     def _pipeline_pieces(self, n_cameras=20, seed=7):
         scene = generate_scene(seed=seed, n_cameras=n_cameras, n_landmarks=4000, layout="room")
@@ -412,6 +551,19 @@ class TestRunTracking:
         dist, _ = cKDTree(scene.landmarks).query(unwarped)
         bound = 3.0 * spec.match_pixel_noise_sigma * 2.2 / scene.gt_cameras[0].intrinsics.fx
         assert (dist < bound).mean() >= 0.95
+
+    def test_merge_matches_reference_bit_for_bit(self):
+        """On a 20-camera scene the array merge returns the loop reference's
+        tracks: same points, confidences and observations, bit for bit."""
+        scene, spec, sim, plan, clusters, warps, merged = self._pipeline_pieces()
+        matcher = synthetic_matcher(scene, spec)
+        verified = [verify_matches(matcher(i, j), merged, 8.0) for i, j in build_frame_graph(sim, 5).edges]
+        tracks = merge_tracks(verified, merged)
+        reference = _reference_merge_tracks(verified, merged)
+        assert len(tracks) > 100
+        assert sorted(map(_track_bits, tracks)) == sorted(map(_track_bits, reference))
+        via_run = run_tracking(sim, merged, matcher, k=5).tracks
+        assert list(map(_track_bits, via_run)) == list(map(_track_bits, tracks))
 
     def test_matcher_failure_skips_edge(self):
         scene, spec, sim, plan, clusters, warps, merged = self._pipeline_pieces(n_cameras=10)
