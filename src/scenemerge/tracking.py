@@ -189,17 +189,16 @@ def verify_matches(ms: MatchSet, merged, tau_reproj: float = 8.0) -> MatchSet:
 
 
 def _intern_keypoints(all_matches):
-    """Keypoint identities of the merge_tracks table.
+    """Keypoint identities of the merge_tracks table (non-empty match sets).
 
     Returns (node of each table row, first table row of each node, node
     frame ids, node subpixel coordinates). Each row is keyed by one int64,
     the mixed-radix number (frame index, rounded row, rounded column), so
     np.unique runs on a flat array no larger than the table.
     """
-    nonempty = [ms for ms in all_matches if len(ms)]
-    lo = np.rint(np.min([np.minimum(ms.pixels_i.min(axis=0), ms.pixels_j.min(axis=0)) for ms in nonempty], axis=0))
-    hi = np.rint(np.max([np.maximum(ms.pixels_i.max(axis=0), ms.pixels_j.max(axis=0)) for ms in nonempty], axis=0))
-    frame_ids = sorted({f for ms in nonempty for f in (ms.frame_i, ms.frame_j)})
+    lo = np.rint(np.min([np.minimum(ms.pixels_i.min(axis=0), ms.pixels_j.min(axis=0)) for ms in all_matches], axis=0))
+    hi = np.rint(np.max([np.maximum(ms.pixels_i.max(axis=0), ms.pixels_j.max(axis=0)) for ms in all_matches], axis=0))
+    frame_ids = sorted({f for ms in all_matches for f in (ms.frame_i, ms.frame_j)})
     w, h = (hi - lo + 1).tolist()
     if not (np.abs([lo, hi]).max() < 2**31 and len(frame_ids) * w * h < 2**62):
         raise DataError(
@@ -208,24 +207,23 @@ def _intern_keypoints(all_matches):
         )
     w, h, lo = int(w), int(h), lo.astype(np.int64)
     frame_index = {f: i for i, f in enumerate(frame_ids)}
-    offsets = np.cumsum([0] + [2 * len(ms) for ms in all_matches])
-    key = np.empty(offsets[-1], dtype=np.int64)
-    for start, ms in zip(offsets, all_matches):
+    n_rows = 2 * sum(len(ms) for ms in all_matches)
+    key = np.empty(n_rows, dtype=np.int64)
+    start = 0
+    for ms in all_matches:
         for side, fid, px in ((0, ms.frame_i, ms.pixels_i), (1, ms.frame_j, ms.pixels_j)):
             u, v = (np.rint(px).astype(np.int64) - lo).T
             key[start + side : start + 2 * len(ms) : 2] = (frame_index[fid] * h + v) * w + u
+        start += 2 * len(ms)
     uniq, first, node = np.unique(key, return_index=True, return_inverse=True)
     del key
     node_frame = np.asarray(frame_ids)[uniq // (w * h)]
-    # An identity keeps the subpixel coordinate of its first table row.
-    node_pixel = np.empty((len(first), 2))
-    by_row = np.argsort(first)
-    cuts = np.searchsorted(first[by_row], offsets)
-    for k, ms in enumerate(all_matches):
-        nodes = by_row[cuts[k] : cuts[k + 1]]
-        pair, side = np.divmod(first[nodes] - offsets[k], 2)
-        node_pixel[nodes] = np.where(side[:, None] == 0, ms.pixels_i[pair], ms.pixels_j[pair])
-    return node, first, node_frame, node_pixel
+    # An identity keeps the subpixel coordinate of its first table row. The
+    # pixel table is built after np.unique has released its work arrays.
+    pixels = np.empty((n_rows, 2))
+    pixels[0::2] = np.concatenate([ms.pixels_i for ms in all_matches])
+    pixels[1::2] = np.concatenate([ms.pixels_j for ms in all_matches])
+    return node, first, node_frame, pixels[first]
 
 
 def merge_tracks(all_matches, merged, min_track_len: int = 2) -> list:
@@ -246,7 +244,8 @@ def merge_tracks(all_matches, merged, min_track_len: int = 2) -> list:
     """
     if min_track_len < 2:
         raise ConfigError(f"min_track_len must be >= 2, got {min_track_len}")
-    if not any(len(ms) for ms in all_matches):
+    all_matches = [ms for ms in all_matches if len(ms)]
+    if not all_matches:
         return []
     node, first, node_frame, node_pixel = _intern_keypoints(all_matches)
     n_nodes = len(first)

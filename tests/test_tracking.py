@@ -493,6 +493,22 @@ class TestMergeTracks:
         assert [t.frames() for t in reference] == [[0, 1], [0, 1, 2, 3, 4]]
         assert sorted(map(_track_bits, tracks)) == sorted(map(_track_bits, reference))
 
+    def test_empty_match_sets_add_nothing(self):
+        """A match set that lost every pair (on frames no other set touches)
+        neither fails the merge nor changes its tracks."""
+        merged = _merged_flat(list(range(6)))
+        empty = np.zeros((0, 2))
+        matches = [
+            MatchSet(frame_i=4, frame_j=5, pixels_i=empty, pixels_j=empty),
+            _pair(0, 1, [((1.0, 1.0), (2.0, 2.0))]),
+            MatchSet(frame_i=2, frame_j=3, pixels_i=empty, pixels_j=empty),
+        ]
+        tracks = merge_tracks(matches, merged)
+        assert [t.frames() for t in tracks] == [[0, 1]]
+        reference = _reference_merge_tracks(matches, merged)
+        assert list(map(_track_bits, tracks)) == list(map(_track_bits, reference))
+        assert merge_tracks(matches[::2], merged) == []
+
     def test_one_sample_call_per_frame(self, monkeypatch):
         """Every keypoint of a frame is lifted in a single merged.sample call."""
         merged = _merged_flat(list(range(4)))
