@@ -25,6 +25,12 @@ so dividing the learning rate by a reproduces the identical iterate
 sequence. unit_b converts the dimensionless step into block units:
 radians for rotations, median camera-center spread for translations and
 points, the camera's initial focal length for intrinsics.
+
+Reductions: each observation contributes a camera row C [rotation |
+translation | intrinsics] and a point row. With A the 0/1 CSR incidence
+matrix (cameras or points x observations, built once per problem), the
+gradient is A @ (conf * C) and the step denominator A @ |C|. Each CSR row
+lists its observations in order, so the sums add exactly as np.bincount.
 """
 
 from __future__ import annotations
@@ -32,14 +38,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ConfigError, DataError, DivergenceError
-from .geometry import (
-    CameraIntrinsics,
-    CameraParams,
-    CameraPose,
-    rotation_exp,
-)
+from .geometry import CameraParams, CameraPose, rotation_exp
 
 _BEHIND_PENALTY = 1e4  # px-equivalent floor for behind-camera observations
 _NORM_FLOOR = 1e-30
@@ -51,7 +53,6 @@ class BAConfig:
 
     iterations: int = 300
     initial_lr: float = 3e-3
-    lr_schedule: str = "cosine"
     lambda_exp: float = 0.5
     epsilon: float = 1e-8
     optimize_intrinsics: bool = True
@@ -59,19 +60,15 @@ class BAConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
-        if self.initial_lr <= 0:
-            raise ConfigError(f"initial_lr must be positive, got {self.initial_lr}")
-        if self.lr_schedule not in ("cosine", "constant"):
-            raise ConfigError(f"unknown lr_schedule {self.lr_schedule!r}")
+        if not (np.isfinite(self.initial_lr) and self.initial_lr > 0):
+            raise ConfigError(f"initial_lr must be positive and finite, got {self.initial_lr}")
         if not (0 < self.lambda_exp <= 2):
             raise ConfigError(f"lambda_exp must be in (0, 2], got {self.lambda_exp}")
-        if self.epsilon <= 0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
 
     def learning_rate(self, iteration: int) -> float:
-        """lr at a 0-based iteration; cosine anneals toward zero."""
-        if self.lr_schedule == "constant":
-            return self.initial_lr
+        """lr at a 0-based iteration; a cosine schedule anneals it toward zero."""
         return self.initial_lr * 0.5 * (1.0 + np.cos(np.pi * iteration / self.iterations))
 
 
@@ -184,19 +181,14 @@ def _stack_state(prob: BAProblem):
 
 
 def _rebuild_cameras(prob: BAProblem, r, t, k):
-    cams = []
-    for i, cam in enumerate(prob.cameras):
-        intr = CameraIntrinsics(
-            fx=float(k[i, 0]),
-            fy=float(k[i, 1]),
-            cx=float(k[i, 2]),
-            cy=float(k[i, 3]),
-            width=cam.intrinsics.width,
-            height=cam.intrinsics.height,
+    return [
+        CameraParams(
+            intrinsics=replace(cam.intrinsics, fx=float(k[i, 0]), fy=float(k[i, 1]), cx=float(k[i, 2]), cy=float(k[i, 3])),
+            pose=CameraPose(rotation=r[i], translation=t[i]),
+            frame_id=cam.frame_id,
         )
-        pose = CameraPose(rotation=r[i], translation=t[i])
-        cams.append(CameraParams(intrinsics=intr, pose=pose, frame_id=cam.frame_id))
-    return cams
+        for i, cam in enumerate(prob.cameras)
+    ]
 
 
 def _loss_terms(prob: BAProblem, cfg: BAConfig, r, t, k, points):
@@ -248,40 +240,27 @@ def _loss_terms(prob: BAProblem, cfg: BAConfig, r, t, k, points):
     return loss, g_cam, g_intr, rx, front
 
 
-def _obs_contributions(prob: BAProblem, r, g_cam, g_intr, rx):
-    """Per-observation unweighted gradient contributions, one (M, dim)
-    array per parameter block."""
-    rm = r[prob.camera_indices]
-    return {
-        "rot": np.cross(rx, g_cam),
-        "t": g_cam,
-        "k": g_intr,
-        "p": np.einsum("mji,mj->mi", rm, g_cam),
-    }
+def _incidence(prob: BAProblem) -> tuple[sparse.csr_array, sparse.csr_array]:
+    """(cameras x observations, points x observations) 0/1 CSR matrices."""
+    obs = np.arange(prob.n_observations)
+    ones = np.ones(prob.n_observations)
+    return (
+        sparse.csr_array((ones, (prob.camera_indices, obs)), shape=(prob.n_cameras, prob.n_observations)),
+        sparse.csr_array((ones, (prob.point_indices, obs)), shape=(prob.n_points, prob.n_observations)),
+    )
 
 
-def _reduce(prob: BAProblem, contrib, weights=None, absolute=False):
-    """Sum per-observation contributions into per-parameter arrays.
+def _gradient_sums(prob: BAProblem, incidence, r, g_cam, g_intr, rx):
+    """(camera gradient, point gradient, camera denominator, point denominator).
 
-    weights multiplies each observation row (the confidence weighting);
-    absolute=True instead sums magnitudes, giving the cancellation-proof
-    step denominators.
+    Camera rows are [rotation | translation | intrinsics]; each sum is one
+    incidence product over the per-observation contributions C.
     """
-    out = {}
-    for block, arr in contrib.items():
-        if absolute:
-            arr = np.abs(arr)
-        elif weights is not None:
-            arr = arr * weights[:, None]
-        if block == "p":
-            idx, n = prob.point_indices, prob.n_points
-        else:
-            idx, n = prob.camera_indices, prob.n_cameras
-        out[block] = np.stack(
-            [np.bincount(idx, weights=arr[:, d], minlength=n) for d in range(arr.shape[1])],
-            axis=1,
-        )
-    return out
+    a_cam, a_pt = incidence
+    c_cam = np.hstack([np.cross(rx, g_cam), g_cam, g_intr])
+    c_pt = np.einsum("mji,mj->mi", r[prob.camera_indices], g_cam)
+    w = prob.confidences[:, None]
+    return a_cam @ (w * c_cam), a_pt @ (w * c_pt), a_cam @ np.abs(c_cam), a_pt @ np.abs(c_pt)
 
 
 def ba_loss(prob: BAProblem, cfg: BAConfig | None = None) -> float:
@@ -321,19 +300,19 @@ def ba_gradients(prob: BAProblem, cfg: BAConfig | None = None) -> BAGradients:
     cfg = cfg or BAConfig()
     r, t, k, points = _stack_state(prob)
     _, g_cam, g_intr, rx, _ = _loss_terms(prob, cfg, r, t, k, points)
-    g = _reduce(prob, _obs_contributions(prob, r, g_cam, g_intr, rx), weights=prob.confidences)
-    return BAGradients(rotation=g["rot"], translation=g["t"], points=g["p"], intrinsics=g["k"])
+    g, g_pt, _, _ = _gradient_sums(prob, _incidence(prob), r, g_cam, g_intr, rx)
+    return BAGradients(rotation=g[:, :3], translation=g[:, 3:6], points=g_pt, intrinsics=g[:, 6:])
 
 
 class _AdaptiveState:
     """First moment of the weighted gradient over an L1 denominator built
     from confidence-free contribution magnitudes, with bias correction."""
 
-    def __init__(self, shape, beta1=0.9, beta2=0.99):
+    beta1, beta2 = 0.9, 0.99
+
+    def __init__(self, shape):
         self.m = np.zeros(shape)
         self.d = np.zeros(shape)
-        self.beta1 = beta1
-        self.beta2 = beta2
         self.count = 0
 
     def step(self, grad, denom_l1, lr, unit):
@@ -375,33 +354,29 @@ def run_ba(prob: BAProblem, cfg: BAConfig | None = None) -> BAResult:
     history[0] = current
     best = (current, r.copy(), t.copy(), k.copy(), points.copy(), 0)
 
-    state_rot = _AdaptiveState((prob.n_cameras, 3))
-    state_t = _AdaptiveState((prob.n_cameras, 3))
-    state_p = _AdaptiveState((prob.n_points, 3))
-    state_k = _AdaptiveState((prob.n_cameras, 4))
+    # camera columns [rotation | translation | intrinsics]; intrinsic steps
+    # are taken in unit 1 and scaled by each camera's focal below
+    unit_cam = np.array([1.0] * 3 + [unit_t] * 3 + [1.0] * 4)
+    state_cam = _AdaptiveState((prob.n_cameras, 10))
+    state_pt = _AdaptiveState((prob.n_points, 3))
+    incidence = _incidence(prob)
 
     g_cam, g_intr, rx = g_cam0, g_intr0, rx0
     for it in range(cfg.iterations):
-        contrib = _obs_contributions(prob, r, g_cam, g_intr, rx)
-        grads = _reduce(prob, contrib, weights=prob.confidences)
-        denoms = _reduce(prob, contrib, absolute=True)
-        for g in grads.values():
-            if not np.all(np.isfinite(g)):
-                raise DivergenceError("non-finite gradient", iteration=it + 1)
+        grad_cam, grad_pt, denom_cam, denom_pt = _gradient_sums(prob, incidence, r, g_cam, g_intr, rx)
+        if not (np.all(np.isfinite(grad_cam)) and np.all(np.isfinite(grad_pt))):
+            raise DivergenceError("non-finite gradient", iteration=it + 1)
 
         lr = cfg.learning_rate(it)
         # divergence shows up as non-finite values that the checks below
         # catch; silence the intermediate overflow warnings
         with np.errstate(all="ignore"):
-            step_rot = state_rot.step(grads["rot"], denoms["rot"], lr, 1.0)
-            step_t = state_t.step(grads["t"], denoms["t"], lr, unit_t)
-            step_p = state_p.step(grads["p"], denoms["p"], lr, unit_t)
-            for c in range(prob.n_cameras):
-                r[c] = rotation_exp(-step_rot[c]) @ r[c]
-            t = t - step_t
-            points = points - step_p
+            step_cam = state_cam.step(grad_cam, denom_cam, lr, unit_cam)
+            r = rotation_exp(-step_cam[:, :3]) @ r
+            t = t - step_cam[:, 3:6]
+            points = points - state_pt.step(grad_pt, denom_pt, lr, unit_t)
             if cfg.optimize_intrinsics:
-                k = k - state_k.step(grads["k"], denoms["k"], lr, 1.0) * unit_k
+                k = k - step_cam[:, 6:] * unit_k
                 # keep intrinsics rebuildable: positive focals, principal
                 # point inside the image
                 k[:, 0] = np.maximum(k[:, 0], focal_floor)

@@ -19,6 +19,11 @@ Translation direction angles use atan2(||u x v||, u . v): bitwise-equal
 directions give exactly zero, which keeps AUC@30 at exactly 100 for a
 perfect trajectory (an arccos formulation leaves ~1e-6 degree noise that
 a zero threshold would count as a miss).
+
+Relative motions come from one pair-list kernel, _relative_motion, over
+stacked poses and index arrays (i, j): consecutive pairs for RRE/RTE, and
+np.triu_indices pairs for RRA/RTA, walked PAIR_CHUNK at a time with only
+hit counts kept, so memory stays bounded by the chunk.
 """
 
 from __future__ import annotations
@@ -36,10 +41,12 @@ from .geometry import (
     Sim3Transform,
     apply_sim3,
     rotation_distance,
+    row_dot,
 )
 
 AUC_MAX_DEGREES = 30
 DEFAULT_THRESHOLDS = (5, 15, 30)
+PAIR_CHUNK = 4096  # camera pairs per kernel call in pairwise_relative_accuracy
 
 
 @dataclass(frozen=True)
@@ -111,16 +118,30 @@ def _centers(poses) -> np.ndarray:
     return np.stack([p.center for p in poses])
 
 
-def _relative_translation(pose_i: CameraPose, pose_j: CameraPose) -> np.ndarray:
-    """Translation of the j-from-i relative motion, t_j - R_j R_i^T t_i."""
-    return pose_j.translation - pose_j.rotation @ pose_i.rotation.T @ pose_i.translation
+def _stacked(poses) -> tuple[np.ndarray, np.ndarray]:
+    """(rotations (n, 3, 3), translations (n, 3))."""
+    return np.stack([p.rotation for p in poses]), np.stack([p.translation for p in poses])
 
 
-def _direction_angle_deg(u: np.ndarray, v: np.ndarray) -> float:
-    """Angle between directions via atan2(||u x v||, u . v); exact at 0 and pi."""
-    un = u / np.linalg.norm(u)
-    vn = v / np.linalg.norm(v)
-    return float(np.degrees(np.arctan2(np.linalg.norm(np.cross(un, vn)), np.dot(un, vn))))
+def _relative_motion(r, t, i, j) -> tuple[np.ndarray, np.ndarray]:
+    """j-from-i relative motions (R_j R_i^T, t_j - R_j R_i^T t_i) of pairs (i[p], j[p])."""
+    rel = r[j] @ np.swapaxes(r[i], -1, -2)
+    return rel, t[j] - (rel @ t[i][..., None])[..., 0]
+
+
+def _pair_errors(est, gt, i, j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-pair rotation and translation-direction errors in degrees, and
+    the mask of pairs with a nonzero ground-truth relative translation (rows
+    outside it are meaningless). A zero estimated translation counts as 180."""
+    rel_est, u = _relative_motion(*est, i, j)
+    rel_gt, v = _relative_motion(*gt, i, j)
+    rot = np.degrees(rotation_distance(rel_est, rel_gt))
+    nu, nv = np.sqrt(row_dot(u, u)), np.sqrt(row_dot(v, v))
+    un = u / np.where(nu == 0.0, 1.0, nu)[:, None]
+    vn = v / np.where(nv == 0.0, 1.0, nv)[:, None]
+    cross = np.cross(un, vn)
+    angle = np.degrees(np.arctan2(np.sqrt(row_dot(cross, cross)), row_dot(un, vn)))
+    return rot, np.where(nu == 0.0, 180.0, angle), nv != 0.0
 
 
 def umeyama_align(est, gt) -> Sim3Transform:
@@ -148,39 +169,28 @@ def pairwise_relative_accuracy(est, gt, thresholds=DEFAULT_THRESHOLDS) -> Pairwi
         if not tau > 0:
             raise DataError(f"thresholds must be positive, got {tau}")
 
-    rot_errs, dir_errs = [], []
-    skipped = 0
-    for i in range(len(est)):
-        for j in range(i + 1, len(est)):
-            t_gt = _relative_translation(gt[i], gt[j])
-            if np.linalg.norm(t_gt) == 0.0:
-                skipped += 1
-                continue
-            rel_est = est[j].rotation @ est[i].rotation.T
-            rel_gt = gt[j].rotation @ gt[i].rotation.T
-            rot_errs.append(np.degrees(rotation_distance(rel_est, rel_gt)))
-            t_est = _relative_translation(est[i], est[j])
-            if np.linalg.norm(t_est) == 0.0:
-                dir_errs.append(180.0)
-            else:
-                dir_errs.append(_direction_angle_deg(t_est, t_gt))
-    if not rot_errs:
+    pairs_i, pairs_j = np.triu_indices(len(est), k=1)
+    est, gt = _stacked(est), _stacked(gt)
+    taus = np.array([*range(AUC_MAX_DEGREES + 1), *thresholds], dtype=np.float64)
+    hits = np.zeros((2, len(taus)), dtype=np.int64)  # (rotation, direction) errors <= tau
+    kept = 0
+    for start in range(0, len(pairs_i), PAIR_CHUNK):
+        chunk = slice(start, start + PAIR_CHUNK)
+        rot, direction, keep = _pair_errors(est, gt, pairs_i[chunk], pairs_j[chunk])
+        hits += np.count_nonzero(np.stack([rot, direction])[:, keep, None] <= taus, axis=1)
+        kept += int(np.count_nonzero(keep))
+    if kept == 0:
         raise DataError("every camera pair has a zero-length ground-truth relative translation")
 
-    rot_errs = np.array(rot_errs)
-    dir_errs = np.array(dir_errs)
-    n = len(rot_errs)
-
-    def pct(errors, tau):
-        return 100.0 * (float(np.count_nonzero(errors <= tau)) / n)
-
-    rra_at = {tau: pct(rot_errs, tau) for tau in thresholds}
-    rta_at = {tau: pct(dir_errs, tau) for tau in thresholds}
-    curve = np.array(
-        [min(pct(rot_errs, t), pct(dir_errs, t)) for t in range(AUC_MAX_DEGREES + 1)]
-    )
+    rot_pct, dir_pct = 100.0 * (hits / kept)
+    curve = np.minimum(rot_pct, dir_pct)[: AUC_MAX_DEGREES + 1]
     auc = (0.5 * (curve[0] + curve[-1]) + float(np.sum(curve[1:-1]))) / AUC_MAX_DEGREES
-    return PairwiseAccuracy(rra_at=rra_at, rta_at=rta_at, auc_at_30=auc, skipped_pairs=skipped)
+    return PairwiseAccuracy(
+        rra_at={tau: float(p) for tau, p in zip(thresholds, rot_pct[AUC_MAX_DEGREES + 1 :])},
+        rta_at={tau: float(p) for tau, p in zip(thresholds, dir_pct[AUC_MAX_DEGREES + 1 :])},
+        auc_at_30=float(auc),
+        skipped_pairs=len(pairs_i) - kept,
+    )
 
 
 def trajectory_errors(est, gt):
@@ -191,7 +201,7 @@ def trajectory_errors(est, gt):
     frame pairs in trajectory order.
     """
     est, gt = _pose_lists(est, gt)
-    t = weighted_umeyama(_centers(gt), _centers(est), np.ones(len(est)))
+    t = umeyama_align(est, gt)
     residual = apply_sim3(t, _centers(est)) - _centers(gt)
     ate = float(np.sqrt(np.mean(np.sum(residual**2, axis=1))))
 
@@ -199,15 +209,12 @@ def trajectory_errors(est, gt):
     # relative translations by the fitted scale (exact identities), so both
     # are computed from the raw estimate; this keeps est == gt at exactly
     # zero instead of picking up alignment rounding noise.
-    rres, rtes = [], []
-    for i in range(len(est) - 1):
-        rel_est = est[i + 1].rotation @ est[i].rotation.T
-        rel_gt = gt[i + 1].rotation @ gt[i].rotation.T
-        rres.append(np.degrees(rotation_distance(rel_est, rel_gt)))
-        rtes.append(
-            float(np.linalg.norm(t.scale * _relative_translation(est[i], est[i + 1]) - _relative_translation(gt[i], gt[i + 1])))
-        )
-    return ate, float(np.mean(rres)), float(np.mean(rtes))
+    i = np.arange(len(est) - 1)
+    rel_est, t_est = _relative_motion(*_stacked(est), i, i + 1)
+    rel_gt, t_gt = _relative_motion(*_stacked(gt), i, i + 1)
+    rre = np.degrees(rotation_distance(rel_est, rel_gt))
+    d = t.scale * t_est - t_gt
+    return ate, float(np.mean(rre)), float(np.mean(np.sqrt(row_dot(d, d))))
 
 
 def evaluate_trajectories(est, gt, thresholds=DEFAULT_THRESHOLDS) -> TrajectoryMetrics:

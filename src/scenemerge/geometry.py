@@ -8,6 +8,10 @@ Conventions used throughout the package:
 * A Sim(3) transform acts on points as ``s * R @ p + t``.
 * Depth is the camera-frame z coordinate; points with z <= 0 are behind
   the camera and are flagged, never silently projected.
+* The rotation primitives take stacks, (..., 3) vectors and (..., 3, 3)
+  matrices, and give each row the bits a call on that row alone gives.
+  Branches (small angle, zero axis, equal rotations) are picked per row
+  with np.where; the discarded one runs on safe values and never warns.
 """
 
 from __future__ import annotations
@@ -243,51 +247,62 @@ def transform_camera(t: Sim3Transform, camera: CameraParams) -> CameraParams:
     )
 
 
-def rotation_angle(r: np.ndarray) -> float:
+def row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows, (..., n) x (..., n) -> (...), each
+    bit-equal to np.dot of that row pair (np.sum and einsum add in other orders)."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def rotation_angle(r: np.ndarray):
     """Rotation angle of R in radians, in [0, pi]."""
-    c = (np.trace(np.asarray(r, dtype=np.float64)) - 1.0) / 2.0
-    return float(np.arccos(np.clip(c, -1.0, 1.0)))
+    c = (np.trace(np.asarray(r, dtype=np.float64), axis1=-2, axis2=-1) - 1.0) / 2.0
+    return np.arccos(np.clip(c, -1.0, 1.0))
 
 
-def rotation_distance(a: np.ndarray, b: np.ndarray) -> float:
+def rotation_distance(a: np.ndarray, b: np.ndarray):
     """Geodesic angle between two rotations in radians.
 
-    Bitwise-equal inputs return exactly 0.0; the matrix product a @ a.T
+    Bitwise-equal inputs return exactly 0.0; the matrix product a @ b.T
     otherwise leaves ~1e-16 residue whose arccos is ~1e-8, which matters
     to metrics that count errors against a zero threshold.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if np.array_equal(a, b):
-        return 0.0
-    return rotation_angle(a @ b.T)
+    equal = np.all(a == b, axis=(-2, -1))
+    return np.where(equal, 0.0, rotation_angle(a @ np.swapaxes(b, -1, -2)))[()]
 
 
-def rotation_from_axis_angle(axis, angle: float) -> np.ndarray:
-    """Rodrigues formula. axis need not be normalized unless angle comes from its norm."""
+def rotation_from_axis_angle(axis, angle) -> np.ndarray:
+    """Rodrigues formula; a zero axis gives the identity. axis need not be
+    normalized unless angle comes from its norm."""
     ax = np.asarray(axis, dtype=np.float64)
-    n = np.linalg.norm(ax)
-    if n == 0:
-        return np.eye(3)
-    ax = ax / n
-    k = skew(ax)
-    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+    angle = np.asarray(angle, dtype=np.float64)[..., None, None]
+    n = np.sqrt(row_dot(ax, ax))[..., None]
+    zero = n == 0
+    k = skew(ax / np.where(zero, 1.0, n))
+    r = np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+    return np.where(zero[..., None], np.eye(3), r)
 
 
 def rotation_exp(omega) -> np.ndarray:
-    """Matrix exponential of skew(omega): rotation by ||omega|| around omega."""
+    """Matrix exponential of skew(omega): rotation by ||omega|| around omega.
+
+    Below an angle of 1e-12 the second-order series keeps the result
+    orthonormal to machine precision.
+    """
     w = np.asarray(omega, dtype=np.float64)
-    angle = np.linalg.norm(w)
-    if angle < 1e-12:
-        # second-order series keeps the result orthonormal to machine precision
-        k = skew(w)
-        return np.eye(3) + k + 0.5 * (k @ k)
-    return rotation_from_axis_angle(w, angle)
+    angle = np.sqrt(row_dot(w, w))
+    small = (angle < 1e-12)[..., None]
+    k = skew(np.where(small, w, 0.0))
+    series = np.eye(3) + k + 0.5 * (k @ k)
+    return np.where(small[..., None], series, rotation_from_axis_angle(w, angle))
 
 
 def skew(v) -> np.ndarray:
-    x, y, z = np.asarray(v, dtype=np.float64)
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    """Cross-product matrix: skew(v) @ u == cross(v, u)."""
+    x, y, z = np.moveaxis(np.asarray(v, dtype=np.float64), -1, 0)
+    o = np.zeros_like(x)
+    return np.stack([o, -z, y, z, o, -x, -y, x, o], axis=-1).reshape(*x.shape, 3, 3)
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -203,34 +204,31 @@ def write_manifest(path, manifest: SceneManifest) -> None:
 def read_manifest(path) -> SceneManifest:
     doc = _read_json(path, "manifest")
     _check_version(doc, path)
-    if "pose_convention" not in doc:
-        raise SchemaViolationError(f"{path}: manifest missing field 'pose_convention'")
+    convention = _value(doc, "pose_convention", str, path)
     images = [
         ImageEntry(
-            frame_id=int(im["frame_id"]),
-            width=int(im["width"]),
-            height=int(im["height"]),
+            frame_id=_value(im, "frame_id", int, where),
+            width=_value(im, "width", int, where),
+            height=_value(im, "height", int, where),
             image_path=im.get("image_path"),
         )
-        for im in _entries(doc, "images", ("frame_id", "width", "height"), path)
+        for where, im in _entries(doc, "images", path)
     ]
     clusters = [
         ClusterEntry(
-            cluster_id=int(c["cluster_id"]),
-            frame_ids=[int(f) for f in c["frame_ids"]],
-            poses_path=str(c["poses_path"]),
-            depth_paths=[str(p) for p in c["depth_paths"]],
-            confidence_paths=[str(p) for p in c["confidence_paths"]],
+            cluster_id=_value(c, "cluster_id", int, where),
+            frame_ids=_value(c, "frame_ids", lambda v: [int(f) for f in v], where),
+            poses_path=_value(c, "poses_path", str, where),
+            depth_paths=_value(c, "depth_paths", lambda v: [str(p) for p in v], where),
+            confidence_paths=_value(c, "confidence_paths", lambda v: [str(p) for p in v], where),
         )
-        for c in _entries(
-            doc, "clusters", ("cluster_id", "frame_ids", "poses_path", "depth_paths", "confidence_paths"), path
-        )
+        for where, c in _entries(doc, "clusters", path)
     ]
     return SceneManifest(
         images=images,
         clusters=clusters,
         similarity_path=doc.get("similarity_path"),
-        pose_convention=str(doc["pose_convention"]),
+        pose_convention=convention,
         units=str(doc.get("units", "arbitrary")),
     )
 
@@ -294,22 +292,18 @@ def write_poses(path, records: list[PoseRecord]) -> None:
 def read_poses(path) -> list[PoseRecord]:
     doc = _read_json(path, "poses")
     _check_version(doc, path)
-    out = []
-    fields = ("frame_id", "quat_wxyz", "translation", "fx", "fy", "cx", "cy")
-    for i, p in enumerate(_entries(doc, "poses", fields, path)):
-        q = _read_quat(p["quat_wxyz"], f"{path}: poses[{i}].quat_wxyz")
-        out.append(
-            PoseRecord(
-                frame_id=int(p["frame_id"]),
-                quat_wxyz=q,
-                translation=np.asarray(p["translation"], dtype=np.float64),
-                fx=float(p["fx"]),
-                fy=float(p["fy"]),
-                cx=float(p["cx"]),
-                cy=float(p["cy"]),
-            )
+    return [
+        PoseRecord(
+            frame_id=_value(p, "frame_id", int, where),
+            quat_wxyz=_read_quat(_value(p, "quat_wxyz", _floats, where), f"{where}.quat_wxyz"),
+            translation=_value(p, "translation", _floats, where),
+            fx=_value(p, "fx", float, where),
+            fy=_value(p, "fy", float, where),
+            cx=_value(p, "cx", float, where),
+            cy=_value(p, "cy", float, where),
         )
-    return out
+        for where, p in _entries(doc, "poses", path)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -366,28 +360,23 @@ def write_transforms(path, records: list[TransformRecord]) -> None:
 def read_transforms(path) -> list[TransformRecord]:
     doc = _read_json(path, "transforms")
     _check_version(doc, path)
-    out = []
-    fields = ("cluster_id", "scale", "quat_wxyz", "translation")
-    for i, c in enumerate(_entries(doc, "clusters", fields, path)):
-        q = _read_quat(c["quat_wxyz"], f"{path}: clusters[{i}].quat_wxyz")
-        out.append(
-            TransformRecord(
-                cluster_id=int(c["cluster_id"]),
-                scale=float(c["scale"]),
-                quat_wxyz=q,
-                translation=np.asarray(c["translation"], dtype=np.float64),
-            )
+    return [
+        TransformRecord(
+            cluster_id=_value(c, "cluster_id", int, where),
+            scale=_value(c, "scale", float, where),
+            quat_wxyz=_read_quat(_value(c, "quat_wxyz", _floats, where), f"{where}.quat_wxyz"),
+            translation=_value(c, "translation", _floats, where),
         )
-    return out
+        for where, c in _entries(doc, "clusters", path)
+    ]
 
 
-def _read_quat(value, where: str) -> np.ndarray:
+def _read_quat(q: np.ndarray, where: str) -> np.ndarray:
     """Validate a wxyz quaternion; renormalize only when measurably off.
 
     Keeping already-normalized quaternions verbatim makes read/write cycles
     byte-stable (dividing by a norm of 1 + 1e-16 would flip last bits).
     """
-    q = np.asarray(value, dtype=np.float64)
     if q.shape != (4,):
         raise SchemaViolationError(f"{where} must have 4 entries")
     n = float(np.linalg.norm(q))
@@ -550,16 +539,13 @@ def read_plan(path):
 
     doc = _read_json(path, "plan")
     _check_version(doc, path)
-    for key in ("subset_size", "overlap", "n_subsequences", "pseudo_order", "interleaved_order", "subsets"):
-        if key not in doc:
-            raise SchemaViolationError(f"{path}: plan missing field {key!r}")
     return SceneGraphPlan(
-        pseudo_order=np.asarray(doc["pseudo_order"], dtype=np.int64),
-        interleaved_order=np.asarray(doc["interleaved_order"], dtype=np.int64),
-        subsets=[np.asarray(s, dtype=np.int64) for s in doc["subsets"]],
-        subset_size=int(doc["subset_size"]),
-        overlap=int(doc["overlap"]),
-        n_subsequences=int(doc["n_subsequences"]),
+        pseudo_order=_value(doc, "pseudo_order", _indices, path),
+        interleaved_order=_value(doc, "interleaved_order", _indices, path),
+        subsets=_value(doc, "subsets", lambda v: [_indices(s) for s in v], path),
+        subset_size=_value(doc, "subset_size", int, path),
+        overlap=_value(doc, "overlap", int, path),
+        n_subsequences=_value(doc, "n_subsequences", int, path),
     )
 
 
@@ -592,11 +578,11 @@ def _read_json(path, kind: str):
     return doc
 
 
-def _entries(doc, key: str, fields, path) -> list:
-    """doc[key] as a list of JSON objects that each hold every name in fields.
+def _entries(doc, key: str, path) -> list[tuple[str, dict]]:
+    """doc[key] as (location, entry) pairs, e.g. ("poses.json: poses[0]", {...}).
 
-    Raises SchemaViolationError naming the file, the entry and the field,
-    e.g. "poses.json: poses[0]: missing field 'fx'".
+    Raises SchemaViolationError naming the file and the entry when doc[key]
+    is missing, is not a list, or holds something other than JSON objects.
     """
     if key not in doc:
         raise SchemaViolationError(f"{path}: missing field {key!r}")
@@ -606,10 +592,26 @@ def _entries(doc, key: str, fields, path) -> list:
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise SchemaViolationError(f"{path}: {key}[{i}]: must be a JSON object, got {type(entry).__name__}")
-        for name in fields:
-            if name not in entry:
-                raise SchemaViolationError(f"{path}: {key}[{i}]: missing field {name!r}")
-    return entries
+    return [(f"{path}: {key}[{i}]", entry) for i, entry in enumerate(entries)]
+
+
+def _value(entry: dict, name: str, convert, where):
+    """convert(entry[name]), the one way a JSON reader takes a field's value.
+
+    A missing field, or a value convert rejects (null for a number, "abc"
+    for an id), raises SchemaViolationError naming where (the file, and the
+    entry if any) and the field.
+    """
+    if name not in entry:
+        raise SchemaViolationError(f"{where}: missing field {name!r}")
+    try:
+        return convert(entry[name])
+    except (TypeError, ValueError):
+        raise SchemaViolationError(f"{where}: field {name!r} has invalid value {entry[name]!r}") from None
+
+
+_floats = partial(np.asarray, dtype=np.float64)
+_indices = partial(np.asarray, dtype=np.int64)
 
 
 def _check_version(doc, path) -> None:

@@ -84,8 +84,8 @@ class PipelineConfig:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if not 0 <= self.conf_percentile < 100:
             raise ConfigError(f"conf_percentile must be in [0, 100), got {self.conf_percentile}")
-        if self.tau_reproj <= 0:
-            raise ConfigError(f"tau_reproj must be positive, got {self.tau_reproj}")
+        if not (np.isfinite(self.tau_reproj) and self.tau_reproj > 0):
+            raise ConfigError(f"tau_reproj must be positive and finite, got {self.tau_reproj}")
         if self.max_keypoints < 1:
             raise ConfigError(f"max_keypoints must be >= 1, got {self.max_keypoints}")
         self.ba_config()  # validates the BA fields

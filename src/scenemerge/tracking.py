@@ -172,8 +172,8 @@ def verify_matches(ms: MatchSet, merged, tau_reproj: float = 8.0) -> MatchSet:
     frame j within tau_reproj of its partner (landing in front of the
     camera), and the symmetric j to i check passes.
     """
-    if tau_reproj <= 0:
-        raise ConfigError(f"tau_reproj must be positive, got {tau_reproj}")
+    if not (np.isfinite(tau_reproj) and tau_reproj > 0):
+        raise ConfigError(f"tau_reproj must be positive and finite, got {tau_reproj}")
     if len(ms) == 0:
         return ms
     keep = np.ones(len(ms), dtype=bool)

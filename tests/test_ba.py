@@ -217,12 +217,93 @@ def _fd_worst(prob: BAProblem, cfg: BAConfig, h: float = 1e-6) -> float:
     return worst
 
 
+def _reference_reduce(prob: BAProblem, contrib, weights=None, absolute=False):
+    """The per-dimension np.bincount reduction that the incidence products
+    replaced: weights multiplies each row, absolute sums magnitudes."""
+    out = {}
+    for block, arr in contrib.items():
+        if absolute:
+            arr = np.abs(arr)
+        elif weights is not None:
+            arr = arr * weights[:, None]
+        if block == "p":
+            idx, n = prob.point_indices, prob.n_points
+        else:
+            idx, n = prob.camera_indices, prob.n_cameras
+        out[block] = np.stack(
+            [np.bincount(idx, weights=arr[:, d], minlength=n) for d in range(arr.shape[1])],
+            axis=1,
+        )
+    return out
+
+
+def _reference_obs_contributions(prob: BAProblem, r, g_cam, g_intr, rx):
+    rm = r[prob.camera_indices]
+    return {
+        "rot": np.cross(rx, g_cam),
+        "t": g_cam,
+        "k": g_intr,
+        "p": np.einsum("mji,mj->mi", rm, g_cam),
+    }
+
+
+def _reference_run_ba(prob: BAProblem, cfg: BAConfig):
+    """run_ba written with one bincount per dimension, four adaptive states
+    and one rotation_exp call per camera, the loop form the stacked version
+    must reproduce bit for bit.
+
+    Returns (loss history, (r, t, k, points) of the best iterate, best iteration).
+    """
+    from scenemerge.ba import _AdaptiveState, _loss_terms, _stack_state
+
+    r, t, k, points = _stack_state(prob)
+    centers = np.stack([c.pose.center for c in prob.cameras])
+    unit_t = float(np.median(np.linalg.norm(centers - centers.mean(axis=0), axis=1)))
+    if unit_t <= 0:
+        unit_t = 1.0
+    unit_k = k[:, 0:1].copy()
+    widths = np.array([float(c.intrinsics.width) for c in prob.cameras])
+    heights = np.array([float(c.intrinsics.height) for c in prob.cameras])
+    focal_floor = 1e-6 * unit_k[:, 0]
+
+    history = np.empty(cfg.iterations + 1)
+    loss, g_cam, g_intr, rx, _ = _loss_terms(prob, cfg, r, t, k, points)
+    history[0] = float(np.sum(prob.confidences * loss))
+    best = (history[0], (r.copy(), t.copy(), k.copy(), points.copy()), 0)
+    state_rot = _AdaptiveState((prob.n_cameras, 3))
+    state_t = _AdaptiveState((prob.n_cameras, 3))
+    state_p = _AdaptiveState((prob.n_points, 3))
+    state_k = _AdaptiveState((prob.n_cameras, 4))
+    for it in range(cfg.iterations):
+        contrib = _reference_obs_contributions(prob, r, g_cam, g_intr, rx)
+        grads = _reference_reduce(prob, contrib, weights=prob.confidences)
+        denoms = _reference_reduce(prob, contrib, absolute=True)
+        lr = cfg.learning_rate(it)
+        step_rot = state_rot.step(grads["rot"], denoms["rot"], lr, 1.0)
+        step_t = state_t.step(grads["t"], denoms["t"], lr, unit_t)
+        step_p = state_p.step(grads["p"], denoms["p"], lr, unit_t)
+        for c in range(prob.n_cameras):
+            r[c] = rotation_exp(-step_rot[c]) @ r[c]
+        t = t - step_t
+        points = points - step_p
+        if cfg.optimize_intrinsics:
+            k = k - state_k.step(grads["k"], denoms["k"], lr, 1.0) * unit_k
+            k[:, 0] = np.maximum(k[:, 0], focal_floor)
+            k[:, 1] = np.maximum(k[:, 1], focal_floor)
+            k[:, 2] = np.clip(k[:, 2], 0.0, widths)
+            k[:, 3] = np.clip(k[:, 3], 0.0, heights)
+        loss, g_cam, g_intr, rx, _ = _loss_terms(prob, cfg, r, t, k, points)
+        history[it + 1] = float(np.sum(prob.confidences * loss))
+        if history[it + 1] < best[0]:
+            best = (history[it + 1], (r.copy(), t.copy(), k.copy(), points.copy()), it + 1)
+    return history, best[1], best[2]
+
+
 class TestBAConfig:
     def test_defaults(self):
         cfg = BAConfig()
         assert cfg.iterations == 300
         assert cfg.initial_lr == 3e-3
-        assert cfg.lr_schedule == "cosine"
         assert cfg.lambda_exp == 0.5
         assert cfg.epsilon == 1e-8
         assert cfg.optimize_intrinsics is True
@@ -235,10 +316,6 @@ class TestBAConfig:
         assert cfg.learning_rate(50) == pytest.approx(1e-3)
         assert cfg.learning_rate(100) == pytest.approx(0.0, abs=1e-18)
 
-    def test_constant_schedule(self):
-        cfg = BAConfig(lr_schedule="constant")
-        assert cfg.learning_rate(0) == cfg.learning_rate(299) == 3e-3
-
     def test_lambda_two_allowed(self):
         assert BAConfig(lambda_exp=2.0).lambda_exp == 2.0
 
@@ -247,14 +324,19 @@ class TestBAConfig:
             BAConfig(iterations=0)
         with pytest.raises(ConfigError, match="initial_lr"):
             BAConfig(initial_lr=0.0)
-        with pytest.raises(ConfigError, match="lr_schedule"):
-            BAConfig(lr_schedule="linear")
         with pytest.raises(ConfigError, match="lambda_exp"):
             BAConfig(lambda_exp=0.0)
         with pytest.raises(ConfigError, match="lambda_exp"):
             BAConfig(lambda_exp=2.5)
         with pytest.raises(ConfigError, match="epsilon"):
             BAConfig(epsilon=0.0)
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ConfigError, match="initial_lr"):
+                BAConfig(initial_lr=bad)
+            with pytest.raises(ConfigError, match="epsilon"):
+                BAConfig(epsilon=bad)
+            with pytest.raises(ConfigError, match="lambda_exp"):
+                BAConfig(lambda_exp=bad)
 
 
 class TestBAProblem:
@@ -516,6 +598,38 @@ class TestRunBA:
         assert float(np.nanmean(post_err)) < 0.1
         assert res.final_loss < 0.1 * res.initial_loss
         assert _aligned_rmse(res.problem.cameras, gt_centers) <= _aligned_rmse(prob.cameras, gt_centers)
+
+    @pytest.mark.parametrize("optimize_intrinsics", [True, False])
+    def test_matches_reference_bit_for_bit(self, optimize_intrinsics):
+        """The incidence products, the two adaptive states and the stacked
+        rotation update reproduce the per-camera, per-dimension loop
+        exactly: same loss history, points, rotations, translations and
+        intrinsics, and the same gradients from ba_gradients."""
+        from scenemerge.ba import _loss_terms, _stack_state
+
+        prob, _ = _perturbed_scene_problem(0)
+        cfg = BAConfig(iterations=150, optimize_intrinsics=optimize_intrinsics)
+        res = run_ba(prob, cfg)
+        history, (r, t, k, points), best_it = _reference_run_ba(prob, cfg)
+        np.testing.assert_array_equal(res.loss_history, history)
+        assert res.best_iteration == best_it
+        np.testing.assert_array_equal(res.problem.points, points)
+        for i, cam in enumerate(res.problem.cameras):
+            np.testing.assert_array_equal(cam.pose.rotation, r[i])
+            np.testing.assert_array_equal(cam.pose.translation, t[i])
+            intr = cam.intrinsics
+            np.testing.assert_array_equal([intr.fx, intr.fy, intr.cx, intr.cy], k[i])
+
+        g = ba_gradients(prob, cfg)
+        r0, t0, k0, p0 = _stack_state(prob)
+        _, g_cam, g_intr, rx, _ = _loss_terms(prob, cfg, r0, t0, k0, p0)
+        ref = _reference_reduce(
+            prob, _reference_obs_contributions(prob, r0, g_cam, g_intr, rx), weights=prob.confidences
+        )
+        np.testing.assert_array_equal(g.rotation, ref["rot"])
+        np.testing.assert_array_equal(g.translation, ref["t"])
+        np.testing.assert_array_equal(g.intrinsics, ref["k"])
+        np.testing.assert_array_equal(g.points, ref["p"])
 
     def test_homogeneity(self):
         """Scaling confidences by a and the learning rate by 1/a reproduces

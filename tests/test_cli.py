@@ -325,6 +325,18 @@ class TestExitCodes:
         assert code == 2
         assert "overlap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [("--lr", "nan", "initial_lr"), ("--lr", "inf", "initial_lr"), ("--tau", "nan", "tau_reproj")],
+    )
+    def test_non_finite_config_value_exits_2(self, scene_dir, tmp_path, capsys, flag, value, field):
+        """A NaN or infinite setting is refused before any stage runs."""
+        code = main(["run", "--scene", str(scene_dir), "--out", str(tmp_path / "o"), flag, value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{field} must be positive and finite" in err
+        assert not (tmp_path / "o").exists()
+
     def test_data_error_exits_3(self, tmp_path, capsys):
         code = main(["run", "--scene", str(tmp_path / "missing"), "--out", str(tmp_path / "o")])
         assert code == 3
@@ -441,12 +453,47 @@ class TestExitCodes:
                 "field 'poses' must be a list, got dict",
             ),
             ("plan.json", lambda doc: doc.pop("n_subsequences"), "read_plan", "missing field 'n_subsequences'"),
+            (
+                "clusters/000/poses.json",
+                lambda doc: doc["poses"][0].__setitem__("fx", None),
+                "read_poses",
+                "poses[0]: field 'fx' has invalid value None",
+            ),
+            (
+                "clusters/000/poses.json",
+                lambda doc: doc["poses"][0].__setitem__("frame_id", "abc"),
+                "read_poses",
+                "poses[0]: field 'frame_id' has invalid value 'abc'",
+            ),
+            (
+                "manifest.json",
+                lambda doc: doc["images"][0].__setitem__("width", None),
+                "read_manifest",
+                "images[0]: field 'width' has invalid value None",
+            ),
+            (
+                "manifest.json",
+                lambda doc: doc["clusters"][0].__setitem__("frame_ids", None),
+                "read_manifest",
+                "clusters[0]: field 'frame_ids' has invalid value None",
+            ),
         ],
-        ids=["pose-without-fx", "image-without-width", "pose-as-list", "poses-as-object", "plan-without-n_subsequences"],
+        ids=[
+            "pose-without-fx",
+            "image-without-width",
+            "pose-as-list",
+            "poses-as-object",
+            "plan-without-n_subsequences",
+            "pose-fx-null",
+            "pose-frame_id-not-a-number",
+            "image-width-null",
+            "cluster-frame_ids-null",
+        ],
     )
     def test_malformed_json_entry_exits_3(self, scene_dir, staged, tmp_path, capsys, rel, edit, reader, message):
-        """A missing field or a non-object entry is a SchemaViolationError
-        naming the file, the entry and the field, and the CLI exits 3."""
+        """A missing field, a non-object entry or a field value of the wrong
+        type is a SchemaViolationError naming the file, the entry and the
+        field, and the CLI exits 3."""
         import shutil
 
         from scenemerge import io_formats

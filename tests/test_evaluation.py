@@ -13,6 +13,8 @@ import pytest
 from scipy.optimize import minimize
 from scipy.spatial.transform import Rotation
 
+from scenemerge import evaluation
+from scenemerge.alignment import weighted_umeyama
 from scenemerge.errors import DataError, DegenerateGeometryError
 from scenemerge.evaluation import (
     PairwiseAccuracy,
@@ -29,6 +31,7 @@ from scenemerge.geometry import (
     Sim3Transform,
     apply_sim3,
     random_rotation,
+    rotation_distance,
     rotation_from_axis_angle,
 )
 
@@ -88,6 +91,96 @@ def _oracle_pairwise(est, gt, thresholds):
     curve = np.array([min(pct(rot, t), pct(dirn, t)) for t in range(31)])
     auc = (0.5 * (curve[0] + curve[-1]) + float(np.sum(curve[1:-1]))) / 30
     return rra, rta, auc
+
+
+def _reference_relative_translation(pose_i, pose_j):
+    return pose_j.translation - pose_j.rotation @ pose_i.rotation.T @ pose_i.translation
+
+
+def _reference_direction_angle_deg(u, v):
+    un = u / np.linalg.norm(u)
+    vn = v / np.linalg.norm(v)
+    return float(np.degrees(np.arctan2(np.linalg.norm(np.cross(un, vn)), np.dot(un, vn))))
+
+
+def _reference_pair_errors(est, gt):
+    """One Python iteration per unordered pair, the loop form of the pair
+    kernel: {(i, j): (rotation error, direction error)} in degrees, and the
+    pairs skipped for a zero-length ground-truth relative translation."""
+    errors, skipped = {}, []
+    for i in range(len(est)):
+        for j in range(i + 1, len(est)):
+            t_gt = _reference_relative_translation(gt[i], gt[j])
+            if np.linalg.norm(t_gt) == 0.0:
+                skipped.append((i, j))
+                continue
+            rel_est = est[j].rotation @ est[i].rotation.T
+            rel_gt = gt[j].rotation @ gt[i].rotation.T
+            rot = np.degrees(rotation_distance(rel_est, rel_gt))
+            t_est = _reference_relative_translation(est[i], est[j])
+            if np.linalg.norm(t_est) == 0.0:
+                errors[i, j] = (rot, 180.0)
+            else:
+                errors[i, j] = (rot, _reference_direction_angle_deg(t_est, t_gt))
+    return errors, skipped
+
+
+def _reference_pairwise_relative_accuracy(est, gt, thresholds):
+    errors, skipped = _reference_pair_errors(est, gt)
+    rot_errs = np.array([e[0] for e in errors.values()])
+    dir_errs = np.array([e[1] for e in errors.values()])
+    n = len(rot_errs)
+
+    def pct(errs, tau):
+        return 100.0 * (float(np.count_nonzero(errs <= tau)) / n)
+
+    rra_at = {tau: pct(rot_errs, tau) for tau in thresholds}
+    rta_at = {tau: pct(dir_errs, tau) for tau in thresholds}
+    curve = np.array([min(pct(rot_errs, t), pct(dir_errs, t)) for t in range(31)])
+    auc = (0.5 * (curve[0] + curve[-1]) + float(np.sum(curve[1:-1]))) / 30
+    return PairwiseAccuracy(rra_at=rra_at, rta_at=rta_at, auc_at_30=auc, skipped_pairs=len(skipped))
+
+
+def _reference_trajectory_errors(est, gt):
+    centers_est = np.stack([p.center for p in est])
+    centers_gt = np.stack([p.center for p in gt])
+    t = weighted_umeyama(centers_gt, centers_est, np.ones(len(est)))
+    residual = apply_sim3(t, centers_est) - centers_gt
+    ate = float(np.sqrt(np.mean(np.sum(residual**2, axis=1))))
+    rres, rtes = [], []
+    for i in range(len(est) - 1):
+        rel_est = est[i + 1].rotation @ est[i].rotation.T
+        rel_gt = gt[i + 1].rotation @ gt[i].rotation.T
+        rres.append(np.degrees(rotation_distance(rel_est, rel_gt)))
+        d = t.scale * _reference_relative_translation(est[i], est[i + 1]) - _reference_relative_translation(
+            gt[i], gt[i + 1]
+        )
+        rtes.append(float(np.linalg.norm(d)))
+    return ate, float(np.mean(rres)), float(np.mean(rtes))
+
+
+def _special_case_trajectories(seed, n=23):
+    """Noisy estimate of a random trajectory with every special case of the
+    pair metrics: poses equal to ground truth (equal relative rotations),
+    two estimated cameras sharing a rotation, a ground-truth pair with a
+    zero relative translation, and an estimated pair with one."""
+    rng = np.random.default_rng(seed)
+    gt = _random_trajectory(rng, n)
+    est = [
+        CameraPose(
+            rotation=rotation_from_axis_angle(rng.normal(size=3), rng.uniform(0, 0.3)) @ p.rotation,
+            translation=p.translation + rng.normal(0, 0.2, size=3),
+        )
+        for p in gt
+    ]
+    for i in (1, 2):
+        est[i] = CameraPose(rotation=gt[i].rotation.copy(), translation=gt[i].translation.copy())
+    est[6] = CameraPose(rotation=est[5].rotation.copy(), translation=est[6].translation)
+    for i in (3, 4):
+        gt[i] = CameraPose(rotation=gt[i].rotation, translation=np.zeros(3))
+    for i in (8, 11):
+        est[i] = CameraPose(rotation=est[i].rotation, translation=np.zeros(3))
+    return est, gt
 
 
 class TestUmeyamaAlign:
@@ -206,6 +299,33 @@ class TestPairwiseRelativeAccuracy:
             assert acc.rta_at == rta
             assert acc.auc_at_30 == auc
 
+    @pytest.mark.parametrize("chunk", [1, 7, evaluation.PAIR_CHUNK])
+    def test_matches_reference_bit_for_bit(self, monkeypatch, chunk):
+        """The chunked pair kernel gives the loop's per-pair errors and
+        accuracies bit for bit, whatever the chunk size."""
+        monkeypatch.setattr(evaluation, "PAIR_CHUNK", chunk)
+        taus = (1, 2.5, 5, 15, 30)
+        for seed in range(3):
+            est, gt = _special_case_trajectories(200 + seed)
+            want = _reference_pairwise_relative_accuracy(est, gt, taus)
+            got = pairwise_relative_accuracy(est, gt, thresholds=taus)
+            assert got.skipped_pairs == want.skipped_pairs == 1
+            assert got.rra_at == want.rra_at
+            assert got.rta_at == want.rta_at
+            assert got.auc_at_30 == want.auc_at_30
+
+    def test_pair_errors_match_reference(self):
+        est, gt = _special_case_trajectories(210)
+        errors, skipped = _reference_pair_errors(est, gt)
+        i, j = np.triu_indices(len(est), k=1)
+        rot, direction, keep = evaluation._pair_errors(evaluation._stacked(est), evaluation._stacked(gt), i, j)
+        assert [(a, b) for a, b, k in zip(i, j, keep) if not k] == skipped == [(3, 4)]
+        want = np.array([errors[a, b] for a, b, k in zip(i, j, keep) if k])
+        np.testing.assert_array_equal(rot[keep], want[:, 0])
+        np.testing.assert_array_equal(direction[keep], want[:, 1])
+        assert np.count_nonzero(direction[keep] == 180.0) >= 1
+        assert np.count_nonzero(rot[keep] == 0.0) >= 1
+
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(9)
         gt = _random_trajectory(rng)
@@ -274,6 +394,11 @@ class TestTrajectoryErrors:
         assert ate == pytest.approx(0.0, abs=1e-12)
         assert rre == 0.0
         assert rte == pytest.approx(0.0, abs=1e-12)
+
+    def test_matches_reference_bit_for_bit(self):
+        for seed in range(3):
+            est, gt = _special_case_trajectories(220 + seed)
+            assert trajectory_errors(est, gt) == _reference_trajectory_errors(est, gt)
 
     def test_constant_offset_absorbed(self):
         """Shifting every camera center by one vector is pure gauge."""

@@ -29,6 +29,8 @@ from scenemerge.geometry import (
     rotation_angle,
     rotation_distance,
     rotation_exp,
+    rotation_from_axis_angle,
+    skew,
     transform_camera,
     unproject,
     unproject_pixels,
@@ -219,6 +221,50 @@ class TestTransformCamera:
         np.testing.assert_allclose(z_after, t.scale * z_before, atol=1e-9 * max(1.0, t.scale))
 
 
+def _reference_skew(v):
+    x, y, z = np.asarray(v, dtype=np.float64)
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
+def _reference_rotation_from_axis_angle(axis, angle):
+    ax = np.asarray(axis, dtype=np.float64)
+    n = np.linalg.norm(ax)
+    if n == 0:
+        return np.eye(3)
+    k = _reference_skew(ax / n)
+    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+
+
+def _reference_rotation_exp(omega):
+    w = np.asarray(omega, dtype=np.float64)
+    angle = np.linalg.norm(w)
+    if angle < 1e-12:
+        k = _reference_skew(w)
+        return np.eye(3) + k + 0.5 * (k @ k)
+    return _reference_rotation_from_axis_angle(w, angle)
+
+
+def _reference_rotation_angle(r):
+    c = (np.trace(np.asarray(r, dtype=np.float64)) - 1.0) / 2.0
+    return float(np.arccos(np.clip(c, -1.0, 1.0)))
+
+
+def _reference_rotation_distance(a, b):
+    if np.array_equal(a, b):
+        return 0.0
+    return _reference_rotation_angle(a @ b.T)
+
+
+def _tangent_vectors(rng, n=600):
+    """Rotation vectors over 35 decades of length, with exact zeros (both
+    signs) and lengths below the 1e-12 series threshold."""
+    w = rng.normal(size=(n, 3)) * np.exp(rng.uniform(-35.0, 1.5, size=(n, 1)))
+    w[:10] = 0.0
+    w[10:20] = -0.0
+    w[20:60] *= 1e-13
+    return w
+
+
 class TestRotationHelpers:
     def test_quat_round_trip(self):
         rng = np.random.default_rng(77)
@@ -237,6 +283,37 @@ class TestRotationHelpers:
     def test_rotation_exp_small_angle_orthonormal(self):
         r = rotation_exp(np.array([1e-14, 0.0, 0.0]))
         np.testing.assert_allclose(r.T @ r, np.eye(3), atol=1e-15)
+
+    def test_stacks_match_per_row_reference(self):
+        """Each primitive on a stack gives, row by row, the bits of the
+        one-at-a-time formula, including the small-angle series, the zero
+        axis and exactly-equal rotations; a single row keeps its shape."""
+        rng = np.random.default_rng(78)
+        w = _tangent_vectors(rng)
+        angles = rng.uniform(-4.0, 4.0, size=len(w))
+        rots = np.stack([random_rotation(rng) for _ in range(len(w))])
+        others = np.stack([random_rotation(rng) for _ in range(len(w))])
+        others[:50] = rots[:50]
+        exp_stack = rotation_exp(w)
+        axis_stack = rotation_from_axis_angle(w, angles)
+        skew_stack = skew(w)
+        angle_stack = rotation_angle(rots)
+        dist_stack = rotation_distance(rots, others)
+        for i in range(len(w)):
+            np.testing.assert_array_equal(exp_stack[i], _reference_rotation_exp(w[i]))
+            np.testing.assert_array_equal(rotation_exp(w[i]), exp_stack[i])
+            np.testing.assert_array_equal(axis_stack[i], _reference_rotation_from_axis_angle(w[i], angles[i]))
+            np.testing.assert_array_equal(rotation_from_axis_angle(w[i], angles[i]), axis_stack[i])
+            np.testing.assert_array_equal(skew_stack[i], _reference_skew(w[i]))
+            assert angle_stack[i] == _reference_rotation_angle(rots[i]) == rotation_angle(rots[i])
+            assert dist_stack[i] == _reference_rotation_distance(rots[i], others[i])
+            assert dist_stack[i] == rotation_distance(rots[i], others[i])
+        assert np.all(dist_stack[:50] == 0.0)
+        np.testing.assert_array_equal(exp_stack[:20], np.broadcast_to(np.eye(3), (20, 3, 3)))
+        np.testing.assert_array_equal(axis_stack[:20], np.broadcast_to(np.eye(3), (20, 3, 3)))
+        assert rotation_exp(w[0]).shape == (3, 3)
+        assert rotation_exp(w.reshape(20, 30, 3)).shape == (20, 30, 3, 3)
+        assert np.ndim(rotation_distance(rots[0], others[0])) == 0
 
     def test_intrinsics_validation(self):
         with pytest.raises(InvalidPoseError):

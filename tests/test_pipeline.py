@@ -120,8 +120,9 @@ class TestPipelineConfig:
             PipelineConfig(k=0)
         with pytest.raises(ConfigError, match="conf_percentile"):
             PipelineConfig(conf_percentile=100.0)
-        with pytest.raises(ConfigError, match="tau_reproj"):
-            PipelineConfig(tau_reproj=0.0)
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="tau_reproj"):
+                PipelineConfig(tau_reproj=bad)
         with pytest.raises(ConfigError, match="max_keypoints"):
             PipelineConfig(max_keypoints=0)
         with pytest.raises(ConfigError, match="iterations"):

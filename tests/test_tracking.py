@@ -327,8 +327,9 @@ class TestVerifyMatches:
     def test_rejects_bad_tau(self):
         merged = _merged_flat([0, 1])
         ms = _pair(0, 1, [((2.0, 2.0), (2.0, 2.0))])
-        with pytest.raises(ConfigError):
-            verify_matches(ms, merged, 0.0)
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="tau_reproj"):
+                verify_matches(ms, merged, bad)
 
 
 class TestMergeTracks:
