@@ -208,18 +208,6 @@ def _huber_delta(residuals: np.ndarray, floor: float) -> float:
     return max(_HUBER_K * _MAD_SCALE * mad, floor)
 
 
-def estimate_sim3_least_squares(c: CorrespondenceSet) -> AlignmentResult:
-    """Unrobust baseline: one confidence-weighted Umeyama solve."""
-    t = weighted_umeyama(c.points_a, c.points_b, c.confidences)
-    r = _residuals(c, t)
-    return AlignmentResult(
-        transform=t,
-        inlier_count=len(c),
-        final_objective=float(np.sum(c.confidences * r * r) / 2.0),
-        iterations_used=1,
-    )
-
-
 def estimate_sim3_irls(
     c: CorrespondenceSet,
     max_iters: int = 20,
@@ -366,17 +354,23 @@ class MergedGeometry:
     def sample(self, frame_id: int, pixels: np.ndarray):
         """Unproject subpixel coordinates through the global camera.
 
-        Depth and confidence come from the nearest integer pixel; returns
+        Depth and confidence are read once each, at the nearest integer
+        pixel of the valid samples (inside the map, depth > 0); returns
         (points (N,3), confidences (N,), valid (N,) bool) with rows of
         invalid samples left as NaN/0.
         """
         cam, depth, conf, scale = self.frame_geometry(frame_id)
         pixels = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
-        d, valid = depth.sample_nearest(pixels)
+        col, row = np.rint(pixels).astype(np.int64).T
+        rows = np.flatnonzero((col >= 0) & (col < depth.width) & (row >= 0) & (row < depth.height))
+        d = depth.values[row[rows], col[rows]]
+        rows, d = rows[d > 0], d[d > 0]
         pts = np.full((len(pixels), 3), np.nan)
-        if valid.any():
-            pts[valid] = unproject_pixels(pixels[valid], d[valid] * scale, cam)
-        confs = np.where(valid, conf.sample_nearest(pixels), 0.0)
+        confs = np.zeros(len(pixels))
+        valid = np.zeros(len(pixels), dtype=bool)
+        pts[rows] = unproject_pixels(pixels[rows], d.astype(np.float64) * scale, cam)
+        confs[rows] = conf.values[row[rows], col[rows]]
+        valid[rows] = True
         return pts, confs, valid
 
     def dense_cloud(self, cameras=None) -> PointCloud:

@@ -35,7 +35,7 @@ lists its observations in order, so the sums add exactly as np.bincount.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -127,26 +127,22 @@ class BAProblem:
     @classmethod
     def from_tracks(cls, cameras, tracks) -> "BAProblem":
         """Point i is track i's fused location; every observation carries
-        the track confidence C_l."""
-        frame_to_index = {c.frame_id: i for i, c in enumerate(cameras)}
-        ci, pi, px, cf = [], [], [], []
-        for ti, track in enumerate(tracks):
-            for fid, uv in track.observations:
-                if fid not in frame_to_index:
-                    raise DataError(f"track {ti} observes frame {fid} with no camera")
-                ci.append(frame_to_index[fid])
-                pi.append(ti)
-                px.append(uv)
-                cf.append(track.confidence)
-        if not tracks:
+        the track confidence C_l. tracks is a tracking.Tracks table."""
+        if not len(tracks):
             raise DataError("no tracks to adjust")
+        frame_ids = np.array([c.frame_id for c in cameras], dtype=np.int64)
+        missing = np.flatnonzero(~np.isin(tracks.frames, frame_ids))
+        if len(missing):
+            m = missing[0]
+            raise DataError(f"track {tracks.track_indices[m]} observes frame {tracks.frames[m]} with no camera")
+        by_frame = np.argsort(frame_ids, kind="stable")
         return cls(
             cameras=list(cameras),
-            points=np.array([t.point for t in tracks]),
-            camera_indices=np.array(ci),
-            point_indices=np.array(pi),
-            pixels=np.array(px),
-            confidences=np.array(cf),
+            points=tracks.points,
+            camera_indices=by_frame[np.searchsorted(frame_ids[by_frame], tracks.frames, side="right") - 1],
+            point_indices=tracks.track_indices,
+            pixels=tracks.pixels,
+            confidences=np.repeat(tracks.confidences, tracks.lengths),
         )
 
 
@@ -191,9 +187,11 @@ def _rebuild_cameras(prob: BAProblem, r, t, k):
     ]
 
 
-def _loss_terms(prob: BAProblem, cfg: BAConfig, r, t, k, points):
+def _loss_terms(prob: BAProblem, cfg: BAConfig, rm, t, k, points):
     """Per-observation unweighted losses and gradient intermediates.
 
+    rm is r[prob.camera_indices], each observation's camera rotation; the
+    caller gathers it once and hands the same stack to _gradient_sums.
     Returns (loss_unweighted (M,), g_cam3d_unweighted (M,3),
     g_intrinsics_unweighted (M,4), rotated_points (M,3), front (M,)).
     Multiplying by the observation confidence yields the weighted
@@ -201,7 +199,6 @@ def _loss_terms(prob: BAProblem, cfg: BAConfig, r, t, k, points):
     the true gradient and the confidence-free normalizer.
     """
     lam, eps = cfg.lambda_exp, cfg.epsilon
-    rm = r[prob.camera_indices]
     tm = t[prob.camera_indices]
     km = k[prob.camera_indices]
     x = points[prob.point_indices]
@@ -250,15 +247,16 @@ def _incidence(prob: BAProblem) -> tuple[sparse.csr_array, sparse.csr_array]:
     )
 
 
-def _gradient_sums(prob: BAProblem, incidence, r, g_cam, g_intr, rx):
+def _gradient_sums(prob: BAProblem, incidence, rm, g_cam, g_intr, rx):
     """(camera gradient, point gradient, camera denominator, point denominator).
 
-    Camera rows are [rotation | translation | intrinsics]; each sum is one
-    incidence product over the per-observation contributions C.
+    rm is the per-observation rotation stack _loss_terms used. Camera rows
+    are [rotation | translation | intrinsics]; each sum is one incidence
+    product over the per-observation contributions C.
     """
     a_cam, a_pt = incidence
     c_cam = np.hstack([np.cross(rx, g_cam), g_cam, g_intr])
-    c_pt = np.einsum("mji,mj->mi", r[prob.camera_indices], g_cam)
+    c_pt = np.einsum("mji,mj->mi", rm, g_cam)
     w = prob.confidences[:, None]
     return a_cam @ (w * c_cam), a_pt @ (w * c_pt), a_cam @ np.abs(c_cam), a_pt @ np.abs(c_pt)
 
@@ -267,7 +265,7 @@ def ba_loss(prob: BAProblem, cfg: BAConfig | None = None) -> float:
     """Confidence-weighted robust reprojection loss."""
     cfg = cfg or BAConfig()
     r, t, k, points = _stack_state(prob)
-    loss, _, _, _, _ = _loss_terms(prob, cfg, r, t, k, points)
+    loss, _, _, _, _ = _loss_terms(prob, cfg, r[prob.camera_indices], t, k, points)
     return float(np.sum(prob.confidences * loss))
 
 
@@ -279,8 +277,7 @@ def predicted_pixels(prob: BAProblem) -> tuple[np.ndarray, np.ndarray]:
     output yield bitwise-zero residuals.
     """
     r, t, k, points = _stack_state(prob)
-    rm = r[prob.camera_indices]
-    v = np.einsum("mij,mj->mi", rm, points[prob.point_indices]) + t[prob.camera_indices]
+    v = np.einsum("mij,mj->mi", r[prob.camera_indices], points[prob.point_indices]) + t[prob.camera_indices]
     z = v[:, 2]
     front = z > 0
     zs = np.where(front, z, np.nan)
@@ -299,8 +296,9 @@ def ba_gradients(prob: BAProblem, cfg: BAConfig | None = None) -> BAGradients:
     """Analytic gradient of ba_loss for every parameter block."""
     cfg = cfg or BAConfig()
     r, t, k, points = _stack_state(prob)
-    _, g_cam, g_intr, rx, _ = _loss_terms(prob, cfg, r, t, k, points)
-    g, g_pt, _, _ = _gradient_sums(prob, _incidence(prob), r, g_cam, g_intr, rx)
+    rm = r[prob.camera_indices]
+    _, g_cam, g_intr, rx, _ = _loss_terms(prob, cfg, rm, t, k, points)
+    g, g_pt, _, _ = _gradient_sums(prob, _incidence(prob), rm, g_cam, g_intr, rx)
     return BAGradients(rotation=g[:, :3], translation=g[:, 3:6], points=g_pt, intrinsics=g[:, 6:])
 
 
@@ -347,7 +345,8 @@ def run_ba(prob: BAProblem, cfg: BAConfig | None = None) -> BAResult:
     focal_floor = 1e-6 * unit_k[:, 0]
 
     history = np.empty(cfg.iterations + 1)
-    loss0, g_cam0, g_intr0, rx0, _ = _loss_terms(prob, cfg, r, t, k, points)
+    rm = r[prob.camera_indices]
+    loss0, g_cam0, g_intr0, rx0, _ = _loss_terms(prob, cfg, rm, t, k, points)
     current = float(np.sum(prob.confidences * loss0))
     if not np.isfinite(current):
         raise DivergenceError("initial loss is not finite", iteration=0)
@@ -363,7 +362,7 @@ def run_ba(prob: BAProblem, cfg: BAConfig | None = None) -> BAResult:
 
     g_cam, g_intr, rx = g_cam0, g_intr0, rx0
     for it in range(cfg.iterations):
-        grad_cam, grad_pt, denom_cam, denom_pt = _gradient_sums(prob, incidence, r, g_cam, g_intr, rx)
+        grad_cam, grad_pt, denom_cam, denom_pt = _gradient_sums(prob, incidence, rm, g_cam, g_intr, rx)
         if not (np.all(np.isfinite(grad_cam)) and np.all(np.isfinite(grad_pt))):
             raise DivergenceError("non-finite gradient", iteration=it + 1)
 
@@ -384,7 +383,8 @@ def run_ba(prob: BAProblem, cfg: BAConfig | None = None) -> BAResult:
                 k[:, 2] = np.clip(k[:, 2], 0.0, widths)
                 k[:, 3] = np.clip(k[:, 3], 0.0, heights)
 
-            loss_terms, g_cam, g_intr, rx, _ = _loss_terms(prob, cfg, r, t, k, points)
+            rm = r[prob.camera_indices]
+            loss_terms, g_cam, g_intr, rx, _ = _loss_terms(prob, cfg, rm, t, k, points)
         current = float(np.sum(prob.confidences * loss_terms))
         if not np.isfinite(current):
             raise DivergenceError("loss became non-finite", iteration=it + 1)
@@ -415,22 +415,12 @@ def apply_ba_result(result: BAResult, merged, tracks):
     the refined cameras). Track observations and confidences are
     untouched; only the fused 3D points move.
     """
-    from .tracking import Track
-
     prob = result.problem
     if len(tracks) != prob.n_points:
         raise DataError(f"track count {len(tracks)} != problem points {prob.n_points}")
     by_frame = {c.frame_id: c for c in prob.cameras}
-
-    new_tracks = [
-        Track(point=prob.points[i], confidence=tr.confidence, observations=tr.observations)
-        for i, tr in enumerate(tracks)
-    ]
-
-    cameras = []
-    for fid in merged.frames():
-        cam = by_frame.get(fid)
-        if cam is None:
-            raise DataError(f"refined problem lacks a camera for frame {fid}")
-        cameras.append(cam)
-    return cameras, new_tracks, merged.dense_cloud(cameras)
+    missing = [fid for fid in merged.frames() if fid not in by_frame]
+    if missing:
+        raise DataError(f"refined problem lacks a camera for frame {missing[0]}")
+    cameras = [by_frame[fid] for fid in merged.frames()]
+    return cameras, replace(tracks, points=prob.points), merged.dense_cloud(cameras)

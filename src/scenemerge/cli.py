@@ -16,6 +16,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .alignment import MergedGeometry
@@ -79,31 +80,20 @@ def _perturb_spec(name: str) -> PerturbationSpec:
     return PerturbationSpec.none() if name == "none" else PerturbationSpec.default()
 
 
-def _transforms_for_clusters(records, clusters, path):
-    """Transform records matched to clusters by id, in cluster order."""
-    by_id = {}
-    for rec in records:
-        if rec.cluster_id in by_id:
-            raise DataError(f"{path} repeats cluster id {rec.cluster_id}")
-        by_id[rec.cluster_id] = rec
-    out = []
-    for cluster in clusters:
-        rec = by_id.get(cluster.cluster_id)
-        if rec is None:
-            raise DataError(f"{path} has no transform for cluster {cluster.cluster_id}")
-        out.append(sim3_from_transform_record(rec))
-    return out
+def _merged_geometry(data, transforms_path) -> MergedGeometry:
+    """The scene's clusters under the transforms.json records of their ids."""
+    by_id = {rec.cluster_id: rec for rec in read_transforms(transforms_path)}
+    missing = [c.cluster_id for c in data.clusters if c.cluster_id not in by_id]
+    if missing:
+        raise DataError(f"{transforms_path} has no transform for cluster {missing[0]}")
+    return MergedGeometry(data.clusters, [sim3_from_transform_record(by_id[c.cluster_id]) for c in data.clusters])
 
 
-def _poses_by_frame(records, path) -> dict:
-    out = {}
-    for rec in records:
-        if rec.frame_id in out:
-            raise DataError(f"{path} repeats frame id {rec.frame_id}")
-        out[rec.frame_id] = CameraPose(
-            rotation=quat_wxyz_to_matrix(rec.quat_wxyz), translation=rec.translation
-        )
-    return out
+def _poses_by_frame(records) -> dict:
+    return {
+        rec.frame_id: CameraPose(rotation=quat_wxyz_to_matrix(rec.quat_wxyz), translation=rec.translation)
+        for rec in records
+    }
 
 
 def _load_config_file(path) -> dict:
@@ -175,13 +165,10 @@ def cmd_track(args) -> None:
     plan = read_plan(args.plan)
     data = load_scene(args.clusters)
     check_plan_matches_clusters(data.clusters, plan)
-    records = read_transforms(args.transforms)
-    transforms = _transforms_for_clusters(records, data.clusters, args.transforms)
-    matcher = matcher_from_scene_dir(data.root, args.max_keypoints)
     tracking = run_tracking(
         data.similarity,
-        MergedGeometry(data.clusters, transforms),
-        matcher,
+        _merged_geometry(data, args.transforms),
+        matcher_from_scene_dir(data.root, args.max_keypoints),
         k=args.k,
         tau_reproj=args.tau,
         max_keypoints=args.max_keypoints,
@@ -197,20 +184,11 @@ def cmd_track(args) -> None:
 def cmd_ba(args) -> None:
     data = load_scene(args.scene)
     tracks = read_tracks(args.tracks)
-    transforms_path = (
-        Path(args.transforms)
-        if args.transforms is not None
-        else Path(args.tracks).parent / "transforms.json"
-    )
+    transforms_path = Path(args.transforms or Path(args.tracks).parent / "transforms.json")
     if not transforms_path.exists():
         raise DataError(f"{transforms_path} not found; pass --transforms explicitly")
-    records = read_transforms(transforms_path)
-    transforms = _transforms_for_clusters(records, data.clusters, transforms_path)
-
     cfg = BAConfig(iterations=args.iters, initial_lr=args.lr, lambda_exp=args.lambda_exp)
-    problem, result, refined_cameras, _, cloud = bundle_adjust(
-        MergedGeometry(data.clusters, transforms), tracks, cfg
-    )
+    problem, result, refined_cameras, _, cloud = bundle_adjust(_merged_geometry(data, transforms_path), tracks, cfg)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -228,8 +206,8 @@ def cmd_ba(args) -> None:
 def cmd_eval(args) -> None:
     if (args.pred_cloud is None) != (args.gt_cloud is None):
         raise ConfigError("--pred-cloud and --gt-cloud must be given together")
-    est = _poses_by_frame(read_poses(args.est), args.est)
-    gt = _poses_by_frame(read_poses(args.gt), args.gt)
+    est = _poses_by_frame(read_poses(args.est))
+    gt = _poses_by_frame(read_poses(args.gt))
     if sorted(est) != sorted(gt):
         raise DataError(f"{args.est} and {args.gt} cover different frame ids")
     frame_ids = sorted(gt)
@@ -244,19 +222,8 @@ def cmd_eval(args) -> None:
 
 def cmd_run(args) -> None:
     file_values = _load_config_file(args.config) if args.config is not None else None
-    overrides = {
-        "subset_size": args.subset_size,
-        "overlap": args.overlap,
-        "k": args.k,
-        "conf_percentile": args.conf_percentile,
-        "tau_reproj": args.tau,
-        "max_keypoints": args.max_keypoints,
-        "ba_iterations": args.iters,
-        "ba_lr": args.lr,
-        "lambda_exp": args.lambda_exp,
-        "n_subsequences": args.n_subsequences,
-        "similarity_constrained": args.similarity_band,
-    }
+    # each config field is the dest of one run flag
+    overrides = {f.name: getattr(args, f.name) for f in fields(PipelineConfig)}
     cfg = PipelineConfig.from_sources(file_values, overrides)
     if args.synth:
         synthesize_scene_dir(
@@ -364,15 +331,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--overlap", type=int, default=None)
     p.add_argument("--k", type=int, default=None, help="frame-graph neighbor count")
     p.add_argument("--conf-percentile", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None, help="reprojection gate in pixels")
+    p.add_argument("--tau", dest="tau_reproj", metavar="TAU", type=float, default=None,
+                   help="reprojection gate in pixels")
     p.add_argument("--max-keypoints", type=int, default=None)
-    p.add_argument("--iters", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
+    p.add_argument("--iters", dest="ba_iterations", metavar="ITERS", type=int, default=None)
+    p.add_argument("--lr", dest="ba_lr", metavar="LR", type=float, default=None)
     p.add_argument("--lambda", dest="lambda_exp", type=float, default=None)
     p.add_argument("--seed", type=int, default=0, help="with --synth")
     p.add_argument("--n-subsequences", type=int, default=None,
                    help="number of interleaved subsequences")
-    p.add_argument("--similarity-band", dest="similarity_band",
+    p.add_argument("--similarity-band", dest="similarity_constrained",
                    action=argparse.BooleanOptionalAction, default=None,
                    help="constrain the interleave to similarity-banded subsequences")
     p.set_defaults(func=cmd_run)

@@ -24,7 +24,6 @@ from .errors import (
 from .geometry import CameraParams
 from .io_formats import (
     ClusterEntry,
-    SceneManifest,
     camera_from_pose_record,
     pose_record_from_camera,
     read_manifest,
@@ -55,22 +54,6 @@ class DepthMap:
     def width(self) -> int:
         return self.values.shape[1]
 
-    def sample_nearest(self, pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Depth at the nearest integer pixel for (N, 2) subpixel coordinates.
-
-        Returns (depths, valid); out-of-bounds or nonpositive-depth pixels
-        are invalid with depth 0.
-        """
-        px = np.asarray(pixels, dtype=np.float64)
-        col = np.rint(px[:, 0]).astype(np.int64)
-        row = np.rint(px[:, 1]).astype(np.int64)
-        inside = (col >= 0) & (col < self.width) & (row >= 0) & (row < self.height)
-        d = np.zeros(len(px), dtype=np.float64)
-        d[inside] = self.values[row[inside], col[inside]]
-        valid = inside & (d > 0)
-        d[~valid] = 0.0
-        return d, valid
-
 
 @dataclass(frozen=True)
 class ConfidenceMap:
@@ -93,12 +76,6 @@ class ConfidenceMap:
     @property
     def width(self) -> int:
         return self.values.shape[1]
-
-    def sample_nearest(self, pixels: np.ndarray) -> np.ndarray:
-        px = np.asarray(pixels, dtype=np.float64)
-        col = np.clip(np.rint(px[:, 0]).astype(np.int64), 0, self.width - 1)
-        row = np.clip(np.rint(px[:, 1]).astype(np.int64), 0, self.height - 1)
-        return self.values[row, col].astype(np.float64)
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,14 @@ Tensor file (.mrgt):
 
     A 2x3 float32 tensor therefore occupies 4 + 2 + 1 + 1 + 8 + 24 = 40 bytes.
 
-Track file (.trk): u64 track count, then per track a 3xf64 point, f64
-confidence, u32 observation count, and per observation u32 frame id plus
-f64 u, f64 v (subpixel coordinates are preserved exactly).
+Track file (.trk): a u64 track count, then two packed record types, each
+track's header followed by its observations (subpixel coordinates exact):
+
+    track header, 36 bytes: point 3 x f64, confidence f64, observation count u32
+    observation, 20 bytes:  frame id u32, u f64, v f64
+
+Both sizes are whole u32 words (9 and 5), so the body reads and writes as
+one table of 9-word rows, observation rows using their first 5 words.
 
 Point clouds use binary little-endian PLY with float x/y/z, optional uchar
 red/green/blue, and optional float "quality" carrying per-point confidence.
@@ -37,6 +42,7 @@ import numpy as np
 
 from .errors import (
     DataCorruptionError,
+    DataError,
     SchemaViolationError,
     UnsupportedVersionError,
 )
@@ -55,7 +61,8 @@ TENSOR_VERSION = 1
 DTYPE_FLOAT32 = 1
 _MAX_RANK = 8
 
-TRACKS_VERSION = 1
+_TRACK_HEADER = np.dtype([("point", "<f8", 3), ("confidence", "<f8"), ("n_obs", "<u4")])
+_TRACK_OBSERVATION = np.dtype([("frame_id", "<u4"), ("uv", "<f8", 2)])
 JSON_FORMAT_VERSION = 1
 POSE_CONVENTION = "camera_from_world"
 _QUAT_NORM_TOL = 1e-3
@@ -224,6 +231,7 @@ def read_manifest(path) -> SceneManifest:
         )
         for where, c in _entries(doc, "clusters", path)
     ]
+    _check_unique(clusters, "cluster_id", "clusters", path)
     return SceneManifest(
         images=images,
         clusters=clusters,
@@ -292,7 +300,7 @@ def write_poses(path, records: list[PoseRecord]) -> None:
 def read_poses(path) -> list[PoseRecord]:
     doc = _read_json(path, "poses")
     _check_version(doc, path)
-    return [
+    records = [
         PoseRecord(
             frame_id=_value(p, "frame_id", int, where),
             quat_wxyz=_read_quat(_value(p, "quat_wxyz", _floats, where), f"{where}.quat_wxyz"),
@@ -304,6 +312,8 @@ def read_poses(path) -> list[PoseRecord]:
         )
         for where, p in _entries(doc, "poses", path)
     ]
+    _check_unique(records, "frame_id", "poses", path)
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +370,7 @@ def write_transforms(path, records: list[TransformRecord]) -> None:
 def read_transforms(path) -> list[TransformRecord]:
     doc = _read_json(path, "transforms")
     _check_version(doc, path)
-    return [
+    records = [
         TransformRecord(
             cluster_id=_value(c, "cluster_id", int, where),
             scale=_value(c, "scale", float, where),
@@ -369,6 +379,8 @@ def read_transforms(path) -> list[TransformRecord]:
         )
         for where, c in _entries(doc, "clusters", path)
     ]
+    _check_unique(records, "cluster_id", "clusters", path)
+    return records
 
 
 def _read_quat(q: np.ndarray, where: str) -> np.ndarray:
@@ -391,44 +403,57 @@ def _read_quat(q: np.ndarray, where: str) -> np.ndarray:
 # tracks
 
 
+def _track_rows(lengths: np.ndarray):
+    """(header-row flags, used-word mask, empty body) of a track file body
+    as rows of 9 u32 words, one row per record."""
+    header = np.zeros(len(lengths) + int(lengths.sum()), dtype=bool)
+    header[np.cumsum(lengths + 1) - lengths - 1] = True
+    used = np.ones((len(header), 9), dtype=bool)
+    used[~header, 5:] = False
+    return header, used, np.zeros(used.shape, dtype="<u4")
+
+
 def write_tracks(path, tracks) -> None:
-    """Write tracks (objects with .point, .confidence, .observations)."""
-    parts = [struct.pack("<Q", len(tracks))]
-    for t in tracks:
-        p = np.asarray(t.point, dtype=np.float64)
-        parts.append(struct.pack("<3dd I", p[0], p[1], p[2], float(t.confidence), len(t.observations)))
-        for frame_id, uv in t.observations:
-            parts.append(struct.pack("<Idd", int(frame_id), float(uv[0]), float(uv[1])))
-    Path(path).write_bytes(b"".join(parts))
+    """Write a tracking.Tracks table."""
+    if len(tracks.frames) and not 0 <= tracks.frames.min() <= tracks.frames.max() <= 0xFFFFFFFF:
+        raise SchemaViolationError(f"track frame ids {tracks.frames.min()}..{tracks.frames.max()} exceed u32")
+    head = np.empty(len(tracks), dtype=_TRACK_HEADER)
+    head["point"], head["confidence"], head["n_obs"] = tracks.points, tracks.confidences, tracks.lengths
+    obs = np.empty(len(tracks.frames), dtype=_TRACK_OBSERVATION)
+    obs["frame_id"], obs["uv"] = tracks.frames, tracks.pixels
+    header, used, body = _track_rows(tracks.lengths)
+    body[header] = head.view("<u4").reshape(-1, 9)
+    body[~header, :5] = obs.view("<u4").reshape(-1, 5)
+    Path(path).write_bytes(struct.pack("<Q", len(tracks)) + body[used].tobytes())
 
 
 def read_tracks(path):
-    """Read a track file; returns a list of tracking.Track."""
-    from .tracking import Track  # local import keeps io_formats import-light
+    """Read a track file into a tracking.Tracks table; only the walk over
+    track headers loops. A track Tracks rejects raises DataCorruptionError."""
+    from .tracking import Tracks  # local import keeps io_formats import-light
 
     raw = _read_bytes(path, "tracks")
     if len(raw) < 8:
         raise DataCorruptionError(f"{path}: file shorter than the 8-byte track count")
     (count,) = struct.unpack_from("<Q", raw, 0)
-    off = 8
-    tracks = []
+    off, lengths = 8, []
     for ti in range(count):
         if len(raw) < off + 36:
             raise DataCorruptionError(f"{path}: track {ti} header truncated at offset {off}")
-        x, y, z, conf, n_obs = struct.unpack_from("<3dd I", raw, off)
-        off += 36
-        need = off + 20 * n_obs
-        if len(raw) < need:
-            raise DataCorruptionError(f"{path}: track {ti} observations truncated at offset {off}")
-        obs = []
-        for _ in range(n_obs):
-            frame_id, u, v = struct.unpack_from("<Idd", raw, off)
-            obs.append((int(frame_id), np.array([u, v])))
-            off += 20
-        tracks.append(Track(point=np.array([x, y, z]), confidence=conf, observations=obs))
+        lengths.append(struct.unpack_from("<I", raw, off + 32)[0])
+        off += 36 + 20 * lengths[-1]
+        if len(raw) < off:
+            raise DataCorruptionError(f"{path}: track {ti} observations truncated at offset {off - 20 * lengths[-1]}")
     if off != len(raw):
         raise DataCorruptionError(f"{path}: {len(raw) - off} trailing bytes after track {count - 1}")
-    return tracks
+    header, used, body = _track_rows(np.array(lengths, dtype=np.int64))
+    body[used] = np.frombuffer(raw, dtype="<u4", offset=8)
+    head = body[header].view(_TRACK_HEADER)[:, 0]
+    obs = np.ascontiguousarray(body[~header, :5]).view(_TRACK_OBSERVATION)[:, 0]
+    try:
+        return Tracks(head["point"], head["confidence"], lengths, obs["frame_id"], obs["uv"])
+    except DataError as e:
+        raise DataCorruptionError(f"{path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +633,14 @@ def _value(entry: dict, name: str, convert, where):
         return convert(entry[name])
     except (TypeError, ValueError):
         raise SchemaViolationError(f"{where}: field {name!r} has invalid value {entry[name]!r}") from None
+
+
+def _check_unique(records, name: str, key: str, path) -> None:
+    """Raise SchemaViolationError naming the first record whose field name repeats an earlier one's."""
+    first = {}
+    for i, value in enumerate(getattr(rec, name) for rec in records):
+        if first.setdefault(value, i) != i:
+            raise SchemaViolationError(f"{path}: {key}[{i}]: repeats {name} {value}")
 
 
 _floats = partial(np.asarray, dtype=np.float64)

@@ -9,6 +9,7 @@ from cached files, and every artifact is byte-identical across runs.
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
@@ -52,9 +53,13 @@ from .synthetic import (
     synthetic_similarity,
     write_scene,
 )
-from .tracking import run_tracking
+from .tracking import Tracks, run_tracking
 
 SYNTH_RECORD_NAME = "synth.json"
+
+
+# PipelineConfig field annotation -> the type a config value must have
+_FIELD_KINDS = {"int": numbers.Integral, "int | None": numbers.Integral, "float": numbers.Real, "bool": bool}
 
 
 @dataclass(frozen=True)
@@ -104,16 +109,22 @@ class PipelineConfig:
     def from_sources(cls, file_values: dict | None = None, overrides: dict | None = None) -> "PipelineConfig":
         """Merge with precedence overrides > file_values > defaults.
 
-        None entries mean "not given" and never shadow a lower layer.
+        None entries mean "not given" and never shadow a lower layer. Any
+        other value must fit its field: an int field takes an int but not a
+        bool, a float field an int or a float, a bool field a bool.
         """
-        known = {f.name for f in fields(cls)}
+        types = {f.name: f.type for f in fields(cls)}
         values = {}
         for layer in (file_values or {}, overrides or {}):
             for key, val in layer.items():
-                if key not in known:
+                if key not in types:
                     raise ConfigError(f"unknown config field {key!r}")
-                if val is not None:
-                    values[key] = val
+                if val is None:
+                    continue
+                kind = _FIELD_KINDS[types[key]]
+                if isinstance(val, bool) != (kind is bool) or not isinstance(val, kind):
+                    raise ConfigError(f"config field {key!r} must be {types[key]}, got {val!r}")
+                values[key] = val
         return cls(**values)
 
 
@@ -143,7 +154,7 @@ class PipelineResult:
     tracking: object
     ba: object
     cameras: list
-    tracks: list
+    tracks: Tracks
     cloud: PointCloud
     metrics: dict | None
     report: dict
@@ -224,13 +235,7 @@ def synthesize_scene_dir(
         "layout": layout,
         "subset_size": subset_size,
         "overlap": overlap,
-        "perturb": {
-            "per_cluster_sim3_noise": list(perturb.per_cluster_sim3_noise),
-            "depth_noise_sigma": perturb.depth_noise_sigma,
-            "confidence_model": perturb.confidence_model,
-            "match_pixel_noise_sigma": perturb.match_pixel_noise_sigma,
-            "outlier_match_fraction": perturb.outlier_match_fraction,
-        },
+        "perturb": asdict(perturb),
     }
     synth_path = Path(out_dir) / "gt" / SYNTH_RECORD_NAME
     synth_path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
@@ -256,13 +261,8 @@ def matcher_from_scene_dir(scene_dir, max_keypoints: int = 4096):
             n_landmarks=record["n_landmarks"],
             layout=record["layout"],
         )
-        perturb = PerturbationSpec(
-            per_cluster_sim3_noise=tuple(record["perturb"]["per_cluster_sim3_noise"]),
-            depth_noise_sigma=record["perturb"]["depth_noise_sigma"],
-            confidence_model=record["perturb"]["confidence_model"],
-            match_pixel_noise_sigma=record["perturb"]["match_pixel_noise_sigma"],
-            outlier_match_fraction=record["perturb"]["outlier_match_fraction"],
-        )
+        spec = {f.name: record["perturb"][f.name] for f in fields(PerturbationSpec)}
+        perturb = PerturbationSpec(**{**spec, "per_cluster_sim3_noise": tuple(spec["per_cluster_sim3_noise"])})
     except KeyError as e:
         raise DataError(f"{path}: synthetic record missing field {e}") from None
     return synthetic_matcher(scene, perturb, max_keypoints=max_keypoints)
@@ -330,11 +330,8 @@ def _gt_cameras_for(data: SceneData, frame_ids):
     missing = [f for f in frame_ids if f not in records]
     if missing:
         raise DataError(f"gt poses missing frames {missing[:5]}")
-    cams = []
-    for fid in frame_ids:
-        image = data.manifest.image_by_frame(fid)
-        cams.append(camera_from_pose_record(records[fid], image.width, image.height))
-    return cams
+    images = [data.manifest.image_by_frame(fid) for fid in frame_ids]
+    return [camera_from_pose_record(records[im.frame_id], im.width, im.height) for im in images]
 
 
 def bundle_adjust(merged: MergedGeometry, tracks, cfg: BAConfig):

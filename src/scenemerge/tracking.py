@@ -7,11 +7,15 @@ pixel). Every pixel is lifted to 3D through MergedGeometry.sample. Each
 track fuses its per-observation 3D points by confidence-weighted
 averaging; the fused confidence is the mean of the observation
 confidences.
+
+All tracks live in one Tracks table (see its docstring). Canonical order:
+tracks by their first keypoint in merge_tracks' keypoint table, each
+track's observations by frame id; tracks.bin stores the table as is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -23,7 +27,7 @@ from .geometry import project_points
 __all__ = [
     "MatchSet",
     "FrameGraph",
-    "Track",
+    "Tracks",
     "TrackingResult",
     "build_frame_graph",
     "verify_matches",
@@ -68,31 +72,64 @@ class MatchSet:
         return MatchSet(self.frame_i, self.frame_j, self.pixels_i[rows], self.pixels_j[rows], scores)
 
 
-@dataclass(frozen=True)
-class Track:
-    """A fused 3D point with its pixel observations across frames."""
+def _reject(bad_tracks: np.ndarray, message) -> None:
+    """Raise DataError naming the lowest track index in bad_tracks, if any."""
+    if len(bad_tracks):
+        i = int(bad_tracks.min())
+        raise DataError(f"track {i} {message(i)}")
 
-    point: np.ndarray
-    confidence: float
-    observations: list = field(default_factory=list)
+
+@dataclass(frozen=True, eq=False)
+class Tracks:
+    """Every track as one table: P fused points over M pixel observations.
+
+    points (P, 3), confidences (P,) and lengths (P,) hold one row per track;
+    frames (M,) and pixels (M, 2) the observations, grouped by track in track
+    order. len() is the track count; iterating yields each track's rows as a
+    range. All tracks are checked at once (>= 2 observations, no frame twice,
+    finite confidence >= 0, finite point and pixels); a DataError names the
+    first bad track.
+    """
+
+    points: np.ndarray
+    confidences: np.ndarray
+    lengths: np.ndarray
+    frames: np.ndarray
+    pixels: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "point", np.asarray(self.point, dtype=np.float64))
-        if self.point.shape != (3,):
-            raise DataError(f"track point must have shape (3,), got {self.point.shape}")
-        if not np.isfinite(self.confidence) or self.confidence < 0:
-            raise DataError(f"track confidence must be finite and >= 0, got {self.confidence}")
-        if len(self.observations) < 2:
-            raise DataError(f"track needs >= 2 observations, got {len(self.observations)}")
-        frames = [f for f, _ in self.observations]
-        if len(set(frames)) != len(frames):
-            raise DataError("track holds two observations in one frame")
+        object.__setattr__(self, "points", np.ascontiguousarray(self.points, dtype=np.float64).reshape(-1, 3))
+        object.__setattr__(self, "confidences", np.ascontiguousarray(self.confidences, dtype=np.float64).reshape(-1))
+        object.__setattr__(self, "lengths", np.ascontiguousarray(self.lengths, dtype=np.int64).reshape(-1))
+        object.__setattr__(self, "frames", np.ascontiguousarray(self.frames, dtype=np.int64).reshape(-1))
+        object.__setattr__(self, "pixels", np.ascontiguousarray(self.pixels, dtype=np.float64).reshape(-1, 2))
+        pts, conf, lengths, frames, pixels = self.points, self.confidences, self.lengths, self.frames, self.pixels
+        if not (len(pts) == len(conf) == len(lengths) and len(frames) == len(pixels) == lengths.sum()):
+            raise DataError(
+                f"track arrays disagree: {len(pts)} points, {len(conf)} confidences and {len(lengths)} lengths "
+                f"holding {lengths.sum()} observations, {len(frames)} frames, {len(pixels)} pixels"
+            )
+        _reject(np.flatnonzero(lengths < 2), lambda i: f"has {lengths[i]} observations, needs >= 2")
+        bad_conf = np.flatnonzero(~(np.isfinite(conf) & (conf >= 0)))
+        _reject(bad_conf, lambda i: f"confidence must be finite and >= 0, got {conf[i]}")
+        _reject(np.flatnonzero(~np.isfinite(pts).all(axis=1)), lambda i: f"point must be finite, got {pts[i].tolist()}")
+        track = self.track_indices
+        _reject(track[~np.isfinite(pixels).all(axis=1)], lambda i: "holds a non-finite pixel")
+        order = np.lexsort((frames, track))
+        dup = order[1:][(np.diff(track[order]) == 0) & (np.diff(frames[order]) == 0)]
+        _reject(track[dup], lambda i: f"observes frame {frames[dup][track[dup] == i][0]} twice")
 
     def __len__(self) -> int:
-        return len(self.observations)
+        return len(self.points)
 
-    def frames(self) -> list[int]:
-        return [f for f, _ in self.observations]
+    def __iter__(self):
+        ends = np.cumsum(self.lengths).tolist()
+        return (range(end - n, end) for n, end in zip(self.lengths.tolist(), ends))
+
+    @property
+    def track_indices(self) -> np.ndarray:
+        """(M,) track index of every observation row."""
+        return np.repeat(np.arange(len(self.lengths)), self.lengths)
 
 
 @dataclass(frozen=True)
@@ -115,18 +152,14 @@ class FrameGraph:
         return len(self.edges)
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n_frames, dtype=np.int64)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+        return np.bincount(np.asarray(self.edges, dtype=np.int64).reshape(-1), minlength=self.n_frames)
 
 
 @dataclass(frozen=True)
 class TrackingResult:
     """Tracks plus bookkeeping from the per-edge matching phase."""
 
-    tracks: list
+    tracks: Tracks
     graph: FrameGraph
     matcher_invocations: int
     failed_edges: int
@@ -144,8 +177,7 @@ def build_frame_graph(m, k: int) -> FrameGraph:
     n = m.n
     if not (1 <= k < n):
         raise ConfigError(f"k must satisfy 1 <= k < n_frames, got k={k}, n={n}")
-    edges = []
-    seen = set()
+    edges = {}  # insertion-ordered set of pairs
     for i in range(n):
         order = np.argsort(-m.values[i], kind="stable")
         added = 0
@@ -154,14 +186,13 @@ def build_frame_graph(m, k: int) -> FrameGraph:
             if j == i:
                 continue
             pair = (i, j) if i < j else (j, i)
-            if pair in seen:
+            if pair in edges:
                 continue
-            seen.add(pair)
-            edges.append(pair)
+            edges[pair] = None
             added += 1
             if added == k:
                 break
-    return FrameGraph(n_frames=n, edges=edges)
+    return FrameGraph(n_frames=n, edges=list(edges))
 
 
 def verify_matches(ms: MatchSet, merged, tau_reproj: float = 8.0) -> MatchSet:
@@ -226,7 +257,7 @@ def _intern_keypoints(all_matches):
     return node, first, node_frame, pixels[first]
 
 
-def merge_tracks(all_matches, merged, min_track_len: int = 2) -> list:
+def merge_tracks(all_matches, merged, min_track_len: int = 2) -> Tracks:
     """Connected components over one keypoint table, then fusion per component.
 
     The table lists both keypoints of every pair: match sets in order,
@@ -237,7 +268,9 @@ def merge_tracks(all_matches, merged, min_track_len: int = 2) -> list:
     min_track_len. The remaining keypoints are lifted with one
     merged.sample call per frame, and a component keeps only its valid
     samples, needing at least min_track_len of them. Fusion follows
-    x = sum(C_k x_k) / sum(C_k) and C = sum(C_k) / K.
+    x = sum(C_k x_k) / sum(C_k) and C = sum(C_k) / K, over one (count, K)
+    block per track length K; each block sums its rows as a single track's
+    arrays would, so the bits do not depend on the blocking.
 
     Tracks come out in the order of their first keypoint in the table,
     each with its observations sorted by frame id.
@@ -246,7 +279,7 @@ def merge_tracks(all_matches, merged, min_track_len: int = 2) -> list:
         raise ConfigError(f"min_track_len must be >= 2, got {min_track_len}")
     all_matches = [ms for ms in all_matches if len(ms)]
     if not all_matches:
-        return []
+        return Tracks([], [], [], [], [])
     node, first, node_frame, node_pixel = _intern_keypoints(all_matches)
     n_nodes = len(first)
     pairs = coo_matrix((np.ones(len(node) // 2), (node[0::2], node[1::2])), shape=(n_nodes, n_nodes))
@@ -260,7 +293,7 @@ def merge_tracks(all_matches, merged, min_track_len: int = 2) -> list:
     ambiguous[comp[1:][(comp[1:] == comp[:-1]) & (obs_frame[1:] == obs_frame[:-1])]] = True
     usable = (np.bincount(label, minlength=n_comp) >= min_track_len) & ~ambiguous
     order = order[usable[comp]]
-    comp, obs_frame, obs_pixel = label[order], node_frame[order], node_pixel[order]
+    obs_frame, obs_pixel = node_frame[order], node_pixel[order]
 
     pts = np.empty((len(order), 3))
     confs = np.empty(len(order))
@@ -269,23 +302,27 @@ def merge_tracks(all_matches, merged, min_track_len: int = 2) -> list:
         rows = np.flatnonzero(obs_frame == fid)
         pts[rows], confs[rows], ok[rows] = merged.sample(int(fid), obs_pixel[rows])
 
-    tracks = []
-    starts = np.flatnonzero(np.r_[True, comp[1:] != comp[:-1]])
-    for lo, hi in zip(starts, np.r_[starts[1:], len(comp)]):
-        good = ok[lo:hi]
-        if good.sum() < min_track_len:
-            continue
-        p, c = pts[lo:hi][good], confs[lo:hi][good]
-        total = c.sum()
-        fused = (c[:, None] * p).sum(axis=0) / total if total > 0 else p.mean(axis=0)
-        tracks.append(
-            Track(
-                point=fused,
-                confidence=float(total / len(p)),
-                observations=[(int(f), uv) for f, uv in zip(obs_frame[lo:hi][good], obs_pixel[lo:hi][good])],
-            )
-        )
-    return tracks
+    # Components stay contiguous in order; keep the valid samples of those
+    # with at least min_track_len of them.
+    comp = label[order][ok]
+    lengths = np.diff(np.flatnonzero(np.diff(comp, prepend=-1, append=-1)))
+    keep = np.repeat(lengths >= min_track_len, lengths)
+    lengths = lengths[lengths >= min_track_len]
+    pts, confs = pts[ok][keep], confs[ok][keep]
+
+    starts = np.cumsum(lengths) - lengths
+    points = np.empty((len(lengths), 3))
+    confidences = np.empty(len(lengths))
+    for n in np.unique(lengths):
+        sel = np.flatnonzero(lengths == n)
+        rows = starts[sel, None] + np.arange(n)
+        p, c = pts[rows], confs[rows]
+        total = c.sum(axis=1)
+        w = total > 0
+        points[sel] = p.mean(axis=1)
+        points[sel[w]] = (c[w, :, None] * p[w]).sum(axis=1) / total[w, None]
+        confidences[sel] = total / n
+    return Tracks(points, confidences, lengths, obs_frame[ok][keep], obs_pixel[ok][keep])
 
 
 def run_tracking(

@@ -40,6 +40,7 @@ from scenemerge.geometry import (
     transform_camera,
 )
 from scenemerge.synthetic import generate_scene
+from scenemerge.tracking import Tracks
 from scenemerge.alignment import weighted_umeyama
 
 
@@ -182,7 +183,7 @@ def _fd_worst(prob: BAProblem, cfg: BAConfig, h: float = 1e-6) -> float:
     r0, t0, k0, p0 = _stack_state(prob)
 
     def loss_at(r_, t_, k_, p_):
-        terms, _, _, _, _ = _loss_terms(prob, cfg, r_, t_, k_, p_)
+        terms, _, _, _, _ = _loss_terms(prob, cfg, r_[prob.camera_indices], t_, k_, p_)
         return float(np.sum(prob.confidences * terms))
 
     worst = 0.0
@@ -267,7 +268,7 @@ def _reference_run_ba(prob: BAProblem, cfg: BAConfig):
     focal_floor = 1e-6 * unit_k[:, 0]
 
     history = np.empty(cfg.iterations + 1)
-    loss, g_cam, g_intr, rx, _ = _loss_terms(prob, cfg, r, t, k, points)
+    loss, g_cam, g_intr, rx, _ = _loss_terms(prob, cfg, r[prob.camera_indices], t, k, points)
     history[0] = float(np.sum(prob.confidences * loss))
     best = (history[0], (r.copy(), t.copy(), k.copy(), points.copy()), 0)
     state_rot = _AdaptiveState((prob.n_cameras, 3))
@@ -292,7 +293,7 @@ def _reference_run_ba(prob: BAProblem, cfg: BAConfig):
             k[:, 1] = np.maximum(k[:, 1], focal_floor)
             k[:, 2] = np.clip(k[:, 2], 0.0, widths)
             k[:, 3] = np.clip(k[:, 3], 0.0, heights)
-        loss, g_cam, g_intr, rx, _ = _loss_terms(prob, cfg, r, t, k, points)
+        loss, g_cam, g_intr, rx, _ = _loss_terms(prob, cfg, r[prob.camera_indices], t, k, points)
         history[it + 1] = float(np.sum(prob.confidences * loss))
         if history[it + 1] < best[0]:
             best = (history[it + 1], (r.copy(), t.copy(), k.copy(), points.copy()), it + 1)
@@ -368,33 +369,37 @@ class TestBAProblem:
             BAProblem(**{**ok, "cameras": []})
 
     def test_from_tracks(self):
-        from scenemerge.tracking import Track
-
-        cams = [_front_camera(10), _front_camera(20)]
-        tracks = [
-            Track(point=np.array([0.0, 0.0, 2.0]), confidence=0.8,
-                  observations=[(10, np.array([32.0, 24.0])), (20, np.array([30.0, 22.0]))]),
-            Track(point=np.array([0.1, 0.0, 3.0]), confidence=0.4,
-                  observations=[(10, np.array([33.0, 24.0])), (20, np.array([31.0, 25.0]))]),
-        ]
+        """Cameras are found by frame id in any camera order; a track of
+        three observations sits between two of two."""
+        cams = [_front_camera(30), _front_camera(10), _front_camera(20)]
+        tracks = Tracks(
+            points=[[0.0, 0.0, 2.0], [0.1, 0.0, 3.0], [0.2, 0.1, 2.5]],
+            confidences=[0.8, 0.4, 0.6],
+            lengths=[2, 3, 2],
+            frames=[10, 20, 10, 20, 30, 20, 30],
+            pixels=[[32.0, 24.0], [30.0, 22.0], [33.0, 24.0], [31.0, 25.0], [29.0, 20.0], [30.0, 21.0], [28.0, 20.0]],
+        )
         prob = BAProblem.from_tracks(cams, tracks)
-        assert prob.n_points == 2 and prob.n_observations == 4
-        np.testing.assert_array_equal(prob.point_indices, [0, 0, 1, 1])
-        np.testing.assert_array_equal(prob.camera_indices, [0, 1, 0, 1])
-        np.testing.assert_allclose(prob.confidences, [0.8, 0.8, 0.4, 0.4])
-        np.testing.assert_allclose(prob.points[1], [0.1, 0.0, 3.0])
+        assert prob.n_points == 3 and prob.n_observations == 7
+        np.testing.assert_array_equal(prob.point_indices, [0, 0, 1, 1, 1, 2, 2])
+        np.testing.assert_array_equal(prob.camera_indices, [1, 2, 1, 2, 0, 2, 0])
+        np.testing.assert_array_equal(prob.confidences, [0.8, 0.8, 0.4, 0.4, 0.4, 0.6, 0.6])
+        np.testing.assert_array_equal(prob.points, tracks.points)
+        np.testing.assert_array_equal(prob.pixels, tracks.pixels)
 
     def test_from_tracks_missing_frame(self):
-        from scenemerge.tracking import Track
-
-        track = Track(point=np.array([0.0, 0.0, 2.0]), confidence=1.0,
-                      observations=[(10, np.array([32.0, 24.0])), (99, np.array([30.0, 22.0]))])
-        with pytest.raises(DataError, match="frame 99"):
-            BAProblem.from_tracks([_front_camera(10)], [track])
+        tracks = Tracks(
+            points=[[0.0, 0.0, 2.0], [0.0, 0.0, 2.0]], confidences=[1.0, 1.0], lengths=[2, 2],
+            frames=[10, 11, 10, 99], pixels=[[32.0, 24.0], [31.0, 24.0], [32.0, 24.0], [30.0, 22.0]],
+        )
+        with pytest.raises(DataError, match="track 1 observes frame 99"):
+            BAProblem.from_tracks([_front_camera(10), _front_camera(11)], tracks)
+        with pytest.raises(DataError, match="track 0 observes frame 10"):
+            BAProblem.from_tracks([], tracks)
 
     def test_from_tracks_empty(self):
         with pytest.raises(DataError, match="no tracks"):
-            BAProblem.from_tracks([_front_camera(0)], [])
+            BAProblem.from_tracks([_front_camera(0)], Tracks([], [], [], [], []))
 
 
 class TestBALoss:
@@ -512,7 +517,7 @@ class TestBAGradients:
             r0, t0, k0, p0 = _stack_state(prob)
 
             def loss_at(pts_):
-                terms, _, _, _, _ = _loss_terms(prob, cfg, r0, t0, k0, pts_)
+                terms, _, _, _, _ = _loss_terms(prob, cfg, r0[prob.camera_indices], t0, k0, pts_)
                 return float(np.sum(prob.confidences * terms))
 
             h = 1e-4
@@ -622,7 +627,7 @@ class TestRunBA:
 
         g = ba_gradients(prob, cfg)
         r0, t0, k0, p0 = _stack_state(prob)
-        _, g_cam, g_intr, rx, _ = _loss_terms(prob, cfg, r0, t0, k0, p0)
+        _, g_cam, g_intr, rx, _ = _loss_terms(prob, cfg, r0[prob.camera_indices], t0, k0, p0)
         ref = _reference_reduce(
             prob, _reference_obs_contributions(prob, r0, g_cam, g_intr, rx), weights=prob.confidences
         )
@@ -703,18 +708,17 @@ class TestApplyBAResult:
         cameras = [merged.camera(fid) for fid in merged.frames()]
         return merged, cameras, merged.dense_cloud()
 
+    @staticmethod
+    def _tracks(points):
+        """One track per point, each seen at pixel (3, 4) of frame 0 and (5, 6) of frame 1."""
+        n = len(points)
+        return Tracks(points, np.full(n, 0.9), np.full(n, 2), np.tile([0, 1], n), np.tile([[3.0, 4.0], [5.0, 6.0]], (n, 1)))
+
     def test_identity_refinement_preserves_scene(self):
         """Running zero iterations of refinement and writing back must
         reproduce the merged cameras, tracks, and cloud bit for bit."""
-        from scenemerge.tracking import Track
-
         merged, cameras, cloud = self._merged_setup()
-        pts = np.array([[0.0, 0.0, 1.5], [0.5, 0.2, 1.2]])
-        tracks = [
-            Track(point=pts[i], confidence=0.9,
-                  observations=[(0, np.array([3.0, 4.0])), (1, np.array([5.0, 6.0]))])
-            for i in range(2)
-        ]
+        tracks = self._tracks(np.array([[0.0, 0.0, 1.5], [0.5, 0.2, 1.2]]))
         prob = BAProblem.from_tracks(cameras, tracks)
         res = BAResult(problem=prob, loss_history=np.array([1.0]), initial_loss=1.0,
                        final_loss=1.0, best_iteration=0)
@@ -724,17 +728,27 @@ class TestApplyBAResult:
             np.testing.assert_array_equal(a.pose.rotation, b.pose.rotation)
         np.testing.assert_array_equal(out_cloud.points, cloud.points)
         np.testing.assert_array_equal(out_cloud.confidences, cloud.confidences)
-        for tr, out in zip(tracks, out_tracks):
-            np.testing.assert_array_equal(out.point, tr.point)
-            assert out.confidence == tr.confidence
+        for name in ("points", "confidences", "lengths", "frames", "pixels"):
+            np.testing.assert_array_equal(getattr(out_tracks, name), getattr(tracks, name))
+
+    def test_refined_points_replace_track_points(self):
+        """apply_ba_result moves only the fused points, to the problem's."""
+        merged, cameras, _ = self._merged_setup()
+        tracks = self._tracks(np.array([[0.0, 0.0, 1.5], [0.5, 0.2, 1.2]]))
+        prob = BAProblem.from_tracks(cameras, tracks)
+        refined = replace(prob, points=prob.points + 0.25)
+        res = BAResult(problem=refined, loss_history=np.array([1.0]), initial_loss=1.0,
+                       final_loss=1.0, best_iteration=0)
+        _, out_tracks, _ = apply_ba_result(res, merged, tracks)
+        np.testing.assert_array_equal(out_tracks.points, refined.points)
+        for name in ("confidences", "lengths", "frames", "pixels"):
+            np.testing.assert_array_equal(getattr(out_tracks, name), getattr(tracks, name))
 
     def test_refined_cloud_reprojects_to_pixels(self):
         """Each frame's cloud points are unprojected from the stored depths
         under the (here: slightly moved) refined cameras, so projecting the
         returned cloud's frame-0 rows back through the refined frame-0
         camera must land on frame 0's valid pixel grid, in row-major order."""
-        from scenemerge.tracking import Track
-
         merged, cameras, _ = self._merged_setup()
         rng = np.random.default_rng(8)
         moved = []
@@ -745,8 +759,7 @@ class TestApplyBAResult:
                 pose=CameraPose(rotation=dr @ c.pose.rotation, translation=c.pose.translation + rng.normal(0, 0.01, 3)),
                 frame_id=c.frame_id,
             ))
-        tracks = [Track(point=np.array([0.0, 0.0, 1.5]), confidence=1.0,
-                        observations=[(0, np.array([3.0, 4.0])), (1, np.array([5.0, 6.0]))])]
+        tracks = self._tracks(np.array([[0.0, 0.0, 1.5]]))
         prob = BAProblem.from_tracks(moved, tracks)
         res = BAResult(problem=prob, loss_history=np.array([1.0]), initial_loss=1.0,
                        final_loss=1.0, best_iteration=0)
@@ -762,16 +775,12 @@ class TestApplyBAResult:
         assert np.abs(stale - pixels).max() > 1e-3
 
     def test_track_count_mismatch_rejected(self):
-        from scenemerge.tracking import Track
-
         merged, cameras, _ = self._merged_setup()
-        tracks = [Track(point=np.array([0.0, 0.0, 1.5]), confidence=1.0,
-                        observations=[(0, np.array([3.0, 4.0])), (1, np.array([5.0, 6.0]))])]
-        prob = BAProblem.from_tracks(cameras, tracks)
+        prob = BAProblem.from_tracks(cameras, self._tracks(np.array([[0.0, 0.0, 1.5]])))
         res = BAResult(problem=prob, loss_history=np.array([1.0]), initial_loss=1.0,
                        final_loss=1.0, best_iteration=0)
         with pytest.raises(DataError, match="track count"):
-            apply_ba_result(res, merged, tracks + tracks)
+            apply_ba_result(res, merged, self._tracks(np.array([[0.0, 0.0, 1.5], [0.0, 0.0, 1.5]])))
 
 
 class TestReprojectionHelpers:

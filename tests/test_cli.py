@@ -9,10 +9,12 @@ byte-for-byte.
 
 import json
 import re
+import struct
 import subprocess
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from scenemerge.cli import main
@@ -147,7 +149,7 @@ class TestStagedArtifacts:
     def test_tracks_nonempty(self, staged):
         tracks = read_tracks(staged["tracks"])
         assert len(tracks) > 0
-        assert all(len(t.observations) >= 2 for t in tracks)
+        assert tracks.lengths.min() >= 2
 
     def test_ba_outputs(self, staged):
         refined = staged["refined"]
@@ -302,6 +304,27 @@ class TestRun:
         assert code == 2
         assert f"unknown config field {field!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({"ba_lr": "abc"}, "config field 'ba_lr' must be float, got 'abc'"),
+            ({"k": 2.5}, "config field 'k' must be int, got 2.5"),
+            ({"similarity_constrained": "no"}, "config field 'similarity_constrained' must be bool, got 'no'"),
+        ],
+        ids=["float-field-string", "int-field-float", "bool-field-string"],
+    )
+    def test_config_value_of_wrong_type_exits_2(self, scene_dir, tmp_path, capsys, values, message):
+        """A config-file value that does not fit its field's type is refused
+        before any stage runs."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        code = main(
+            ["run", "--scene", str(scene_dir), "--out", str(tmp_path / "o"), "--config", str(cfg)]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_malformed_config_exits_2(self, scene_dir, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("not json {")
@@ -342,8 +365,53 @@ class TestExitCodes:
         assert code == 3
         assert "load stage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda recs: recs[1][2].__delitem__(slice(1, None)), "track 1 has 1 observations, needs >= 2"),
+            (lambda recs: recs[1][2][1].__setitem__(0, recs[1][2][0][0]), "track 1 observes frame "),
+            (lambda recs: recs[1].__setitem__(1, float("nan")), "track 1 confidence must be finite and >= 0"),
+            (lambda recs: recs[1][0].__setitem__(2, float("inf")), "track 1 point must be finite"),
+            (lambda recs: recs[1][2][0].__setitem__(2, float("nan")), "track 1 holds a non-finite pixel"),
+        ],
+        ids=["one-observation", "repeated-frame", "nan-confidence", "inf-point", "nan-pixel"],
+    )
+    def test_bad_track_file_exits_3(self, scene_dir, staged, tmp_path, capsys, edit, message):
+        """A track file whose track 1 breaks a track invariant fails where it
+        is read, naming the file and the track, and ba exits 3."""
+        from scenemerge.errors import DataError
+
+        tracks = read_tracks(staged["tracks"])
+        records = [
+            [tracks.points[i].tolist(), float(tracks.confidences[i]),
+             [[int(tracks.frames[r]), *tracks.pixels[r].tolist()] for r in rows]]
+            for i, rows in enumerate(tracks)
+        ]
+        edit(records)
+        parts = [struct.pack("<Q", len(records))]
+        for point, confidence, obs in records:
+            parts.append(struct.pack("<3dd I", *point, confidence, len(obs)))
+            parts += [struct.pack("<Idd", *o) for o in obs]
+        path = tmp_path / "tracks.bin"
+        path.write_bytes(b"".join(parts))
+        with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
+            read_tracks(path)
+        code = main(
+            [
+                "ba",
+                "--scene", str(scene_dir),
+                "--tracks", str(path),
+                "--transforms", str(staged["transforms"]),
+                "--iters", "5",
+                "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == 3
+        assert f"{path}: {message}" in capsys.readouterr().err
+
     def test_divergence_exits_4(self, scene_dir, staged, tmp_path, capsys):
-        heavy = [replace(t, confidence=1e200) for t in read_tracks(staged["tracks"])]
+        staged_tracks = read_tracks(staged["tracks"])
+        heavy = replace(staged_tracks, confidences=np.full(len(staged_tracks), 1e200))
         tracks = tmp_path / "tracks.bin"
         write_tracks(tracks, heavy)
         code = main(
@@ -477,6 +545,18 @@ class TestExitCodes:
                 "read_manifest",
                 "clusters[0]: field 'frame_ids' has invalid value None",
             ),
+            (
+                "clusters/000/poses.json",
+                lambda doc: doc["poses"].append(dict(doc["poses"][0])),
+                "read_poses",
+                f"poses[{SUBSET_SIZE}]: repeats frame_id ",
+            ),
+            (
+                "manifest.json",
+                lambda doc: doc["clusters"][1].__setitem__("cluster_id", 0),
+                "read_manifest",
+                "clusters[1]: repeats cluster_id 0",
+            ),
         ],
         ids=[
             "pose-without-fx",
@@ -488,12 +568,14 @@ class TestExitCodes:
             "pose-frame_id-not-a-number",
             "image-width-null",
             "cluster-frame_ids-null",
+            "pose-frame_id-repeated",
+            "cluster_id-repeated",
         ],
     )
     def test_malformed_json_entry_exits_3(self, scene_dir, staged, tmp_path, capsys, rel, edit, reader, message):
-        """A missing field, a non-object entry or a field value of the wrong
-        type is a SchemaViolationError naming the file, the entry and the
-        field, and the CLI exits 3."""
+        """A missing field, a non-object entry, a field value of the wrong
+        type or a repeated id is a SchemaViolationError naming the file, the
+        entry and the field, and the CLI exits 3."""
         import shutil
 
         from scenemerge import io_formats

@@ -9,6 +9,9 @@ Hand-derived expectations:
 * write(read(write(x))) is byte-identical for every format.
 """
 
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -48,7 +51,7 @@ from scenemerge.io_formats import (
     write_tracks,
     write_transforms,
 )
-from scenemerge.tracking import Track
+from scenemerge.tracking import Tracks
 
 
 class TestTensor:
@@ -217,6 +220,13 @@ class TestPoses:
         (got,) = read_poses(p)
         assert abs(np.linalg.norm(got.quat_wxyz) - 1.0) < 1e-12
 
+    def test_rejects_repeated_frame_id(self, tmp_path):
+        p = tmp_path / "p.json"
+        recs = [pose_record_from_camera(c) for c in self._cameras()]
+        write_poses(p, recs + recs[1:2])
+        with pytest.raises(SchemaViolationError, match=re.escape(f"{p}: poses[3]: repeats frame_id 1")):
+            read_poses(p)
+
 
 class TestTransforms:
     def test_round_trip(self, tmp_path):
@@ -236,6 +246,13 @@ class TestTransforms:
             assert abs(ta.scale - tb.scale) < 1e-12
             np.testing.assert_allclose(ta.rotation, tb.rotation, atol=1e-12)
             np.testing.assert_allclose(ta.translation, tb.translation, atol=1e-12)
+
+    def test_rejects_repeated_cluster_id(self, tmp_path):
+        p = tmp_path / "t.json"
+        recs = [transform_record_from_sim3(k, Sim3Transform.identity()) for k in (0, 1, 0)]
+        write_transforms(p, recs)
+        with pytest.raises(SchemaViolationError, match=re.escape(f"{p}: clusters[2]: repeats cluster_id 0")):
+            read_transforms(p)
 
 
 class TestRandomizedRoundTrips:
@@ -275,14 +292,16 @@ class TestRandomizedRoundTrips:
             write_transforms(p2, read_transforms(p1))
             assert p1.read_bytes() == p2.read_bytes()
             # tracks
-            frames = rng.choice(99, size=int(rng.integers(2, 5)), replace=False)
-            tr = Track(
-                point=rng.normal(size=3),
-                confidence=float(rng.uniform(0, 1)),
-                observations=[(int(f), rng.uniform(0, 640, size=2)) for f in frames],
+            n_obs = int(rng.integers(2, 5))
+            tr = Tracks(
+                points=rng.normal(size=(1, 3)),
+                confidences=[float(rng.uniform(0, 1))],
+                lengths=[n_obs],
+                frames=rng.choice(99, size=n_obs, replace=False),
+                pixels=rng.uniform(0, 640, size=(n_obs, 2)),
             )
             p1, p2 = tmp_path / "a.trk", tmp_path / "b.trk"
-            write_tracks(p1, [tr])
+            write_tracks(p1, tr)
             write_tracks(p2, read_tracks(p1))
             assert p1.read_bytes() == p2.read_bytes()
             # ply
@@ -297,22 +316,62 @@ class TestRandomizedRoundTrips:
         assert checked == 1000
 
 
+def _pack_tracks(tracks) -> bytes:
+    """The track file of per-track (point, confidence, [(frame, (u, v))])
+    records, packed one struct record at a time."""
+    parts = [struct.pack("<Q", len(tracks))]
+    for point, confidence, observations in tracks:
+        parts.append(struct.pack("<3dd I", *point, confidence, len(observations)))
+        parts += [struct.pack("<Idd", f, u, v) for f, (u, v) in observations]
+    return b"".join(parts)
+
+
 class TestTracks:
-    def _tracks(self):
+    def _records(self):
         rng = np.random.default_rng(4)
         out = []
         for _ in range(5):
             n_obs = int(rng.integers(2, 6))
             frames = rng.choice(50, size=n_obs, replace=False)
-            obs = [(int(f), rng.uniform(0, 640, size=2)) for f in frames]
-            out.append(Track(point=rng.normal(size=3), confidence=float(rng.uniform(0, 1)), observations=obs))
+            obs = [(int(f), tuple(rng.uniform(0, 640, size=2))) for f in frames]
+            out.append((tuple(rng.normal(size=3)), float(rng.uniform(0, 1)), obs))
         return out
 
+    def _tracks(self):
+        records = self._records()
+        return Tracks(
+            points=[p for p, _, _ in records],
+            confidences=[c for _, c, _ in records],
+            lengths=[len(obs) for _, _, obs in records],
+            frames=[f for _, _, obs in records for f, _ in obs],
+            pixels=[uv for _, _, obs in records for _, uv in obs],
+        )
+
     def test_frozen_size(self, tmp_path):
-        t = Track(point=np.zeros(3), confidence=1.0, observations=[(0, np.zeros(2)), (1, np.ones(2))])
+        t = Tracks(points=np.zeros((1, 3)), confidences=[1.0], lengths=[2], frames=[0, 1], pixels=[[0, 0], [1, 1]])
         p = tmp_path / "t.trk"
-        write_tracks(p, [t])
+        write_tracks(p, t)
         assert p.stat().st_size == 8 + 36 + 2 * 20
+
+    def test_matches_one_struct_record_per_field(self, tmp_path):
+        """The vectorized writer produces the bytes of packing each header
+        and each observation with struct, and the reader inverts them."""
+        p = tmp_path / "t.trk"
+        write_tracks(p, self._tracks())
+        assert p.read_bytes() == _pack_tracks(self._records())
+        p.write_bytes(_pack_tracks(self._records()))
+        got = read_tracks(p)
+        assert len(got) == 5
+        for i, ((point, confidence, obs), rows) in enumerate(zip(self._records(), got)):
+            assert tuple(got.points[i]) == point
+            assert got.confidences[i] == confidence
+            assert [(int(f), tuple(uv)) for f, uv in zip(got.frames[rows], got.pixels[rows])] == obs
+
+    def test_empty_file_round_trip(self, tmp_path):
+        p = tmp_path / "t.trk"
+        write_tracks(p, Tracks([], [], [], [], []))
+        assert p.read_bytes() == struct.pack("<Q", 0)
+        assert len(read_tracks(p)) == 0
 
     def test_round_trip_exact(self, tmp_path):
         tracks = self._tracks()
@@ -321,12 +380,8 @@ class TestTracks:
         got = read_tracks(p1)
         write_tracks(p2, got)
         assert p1.read_bytes() == p2.read_bytes()
-        for a, b in zip(tracks, got):
-            np.testing.assert_array_equal(a.point, b.point)  # f64 exact
-            assert a.confidence == b.confidence
-            for (fa, uva), (fb, uvb) in zip(a.observations, b.observations):
-                assert fa == fb
-                np.testing.assert_array_equal(uva, uvb)
+        for name in ("points", "confidences", "lengths", "frames", "pixels"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(tracks, name))  # f64 exact
 
     def test_truncation_detected(self, tmp_path):
         p = tmp_path / "t.trk"

@@ -107,6 +107,19 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError, match="unknown config field"):
             PipelineConfig.from_sources(overrides={"lr": 0.1})
 
+    def test_from_sources_checks_value_types(self):
+        """int fields take ints but not bools, float fields ints or floats,
+        bool fields bools; None still means "not given"."""
+        cfg = PipelineConfig.from_sources(
+            file_values={"ba_lr": 1, "n_subsequences": None, "similarity_constrained": True, "k": 4}
+        )
+        assert (cfg.ba_lr, cfg.n_subsequences, cfg.similarity_constrained, cfg.k) == (1, None, True, 4)
+        for bad in ({"k": True}, {"k": 2.5}, {"k": "5"}, {"ba_lr": "abc"}, {"ba_lr": False},
+                    {"similarity_constrained": 1}, {"similarity_constrained": "no"}, {"n_subsequences": 2.0}):
+            (key,) = bad
+            with pytest.raises(ConfigError, match=f"config field {key!r} must be"):
+                PipelineConfig.from_sources(file_values=bad)
+
     def test_to_dict_round_trips(self):
         cfg = PipelineConfig(subset_size=15, overlap=2, k=3)
         assert PipelineConfig.from_sources(file_values=cfg.to_dict()) == cfg

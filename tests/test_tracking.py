@@ -30,7 +30,7 @@ from scenemerge.synthetic import (
 )
 from scenemerge.tracking import (
     MatchSet,
-    Track,
+    Tracks,
     build_frame_graph,
     merge_tracks,
     run_tracking,
@@ -109,8 +109,9 @@ class _DisjointSet:
 
 def _reference_merge_tracks(all_matches, merged, min_track_len=2):
     """The loop version of merge_tracks: union-find over interned keypoints,
-    one merged.sample call per (track, frame). Tracks come out in the order
-    of their union-find root."""
+    one merged.sample call per (track, frame), one fusion per track. Tracks
+    come out in the order of their union-find root, each as (point,
+    confidence, [(frame, pixel), ...])."""
     dsu = _DisjointSet()
     node_of = {}
     node_frame = []
@@ -161,20 +162,41 @@ def _reference_merge_tracks(all_matches, merged, min_track_len=2):
             fused = (confs[:, None] * pts).sum(axis=0) / total
         else:
             fused = pts.mean(axis=0)
-        tracks.append(
-            Track(
-                point=fused,
-                confidence=float(total / len(pts)),
-                observations=[(obs_frames[i], pixels[i].copy()) for i in kept],
-            )
-        )
+        tracks.append((fused, float(total / len(pts)), [(obs_frames[i], pixels[i].copy()) for i in kept]))
     return tracks
 
 
+def _track_list(tracks):
+    """A Tracks table in the reference's form: per track (point,
+    confidence, [(frame, pixel), ...])."""
+    return [
+        (tracks.points[i], tracks.confidences[i], [(int(tracks.frames[r]), tracks.pixels[r]) for r in rows])
+        for i, rows in enumerate(tracks)
+    ]
+
+
+def _frames(tracks):
+    """Each track's frame ids, in track order."""
+    return [tracks.frames[rows].tolist() for rows in tracks]
+
+
 def _track_bits(track):
-    """A track as bytes: point, confidence and every observation, bit for bit."""
-    obs = tuple((int(f), np.asarray(uv, dtype=np.float64).tobytes()) for f, uv in track.observations)
-    return track.point.tobytes(), np.float64(track.confidence).tobytes(), obs
+    """A (point, confidence, observations) track as bytes, bit for bit."""
+    point, confidence, observations = track
+    obs = tuple((int(f), np.asarray(uv, dtype=np.float64).tobytes()) for f, uv in observations)
+    return np.asarray(point).tobytes(), np.float64(confidence).tobytes(), obs
+
+
+def _two_tracks(**changes):
+    """A valid two-track table (lengths 2 and 3), with fields replaced by changes."""
+    fields = dict(
+        points=[[0.0, 0.0, 1.0], [1.0, 0.0, 2.0]],
+        confidences=[1.0, 0.5],
+        lengths=[2, 3],
+        frames=[0, 1, 0, 1, 2],
+        pixels=[[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0], [5.0, 5.0]],
+    )
+    return Tracks(**{**fields, **changes})
 
 
 class TestMatchSetAndTrack:
@@ -197,24 +219,41 @@ class TestMatchSetAndTrack:
             )
 
     def test_track_requires_two_observations(self):
-        with pytest.raises(DataError):
-            Track(point=np.zeros(3), confidence=1.0, observations=[(0, np.zeros(2))])
+        with pytest.raises(DataError, match="track 1 has 1 observations"):
+            _two_tracks(lengths=[4, 1], frames=[0, 1, 2, 3, 0])
+        with pytest.raises(DataError, match="track 0 has 0 observations"):
+            _two_tracks(lengths=[0, 5], frames=[0, 1, 2, 3, 4])
 
     def test_track_rejects_duplicate_frame(self):
-        with pytest.raises(DataError):
-            Track(
-                point=np.zeros(3),
-                confidence=1.0,
-                observations=[(0, np.zeros(2)), (0, np.ones(2))],
-            )
+        with pytest.raises(DataError, match="track 1 observes frame 0 twice"):
+            _two_tracks(frames=[0, 1, 0, 2, 0])
+        _two_tracks(frames=[1, 0, 2, 0, 1])  # distinct frames in any order are fine
 
     def test_track_rejects_negative_confidence(self):
-        with pytest.raises(DataError):
-            Track(
-                point=np.zeros(3),
-                confidence=-1.0,
-                observations=[(0, np.zeros(2)), (1, np.ones(2))],
-            )
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(DataError, match="track 1 confidence must be finite and >= 0"):
+                _two_tracks(confidences=[1.0, bad])
+
+    def test_tracks_reject_non_finite_point_and_pixel(self):
+        with pytest.raises(DataError, match="track 1 point must be finite"):
+            _two_tracks(points=[[0.0, 0.0, 1.0], [np.inf, 0.0, 2.0]])
+        with pytest.raises(DataError, match="track 1 holds a non-finite pixel"):
+            _two_tracks(pixels=[[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, np.nan], [5.0, 5.0]])
+
+    def test_tracks_reject_mismatched_arrays(self):
+        with pytest.raises(DataError, match="2 points, 1 confidences and 2 lengths"):
+            _two_tracks(confidences=[1.0])
+        with pytest.raises(DataError, match="holding 5 observations, 4 frames, 5 pixels"):
+            _two_tracks(frames=[0, 1, 0, 1])
+
+    def test_tracks_len_and_iteration(self):
+        """len() counts tracks; iterating yields each track's observation rows."""
+        tracks = _two_tracks()
+        assert len(tracks) == 2
+        assert [list(rows) for rows in tracks] == [[0, 1], [2, 3, 4]]
+        assert [len(rows) for rows in tracks] == [2, 3]
+        np.testing.assert_array_equal(tracks.track_indices, [0, 0, 1, 1, 1])
+        assert len(Tracks([], [], [], [], [])) == 0
 
 
 class TestBuildFrameGraph:
@@ -342,8 +381,7 @@ class TestMergeTracks:
         ]
         tracks = merge_tracks(matches, merged)
         assert len(tracks) == 1
-        assert len(tracks[0]) == 3
-        assert tracks[0].frames() == [0, 1, 2]
+        assert _frames(tracks) == [[0, 1, 2]]
 
     def test_equal_confidence_fusion_is_midpoint(self):
         """Equal weights: fused = (p+q)/2 and C equals that confidence."""
@@ -353,8 +391,8 @@ class TestMergeTracks:
         assert len(tracks) == 1
         p, _, _ = merged.sample(0, np.array([pa]))
         q, _, _ = merged.sample(1, np.array([pb]))
-        assert np.allclose(tracks[0].point, (p[0] + q[0]) / 2.0, atol=1e-12)
-        assert abs(tracks[0].confidence - np.float32(0.7)) < 1e-7
+        assert np.allclose(tracks.points[0], (p[0] + q[0]) / 2.0, atol=1e-12)
+        assert abs(tracks.confidences[0] - np.float32(0.7)) < 1e-7
 
     def test_weighted_fusion_hand_values(self):
         """Confidences 3 and 1: fused = p + 0.25 (q - p), C = (3+1)/2 = 2.
@@ -367,8 +405,8 @@ class TestMergeTracks:
         tracks = merge_tracks([_pair(0, 1, [(pa, pb)])], merged)
         p, _, _ = merged.sample(0, np.array([pa]))
         q, _, _ = merged.sample(1, np.array([pb]))
-        assert np.allclose(tracks[0].point, p[0] + 0.25 * (q[0] - p[0]), atol=1e-12)
-        assert abs(tracks[0].confidence - 2.0) < 1e-7
+        assert np.allclose(tracks.points[0], p[0] + 0.25 * (q[0] - p[0]), atol=1e-12)
+        assert abs(tracks.confidences[0] - 2.0) < 1e-7
 
     def test_ambiguous_same_frame_component_discarded(self):
         """Two distinct frame-0 keypoints in one component drop the track."""
@@ -377,7 +415,7 @@ class TestMergeTracks:
             _pair(0, 1, [((1.0, 1.0), (4.0, 4.0))]),
             _pair(0, 1, [((6.0, 6.0), (4.0, 4.0))]),
         ]
-        assert merge_tracks(matches, merged) == []
+        assert len(merge_tracks(matches, merged)) == 0
 
     def test_min_track_len(self):
         merged = _merged_flat([0, 1, 2])
@@ -386,7 +424,7 @@ class TestMergeTracks:
             _pair(1, 2, [((2.0, 1.0), (3.0, 4.0))]),
         ]
         assert len(merge_tracks(matches, merged, min_track_len=3)) == 1
-        assert merge_tracks(matches, merged, min_track_len=4) == []
+        assert len(merge_tracks(matches, merged, min_track_len=4)) == 0
         with pytest.raises(ConfigError):
             merge_tracks(matches, merged, min_track_len=1)
 
@@ -404,9 +442,8 @@ class TestMergeTracks:
             _pair(0, 2, [((0.6, 0.6), (5.0, 5.0))]),
         ]
         tracks = merge_tracks(matches, merged)
-        assert len(tracks) == 1
-        assert len(tracks[0]) == 3
-        obs = dict((f, uv) for f, uv in tracks[0].observations)
+        assert list(tracks.lengths) == [3]
+        obs = dict(_track_list(tracks)[0][2])
         assert np.allclose(obs[0], [1.4, 1.4])
 
     def test_fused_point_and_confidence_bounds(self):
@@ -421,17 +458,17 @@ class TestMergeTracks:
             qx = tuple(rng.uniform(0.0, 7.0, size=2))
             matches.append(_pair(f, f + 1, [(px, qx)]))
         tracks = merge_tracks(matches, merged)
-        for t in tracks:
+        for point, confidence, observations in _track_list(tracks):
             member_pts = []
             member_confs = []
-            for f, uv in t.observations:
+            for f, uv in observations:
                 p, c, _ = merged.sample(f, np.array([uv]))
                 member_pts.append(p[0])
                 member_confs.append(c[0])
             member_pts = np.array(member_pts)
-            assert min(member_confs) - 1e-9 <= t.confidence <= max(member_confs) + 1e-9
-            assert np.all(t.point >= member_pts.min(axis=0) - 1e-9)
-            assert np.all(t.point <= member_pts.max(axis=0) + 1e-9)
+            assert min(member_confs) - 1e-9 <= confidence <= max(member_confs) + 1e-9
+            assert np.all(point >= member_pts.min(axis=0) - 1e-9)
+            assert np.all(point <= member_pts.max(axis=0) + 1e-9)
 
     def test_dsu_matches_brute_force_components(self):
         """Partition equals BFS connected components with the same rules."""
@@ -469,8 +506,8 @@ class TestMergeTracks:
                 expected.add(frozenset(comp))
 
         got = set()
-        for t in merge_tracks(matches, merged):
-            got.add(frozenset((f, (float(uv[0]), float(uv[1]))) for f, uv in t.observations))
+        for _, _, observations in _track_list(merge_tracks(matches, merged)):
+            got.add(frozenset((f, (float(uv[0]), float(uv[1]))) for f, uv in observations))
         assert got == expected
 
 
@@ -488,11 +525,11 @@ class TestMergeTracks:
             _pair(0, 4, [((1.0, 1.0), (3.0, 3.0))]),
         ]
         tracks = merge_tracks(matches, merged)
-        assert [t.frames() for t in tracks] == [[0, 1, 2, 3, 4], [0, 1]]
-        assert [tuple(t.observations[0][1]) for t in tracks] == [(1.0, 1.0), (5.0, 5.0)]
+        assert _frames(tracks) == [[0, 1, 2, 3, 4], [0, 1]]
+        assert [tuple(tracks.pixels[rows[0]]) for rows in tracks] == [(1.0, 1.0), (5.0, 5.0)]
         reference = _reference_merge_tracks(matches, merged)
-        assert [t.frames() for t in reference] == [[0, 1], [0, 1, 2, 3, 4]]
-        assert sorted(map(_track_bits, tracks)) == sorted(map(_track_bits, reference))
+        assert [[f for f, _ in obs] for _, _, obs in reference] == [[0, 1], [0, 1, 2, 3, 4]]
+        assert sorted(map(_track_bits, _track_list(tracks))) == sorted(map(_track_bits, reference))
 
     def test_empty_match_sets_add_nothing(self):
         """A match set that lost every pair (on frames no other set touches)
@@ -505,10 +542,10 @@ class TestMergeTracks:
             MatchSet(frame_i=2, frame_j=3, pixels_i=empty, pixels_j=empty),
         ]
         tracks = merge_tracks(matches, merged)
-        assert [t.frames() for t in tracks] == [[0, 1]]
+        assert _frames(tracks) == [[0, 1]]
         reference = _reference_merge_tracks(matches, merged)
-        assert list(map(_track_bits, tracks)) == list(map(_track_bits, reference))
-        assert merge_tracks(matches[::2], merged) == []
+        assert list(map(_track_bits, _track_list(tracks))) == list(map(_track_bits, reference))
+        assert len(merge_tracks(matches[::2], merged)) == 0
 
     def test_one_sample_call_per_frame(self, monkeypatch):
         """Every keypoint of a frame is lifted in a single merged.sample call."""
@@ -561,7 +598,7 @@ class TestRunTracking:
         assert res.matcher_invocations == len(res.graph.edges)
         assert res.failed_edges == 0
         assert len(res.tracks) > 100
-        pts = np.array([t.point for t in res.tracks])
+        pts = res.tracks.points
         unwarped = apply_sim3(warps[0].inverse(), pts)
         from scipy.spatial import cKDTree
 
@@ -575,11 +612,11 @@ class TestRunTracking:
         scene, spec, sim, plan, clusters, warps, merged = self._pipeline_pieces()
         matcher = synthetic_matcher(scene, spec)
         verified = [verify_matches(matcher(i, j), merged, 8.0) for i, j in build_frame_graph(sim, 5).edges]
-        tracks = merge_tracks(verified, merged)
+        tracks = _track_list(merge_tracks(verified, merged))
         reference = _reference_merge_tracks(verified, merged)
         assert len(tracks) > 100
         assert sorted(map(_track_bits, tracks)) == sorted(map(_track_bits, reference))
-        via_run = run_tracking(sim, merged, matcher, k=5).tracks
+        via_run = _track_list(run_tracking(sim, merged, matcher, k=5).tracks)
         assert list(map(_track_bits, via_run)) == list(map(_track_bits, tracks))
 
     def test_matcher_failure_skips_edge(self):
@@ -625,9 +662,9 @@ class TestRunTracking:
         merged = MergedGeometry([cluster], [Sim3Transform.identity()])
         res = run_tracking(sim, merged, fat_matcher, k=1, max_keypoints=10)
         allowed = {(float(u), float(v)) for u, v in pts[:10]}
-        for t in res.tracks:
-            for _, uv in t.observations:
-                assert (float(uv[0]), float(uv[1])) in allowed
+        assert len(res.tracks) > 0
+        for u, v in res.tracks.pixels:
+            assert (float(u), float(v)) in allowed
 
     def test_plan_mismatch_rejected(self):
         """A 20-camera plan has several subsets, so reversal misaligns; the
