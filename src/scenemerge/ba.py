@@ -41,7 +41,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ConfigError, DataError, DivergenceError
-from .geometry import CameraParams, CameraPose, rotation_exp
+from .geometry import CameraParams, CameraPose, pinhole, rotation_exp
 
 _BEHIND_PENALTY = 1e4  # px-equivalent floor for behind-camera observations
 _NORM_FLOOR = 1e-30
@@ -172,7 +172,7 @@ class BAResult:
 def _stack_state(prob: BAProblem):
     r = np.stack([c.pose.rotation for c in prob.cameras])
     t = np.stack([c.pose.translation for c in prob.cameras])
-    k = np.array([[c.intrinsics.fx, c.intrinsics.fy, c.intrinsics.cx, c.intrinsics.cy] for c in prob.cameras])
+    k = np.stack([c.intrinsics.row() for c in prob.cameras])
     return r, t, k, prob.points.copy()
 
 
@@ -187,6 +187,15 @@ def _rebuild_cameras(prob: BAProblem, r, t, k):
     ]
 
 
+def _camera_frame(prob: BAProblem, rm, t, points):
+    """(R x, R x + t) for every observation's point x under its camera.
+
+    rm is r[prob.camera_indices], each observation's camera rotation.
+    """
+    rx = np.einsum("mij,mj->mi", rm, points[prob.point_indices])
+    return rx, rx + t[prob.camera_indices]
+
+
 def _loss_terms(prob: BAProblem, cfg: BAConfig, rm, t, k, points):
     """Per-observation unweighted losses and gradient intermediates.
 
@@ -199,19 +208,14 @@ def _loss_terms(prob: BAProblem, cfg: BAConfig, rm, t, k, points):
     the true gradient and the confidence-free normalizer.
     """
     lam, eps = cfg.lambda_exp, cfg.epsilon
-    tm = t[prob.camera_indices]
     km = k[prob.camera_indices]
-    x = points[prob.point_indices]
-    rx = np.einsum("mij,mj->mi", rm, x)
-    v = rx + tm
+    rx, v = _camera_frame(prob, rm, t, points)
+    uv, front = pinhole(v, km)
     z = v[:, 2]
-    front = z > 0
     zs = np.where(front, z, 1.0)
 
-    fx, fy, cx, cy = km[:, 0], km[:, 1], km[:, 2], km[:, 3]
-    u_px = fx * v[:, 0] / zs + cx
-    v_px = fy * v[:, 1] / zs + cy
-    e = prob.pixels - np.stack([u_px, v_px], axis=1)
+    fx, fy = km[:, 0], km[:, 1]
+    e = prob.pixels - uv
     s2 = np.einsum("mi,mi->m", e, e) + eps
 
     loss_front = s2 ** (lam / 2.0)
@@ -272,18 +276,14 @@ def ba_loss(prob: BAProblem, cfg: BAConfig | None = None) -> float:
 def predicted_pixels(prob: BAProblem) -> tuple[np.ndarray, np.ndarray]:
     """Reproject every observation's point through its camera.
 
-    Returns (uv (M, 2), in_front (M,)). Behind-camera rows are NaN. Uses
-    the exact arithmetic of the loss, so observations built from this
-    output yield bitwise-zero residuals.
+    Returns (uv (M, 2), in_front (M,)); behind-camera rows are NaN. The
+    loss takes its pixels from the same camera-frame step and the same
+    pinhole call, so observations built from this output yield bitwise-zero
+    residuals.
     """
     r, t, k, points = _stack_state(prob)
-    v = np.einsum("mij,mj->mi", r[prob.camera_indices], points[prob.point_indices]) + t[prob.camera_indices]
-    z = v[:, 2]
-    front = z > 0
-    zs = np.where(front, z, np.nan)
-    km = k[prob.camera_indices]
-    uv = np.stack([km[:, 0] * v[:, 0] / zs + km[:, 2], km[:, 1] * v[:, 1] / zs + km[:, 3]], axis=1)
-    return uv, front
+    _, v = _camera_frame(prob, r[prob.camera_indices], t, points)
+    return pinhole(v, k[prob.camera_indices])
 
 
 def reprojection_errors(prob: BAProblem) -> tuple[np.ndarray, np.ndarray]:

@@ -134,7 +134,7 @@ def cmd_plan(args) -> None:
         similarity,
         args.subset_size,
         args.overlap,
-        n_subsequences=args.k,
+        n_subsequences=args.n_subsequences,
         similarity_constrained=args.similarity_band,
     )
     if args.out is None:
@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--similarity", required=True, help="similarity matrix tensor file")
     p.add_argument("--subset-size", type=int, default=100)
     p.add_argument("--overlap", type=int, default=5)
-    p.add_argument("--k", type=int, default=None, help="number of interleaved subsequences")
+    p.add_argument("--n-subsequences", type=int, default=None, help="number of interleaved subsequences")
     p.add_argument("--similarity-band", action="store_true",
                    help="constrain the interleave to similarity-banded subsequences")
     p.add_argument("--out", default=None, help="plan JSON path (stdout when omitted)")

@@ -22,10 +22,6 @@ class InvalidSimilarityError(DataError):
     """Similarity matrix is not square, symmetric, unit-diagonal, or in [0, 1]."""
 
 
-class InvalidDepthError(DataError):
-    """Depth value is non-positive or non-finite where a valid depth is required."""
-
-
 class InvalidPoseError(DataError):
     """Rotation is not orthonormal or a pose field has the wrong shape."""
 

@@ -8,6 +8,10 @@ Conventions used throughout the package:
 * A Sim(3) transform acts on points as ``s * R @ p + t``.
 * Depth is the camera-frame z coordinate; points with z <= 0 are behind
   the camera and are flagged, never silently projected.
+* pinhole is the one projection: every pixel the package computes from a
+  3D point goes through it. The world-to-camera step before it stays with
+  each caller (a gemm for one camera, BA's per-observation einsum), since
+  the two differ in the last bit and every artifact keeps its bits.
 * The rotation primitives take stacks, (..., 3) vectors and (..., 3, 3)
   matrices, and give each row the bits a call on that row alone gives.
   Branches (small angle, zero axis, equal rotations) are picked per row
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDepthError, InvalidPoseError
+from .errors import InvalidPoseError
 
 _ORTHO_TOL = 1e-6
 
@@ -68,6 +72,10 @@ class CameraIntrinsics:
             raise InvalidPoseError(
                 f"principal point ({self.cx}, {self.cy}) outside image {self.width}x{self.height}"
             )
+
+    def row(self) -> np.ndarray:
+        """[fx, fy, cx, cy], the intrinsics row pinhole takes."""
+        return np.array([self.fx, self.fy, self.cx, self.cy], dtype=np.float64)
 
     def matrix(self) -> np.ndarray:
         """3x3 calibration matrix K."""
@@ -159,46 +167,29 @@ class PointCloud:
         return len(self.points)
 
 
-def project(point, camera: CameraParams) -> tuple[np.ndarray, bool]:
-    """Project one world point to pixel coordinates.
+def pinhole(points_cam: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
+    """Pixels u = fx * x / z + cx, v = fy * y / z + cy of (N, 3) camera-frame points.
 
-    Returns (uv, in_front). When the camera-frame depth is <= 0 the point is
-    behind the camera: in_front is False and uv is NaN.
+    k is one [fx, fy, cx, cy] row or one row per point. Returns (uv (N, 2),
+    in_front (N,)); rows with z <= 0 are NaN and flagged. Each row gets the
+    bits it would get alone.
     """
-    uv, valid = project_points(np.asarray(point, dtype=np.float64)[None, :], camera)
-    return uv[0], bool(valid[0])
+    p = np.asarray(points_cam, dtype=np.float64)
+    k = np.asarray(k, dtype=np.float64)
+    z = p[:, 2]
+    in_front = z > 0
+    zs = np.where(in_front, z, np.nan)  # NaN propagates quietly; no divide by 0
+    uv = np.stack([k[..., 0] * p[:, 0] / zs + k[..., 2], k[..., 1] * p[:, 1] / zs + k[..., 3]], axis=1)
+    return uv, in_front
 
 
 def project_points(points: np.ndarray, camera: CameraParams) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized pinhole projection of (N, 3) world points.
+    """Pinhole projection of (N, 3) world points through one camera.
 
     Returns (uv, in_front) where uv is (N, 2) and in_front is a bool mask of
     points with camera-frame depth > 0. Pixels of behind-camera points are NaN.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    cam = camera.pose.world_to_camera(pts)
-    z = cam[:, 2]
-    in_front = z > 0
-    k = camera.intrinsics
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = k.fx * cam[:, 0] / z + k.cx
-        v = k.fy * cam[:, 1] / z + k.cy
-    uv = np.stack([u, v], axis=1)
-    uv[~in_front] = np.nan
-    return uv, in_front
-
-
-def unproject(pixel, depth: float, camera: CameraParams) -> np.ndarray:
-    """Lift one pixel with camera-frame depth z back to a world point.
-
-    Raises InvalidDepthError for non-positive or non-finite depth.
-    """
-    d = float(depth)
-    if not np.isfinite(d) or d <= 0:
-        raise InvalidDepthError(f"depth must be positive and finite, got {depth}")
-    return unproject_pixels(
-        np.asarray(pixel, dtype=np.float64)[None, :], np.array([d]), camera
-    )[0]
+    return pinhole(camera.pose.world_to_camera(points), camera.intrinsics.row())
 
 
 def unproject_pixels(pixels: np.ndarray, depths: np.ndarray, camera: CameraParams) -> np.ndarray:

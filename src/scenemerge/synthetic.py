@@ -36,6 +36,8 @@ from .geometry import (
     CameraPose,
     PointCloud,
     Sim3Transform,
+    pinhole,
+    project_points,
     rotation_from_axis_angle,
     transform_camera,
 )
@@ -136,14 +138,12 @@ def _splat(camera: CameraParams, landmarks: np.ndarray):
     k = camera.intrinsics
     cam_pts = camera.pose.world_to_camera(landmarks)
     z = cam_pts[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = k.fx * cam_pts[:, 0] / z + k.cx
-        v = k.fy * cam_pts[:, 1] / z + k.cy
-    col = np.rint(u).astype(np.int64)
-    row = np.rint(v).astype(np.int64)
-    ok = (z > _NEAR_PLANE) & (col >= 0) & (col < k.width) & (row >= 0) & (row < k.height)
-    idx = np.nonzero(ok)[0]
-    pix = row[idx] * k.width + col[idx]
+    idx = np.flatnonzero(z > _NEAR_PLANE)  # only these rows are rounded and cast
+    uv, _ = pinhole(cam_pts.take(idx, axis=0), k.row())
+    col, row = np.rint(uv.T).astype(np.int64)
+    keep = np.flatnonzero((col >= 0) & (col < k.width) & (row >= 0) & (row < k.height))
+    idx = idx.take(keep)
+    pix = (row * k.width + col).take(keep)
     order = np.lexsort((z[idx], pix))
     first = np.ones(len(order), dtype=bool)
     first[1:] = pix[order][1:] != pix[order][:-1]
@@ -400,12 +400,7 @@ def synthetic_matcher(scene: SyntheticScene, perturb: PerturbationSpec, max_keyp
         if len(shared) > max_keypoints:
             shared = np.sort(rng.choice(shared, size=max_keypoints, replace=False))
         pts = scene.landmarks[shared]
-        uv = {}
-        for f in (lo, hi):
-            cam = scene.gt_cameras[f]
-            k = cam.intrinsics
-            c = cam.pose.world_to_camera(pts)
-            uv[f] = np.stack([k.fx * c[:, 0] / c[:, 2] + k.cx, k.fy * c[:, 1] / c[:, 2] + k.cy], axis=1)
+        uv = {f: project_points(pts, scene.gt_cameras[f])[0] for f in (lo, hi)}
         if perturb.match_pixel_noise_sigma > 0:
             uv[lo] = uv[lo] + rng.normal(0, perturb.match_pixel_noise_sigma, size=uv[lo].shape)
             uv[hi] = uv[hi] + rng.normal(0, perturb.match_pixel_noise_sigma, size=uv[hi].shape)

@@ -38,7 +38,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MatchSet:
-    """Putative pixel correspondences between two frames."""
+    """Putative pixel correspondences between two frames; every pixel is finite."""
 
     frame_i: int
     frame_j: int
@@ -53,6 +53,12 @@ class MatchSet:
         pj = np.asarray(self.pixels_j, dtype=np.float64).reshape(-1, 2)
         if len(pi) != len(pj):
             raise DataError(f"match set pixel counts differ: {len(pi)} vs {len(pj)}")
+        if not (np.isfinite(pi).all() and np.isfinite(pj).all()):
+            bad = np.flatnonzero(~(np.isfinite(pi).all(axis=1) & np.isfinite(pj).all(axis=1)))[0]
+            raise DataError(
+                f"match set ({self.frame_i}, {self.frame_j}) row {bad} holds a non-finite pixel: "
+                f"{pi[bad].tolist()} vs {pj[bad].tolist()}"
+            )
         object.__setattr__(self, "pixels_i", pi)
         object.__setattr__(self, "pixels_j", pj)
         if self.scores is not None:
@@ -338,9 +344,10 @@ def run_tracking(
     merged is the MergedGeometry of the aligned clusters; verification and
     fusion lift pixels and project points only through it. The matcher is
     invoked once per graph edge (at most k * n times), in edge order; an
-    edge whose matcher call raises DataError is skipped and counted in
-    failed_edges, while any other exception propagates. Match sets larger
-    than max_keypoints are truncated.
+    edge whose matcher call raises DataError (such as a MatchSet holding a
+    non-finite pixel) is skipped and counted in failed_edges, while any
+    other exception propagates. Match sets larger than max_keypoints are
+    truncated.
     """
     if max_keypoints < 1:
         raise ConfigError(f"max_keypoints must be >= 1, got {max_keypoints}")

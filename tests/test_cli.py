@@ -111,7 +111,7 @@ class TestPlan:
                 "--similarity", str(scene_dir / "similarity.mrgt"),
                 "--subset-size", str(SUBSET_SIZE),
                 "--overlap", str(OVERLAP),
-                "--k", "3",
+                "--n-subsequences", "3",
             ]
         )
         assert code == 0

@@ -2,7 +2,7 @@
 
 Hand-derived expectations used below:
 
-* project: point (1, 2, 4) under the identity pose, fx=100 fy=200 cx=50 cy=60:
+* project_points: point (1, 2, 4) under the identity pose, fx=100 fy=200 cx=50 cy=60:
   u = 100 * 1/4 + 50 = 75, v = 200 * 2/4 + 60 = 160.
 * apply_sim3: scale 2, identity rotation, translation (1, 0, 0) applied to
   (1, 1, 1) gives 2*(1,1,1) + (1,0,0) = (3, 2, 2).
@@ -10,10 +10,12 @@ Hand-derived expectations used below:
   two in either order must give the identity transform.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
-from scenemerge.errors import InvalidDepthError, InvalidPoseError
+from scenemerge.errors import InvalidPoseError
 from scenemerge.geometry import (
     CameraIntrinsics,
     CameraParams,
@@ -22,7 +24,7 @@ from scenemerge.geometry import (
     apply_sim3,
     compose_sim3,
     matrix_to_quat_wxyz,
-    project,
+    pinhole,
     project_points,
     quat_wxyz_to_matrix,
     random_rotation,
@@ -32,7 +34,6 @@ from scenemerge.geometry import (
     rotation_from_axis_angle,
     skew,
     transform_camera,
-    unproject,
     unproject_pixels,
 )
 
@@ -73,38 +74,33 @@ def _random_sim3(rng, scale_lo=0.1, scale_hi=10.0):
 
 class TestProjection:
     def test_frozen_example(self):
-        uv, in_front = project(np.array([1.0, 2.0, 4.0]), _identity_camera())
-        assert in_front
-        np.testing.assert_allclose(uv, [75.0, 160.0], atol=1e-12)
+        uv, in_front = project_points(np.array([[1.0, 2.0, 4.0]]), _identity_camera())
+        assert in_front.tolist() == [True]
+        np.testing.assert_allclose(uv, [[75.0, 160.0]], atol=1e-12)
 
     def test_behind_camera_flagged_not_raised(self):
-        uv, in_front = project(np.array([0.0, 0.0, -1.0]), _identity_camera())
-        assert not in_front
+        uv, in_front = project_points(np.array([[0.0, 0.0, -1.0]]), _identity_camera())
+        assert in_front.tolist() == [False]
         assert np.all(np.isnan(uv))
 
     def test_zero_depth_flagged(self):
-        uv, in_front = project(np.array([1.0, 1.0, 0.0]), _identity_camera())
-        assert not in_front
+        uv, in_front = project_points(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, -0.0]]), _identity_camera())
+        assert in_front.tolist() == [False, False]
+        assert np.all(np.isnan(uv))
 
     def test_vectorized_matches_scalar(self):
+        """Each row of a stacked call matches that row projected alone, up to
+        rounding: the world-to-camera gemm may round a one-row product
+        differently. pinhole itself is bitwise per row (TestPinhole)."""
         rng = np.random.default_rng(7)
         cam = _random_camera(rng)
         pts = rng.normal(size=(100, 3)) * 4.0
         uv, valid = project_points(pts, cam)
+        assert 0 < valid.sum() < len(pts)
         for i in range(len(pts)):
-            uv_i, v_i = project(pts[i], cam)
-            assert v_i == bool(valid[i])
-            if v_i:
-                np.testing.assert_allclose(uv[i], uv_i, atol=1e-12)
-
-    def test_unproject_rejects_bad_depth(self):
-        cam = _identity_camera()
-        with pytest.raises(InvalidDepthError):
-            unproject(np.array([10.0, 10.0]), 0.0, cam)
-        with pytest.raises(InvalidDepthError):
-            unproject(np.array([10.0, 10.0]), -2.0, cam)
-        with pytest.raises(InvalidDepthError):
-            unproject(np.array([10.0, 10.0]), float("nan"), cam)
+            uv_i, v_i = project_points(pts[i : i + 1], cam)
+            assert v_i.tolist() == [valid[i]]
+            np.testing.assert_allclose(uv_i, uv[i : i + 1], atol=1e-12)
 
     def test_unproject_project_round_trip(self):
         # spec invariant: unproject(project(p)) == p to 1e-9 for z > 0
@@ -123,12 +119,44 @@ class TestProjection:
             np.testing.assert_allclose(back, pts, atol=1e-9)
 
     def test_unproject_scalar_matches_vectorized(self):
+        """Each row of a stacked unprojection matches that row alone."""
         rng = np.random.default_rng(3)
         cam = _random_camera(rng)
-        px = np.array([123.4, 210.9])
-        np.testing.assert_allclose(
-            unproject(px, 2.5, cam), unproject_pixels(px[None], np.array([2.5]), cam)[0]
-        )
+        px = rng.uniform(0, 480, size=(20, 2))
+        depth = rng.uniform(0.5, 5.0, size=20)
+        stacked = unproject_pixels(px, depth, cam)
+        for i in range(len(px)):
+            np.testing.assert_allclose(unproject_pixels(px[i : i + 1], depth[i : i + 1], cam), stacked[i : i + 1])
+
+
+class TestPinhole:
+    def test_frozen_example_per_row_intrinsics(self):
+        """(1, 2, 4) under [100, 200, 50, 60] is (75, 160); under [10, 20, 5, 6] it is (7.5, 16)."""
+        k = np.array([[100.0, 200.0, 50.0, 60.0], [10.0, 20.0, 5.0, 6.0]])
+        uv, in_front = pinhole(np.array([[1.0, 2.0, 4.0], [1.0, 2.0, 4.0]]), k)
+        assert in_front.tolist() == [True, True]
+        np.testing.assert_allclose(uv, [[75.0, 160.0], [7.5, 16.0]], atol=1e-12)
+
+    def test_stack_rows_match_rows_alone(self):
+        rng = np.random.default_rng(11)
+        pts = rng.normal(size=(200, 3)) * 3.0
+        k = np.column_stack([rng.uniform(80, 400, size=(200, 2)), rng.uniform(100, 400, size=(200, 2))])
+        for kk in (k, k[0]):
+            uv, front = pinhole(pts, kk)
+            assert 0 < front.sum() < len(pts)
+            for i in range(len(pts)):
+                uv_i, front_i = pinhole(pts[i : i + 1], kk[i] if kk.ndim == 2 else kk)
+                assert front_i.tolist() == [front[i]]
+                np.testing.assert_array_equal(uv_i, uv[i : i + 1])
+
+    def test_non_positive_depth_is_nan_and_flagged_without_warning(self):
+        pts = np.array([[1.0, 2.0, -3.0], [1.0, 2.0, 0.0], [0.0, 0.0, -0.0], [0.0, 0.0, 0.0], [1.0, 2.0, 4.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            uv, in_front = pinhole(pts, [100.0, 200.0, 50.0, 60.0])
+        assert in_front.tolist() == [False, False, False, False, True]
+        assert np.all(np.isnan(uv[:4]))
+        np.testing.assert_array_equal(uv[4], [75.0, 160.0])
 
 
 class TestSim3:

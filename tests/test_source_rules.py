@@ -3,7 +3,9 @@
 No correctness check may rely on `assert`, which `python -O` strips, and no
 handler may catch every exception (a bare `except:`, `except Exception` or
 `except BaseException`), which would count a real bug as the failure it
-meant to absorb.
+meant to absorb. Every top-level function and class must be referenced
+(as a name or an attribute) somewhere in the package, unless
+KEPT_UNREFERENCED gives the reason it stays.
 """
 
 import ast
@@ -13,6 +15,13 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "scenemerge"
 BROAD = {"Exception", "BaseException"}
+KEPT_UNREFERENCED = {
+    "ba_loss": "test reference for the analytic gradient",
+    "ba_gradients": "test reference for the analytic gradient",
+    "reprojection_errors": "read by bench/spans.py",
+    "random_rotation": "test fixture",
+    "render_depth": "test fixture",
+}
 
 
 def _violations(source: str, name: str) -> list[str]:
@@ -25,6 +34,22 @@ def _violations(source: str, name: str) -> list[str]:
             if any(t is None or (isinstance(t, ast.Name) and t.id in BROAD) for t in caught):
                 out.append(f"{name}:{node.lineno}: broad except handler")
     return out
+
+
+def _unreferenced(sources: dict[str, str]) -> list[str]:
+    """Top-level functions and classes no Name or Attribute node refers to."""
+    defined, used = {}, set()
+    for name, source in sources.items():
+        tree = ast.parse(source, filename=name)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined[node.name] = f"{name}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(f"{where}: {n}" for n, where in defined.items() if n not in used)
 
 
 @pytest.mark.parametrize(
@@ -47,3 +72,24 @@ def test_package_follows_rules():
     assert modules, f"no modules found under {PACKAGE}"
     found = [v for path in modules for v in _violations(path.read_text(encoding="utf-8"), path.name)]
     assert found == []
+
+
+@pytest.mark.parametrize(
+    "sources, flagged",
+    [
+        ({"a.py": "def f():\n    pass\n\ndef g():\n    return f()"}, ["a.py:4: g"]),
+        ({"a.py": "class A:\n    pass", "b.py": "from .a import A\nx = A()"}, []),
+        ({"a.py": "def f():\n    pass", "b.py": "from . import a\ny = a.f"}, []),
+        ({"a.py": "def f():\n    pass", "b.py": "from .a import f"}, ["a.py:1: f"]),
+        ({"a.py": "class A:\n    def unused_method(self):\n        pass\n\nA()"}, []),
+    ],
+)
+def test_dead_code_rule(sources, flagged):
+    assert _unreferenced(sources) == flagged
+
+
+def test_package_has_no_dead_code():
+    found = _unreferenced({path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))})
+    names = [entry.rsplit(": ", 1)[1] for entry in found]
+    assert [entry for entry, name in zip(found, names) if name not in KEPT_UNREFERENCED] == []
+    assert sorted(names) == sorted(KEPT_UNREFERENCED), "a KEPT_UNREFERENCED name is now referenced or gone"

@@ -6,9 +6,10 @@ from scipy.stats import spearmanr
 
 from scenemerge.alignment import MergedGeometry
 from scenemerge.errors import ConfigError, GenerationFailureError
-from scenemerge.geometry import Sim3Transform, apply_sim3, rotation_angle
+from scenemerge.geometry import CameraIntrinsics, CameraParams, CameraPose, Sim3Transform, apply_sim3, rotation_angle
 from scenemerge.synthetic import (
     PerturbationSpec,
+    _splat,
     generate_scene,
     render_cluster,
     render_depth,
@@ -75,6 +76,17 @@ class TestGenerateScene:
         """40 landmarks cannot satisfy the 50-per-camera floor."""
         with pytest.raises(GenerationFailureError):
             generate_scene(seed=0, n_cameras=4, n_landmarks=40, layout="room")
+
+    def test_splat_skips_points_on_the_camera_plane(self):
+        """A landmark at z = 0 (and one behind) is never rounded to a pixel, so
+        no cast warning; the landmark in front still renders."""
+        k = CameraIntrinsics(fx=100.0, fy=100.0, cx=32.0, cy=24.0, width=64, height=48)
+        camera = CameraParams(k, CameraPose(np.eye(3), np.zeros(3)), frame_id=0)
+        landmarks = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -2.0], [0.0, 0.0, 2.0]])
+        depth, winners, pix = _splat(camera, landmarks)
+        assert winners.tolist() == [2]
+        assert pix.tolist() == [24 * 64 + 32]
+        assert depth[24, 32] == 2.0 and np.count_nonzero(depth) == 1
 
     def test_render_depth_matches_visibility(self):
         """Each z-buffer winner owns exactly one depth pixel."""

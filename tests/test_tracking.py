@@ -208,6 +208,12 @@ class TestMatchSetAndTrack:
         with pytest.raises(DataError):
             MatchSet(frame_i=0, frame_j=1, pixels_i=np.zeros((2, 2)), pixels_j=np.zeros((3, 2)))
 
+    def test_match_set_rejects_non_finite_pixels(self):
+        with pytest.raises(DataError, match=r"match set \(3, 5\) row 1 holds a non-finite pixel"):
+            MatchSet(frame_i=3, frame_j=5, pixels_i=[[1.0, 1.0], [np.nan, 1.0]], pixels_j=[[1.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(DataError, match="row 0"):
+            MatchSet(frame_i=0, frame_j=1, pixels_i=[[1.0, 1.0]], pixels_j=[[np.inf, 1.0]])
+
     def test_match_set_rejects_bad_scores(self):
         with pytest.raises(DataError):
             MatchSet(
@@ -430,9 +436,8 @@ class TestMergeTracks:
 
     def test_non_finite_pixel_rejected(self):
         merged = _merged_flat([0, 1])
-        matches = [_pair(0, 1, [((1.0, 1.0), (2.0, 2.0)), ((np.nan, 3.0), (4.0, 4.0))])]
         with pytest.raises(DataError, match="finite"):
-            merge_tracks(matches, merged)
+            merge_tracks([_pair(0, 1, [((1.0, 1.0), (2.0, 2.0)), ((np.nan, 3.0), (4.0, 4.0))])], merged)
 
     def test_subpixel_coordinates_share_rounded_node(self):
         """(1.4, 1.4) and (0.6, 0.6) both round to pixel (1, 1)."""
@@ -631,6 +636,23 @@ class TestRunTracking:
         res = run_tracking(sim, merged, flaky, k=2)
         assert res.failed_edges >= 1
         assert res.matcher_invocations == len(res.graph.edges)
+        assert len(res.tracks) > 0
+
+    def test_non_finite_matcher_pixels_fail_the_edge(self):
+        """A matcher whose MatchSet holds a NaN pixel fails its edge with the
+        DataError of MatchSet, counted like any other failed edge."""
+        scene, spec, sim, plan, clusters, warps, merged = self._pipeline_pieces(n_cameras=10)
+        base = synthetic_matcher(scene, spec)
+        bad_edge = build_frame_graph(sim, 2).edges[0]
+
+        def nan_pixel(i, j):
+            ms = base(i, j)
+            if (i, j) == bad_edge:
+                return MatchSet(i, j, np.where(np.arange(len(ms))[:, None] == 0, np.nan, ms.pixels_i), ms.pixels_j)
+            return ms
+
+        res = run_tracking(sim, merged, nan_pixel, k=2)
+        assert res.failed_edges == run_tracking(sim, merged, base, k=2).failed_edges + 1
         assert len(res.tracks) > 0
 
     def test_matcher_bug_propagates(self):
