@@ -38,6 +38,8 @@ _DEFAULT_MAX_PAIRS = 50_000
 _HUBER_K = 1.345  # 95% Gaussian efficiency
 _MAD_SCALE = 1.4826  # MAD to sigma for normal residuals
 _DELTA_FLOOR_FRACTION = 1e-6  # of the RMS point spread
+_IRLS_MAX_ITERS = 20
+_IRLS_TOL = 1e-9  # relative parameter change that ends the iteration
 
 
 @dataclass(frozen=True)
@@ -208,11 +210,7 @@ def _huber_delta(residuals: np.ndarray, floor: float) -> float:
     return max(_HUBER_K * _MAD_SCALE * mad, floor)
 
 
-def estimate_sim3_irls(
-    c: CorrespondenceSet,
-    max_iters: int = 20,
-    tol: float = 1e-9,
-) -> AlignmentResult:
+def estimate_sim3_irls(c: CorrespondenceSet) -> AlignmentResult:
     """Huber IRLS for the Sim(3) minimizing sum c_i rho(||a_i - T b_i||).
 
     Initialization is a confidence-only weighted Umeyama. Each iteration
@@ -220,14 +218,10 @@ def estimate_sim3_irls(
     at 1e-6 of the RMS spread of points_a), reweights by
     w_i = c_i * rho'(r_i)/r_i, and re-solves in closed form. The weighted
     Huber objective at the current delta must not increase across a step
-    (majorize-minimize guarantee); iteration stops when the relative
-    parameter change drops below tol. Inliers are pairs with final
-    residual inside the final delta.
+    (majorize-minimize guarantee); iteration stops after 20 steps or once
+    the relative parameter change drops below 1e-9. Inliers are pairs with
+    final residual inside the final delta.
     """
-    if max_iters < 1:
-        raise ConfigError(f"max_iters must be >= 1, got {max_iters}")
-    if tol <= 0:
-        raise ConfigError(f"tol must be positive, got {tol}")
     spread = c.points_a - c.points_a.mean(axis=0)
     rms = float(np.sqrt(np.mean(np.einsum("ij,ij->i", spread, spread))))
     if rms <= 0:
@@ -238,7 +232,7 @@ def estimate_sim3_irls(
     t = t_init
     params = _sim3_params(t)
     iterations = 0
-    for _ in range(max_iters):
+    for _ in range(_IRLS_MAX_ITERS):
         r = _residuals(c, t)
         delta = _huber_delta(r, floor)
         obj_before = float(np.sum(c.confidences * huber_rho(r, delta)))
@@ -255,7 +249,7 @@ def estimate_sim3_irls(
         change = np.linalg.norm(new_params - params) / max(1.0, np.linalg.norm(params))
         t = t_new
         params = new_params
-        if change < tol:
+        if change < _IRLS_TOL:
             break
 
     r_final = _residuals(c, t)
@@ -275,15 +269,14 @@ def estimate_sim3_irls(
 
 
 def chain_alignments(pairwise) -> list[Sim3Transform]:
-    """World transforms per cluster from consecutive pairwise estimates.
+    """World transforms per cluster from consecutive pairwise transforms.
 
-    Pairwise result k maps cluster k+1 coordinates into cluster k; the
+    Pairwise transform k maps cluster k+1 coordinates into cluster k; the
     returned list maps each cluster into cluster 0's frame: out[0] is the
     identity and out[k] = out[k-1] composed with pairwise[k-1].
     """
     out = [Sim3Transform.identity()]
-    for res in pairwise:
-        t = res.transform if isinstance(res, AlignmentResult) else res
+    for t in pairwise:
         out.append(compose_sim3(out[-1], t))
     return out
 
@@ -357,11 +350,12 @@ class MergedGeometry:
         Depth and confidence are read once each, at the nearest integer
         pixel of the valid samples (inside the map, depth > 0); returns
         (points (N,3), confidences (N,), valid (N,) bool) with rows of
-        invalid samples left as NaN/0.
+        invalid samples left as NaN/0. Pixels are clipped to one past the map
+        before the integer cast, which a huge finite pixel would overflow.
         """
         cam, depth, conf, scale = self.frame_geometry(frame_id)
         pixels = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
-        col, row = np.rint(pixels).astype(np.int64).T
+        col, row = np.rint(np.clip(pixels, -1, [depth.width, depth.height])).astype(np.int64).T
         rows = np.flatnonzero((col >= 0) & (col < depth.width) & (row >= 0) & (row < depth.height))
         d = depth.values[row[rows], col[rows]]
         rows, d = rows[d > 0], d[d > 0]

@@ -20,7 +20,6 @@ from dataclasses import fields
 from pathlib import Path
 
 from .alignment import MergedGeometry
-from .ba import BAConfig
 from .errors import ConfigError, DataError, DivergenceError
 from .geometry import CameraPose, quat_wxyz_to_matrix
 from .io_formats import (
@@ -110,6 +109,13 @@ def _load_config_file(path) -> dict:
     return values
 
 
+def _pipeline_config(args, file_values: dict | None = None) -> PipelineConfig:
+    """PipelineConfig from the flags whose dest is a config field; a flag
+    left unset, or absent from the subcommand, keeps the lower layer."""
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(PipelineConfig)}
+    return PipelineConfig.from_sources(file_values, overrides)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -148,7 +154,7 @@ def cmd_align(args) -> None:
     plan = read_plan(args.plan)
     data = load_scene(args.clusters)
     check_plan_matches_clusters(data.clusters, plan)
-    _, records, results = align_clusters(data.clusters, args.conf_percentile)
+    _, records, results = align_clusters(data.clusters, _pipeline_config(args).conf_percentile)
     for cluster, res in zip(data.clusters[1:], results):
         logger.info(
             "cluster %d: %d inliers, objective %.6g after %d IRLS iterations",
@@ -165,13 +171,14 @@ def cmd_track(args) -> None:
     plan = read_plan(args.plan)
     data = load_scene(args.clusters)
     check_plan_matches_clusters(data.clusters, plan)
+    cfg = _pipeline_config(args)
     tracking = run_tracking(
         data.similarity,
         _merged_geometry(data, args.transforms),
-        matcher_from_scene_dir(data.root, args.max_keypoints),
-        k=args.k,
-        tau_reproj=args.tau,
-        max_keypoints=args.max_keypoints,
+        matcher_from_scene_dir(data.root),
+        k=cfg.k,
+        tau_reproj=cfg.tau_reproj,
+        max_keypoints=cfg.max_keypoints,
     )
     write_tracks(args.out, tracking.tracks)
     print(
@@ -187,7 +194,7 @@ def cmd_ba(args) -> None:
     transforms_path = Path(args.transforms or Path(args.tracks).parent / "transforms.json")
     if not transforms_path.exists():
         raise DataError(f"{transforms_path} not found; pass --transforms explicitly")
-    cfg = BAConfig(iterations=args.iters, initial_lr=args.lr, lambda_exp=args.lambda_exp)
+    cfg = _pipeline_config(args).ba_config()
     problem, result, refined_cameras, _, cloud = bundle_adjust(_merged_geometry(data, transforms_path), tracks, cfg)
 
     out = Path(args.out)
@@ -222,9 +229,7 @@ def cmd_eval(args) -> None:
 
 def cmd_run(args) -> None:
     file_values = _load_config_file(args.config) if args.config is not None else None
-    # each config field is the dest of one run flag
-    overrides = {f.name: getattr(args, f.name) for f in fields(PipelineConfig)}
-    cfg = PipelineConfig.from_sources(file_values, overrides)
+    cfg = _pipeline_config(args, file_values)
     if args.synth:
         synthesize_scene_dir(
             args.scene,
@@ -286,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("align", help="estimate per-cluster Sim(3) transforms")
     p.add_argument("--plan", required=True)
     p.add_argument("--clusters", required=True, help="scene directory with cluster reconstructions")
-    p.add_argument("--conf-percentile", type=float, default=70.0)
+    p.add_argument("--conf-percentile", type=float, default=None)
     p.add_argument("--out", required=True, help="transforms JSON path")
     p.set_defaults(func=cmd_align)
 
@@ -294,9 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", required=True)
     p.add_argument("--clusters", required=True, help="scene directory with cluster reconstructions")
     p.add_argument("--transforms", required=True)
-    p.add_argument("--k", type=int, default=5, help="frame-graph neighbor count")
-    p.add_argument("--tau", type=float, default=8.0, help="reprojection gate in pixels")
-    p.add_argument("--max-keypoints", type=int, default=4096)
+    p.add_argument("--k", type=int, default=None, help="frame-graph neighbor count")
+    p.add_argument("--tau", dest="tau_reproj", metavar="TAU", type=float, default=None,
+                   help="reprojection gate in pixels")
+    p.add_argument("--max-keypoints", type=int, default=None)
     p.add_argument("--out", required=True, help="tracks binary path")
     p.set_defaults(func=cmd_track)
 
@@ -305,9 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tracks", required=True)
     p.add_argument("--transforms", default=None,
                    help="transforms JSON (default: transforms.json next to --tracks)")
-    p.add_argument("--iters", type=int, default=300)
-    p.add_argument("--lr", type=float, default=3e-3)
-    p.add_argument("--lambda", dest="lambda_exp", type=float, default=0.5)
+    p.add_argument("--iters", dest="ba_iterations", metavar="ITERS", type=int, default=None)
+    p.add_argument("--lr", dest="ba_lr", metavar="LR", type=float, default=None)
+    p.add_argument("--lambda", dest="lambda_exp", type=float, default=None)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_ba)
 

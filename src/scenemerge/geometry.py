@@ -77,13 +77,6 @@ class CameraIntrinsics:
         """[fx, fy, cx, cy], the intrinsics row pinhole takes."""
         return np.array([self.fx, self.fy, self.cx, self.cy], dtype=np.float64)
 
-    def matrix(self) -> np.ndarray:
-        """3x3 calibration matrix K."""
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]],
-            dtype=np.float64,
-        )
-
 
 @dataclass(frozen=True)
 class CameraPose:
@@ -141,10 +134,9 @@ class Sim3Transform:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Points with optional per-point color (uint8 RGB) and confidence."""
+    """Points (N, 3) with an optional per-point confidence (N,)."""
 
     points: np.ndarray
-    colors: np.ndarray | None = None
     confidences: np.ndarray | None = None
 
     def __post_init__(self):
@@ -152,11 +144,6 @@ class PointCloud:
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise InvalidPoseError(f"points must have shape (N, 3), got {pts.shape}")
         object.__setattr__(self, "points", pts)
-        if self.colors is not None:
-            cols = np.asarray(self.colors)
-            if cols.shape != (len(pts), 3):
-                raise InvalidPoseError(f"colors must have shape ({len(pts)}, 3), got {cols.shape}")
-            object.__setattr__(self, "colors", cols.astype(np.uint8))
         if self.confidences is not None:
             conf = np.asarray(self.confidences, dtype=np.float64)
             if conf.shape != (len(pts),):

@@ -21,8 +21,9 @@ track's header followed by its observations (subpixel coordinates exact):
 Both sizes are whole u32 words (9 and 5), so the body reads and writes as
 one table of 9-word rows, observation rows using their first 5 words.
 
-Point clouds use binary little-endian PLY with float x/y/z, optional uchar
-red/green/blue, and optional float "quality" carrying per-point confidence.
+Point clouds use binary little-endian PLY with float x/y/z and an optional
+float "quality" carrying per-point confidence. The reader reads past any
+other vertex property (red/green/blue, normals).
 
 Manifests, poses, pairwise transforms, and partition plans are JSON with a
 "format_version" field. Quaternions are stored (w, x, y, z); readers reject
@@ -235,7 +236,7 @@ def read_manifest(path) -> SceneManifest:
     return SceneManifest(
         images=images,
         clusters=clusters,
-        similarity_path=doc.get("similarity_path"),
+        similarity_path=_value(doc, "similarity_path", _optional_str, path) if "similarity_path" in doc else None,
         pose_convention=convention,
         units=str(doc.get("units", "arbitrary")),
     )
@@ -465,16 +466,11 @@ def write_ply(path, cloud: PointCloud) -> None:
     n = len(cloud)
     fields = [("x", "<f4"), ("y", "<f4"), ("z", "<f4")]
     props = ["property float x", "property float y", "property float z"]
-    if cloud.colors is not None:
-        fields += [("red", "u1"), ("green", "u1"), ("blue", "u1")]
-        props += ["property uchar red", "property uchar green", "property uchar blue"]
     if cloud.confidences is not None:
         fields.append(("quality", "<f4"))
         props.append("property float quality")
     rec = np.empty(n, dtype=np.dtype(fields))
     rec["x"], rec["y"], rec["z"] = cloud.points[:, 0], cloud.points[:, 1], cloud.points[:, 2]
-    if cloud.colors is not None:
-        rec["red"], rec["green"], rec["blue"] = cloud.colors[:, 0], cloud.colors[:, 1], cloud.colors[:, 2]
     if cloud.confidences is not None:
         rec["quality"] = cloud.confidences
     header = "\n".join(
@@ -503,23 +499,29 @@ def read_ply(path) -> PointCloud:
     n = None
     fields: list[tuple[str, str]] = []
     in_vertex = False
-    for line in header[1:]:
+    for number, line in enumerate(header[1:], start=2):
         tok = line.split()
         if not tok:
             continue
-        if tok[0] == "format":
-            if tok[1] != "binary_little_endian":
-                raise SchemaViolationError(f"{path}: unsupported PLY format {tok[1]!r}, need binary_little_endian")
-        elif tok[0] == "element":
-            in_vertex = tok[1] == "vertex"
-            if in_vertex:
-                n = int(tok[2])
-        elif tok[0] == "property" and in_vertex:
-            if tok[1] == "list":
-                raise SchemaViolationError(f"{path}: list property {tok[-1]!r} not supported for vertices")
-            if tok[1] not in _PLY_TYPES:
-                raise SchemaViolationError(f"{path}: unknown PLY property type {tok[1]!r}")
-            fields.append((tok[2], _PLY_TYPES[tok[1]]))
+        try:
+            if tok[0] == "format":
+                if tok[1] != "binary_little_endian":
+                    raise SchemaViolationError(f"{path}: unsupported PLY format {tok[1]!r}, need binary_little_endian")
+            elif tok[0] == "element":
+                in_vertex = tok[1] == "vertex"
+                if in_vertex:
+                    n = int(tok[2])
+            elif tok[0] == "property" and in_vertex:
+                if tok[1] == "list":
+                    raise SchemaViolationError(f"{path}: list property {tok[-1]!r} not supported for vertices")
+                if tok[1] not in _PLY_TYPES:
+                    raise SchemaViolationError(f"{path}: unknown PLY property type {tok[1]!r}")
+                fields.append((tok[2], _PLY_TYPES[tok[1]]))
+            malformed = (n or 0) < 0 or len(dict(fields)) < len(fields)  # negative count, repeated name
+        except (IndexError, ValueError):  # a missing token, a count that is not an integer
+            malformed = True
+        if malformed:
+            raise SchemaViolationError(f"{path}: malformed PLY header line {number}: {line!r}")
     if n is None:
         raise SchemaViolationError(f"{path}: PLY header has no vertex element")
     for axis in ("x", "y", "z"):
@@ -530,12 +532,8 @@ def read_ply(path) -> PointCloud:
         raise DataCorruptionError(f"{path}: PLY payload truncated ({len(body)} bytes, need {n * dt.itemsize})")
     rec = np.frombuffer(body, dtype=dt, count=n)
     pts = np.stack([rec["x"], rec["y"], rec["z"]], axis=1).astype(np.float64)
-    names = [f[0] for f in fields]
-    colors = None
-    if all(c in names for c in ("red", "green", "blue")):
-        colors = np.stack([rec["red"], rec["green"], rec["blue"]], axis=1).astype(np.uint8)
-    conf = rec["quality"].astype(np.float64) if "quality" in names else None
-    return PointCloud(points=pts, colors=colors, confidences=conf)
+    conf = rec["quality"].astype(np.float64) if "quality" in dt.names else None
+    return PointCloud(points=pts, confidences=conf)
 
 
 # ---------------------------------------------------------------------------
@@ -641,6 +639,13 @@ def _check_unique(records, name: str, key: str, path) -> None:
     for i, value in enumerate(getattr(rec, name) for rec in records):
         if first.setdefault(value, i) != i:
             raise SchemaViolationError(f"{path}: {key}[{i}]: repeats {name} {value}")
+
+
+def _optional_str(value) -> str | None:
+    """value itself when it is a string or null; TypeError otherwise."""
+    if value is not None and not isinstance(value, str):
+        raise TypeError(value)
+    return value
 
 
 _floats = partial(np.asarray, dtype=np.float64)

@@ -133,7 +133,6 @@ class SceneData:
     """A scene directory loaded into memory."""
 
     root: Path
-    manifest_path: Path
     manifest: object
     clusters: list
     similarity: SimilarityMatrix
@@ -148,9 +147,7 @@ class PipelineResult:
     """Everything a run produced, before and after serialization."""
 
     plan: object
-    transforms: list
     transform_records: list
-    alignments: list
     tracking: object
     ba: object
     cameras: list
@@ -179,7 +176,6 @@ def load_scene(scene_dir) -> SceneData:
     clusters = [load_cluster(manifest_path, c.cluster_id) for c in manifest.clusters]
     return SceneData(
         root=root,
-        manifest_path=manifest_path,
         manifest=manifest,
         clusters=clusters,
         similarity=similarity,
@@ -242,7 +238,7 @@ def synthesize_scene_dir(
     return manifest_path
 
 
-def matcher_from_scene_dir(scene_dir, max_keypoints: int = 4096):
+def matcher_from_scene_dir(scene_dir):
     """Rebuild the deterministic synthetic matcher recorded at synth time.
 
     Regenerates the ground-truth scene from gt/synth.json; raises DataError
@@ -265,7 +261,7 @@ def matcher_from_scene_dir(scene_dir, max_keypoints: int = 4096):
         perturb = PerturbationSpec(**{**spec, "per_cluster_sim3_noise": tuple(spec["per_cluster_sim3_noise"])})
     except KeyError as e:
         raise DataError(f"{path}: synthetic record missing field {e}") from None
-    return synthetic_matcher(scene, perturb, max_keypoints=max_keypoints)
+    return synthetic_matcher(scene, perturb)
 
 
 def align_clusters(clusters, conf_percentile: float = 70.0):
@@ -286,7 +282,7 @@ def align_clusters(clusters, conf_percentile: float = 70.0):
     ]
     records = [
         transform_record_from_sim3(c.cluster_id, t)
-        for c, t in zip(clusters, chain_alignments(results))
+        for c, t in zip(clusters, chain_alignments([r.transform for r in results]))
     ]
     return [sim3_from_transform_record(r) for r in records], records, results
 
@@ -409,11 +405,11 @@ def run_pipeline(
         check_plan_matches_clusters(data.clusters, plan)
 
     with _stage("align", timings):
-        transforms, transform_records, alignments = align_clusters(data.clusters, cfg.conf_percentile)
+        transforms, transform_records, _ = align_clusters(data.clusters, cfg.conf_percentile)
 
     with _stage("track", timings):
         if matcher is None:
-            matcher = matcher_from_scene_dir(data.root, cfg.max_keypoints)
+            matcher = matcher_from_scene_dir(data.root)
         merged = MergedGeometry(data.clusters, transforms)
         tracking = run_tracking(
             data.similarity,
@@ -458,9 +454,7 @@ def run_pipeline(
 
     result = PipelineResult(
         plan=plan,
-        transforms=transforms,
         transform_records=transform_records,
-        alignments=alignments,
         tracking=tracking,
         ba=ba_result,
         cameras=refined_cameras,

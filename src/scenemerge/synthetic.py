@@ -119,10 +119,6 @@ class SyntheticScene:
         return len(self.gt_cameras)
 
     @property
-    def n_landmarks(self) -> int:
-        return len(self.landmarks)
-
-    @property
     def diameter(self) -> float:
         centers = np.array([c.pose.center for c in self.gt_cameras])
         pts = np.concatenate([self.landmarks, centers])
@@ -378,27 +374,25 @@ def synthetic_similarity(scene: SyntheticScene) -> SimilarityMatrix:
     return SimilarityMatrix(m)
 
 
-def synthetic_matcher(scene: SyntheticScene, perturb: PerturbationSpec, max_keypoints: int = 4096):
+def synthetic_matcher(scene: SyntheticScene, perturb: PerturbationSpec):
     """Pluggable matcher: (frame_i, frame_j) -> MatchSet.
 
-    Projects co-visible landmarks into both views at exact subpixel
+    Projects every co-visible landmark into both views at exact subpixel
     positions, adds Gaussian pixel noise, and replaces a fraction of pairs
     with uniform random pixels (gross outliers). Deterministic per
     unordered frame pair; invariant to any injected cluster warps since it
-    works in ground-truth geometry, as a real image matcher would be.
+    works in ground-truth geometry, as a real image matcher would be. Like
+    any matcher it returns every pair it finds; run_tracking applies the
+    one keypoint cap.
     """
     from .tracking import MatchSet
 
-    if max_keypoints < 1:
-        raise ConfigError(f"max_keypoints must be >= 1, got {max_keypoints}")
     w, h = scene.image_size
 
     def match(frame_i: int, frame_j: int) -> MatchSet:
         lo, hi = (frame_i, frame_j) if frame_i < frame_j else (frame_j, frame_i)
         rng = np.random.default_rng(np.random.SeedSequence((scene.seed, 104729, lo, hi)))
         shared = np.nonzero(scene.visibility[lo] & scene.visibility[hi])[0]
-        if len(shared) > max_keypoints:
-            shared = np.sort(rng.choice(shared, size=max_keypoints, replace=False))
         pts = scene.landmarks[shared]
         uv = {f: project_points(pts, scene.gt_cameras[f])[0] for f in (lo, hi)}
         if perturb.match_pixel_noise_sigma > 0:

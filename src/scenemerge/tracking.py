@@ -44,7 +44,6 @@ class MatchSet:
     frame_j: int
     pixels_i: np.ndarray
     pixels_j: np.ndarray
-    scores: np.ndarray | None = None
 
     def __post_init__(self):
         if self.frame_i == self.frame_j:
@@ -61,21 +60,13 @@ class MatchSet:
             )
         object.__setattr__(self, "pixels_i", pi)
         object.__setattr__(self, "pixels_j", pj)
-        if self.scores is not None:
-            s = np.asarray(self.scores, dtype=np.float64).reshape(-1)
-            if len(s) != len(pi):
-                raise DataError(f"match scores length {len(s)} != pair count {len(pi)}")
-            if np.any(s < 0) or np.any(s > 1):
-                raise DataError("match scores must lie in [0, 1]")
-            object.__setattr__(self, "scores", s)
 
     def __len__(self) -> int:
         return len(self.pixels_i)
 
     def select(self, rows) -> MatchSet:
         """The pairs at rows (an index array, slice or boolean mask)."""
-        scores = None if self.scores is None else self.scores[rows]
-        return MatchSet(self.frame_i, self.frame_j, self.pixels_i[rows], self.pixels_j[rows], scores)
+        return MatchSet(self.frame_i, self.frame_j, self.pixels_i[rows], self.pixels_j[rows])
 
 
 def _reject(bad_tracks: np.ndarray, message) -> None:
@@ -220,7 +211,9 @@ def verify_matches(ms: MatchSet, merged, tau_reproj: float = 8.0) -> MatchSet:
     ):
         pts, _, valid = merged.sample(src, pix_src)
         uv, in_front = project_points(pts, merged.camera(dst))
-        err = np.linalg.norm(np.where(np.isfinite(uv), uv, np.inf) - pix_dst, axis=1)
+        # clipped so a huge pixel cannot overflow the norm; it fails either way
+        diff = np.where(np.isfinite(uv), uv, np.inf) - pix_dst
+        err = np.linalg.norm(np.clip(diff, -2 * tau_reproj, 2 * tau_reproj), axis=1)
         keep &= valid & in_front & (err <= tau_reproj)
     return ms.select(keep)
 
@@ -263,17 +256,16 @@ def _intern_keypoints(all_matches):
     return node, first, node_frame, pixels[first]
 
 
-def merge_tracks(all_matches, merged, min_track_len: int = 2) -> Tracks:
+def merge_tracks(all_matches, merged) -> Tracks:
     """Connected components over one keypoint table, then fusion per component.
 
     The table lists both keypoints of every pair: match sets in order,
     pairs in order, frame_i before frame_j. Keypoint identity is (frame id,
     pixel rounded half to even); an identity keeps the first subpixel
     coordinate the table holds for it. Components with two keypoints in
-    one frame are ambiguous and discarded, as are components shorter than
-    min_track_len. The remaining keypoints are lifted with one
-    merged.sample call per frame, and a component keeps only its valid
-    samples, needing at least min_track_len of them. Fusion follows
+    one frame are ambiguous and discarded. The remaining keypoints are
+    lifted with one merged.sample call per frame, and a component keeps
+    only its valid samples, needing at least 2 of them. Fusion follows
     x = sum(C_k x_k) / sum(C_k) and C = sum(C_k) / K, over one (count, K)
     block per track length K; each block sums its rows as a single track's
     arrays would, so the bits do not depend on the blocking.
@@ -281,8 +273,6 @@ def merge_tracks(all_matches, merged, min_track_len: int = 2) -> Tracks:
     Tracks come out in the order of their first keypoint in the table,
     each with its observations sorted by frame id.
     """
-    if min_track_len < 2:
-        raise ConfigError(f"min_track_len must be >= 2, got {min_track_len}")
     all_matches = [ms for ms in all_matches if len(ms)]
     if not all_matches:
         return Tracks([], [], [], [], [])
@@ -297,8 +287,7 @@ def merge_tracks(all_matches, merged, min_track_len: int = 2) -> Tracks:
     comp, obs_frame = label[order], node_frame[order]
     ambiguous = np.zeros(n_comp, dtype=bool)
     ambiguous[comp[1:][(comp[1:] == comp[:-1]) & (obs_frame[1:] == obs_frame[:-1])]] = True
-    usable = (np.bincount(label, minlength=n_comp) >= min_track_len) & ~ambiguous
-    order = order[usable[comp]]
+    order = order[~ambiguous[comp]]
     obs_frame, obs_pixel = node_frame[order], node_pixel[order]
 
     pts = np.empty((len(order), 3))
@@ -309,11 +298,11 @@ def merge_tracks(all_matches, merged, min_track_len: int = 2) -> Tracks:
         pts[rows], confs[rows], ok[rows] = merged.sample(int(fid), obs_pixel[rows])
 
     # Components stay contiguous in order; keep the valid samples of those
-    # with at least min_track_len of them.
+    # with at least 2 of them.
     comp = label[order][ok]
     lengths = np.diff(np.flatnonzero(np.diff(comp, prepend=-1, append=-1)))
-    keep = np.repeat(lengths >= min_track_len, lengths)
-    lengths = lengths[lengths >= min_track_len]
+    keep = np.repeat(lengths >= 2, lengths)
+    lengths = lengths[lengths >= 2]
     pts, confs = pts[ok][keep], confs[ok][keep]
 
     starts = np.cumsum(lengths) - lengths
@@ -346,8 +335,8 @@ def run_tracking(
     invoked once per graph edge (at most k * n times), in edge order; an
     edge whose matcher call raises DataError (such as a MatchSet holding a
     non-finite pixel) is skipped and counted in failed_edges, while any
-    other exception propagates. Match sets larger than max_keypoints are
-    truncated.
+    other exception propagates. This is the one keypoint cap, for any
+    matcher: a match set keeps its first max_keypoints pairs.
     """
     if max_keypoints < 1:
         raise ConfigError(f"max_keypoints must be >= 1, got {max_keypoints}")

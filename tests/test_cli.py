@@ -211,6 +211,21 @@ class TestEval:
         assert code == 2
         assert "must be given together" in capsys.readouterr().err
 
+    def test_malformed_cloud_header_exits_3(self, scene_dir, staged, tmp_path, capsys):
+        bad = tmp_path / "bad.ply"
+        bad.write_bytes(b"ply\nformat binary_little_endian 1.0\nelement vertex abc\nend_header\n")
+        code = main(
+            [
+                "eval",
+                "--est", str(staged["refined"] / "poses_refined.json"),
+                "--gt", str(scene_dir / "gt" / "poses.json"),
+                "--pred-cloud", str(bad),
+                "--gt-cloud", str(scene_dir / "gt" / "landmarks.ply"),
+            ]
+        )
+        assert code == 3
+        assert f"{bad}: malformed PLY header line 3" in capsys.readouterr().err
+
     def test_frame_id_mismatch_exits_3(self, scene_dir, staged, tmp_path, capsys):
         records = read_poses(staged["refined"] / "poses_refined.json")
         partial = tmp_path / "partial.json"
@@ -557,6 +572,18 @@ class TestExitCodes:
                 "read_manifest",
                 "clusters[1]: repeats cluster_id 0",
             ),
+            (
+                "manifest.json",
+                lambda doc: doc.__setitem__("similarity_path", 5),
+                "read_manifest",
+                "field 'similarity_path' has invalid value 5",
+            ),
+            (
+                "manifest.json",
+                lambda doc: doc.__setitem__("similarity_path", ["x"]),
+                "read_manifest",
+                "field 'similarity_path' has invalid value ['x']",
+            ),
         ],
         ids=[
             "pose-without-fx",
@@ -570,6 +597,8 @@ class TestExitCodes:
             "cluster-frame_ids-null",
             "pose-frame_id-repeated",
             "cluster_id-repeated",
+            "similarity_path-number",
+            "similarity_path-list",
         ],
     )
     def test_malformed_json_entry_exits_3(self, scene_dir, staged, tmp_path, capsys, rel, edit, reader, message):

@@ -348,5 +348,3 @@ class TestRotationHelpers:
             _K(fx=-1.0)
         with pytest.raises(InvalidPoseError):
             _K(cx=700.0)  # outside 640-wide image
-        m = _K().matrix()
-        assert m[0, 0] == 100.0 and m[1, 2] == 60.0 and m[2, 2] == 1.0

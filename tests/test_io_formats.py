@@ -408,21 +408,35 @@ class TestPly:
         write_ply(p2, cloud)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_round_trip_colors_and_quality(self, tmp_path):
+    def test_round_trip_quality_reads_past_colors(self, tmp_path):
+        """quality round-trips exactly; a file's red/green/blue properties
+        are read past."""
         rng = np.random.default_rng(6)
         cloud = PointCloud(
             points=rng.normal(size=(10, 3)).astype(np.float32).astype(np.float64),
-            colors=rng.integers(0, 256, size=(10, 3), dtype=np.uint8),
             confidences=rng.uniform(0, 1, size=10).astype(np.float32).astype(np.float64),
         )
-        p1, p2 = tmp_path / "a.ply", tmp_path / "b.ply"
+        p1, p2, p3 = tmp_path / "a.ply", tmp_path / "b.ply", tmp_path / "c.ply"
         write_ply(p1, cloud)
         got = read_ply(p1)
         np.testing.assert_array_equal(got.points, cloud.points)
-        np.testing.assert_array_equal(got.colors, cloud.colors)
         np.testing.assert_array_equal(got.confidences, cloud.confidences)
         write_ply(p2, got)
         assert p1.read_bytes() == p2.read_bytes()
+
+        rec = np.zeros(10, dtype=[(c, "<f4") for c in "xyz"] + [(c, "u1") for c in ("red", "green", "blue")]
+                       + [("quality", "<f4")])
+        rec["x"], rec["y"], rec["z"] = cloud.points.T
+        rec["red"], rec["quality"] = 255, cloud.confidences
+        p3.write_bytes(
+            b"ply\nformat binary_little_endian 1.0\nelement vertex 10\n"
+            b"property float x\nproperty float y\nproperty float z\n"
+            b"property uchar red\nproperty uchar green\nproperty uchar blue\nproperty float quality\nend_header\n"
+            + rec.tobytes()
+        )
+        colored = read_ply(p3)
+        np.testing.assert_array_equal(colored.points, cloud.points)
+        np.testing.assert_array_equal(colored.confidences, cloud.confidences)
 
     def test_rejects_ascii(self, tmp_path):
         p = tmp_path / "a.ply"
@@ -437,6 +451,29 @@ class TestPly:
             b"property float x\nproperty float y\nend_header\n" + b"\x00" * 8
         )
         with pytest.raises(SchemaViolationError, match="'z'"):
+            read_ply(p)
+
+    @pytest.mark.parametrize(
+        "at, replaced, line",
+        [
+            (1, 1, "element vertex abc"),
+            (1, 1, "element vertex -1"),
+            (0, 1, "format"),
+            (1, 1, "element vertex"),
+            (5, 0, "property float"),
+            (5, 0, "property float x"),
+        ],
+        ids=["count-not-integer", "count-negative", "bare-format", "bare-element", "bare-property", "repeated-name"],
+    )
+    def test_malformed_header_line(self, tmp_path, at, replaced, line):
+        """A header line read_ply cannot use is a SchemaViolationError naming
+        the file and the line, never an IndexError, a ValueError or a cloud
+        read from stray bytes."""
+        lines = ["format binary_little_endian 1.0", "element vertex 1", *(f"property float {c}" for c in "xyz")]
+        lines[at : at + replaced] = [line]
+        p = tmp_path / "a.ply"
+        p.write_bytes("\n".join(["ply", *lines, "end_header", ""]).encode() + bytes(16))
+        with pytest.raises(SchemaViolationError, match=re.escape(f"{p}: malformed PLY header line {at + 2}: {line!r}")):
             read_ply(p)
 
     def test_truncated_payload(self, tmp_path):

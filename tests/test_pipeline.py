@@ -404,7 +404,7 @@ class TestRunPipeline:
         tracking = run_tracking(
             data.similarity,
             merged,
-            matcher_from_scene_dir(scene_dir, cfg.max_keypoints),
+            matcher_from_scene_dir(scene_dir),
             k=cfg.k,
             tau_reproj=cfg.tau_reproj,
             max_keypoints=cfg.max_keypoints,

@@ -4,8 +4,10 @@ No correctness check may rely on `assert`, which `python -O` strips, and no
 handler may catch every exception (a bare `except:`, `except Exception` or
 `except BaseException`), which would count a real bug as the failure it
 meant to absorb. Every top-level function and class must be referenced
-(as a name or an attribute) somewhere in the package, unless
-KEPT_UNREFERENCED gives the reason it stays.
+(as a name or an attribute) somewhere in the package, and every method or
+property other than a dunder must be named by an attribute somewhere in
+the package, unless KEPT_UNREFERENCED gives the reason it stays (members
+are listed as Class.member).
 """
 
 import ast
@@ -21,6 +23,8 @@ KEPT_UNREFERENCED = {
     "reprojection_errors": "read by bench/spans.py",
     "random_rotation": "test fixture",
     "render_depth": "test fixture",
+    "Sim3Transform.inverse": "test fixture",
+    "SyntheticScene.diameter": "test fixture",
 }
 
 
@@ -37,19 +41,27 @@ def _violations(source: str, name: str) -> list[str]:
 
 
 def _unreferenced(sources: dict[str, str]) -> list[str]:
-    """Top-level functions and classes no Name or Attribute node refers to."""
-    defined, used = {}, set()
+    """Top-level functions and classes no Name or Attribute node refers to,
+    and non-dunder methods and properties (Class.member) no Attribute node names."""
+    defined, members, names, attrs = {}, {}, set(), set()
     for name, source in sources.items():
         tree = ast.parse(source, filename=name)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined[node.name] = f"{name}:{node.lineno}"
+            for member in node.body if isinstance(node, ast.ClassDef) else []:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    member.name.startswith("__") and member.name.endswith("__")
+                ):
+                    members[f"{node.name}.{member.name}"] = (member.name, f"{name}:{member.lineno}")
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                used.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    return sorted(f"{where}: {n}" for n, where in defined.items() if n not in used)
+                attrs.add(node.attr)
+    found = [f"{where}: {n}" for n, where in defined.items() if n not in names | attrs]
+    found += [f"{where}: {n}" for n, (attr, where) in members.items() if attr not in attrs]
+    return sorted(found)
 
 
 @pytest.mark.parametrize(
@@ -81,7 +93,10 @@ def test_package_follows_rules():
         ({"a.py": "class A:\n    pass", "b.py": "from .a import A\nx = A()"}, []),
         ({"a.py": "def f():\n    pass", "b.py": "from . import a\ny = a.f"}, []),
         ({"a.py": "def f():\n    pass", "b.py": "from .a import f"}, ["a.py:1: f"]),
-        ({"a.py": "class A:\n    def unused_method(self):\n        pass\n\nA()"}, []),
+        ({"a.py": "class A:\n    def unused_method(self):\n        pass\n\nA()"}, ["a.py:2: A.unused_method"]),
+        ({"a.py": "class A:\n    @property\n    def p(self):\n        pass\n\ny = A().p"}, []),
+        ({"a.py": "class A:\n    def __len__(self):\n        return 0\n\nA()"}, []),
+        ({"a.py": "class A:\n    def m(self):\n        pass\n\nm = A()"}, ["a.py:2: A.m"]),
     ],
 )
 def test_dead_code_rule(sources, flagged):

@@ -244,11 +244,6 @@ class TestSyntheticMatcher:
         uv = np.stack([k.fx * c[:, 0] / c[:, 2] + k.cx, k.fy * c[:, 1] / c[:, 2] + k.cy], axis=1)
         assert np.array_equal(ms.pixels_i, uv)
 
-    def test_keypoint_cap(self):
-        scene = generate_scene(seed=2, n_cameras=10, n_landmarks=3000, layout="room")
-        match = synthetic_matcher(scene, PerturbationSpec.none(), max_keypoints=64)
-        assert len(match(0, 1)) == 64
-
     def test_outlier_count(self):
         """Exactly floor(fraction * n) pairs are replaced."""
         scene = generate_scene(seed=2, n_cameras=10, n_landmarks=2000, layout="room")
@@ -258,8 +253,3 @@ class TestSyntheticMatcher:
             clean.pixels_j != dirty.pixels_j, axis=1
         )
         assert moved.sum() == int(np.floor(0.2 * len(clean)))
-
-    def test_rejects_bad_cap(self):
-        scene = generate_scene(seed=0, n_cameras=4, n_landmarks=1000, layout="room")
-        with pytest.raises(ConfigError):
-            synthetic_matcher(scene, PerturbationSpec.none(), max_keypoints=0)
