@@ -28,9 +28,22 @@ points, the camera's initial focal length for intrinsics.
 
 Reductions: each observation contributes a camera row C [rotation |
 translation | intrinsics] and a point row. With A the 0/1 CSR incidence
-matrix (cameras or points x observations, built once per problem), the
-gradient is A @ (conf * C) and the step denominator A @ |C|. Each CSR row
-lists its observations in order, so the sums add exactly as np.bincount.
+matrix (cameras or points x observations, built once per problem) and
+A_w the same pattern holding the confidences, the gradient is A_w @ C,
+which forms conf * C inside the product, and the step denominator
+A @ |C|. Each CSR row lists its observations in order, so the sums add
+exactly as np.bincount of conf * C and |C|.
+
+Column layout: an iteration gathers the camera table [rotation |
+translation | intrinsics] (16 x cameras) and the point table (3 x points)
+once each with np.take along the transposed column axis, so every
+per-observation quantity is a contiguous row of length M, and writes the
+13 contribution rows into one (13, M) block that two copies turn into the
+row-major (M, 10) and (M, 3) buffers the products read. The sums are
+written out with fixed addition orders, so each one keeps the bits of the
+stacked einsum/np.cross form it replaced: R x adds (R_i0 x_0 + R_i2 x_2) +
+R_i1 x_1, R^T g adds (R_0i g_0 + R_1i g_1) + R_2i g_2, the cross product is
+a_1 b_2 - a_2 b_1 (and its rotations) and ||e||^2 is e_0^2 + e_1^2.
 """
 
 from __future__ import annotations
@@ -187,89 +200,103 @@ def _rebuild_cameras(prob: BAProblem, r, t, k):
     ]
 
 
-def _camera_frame(prob: BAProblem, rm, t, points):
-    """(R x, R x + t) for every observation's point x under its camera.
+def _camera_frame(prob: BAProblem, r, t, k, points):
+    """Per-observation columns (rotation (9, M), intrinsics (4, M), R x (3, M),
+    R x + t (3, M)) for every observation's point x under its camera.
 
-    rm is r[prob.camera_indices], each observation's camera rotation.
+    Row 3i + j of the rotation block holds R_ij. The camera table
+    [rotation | translation | intrinsics] and the point table are each
+    gathered once with np.take along their transposed column axis.
     """
-    rx = np.einsum("mij,mj->mi", rm, points[prob.point_indices])
-    return rx, rx + t[prob.camera_indices]
+    cam = np.take(np.concatenate([r.reshape(-1, 9), t, k], axis=1).T, prob.camera_indices, axis=1)
+    x = np.take(points.T, prob.point_indices, axis=1)
+    rm = cam[:9]
+    # (R_i0 x_0 + R_i2 x_2) + R_i1 x_1, the order numpy 2.4's "mij,mj->mi"
+    # einsum adds in; keeping it keeps every refined pose's bits
+    rx = rm[0::3] * x[0] + rm[2::3] * x[2]
+    rx += rm[1::3] * x[1]
+    return rm, cam[12:], rx, rx + cam[9:12]
 
 
-def _loss_terms(prob: BAProblem, cfg: BAConfig, rm, t, k, points):
-    """Per-observation unweighted losses and gradient intermediates.
+def _contribution_buffers(prob: BAProblem):
+    """(camera rows (M, 10), point rows (M, 3)) for _loss_terms to fill."""
+    return np.empty((prob.n_observations, 10)), np.empty((prob.n_observations, 3))
 
-    rm is r[prob.camera_indices], each observation's camera rotation; the
-    caller gathers it once and hands the same stack to _gradient_sums.
-    Returns (loss_unweighted (M,), g_cam3d_unweighted (M,3),
-    g_intrinsics_unweighted (M,4), rotated_points (M,3), front (M,)).
-    Multiplying by the observation confidence yields the weighted
-    quantities; keeping them separate lets one geometry pass serve both
-    the true gradient and the confidence-free normalizer.
+
+def _loss_terms(prob: BAProblem, cfg: BAConfig, r, t, k, points, c_cam, c_pt):
+    """Per-observation unweighted losses (M,); fills the contribution rows.
+
+    c_cam receives each observation's camera row [rotation | translation |
+    intrinsics] and c_pt its point row, both before the confidence weight:
+    multiplying by the observation confidence yields the weighted
+    quantities, so one geometry pass serves both the true gradient and the
+    confidence-free normalizer.
     """
     lam, eps = cfg.lambda_exp, cfg.epsilon
-    km = k[prob.camera_indices]
-    rx, v = _camera_frame(prob, rm, t, points)
-    uv, front = pinhole(v, km)
-    z = v[:, 2]
+    rm, km, rx, v = _camera_frame(prob, r, t, k, points)
+    uv, front = pinhole(v.T, km.T)
+    z = v[2]
     zs = np.where(front, z, 1.0)
+    e = (prob.pixels - uv).T
+    s2 = e[0] * e[0] + e[1] * e[1] + eps
+    gpi = -(lam * s2 ** (lam / 2.0 - 1.0)) * e  # d loss / d projected pixel
 
-    fx, fy = km[:, 0], km[:, 1]
-    e = prob.pixels - uv
-    s2 = np.einsum("mi,mi->m", e, e) + eps
-
-    loss_front = s2 ** (lam / 2.0)
-    w_geom = lam * s2 ** (lam / 2.0 - 1.0)
-    gpi = -w_geom[:, None] * e  # d loss / d projected pixel
-
-    g_cam = np.empty((prob.n_observations, 3))
-    g_cam[:, 0] = gpi[:, 0] * fx / zs
-    g_cam[:, 1] = gpi[:, 1] * fy / zs
-    g_cam[:, 2] = -(gpi[:, 0] * fx * v[:, 0] + gpi[:, 1] * fy * v[:, 1]) / (zs * zs)
-
-    g_intr = np.empty((prob.n_observations, 4))
-    g_intr[:, 0] = gpi[:, 0] * v[:, 0] / zs
-    g_intr[:, 1] = gpi[:, 1] * v[:, 1] / zs
-    g_intr[:, 2] = gpi[:, 0]
-    g_intr[:, 3] = gpi[:, 1]
-
+    # rows [rotation | translation | intrinsics | point], copied into the
+    # row-major contribution buffers the incidence products read
+    rows = np.empty((13, prob.n_observations))
+    g = rows[3:6]
+    a = gpi * km[0:2]
+    np.divide(a, zs, out=g[0:2])
+    np.divide(-(a[0] * v[0] + a[1] * v[1]), zs * zs, out=g[2])
+    np.divide(gpi * v[0:2], zs, out=rows[6:8])
+    rows[8:10] = gpi
     # behind-camera branch: C * (B + Z^2), gradient (0, 0, 2Z)
-    loss = np.where(front, loss_front, _BEHIND_PENALTY + z * z)
-    g_cam[~front] = 0.0
-    g_cam[~front, 2] = 2.0 * z[~front]
-    g_intr[~front] = 0.0
-    return loss, g_cam, g_intr, rx, front
+    back = ~front
+    rows[3:10, back] = 0.0
+    g[2, back] = 2.0 * z[back]
+
+    # rotation rows rx x g, each component a_1 b_2 - a_2 b_1 as np.cross forms it
+    for i, j, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(rx[j], g[l], out=rows[i])
+        rows[i] -= rx[l] * g[j]
+    # point rows R^T g, adding (R_0i g_0 + R_1i g_1) + R_2i g_2
+    pt = rows[10:13]
+    np.multiply(rm[0:3], g[0], out=pt)
+    pt += rm[3:6] * g[1]
+    pt += rm[6:9] * g[2]
+    np.copyto(c_cam, rows[:10].T)
+    np.copyto(c_pt, pt.T)
+    return np.where(front, s2 ** (lam / 2.0), _BEHIND_PENALTY + z * z)
 
 
-def _incidence(prob: BAProblem) -> tuple[sparse.csr_array, sparse.csr_array]:
-    """(cameras x observations, points x observations) 0/1 CSR matrices."""
+def _incidences(prob: BAProblem):
+    """(cameras x observations, points x observations) CSR pairs, first
+    holding each observation's confidence, then holding ones."""
     obs = np.arange(prob.n_observations)
-    ones = np.ones(prob.n_observations)
-    return (
-        sparse.csr_array((ones, (prob.camera_indices, obs)), shape=(prob.n_cameras, prob.n_observations)),
-        sparse.csr_array((ones, (prob.point_indices, obs)), shape=(prob.n_points, prob.n_observations)),
+    return tuple(
+        (
+            sparse.csr_array((w, (prob.camera_indices, obs)), shape=(prob.n_cameras, prob.n_observations)),
+            sparse.csr_array((w, (prob.point_indices, obs)), shape=(prob.n_points, prob.n_observations)),
+        )
+        for w in (prob.confidences, np.ones(prob.n_observations))
     )
 
 
-def _gradient_sums(prob: BAProblem, incidence, rm, g_cam, g_intr, rx):
+def _gradient_sums(incidences, c_cam, c_pt):
     """(camera gradient, point gradient, camera denominator, point denominator).
 
-    rm is the per-observation rotation stack _loss_terms used. Camera rows
-    are [rotation | translation | intrinsics]; each sum is one incidence
-    product over the per-observation contributions C.
+    Each sum is one incidence product over the contribution rows
+    _loss_terms filled: the weighted incidence forms conf * C inside the
+    product, the 0/1 one sums |C|.
     """
-    a_cam, a_pt = incidence
-    c_cam = np.hstack([np.cross(rx, g_cam), g_cam, g_intr])
-    c_pt = np.einsum("mji,mj->mi", rm, g_cam)
-    w = prob.confidences[:, None]
-    return a_cam @ (w * c_cam), a_pt @ (w * c_pt), a_cam @ np.abs(c_cam), a_pt @ np.abs(c_pt)
+    (w_cam, w_pt), (a_cam, a_pt) = incidences
+    return w_cam @ c_cam, w_pt @ c_pt, a_cam @ np.abs(c_cam), a_pt @ np.abs(c_pt)
 
 
 def ba_loss(prob: BAProblem, cfg: BAConfig | None = None) -> float:
     """Confidence-weighted robust reprojection loss."""
     cfg = cfg or BAConfig()
-    r, t, k, points = _stack_state(prob)
-    loss, _, _, _, _ = _loss_terms(prob, cfg, r[prob.camera_indices], t, k, points)
+    loss = _loss_terms(prob, cfg, *_stack_state(prob), *_contribution_buffers(prob))
     return float(np.sum(prob.confidences * loss))
 
 
@@ -281,9 +308,8 @@ def predicted_pixels(prob: BAProblem) -> tuple[np.ndarray, np.ndarray]:
     pinhole call, so observations built from this output yield bitwise-zero
     residuals.
     """
-    r, t, k, points = _stack_state(prob)
-    _, v = _camera_frame(prob, r[prob.camera_indices], t, points)
-    return pinhole(v, k[prob.camera_indices])
+    _, km, _, v = _camera_frame(prob, *_stack_state(prob))
+    return pinhole(v.T, km.T)
 
 
 def reprojection_errors(prob: BAProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -295,10 +321,9 @@ def reprojection_errors(prob: BAProblem) -> tuple[np.ndarray, np.ndarray]:
 def ba_gradients(prob: BAProblem, cfg: BAConfig | None = None) -> BAGradients:
     """Analytic gradient of ba_loss for every parameter block."""
     cfg = cfg or BAConfig()
-    r, t, k, points = _stack_state(prob)
-    rm = r[prob.camera_indices]
-    _, g_cam, g_intr, rx, _ = _loss_terms(prob, cfg, rm, t, k, points)
-    g, g_pt, _, _ = _gradient_sums(prob, _incidence(prob), rm, g_cam, g_intr, rx)
+    c_cam, c_pt = _contribution_buffers(prob)
+    _loss_terms(prob, cfg, *_stack_state(prob), c_cam, c_pt)
+    g, g_pt, _, _ = _gradient_sums(_incidences(prob), c_cam, c_pt)
     return BAGradients(rotation=g[:, :3], translation=g[:, 3:6], points=g_pt, intrinsics=g[:, 6:])
 
 
@@ -345,9 +370,8 @@ def run_ba(prob: BAProblem, cfg: BAConfig | None = None) -> BAResult:
     focal_floor = 1e-6 * unit_k[:, 0]
 
     history = np.empty(cfg.iterations + 1)
-    rm = r[prob.camera_indices]
-    loss0, g_cam0, g_intr0, rx0, _ = _loss_terms(prob, cfg, rm, t, k, points)
-    current = float(np.sum(prob.confidences * loss0))
+    c_cam, c_pt = _contribution_buffers(prob)
+    current = float(np.sum(prob.confidences * _loss_terms(prob, cfg, r, t, k, points, c_cam, c_pt)))
     if not np.isfinite(current):
         raise DivergenceError("initial loss is not finite", iteration=0)
     history[0] = current
@@ -358,11 +382,10 @@ def run_ba(prob: BAProblem, cfg: BAConfig | None = None) -> BAResult:
     unit_cam = np.array([1.0] * 3 + [unit_t] * 3 + [1.0] * 4)
     state_cam = _AdaptiveState((prob.n_cameras, 10))
     state_pt = _AdaptiveState((prob.n_points, 3))
-    incidence = _incidence(prob)
+    incidences = _incidences(prob)
 
-    g_cam, g_intr, rx = g_cam0, g_intr0, rx0
     for it in range(cfg.iterations):
-        grad_cam, grad_pt, denom_cam, denom_pt = _gradient_sums(prob, incidence, rm, g_cam, g_intr, rx)
+        grad_cam, grad_pt, denom_cam, denom_pt = _gradient_sums(incidences, c_cam, c_pt)
         if not (np.all(np.isfinite(grad_cam)) and np.all(np.isfinite(grad_pt))):
             raise DivergenceError("non-finite gradient", iteration=it + 1)
 
@@ -383,8 +406,7 @@ def run_ba(prob: BAProblem, cfg: BAConfig | None = None) -> BAResult:
                 k[:, 2] = np.clip(k[:, 2], 0.0, widths)
                 k[:, 3] = np.clip(k[:, 3], 0.0, heights)
 
-            rm = r[prob.camera_indices]
-            loss_terms, g_cam, g_intr, rx, _ = _loss_terms(prob, cfg, rm, t, k, points)
+            loss_terms = _loss_terms(prob, cfg, r, t, k, points, c_cam, c_pt)
         current = float(np.sum(prob.confidences * loss_terms))
         if not np.isfinite(current):
             raise DivergenceError("loss became non-finite", iteration=it + 1)

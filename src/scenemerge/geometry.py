@@ -64,8 +64,8 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if not (self.fx > 0 and self.fy > 0):
-            raise InvalidPoseError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
+        if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):
+            raise InvalidPoseError(f"focal lengths must be positive and finite, got fx={self.fx}, fy={self.fy}")
         if self.width <= 0 or self.height <= 0:
             raise InvalidPoseError(f"image size must be positive, got {self.width}x{self.height}")
         if not (0 <= self.cx <= self.width and 0 <= self.cy <= self.height):

@@ -304,12 +304,12 @@ def read_poses(path) -> list[PoseRecord]:
     records = [
         PoseRecord(
             frame_id=_value(p, "frame_id", int, where),
-            quat_wxyz=_read_quat(_value(p, "quat_wxyz", _floats, where), f"{where}.quat_wxyz"),
-            translation=_value(p, "translation", _floats, where),
-            fx=_value(p, "fx", float, where),
-            fy=_value(p, "fy", float, where),
-            cx=_value(p, "cx", float, where),
-            cy=_value(p, "cy", float, where),
+            quat_wxyz=_read_quat(_value(p, "quat_wxyz", _finite_floats, where), f"{where}.quat_wxyz"),
+            translation=_value(p, "translation", _finite_floats, where),
+            fx=_value(p, "fx", _finite_float, where),
+            fy=_value(p, "fy", _finite_float, where),
+            cx=_value(p, "cx", _finite_float, where),
+            cy=_value(p, "cy", _finite_float, where),
         )
         for where, p in _entries(doc, "poses", path)
     ]
@@ -374,9 +374,9 @@ def read_transforms(path) -> list[TransformRecord]:
     records = [
         TransformRecord(
             cluster_id=_value(c, "cluster_id", int, where),
-            scale=_value(c, "scale", float, where),
-            quat_wxyz=_read_quat(_value(c, "quat_wxyz", _floats, where), f"{where}.quat_wxyz"),
-            translation=_value(c, "translation", _floats, where),
+            scale=_value(c, "scale", _finite_float, where),
+            quat_wxyz=_read_quat(_value(c, "quat_wxyz", _finite_floats, where), f"{where}.quat_wxyz"),
+            translation=_value(c, "translation", _finite_floats, where),
         )
         for where, c in _entries(doc, "clusters", path)
     ]
@@ -532,6 +532,9 @@ def read_ply(path) -> PointCloud:
         raise DataCorruptionError(f"{path}: PLY payload truncated ({len(body)} bytes, need {n * dt.itemsize})")
     rec = np.frombuffer(body, dtype=dt, count=n)
     pts = np.stack([rec["x"], rec["y"], rec["z"]], axis=1).astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if len(bad):
+        raise DataCorruptionError(f"{path}: PLY vertex {bad[0]} is not finite: {pts[bad[0]].tolist()}")
     conf = rec["quality"].astype(np.float64) if "quality" in dt.names else None
     return PointCloud(points=pts, confidences=conf)
 
@@ -622,14 +625,14 @@ def _value(entry: dict, name: str, convert, where):
     """convert(entry[name]), the one way a JSON reader takes a field's value.
 
     A missing field, or a value convert rejects (null for a number, "abc"
-    for an id), raises SchemaViolationError naming where (the file, and the
-    entry if any) and the field.
+    or Infinity for an id, NaN for a pose), raises SchemaViolationError
+    naming where (the file, and the entry if any) and the field.
     """
     if name not in entry:
         raise SchemaViolationError(f"{where}: missing field {name!r}")
     try:
         return convert(entry[name])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise SchemaViolationError(f"{where}: field {name!r} has invalid value {entry[name]!r}") from None
 
 
@@ -648,7 +651,22 @@ def _optional_str(value) -> str | None:
     return value
 
 
-_floats = partial(np.asarray, dtype=np.float64)
+def _finite_floats(value) -> np.ndarray:
+    """value as a float64 array; ValueError when an entry is NaN or infinite."""
+    a = np.asarray(value, dtype=np.float64)
+    if not np.isfinite(a).all():
+        raise ValueError(value)
+    return a
+
+
+def _finite_float(value) -> float:
+    """float(value); ValueError when it is NaN or infinite."""
+    x = float(value)
+    if not np.isfinite(x):
+        raise ValueError(value)
+    return x
+
+
 _indices = partial(np.asarray, dtype=np.int64)
 
 

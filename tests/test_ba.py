@@ -33,6 +33,7 @@ from scenemerge.geometry import (
     CameraPose,
     Sim3Transform,
     apply_sim3,
+    pinhole,
     project_points,
     random_rotation,
     rotation_exp,
@@ -115,6 +116,18 @@ def _ring_problem(seed: int, n_cams=None, n_pts=None) -> BAProblem:
     )
 
 
+def _behind_problem(seed: int) -> BAProblem:
+    """A ring problem with every fourth point moved behind the camera of
+    its first observation (out along the camera's center ray), so the
+    problem mixes in-front and behind-camera observations."""
+    prob = _ring_problem(seed, n_cams=5, n_pts=30)
+    points = prob.points.copy()
+    first = np.searchsorted(prob.point_indices, np.arange(prob.n_points))
+    for j in range(0, prob.n_points, 4):
+        points[j] = 1.5 * prob.cameras[prob.camera_indices[first[j]]].pose.center
+    return replace(prob, points=points)
+
+
 def _perturbed_scene_problem(seed: int, n_cameras=20, n_tracks=500):
     """Exact observations of scene landmarks, cameras perturbed by a
     1-degree rotation and 1 percent of the scene diameter in translation.
@@ -173,18 +186,60 @@ def _aligned_rmse(cameras, gt_centers) -> float:
     return float(np.sqrt(np.mean(np.sum((apply_sim3(t, centers) - gt_centers) ** 2, axis=1))))
 
 
+def _ref_loss_terms(prob: BAProblem, cfg: BAConfig, r, t, k, points):
+    """The per-observation loss kernel in its stacked (M, 3, 3) form, with
+    einsum for R x: (loss (M,), g_cam (M, 3), g_intr (M, 4), R x (M, 3),
+    in_front (M,)), all before the confidence weight."""
+    lam, eps = cfg.lambda_exp, cfg.epsilon
+    km = k[prob.camera_indices]
+    rx = np.einsum("mij,mj->mi", r[prob.camera_indices], points[prob.point_indices])
+    v = rx + t[prob.camera_indices]
+    uv, front = pinhole(v, km)
+    z = v[:, 2]
+    zs = np.where(front, z, 1.0)
+
+    fx, fy = km[:, 0], km[:, 1]
+    e = prob.pixels - uv
+    s2 = np.einsum("mi,mi->m", e, e) + eps
+
+    loss_front = s2 ** (lam / 2.0)
+    w_geom = lam * s2 ** (lam / 2.0 - 1.0)
+    gpi = -w_geom[:, None] * e
+
+    g_cam = np.empty((prob.n_observations, 3))
+    g_cam[:, 0] = gpi[:, 0] * fx / zs
+    g_cam[:, 1] = gpi[:, 1] * fy / zs
+    g_cam[:, 2] = -(gpi[:, 0] * fx * v[:, 0] + gpi[:, 1] * fy * v[:, 1]) / (zs * zs)
+
+    g_intr = np.empty((prob.n_observations, 4))
+    g_intr[:, 0] = gpi[:, 0] * v[:, 0] / zs
+    g_intr[:, 1] = gpi[:, 1] * v[:, 1] / zs
+    g_intr[:, 2] = gpi[:, 0]
+    g_intr[:, 3] = gpi[:, 1]
+
+    loss = np.where(front, loss_front, 1e4 + z * z)
+    g_cam[~front] = 0.0
+    g_cam[~front, 2] = 2.0 * z[~front]
+    g_intr[~front] = 0.0
+    return loss, g_cam, g_intr, rx, front
+
+
+def _ref_loss(prob: BAProblem, cfg: BAConfig, r, t, k, points) -> float:
+    terms, _, _, _, _ = _ref_loss_terms(prob, cfg, r, t, k, points)
+    return float(np.sum(prob.confidences * terms))
+
+
 def _fd_worst(prob: BAProblem, cfg: BAConfig, h: float = 1e-6) -> float:
     """Worst central-difference disagreement, measured as
     |fd - analytic| / max(|fd|, |analytic|, 1e-3); the 1e-3 floor folds the
     1e-8 absolute tolerance into the 1e-5 relative one."""
-    from scenemerge.ba import _loss_terms, _stack_state
+    from scenemerge.ba import _stack_state
 
     g = ba_gradients(prob, cfg)
     r0, t0, k0, p0 = _stack_state(prob)
 
     def loss_at(r_, t_, k_, p_):
-        terms, _, _, _, _ = _loss_terms(prob, cfg, r_[prob.camera_indices], t_, k_, p_)
-        return float(np.sum(prob.confidences * terms))
+        return _ref_loss(prob, cfg, r_, t_, k_, p_)
 
     worst = 0.0
     for c in range(prob.n_cameras):
@@ -248,6 +303,21 @@ def _reference_obs_contributions(prob: BAProblem, r, g_cam, g_intr, rx):
     }
 
 
+def _reference_gradient_sums(prob: BAProblem, r, g_cam, g_intr, rx):
+    """(camera gradient, point gradient, camera denominator, point
+    denominator) with camera columns [rotation | translation | intrinsics],
+    reduced by bincount."""
+    contrib = _reference_obs_contributions(prob, r, g_cam, g_intr, rx)
+    grads = _reference_reduce(prob, contrib, weights=prob.confidences)
+    denoms = _reference_reduce(prob, contrib, absolute=True)
+    return (
+        np.hstack([grads["rot"], grads["t"], grads["k"]]),
+        grads["p"],
+        np.hstack([denoms["rot"], denoms["t"], denoms["k"]]),
+        denoms["p"],
+    )
+
+
 def _reference_run_ba(prob: BAProblem, cfg: BAConfig):
     """run_ba written with one bincount per dimension, four adaptive states
     and one rotation_exp call per camera, the loop form the stacked version
@@ -255,7 +325,7 @@ def _reference_run_ba(prob: BAProblem, cfg: BAConfig):
 
     Returns (loss history, (r, t, k, points) of the best iterate, best iteration).
     """
-    from scenemerge.ba import _AdaptiveState, _loss_terms, _stack_state
+    from scenemerge.ba import _AdaptiveState, _stack_state
 
     r, t, k, points = _stack_state(prob)
     centers = np.stack([c.pose.center for c in prob.cameras])
@@ -268,7 +338,7 @@ def _reference_run_ba(prob: BAProblem, cfg: BAConfig):
     focal_floor = 1e-6 * unit_k[:, 0]
 
     history = np.empty(cfg.iterations + 1)
-    loss, g_cam, g_intr, rx, _ = _loss_terms(prob, cfg, r[prob.camera_indices], t, k, points)
+    loss, g_cam, g_intr, rx, _ = _ref_loss_terms(prob, cfg, r, t, k, points)
     history[0] = float(np.sum(prob.confidences * loss))
     best = (history[0], (r.copy(), t.copy(), k.copy(), points.copy()), 0)
     state_rot = _AdaptiveState((prob.n_cameras, 3))
@@ -293,7 +363,7 @@ def _reference_run_ba(prob: BAProblem, cfg: BAConfig):
             k[:, 1] = np.maximum(k[:, 1], focal_floor)
             k[:, 2] = np.clip(k[:, 2], 0.0, widths)
             k[:, 3] = np.clip(k[:, 3], 0.0, heights)
-        loss, g_cam, g_intr, rx, _ = _loss_terms(prob, cfg, r[prob.camera_indices], t, k, points)
+        loss, g_cam, g_intr, rx, _ = _ref_loss_terms(prob, cfg, r, t, k, points)
         history[it + 1] = float(np.sum(prob.confidences * loss))
         if history[it + 1] < best[0]:
             best = (history[it + 1], (r.copy(), t.copy(), k.copy(), points.copy()), it + 1)
@@ -497,7 +567,7 @@ class TestBAGradients:
         """The behind-camera penalty is quadratic in depth, so central
         differences with h = 1e-4 are exact up to rounding against the 1e4
         penalty constant."""
-        from scenemerge.ba import _loss_terms, _stack_state
+        from scenemerge.ba import _stack_state
 
         cfg = BAConfig()
         worst = 0.0
@@ -517,8 +587,7 @@ class TestBAGradients:
             r0, t0, k0, p0 = _stack_state(prob)
 
             def loss_at(pts_):
-                terms, _, _, _, _ = _loss_terms(prob, cfg, r0[prob.camera_indices], t0, k0, pts_)
-                return float(np.sum(prob.confidences * terms))
+                return _ref_loss(prob, cfg, r0, t0, k0, pts_)
 
             h = 1e-4
             for i in range(3):
@@ -610,7 +679,7 @@ class TestRunBA:
         rotation update reproduce the per-camera, per-dimension loop
         exactly: same loss history, points, rotations, translations and
         intrinsics, and the same gradients from ba_gradients."""
-        from scenemerge.ba import _loss_terms, _stack_state
+        from scenemerge.ba import _stack_state
 
         prob, _ = _perturbed_scene_problem(0)
         cfg = BAConfig(iterations=150, optimize_intrinsics=optimize_intrinsics)
@@ -627,14 +696,35 @@ class TestRunBA:
 
         g = ba_gradients(prob, cfg)
         r0, t0, k0, p0 = _stack_state(prob)
-        _, g_cam, g_intr, rx, _ = _loss_terms(prob, cfg, r0[prob.camera_indices], t0, k0, p0)
-        ref = _reference_reduce(
-            prob, _reference_obs_contributions(prob, r0, g_cam, g_intr, rx), weights=prob.confidences
-        )
-        np.testing.assert_array_equal(g.rotation, ref["rot"])
-        np.testing.assert_array_equal(g.translation, ref["t"])
-        np.testing.assert_array_equal(g.intrinsics, ref["k"])
-        np.testing.assert_array_equal(g.points, ref["p"])
+        _, g_cam, g_intr, rx, _ = _ref_loss_terms(prob, cfg, r0, t0, k0, p0)
+        ref_cam, ref_pt, _, _ = _reference_gradient_sums(prob, r0, g_cam, g_intr, rx)
+        np.testing.assert_array_equal(g.rotation, ref_cam[:, :3])
+        np.testing.assert_array_equal(g.translation, ref_cam[:, 3:6])
+        np.testing.assert_array_equal(g.intrinsics, ref_cam[:, 6:])
+        np.testing.assert_array_equal(g.points, ref_pt)
+
+    @pytest.mark.parametrize("optimize_intrinsics", [True, False])
+    @pytest.mark.parametrize("problem", ["scene", "behind"])
+    def test_kernel_matches_reference_bit_for_bit(self, problem, optimize_intrinsics):
+        """The column kernel reproduces the stacked einsum/cross form exactly:
+        per-observation losses, gradients and step denominators, at the
+        start and after a few iterations that move (or freeze) the
+        intrinsics, on the 20-camera scene and on a ring where some
+        observations lie behind their camera."""
+        from scenemerge.ba import _contribution_buffers, _gradient_sums, _incidences, _loss_terms, _stack_state
+
+        prob = _perturbed_scene_problem(0)[0] if problem == "scene" else _behind_problem(23)
+        cfg = BAConfig(iterations=5, optimize_intrinsics=optimize_intrinsics)
+        for state in (prob, run_ba(prob, cfg).problem):
+            r, t, k, points = _stack_state(state)
+            c_cam, c_pt = _contribution_buffers(state)
+            loss = _loss_terms(state, cfg, r, t, k, points, c_cam, c_pt)
+            sums = _gradient_sums(_incidences(state), c_cam, c_pt)
+            ref_loss, g_cam, g_intr, rx, front = _ref_loss_terms(state, cfg, r, t, k, points)
+            assert front.any() and (problem == "scene") == front.all()
+            np.testing.assert_array_equal(loss, ref_loss)
+            for got, want in zip(sums, _reference_gradient_sums(state, r, g_cam, g_intr, rx)):
+                np.testing.assert_array_equal(got, want)
 
     def test_homogeneity(self):
         """Scaling confidences by a and the learning rate by 1/a reproduces

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from scenemerge.cli import main
-from scenemerge.io_formats import read_poses, read_tracks, write_poses, write_tracks
+from scenemerge.io_formats import read_ply, read_poses, read_tracks, write_ply, write_poses, write_tracks
 
 SEED = 13
 N_CAMERAS = 18
@@ -225,6 +225,23 @@ class TestEval:
         )
         assert code == 3
         assert f"{bad}: malformed PLY header line 3" in capsys.readouterr().err
+
+    def test_non_finite_cloud_vertex_exits_3(self, scene_dir, staged, tmp_path, capsys):
+        cloud = read_ply(staged["refined"] / "merged.ply")
+        cloud.points[7, 2] = np.nan
+        bad = tmp_path / "bad.ply"
+        write_ply(bad, cloud)
+        code = main(
+            [
+                "eval",
+                "--est", str(staged["refined"] / "poses_refined.json"),
+                "--gt", str(scene_dir / "gt" / "poses.json"),
+                "--pred-cloud", str(bad),
+                "--gt-cloud", str(scene_dir / "gt" / "landmarks.ply"),
+            ]
+        )
+        assert code == 3
+        assert f"{bad}: PLY vertex 7 is not finite" in capsys.readouterr().err
 
     def test_frame_id_mismatch_exits_3(self, scene_dir, staged, tmp_path, capsys):
         records = read_poses(staged["refined"] / "poses_refined.json")
@@ -584,6 +601,42 @@ class TestExitCodes:
                 "read_manifest",
                 "field 'similarity_path' has invalid value ['x']",
             ),
+            (
+                "clusters/000/poses.json",
+                lambda doc: doc["poses"][0].__setitem__("fx", float("inf")),
+                "read_poses",
+                "poses[0]: field 'fx' has invalid value inf",
+            ),
+            (
+                "clusters/000/poses.json",
+                lambda doc: doc["poses"][0]["translation"].__setitem__(1, float("nan")),
+                "read_poses",
+                "poses[0]: field 'translation' has invalid value [",
+            ),
+            (
+                "clusters/000/poses.json",
+                lambda doc: doc["poses"][0]["quat_wxyz"].__setitem__(0, float("nan")),
+                "read_poses",
+                "poses[0]: field 'quat_wxyz' has invalid value [nan, ",
+            ),
+            (
+                "clusters/000/poses.json",
+                lambda doc: doc["poses"][0].__setitem__("frame_id", float("inf")),
+                "read_poses",
+                "poses[0]: field 'frame_id' has invalid value inf",
+            ),
+            (
+                "transforms.json",
+                lambda doc: doc["clusters"][1]["translation"].__setitem__(0, float("nan")),
+                "read_transforms",
+                "clusters[1]: field 'translation' has invalid value [nan, ",
+            ),
+            (
+                "transforms.json",
+                lambda doc: doc["clusters"][1].__setitem__("scale", float("inf")),
+                "read_transforms",
+                "clusters[1]: field 'scale' has invalid value inf",
+            ),
         ],
         ids=[
             "pose-without-fx",
@@ -599,12 +652,18 @@ class TestExitCodes:
             "cluster_id-repeated",
             "similarity_path-number",
             "similarity_path-list",
+            "pose-fx-infinite",
+            "pose-translation-nan",
+            "pose-quat-nan",
+            "pose-frame_id-infinite",
+            "transform-translation-nan",
+            "transform-scale-infinite",
         ],
     )
     def test_malformed_json_entry_exits_3(self, scene_dir, staged, tmp_path, capsys, rel, edit, reader, message):
         """A missing field, a non-object entry, a field value of the wrong
-        type or a repeated id is a SchemaViolationError naming the file, the
-        entry and the field, and the CLI exits 3."""
+        type, a non-finite number or a repeated id is a SchemaViolationError
+        naming the file, the entry and the field, and the CLI exits 3."""
         import shutil
 
         from scenemerge import io_formats
@@ -613,18 +672,19 @@ class TestExitCodes:
         scene = tmp_path / "scene"
         shutil.copytree(scene_dir, scene)
         shutil.copy(staged["plan"], scene / "plan.json")
+        shutil.copy(staged["transforms"], scene / "transforms.json")
         path = scene / rel
         doc = json.loads(path.read_text())
         edit(doc)
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaViolationError, match=re.escape(message)):
             getattr(io_formats, reader)(path)
-        if rel == "plan.json":
+        if rel in ("plan.json", "transforms.json"):
             argv = [
                 "track",
-                "--plan", str(path),
+                "--plan", str(scene / "plan.json"),
                 "--clusters", str(scene),
-                "--transforms", str(staged["transforms"]),
+                "--transforms", str(scene / "transforms.json"),
                 "--out", str(tmp_path / "tracks.bin"),
             ]
         else:

@@ -346,5 +346,10 @@ class TestRotationHelpers:
     def test_intrinsics_validation(self):
         with pytest.raises(InvalidPoseError):
             _K(fx=-1.0)
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(InvalidPoseError, match="positive and finite"):
+                _K(fx=bad)
+            with pytest.raises(InvalidPoseError, match="positive and finite"):
+                _K(fy=bad)
         with pytest.raises(InvalidPoseError):
             _K(cx=700.0)  # outside 640-wide image

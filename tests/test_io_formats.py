@@ -476,6 +476,20 @@ class TestPly:
         with pytest.raises(SchemaViolationError, match=re.escape(f"{p}: malformed PLY header line {at + 2}: {line!r}")):
             read_ply(p)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite_vertex(self, tmp_path, bad):
+        """A NaN or infinite coordinate is a DataCorruptionError naming the
+        file and the first bad vertex, not a cloud that fails later inside
+        a KD-tree."""
+        pts = np.arange(12, dtype="<f4").reshape(4, 3)
+        pts[2, 1] = pts[3, 0] = bad
+        p = tmp_path / "a.ply"
+        header = "\n".join(["ply", "format binary_little_endian 1.0", "element vertex 4",
+                            *(f"property float {c}" for c in "xyz"), "end_header", ""])
+        p.write_bytes(header.encode() + pts.tobytes())
+        with pytest.raises(DataCorruptionError, match=re.escape(f"{p}: PLY vertex 2 is not finite")):
+            read_ply(p)
+
     def test_truncated_payload(self, tmp_path):
         p = tmp_path / "a.ply"
         write_ply(p, PointCloud(points=np.zeros((4, 3))))
