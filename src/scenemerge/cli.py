@@ -7,6 +7,11 @@ dropped into the cluster directory). Exit codes: 0 success, 2
 configuration error, 3 data error, 4 numerical divergence. The MERG3R_LOG
 environment variable selects the log level (default WARNING); logs go to
 stderr so stdout stays machine-readable.
+
+Every PipelineConfig setting has one flag, declared once in SETTING_FLAGS
+and added to each subcommand that reads it. The flags default to None, so
+PipelineConfig supplies the defaults and checks the bounds for every
+subcommand alike.
 """
 
 from __future__ import annotations
@@ -21,14 +26,13 @@ from pathlib import Path
 
 from .alignment import MergedGeometry
 from .errors import ConfigError, DataError, DivergenceError
-from .geometry import CameraPose, quat_wxyz_to_matrix
 from .io_formats import (
     JSON_FORMAT_VERSION,
     plan_document,
     pose_record_from_camera,
     read_plan,
     read_ply,
-    read_poses,
+    read_pose_map,
     read_tensor,
     read_tracks,
     read_transforms,
@@ -75,10 +79,6 @@ def _configure_logging() -> None:
         logger.warning("unrecognized %s level %r, using WARNING", LOG_ENV_VAR, name)
 
 
-def _perturb_spec(name: str) -> PerturbationSpec:
-    return PerturbationSpec.none() if name == "none" else PerturbationSpec.default()
-
-
 def _merged_geometry(data, transforms_path) -> MergedGeometry:
     """The scene's clusters under the transforms.json records of their ids."""
     by_id = {rec.cluster_id: rec for rec in read_transforms(transforms_path)}
@@ -86,13 +86,6 @@ def _merged_geometry(data, transforms_path) -> MergedGeometry:
     if missing:
         raise DataError(f"{transforms_path} has no transform for cluster {missing[0]}")
     return MergedGeometry(data.clusters, [sim3_from_transform_record(by_id[c.cluster_id]) for c in data.clusters])
-
-
-def _poses_by_frame(records) -> dict:
-    return {
-        rec.frame_id: CameraPose(rotation=quat_wxyz_to_matrix(rec.quat_wxyz), translation=rec.translation)
-        for rec in records
-    }
 
 
 def _load_config_file(path) -> dict:
@@ -121,27 +114,30 @@ def _pipeline_config(args, file_values: dict | None = None) -> PipelineConfig:
 
 
 def cmd_synth(args) -> None:
+    cfg = _pipeline_config(args)
     manifest_path = synthesize_scene_dir(
         args.out,
         seed=args.seed,
         n_cameras=args.cameras,
         n_landmarks=args.landmarks,
         layout=args.layout,
-        perturb=_perturb_spec(args.perturb),
-        subset_size=args.subset_size,
-        overlap=args.overlap,
+        perturb=PerturbationSpec.none() if args.perturb == "none" else PerturbationSpec.default(),
+        subset_size=cfg.subset_size,
+        overlap=cfg.overlap,
+        n_subsequences=cfg.n_subsequences,
+        similarity_constrained=cfg.similarity_constrained,
     )
     print(f"wrote {manifest_path}")
 
 
 def cmd_plan(args) -> None:
-    similarity = SimilarityMatrix(read_tensor(args.similarity))
+    cfg = _pipeline_config(args)
     plan = plan_scene(
-        similarity,
-        args.subset_size,
-        args.overlap,
-        n_subsequences=args.n_subsequences,
-        similarity_constrained=args.similarity_band,
+        SimilarityMatrix(read_tensor(args.similarity)),
+        cfg.subset_size,
+        cfg.overlap,
+        n_subsequences=cfg.n_subsequences,
+        similarity_constrained=cfg.similarity_constrained,
     )
     if args.out is None:
         print(json.dumps(plan_document(plan), indent=2))
@@ -213,8 +209,8 @@ def cmd_ba(args) -> None:
 def cmd_eval(args) -> None:
     if (args.pred_cloud is None) != (args.gt_cloud is None):
         raise ConfigError("--pred-cloud and --gt-cloud must be given together")
-    est = _poses_by_frame(read_poses(args.est))
-    gt = _poses_by_frame(read_poses(args.gt))
+    est = read_pose_map(args.est)
+    gt = read_pose_map(args.gt)
     if sorted(est) != sorted(gt):
         raise DataError(f"{args.est} and {args.gt} cover different frame ids")
     frame_ids = sorted(gt)
@@ -229,21 +225,7 @@ def cmd_eval(args) -> None:
 
 def cmd_run(args) -> None:
     file_values = _load_config_file(args.config) if args.config is not None else None
-    cfg = _pipeline_config(args, file_values)
-    if args.synth:
-        synthesize_scene_dir(
-            args.scene,
-            seed=args.seed,
-            n_cameras=args.cameras,
-            n_landmarks=args.landmarks,
-            layout=args.layout,
-            perturb=_perturb_spec(args.perturb),
-            subset_size=cfg.subset_size,
-            overlap=cfg.overlap,
-            n_subsequences=cfg.n_subsequences,
-            similarity_constrained=cfg.similarity_constrained,
-        )
-    result = run_pipeline(args.scene, cfg, out_dir=args.out)
+    result = run_pipeline(args.scene, _pipeline_config(args, file_values), out_dir=args.out)
     counts = result.report["counts"]
     print(
         f"merged {result.report['n_images']} images in {result.report['n_subsets']} subsets: "
@@ -260,6 +242,32 @@ def cmd_run(args) -> None:
 # parser
 
 
+# PipelineConfig field -> (flag, argparse keywords); every flag defaults to
+# None, so PipelineConfig supplies the default and checks the bounds.
+SETTING_FLAGS = {
+    "subset_size": ("--subset-size", {"type": int, "help": "frames per subset"}),
+    "overlap": ("--overlap", {"type": int, "help": "frames shared by consecutive subsets"}),
+    "n_subsequences": ("--n-subsequences", {"type": int, "help": "number of interleaved subsequences"}),
+    "similarity_constrained": ("--similarity-band", {"action": argparse.BooleanOptionalAction,
+                               "help": "constrain the interleave to similarity-banded subsequences"}),
+    "conf_percentile": ("--conf-percentile", {"type": float,
+                        "help": "percent of overlap pairs dropped, least confident first"}),
+    "k": ("--k", {"type": int, "help": "frame-graph neighbor count"}),
+    "tau_reproj": ("--tau", {"type": float, "metavar": "TAU", "help": "reprojection gate in pixels"}),
+    "max_keypoints": ("--max-keypoints", {"type": int, "help": "matches kept per frame pair"}),
+    "ba_iterations": ("--iters", {"type": int, "metavar": "ITERS", "help": "BA iterations"}),
+    "ba_lr": ("--lr", {"type": float, "metavar": "LR", "help": "BA initial learning rate"}),
+    "lambda_exp": ("--lambda", {"type": float, "metavar": "LAMBDA", "help": "BA robust-loss exponent"}),
+}
+PLAN_SETTINGS = ("subset_size", "overlap", "n_subsequences", "similarity_constrained")
+
+
+def _add_settings(parser, names) -> None:
+    for name in names:
+        flag, kwargs = SETTING_FLAGS[name]
+        parser.add_argument(flag, dest=name, default=None, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scenemerge",
@@ -273,25 +281,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--landmarks", type=int, default=5000)
     p.add_argument("--layout", choices=("room", "object"), default="room")
     p.add_argument("--perturb", choices=("none", "default"), default="default")
-    p.add_argument("--subset-size", type=int, default=100)
-    p.add_argument("--overlap", type=int, default=5)
+    _add_settings(p, PLAN_SETTINGS)
     p.add_argument("--out", required=True, help="scene directory to create")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("plan", help="order frames and partition them into subsets")
     p.add_argument("--similarity", required=True, help="similarity matrix tensor file")
-    p.add_argument("--subset-size", type=int, default=100)
-    p.add_argument("--overlap", type=int, default=5)
-    p.add_argument("--n-subsequences", type=int, default=None, help="number of interleaved subsequences")
-    p.add_argument("--similarity-band", action="store_true",
-                   help="constrain the interleave to similarity-banded subsequences")
+    _add_settings(p, PLAN_SETTINGS)
     p.add_argument("--out", default=None, help="plan JSON path (stdout when omitted)")
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("align", help="estimate per-cluster Sim(3) transforms")
     p.add_argument("--plan", required=True)
     p.add_argument("--clusters", required=True, help="scene directory with cluster reconstructions")
-    p.add_argument("--conf-percentile", type=float, default=None)
+    _add_settings(p, ("conf_percentile",))
     p.add_argument("--out", required=True, help="transforms JSON path")
     p.set_defaults(func=cmd_align)
 
@@ -299,10 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", required=True)
     p.add_argument("--clusters", required=True, help="scene directory with cluster reconstructions")
     p.add_argument("--transforms", required=True)
-    p.add_argument("--k", type=int, default=None, help="frame-graph neighbor count")
-    p.add_argument("--tau", dest="tau_reproj", metavar="TAU", type=float, default=None,
-                   help="reprojection gate in pixels")
-    p.add_argument("--max-keypoints", type=int, default=None)
+    _add_settings(p, ("k", "tau_reproj", "max_keypoints"))
     p.add_argument("--out", required=True, help="tracks binary path")
     p.set_defaults(func=cmd_track)
 
@@ -311,9 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tracks", required=True)
     p.add_argument("--transforms", default=None,
                    help="transforms JSON (default: transforms.json next to --tracks)")
-    p.add_argument("--iters", dest="ba_iterations", metavar="ITERS", type=int, default=None)
-    p.add_argument("--lr", dest="ba_lr", metavar="LR", type=float, default=None)
-    p.add_argument("--lambda", dest="lambda_exp", type=float, default=None)
+    _add_settings(p, ("ba_iterations", "ba_lr", "lambda_exp"))
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_ba)
 
@@ -328,27 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene", required=True, help="scene directory")
     p.add_argument("--out", required=True, help="artifact output directory")
     p.add_argument("--config", default=None, help="JSON config file (flags take precedence)")
-    p.add_argument("--synth", action="store_true", help="synthesize the scene directory first")
-    p.add_argument("--cameras", type=int, default=200, help="with --synth")
-    p.add_argument("--landmarks", type=int, default=5000, help="with --synth")
-    p.add_argument("--layout", choices=("room", "object"), default="room", help="with --synth")
-    p.add_argument("--perturb", choices=("none", "default"), default="default", help="with --synth")
-    p.add_argument("--subset-size", type=int, default=None)
-    p.add_argument("--overlap", type=int, default=None)
-    p.add_argument("--k", type=int, default=None, help="frame-graph neighbor count")
-    p.add_argument("--conf-percentile", type=float, default=None)
-    p.add_argument("--tau", dest="tau_reproj", metavar="TAU", type=float, default=None,
-                   help="reprojection gate in pixels")
-    p.add_argument("--max-keypoints", type=int, default=None)
-    p.add_argument("--iters", dest="ba_iterations", metavar="ITERS", type=int, default=None)
-    p.add_argument("--lr", dest="ba_lr", metavar="LR", type=float, default=None)
-    p.add_argument("--lambda", dest="lambda_exp", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0, help="with --synth")
-    p.add_argument("--n-subsequences", type=int, default=None,
-                   help="number of interleaved subsequences")
-    p.add_argument("--similarity-band", dest="similarity_constrained",
-                   action=argparse.BooleanOptionalAction, default=None,
-                   help="constrain the interleave to similarity-banded subsequences")
+    _add_settings(p, SETTING_FLAGS)
     p.set_defaults(func=cmd_run)
 
     return parser

@@ -36,7 +36,6 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -215,17 +214,17 @@ def read_manifest(path) -> SceneManifest:
     convention = _value(doc, "pose_convention", str, path)
     images = [
         ImageEntry(
-            frame_id=_value(im, "frame_id", int, where),
-            width=_value(im, "width", int, where),
-            height=_value(im, "height", int, where),
+            frame_id=_value(im, "frame_id", _int, where),
+            width=_value(im, "width", _int, where),
+            height=_value(im, "height", _int, where),
             image_path=im.get("image_path"),
         )
         for where, im in _entries(doc, "images", path)
     ]
     clusters = [
         ClusterEntry(
-            cluster_id=_value(c, "cluster_id", int, where),
-            frame_ids=_value(c, "frame_ids", lambda v: [int(f) for f in v], where),
+            cluster_id=_value(c, "cluster_id", _int, where),
+            frame_ids=_value(c, "frame_ids", _ints, where),
             poses_path=_value(c, "poses_path", str, where),
             depth_paths=_value(c, "depth_paths", lambda v: [str(p) for p in v], where),
             confidence_paths=_value(c, "confidence_paths", lambda v: [str(p) for p in v], where),
@@ -303,7 +302,7 @@ def read_poses(path) -> list[PoseRecord]:
     _check_version(doc, path)
     records = [
         PoseRecord(
-            frame_id=_value(p, "frame_id", int, where),
+            frame_id=_value(p, "frame_id", _int, where),
             quat_wxyz=_read_quat(_value(p, "quat_wxyz", _finite_floats, where), f"{where}.quat_wxyz"),
             translation=_value(p, "translation", _finite_floats, where),
             fx=_value(p, "fx", _finite_float, where),
@@ -315,6 +314,14 @@ def read_poses(path) -> list[PoseRecord]:
     ]
     _check_unique(records, "frame_id", "poses", path)
     return records
+
+
+def read_pose_map(path) -> dict[int, CameraPose]:
+    """A poses file as {frame_id: CameraPose}, for callers that need no intrinsics."""
+    return {
+        rec.frame_id: CameraPose(rotation=quat_wxyz_to_matrix(rec.quat_wxyz), translation=rec.translation)
+        for rec in read_poses(path)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +380,7 @@ def read_transforms(path) -> list[TransformRecord]:
     _check_version(doc, path)
     records = [
         TransformRecord(
-            cluster_id=_value(c, "cluster_id", int, where),
+            cluster_id=_value(c, "cluster_id", _int, where),
             scale=_value(c, "scale", _finite_float, where),
             quat_wxyz=_read_quat(_value(c, "quat_wxyz", _finite_floats, where), f"{where}.quat_wxyz"),
             translation=_value(c, "translation", _finite_floats, where),
@@ -569,9 +576,9 @@ def read_plan(path):
         pseudo_order=_value(doc, "pseudo_order", _indices, path),
         interleaved_order=_value(doc, "interleaved_order", _indices, path),
         subsets=_value(doc, "subsets", lambda v: [_indices(s) for s in v], path),
-        subset_size=_value(doc, "subset_size", int, path),
-        overlap=_value(doc, "overlap", int, path),
-        n_subsequences=_value(doc, "n_subsequences", int, path),
+        subset_size=_value(doc, "subset_size", _int, path),
+        overlap=_value(doc, "overlap", _int, path),
+        n_subsequences=_value(doc, "n_subsequences", _int, path),
     )
 
 
@@ -667,7 +674,21 @@ def _finite_float(value) -> float:
     return x
 
 
-_indices = partial(np.asarray, dtype=np.int64)
+def _int(value) -> int:
+    """value as an int; ValueError for a bool or a number with a fraction,
+    so a corrupt id cannot truncate into another frame's."""
+    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ValueError(value)
+    return int(value)
+
+
+def _ints(value) -> list[int]:
+    return [_int(v) for v in value]
+
+
+def _indices(value) -> np.ndarray:
+    return np.array(_ints(value), dtype=np.int64)
 
 
 def _check_version(doc, path) -> None:

@@ -30,11 +30,10 @@ from .evaluation import evaluate_trajectories, point_cloud_distance, umeyama_ali
 from .geometry import PointCloud, apply_sim3
 from .io_formats import (
     JSON_FORMAT_VERSION,
-    camera_from_pose_record,
     pose_record_from_camera,
     read_manifest,
     read_ply,
-    read_poses,
+    read_pose_map,
     read_tensor,
     sim3_from_transform_record,
     transform_record_from_sim3,
@@ -317,19 +316,6 @@ def check_plan_matches_clusters(clusters, plan) -> None:
             raise ConfigError(f"cluster {cluster.cluster_id} frames do not match plan subset {idx}")
 
 
-def _gt_cameras_for(data: SceneData, frame_ids):
-    """Ground-truth cameras matching frame_ids, or None without a gt/ dir."""
-    gt_path = data.root / "gt" / "poses.json"
-    if not gt_path.exists():
-        return None
-    records = {r.frame_id: r for r in read_poses(gt_path)}
-    missing = [f for f in frame_ids if f not in records]
-    if missing:
-        raise DataError(f"gt poses missing frames {missing[:5]}")
-    images = [data.manifest.image_by_frame(fid) for fid in frame_ids]
-    return [camera_from_pose_record(records[im.frame_id], im.width, im.height) for im in images]
-
-
 def bundle_adjust(merged: MergedGeometry, tracks, cfg: BAConfig):
     """Global BA over the merged cameras and the tracks.
 
@@ -367,13 +353,18 @@ def evaluate_run(data: SceneData, cameras, cloud: PointCloud | None) -> dict | N
     The cloud is scored only when it holds points and gt/landmarks.ply
     exists.
     """
-    gt_cams = _gt_cameras_for(data, [c.frame_id for c in cameras])
-    if gt_cams is None:
+    gt_path = data.root / "gt" / "poses.json"
+    if not gt_path.exists():
         return None
+    gt = read_pose_map(gt_path)
+    missing = [c.frame_id for c in cameras if c.frame_id not in gt]
+    if missing:
+        raise DataError(f"gt poses missing frames {missing[:5]}")
+    gt_poses = [gt[c.frame_id] for c in cameras]
     gt_cloud_path = data.root / "gt" / "landmarks.ply"
     if cloud is not None and len(cloud.points) and gt_cloud_path.exists():
-        return evaluate_reconstruction(cameras, gt_cams, cloud, read_ply(gt_cloud_path))
-    return evaluate_reconstruction(cameras, gt_cams)
+        return evaluate_reconstruction(cameras, gt_poses, cloud, read_ply(gt_cloud_path))
+    return evaluate_reconstruction(cameras, gt_poses)
 
 
 def run_pipeline(

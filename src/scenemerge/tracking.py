@@ -148,9 +148,6 @@ class FrameGraph:
     def __len__(self) -> int:
         return len(self.edges)
 
-    def degrees(self) -> np.ndarray:
-        return np.bincount(np.asarray(self.edges, dtype=np.int64).reshape(-1), minlength=self.n_frames)
-
 
 @dataclass(frozen=True)
 class TrackingResult:

@@ -12,13 +12,14 @@ import re
 import struct
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from scenemerge.cli import main
+from scenemerge.cli import SETTING_FLAGS, main
 from scenemerge.io_formats import read_ply, read_poses, read_tracks, write_ply, write_poses, write_tracks
+from scenemerge.pipeline import PipelineConfig
 
 SEED = 13
 N_CAMERAS = 18
@@ -139,6 +140,45 @@ class TestPlan:
         code = main(["plan", "--similarity", str(tmp_path / "none.mrgt")])
         assert code == 3
         assert "error:" in capsys.readouterr().err
+
+    def test_subset_size_below_config_bound_exits_2(self, scene_dir, capsys):
+        """plan checks its settings through PipelineConfig like run does."""
+        code = main(
+            ["plan", "--similarity", str(scene_dir / "similarity.mrgt"), "--subset-size", "1", "--overlap", "0"]
+        )
+        assert code == 2
+        assert "subset_size must be >= 2" in capsys.readouterr().err
+
+    def test_no_similarity_band_is_the_default(self, scene_dir, staged, capsys):
+        code = main(
+            [
+                "plan",
+                "--similarity", str(scene_dir / "similarity.mrgt"),
+                "--subset-size", str(SUBSET_SIZE),
+                "--overlap", str(OVERLAP),
+                "--no-similarity-band",
+            ]
+        )
+        assert code == 0
+        assert json.loads(capsys.readouterr().out) == json.loads(staged["plan"].read_text())
+
+
+class TestSettingFlags:
+    def test_one_flag_per_config_field(self):
+        assert set(SETTING_FLAGS) == {f.name for f in fields(PipelineConfig)}
+
+    def test_interleave_flags_reach_synth_plan_and_run(self, tmp_path, capsys):
+        """synth, plan and run all read --similarity-band and --n-subsequences:
+        plan's plan.json equals run's byte for byte, and it matches the
+        clusters synth rendered."""
+        scene, plan = tmp_path / "scene", tmp_path / "plan.json"
+        settings = ["--subset-size", "6", "--overlap", "2", "--similarity-band", "--n-subsequences", "2"]
+        synth = ["synth", "--seed", "3", "--cameras", "12", "--landmarks", "400", "--out", str(scene)]
+        assert main(synth + settings) == 0
+        assert main(["plan", "--similarity", str(scene / "similarity.mrgt"), "--out", str(plan)] + settings) == 0
+        assert main(["run", "--scene", str(scene), "--out", str(tmp_path / "out")] + settings) == 0
+        assert plan.read_bytes() == (tmp_path / "out" / "plan.json").read_bytes()
+        assert json.loads(plan.read_text())["n_subsequences"] == 2
 
 
 class TestStagedArtifacts:
@@ -277,20 +317,11 @@ class TestRun:
         for cached, from_run in pairs:
             assert cached.read_bytes() == from_run.read_bytes(), from_run.name
 
-    def test_synth_flag_generates_then_runs(self, tmp_path, capsys):
-        code = main(
-            [
-                "run",
-                "--scene", str(tmp_path / "scene"),
-                "--out", str(tmp_path / "out"),
-                "--synth",
-                "--seed", "3",
-                "--cameras", "12",
-                "--landmarks", "400",
-                "--subset-size", "6",
-                "--overlap", "2",
-            ]
-        )
+    def test_synth_then_run(self, tmp_path, capsys):
+        settings = ["--subset-size", "6", "--overlap", "2"]
+        synth = ["synth", "--seed", "3", "--cameras", "12", "--landmarks", "400", "--out", str(tmp_path / "scene")]
+        assert main(synth + settings) == 0
+        code = main(["run", "--scene", str(tmp_path / "scene"), "--out", str(tmp_path / "out")] + settings)
         assert code == 0
         assert (tmp_path / "scene" / "gt" / "synth.json").exists()
         assert (tmp_path / "out" / "metrics.json").exists()
@@ -637,6 +668,54 @@ class TestExitCodes:
                 "read_transforms",
                 "clusters[1]: field 'scale' has invalid value inf",
             ),
+            (
+                "clusters/000/poses.json",
+                lambda doc: doc["poses"][0].__setitem__("frame_id", 3.7),
+                "read_poses",
+                "poses[0]: field 'frame_id' has invalid value 3.7",
+            ),
+            (
+                "clusters/000/poses.json",
+                lambda doc: doc["poses"][0].__setitem__("frame_id", True),
+                "read_poses",
+                "poses[0]: field 'frame_id' has invalid value True",
+            ),
+            (
+                "manifest.json",
+                lambda doc: doc["images"][0].__setitem__("height", True),
+                "read_manifest",
+                "images[0]: field 'height' has invalid value True",
+            ),
+            (
+                "manifest.json",
+                lambda doc: doc["clusters"][1].__setitem__("cluster_id", 1.5),
+                "read_manifest",
+                "clusters[1]: field 'cluster_id' has invalid value 1.5",
+            ),
+            (
+                "manifest.json",
+                lambda doc: doc["clusters"][0]["frame_ids"].__setitem__(0, 0.5),
+                "read_manifest",
+                "clusters[0]: field 'frame_ids' has invalid value [0.5, ",
+            ),
+            (
+                "transforms.json",
+                lambda doc: doc["clusters"][1].__setitem__("cluster_id", True),
+                "read_transforms",
+                "clusters[1]: field 'cluster_id' has invalid value True",
+            ),
+            (
+                "plan.json",
+                lambda doc: doc.__setitem__("subset_size", 9.5),
+                "read_plan",
+                "field 'subset_size' has invalid value 9.5",
+            ),
+            (
+                "plan.json",
+                lambda doc: doc["subsets"][0].__setitem__(0, 3.7),
+                "read_plan",
+                "field 'subsets' has invalid value [[3.7, ",
+            ),
         ],
         ids=[
             "pose-without-fx",
@@ -658,12 +737,21 @@ class TestExitCodes:
             "pose-frame_id-infinite",
             "transform-translation-nan",
             "transform-scale-infinite",
+            "pose-frame_id-fraction",
+            "pose-frame_id-bool",
+            "image-height-bool",
+            "cluster_id-fraction",
+            "cluster-frame_ids-fraction",
+            "transform-cluster_id-bool",
+            "plan-subset_size-fraction",
+            "plan-subsets-fraction",
         ],
     )
     def test_malformed_json_entry_exits_3(self, scene_dir, staged, tmp_path, capsys, rel, edit, reader, message):
         """A missing field, a non-object entry, a field value of the wrong
-        type, a non-finite number or a repeated id is a SchemaViolationError
-        naming the file, the entry and the field, and the CLI exits 3."""
+        type, a non-finite number, an integer field holding a fraction or a
+        bool, or a repeated id is a SchemaViolationError naming the file, the
+        entry and the field, and the CLI exits 3."""
         import shutil
 
         from scenemerge import io_formats
@@ -692,6 +780,12 @@ class TestExitCodes:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert f"{path}: " in err and message in err
+
+    def test_run_has_no_synth_flag(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--synth", "--scene", str(tmp_path / "s"), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --synth" in capsys.readouterr().err
 
     def test_bad_flag_value_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -16,13 +16,14 @@ import pytest
 
 from scenemerge.errors import ConfigError, DataError
 from scenemerge.geometry import Sim3Transform
-from scenemerge.io_formats import read_manifest, read_tensor, sim3_from_transform_record
+from scenemerge.io_formats import read_manifest, read_poses, read_tensor, sim3_from_transform_record, write_poses
 from scenemerge.ordering import plan_scene
 from scenemerge.pipeline import (
     PipelineConfig,
     align_clusters,
     bundle_adjust,
     check_plan_matches_clusters,
+    evaluate_run,
     load_scene,
     matcher_from_scene_dir,
     run_pipeline,
@@ -384,6 +385,17 @@ class TestRunPipeline:
         shutil.rmtree(stripped / "gt")
         with pytest.raises(DataError, match="track stage: .*supply a matcher"):
             run_pipeline(stripped, _small_config())
+
+    def test_gt_missing_frames_are_named(self, scene_dir, run_output, tmp_path):
+        import shutil
+
+        result, _ = run_output
+        scene = tmp_path / "scene"
+        shutil.copytree(scene_dir, scene)
+        gt_path = scene / "gt" / "poses.json"
+        write_poses(gt_path, [r for r in read_poses(gt_path) if r.frame_id not in (3, 7)])
+        with pytest.raises(DataError, match=r"gt poses missing frames \[3, 7\]"):
+            evaluate_run(load_scene(scene), result.cameras, result.cloud)
 
     def test_stage_name_tags_errors(self, scene_dir):
         with pytest.raises(ConfigError, match="plan stage: "):

@@ -7,7 +7,9 @@ meant to absorb. Every top-level function and class must be referenced
 (as a name or an attribute) somewhere in the package, and every method or
 property other than a dunder must be named by an attribute somewhere in
 the package, unless KEPT_UNREFERENCED gives the reason it stays (members
-are listed as Class.member).
+are listed as Class.member). An attribute read off a name imported from
+outside the package (np.degrees, sparse.diags) belongs to that import, so
+it keeps no package member alive.
 """
 
 import ast
@@ -40,12 +42,30 @@ def _violations(source: str, name: str) -> list[str]:
     return out
 
 
+def _external_imports(tree) -> set[str]:
+    """Names an absolute import binds: modules and objects from outside the package."""
+    return {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.level == 0
+        for alias in node.names
+    }
+
+
+def _attribute_root(node):
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
 def _unreferenced(sources: dict[str, str]) -> list[str]:
     """Top-level functions and classes no Name or Attribute node refers to,
-    and non-dunder methods and properties (Class.member) no Attribute node names."""
+    and non-dunder methods and properties (Class.member) no Attribute node names;
+    attributes of externally imported names do not count."""
     defined, members, names, attrs = {}, {}, set(), set()
     for name, source in sources.items():
         tree = ast.parse(source, filename=name)
+        external = _external_imports(tree)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined[node.name] = f"{name}:{node.lineno}"
@@ -57,7 +77,7 @@ def _unreferenced(sources: dict[str, str]) -> list[str]:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and _attribute_root(node) not in external:
                 attrs.add(node.attr)
     found = [f"{where}: {n}" for n, where in defined.items() if n not in names | attrs]
     found += [f"{where}: {n}" for n, (attr, where) in members.items() if attr not in attrs]
@@ -97,6 +117,14 @@ def test_package_follows_rules():
         ({"a.py": "class A:\n    @property\n    def p(self):\n        pass\n\ny = A().p"}, []),
         ({"a.py": "class A:\n    def __len__(self):\n        return 0\n\nA()"}, []),
         ({"a.py": "class A:\n    def m(self):\n        pass\n\nm = A()"}, ["a.py:2: A.m"]),
+        (
+            {"a.py": "import numpy as np\n\nclass A:\n    def degrees(self):\n        pass\n\nA()\nnp.degrees(1)"},
+            ["a.py:4: A.degrees"],
+        ),
+        (
+            {"a.py": "class A:\n    def eye(self):\n        pass\n\nA()", "b.py": "from scipy import sparse\nsparse.eye"},
+            ["a.py:2: A.eye"],
+        ),
     ],
 )
 def test_dead_code_rule(sources, flagged):
