@@ -246,5 +246,8 @@ def point_cloud_distance(pred, gt):
         if len(arr) == 0:
             raise DataError(f"{name} cloud is empty")
     accuracy = float(np.mean(cKDTree(g).query(p)[0]))
-    completion = float(np.mean(cKDTree(p).query(g)[0]))
+    # Nearest distances do not depend on the tree's shape. Over a large
+    # predicted cloud a sliding-midpoint tree builds and answers faster than
+    # a median-split one.
+    completion = float(np.mean(cKDTree(p, balanced_tree=False, compact_nodes=False).query(g)[0]))
     return accuracy, completion

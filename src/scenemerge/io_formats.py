@@ -651,11 +651,23 @@ def _check_unique(records, name: str, key: str, path) -> None:
             raise SchemaViolationError(f"{path}: {key}[{i}]: repeats {name} {value}")
 
 
-def _optional_str(value) -> str | None:
-    """value itself when it is a string or null; TypeError otherwise."""
-    if value is not None and not isinstance(value, str):
+def _str(value) -> str:
+    """value itself when it is a string; TypeError otherwise."""
+    if not isinstance(value, str):
         raise TypeError(value)
     return value
+
+
+def _object(value) -> dict:
+    """value itself when it is a JSON object; TypeError otherwise."""
+    if not isinstance(value, dict):
+        raise TypeError(value)
+    return value
+
+
+def _optional_str(value) -> str | None:
+    """value itself when it is a string or null; TypeError otherwise."""
+    return None if value is None else _str(value)
 
 
 def _finite_floats(value) -> np.ndarray:

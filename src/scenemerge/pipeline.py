@@ -25,11 +25,18 @@ from .alignment import (
 )
 from .ba import BAConfig, BAProblem, apply_ba_result, run_ba
 from .clusters import load_cluster
-from .errors import ConfigError, DataError, SceneMergeError
+from .errors import ConfigError, DataError, SceneMergeError, SchemaViolationError
 from .evaluation import evaluate_trajectories, point_cloud_distance, umeyama_align
 from .geometry import PointCloud, apply_sim3
 from .io_formats import (
     JSON_FORMAT_VERSION,
+    _finite_float,
+    _finite_floats,
+    _int,
+    _object,
+    _read_json,
+    _str,
+    _value,
     pose_record_from_camera,
     read_manifest,
     read_ply,
@@ -59,6 +66,12 @@ SYNTH_RECORD_NAME = "synth.json"
 
 # PipelineConfig field annotation -> the type a config value must have
 _FIELD_KINDS = {"int": numbers.Integral, "int | None": numbers.Integral, "float": numbers.Real, "bool": bool}
+# PerturbationSpec field annotation -> the converter of its synth.json value
+_PERTURB_CONVERTERS = {
+    "float": _finite_float,
+    "str": _str,
+    "tuple[float, float, float]": lambda v: tuple(_finite_floats(v).reshape(3).tolist()),
+}
 
 
 @dataclass(frozen=True)
@@ -242,25 +255,31 @@ def matcher_from_scene_dir(scene_dir):
 
     Regenerates the ground-truth scene from gt/synth.json; raises DataError
     when the record is absent (real scenes need a caller-supplied matcher).
+    A record that is not valid JSON, lacks a field, or holds a value of the
+    wrong type or one generation rejects raises a DataError subclass naming
+    the file and the field.
     """
     path = Path(scene_dir) / "gt" / SYNTH_RECORD_NAME
     if not path.exists():
         raise DataError(
             f"{scene_dir} has no gt/{SYNTH_RECORD_NAME}; supply a matcher for non-synthetic scenes"
         )
-    record = json.loads(path.read_text(encoding="utf-8"))
+    record = _read_json(path, "synthetic record")
+    perturb = _value(record, "perturb", _object, path)
+    where = f"{path}: perturb"
     try:
-        scene = generate_scene(
-            record["seed"],
-            n_cameras=record["n_cameras"],
-            n_landmarks=record["n_landmarks"],
-            layout=record["layout"],
+        spec = PerturbationSpec(
+            **{f.name: _value(perturb, f.name, _PERTURB_CONVERTERS[f.type], where) for f in fields(PerturbationSpec)}
         )
-        spec = {f.name: record["perturb"][f.name] for f in fields(PerturbationSpec)}
-        perturb = PerturbationSpec(**{**spec, "per_cluster_sim3_noise": tuple(spec["per_cluster_sim3_noise"])})
-    except KeyError as e:
-        raise DataError(f"{path}: synthetic record missing field {e}") from None
-    return synthetic_matcher(scene, perturb)
+        scene = generate_scene(
+            _value(record, "seed", _int, path),
+            n_cameras=_value(record, "n_cameras", _int, path),
+            n_landmarks=_value(record, "n_landmarks", _int, path),
+            layout=_value(record, "layout", _str, path),
+        )
+    except ConfigError as e:
+        raise SchemaViolationError(f"{path}: {e}") from None
+    return synthetic_matcher(scene, spec)
 
 
 def align_clusters(clusters, conf_percentile: float = 70.0):

@@ -10,9 +10,11 @@ given the scene seed.
 Conventions:
 
 * A landmark is "visible" in a camera when it wins the z-buffer at the
-  pixel it projects to. Rendering, similarity, and matching all share this
-  definition, so with zero injected noise the matcher's correspondences
-  verify exactly against the rendered depth maps.
+  pixel it projects to (the nearest integer pixel). The winner of a pixel
+  is the landmark with the smallest camera depth; on a depth tie, the
+  lowest landmark index. Rendering, similarity, and matching all share
+  this definition, so with zero injected noise the matcher's
+  correspondences verify exactly against the rendered depth maps.
 * The injected cluster warp w maps ground truth into the cluster frame;
   the expected alignment between clusters a and b is w_a composed with
   the inverse of w_b.
@@ -140,11 +142,16 @@ def _splat(camera: CameraParams, landmarks: np.ndarray):
     keep = np.flatnonzero((col >= 0) & (col < k.width) & (row >= 0) & (row < k.height))
     idx = idx.take(keep)
     pix = (row * k.width + col).take(keep)
-    order = np.lexsort((z[idx], pix))
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = pix[order][1:] != pix[order][:-1]
-    winners = idx[order][first]
-    win_pix = pix[order][first]
+    zi = z.take(idx)
+    # Per-pixel minimum depth, then the lowest position among the rows that
+    # reach it: idx ascends, so that is the lowest landmark index.
+    zmin = np.full(k.height * k.width, np.inf)
+    np.minimum.at(zmin, pix, zi)
+    cand = np.flatnonzero(zi == zmin.take(pix))
+    first = np.full(k.height * k.width, len(idx))
+    np.minimum.at(first, pix.take(cand), cand)
+    win_pix = np.flatnonzero(first < len(idx))
+    winners = idx.take(first.take(win_pix))
     depth = np.zeros((k.height, k.width), dtype=np.float32)
     depth.reshape(-1)[win_pix] = z[winners].astype(np.float32)
     return depth, winners, win_pix
@@ -261,6 +268,10 @@ def generate_scene(
     """
     if n_cameras < 2:
         raise ConfigError(f"need at least 2 cameras, got {n_cameras}")
+    if n_landmarks < 1:
+        raise ConfigError(f"need at least 1 landmark, got {n_landmarks}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if layout not in ("room", "object"):
         raise ConfigError(f"unknown layout {layout!r}, expected 'room' or 'object'")
     rng = np.random.default_rng(seed)

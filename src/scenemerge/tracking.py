@@ -195,24 +195,29 @@ def verify_matches(ms: MatchSet, merged, tau_reproj: float = 8.0) -> MatchSet:
     A pair survives iff both pixels sample valid depth, the point that
     merged.sample lifts from pixel i reprojects through merged's camera of
     frame j within tau_reproj of its partner (landing in front of the
-    camera), and the symmetric j to i check passes.
+    camera), and the symmetric j to i check passes. The reverse check runs
+    only on the pairs that survive the forward one; every row gets the bits
+    it would get alone, so the survivors are those of checking both
+    directions on every pair.
     """
     if not (np.isfinite(tau_reproj) and tau_reproj > 0):
         raise ConfigError(f"tau_reproj must be positive and finite, got {tau_reproj}")
     if len(ms) == 0:
         return ms
-    keep = np.ones(len(ms), dtype=bool)
-    for src, pix_src, dst, pix_dst in (
-        (ms.frame_i, ms.pixels_i, ms.frame_j, ms.pixels_j),
-        (ms.frame_j, ms.pixels_j, ms.frame_i, ms.pixels_i),
-    ):
-        pts, _, valid = merged.sample(src, pix_src)
-        uv, in_front = project_points(pts, merged.camera(dst))
-        # clipped so a huge pixel cannot overflow the norm; it fails either way
-        diff = np.where(np.isfinite(uv), uv, np.inf) - pix_dst
-        err = np.linalg.norm(np.clip(diff, -2 * tau_reproj, 2 * tau_reproj), axis=1)
-        keep &= valid & in_front & (err <= tau_reproj)
-    return ms.select(keep)
+    keep = np.flatnonzero(_reprojects(merged, ms.frame_i, ms.pixels_i, ms.frame_j, ms.pixels_j, tau_reproj))
+    back = _reprojects(merged, ms.frame_j, ms.pixels_j[keep], ms.frame_i, ms.pixels_i[keep], tau_reproj)
+    return ms.select(keep[back])
+
+
+def _reprojects(merged, src: int, pix_src: np.ndarray, dst: int, pix_dst: np.ndarray, tau_reproj: float):
+    """Mask of the pixels of frame src whose lifted point lands in front of
+    frame dst's camera within tau_reproj of its partner in pix_dst."""
+    pts, _, valid = merged.sample(src, pix_src)
+    uv, in_front = project_points(pts, merged.camera(dst))
+    # clipped so a huge pixel cannot overflow the norm; it fails either way
+    diff = np.where(np.isfinite(uv), uv, np.inf) - pix_dst
+    err = np.linalg.norm(np.clip(diff, -2 * tau_reproj, 2 * tau_reproj), axis=1)
+    return valid & in_front & (err <= tau_reproj)
 
 
 def _intern_keypoints(all_matches):

@@ -103,6 +103,14 @@ class TestSynth:
             main(["synth", "--layout", "city", "--out", str(tmp_path / "x")])
         assert exc.value.code == 2  # argparse rejects unknown choices
 
+    @pytest.mark.parametrize(
+        "flags, message", [(["--landmarks", "-5"], "at least 1 landmark"), (["--seed", "-1"], "seed must be >= 0")]
+    )
+    def test_rejects_bad_scene_size_or_seed(self, tmp_path, capsys, flags, message):
+        argv = ["synth", "--cameras", "12", "--landmarks", "400", "--subset-size", "6", "--overlap", "2"]
+        assert main(argv + flags + ["--out", str(tmp_path / "x")]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestPlan:
     def test_stdout_json_when_no_out(self, scene_dir, capsys):
@@ -778,6 +786,70 @@ class TestExitCodes:
         else:
             argv = ["run", "--scene", str(scene), "--out", str(tmp_path / "o")]
         assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"{path}: " in err and message in err
+
+    @pytest.mark.parametrize(
+        "edit, error, message",
+        [
+            (
+                lambda doc: doc.__setitem__("seed", "abc"),
+                "SchemaViolationError",
+                "field 'seed' has invalid value 'abc'",
+            ),
+            (
+                lambda doc: doc.__setitem__("n_cameras", N_CAMERAS + 0.5),
+                "SchemaViolationError",
+                f"field 'n_cameras' has invalid value {N_CAMERAS + 0.5}",
+            ),
+            (lambda doc: doc.__setitem__("layout", 5), "SchemaViolationError", "field 'layout' has invalid value 5"),
+            (lambda doc: doc.__setitem__("layout", "cube"), "SchemaViolationError", "unknown layout 'cube'"),
+            (lambda doc: doc.__setitem__("n_landmarks", -5), "SchemaViolationError", "need at least 1 landmark"),
+            (
+                lambda doc: doc.__setitem__("perturb", [0.5]),
+                "SchemaViolationError",
+                "field 'perturb' has invalid value [0.5]",
+            ),
+            (
+                lambda doc: doc["perturb"].__setitem__("match_pixel_noise_sigma", float("nan")),
+                "SchemaViolationError",
+                "perturb: field 'match_pixel_noise_sigma' has invalid value nan",
+            ),
+            (None, "DataCorruptionError", "invalid JSON in synthetic record file"),
+        ],
+        ids=[
+            "seed-string",
+            "n_cameras-fraction",
+            "layout-number",
+            "layout-unknown",
+            "n_landmarks-negative",
+            "perturb-list",
+            "perturb-sigma-nan",
+            "truncated",
+        ],
+    )
+    def test_bad_synth_record_exits_3(self, scene_dir, tmp_path, capsys, edit, error, message):
+        """gt/synth.json is read like every other JSON file: a truncated
+        record, a value of the wrong type, or one scene generation rejects
+        raises a DataError naming the file and the field, and run exits 3."""
+        import shutil
+
+        from scenemerge import errors
+        from scenemerge.pipeline import matcher_from_scene_dir
+
+        scene = tmp_path / "scene"
+        shutil.copytree(scene_dir, scene)
+        path = scene / "gt" / "synth.json"
+        if edit is None:
+            path.write_text(path.read_text()[:40])
+        else:
+            doc = json.loads(path.read_text())
+            edit(doc)
+            path.write_text(json.dumps(doc))
+        with pytest.raises(getattr(errors, error), match=re.escape(message)):
+            matcher_from_scene_dir(scene)
+        argv = ["run", "--scene", str(scene), "--subset-size", str(SUBSET_SIZE), "--overlap", str(OVERLAP)]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert f"{path}: " in err and message in err
 

@@ -552,6 +552,17 @@ class TestPointCloudDistance:
         acc2, comp2 = point_cloud_distance(b, a)
         assert (acc2, comp2) == (comp, acc)
 
+    def test_matches_brute_force(self):
+        """Both directions equal the mean of a brute-force minimum over all
+        pairwise distances, bit for bit, whatever tree answers the queries."""
+        rng = np.random.default_rng(23)
+        pred = rng.normal(size=(700, 3))
+        gt = rng.normal(size=(300, 3)) * [2.0, 1.0, 0.5]
+        dist = np.sqrt(np.sum((pred[:, None, :] - gt[None, :, :]) ** 2, axis=2))
+        accuracy, completion = point_cloud_distance(pred, gt)
+        assert accuracy == float(np.mean(np.min(dist, axis=1)))
+        assert completion == float(np.mean(np.min(dist, axis=0)))
+
     def test_accepts_point_cloud_objects(self):
         rng = np.random.default_rng(21)
         pts = rng.normal(size=(25, 3))

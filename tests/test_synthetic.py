@@ -6,8 +6,17 @@ from scipy.stats import spearmanr
 
 from scenemerge.alignment import MergedGeometry
 from scenemerge.errors import ConfigError, GenerationFailureError
-from scenemerge.geometry import CameraIntrinsics, CameraParams, CameraPose, Sim3Transform, apply_sim3, rotation_angle
+from scenemerge.geometry import (
+    CameraIntrinsics,
+    CameraParams,
+    CameraPose,
+    Sim3Transform,
+    apply_sim3,
+    pinhole,
+    rotation_angle,
+)
 from scenemerge.synthetic import (
+    _NEAR_PLANE,
     PerturbationSpec,
     _splat,
     generate_scene,
@@ -27,6 +36,69 @@ def _unproject_gt_frame(scene, frame_index):
     k = cam.intrinsics
     pts_cam = np.stack([(cols - k.cx) / k.fx * d, (rows - k.cy) / k.fy * d, d], axis=1)
     return (pts_cam - cam.pose.translation) @ cam.pose.rotation
+
+
+def _splat_lexsort(camera, landmarks):
+    """Reference z-buffer: a stable sort by (pixel, depth) keeps each pixel's
+    first row, the nearest landmark and on a depth tie the lowest index."""
+    k = camera.intrinsics
+    cam_pts = camera.pose.world_to_camera(landmarks)
+    z = cam_pts[:, 2]
+    idx = np.flatnonzero(z > _NEAR_PLANE)
+    uv, _ = pinhole(cam_pts.take(idx, axis=0), k.row())
+    col, row = np.rint(uv.T).astype(np.int64)
+    keep = np.flatnonzero((col >= 0) & (col < k.width) & (row >= 0) & (row < k.height))
+    idx = idx.take(keep)
+    pix = (row * k.width + col).take(keep)
+    order = np.lexsort((z[idx], pix))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = pix[order][1:] != pix[order][:-1]
+    winners = idx[order][first]
+    win_pix = pix[order][first]
+    depth = np.zeros((k.height, k.width), dtype=np.float32)
+    depth.reshape(-1)[win_pix] = z[winners].astype(np.float32)
+    return depth, winners, win_pix
+
+
+def _assert_splats_equal(camera, landmarks):
+    got, ref = _splat(camera, landmarks), _splat_lexsort(camera, landmarks)
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    return got
+
+
+class TestSplat:
+    @pytest.mark.parametrize("layout", ["room", "object"])
+    def test_matches_lexsort_reference_on_every_camera(self, layout):
+        scene = generate_scene(42, 200, 5000, layout)
+        for camera in scene.gt_cameras:
+            _assert_splats_equal(camera, scene.landmarks)
+
+    @staticmethod
+    def _camera():
+        k = CameraIntrinsics(fx=100.0, fy=100.0, cx=32.0, cy=24.0, width=64, height=48)
+        return CameraParams(k, CameraPose(np.eye(3), np.zeros(3)), frame_id=0)
+
+    def test_depth_tie_goes_to_the_lower_index(self):
+        # 1 and 2 round to pixel (24, 32) at depth 2; 0 lands on (34, 32)
+        landmarks = np.array([[0.0, 0.2, 2.0], [0.001, 0.0, 2.0], [0.0, 0.0, 2.0]])
+        _, winners, pix = _assert_splats_equal(self._camera(), landmarks)
+        assert winners.tolist() == [1, 0]
+        assert pix.tolist() == [24 * 64 + 32, 34 * 64 + 32]
+
+    def test_nearer_landmark_wins_with_the_higher_index(self):
+        landmarks = np.array([[0.0, 0.0, 3.0], [0.001, 0.0, 2.0]])
+        depth, winners, pix = _assert_splats_equal(self._camera(), landmarks)
+        assert winners.tolist() == [1]
+        assert pix.tolist() == [24 * 64 + 32]
+        assert depth[24, 32] == 2.0 and np.count_nonzero(depth) == 1
+
+    def test_frame_with_no_landmark_in_view(self):
+        landmarks = np.array([[0.0, 0.0, -2.0], [50.0, 0.0, 1.0], [0.0, 0.0, 0.01]])
+        depth, winners, pix = _assert_splats_equal(self._camera(), landmarks)
+        assert len(winners) == len(pix) == 0
+        assert not depth.any()
 
 
 class TestGenerateScene:
@@ -67,6 +139,15 @@ class TestGenerateScene:
     def test_rejects_single_camera(self):
         with pytest.raises(ConfigError):
             generate_scene(seed=0, n_cameras=1)
+
+    @pytest.mark.parametrize("n_landmarks", [0, -5])
+    def test_rejects_fewer_than_one_landmark(self, n_landmarks):
+        with pytest.raises(ConfigError, match="at least 1 landmark"):
+            generate_scene(seed=0, n_cameras=4, n_landmarks=n_landmarks)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            generate_scene(seed=-1, n_cameras=4, n_landmarks=500)
 
     def test_rejects_unknown_layout(self):
         with pytest.raises(ConfigError):

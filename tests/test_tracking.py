@@ -19,6 +19,7 @@ from scenemerge.geometry import (
     CameraPose,
     Sim3Transform,
     apply_sim3,
+    project_points,
 )
 from scenemerge.ordering import SimilarityMatrix, plan_scene
 from scenemerge.synthetic import (
@@ -75,6 +76,24 @@ def _pair(fi, fj, pixels):
         pixels_i=np.array([p[0] for p in pixels], dtype=np.float64),
         pixels_j=np.array([p[1] for p in pixels], dtype=np.float64),
     )
+
+
+def _reference_verify_matches(ms, merged, tau_reproj):
+    """Reference gate: both directions on every pair, then AND.
+
+    Returns (kept pairs, forward pass mask, reverse pass mask)."""
+    passes = []
+    for src, pix_src, dst, pix_dst in (
+        (ms.frame_i, ms.pixels_i, ms.frame_j, ms.pixels_j),
+        (ms.frame_j, ms.pixels_j, ms.frame_i, ms.pixels_i),
+    ):
+        pts, _, valid = merged.sample(src, pix_src)
+        uv, in_front = project_points(pts, merged.camera(dst))
+        diff = np.where(np.isfinite(uv), uv, np.inf) - pix_dst
+        err = np.linalg.norm(np.clip(diff, -2 * tau_reproj, 2 * tau_reproj), axis=1)
+        passes.append(valid & in_front & (err <= tau_reproj))
+    forward, reverse = passes
+    return ms.select(forward & reverse), forward, reverse
 
 
 class _DisjointSet:
@@ -623,6 +642,25 @@ class TestRunTracking:
         assert sorted(map(_track_bits, tracks)) == sorted(map(_track_bits, reference))
         via_run = _track_list(run_tracking(sim, merged, matcher, k=5).tracks)
         assert list(map(_track_bits, via_run)) == list(map(_track_bits, tracks))
+
+    def test_verify_matches_reference_bit_for_bit(self):
+        """On every edge of a 20-camera scene, checking the reverse direction
+        only on forward survivors keeps the pairs that checking both
+        directions on every pair keeps, bit for bit; the edges hold pairs
+        that fail only the forward check and pairs that fail only the
+        reverse one."""
+        scene, spec, sim, plan, clusters, warps, merged = self._pipeline_pieces()
+        matcher = synthetic_matcher(scene, spec)
+        forward_only = reverse_only = 0
+        for i, j in build_frame_graph(sim, 5).edges:
+            ms = matcher(i, j)
+            kept = verify_matches(ms, merged, 8.0)
+            reference, forward, reverse = _reference_verify_matches(ms, merged, 8.0)
+            assert kept.pixels_i.tobytes() == reference.pixels_i.tobytes()
+            assert kept.pixels_j.tobytes() == reference.pixels_j.tobytes()
+            forward_only += int(np.sum(~forward & reverse))
+            reverse_only += int(np.sum(forward & ~reverse))
+        assert forward_only > 0 and reverse_only > 0
 
     def test_matcher_failure_skips_edge(self):
         scene, spec, sim, plan, clusters, warps, merged = self._pipeline_pieces(n_cameras=10)
