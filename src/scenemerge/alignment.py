@@ -108,8 +108,8 @@ def extract_overlap_correspondences(
     pts_a, pts_b, confs = [], [], []
     for fid in shared:
         ia, ib = a.frame_index(fid), b.frame_index(fid)
-        da = a.depths[ia].values.astype(np.float64)
-        db = b.depths[ib].values.astype(np.float64)
+        da = a.depths[ia].astype(np.float64)
+        db = b.depths[ib].astype(np.float64)
         valid = (da > 0) & (db > 0)
         if not valid.any():
             continue
@@ -117,9 +117,7 @@ def extract_overlap_correspondences(
         pixels = np.stack([cols, rows], axis=1).astype(np.float64)
         pts_a.append(unproject_pixels(pixels, da[rows, cols], a.cameras[ia]))
         pts_b.append(unproject_pixels(pixels, db[rows, cols], b.cameras[ib]))
-        confs.append(
-            np.minimum(a.confidences[ia].values[rows, cols], b.confidences[ib].values[rows, cols])
-        )
+        confs.append(np.minimum(a.confidences[ia][rows, cols], b.confidences[ib][rows, cols]))
     if not pts_a:
         raise InsufficientOverlapError(
             f"clusters {a.cluster_id} and {b.cluster_id} have no pixel valid in both depth maps"
@@ -282,8 +280,8 @@ def chain_alignments(pairwise) -> list[Sim3Transform]:
 
 
 def _mean_frame_confidence(cluster: ClusterReconstruction, index: int) -> float:
-    conf = cluster.confidences[index].values
-    valid = cluster.depths[index].values > 0
+    conf = cluster.confidences[index]
+    valid = cluster.depths[index] > 0
     if not valid.any():
         return 0.0
     return float(conf[valid].mean())
@@ -338,7 +336,7 @@ class MergedGeometry:
         return self.frame_geometry(frame_id)[0]
 
     def frame_geometry(self, frame_id: int):
-        """(global camera, local DepthMap, ConfidenceMap, depth scale)."""
+        """(global camera, local float32 depth map, confidence map, depth scale)."""
         try:
             return self._frames[frame_id]
         except KeyError:
@@ -355,15 +353,16 @@ class MergedGeometry:
         """
         cam, depth, conf, scale = self.frame_geometry(frame_id)
         pixels = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
-        col, row = np.rint(np.clip(pixels, -1, [depth.width, depth.height])).astype(np.int64).T
-        rows = np.flatnonzero((col >= 0) & (col < depth.width) & (row >= 0) & (row < depth.height))
-        d = depth.values[row[rows], col[rows]]
+        height, width = depth.shape
+        col, row = np.rint(np.clip(pixels, -1, [width, height])).astype(np.int64).T
+        rows = np.flatnonzero((col >= 0) & (col < width) & (row >= 0) & (row < height))
+        d = depth[row[rows], col[rows]]
         rows, d = rows[d > 0], d[d > 0]
         pts = np.full((len(pixels), 3), np.nan)
         confs = np.zeros(len(pixels))
         valid = np.zeros(len(pixels), dtype=bool)
         pts[rows] = unproject_pixels(pixels[rows], d.astype(np.float64) * scale, cam)
-        confs[rows] = conf.values[row[rows], col[rows]]
+        confs[rows] = conf[row[rows], col[rows]]
         valid[rows] = True
         return pts, confs, valid
 
@@ -379,13 +378,13 @@ class MergedGeometry:
         pts, confs = [], []
         for fid, cam in zip(frames, cameras):
             _, depth, conf, scale = self._frames[fid]
-            d = depth.values.astype(np.float64)
+            d = depth.astype(np.float64)
             rows, cols = np.nonzero(d > 0)
             if len(rows) == 0:
                 continue
             pixels = np.stack([cols, rows], axis=1).astype(np.float64)
             pts.append(unproject_pixels(pixels, d[rows, cols] * scale, cam))
-            confs.append(conf.values[rows, cols].astype(np.float64))
+            confs.append(conf[rows, cols].astype(np.float64))
         if not pts:
             return PointCloud(points=np.zeros((0, 3)), confidences=np.zeros(0))
         return PointCloud(points=np.concatenate(pts), confidences=np.concatenate(confs))

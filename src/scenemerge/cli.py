@@ -33,7 +33,6 @@ from .io_formats import (
     read_plan,
     read_ply,
     read_pose_map,
-    read_tensor,
     read_tracks,
     read_transforms,
     sim3_from_transform_record,
@@ -43,7 +42,7 @@ from .io_formats import (
     write_tracks,
     write_transforms,
 )
-from .ordering import SimilarityMatrix, plan_scene
+from .ordering import plan_scene, read_similarity
 from .pipeline import (
     PipelineConfig,
     align_clusters,
@@ -133,7 +132,7 @@ def cmd_synth(args) -> None:
 def cmd_plan(args) -> None:
     cfg = _pipeline_config(args)
     plan = plan_scene(
-        SimilarityMatrix(read_tensor(args.similarity)),
+        read_similarity(args.similarity),
         cfg.subset_size,
         cfg.overlap,
         n_subsequences=cfg.n_subsequences,

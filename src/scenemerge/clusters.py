@@ -2,11 +2,13 @@
 
 A cluster is one subset's reconstruction in its own (arbitrary, scaled)
 frame, as a foundation model or the synthetic oracle would produce it.
-Depth values <= 0 mark invalid pixels; confidences are raw nonnegative
-scores with no cross-model calibration (percentile filtering downstream
-makes the scale irrelevant). Integer pixel coordinates sit at pixel
-centers, so unprojecting pixel (u, v) at its stored depth and projecting
-it back is the identity.
+Each frame's depth and confidence maps are plain row-major float32 arrays
+of shape (height, width); ClusterReconstruction casts them and is the one
+place their shape and sign are checked. Depth values <= 0 mark invalid
+pixels; confidences are raw nonnegative scores with no cross-model
+calibration (percentile filtering downstream makes the scale irrelevant).
+Integer pixel coordinates sit at pixel centers, so unprojecting pixel
+(u, v) at its stored depth and projecting it back is the identity.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 
 from .errors import (
     DataCorruptionError,
+    InvalidPoseError,
     MissingFrameError,
     SchemaViolationError,
 )
@@ -26,7 +29,6 @@ from .io_formats import (
     ClusterEntry,
     camera_from_pose_record,
     pose_record_from_camera,
-    read_manifest,
     read_poses,
     read_tensor,
     write_poses,
@@ -35,58 +37,19 @@ from .io_formats import (
 
 
 @dataclass(frozen=True)
-class DepthMap:
-    """Row-major (height, width) depth grid; 0 or negative marks invalid."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float32)
-        if v.ndim != 2:
-            raise SchemaViolationError(f"depth map must be 2-D, got shape {v.shape}")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class ConfidenceMap:
-    """Row-major (height, width) nonnegative confidence grid."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float32)
-        if v.ndim != 2:
-            raise SchemaViolationError(f"confidence map must be 2-D, got shape {v.shape}")
-        if np.any(v < 0):
-            raise SchemaViolationError("confidence map contains negative values")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True)
 class ClusterReconstruction:
-    """One subset's reconstruction in its own arbitrary Sim(3) gauge."""
+    """One subset's reconstruction in its own arbitrary Sim(3) gauge.
+
+    Construction casts every map to float32 and rejects, naming the cluster
+    and the frame, a map whose shape is not the camera's (height, width) and
+    a negative confidence.
+    """
 
     cluster_id: int
     frame_ids: list[int]
     cameras: list[CameraParams]
-    depths: list[DepthMap]
-    confidences: list[ConfidenceMap]
+    depths: list[np.ndarray]
+    confidences: list[np.ndarray]
 
     def __post_init__(self):
         n = len(self.frame_ids)
@@ -98,22 +61,26 @@ class ClusterReconstruction:
             )
         if len(set(self.frame_ids)) != n:
             raise SchemaViolationError(f"cluster {self.cluster_id}: duplicate frame_ids")
-        for fid, cam, d, c in zip(self.frame_ids, self.cameras, self.depths, self.confidences):
+        depths = [np.asarray(d, dtype=np.float32) for d in self.depths]
+        confidences = [np.asarray(c, dtype=np.float32) for c in self.confidences]
+        for fid, cam, d, c in zip(self.frame_ids, self.cameras, depths, confidences):
             if cam.frame_id != fid:
                 raise SchemaViolationError(
                     f"cluster {self.cluster_id}: camera frame_id {cam.frame_id} does not match {fid}"
                 )
             k = cam.intrinsics
-            if (d.height, d.width) != (k.height, k.width):
+            for kind, m in (("depth", d), ("confidence", c)):
+                if m.shape != (k.height, k.width):
+                    raise SchemaViolationError(
+                        f"cluster {self.cluster_id} frame {fid}: {kind} map has shape {m.shape}, "
+                        f"intrinsics need ({k.height}, {k.width})"
+                    )
+            if np.any(c < 0):
                 raise SchemaViolationError(
-                    f"cluster {self.cluster_id} frame {fid}: depth {d.width}x{d.height} "
-                    f"does not match intrinsics {k.width}x{k.height}"
+                    f"cluster {self.cluster_id} frame {fid}: confidence map contains negative values"
                 )
-            if (c.height, c.width) != (d.height, d.width):
-                raise SchemaViolationError(
-                    f"cluster {self.cluster_id} frame {fid}: confidence {c.width}x{c.height} "
-                    f"does not match depth {d.width}x{d.height}"
-                )
+        object.__setattr__(self, "depths", depths)
+        object.__setattr__(self, "confidences", confidences)
 
     def __len__(self) -> int:
         return len(self.frame_ids)
@@ -125,20 +92,19 @@ class ClusterReconstruction:
             raise MissingFrameError(f"frame {frame_id} not in cluster {self.cluster_id}") from None
 
 
-def load_cluster(manifest_path, cluster_id: int) -> ClusterReconstruction:
-    """Load one cluster's reconstruction from a scene directory.
+def load_cluster(root, entry: ClusterEntry, image_sizes: dict) -> ClusterReconstruction:
+    """Load one manifest cluster entry from the scene directory root.
 
-    Paths in the manifest are resolved relative to the manifest file.
-    Raises MissingFrameError naming the frame when a per-frame file is
-    absent, DataCorruptionError for non-finite payloads or truncated
-    tensors, and SchemaViolationError for dimension mismatches.
+    The entry's paths are relative to root, and image_sizes maps each frame
+    id to its (width, height). Raises MissingFrameError naming the frame
+    when a per-frame file is absent, InvalidPoseError naming the poses file
+    and the frame for a camera geometry rejects, DataCorruptionError for
+    non-finite payloads or truncated tensors, and SchemaViolationError for
+    dimension mismatches.
     """
-    manifest_path = Path(manifest_path)
-    manifest = read_manifest(manifest_path)
-    entry = manifest.cluster_by_id(cluster_id)
-    base = manifest_path.parent
-
-    poses_file = base / entry.poses_path
+    root = Path(root)
+    cluster_id = entry.cluster_id
+    poses_file = root / entry.poses_path
     if not poses_file.exists():
         raise MissingFrameError(f"cluster {cluster_id}: poses file {entry.poses_path} not found")
     records = {r.frame_id: r for r in read_poses(poses_file)}
@@ -147,20 +113,22 @@ def load_cluster(manifest_path, cluster_id: int) -> ClusterReconstruction:
     for fid, dpath, cpath in zip(entry.frame_ids, entry.depth_paths, entry.confidence_paths):
         if fid not in records:
             raise MissingFrameError(f"cluster {cluster_id}: frame {fid} missing from {entry.poses_path}")
-        image = manifest.image_by_frame(fid)
-        cameras.append(camera_from_pose_record(records[fid], image.width, image.height))
+        try:
+            cameras.append(camera_from_pose_record(records[fid], *image_sizes[fid]))
+        except InvalidPoseError as e:
+            raise InvalidPoseError(f"{poses_file}: frame {fid}: {e}") from e
         for kind, rel in (("depth", dpath), ("confidence", cpath)):
-            if not (base / rel).exists():
+            if not (root / rel).exists():
                 raise MissingFrameError(f"cluster {cluster_id}: {kind} file for frame {fid} not found: {rel}")
-        d = read_tensor(base / dpath)
-        c = read_tensor(base / cpath)
+        d = read_tensor(root / dpath)
+        c = read_tensor(root / cpath)
         for kind, arr, rel in (("depth", d, dpath), ("confidence", c, cpath)):
             if not np.all(np.isfinite(arr)):
                 raise DataCorruptionError(
                     f"cluster {cluster_id} frame {fid}: non-finite value in {kind} tensor {rel}"
                 )
-        depths.append(DepthMap(d))
-        confidences.append(ConfidenceMap(c))
+        depths.append(d)
+        confidences.append(c)
 
     return ClusterReconstruction(
         cluster_id=cluster_id,
@@ -186,8 +154,8 @@ def write_cluster(scene_dir, cluster: ClusterReconstruction) -> ClusterEntry:
     for fid, d, c in zip(cluster.frame_ids, cluster.depths, cluster.confidences):
         dp = rel_dir / f"depth_{fid:05d}.mrgt"
         cp = rel_dir / f"conf_{fid:05d}.mrgt"
-        write_tensor(scene_dir / dp, d.values)
-        write_tensor(scene_dir / cp, c.values)
+        write_tensor(scene_dir / dp, d)
+        write_tensor(scene_dir / cp, c)
         depth_paths.append(str(dp))
         conf_paths.append(str(cp))
     return ClusterEntry(

@@ -171,18 +171,6 @@ class SceneManifest:
                     f"cluster {c.cluster_id} references frame_ids absent from images: {missing[:5]}"
                 )
 
-    def image_by_frame(self, frame_id: int) -> ImageEntry:
-        for im in self.images:
-            if im.frame_id == frame_id:
-                return im
-        raise SchemaViolationError(f"frame_id {frame_id} not present in manifest images")
-
-    def cluster_by_id(self, cluster_id: int) -> ClusterEntry:
-        for c in self.clusters:
-            if c.cluster_id == cluster_id:
-                return c
-        raise SchemaViolationError(f"cluster_id {cluster_id} not present in manifest clusters")
-
 
 def write_manifest(path, manifest: SceneManifest) -> None:
     doc = {

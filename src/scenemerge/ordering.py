@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvalidSimilarityError
+from .io_formats import read_tensor
 
 _SIM_TOL = 1e-9
 _2OPT_TOL = 1e-12
@@ -47,6 +48,15 @@ class SimilarityMatrix:
     @property
     def n(self) -> int:
         return self.values.shape[0]
+
+
+def read_similarity(path) -> SimilarityMatrix:
+    """Read a similarity tensor file; a matrix it holds that fails validation names the file."""
+    values = read_tensor(path)
+    try:
+        return SimilarityMatrix(values)
+    except InvalidSimilarityError as e:
+        raise InvalidSimilarityError(f"{path}: {e}") from e
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,6 @@ from .io_formats import (
     read_manifest,
     read_ply,
     read_pose_map,
-    read_tensor,
     sim3_from_transform_record,
     transform_record_from_sim3,
     write_plan,
@@ -50,7 +49,7 @@ from .io_formats import (
     write_tracks,
     write_transforms,
 )
-from .ordering import SimilarityMatrix, plan_scene
+from .ordering import SimilarityMatrix, plan_scene, read_similarity
 from .synthetic import (
     PerturbationSpec,
     generate_scene,
@@ -180,12 +179,15 @@ def load_scene(scene_dir) -> SceneData:
         raise DataError(f"{manifest_path} lists no similarity matrix")
     if not manifest.clusters:
         raise DataError(f"{manifest_path} lists no cluster reconstructions")
-    similarity = SimilarityMatrix(read_tensor(root / manifest.similarity_path))
+    similarity_path = root / manifest.similarity_path
+    similarity = read_similarity(similarity_path)
     if similarity.n != len(manifest.images):
         raise DataError(
-            f"similarity matrix is {similarity.n}x{similarity.n} but the manifest lists {len(manifest.images)} images"
+            f"{similarity_path}: similarity matrix is {similarity.n}x{similarity.n} "
+            f"but the manifest lists {len(manifest.images)} images"
         )
-    clusters = [load_cluster(manifest_path, c.cluster_id) for c in manifest.clusters]
+    image_sizes = {im.frame_id: (im.width, im.height) for im in manifest.images}
+    clusters = [load_cluster(root, entry, image_sizes) for entry in manifest.clusters]
     return SceneData(
         root=root,
         manifest=manifest,

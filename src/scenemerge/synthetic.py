@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .clusters import ClusterReconstruction, ConfidenceMap, DepthMap
+from .clusters import ClusterReconstruction
 from .errors import ConfigError, GenerationFailureError
 from .geometry import (
     CameraIntrinsics,
@@ -157,10 +157,9 @@ def _splat(camera: CameraParams, landmarks: np.ndarray):
     return depth, winners, win_pix
 
 
-def render_depth(scene: SyntheticScene, camera_index: int) -> DepthMap:
-    """Noise-free ground-truth depth map for one camera."""
-    depth, _, _ = _splat(scene.gt_cameras[camera_index], scene.landmarks)
-    return DepthMap(depth)
+def render_depth(scene: SyntheticScene, camera_index: int) -> np.ndarray:
+    """Noise-free ground-truth float32 depth map for one camera."""
+    return _splat(scene.gt_cameras[camera_index], scene.landmarks)[0]
 
 
 def _camera_ring(rng, n_cameras, image_size, radius, height, diameter, look_inward):
@@ -362,8 +361,8 @@ def render_cluster(
         noisy = np.where(valid, depth * factor, 0.0)
         conf = np.where(valid, 1.0 / (1.0 + np.abs(factor - 1.0) * 100.0), 0.0)
         cameras.append(transform_camera(warp, gt_cam))
-        depths.append(DepthMap((warp.scale * noisy).astype(np.float32)))
-        confs.append(ConfidenceMap(conf.astype(np.float32)))
+        depths.append((warp.scale * noisy).astype(np.float32))
+        confs.append(conf.astype(np.float32))
 
     cluster = ClusterReconstruction(
         cluster_id=cluster_id,

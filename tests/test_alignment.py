@@ -12,7 +12,7 @@ from scenemerge.alignment import (
     huber_rho,
     weighted_umeyama,
 )
-from scenemerge.clusters import ClusterReconstruction, ConfidenceMap, DepthMap
+from scenemerge.clusters import ClusterReconstruction
 from scenemerge.errors import (
     ConfigError,
     DataError,
@@ -49,8 +49,8 @@ def _cluster(cluster_id, frames):
     for fid, d, c in frames:
         d = np.asarray(d, dtype=np.float32)
         cams.append(_camera(d.shape[1], d.shape[0], fid))
-        depths.append(DepthMap(d))
-        confs.append(ConfidenceMap(np.asarray(c, dtype=np.float32)))
+        depths.append(d)
+        confs.append(c)
         fids.append(fid)
     return ClusterReconstruction(
         cluster_id=cluster_id, frame_ids=fids, cameras=cams, depths=depths, confidences=confs

@@ -855,7 +855,7 @@ class TestApplyBAResult:
                        final_loss=1.0, best_iteration=0)
         out_cams, _, out_cloud = apply_ba_result(res, merged, tracks)
         assert merged.frames()[0] == out_cams[0].frame_id == 0
-        rows, cols = np.nonzero(merged.frame_geometry(0)[1].values > 0)
+        rows, cols = np.nonzero(merged.frame_geometry(0)[1] > 0)
         pixels = np.stack([cols, rows], axis=1).astype(np.float64)
         frame0 = out_cloud.points[: len(pixels)]
         uv, front = project_points(frame0, out_cams[0])

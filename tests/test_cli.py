@@ -541,6 +541,76 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"load stage: cluster 1 frame {fid}: non-finite value in depth tensor {rel}" in err
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("cx", 1e6, "principal point (1000000.0, 24.0) outside image 64x48"), ("fx", -5, "focal lengths must be")],
+        ids=["cx-outside-image", "fx-negative"],
+    )
+    def test_bad_cluster_camera_exits_3_naming_file_and_frame(self, scene_dir, tmp_path, capsys, field, value, message):
+        import shutil
+
+        scene = tmp_path / "scene"
+        shutil.copytree(scene_dir, scene)
+        path = scene / "clusters" / "001" / "poses.json"
+        doc = json.loads(path.read_text())
+        doc["poses"][0][field] = value
+        path.write_text(json.dumps(doc))
+        code = main(["run", "--scene", str(scene), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"load stage: {path}: frame {doc['poses'][0]['frame_id']}: {message}" in err
+
+    @pytest.mark.parametrize(
+        "kind, edit, message",
+        [
+            ("confidence", lambda t: t * 0 - 1, "confidence map contains negative values"),
+            ("depth", lambda t: t.reshape(-1), "depth map has shape (3072,), intrinsics need (48, 64)"),
+            ("confidence", lambda t: t[:, :-1], "confidence map has shape (48, 63), intrinsics need (48, 64)"),
+        ],
+        ids=["negative-confidence", "flat-depth", "narrow-confidence"],
+    )
+    def test_bad_cluster_map_exits_3_naming_cluster_and_frame(self, scene_dir, tmp_path, capsys, kind, edit, message):
+        import shutil
+
+        from scenemerge.io_formats import read_manifest, read_tensor, write_tensor
+
+        scene = tmp_path / "scene"
+        shutil.copytree(scene_dir, scene)
+        entry = read_manifest(scene / "manifest.json").clusters[1]
+        fid = entry.frame_ids[2]
+        rel = (entry.depth_paths if kind == "depth" else entry.confidence_paths)[2]
+        write_tensor(scene / rel, np.ascontiguousarray(edit(read_tensor(scene / rel))))
+        code = main(["run", "--scene", str(scene), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert f"load stage: cluster 1 frame {fid}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, edit, message",
+        [
+            ("run", lambda m: m + np.triu(np.full_like(m, 0.01), 1), "similarity is not symmetric"),
+            ("run", lambda m: np.where(np.eye(len(m)) > 0, m, np.nan), "similarity contains non-finite entries"),
+            ("run", lambda m: np.eye(5), f"similarity matrix is 5x5 but the manifest lists {N_CAMERAS} images"),
+            ("plan", lambda m: m - 0.5 * np.eye(len(m)), "similarity diagonal deviates from 1"),
+        ],
+        ids=["run-asymmetric", "run-nan", "run-5x5", "plan-diagonal"],
+    )
+    def test_bad_similarity_exits_3_naming_file(self, scene_dir, tmp_path, capsys, command, edit, message):
+        import shutil
+
+        from scenemerge.io_formats import read_tensor, write_tensor
+
+        scene = tmp_path / "scene"
+        shutil.copytree(scene_dir, scene)
+        path = scene / "similarity.mrgt"
+        write_tensor(path, edit(read_tensor(path)).astype(np.float32))
+        if command == "run":
+            argv = ["run", "--scene", str(scene), "--out", str(tmp_path / "o")]
+        else:
+            argv = ["plan", "--similarity", str(path), "--subset-size", str(SUBSET_SIZE), "--overlap", str(OVERLAP)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"{path}: {message}" in err
+
     def test_track_plan_mismatch_exits_2(self, scene_dir, staged, tmp_path, capsys):
         plan = tmp_path / "plan.json"
         assert main(

@@ -5,13 +5,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from scenemerge.alignment import MergedGeometry
-from scenemerge.clusters import (
-    ClusterReconstruction,
-    ConfidenceMap,
-    DepthMap,
-    load_cluster,
-    write_cluster,
-)
+from scenemerge.clusters import ClusterReconstruction, write_cluster
 from scenemerge.errors import (
     DataCorruptionError,
     MissingFrameError,
@@ -26,6 +20,7 @@ from scenemerge.geometry import (
     project_points,
 )
 from scenemerge.io_formats import read_manifest, read_tensor, write_tensor
+from scenemerge.pipeline import load_scene
 from scenemerge.synthetic import (
     PerturbationSpec,
     generate_scene,
@@ -48,8 +43,8 @@ def _tiny_cluster(depth, conf, frame_id=0, cluster_id=0):
         cluster_id=cluster_id,
         frame_ids=[frame_id],
         cameras=[cam],
-        depths=[DepthMap(np.asarray(depth, dtype=np.float32))],
-        confidences=[ConfidenceMap(np.asarray(conf, dtype=np.float32))],
+        depths=[depth],
+        confidences=[conf],
     )
 
 
@@ -65,14 +60,31 @@ def _write_synthetic_scene(tmp_path, seed=2, n_cameras=6, subsets=((0, 1, 2), (2
     return path, scene, clusters
 
 
+def _load(path, cluster_id):
+    """One cluster of the scene whose manifest is at path, loaded by load_scene."""
+    return load_scene(path.parent).clusters[cluster_id]
+
+
 class TestValidation:
     def test_depth_map_requires_2d(self):
-        with pytest.raises(SchemaViolationError):
-            DepthMap(np.zeros(5, dtype=np.float32))
+        cam = _tiny_camera(5, 1, frame_id=3)
+        with pytest.raises(SchemaViolationError, match=r"cluster 2 frame 3: depth map has shape \(5,\)"):
+            ClusterReconstruction(
+                cluster_id=2, frame_ids=[3], cameras=[cam], depths=[np.zeros(5)], confidences=[np.ones((1, 5))]
+            )
 
     def test_confidence_rejects_negative(self):
-        with pytest.raises(SchemaViolationError):
-            ConfidenceMap(np.full((2, 2), -1.0, dtype=np.float32))
+        depth, conf = np.ones((2, 2)), np.full((2, 2), -1.0)
+        with pytest.raises(SchemaViolationError, match="cluster 4 frame 6: confidence map contains negative values"):
+            _tiny_cluster(depth, conf, frame_id=6, cluster_id=4)
+
+    def test_maps_are_stored_as_float32(self):
+        """A float64 depth of 1.1 is stored, and lifted by sample, as float32(1.1)."""
+        cluster = _tiny_cluster(np.full((4, 4), 1.1), np.ones((4, 4)))
+        assert cluster.depths[0].dtype == np.float32 and cluster.confidences[0].dtype == np.float32
+        pts, _, valid = MergedGeometry([cluster], [Sim3Transform.identity()]).sample(0, np.array([[2.0, 2.0]]))
+        assert valid.all()
+        assert pts[0, 2] == float(np.float32(1.1)) != 1.1
 
     def test_cluster_rejects_length_mismatch(self):
         cam = _tiny_camera()
@@ -81,20 +93,20 @@ class TestValidation:
                 cluster_id=0,
                 frame_ids=[0, 1],
                 cameras=[cam],
-                depths=[DepthMap(np.ones((4, 4), dtype=np.float32))],
-                confidences=[ConfidenceMap(np.ones((4, 4), dtype=np.float32))],
+                depths=[np.ones((4, 4), dtype=np.float32)],
+                confidences=[np.ones((4, 4), dtype=np.float32)],
             )
 
     def test_cluster_rejects_dimension_mismatch(self):
         """Depth 3x4 against 4x4 intrinsics fails."""
         cam = _tiny_camera(4, 4)
-        with pytest.raises(SchemaViolationError):
+        with pytest.raises(SchemaViolationError, match=r"cluster 0 frame 0: depth map has shape \(3, 4\)"):
             ClusterReconstruction(
                 cluster_id=0,
                 frame_ids=[0],
                 cameras=[cam],
-                depths=[DepthMap(np.ones((3, 4), dtype=np.float32))],
-                confidences=[ConfidenceMap(np.ones((3, 4), dtype=np.float32))],
+                depths=[np.ones((3, 4), dtype=np.float32)],
+                confidences=[np.ones((3, 4), dtype=np.float32)],
             )
 
     def test_frame_index_missing_frame(self):
@@ -109,12 +121,12 @@ class TestLoadCluster:
         """Oracle output loads back with identical tensors and frame lists."""
         path, _, clusters = _write_synthetic_scene(tmp_path)
         for original in clusters:
-            loaded = load_cluster(path, original.cluster_id)
+            loaded = _load(path, original.cluster_id)
             assert loaded.frame_ids == original.frame_ids
             for a, b in zip(loaded.depths, original.depths):
-                assert np.array_equal(a.values, b.values)
+                assert np.array_equal(a, b)
             for a, b in zip(loaded.confidences, original.confidences):
-                assert np.array_equal(a.values, b.values)
+                assert np.array_equal(a, b)
             for ca, cb in zip(loaded.cameras, original.cameras):
                 assert np.allclose(ca.pose.rotation, cb.pose.rotation, atol=1e-12)
                 assert np.allclose(ca.pose.translation, cb.pose.translation, atol=1e-12)
@@ -130,7 +142,7 @@ class TestLoadCluster:
         import json
 
         path, _, clusters = _write_synthetic_scene(tmp_path)
-        loaded = load_cluster(path, 0)
+        loaded = _load(path, 0)
         write_cluster(tmp_path / "again", loaded)
         src = path.parent / "clusters" / "000"
         dst = tmp_path / "again" / "clusters" / "000"
@@ -149,14 +161,14 @@ class TestLoadCluster:
         victim = clusters[1].frame_ids[1]
         (path.parent / "clusters" / "001" / f"depth_{victim:05d}.mrgt").unlink()
         with pytest.raises(MissingFrameError, match=str(victim)):
-            load_cluster(path, 1)
+            _load(path, 1)
 
     def test_truncated_tensor(self, tmp_path):
         path, _, clusters = _write_synthetic_scene(tmp_path)
         victim = path.parent / "clusters" / "000" / f"depth_{clusters[0].frame_ids[0]:05d}.mrgt"
         victim.write_bytes(victim.read_bytes()[:-40])
         with pytest.raises(DataCorruptionError):
-            load_cluster(path, 0)
+            _load(path, 0)
 
     def test_nan_payload(self, tmp_path):
         path, _, clusters = _write_synthetic_scene(tmp_path)
@@ -164,7 +176,7 @@ class TestLoadCluster:
         bad = np.full((48, 64), np.nan, dtype=np.float32)
         write_tensor(victim, bad)
         with pytest.raises(DataCorruptionError):
-            load_cluster(path, 0)
+            _load(path, 0)
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf])
     def test_infinite_depth_names_cluster_frame_and_file(self, tmp_path, value):
@@ -175,7 +187,7 @@ class TestLoadCluster:
         bad[5, 7] = value
         write_tensor(path.parent / rel, bad)
         with pytest.raises(DataCorruptionError, match=f"cluster 1 frame {fid}: non-finite value in depth tensor {rel}"):
-            load_cluster(path, 1)
+            _load(path, 1)
 
     def test_wrong_shape_tensor(self, tmp_path):
         """A depth grid that disagrees with the manifest image size fails."""
@@ -183,16 +195,13 @@ class TestLoadCluster:
         victim = path.parent / "clusters" / "000" / f"depth_{clusters[0].frame_ids[0]:05d}.mrgt"
         write_tensor(victim, np.ones((10, 10), dtype=np.float32))
         with pytest.raises(SchemaViolationError):
-            load_cluster(path, 0)
+            _load(path, 0)
 
-    def test_unknown_cluster_id(self, tmp_path):
+    def test_missing_poses_file_names_cluster(self, tmp_path):
         path, _, _ = _write_synthetic_scene(tmp_path)
-        with pytest.raises(SchemaViolationError):
-            load_cluster(path, 99)
-
-    def test_missing_manifest(self, tmp_path):
-        with pytest.raises(SchemaViolationError):
-            load_cluster(tmp_path / "nowhere" / "manifest.json", 0)
+        (path.parent / "clusters" / "001" / "poses.json").unlink()
+        with pytest.raises(MissingFrameError, match="cluster 1: poses file clusters/001/poses.json not found"):
+            _load(path, 1)
 
     def test_manifest_round_trip(self, tmp_path):
         path, scene, clusters = _write_synthetic_scene(tmp_path)
@@ -245,6 +254,6 @@ class TestClusterPointcloud:
         unwarped = apply_sim3(warp.inverse(), cloud.points)
         dist, _ = cKDTree(scene.landmarks).query(unwarped)
         gt_depths = np.concatenate(
-            [d[d > 0] for d in (render_depth(scene, i).values for i in range(10))]
+            [d[d > 0] for d in (render_depth(scene, i) for i in range(10))]
         )
         assert dist.mean() < sigma * gt_depths.mean()

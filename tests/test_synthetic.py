@@ -31,8 +31,8 @@ def _unproject_gt_frame(scene, frame_index):
     """World-frame points from the noise-free render of one camera."""
     dm = render_depth(scene, frame_index)
     cam = scene.gt_cameras[frame_index]
-    rows, cols = np.nonzero(dm.values > 0)
-    d = dm.values[rows, cols].astype(np.float64)
+    rows, cols = np.nonzero(dm > 0)
+    d = dm[rows, cols].astype(np.float64)
     k = cam.intrinsics
     pts_cam = np.stack([(cols - k.cx) / k.fx * d, (rows - k.cy) / k.fy * d, d], axis=1)
     return (pts_cam - cam.pose.translation) @ cam.pose.rotation
@@ -173,7 +173,7 @@ class TestGenerateScene:
         """Each z-buffer winner owns exactly one depth pixel."""
         scene = generate_scene(seed=7, n_cameras=8, n_landmarks=2000, layout="room")
         for i in range(scene.n_cameras):
-            n_pix = int((render_depth(scene, i).values > 0).sum())
+            n_pix = int((render_depth(scene, i) > 0).sum())
             assert n_pix == int(scene.visibility[i].sum())
 
 
@@ -203,8 +203,8 @@ class TestRenderCluster:
         c2, w2 = render_cluster(scene, [0, 1, 2], spec, cluster_id=3)
         assert w1.scale == w2.scale
         assert np.array_equal(w1.rotation, w2.rotation)
-        assert np.array_equal(c1.depths[0].values, c2.depths[0].values)
-        assert np.array_equal(c1.confidences[1].values, c2.confidences[1].values)
+        assert np.array_equal(c1.depths[0], c2.depths[0])
+        assert np.array_equal(c1.confidences[1], c2.confidences[1])
 
     def test_distinct_clusters_draw_distinct_warps(self):
         scene = generate_scene(seed=2, n_cameras=10, n_landmarks=2000, layout="room")
@@ -224,7 +224,7 @@ class TestRenderCluster:
             gt = scene.gt_cameras[fi]
             assert np.allclose(cam.pose.rotation, gt.pose.rotation, atol=1e-12)
             assert np.allclose(cam.pose.translation, gt.pose.translation, atol=1e-12)
-        assert np.array_equal(cluster.depths[0].values, render_depth(scene, 1).values)
+        assert np.array_equal(cluster.depths[0], render_depth(scene, 1))
 
     def test_warped_cluster_matches_gt_up_to_warp(self):
         """With only gauge noise the cluster is exactly the warped GT render.
@@ -245,15 +245,15 @@ class TestRenderCluster:
         scene = generate_scene(seed=2, n_cameras=10, n_landmarks=2000, layout="room")
         spec = PerturbationSpec(depth_noise_sigma=0.05)
         cluster, warp = render_cluster(scene, [0], spec, cluster_id=1)
-        gt_depth = render_depth(scene, 0).values
+        gt_depth = render_depth(scene, 0)
         valid = gt_depth > 0
-        factor = cluster.depths[0].values[valid].astype(np.float64) / (
+        factor = cluster.depths[0][valid].astype(np.float64) / (
             warp.scale * gt_depth[valid].astype(np.float64)
         )
         expected = 1.0 / (1.0 + np.abs(factor - 1.0) * 100.0)
-        got = cluster.confidences[0].values[valid]
+        got = cluster.confidences[0][valid]
         assert np.abs(got - expected).max() < 1e-4
-        assert np.all(cluster.confidences[0].values[~valid] == 0.0)
+        assert np.all(cluster.confidences[0][~valid] == 0.0)
         order = np.argsort(np.abs(factor - 1.0))
         assert np.all(np.diff(got[order].astype(np.float64)) <= 1e-6)
 

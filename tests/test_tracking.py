@@ -11,7 +11,7 @@ from scenemerge.alignment import (
     estimate_sim3_irls,
     extract_overlap_correspondences,
 )
-from scenemerge.clusters import ClusterReconstruction, ConfidenceMap, DepthMap
+from scenemerge.clusters import ClusterReconstruction
 from scenemerge.errors import ConfigError, DataError, MissingFrameError
 from scenemerge.geometry import (
     CameraIntrinsics,
@@ -55,9 +55,9 @@ def _flat_cluster(frame_ids, depth_value=2.0, conf_values=None, size=8):
         )
         pose = CameraPose(rotation=np.eye(3), translation=np.array([0.1 * idx, 0.0, 0.0]))
         cams.append(CameraParams(intrinsics=intr, pose=pose, frame_id=fid))
-        depths.append(DepthMap(np.full((size, size), depth_value, dtype=np.float32)))
+        depths.append(np.full((size, size), depth_value, dtype=np.float32))
         c = 1.0 if conf_values is None else conf_values[idx]
-        confs.append(ConfidenceMap(np.full((size, size), c, dtype=np.float32)))
+        confs.append(np.full((size, size), c, dtype=np.float32))
     return ClusterReconstruction(
         cluster_id=0, frame_ids=list(frame_ids), cameras=cams, depths=depths, confidences=confs
     )
@@ -369,7 +369,7 @@ class TestVerifyMatches:
     def test_invalid_depth_rejects_pair(self):
         """A pair whose source pixel has zero depth cannot verify."""
         flat = _flat_cluster([0, 1])
-        hole = DepthMap(np.where(np.arange(8)[None, :] < 4, 0.0, 2.0).astype(np.float32) * np.ones((8, 8), dtype=np.float32))
+        hole = np.where(np.arange(8)[None, :] < 4, 0.0, 2.0).astype(np.float32) * np.ones((8, 8), dtype=np.float32)
         cluster = dataclasses.replace(flat, depths=[hole, flat.depths[1]])
         merged = MergedGeometry([cluster], [Sim3Transform.identity()])
         ms = _pair(0, 1, [(((2.0, 2.0)), (2.0, 2.0)), ((6.0, 6.0), (4.4, 6.0))])
