@@ -27,6 +27,11 @@ import numpy as np
 from .errors import InvalidPoseError
 
 _ORTHO_TOL = 1e-6
+# Rows per gemm in apply_sim3. OpenBLAS 0.3.31 (x86-64) hands a
+# (rows x 3) @ (3 x 3) product to its thread pool above about 58k rows, and
+# waking a pool thread stalls ~0.1 s on a busy 2-vCPU machine. No row's
+# bits depend on the blocking.
+_SIM3_BLOCK_ROWS = 16_384
 
 
 def _as_rotation(m, tol: float = _ORTHO_TOL) -> np.ndarray:
@@ -192,11 +197,20 @@ def unproject_pixels(pixels: np.ndarray, depths: np.ndarray, camera: CameraParam
 
 
 def apply_sim3(t: Sim3Transform, points: np.ndarray) -> np.ndarray:
-    """Apply s * R @ p + t to a single (3,) point or an (N, 3) array."""
+    """Apply s * R @ p + t to a single (3,) point or an (N, 3) array.
+
+    An array is transformed in blocks of _SIM3_BLOCK_ROWS rows, so BLAS
+    runs each product on the calling thread; every row gets the bits of
+    one product over the whole array.
+    """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
         return t.scale * (t.rotation @ pts) + t.translation
-    return t.scale * (pts @ t.rotation.T) + t.translation
+    out = np.empty(pts.shape)
+    for start in range(0, len(pts), _SIM3_BLOCK_ROWS):
+        rows = slice(start, start + _SIM3_BLOCK_ROWS)
+        out[rows] = t.scale * (pts[rows] @ t.rotation.T) + t.translation
+    return out
 
 
 def compose_sim3(a: Sim3Transform, b: Sim3Transform) -> Sim3Transform:

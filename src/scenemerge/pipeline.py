@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import resource
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
@@ -399,14 +400,25 @@ def run_pipeline(
     Writes the artifact set into out_dir when given (plan.json,
     transforms.json, tracks.bin, poses_refined.json, merged.ply,
     ba_loss.csv, metrics.json when GT is present, report.json).
+    report.json's timings_sec holds each stage's wall time, and its
+    peak_rss_mib the process's resident-set high-water mark in MiB
+    (ru_maxrss) read after each stage: it never falls, and it counts
+    whatever the process held before this call, so a stage that raises it
+    set a new peak and one that leaves it level did not.
     """
     cfg = config if config is not None else PipelineConfig()
-    timings = {}
+    timings, peak_rss = {}, {}
 
-    with _stage("load", timings):
+    @contextmanager
+    def stage(name):
+        with _stage(name, timings):
+            yield
+        peak_rss[name] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+
+    with stage("load"):
         data = load_scene(scene_dir)
 
-    with _stage("plan", timings):
+    with stage("plan"):
         plan = plan_scene(
             data.similarity,
             cfg.subset_size,
@@ -416,10 +428,10 @@ def run_pipeline(
         )
         check_plan_matches_clusters(data.clusters, plan)
 
-    with _stage("align", timings):
+    with stage("align"):
         transforms, transform_records, _ = align_clusters(data.clusters, cfg.conf_percentile)
 
-    with _stage("track", timings):
+    with stage("track"):
         if matcher is None:
             matcher = matcher_from_scene_dir(data.root)
         merged = MergedGeometry(data.clusters, transforms)
@@ -432,12 +444,12 @@ def run_pipeline(
             max_keypoints=cfg.max_keypoints,
         )
 
-    with _stage("ba", timings):
+    with stage("ba"):
         problem, ba_result, refined_cameras, refined_tracks, cloud = bundle_adjust(
             merged, tracking.tracks, cfg.ba_config()
         )
 
-    with _stage("eval", timings):
+    with stage("eval"):
         metrics = evaluate_run(data, refined_cameras, cloud)
 
     n = data.n_images
@@ -461,6 +473,7 @@ def run_pipeline(
             "merged_points": int(len(cloud.points)),
         },
         "timings_sec": timings,
+        "peak_rss_mib": peak_rss,
         "config": cfg.to_dict(),
     }
 

@@ -3,10 +3,12 @@
 Pairwise matches are verified by bidirectional reprojection against the
 globally aligned geometry, then merged into tracks: the connected
 components of the match graph over keypoints keyed on (frame id, rounded
-pixel). Every pixel is lifted to 3D through MergedGeometry.sample. Each
-track fuses its per-observation 3D points by confidence-weighted
-averaging; the fused confidence is the mean of the observation
-confidences.
+pixel). The keypoint identities form a per-frame table: each frame's
+keypoints are numbered on their own, so besides one int64 node per
+keypoint and the pair graph, the merge's work arrays hold one frame's
+rows at a time. Every pixel is lifted to 3D through MergedGeometry.sample. Each track fuses its
+per-observation 3D points by confidence-weighted averaging; the fused
+confidence is the mean of the observation confidences.
 
 All tracks live in one Tracks table (see its docstring). Canonical order:
 tracks by their first keypoint in merge_tracks' keypoint table, each
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import ConfigError, DataError, MissingFrameError
@@ -65,8 +67,16 @@ class MatchSet:
         return len(self.pixels_i)
 
     def select(self, rows) -> MatchSet:
-        """The pairs at rows (an index array, slice or boolean mask)."""
-        return MatchSet(self.frame_i, self.frame_j, self.pixels_i[rows], self.pixels_j[rows])
+        """The pairs at rows (an index array, slice or boolean mask).
+
+        Those rows were cast and checked when this set was built, so the
+        subset is assembled without running __post_init__ again.
+        """
+        subset = object.__new__(MatchSet)
+        subset.__dict__.update(
+            frame_i=self.frame_i, frame_j=self.frame_j, pixels_i=self.pixels_i[rows], pixels_j=self.pixels_j[rows]
+        )
+        return subset
 
 
 def _reject(bad_tracks: np.ndarray, message) -> None:
@@ -224,38 +234,47 @@ def _intern_keypoints(all_matches):
     """Keypoint identities of the merge_tracks table (non-empty match sets).
 
     Returns (node of each table row, first table row of each node, node
-    frame ids, node subpixel coordinates). Each row is keyed by one int64,
-    the mixed-radix number (frame index, rounded row, rounded column), so
-    np.unique runs on a flat array no larger than the table.
+    frame ids, node subpixel coordinates). Nodes are numbered by frame id,
+    then rounded row, then rounded column. The table is never built: each
+    match set adds one strided block of rows per side, and the blocks are
+    interned one frame at a time, keyed by (row, column) within that
+    frame's own rounded span. Apart from node, every work array holds one
+    frame's rows.
     """
-    lo = np.rint(np.min([np.minimum(ms.pixels_i.min(axis=0), ms.pixels_j.min(axis=0)) for ms in all_matches], axis=0))
-    hi = np.rint(np.max([np.maximum(ms.pixels_i.max(axis=0), ms.pixels_j.max(axis=0)) for ms in all_matches], axis=0))
-    frame_ids = sorted({f for ms in all_matches for f in (ms.frame_i, ms.frame_j)})
-    w, h = (hi - lo + 1).tolist()
-    if not (np.abs([lo, hi]).max() < 2**31 and len(frame_ids) * w * h < 2**62):
-        raise DataError(
-            f"match pixels must be finite and span fewer than 2**62 keys, got rounded pixels "
-            f"from {lo.tolist()} to {hi.tolist()} over {len(frame_ids)} frames"
-        )
-    w, h, lo = int(w), int(h), lo.astype(np.int64)
-    frame_index = {f: i for i, f in enumerate(frame_ids)}
-    n_rows = 2 * sum(len(ms) for ms in all_matches)
-    key = np.empty(n_rows, dtype=np.int64)
-    start = 0
+    blocks = {}  # frame id -> [(first table row, pixels)], in table order
+    n_rows = 0
     for ms in all_matches:
-        for side, fid, px in ((0, ms.frame_i, ms.pixels_i), (1, ms.frame_j, ms.pixels_j)):
-            u, v = (np.rint(px).astype(np.int64) - lo).T
-            key[start + side : start + 2 * len(ms) : 2] = (frame_index[fid] * h + v) * w + u
-        start += 2 * len(ms)
-    uniq, first, node = np.unique(key, return_index=True, return_inverse=True)
-    del key
-    node_frame = np.asarray(frame_ids)[uniq // (w * h)]
-    # An identity keeps the subpixel coordinate of its first table row. The
-    # pixel table is built after np.unique has released its work arrays.
-    pixels = np.empty((n_rows, 2))
-    pixels[0::2] = np.concatenate([ms.pixels_i for ms in all_matches])
-    pixels[1::2] = np.concatenate([ms.pixels_j for ms in all_matches])
-    return node, first, node_frame, pixels[first]
+        blocks.setdefault(ms.frame_i, []).append((n_rows, ms.pixels_i))
+        blocks.setdefault(ms.frame_j, []).append((n_rows + 1, ms.pixels_j))
+        n_rows += 2 * len(ms)
+    node = np.empty(n_rows, dtype=np.int64)
+    frame_ids = sorted(blocks)
+    firsts, pixels = [], []
+    n_nodes = 0
+    for fid in frame_ids:
+        starts = [row for row, _ in blocks[fid]]
+        sizes = np.array([len(px) for _, px in blocks[fid]])
+        px = np.concatenate([px for _, px in blocks[fid]])
+        u, v = np.rint(px).T
+        u0, u1, v0, v1 = u.min(), u.max(), v.min(), v.max()
+        # bounds first, so an out-of-range pixel never reaches the cast
+        if not (np.abs([u0, u1, v0, v1]).max() < 2**31 and (u1 - u0 + 1) * (v1 - v0 + 1) < 2**62):
+            raise DataError(
+                f"frame {fid}: match pixels must be finite, round to below 2**31 in magnitude and span "
+                f"fewer than 2**62 keys, got rounded pixels from ({u0}, {v0}) to ({u1}, {v1})"
+            )
+        key = (v - v0).astype(np.int64) * int(u1 - u0 + 1) + (u - u0).astype(np.int64)
+        _, first, rank = np.unique(key, return_index=True, return_inverse=True)
+        rank += n_nodes
+        offsets = np.cumsum(sizes) - sizes
+        for start, n, offset in zip(starts, sizes.tolist(), offsets.tolist()):
+            node[start : start + 2 * n : 2] = rank[offset : offset + n]
+        block = np.searchsorted(offsets, first, side="right") - 1
+        firsts.append(np.asarray(starts)[block] + 2 * (first - offsets[block]))
+        pixels.append(px[first])
+        n_nodes += len(first)
+    node_frame = np.repeat(frame_ids, [len(p) for p in pixels])
+    return node, np.concatenate(firsts), node_frame, np.concatenate(pixels)
 
 
 def merge_tracks(all_matches, merged) -> Tracks:
@@ -274,16 +293,25 @@ def merge_tracks(all_matches, merged) -> Tracks:
 
     Tracks come out in the order of their first keypoint in the table,
     each with its observations sorted by frame id.
+
+    The table is never built: _intern_keypoints numbers the keypoints one
+    frame at a time. Beyond the match sets, the merge holds the node of
+    every table row (8 bytes per keypoint), the pair graph as CSR with
+    1-byte data, and one frame's work arrays; node is freed before the
+    components are found. Its traced peak stays below twice the bytes of
+    the input pixels (tests/test_tracking.py checks a ~200k-pair table).
     """
     all_matches = [ms for ms in all_matches if len(ms)]
     if not all_matches:
         return Tracks([], [], [], [], [])
     node, first, node_frame, node_pixel = _intern_keypoints(all_matches)
-    n_nodes = len(first)
-    pairs = coo_matrix((np.ones(len(node) // 2), (node[0::2], node[1::2])), shape=(n_nodes, n_nodes))
+    n_rows, n_nodes = len(node), len(first)
+    pairs = csr_matrix((np.ones(n_rows // 2, dtype=bool), (node[0::2], node[1::2])), shape=(n_nodes, n_nodes))
+    del node
     n_comp, label = connected_components(pairs, directed=False)
+    del pairs
 
-    first_row = np.full(n_comp, len(node))
+    first_row = np.full(n_comp, n_rows)
     np.minimum.at(first_row, label, first)
     order = np.lexsort((node_frame, first_row[label]))
     comp, obs_frame = label[order], node_frame[order]

@@ -15,6 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
+from scenemerge import geometry
 from scenemerge.errors import InvalidPoseError
 from scenemerge.geometry import (
     CameraIntrinsics,
@@ -196,6 +197,18 @@ class TestSim3:
         batch = apply_sim3(t, pts)
         for i in range(17):
             np.testing.assert_allclose(batch[i], apply_sim3(t, pts[i]), atol=1e-12)
+
+    def test_blocked_apply_matches_one_product_bit_for_bit(self):
+        """A cloud of several blocks plus a partial one gets the bits of a
+        single gemm over every row, whatever its memory layout."""
+        rng = np.random.default_rng(8)
+        t = _random_sim3(rng)
+        pts = rng.normal(size=(120_003, 3)) * 50.0
+        assert len(pts) > 7 * geometry._SIM3_BLOCK_ROWS
+        for cloud in (pts, np.asfortranarray(pts), pts[::-1]):
+            expected = t.scale * (cloud @ t.rotation.T) + t.translation
+            assert apply_sim3(t, cloud).tobytes() == expected.tobytes()
+        assert apply_sim3(t, np.zeros((0, 3))).shape == (0, 3)
 
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(InvalidPoseError):

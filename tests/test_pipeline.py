@@ -309,6 +309,15 @@ class TestRunPipeline:
         assert set(timings) == {"load", "plan", "align", "track", "ba", "eval"}
         assert all(t >= 0 for t in timings.values())
 
+    def test_stage_peak_rss(self, run_output):
+        """One high-water mark per stage, in stage order; a high-water mark never falls."""
+        result, _ = run_output
+        peaks = result.report["peak_rss_mib"]
+        assert list(peaks) == ["load", "plan", "align", "track", "ba", "eval"]
+        values = list(peaks.values())
+        assert values[0] > 0
+        assert values == sorted(values)
+
     def test_artifact_files(self, run_output):
         _, out = run_output
         names = sorted(p.name for p in out.iterdir())
@@ -338,11 +347,12 @@ class TestRunPipeline:
             "metrics.json",
         ):
             assert (tmp_path / name).read_bytes() == (first / name).read_bytes(), name
-        # report.json differs only by wall times
+        # report.json differs only by wall times and memory high-water marks
         own = json.loads((tmp_path / "report.json").read_text())
         ref = json.loads((first / "report.json").read_text())
-        own.pop("timings_sec")
-        ref.pop("timings_sec")
+        for measured in ("timings_sec", "peak_rss_mib"):
+            own.pop(measured)
+            ref.pop(measured)
         assert own == ref
 
     def test_zero_noise_recovers_ground_truth(self, tmp_path):

@@ -1,6 +1,9 @@
 """Tests for frame-graph construction, match verification, and tracks."""
 
 import dataclasses
+import gc
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from scenemerge.synthetic import (
     synthetic_matcher,
     synthetic_similarity,
 )
+from scenemerge import tracking
 from scenemerge.tracking import (
     MatchSet,
     Tracks,
@@ -185,6 +189,29 @@ def _reference_merge_tracks(all_matches, merged):
     return tracks
 
 
+def _reference_intern_keypoints(all_matches):
+    """The global-key version of tracking._intern_keypoints: one interleaved
+    table of every keypoint, each keyed by the mixed-radix int64 (frame
+    index, rounded row, rounded column) over the whole table's span, then
+    one np.unique."""
+    lo = np.rint(np.min([np.minimum(ms.pixels_i.min(axis=0), ms.pixels_j.min(axis=0)) for ms in all_matches], axis=0))
+    hi = np.rint(np.max([np.maximum(ms.pixels_i.max(axis=0), ms.pixels_j.max(axis=0)) for ms in all_matches], axis=0))
+    frame_ids = sorted({f for ms in all_matches for f in (ms.frame_i, ms.frame_j)})
+    w, h = (hi - lo + 1).astype(np.int64).tolist()
+    frame_index = {f: i for i, f in enumerate(frame_ids)}
+    key = np.empty(2 * sum(len(ms) for ms in all_matches), dtype=np.int64)
+    pixels = np.empty((len(key), 2))
+    start = 0
+    for ms in all_matches:
+        for side, fid, px in ((0, ms.frame_i, ms.pixels_i), (1, ms.frame_j, ms.pixels_j)):
+            u, v = (np.rint(px).astype(np.int64) - lo.astype(np.int64)).T
+            key[start + side : start + 2 * len(ms) : 2] = (frame_index[fid] * h + v) * w + u
+            pixels[start + side : start + 2 * len(ms) : 2] = px
+        start += 2 * len(ms)
+    uniq, first, node = np.unique(key, return_index=True, return_inverse=True)
+    return node, first, np.asarray(frame_ids)[uniq // (w * h)], pixels[first]
+
+
 def _track_list(tracks):
     """A Tracks table in the reference's form: per track (point,
     confidence, [(frame, pixel), ...])."""
@@ -232,6 +259,24 @@ class TestMatchSetAndTrack:
             MatchSet(frame_i=3, frame_j=5, pixels_i=[[1.0, 1.0], [np.nan, 1.0]], pixels_j=[[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(DataError, match="row 0"):
             MatchSet(frame_i=0, frame_j=1, pixels_i=[[1.0, 1.0]], pixels_j=[[np.inf, 1.0]])
+
+    def test_select_keeps_rows_without_rechecking(self, monkeypatch):
+        """A subset holds the chosen rows as they were; it is not cast and
+        checked a second time."""
+        ms = _pair(2, 7, [((1.0, 2.0), (3.0, 4.0)), ((5.0, 6.0), (7.0, 8.0)), ((9.5, 1.5), (2.5, 3.5))])
+
+        def no_second_check(self):
+            raise AssertionError("select re-ran __post_init__")
+
+        monkeypatch.setattr(MatchSet, "__post_init__", no_second_check)
+        for rows in (np.array([2, 0]), slice(1, None), np.array([True, False, True])):
+            subset = ms.select(rows)
+            assert isinstance(subset, MatchSet)
+            assert (subset.frame_i, subset.frame_j) == (2, 7)
+            assert subset.pixels_i.tobytes() == ms.pixels_i[rows].tobytes()
+            assert subset.pixels_j.tobytes() == ms.pixels_j[rows].tobytes()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            subset.frame_i = 3
 
     def test_track_requires_two_observations(self):
         with pytest.raises(DataError, match="track 1 has 1 observations"):
@@ -457,6 +502,67 @@ class TestMergeTracks:
         merged = _merged_flat([0, 1])
         with pytest.raises(DataError, match="finite"):
             merge_tracks([_pair(0, 1, [((1.0, 1.0), (2.0, 2.0)), ((np.nan, 3.0), (4.0, 4.0))])], merged)
+
+    def test_huge_finite_pixel_rejected_naming_frame(self):
+        """A finite pixel too large to key fails with the frame's id before
+        any integer cast, so nothing warns."""
+        merged = _merged_flat([0, 1, 2])
+        matches = [
+            _pair(0, 1, [((1.0, 1.0), (2.0, 2.0))]),
+            _pair(2, 1, [((1e300, 3.0), (4.0, 4.0))]),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=r"^frame 2: match pixels must"):
+                merge_tracks(matches, merged)
+            with pytest.raises(DataError, match=r"^frame 1: match pixels must"):
+                merge_tracks([_pair(0, 1, [((1.0, 1.0), (-3e9, 2.0))])], merged)
+
+    def test_intern_matches_global_key_reference(self):
+        """Interning frame by frame numbers the keypoints as one global key
+        over the whole table does: same node of every row, first table row,
+        frame and kept subpixel coordinate of every node. The table has
+        unsorted sparse frame ids, frames on both sides of a pair, negative
+        pixels, half-pixel ties and per-frame spans far apart."""
+        rng = np.random.default_rng(21)
+        frame_ids = [40, 3, 17, 8, 25, 11]
+        shift = {f: rng.uniform(-500.0, 500.0, size=2) for f in frame_ids}
+        matches = []
+        for _ in range(60):
+            fi, fj = (int(f) for f in rng.choice(frame_ids, size=2, replace=False))
+            n = int(rng.integers(1, 40))
+            pi = np.round(rng.uniform(-6.0, 6.0, (n, 2)) * 2) / 2 + np.round(shift[fi])
+            pj = rng.uniform(-6.0, 6.0, (n, 2)) + shift[fj]
+            matches.append(MatchSet(fi, fj, pi, pj))
+        got = tracking._intern_keypoints(matches)
+        expected = _reference_intern_keypoints(matches)
+        assert len(got[1]) < sum(2 * len(ms) for ms in matches)  # rows share nodes
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_merge_memory_bounded_by_input(self):
+        """Merging ~200k pairs allocates at most twice the bytes of the
+        input pixels at its peak (a global key, a stable sort over every
+        keypoint and an interleaved pixel table took 3.1x)."""
+        rng = np.random.default_rng(12)
+        n_frames, size = 100, 64
+        merged = _merged_flat(list(range(n_frames)), size=size)
+        keypoints = rng.uniform(-0.5, size - 0.5, (n_frames, 300, 2))
+        matches = []
+        for _ in range(1000):
+            fi, fj = rng.choice(n_frames, size=2, replace=False)
+            rows_i, rows_j = rng.integers(0, 300, (2, 200))
+            matches.append(MatchSet(int(fi), int(fj), keypoints[fi, rows_i], keypoints[fj, rows_j]))
+        input_bytes = sum(ms.pixels_i.nbytes + ms.pixels_j.nbytes for ms in matches)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            merge_tracks(matches, merged)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * input_bytes, f"peak {peak / input_bytes:.2f}x the input pixel bytes"
 
     def test_subpixel_coordinates_share_rounded_node(self):
         """(1.4, 1.4) and (0.6, 0.6) both round to pixel (1, 1)."""
