@@ -28,6 +28,7 @@ from .alignment import MergedGeometry
 from .errors import ConfigError, DataError, DivergenceError
 from .io_formats import (
     JSON_FORMAT_VERSION,
+    _read_json,
     plan_document,
     pose_record_from_camera,
     read_plan,
@@ -89,16 +90,9 @@ def _merged_geometry(data, transforms_path) -> MergedGeometry:
 
 def _load_config_file(path) -> dict:
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
-        raise ConfigError(f"cannot read config file {path}: {e}") from None
-    try:
-        values = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
-    if not isinstance(values, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
-    return values
+        return _read_json(path, "config")
+    except DataError as e:
+        raise ConfigError(str(e)) from None
 
 
 def _pipeline_config(args, file_values: dict | None = None) -> PipelineConfig:
@@ -149,15 +143,7 @@ def cmd_align(args) -> None:
     plan = read_plan(args.plan)
     data = load_scene(args.clusters)
     check_plan_matches_clusters(data.clusters, plan)
-    _, records, results = align_clusters(data.clusters, _pipeline_config(args).conf_percentile)
-    for cluster, res in zip(data.clusters[1:], results):
-        logger.info(
-            "cluster %d: %d inliers, objective %.6g after %d IRLS iterations",
-            cluster.cluster_id,
-            res.inlier_count,
-            res.final_objective,
-            res.iterations_used,
-        )
+    _, records, _ = align_clusters(data.clusters, _pipeline_config(args).conf_percentile)
     write_transforms(args.out, records)
     print(f"wrote {args.out} ({len(records)} cluster transforms)")
 

@@ -25,22 +25,32 @@ Point clouds use binary little-endian PLY with float x/y/z and an optional
 float "quality" carrying per-point confidence. The reader reads past any
 other vertex property (red/green/blue, normals).
 
-Manifests, poses, pairwise transforms, and partition plans are JSON with a
-"format_version" field. Quaternions are stored (w, x, y, z); readers reject
-quaternions whose norm deviates from 1 by more than 1e-3 and renormalize the
-rest. All writers are deterministic: write(read(write(x))) is byte-identical.
+Manifests, poses, pairwise transforms, and partition plans are UTF-8 JSON
+objects with a "format_version" field. The entries of a manifest's "images"
+and "clusters", of a poses file's "poses" and of a transforms file's
+"clusters" are records: read_record and record_document read and write each
+one from its dataclass fields, keys in field order, through the entry of
+_FIELD_CODECS for the field's annotation. Every record field is required
+except an image's image_path (absent reads as null); in the manifest's
+header, similarity_path (null) and units ("arbitrary") may be absent too.
+Translations are exactly 3 finite floats and Sim(3) scales are positive.
+Quaternions are stored (w, x, y, z); readers reject quaternions whose norm
+deviates from 1 by more than 1e-3 and renormalize the rest. A file that is
+missing, unreadable or not UTF-8 raises a DataError naming it. All writers
+are deterministic: write(read(write(x))) is byte-identical.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DataCorruptionError,
     DataError,
     SchemaViolationError,
@@ -66,6 +76,11 @@ _TRACK_OBSERVATION = np.dtype([("frame_id", "<u4"), ("uv", "<f8", 2)])
 JSON_FORMAT_VERSION = 1
 POSE_CONVENTION = "camera_from_world"
 _QUAT_NORM_TOL = 1e-3
+
+# record field annotations naming a checked JSON value, read per _FIELD_CODECS
+Quaternion = np.ndarray  # (w, x, y, z), norm within _QUAT_NORM_TOL of 1
+Vector3 = np.ndarray  # exactly 3 finite floats
+PositiveFloat = float  # finite and above 0
 
 
 # ---------------------------------------------------------------------------
@@ -178,20 +193,8 @@ def write_manifest(path, manifest: SceneManifest) -> None:
         "pose_convention": manifest.pose_convention,
         "units": manifest.units,
         "similarity_path": manifest.similarity_path,
-        "images": [
-            {"frame_id": im.frame_id, "width": im.width, "height": im.height, "image_path": im.image_path}
-            for im in manifest.images
-        ],
-        "clusters": [
-            {
-                "cluster_id": c.cluster_id,
-                "frame_ids": list(c.frame_ids),
-                "poses_path": c.poses_path,
-                "depth_paths": list(c.depth_paths),
-                "confidence_paths": list(c.confidence_paths),
-            }
-            for c in manifest.clusters
-        ],
+        "images": [record_document(im) for im in manifest.images],
+        "clusters": [record_document(c) for c in manifest.clusters],
     }
     _write_json(path, doc)
 
@@ -199,33 +202,12 @@ def write_manifest(path, manifest: SceneManifest) -> None:
 def read_manifest(path) -> SceneManifest:
     doc = _read_json(path, "manifest")
     _check_version(doc, path)
-    convention = _value(doc, "pose_convention", str, path)
-    images = [
-        ImageEntry(
-            frame_id=_value(im, "frame_id", _int, where),
-            width=_value(im, "width", _int, where),
-            height=_value(im, "height", _int, where),
-            image_path=im.get("image_path"),
-        )
-        for where, im in _entries(doc, "images", path)
-    ]
-    clusters = [
-        ClusterEntry(
-            cluster_id=_value(c, "cluster_id", _int, where),
-            frame_ids=_value(c, "frame_ids", _ints, where),
-            poses_path=_value(c, "poses_path", str, where),
-            depth_paths=_value(c, "depth_paths", lambda v: [str(p) for p in v], where),
-            confidence_paths=_value(c, "confidence_paths", lambda v: [str(p) for p in v], where),
-        )
-        for where, c in _entries(doc, "clusters", path)
-    ]
-    _check_unique(clusters, "cluster_id", "clusters", path)
     return SceneManifest(
-        images=images,
-        clusters=clusters,
+        pose_convention=_value(doc, "pose_convention", _str, path),
+        images=_read_records(ImageEntry, doc, "images", path, "frame_id"),
+        clusters=_read_records(ClusterEntry, doc, "clusters", path, "cluster_id"),
         similarity_path=_value(doc, "similarity_path", _optional_str, path) if "similarity_path" in doc else None,
-        pose_convention=convention,
-        units=str(doc.get("units", "arbitrary")),
+        units=_value(doc, "units", _str, path) if "units" in doc else "arbitrary",
     )
 
 
@@ -238,8 +220,8 @@ class PoseRecord:
     """Serialized camera: wxyz quaternion + translation + pinhole intrinsics."""
 
     frame_id: int
-    quat_wxyz: np.ndarray
-    translation: np.ndarray
+    quat_wxyz: Quaternion
+    translation: Vector3
     fx: float
     fy: float
     cx: float
@@ -267,41 +249,13 @@ def camera_from_pose_record(rec: PoseRecord, width: int, height: int) -> CameraP
 
 
 def write_poses(path, records: list[PoseRecord]) -> None:
-    doc = {
-        "format_version": JSON_FORMAT_VERSION,
-        "poses": [
-            {
-                "frame_id": r.frame_id,
-                "quat_wxyz": [float(x) for x in r.quat_wxyz],
-                "translation": [float(x) for x in r.translation],
-                "fx": float(r.fx),
-                "fy": float(r.fy),
-                "cx": float(r.cx),
-                "cy": float(r.cy),
-            }
-            for r in records
-        ],
-    }
-    _write_json(path, doc)
+    _write_json(path, {"format_version": JSON_FORMAT_VERSION, "poses": [record_document(r) for r in records]})
 
 
 def read_poses(path) -> list[PoseRecord]:
     doc = _read_json(path, "poses")
     _check_version(doc, path)
-    records = [
-        PoseRecord(
-            frame_id=_value(p, "frame_id", _int, where),
-            quat_wxyz=_read_quat(_value(p, "quat_wxyz", _finite_floats, where), f"{where}.quat_wxyz"),
-            translation=_value(p, "translation", _finite_floats, where),
-            fx=_value(p, "fx", _finite_float, where),
-            fy=_value(p, "fy", _finite_float, where),
-            cx=_value(p, "cx", _finite_float, where),
-            cy=_value(p, "cy", _finite_float, where),
-        )
-        for where, p in _entries(doc, "poses", path)
-    ]
-    _check_unique(records, "frame_id", "poses", path)
-    return records
+    return _read_records(PoseRecord, doc, "poses", path, "frame_id")
 
 
 def read_pose_map(path) -> dict[int, CameraPose]:
@@ -325,9 +279,9 @@ class TransformRecord:
     """
 
     cluster_id: int
-    scale: float
-    quat_wxyz: np.ndarray
-    translation: np.ndarray
+    scale: PositiveFloat
+    quat_wxyz: Quaternion
+    translation: Vector3
 
 
 def transform_record_from_sim3(cluster_id: int, t: Sim3Transform) -> TransformRecord:
@@ -348,51 +302,13 @@ def sim3_from_transform_record(rec: TransformRecord) -> Sim3Transform:
 
 
 def write_transforms(path, records: list[TransformRecord]) -> None:
-    doc = {
-        "format_version": JSON_FORMAT_VERSION,
-        "clusters": [
-            {
-                "cluster_id": int(r.cluster_id),
-                "scale": float(r.scale),
-                "quat_wxyz": [float(x) for x in r.quat_wxyz],
-                "translation": [float(x) for x in r.translation],
-            }
-            for r in records
-        ],
-    }
-    _write_json(path, doc)
+    _write_json(path, {"format_version": JSON_FORMAT_VERSION, "clusters": [record_document(r) for r in records]})
 
 
 def read_transforms(path) -> list[TransformRecord]:
     doc = _read_json(path, "transforms")
     _check_version(doc, path)
-    records = [
-        TransformRecord(
-            cluster_id=_value(c, "cluster_id", _int, where),
-            scale=_value(c, "scale", _finite_float, where),
-            quat_wxyz=_read_quat(_value(c, "quat_wxyz", _finite_floats, where), f"{where}.quat_wxyz"),
-            translation=_value(c, "translation", _finite_floats, where),
-        )
-        for where, c in _entries(doc, "clusters", path)
-    ]
-    _check_unique(records, "cluster_id", "clusters", path)
-    return records
-
-
-def _read_quat(q: np.ndarray, where: str) -> np.ndarray:
-    """Validate a wxyz quaternion; renormalize only when measurably off.
-
-    Keeping already-normalized quaternions verbatim makes read/write cycles
-    byte-stable (dividing by a norm of 1 + 1e-16 would flip last bits).
-    """
-    if q.shape != (4,):
-        raise SchemaViolationError(f"{where} must have 4 entries")
-    n = float(np.linalg.norm(q))
-    if abs(n - 1.0) > _QUAT_NORM_TOL:
-        raise SchemaViolationError(f"{where} norm {n:.6f} deviates from 1 by more than {_QUAT_NORM_TOL}")
-    if abs(n - 1.0) > 1e-12:
-        q = q / n
-    return q
+    return _read_records(TransformRecord, doc, "clusters", path, "cluster_id")
 
 
 # ---------------------------------------------------------------------------
@@ -583,15 +499,16 @@ def _read_bytes(path, kind: str) -> bytes:
         return Path(path).read_bytes()
     except FileNotFoundError:
         raise SchemaViolationError(f"{path}: {kind} file not found") from None
+    except OSError as e:  # a directory, a permission, an I/O failure
+        raise DataError(f"{path}: cannot read {kind} file: {e.strerror or e}") from None
 
 
-def _read_json(path, kind: str):
+def _read_json(path, kind: str) -> dict:
+    """The JSON object in the UTF-8 file at path; DataError subclasses name the file."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise SchemaViolationError(f"{path}: {kind} file not found") from None
-    try:
-        doc = json.loads(text)
+        doc = json.loads(_read_bytes(path, kind).decode("utf-8"))
+    except UnicodeDecodeError as e:
+        raise DataCorruptionError(f"{path}: {kind} file is not UTF-8 text ({e.reason} at byte {e.start})") from None
     except json.JSONDecodeError as e:
         raise DataCorruptionError(f"{path}: invalid JSON in {kind} file: {e}") from None
     if not isinstance(doc, dict):
@@ -599,21 +516,59 @@ def _read_json(path, kind: str):
     return doc
 
 
-def _entries(doc, key: str, path) -> list[tuple[str, dict]]:
-    """doc[key] as (location, entry) pairs, e.g. ("poses.json: poses[0]", {...}).
+def read_record(cls, entry: dict, where: str):
+    """The cls record held in the JSON object entry.
 
-    Raises SchemaViolationError naming the file and the entry when doc[key]
-    is missing, is not a list, or holds something other than JSON objects.
+    Each field's value is read by the reader _FIELD_CODECS lists for its
+    annotation. A field whose default is None may be absent; every other
+    field must be present. A missing field, a bad value, or a record cls
+    rejects raises SchemaViolationError naming where (the file and the
+    entry) and, for a field, the field.
+    """
+    values = {
+        f.name: _value(entry, f.name, _FIELD_CODECS[f.type][0], where)
+        for f in fields(cls)
+        if f.name in entry or f.default is not None
+    }
+    try:
+        return cls(**values)
+    except (ConfigError, DataError) as e:
+        raise SchemaViolationError(f"{where}: {e}") from None
+
+
+def record_document(record) -> dict:
+    """A record as the JSON object read_record reads back, keys in field order."""
+    return {f.name: _FIELD_CODECS[f.type][1](getattr(record, f.name)) for f in fields(record)}
+
+
+def _read_records(cls, doc, key: str, path, unique: str) -> list:
+    """doc[key], a list of JSON objects, as cls records read at locations
+    such as "poses.json: poses[0]".
+
+    Raises SchemaViolationError naming the file, and the entry if any, when
+    doc[key] is missing or not a list, when an entry is not a JSON object
+    or read_record rejects it, or when an entry's unique field repeats an
+    earlier entry's.
     """
     if key not in doc:
         raise SchemaViolationError(f"{path}: missing field {key!r}")
-    entries = doc[key]
-    if not isinstance(entries, list):
-        raise SchemaViolationError(f"{path}: field {key!r} must be a list, got {type(entries).__name__}")
-    for i, entry in enumerate(entries):
+    if not isinstance(doc[key], list):
+        raise SchemaViolationError(f"{path}: field {key!r} must be a list, got {type(doc[key]).__name__}")
+    records, first = [], {}
+    for i, entry in enumerate(doc[key]):
+        where = f"{path}: {key}[{i}]"
         if not isinstance(entry, dict):
-            raise SchemaViolationError(f"{path}: {key}[{i}]: must be a JSON object, got {type(entry).__name__}")
-    return [(f"{path}: {key}[{i}]", entry) for i, entry in enumerate(entries)]
+            raise SchemaViolationError(f"{where}: must be a JSON object, got {type(entry).__name__}")
+        records.append(read_record(cls, entry, where))
+        value = getattr(records[-1], unique)
+        if first.setdefault(value, i) != i:
+            raise SchemaViolationError(f"{where}: repeats {unique} {value}")
+    return records
+
+
+class _Rejected(ValueError):
+    """A reader's reason for refusing a value, worded to follow the field's
+    name ("norm 1.010000 deviates ...")."""
 
 
 def _value(entry: dict, name: str, convert, where):
@@ -627,30 +582,25 @@ def _value(entry: dict, name: str, convert, where):
         raise SchemaViolationError(f"{where}: missing field {name!r}")
     try:
         return convert(entry[name])
+    except _Rejected as e:
+        raise SchemaViolationError(f"{where}: field {name!r} {e}") from None
     except (TypeError, ValueError, OverflowError):
         raise SchemaViolationError(f"{where}: field {name!r} has invalid value {entry[name]!r}") from None
 
 
-def _check_unique(records, name: str, key: str, path) -> None:
-    """Raise SchemaViolationError naming the first record whose field name repeats an earlier one's."""
-    first = {}
-    for i, value in enumerate(getattr(rec, name) for rec in records):
-        if first.setdefault(value, i) != i:
-            raise SchemaViolationError(f"{path}: {key}[{i}]: repeats {name} {value}")
+def _instance_of(kind):
+    """A reader that returns a value of type kind itself and raises
+    TypeError for any other value."""
+
+    def read(value):
+        if not isinstance(value, kind):
+            raise TypeError(value)
+        return value
+
+    return read
 
 
-def _str(value) -> str:
-    """value itself when it is a string; TypeError otherwise."""
-    if not isinstance(value, str):
-        raise TypeError(value)
-    return value
-
-
-def _object(value) -> dict:
-    """value itself when it is a JSON object; TypeError otherwise."""
-    if not isinstance(value, dict):
-        raise TypeError(value)
-    return value
+_str, _list, _object = _instance_of(str), _instance_of(list), _instance_of(dict)
 
 
 def _optional_str(value) -> str | None:
@@ -658,18 +608,40 @@ def _optional_str(value) -> str | None:
     return None if value is None else _str(value)
 
 
-def _finite_floats(value) -> np.ndarray:
-    """value as a float64 array; ValueError when an entry is NaN or infinite."""
+def _finite_floats(value, shape) -> np.ndarray:
+    """value as a float64 array of the given shape; ValueError for another
+    shape or an entry that is NaN or infinite."""
     a = np.asarray(value, dtype=np.float64)
-    if not np.isfinite(a).all():
+    if a.shape != shape or not np.isfinite(a).all():
         raise ValueError(value)
     return a
+
+
+def _quat(value) -> np.ndarray:
+    """value as a wxyz quaternion, renormalized only when measurably off.
+
+    Keeping already-normalized quaternions verbatim makes read/write cycles
+    byte-stable (dividing by a norm of 1 + 1e-16 would flip last bits).
+    """
+    q = _finite_floats(value, (4,))
+    n = float(np.linalg.norm(q))
+    if abs(n - 1.0) > _QUAT_NORM_TOL:
+        raise _Rejected(f"norm {n:.6f} deviates from 1 by more than {_QUAT_NORM_TOL}")
+    return q / n if abs(n - 1.0) > 1e-12 else q
 
 
 def _finite_float(value) -> float:
     """float(value); ValueError when it is NaN or infinite."""
     x = float(value)
     if not np.isfinite(x):
+        raise ValueError(value)
+    return x
+
+
+def _positive_float(value) -> float:
+    """float(value); ValueError unless it is finite and above 0."""
+    x = _finite_float(value)
+    if x <= 0:
         raise ValueError(value)
     return x
 
@@ -684,11 +656,31 @@ def _int(value) -> int:
 
 
 def _ints(value) -> list[int]:
-    return [_int(v) for v in value]
+    return [_int(v) for v in _list(value)]
 
 
 def _indices(value) -> np.ndarray:
     return np.array(_ints(value), dtype=np.int64)
+
+
+def _floats(value) -> list[float]:
+    return [float(x) for x in value]
+
+
+# record field annotation -> (reader, writer) of its JSON value; the one
+# place a record field's JSON type is stated
+_FIELD_CODECS = {
+    "int": (_int, int),
+    "list[int]": (_ints, list),
+    "float": (_finite_float, float),
+    "PositiveFloat": (_positive_float, float),
+    "Vector3": (lambda v: _finite_floats(v, (3,)), _floats),
+    "Quaternion": (_quat, _floats),
+    "tuple[float, float, float]": (lambda v: tuple(_finite_floats(v, (3,)).tolist()), _floats),
+    "str": (_str, str),
+    "str | None": (_optional_str, _optional_str),
+    "list[str]": (lambda v: [_str(p) for p in _list(v)], list),
+}
 
 
 def _check_version(doc, path) -> None:

@@ -8,7 +8,7 @@ from cached files, and every artifact is byte-identical across runs.
 
 from __future__ import annotations
 
-import json
+import logging
 import numbers
 import resource
 import time
@@ -31,17 +31,18 @@ from .evaluation import evaluate_trajectories, point_cloud_distance, umeyama_ali
 from .geometry import PointCloud, apply_sim3
 from .io_formats import (
     JSON_FORMAT_VERSION,
-    _finite_float,
-    _finite_floats,
     _int,
     _object,
     _read_json,
     _str,
     _value,
+    _write_json,
     pose_record_from_camera,
     read_manifest,
     read_ply,
     read_pose_map,
+    read_record,
+    record_document,
     sim3_from_transform_record,
     transform_record_from_sim3,
     write_plan,
@@ -63,15 +64,10 @@ from .tracking import Tracks, run_tracking
 
 SYNTH_RECORD_NAME = "synth.json"
 
+logger = logging.getLogger(__name__)
 
 # PipelineConfig field annotation -> the type a config value must have
 _FIELD_KINDS = {"int": numbers.Integral, "int | None": numbers.Integral, "float": numbers.Real, "bool": bool}
-# PerturbationSpec field annotation -> the converter of its synth.json value
-_PERTURB_CONVERTERS = {
-    "float": _finite_float,
-    "str": _str,
-    "tuple[float, float, float]": lambda v: tuple(_finite_floats(v).reshape(3).tolist()),
-}
 
 
 @dataclass(frozen=True)
@@ -246,10 +242,9 @@ def synthesize_scene_dir(
         "layout": layout,
         "subset_size": subset_size,
         "overlap": overlap,
-        "perturb": asdict(perturb),
+        "perturb": record_document(perturb),
     }
-    synth_path = Path(out_dir) / "gt" / SYNTH_RECORD_NAME
-    synth_path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+    _write_json(Path(out_dir) / "gt" / SYNTH_RECORD_NAME, record)
     return manifest_path
 
 
@@ -268,12 +263,8 @@ def matcher_from_scene_dir(scene_dir):
             f"{scene_dir} has no gt/{SYNTH_RECORD_NAME}; supply a matcher for non-synthetic scenes"
         )
     record = _read_json(path, "synthetic record")
-    perturb = _value(record, "perturb", _object, path)
-    where = f"{path}: perturb"
+    spec = read_record(PerturbationSpec, _value(record, "perturb", _object, path), f"{path}: perturb")
     try:
-        spec = PerturbationSpec(
-            **{f.name: _value(perturb, f.name, _PERTURB_CONVERTERS[f.type], where) for f in fields(PerturbationSpec)}
-        )
         scene = generate_scene(
             _value(record, "seed", _int, path),
             n_cameras=_value(record, "n_cameras", _int, path),
@@ -301,6 +292,14 @@ def align_clusters(clusters, conf_percentile: float = 70.0):
         estimate_sim3_irls(extract_overlap_correspondences(a, b, conf_percentile))
         for a, b in zip(clusters, clusters[1:])
     ]
+    for cluster, res in zip(clusters[1:], results):
+        logger.info(
+            "cluster %d: %d inliers, objective %.6g after %d IRLS iterations",
+            cluster.cluster_id,
+            res.inlier_count,
+            res.final_objective,
+            res.iterations_used,
+        )
     records = [
         transform_record_from_sim3(c.cluster_id, t)
         for c, t in zip(clusters, chain_alignments([r.transform for r in results]))
@@ -521,7 +520,7 @@ def write_run_artifacts(out_dir, result: PipelineResult, cfg: PipelineConfig) ->
     write_loss_csv(paths["ba_loss"], result.ba, cfg.ba_config())
     if result.metrics is not None:
         paths["metrics"] = out / "metrics.json"
-        paths["metrics"].write_text(json.dumps(result.metrics, indent=2) + "\n", encoding="utf-8")
+        _write_json(paths["metrics"], result.metrics)
     paths["report"] = out / "report.json"
-    paths["report"].write_text(json.dumps(result.report, indent=2) + "\n", encoding="utf-8")
+    _write_json(paths["report"], result.report)
     return paths

@@ -301,6 +301,33 @@ class TestEval:
         assert code == 3
         assert "different frame ids" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda p, staged: p.mkdir(), "cannot read poses file: Is a directory"),
+            (lambda p, staged: p.write_bytes(staged["tracks"].read_bytes()), "poses file is not UTF-8 text"),
+        ],
+        ids=["directory", "tracks-file"],
+    )
+    def test_unreadable_poses_exit_3(self, scene_dir, staged, tmp_path, capsys, make, message):
+        """A poses path that is a directory, or a file whose bytes are not
+        UTF-8 such as tracks.bin, is a DataError naming the file, not a
+        traceback."""
+        bad = tmp_path / "est"
+        make(bad, staged)
+        code = main(["eval", "--est", str(bad), "--gt", str(scene_dir / "gt" / "poses.json")])
+        assert code == 3
+        assert f"{bad}: {message}" in capsys.readouterr().err
+
+    def test_short_gt_translation_exits_3_naming_file(self, scene_dir, staged, tmp_path, capsys):
+        gt = tmp_path / "gt.json"
+        doc = json.loads((scene_dir / "gt" / "poses.json").read_text())
+        doc["poses"][2]["translation"] = doc["poses"][2]["translation"][:2]
+        gt.write_text(json.dumps(doc))
+        code = main(["eval", "--est", str(staged["refined"] / "poses_refined.json"), "--gt", str(gt)])
+        assert code == 3
+        assert f"{gt}: poses[2]: field 'translation' has invalid value [" in capsys.readouterr().err
+
 
 class TestRun:
     def test_reproduces_staged_artifacts_byte_for_byte(self, scene_dir, staged, tmp_path):
@@ -403,6 +430,27 @@ class TestRun:
             ["run", "--scene", str(scene_dir), "--out", str(tmp_path / "o"), "--config", str(cfg)]
         )
         assert code == 2
+        assert f"{cfg}: invalid JSON in config file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda p: p.mkdir(), "cannot read config file: Is a directory"),
+            (lambda p: p.write_bytes(b'{"k": "\xff"}'), "config file is not UTF-8 text"),
+            (lambda p: p.write_text("[1, 2]"), "config file must contain a JSON object"),
+            (lambda p: None, "config file not found"),
+        ],
+        ids=["directory", "not-utf8", "not-an-object", "missing"],
+    )
+    def test_unreadable_config_exits_2(self, scene_dir, tmp_path, capsys, make, message):
+        cfg = tmp_path / "cfg.json"
+        make(cfg)
+        code = main(
+            ["run", "--scene", str(scene_dir), "--out", str(tmp_path / "o"), "--config", str(cfg)]
+        )
+        assert code == 2
+        assert f"{cfg}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestExitCodes:
@@ -794,6 +842,72 @@ class TestExitCodes:
                 "read_plan",
                 "field 'subsets' has invalid value [[3.7, ",
             ),
+            (
+                "transforms.json",
+                lambda doc: doc["clusters"][1].__setitem__("translation", [1.0, 2.0]),
+                "read_transforms",
+                "clusters[1]: field 'translation' has invalid value [1.0, 2.0]",
+            ),
+            (
+                "transforms.json",
+                lambda doc: doc["clusters"][1].__setitem__("scale", -1),
+                "read_transforms",
+                "clusters[1]: field 'scale' has invalid value -1",
+            ),
+            (
+                "transforms.json",
+                lambda doc: doc["clusters"][1].__setitem__("scale", 0.0),
+                "read_transforms",
+                "clusters[1]: field 'scale' has invalid value 0.0",
+            ),
+            (
+                "clusters/000/poses.json",
+                lambda doc: doc["poses"][0]["translation"].pop(),
+                "read_poses",
+                "poses[0]: field 'translation' has invalid value [",
+            ),
+            (
+                "clusters/000/poses.json",
+                lambda doc: doc["poses"][0]["quat_wxyz"].__setitem__(0, 1.5),
+                "read_poses",
+                "poses[0]: field 'quat_wxyz' norm ",
+            ),
+            (
+                "manifest.json",
+                lambda doc: doc["clusters"][0].__setitem__("poses_path", 5),
+                "read_manifest",
+                "clusters[0]: field 'poses_path' has invalid value 5",
+            ),
+            (
+                "manifest.json",
+                lambda doc: doc["clusters"][0].__setitem__("depth_paths", "clusters/000/depth.mrgt"),
+                "read_manifest",
+                "clusters[0]: field 'depth_paths' has invalid value 'clusters/000/depth.mrgt'",
+            ),
+            (
+                "manifest.json",
+                lambda doc: doc["clusters"][0]["confidence_paths"].__setitem__(0, None),
+                "read_manifest",
+                "clusters[0]: field 'confidence_paths' has invalid value [None, ",
+            ),
+            (
+                "manifest.json",
+                lambda doc: doc["images"][0].__setitem__("image_path", 5),
+                "read_manifest",
+                "images[0]: field 'image_path' has invalid value 5",
+            ),
+            (
+                "manifest.json",
+                lambda doc: doc.__setitem__("units", ["m"]),
+                "read_manifest",
+                "field 'units' has invalid value ['m']",
+            ),
+            (
+                "manifest.json",
+                lambda doc: doc["clusters"][0]["depth_paths"].pop(),
+                "read_manifest",
+                "clusters[0]: cluster 0: frame_ids/depth_paths/confidence_paths lengths differ",
+            ),
         ],
         ids=[
             "pose-without-fx",
@@ -823,6 +937,17 @@ class TestExitCodes:
             "transform-cluster_id-bool",
             "plan-subset_size-fraction",
             "plan-subsets-fraction",
+            "transform-translation-short",
+            "transform-scale-negative",
+            "transform-scale-zero",
+            "pose-translation-short",
+            "pose-quat-norm",
+            "cluster-poses_path-number",
+            "cluster-depth_paths-string",
+            "cluster-confidence_paths-null-entry",
+            "image-image_path-number",
+            "units-list",
+            "cluster-depth_paths-short",
         ],
     )
     def test_malformed_json_entry_exits_3(self, scene_dir, staged, tmp_path, capsys, rel, edit, reader, message):
@@ -885,6 +1010,21 @@ class TestExitCodes:
                 "SchemaViolationError",
                 "perturb: field 'match_pixel_noise_sigma' has invalid value nan",
             ),
+            (
+                lambda doc: doc["perturb"].pop("depth_noise_sigma"),
+                "SchemaViolationError",
+                "perturb: missing field 'depth_noise_sigma'",
+            ),
+            (
+                lambda doc: doc["perturb"].__setitem__("per_cluster_sim3_noise", [0.1, 1.0]),
+                "SchemaViolationError",
+                "perturb: field 'per_cluster_sim3_noise' has invalid value [0.1, 1.0]",
+            ),
+            (
+                lambda doc: doc["perturb"].__setitem__("outlier_match_fraction", 1.0),
+                "SchemaViolationError",
+                "perturb: outlier fraction must be in [0, 1), got 1.0",
+            ),
             (None, "DataCorruptionError", "invalid JSON in synthetic record file"),
         ],
         ids=[
@@ -895,6 +1035,9 @@ class TestExitCodes:
             "n_landmarks-negative",
             "perturb-list",
             "perturb-sigma-nan",
+            "perturb-field-missing",
+            "perturb-jitter-short",
+            "perturb-value-rejected",
             "truncated",
         ],
     )
@@ -953,6 +1096,15 @@ class TestLogging:
         )
         assert code == 0
         assert "INFO" in capsys.readouterr().err
+
+    def test_run_logs_alignment_at_info(self, scene_dir, tmp_path, monkeypatch, capsys):
+        """run logs each cluster's IRLS inliers, as align does."""
+        monkeypatch.setenv("MERG3R_LOG", "INFO")
+        argv = ["run", "--scene", str(scene_dir), "--subset-size", str(SUBSET_SIZE), "--overlap", str(OVERLAP)]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 0
+        err = capsys.readouterr().err
+        for cluster in (1, 2):
+            assert re.search(rf"INFO scenemerge.pipeline: cluster {cluster}: \d+ inliers, objective \S+ after \d+ IRLS", err)
 
     def test_invalid_level_warns_and_falls_back(self, scene_dir, staged, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("MERG3R_LOG", "LOUD")

@@ -9,6 +9,7 @@ Hand-derived expectations:
 * write(read(write(x))) is byte-identical for every format.
 """
 
+import json
 import re
 import struct
 
@@ -32,7 +33,9 @@ from scenemerge.geometry import (
 from scenemerge.io_formats import (
     ClusterEntry,
     ImageEntry,
+    PoseRecord,
     SceneManifest,
+    TransformRecord,
     camera_from_pose_record,
     pose_record_from_camera,
     read_manifest,
@@ -161,6 +164,35 @@ class TestManifest:
         with pytest.raises(SchemaViolationError, match="lengths differ"):
             ClusterEntry(0, [0, 1], "p.json", ["a"], ["a", "b"])
 
+    def test_optional_fields_may_be_absent(self, tmp_path):
+        """image_path, similarity_path and units may be left out; every
+        other field is required."""
+        p = tmp_path / "m.json"
+        write_manifest(p, self._manifest())
+        doc = json.loads(p.read_text())
+        del doc["similarity_path"], doc["units"]
+        for im in doc["images"]:
+            del im["image_path"]
+        p.write_text(json.dumps(doc))
+        got = read_manifest(p)
+        assert got.similarity_path is None and got.units == "arbitrary"
+        assert [im.image_path for im in got.images] == [None] * 4
+        for key, field in [("images", "width"), ("clusters", "poses_path")]:
+            bad = json.loads(json.dumps(doc))
+            del bad[key][0][field]
+            p.write_text(json.dumps(bad))
+            with pytest.raises(SchemaViolationError, match=re.escape(f"{p}: {key}[0]: missing field {field!r}")):
+                read_manifest(p)
+
+    def test_repeated_image_frame_id_names_entry(self, tmp_path):
+        p = tmp_path / "m.json"
+        write_manifest(p, self._manifest())
+        doc = json.loads(p.read_text())
+        doc["images"][2]["frame_id"] = 0
+        p.write_text(json.dumps(doc))
+        with pytest.raises(SchemaViolationError, match=re.escape(f"{p}: images[2]: repeats frame_id 0")):
+            read_manifest(p)
+
 
 class TestPoses:
     def _cameras(self, n=3):
@@ -204,7 +236,7 @@ class TestPoses:
             fx=rec.fx, fy=rec.fy, cx=rec.cx, cy=rec.cy,
         )
         write_poses(p, [bad])
-        with pytest.raises(SchemaViolationError, match="norm"):
+        with pytest.raises(SchemaViolationError, match=re.escape(f"{p}: poses[0]: field 'quat_wxyz' norm 1.010000 ")):
             read_poses(p)
 
     def test_renormalizes_slightly_off_quaternion(self, tmp_path):
@@ -498,6 +530,132 @@ class TestPly:
             read_ply(p)
 
 
+_H = 0.5**0.5
+
+# The exact text the writers produce for these records, pinned so a change
+# to the writers shows up here and not only as a self-consistent round trip.
+POSES_TEXT = """{
+  "format_version": 1,
+  "poses": [
+    {
+      "frame_id": 7,
+      "quat_wxyz": [
+        0.7071067811865476,
+        0.0,
+        0.0,
+        0.7071067811865476
+      ],
+      "translation": [
+        0.25,
+        -1.0,
+        3.0
+      ],
+      "fx": 300.0,
+      "fy": 310.5,
+      "cx": 32.0,
+      "cy": 24.0
+    }
+  ]
+}
+"""
+
+TRANSFORMS_TEXT = """{
+  "format_version": 1,
+  "clusters": [
+    {
+      "cluster_id": 2,
+      "scale": 0.5,
+      "quat_wxyz": [
+        0.7071067811865476,
+        0.0,
+        -0.7071067811865476,
+        0.0
+      ],
+      "translation": [
+        1.5,
+        0.0,
+        -2.0
+      ]
+    }
+  ]
+}
+"""
+
+MANIFEST_TEXT = """{
+  "format_version": 1,
+  "pose_convention": "camera_from_world",
+  "units": "arbitrary",
+  "similarity_path": "similarity.mrgt",
+  "images": [
+    {
+      "frame_id": 0,
+      "width": 64,
+      "height": 48,
+      "image_path": null
+    },
+    {
+      "frame_id": 1,
+      "width": 64,
+      "height": 48,
+      "image_path": "images/1.png"
+    }
+  ],
+  "clusters": [
+    {
+      "cluster_id": 0,
+      "frame_ids": [
+        0,
+        1
+      ],
+      "poses_path": "clusters/000/poses.json",
+      "depth_paths": [
+        "d0.mrgt",
+        "d1.mrgt"
+      ],
+      "confidence_paths": [
+        "c0.mrgt",
+        "c1.mrgt"
+      ]
+    }
+  ]
+}
+"""
+
+
+class TestPinnedText:
+    """Writers produce exactly these texts, and readers take them back."""
+
+    def test_poses(self, tmp_path):
+        p = tmp_path / "p.json"
+        rec = PoseRecord(7, np.array([_H, 0.0, 0.0, _H]), np.array([0.25, -1.0, 3.0]), 300.0, 310.5, 32.0, 24.0)
+        write_poses(p, [rec])
+        assert p.read_text() == POSES_TEXT
+        (got,) = read_poses(p)
+        assert got.frame_id == 7 and (got.fx, got.fy, got.cx, got.cy) == (300.0, 310.5, 32.0, 24.0)
+        assert got.quat_wxyz.tolist() == rec.quat_wxyz.tolist()
+        assert got.translation.tolist() == rec.translation.tolist()
+
+    def test_transforms(self, tmp_path):
+        p = tmp_path / "t.json"
+        write_transforms(p, [TransformRecord(2, 0.5, np.array([_H, 0.0, -_H, 0.0]), np.array([1.5, 0.0, -2.0]))])
+        assert p.read_text() == TRANSFORMS_TEXT
+        (got,) = read_transforms(p)
+        assert (got.cluster_id, got.scale) == (2, 0.5)
+        assert got.quat_wxyz.tolist() == [_H, 0.0, -_H, 0.0]
+        assert got.translation.tolist() == [1.5, 0.0, -2.0]
+
+    def test_manifest(self, tmp_path):
+        p = tmp_path / "m.json"
+        manifest = SceneManifest(
+            images=[ImageEntry(0, 64, 48), ImageEntry(1, 64, 48, "images/1.png")],
+            clusters=[ClusterEntry(0, [0, 1], "clusters/000/poses.json", ["d0.mrgt", "d1.mrgt"], ["c0.mrgt", "c1.mrgt"])],
+            similarity_path="similarity.mrgt",
+        )
+        write_manifest(p, manifest)
+        assert p.read_text() == MANIFEST_TEXT
+        assert read_manifest(p) == manifest
+
+
 class TestMissingFiles:
     """Every reader maps a missing path to the data-error subtree, so the
     CLI can report exit code 3 instead of leaking FileNotFoundError."""
@@ -515,3 +673,33 @@ class TestMissingFiles:
         for reader, name in cases:
             with pytest.raises(DataError, match="not found"):
                 reader(tmp_path / name)
+
+
+@pytest.mark.parametrize(
+    "reader, kind",
+    [
+        (read_tensor, "tensor"),
+        (read_tracks, "tracks"),
+        (read_ply, "PLY"),
+        (read_poses, "poses"),
+        (read_transforms, "transforms"),
+        (read_plan, "plan"),
+        (read_manifest, "manifest"),
+    ],
+)
+class TestUnreadableFiles:
+    """A path that cannot be read, or JSON that is not UTF-8, is a DataError
+    naming the file, which the CLI reports with exit code 3."""
+
+    def test_directory(self, tmp_path, reader, kind):
+        with pytest.raises(DataError, match=re.escape(f"{tmp_path}: cannot read {kind} file: Is a directory")):
+            reader(tmp_path)
+
+    def test_bytes_that_are_not_utf8(self, tmp_path, reader, kind):
+        p = tmp_path / "bad"
+        p.write_bytes(b'{"format_version": 1, "x": "\xff\xfe"}')
+        with pytest.raises(DataError, match=re.escape(f"{p}: ")):
+            reader(p)
+        if kind not in ("tensor", "tracks", "PLY"):
+            with pytest.raises(DataCorruptionError, match=re.escape(f"{p}: {kind} file is not UTF-8 text")):
+                reader(p)

@@ -9,7 +9,9 @@ property other than a dunder must be named by an attribute somewhere in
 the package, unless KEPT_UNREFERENCED gives the reason it stays (members
 are listed as Class.member). An attribute read off a name imported from
 outside the package (np.degrees, sparse.diags) belongs to that import, so
-it keeps no package member alive.
+it keeps no package member alive. Only io_formats.py, which reads and
+writes every JSON file, and cli.py may import json, and cli.py may use it
+only as print(json.dumps(...)) to stdout.
 """
 
 import ast
@@ -19,6 +21,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "scenemerge"
 BROAD = {"Exception", "BaseException"}
+JSON_MODULES = ("io_formats.py", "cli.py")
 KEPT_UNREFERENCED = {
     "ba_loss": "test reference for the analytic gradient",
     "ba_gradients": "test reference for the analytic gradient",
@@ -136,3 +139,57 @@ def test_package_has_no_dead_code():
     names = [entry.rsplit(": ", 1)[1] for entry in found]
     assert [entry for entry, name in zip(found, names) if name not in KEPT_UNREFERENCED] == []
     assert sorted(names) == sorted(KEPT_UNREFERENCED), "a KEPT_UNREFERENCED name is now referenced or gone"
+
+
+def _json_violations(source: str, name: str) -> list[str]:
+    """Imports of json outside JSON_MODULES, and in cli.py any import other
+    than `import json` or any use other than print(json.dumps(...)) to stdout."""
+    tree = ast.parse(source, filename=name)
+    out = []
+    for node in ast.walk(tree):
+        imported = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+        from_json = isinstance(node, ast.ImportFrom) and node.module == "json"
+        if from_json or "json" in imported and name not in JSON_MODULES:
+            out.append(f"{name}:{node.lineno}: imports json")
+    if name != "cli.py":
+        return out
+    printed = {
+        id(arg.func)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print"
+        and not node.keywords
+        for arg in node.args
+        if isinstance(arg, ast.Call)
+    }
+    out += [
+        f"{name}:{node.lineno}: json.{node.attr} outside print(json.dumps(...))"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "json"
+        and not (node.attr == "dumps" and id(node) in printed)
+    ]
+    return out
+
+
+@pytest.mark.parametrize(
+    "source, name, flagged",
+    [
+        ("import json\njson.loads(s)", "pipeline.py", ["pipeline.py:1: imports json"]),
+        ("import json\njson.loads(s)", "io_formats.py", []),
+        ("from json import dumps", "io_formats.py", ["io_formats.py:1: imports json"]),
+        ("import json\nprint(json.dumps(d, indent=2))", "cli.py", []),
+        ("import json\nx = json.loads(s)", "cli.py", ["cli.py:2: json.loads outside print(json.dumps(...))"]),
+        ("import json\nf.write(json.dumps(d))", "cli.py", ["cli.py:2: json.dumps outside print(json.dumps(...))"]),
+        (
+            "import json\nprint(json.dumps(d), file=sys.stderr)",
+            "cli.py",
+            ["cli.py:2: json.dumps outside print(json.dumps(...))"],
+        ),
+    ],
+)
+def test_json_rule(source, name, flagged):
+    assert _json_violations(source, name) == flagged
+
+
+def test_package_reads_and_writes_json_in_io_formats():
+    found = [v for path in sorted(PACKAGE.glob("*.py")) for v in _json_violations(path.read_text(encoding="utf-8"), path.name)]
+    assert found == []
