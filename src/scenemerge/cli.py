@@ -37,6 +37,7 @@ from .io_formats import (
     read_tracks,
     read_transforms,
     sim3_from_transform_record,
+    write_loss_csv,
     write_plan,
     write_ply,
     write_poses,
@@ -54,7 +55,6 @@ from .pipeline import (
     matcher_from_scene_dir,
     run_pipeline,
     synthesize_scene_dir,
-    write_loss_csv,
 )
 from .synthetic import PerturbationSpec
 from .tracking import run_tracking

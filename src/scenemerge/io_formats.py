@@ -1,48 +1,54 @@
-"""Interchange formats. Everything on disk is little-endian.
+"""Interchange formats: every file scenemerge reads or writes. Everything on
+disk is little-endian.
 
-Tensor file (.mrgt):
+Tensor file (.mrgt): one or more tensors back to back, each a header and
+its payload:
 
     offset  size  field
     0       4     magic b"MRGT"
     4       2     format version, u16 (currently 1)
-    6       1     dtype code, u8 (1 = float32)
+    6       1     dtype code, u8 (1 = float32, 2 = float64, 3 = uint32)
     7       1     rank, u8 (1..8)
     8       4*r   dims, u32 each
-    ...           payload, row-major float32
+    ...           payload, row-major, prod(dims) values of the dtype
 
     A 2x3 float32 tensor therefore occupies 4 + 2 + 1 + 1 + 8 + 24 = 40 bytes.
+    Depth, confidence and similarity files each hold one float32 tensor.
 
-Track file (.trk): a u64 track count, then two packed record types, each
-track's header followed by its observations (subpixel coordinates exact):
+Track file (tracks.bin): a tensor file holding the five columns of a
+tracking.Tracks table, in field order, so subpixel coordinates are exact:
 
-    track header, 36 bytes: point 3 x f64, confidence f64, observation count u32
-    observation, 20 bytes:  frame id u32, u f64, v f64
-
-Both sizes are whole u32 words (9 and 5), so the body reads and writes as
-one table of 9-word rows, observation rows using their first 5 words.
+    points       (P, 3)  float64
+    confidences  (P,)    float64
+    lengths      (P,)    uint32, observations per track
+    frames       (M,)    uint32, frame id of each observation
+    pixels       (M, 2)  float64, observations grouped by track in track order
 
 Point clouds use binary little-endian PLY with float x/y/z and an optional
 float "quality" carrying per-point confidence. The reader reads past any
 other vertex property (red/green/blue, normals).
 
-Manifests, poses, pairwise transforms, and partition plans are UTF-8 JSON
-objects with a "format_version" field. The entries of a manifest's "images"
+Manifests, poses, pairwise transforms, partition plans and gt/synth.json
+are UTF-8 JSON objects with a "format_version" field. The entries of a manifest's "images"
 and "clusters", of a poses file's "poses" and of a transforms file's
 "clusters" are records: read_record and record_document read and write each
 one from its dataclass fields, keys in field order, through the entry of
 _FIELD_CODECS for the field's annotation. Every record field is required
 except an image's image_path (absent reads as null); in the manifest's
 header, similarity_path (null) and units ("arbitrary") may be absent too.
-Translations are exactly 3 finite floats and Sim(3) scales are positive.
+A float field takes a finite JSON number, never a bool or a string;
+translations are exactly 3 of them and Sim(3) scales are positive.
 Quaternions are stored (w, x, y, z); readers reject quaternions whose norm
 deviates from 1 by more than 1e-3 and renormalize the rest. A file that is
-missing, unreadable or not UTF-8 raises a DataError naming it. All writers
-are deterministic: write(read(write(x))) is byte-identical.
+missing, unreadable or not UTF-8, or whose header or record its dataclass
+rejects, raises a DataError naming it. All writers are deterministic:
+write(read(write(x))) is byte-identical. ba_loss.csv holds CSV text.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -68,11 +74,10 @@ from .geometry import (
 
 TENSOR_MAGIC = b"MRGT"
 TENSOR_VERSION = 1
-DTYPE_FLOAT32 = 1
+_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8"), 3: np.dtype("<u4")}  # dtype code -> dtype
+_DTYPE_CODES = {dtype.str: code for code, dtype in _DTYPES.items()}
 _MAX_RANK = 8
 
-_TRACK_HEADER = np.dtype([("point", "<f8", 3), ("confidence", "<f8"), ("n_obs", "<u4")])
-_TRACK_OBSERVATION = np.dtype([("frame_id", "<u4"), ("uv", "<f8", 2)])
 JSON_FORMAT_VERSION = 1
 POSE_CONVENTION = "camera_from_world"
 _QUAT_NORM_TOL = 1e-3
@@ -87,48 +92,68 @@ PositiveFloat = float  # finite and above 0
 # binary tensors
 
 
+def write_tensors(path, arrays) -> None:
+    """Write arrays back to back as one tensor file, each in its own dtype,
+    which must be little-endian float32, float64 or uint32."""
+    arrays = [np.ascontiguousarray(a) for a in arrays]
+    for a in arrays:
+        if a.dtype.str not in _DTYPE_CODES or not 1 <= a.ndim <= _MAX_RANK or max(a.shape) > 0xFFFFFFFF:
+            raise SchemaViolationError(f"cannot store {a.dtype.str} array of shape {a.shape} as a tensor")
+    with open(path, "wb") as f:
+        for a in arrays:
+            header = struct.pack(f"<HBB{a.ndim}I", TENSOR_VERSION, _DTYPE_CODES[a.dtype.str], a.ndim, *a.shape)
+            f.writelines([TENSOR_MAGIC, header, a])
+
+
 def write_tensor(path, array) -> None:
-    """Write an array as a float32 tensor file (values are cast to float32)."""
-    a = np.ascontiguousarray(np.asarray(array), dtype="<f4")
-    if a.ndim < 1 or a.ndim > _MAX_RANK:
-        raise SchemaViolationError(f"tensor rank must be 1..{_MAX_RANK}, got {a.ndim}")
-    if any(d > 0xFFFFFFFF for d in a.shape):
-        raise SchemaViolationError(f"tensor dimension exceeds u32 range: {a.shape}")
-    p = Path(path)
-    with open(p, "wb") as f:
-        f.write(TENSOR_MAGIC)
-        f.write(struct.pack("<HBB", TENSOR_VERSION, DTYPE_FLOAT32, a.ndim))
-        f.write(struct.pack(f"<{a.ndim}I", *a.shape))
-        f.write(a.tobytes())
+    """Write an array as a file of one float32 tensor (values are cast to float32)."""
+    write_tensors(path, [np.asarray(array, dtype="<f4")])
+
+
+def read_tensors(path, kind: str = "tensor") -> list[np.ndarray]:
+    """Every tensor in the tensor file at path, in file order, each with its
+    stored dtype; errors name the file and the offset."""
+    raw = _read_bytes(path, kind)
+    tensors, off = [], 0
+    while True:
+        if off and (len(raw) < off + 8 or raw[off:off + 4] != TENSOR_MAGIC):  # no header after a tensor
+            raise DataCorruptionError(f"{path}: {len(raw) - off} trailing bytes after tensor {len(tensors) - 1}")
+        if len(raw) < 8:
+            raise DataCorruptionError(f"{path}: file shorter than the 8-byte header")
+        if raw[:4] != TENSOR_MAGIC:
+            raise SchemaViolationError(f"{path}: bad magic {raw[:4]!r} at offset 0, expected {TENSOR_MAGIC!r}")
+        version, code, rank = struct.unpack_from("<HBB", raw, off + 4)
+        if version != TENSOR_VERSION:
+            raise UnsupportedVersionError(
+                f"{path}: tensor version {version} at offset {off + 4}, supported: {TENSOR_VERSION}"
+            )
+        if code not in _DTYPES:
+            raise SchemaViolationError(f"{path}: unknown dtype code {code} at offset {off + 6}")
+        if rank < 1 or rank > _MAX_RANK:
+            raise SchemaViolationError(f"{path}: rank {rank} at offset {off + 7} outside 1..{_MAX_RANK}")
+        dims_end = off + 8 + 4 * rank
+        if len(raw) < dims_end:
+            raise DataCorruptionError(f"{path}: truncated dims block (need {dims_end} bytes, have {len(raw)})")
+        dims = struct.unpack_from(f"<{rank}I", raw, off + 8)
+        count = math.prod(dims)
+        off = dims_end + _DTYPES[code].itemsize * count
+        if len(raw) < off:
+            raise DataCorruptionError(
+                f"{path}: payload at offset {dims_end} is {len(raw) - dims_end} bytes, "
+                f"dims {dims} require {off - dims_end}"
+            )
+        tensors.append(np.frombuffer(raw, dtype=_DTYPES[code], count=count, offset=dims_end).reshape(dims).copy())
+        if off == len(raw):
+            return tensors
 
 
 def read_tensor(path) -> np.ndarray:
-    """Read a tensor file back as a float32 array."""
-    raw = _read_bytes(path, "tensor")
-    if len(raw) < 8:
-        raise DataCorruptionError(f"{path}: file shorter than the 8-byte header")
-    if raw[:4] != TENSOR_MAGIC:
-        raise SchemaViolationError(f"{path}: bad magic {raw[:4]!r} at offset 0, expected {TENSOR_MAGIC!r}")
-    version, dtype_code, rank = struct.unpack_from("<HBB", raw, 4)
-    if version != TENSOR_VERSION:
-        raise UnsupportedVersionError(f"{path}: tensor version {version} at offset 4, supported: {TENSOR_VERSION}")
-    if dtype_code != DTYPE_FLOAT32:
-        raise SchemaViolationError(f"{path}: unknown dtype code {dtype_code} at offset 6")
-    if rank < 1 or rank > _MAX_RANK:
-        raise SchemaViolationError(f"{path}: rank {rank} at offset 7 outside 1..{_MAX_RANK}")
-    dims_end = 8 + 4 * rank
-    if len(raw) < dims_end:
-        raise DataCorruptionError(f"{path}: truncated dims block (need {dims_end} bytes, have {len(raw)})")
-    dims = struct.unpack_from(f"<{rank}I", raw, 8)
-    count = 1
-    for d in dims:
-        count *= d
-    expected = dims_end + 4 * count
-    if count * 4 != len(raw) - dims_end:
-        raise DataCorruptionError(
-            f"{path}: payload is {len(raw) - dims_end} bytes, dims {dims} require {expected - dims_end}"
-        )
-    return np.frombuffer(raw, dtype="<f4", count=count, offset=dims_end).reshape(dims).copy()
+    """Read a file of exactly one float32 tensor."""
+    tensors = read_tensors(path)
+    if len(tensors) != 1 or tensors[0].dtype != "<f4":
+        found = ", ".join(f"{t.dtype.name} {t.shape}" for t in tensors)
+        raise SchemaViolationError(f"{path}: expected one float32 tensor, found {found}")
+    return tensors[0]
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +227,9 @@ def write_manifest(path, manifest: SceneManifest) -> None:
 def read_manifest(path) -> SceneManifest:
     doc = _read_json(path, "manifest")
     _check_version(doc, path)
-    return SceneManifest(
+    return _construct(
+        SceneManifest,
+        path,
         pose_convention=_value(doc, "pose_convention", _str, path),
         images=_read_records(ImageEntry, doc, "images", path, "frame_id"),
         clusters=_read_records(ClusterEntry, doc, "clusters", path, "cluster_id"),
@@ -315,55 +342,33 @@ def read_transforms(path) -> list[TransformRecord]:
 # tracks
 
 
-def _track_rows(lengths: np.ndarray):
-    """(header-row flags, used-word mask, empty body) of a track file body
-    as rows of 9 u32 words, one row per record."""
-    header = np.zeros(len(lengths) + int(lengths.sum()), dtype=bool)
-    header[np.cumsum(lengths + 1) - lengths - 1] = True
-    used = np.ones((len(header), 9), dtype=bool)
-    used[~header, 5:] = False
-    return header, used, np.zeros(used.shape, dtype="<u4")
+# tracks.bin columns in file order: Tracks field -> (dtype, shape of one row)
+_TRACK_COLUMNS = {"points": ("<f8", (3,)), "confidences": ("<f8", ()), "lengths": ("<u4", ()),
+                  "frames": ("<u4", ()), "pixels": ("<f8", (2,))}
 
 
 def write_tracks(path, tracks) -> None:
-    """Write a tracking.Tracks table."""
+    """Write a tracking.Tracks table as its five columns."""
     if len(tracks.frames) and not 0 <= tracks.frames.min() <= tracks.frames.max() <= 0xFFFFFFFF:
         raise SchemaViolationError(f"track frame ids {tracks.frames.min()}..{tracks.frames.max()} exceed u32")
-    head = np.empty(len(tracks), dtype=_TRACK_HEADER)
-    head["point"], head["confidence"], head["n_obs"] = tracks.points, tracks.confidences, tracks.lengths
-    obs = np.empty(len(tracks.frames), dtype=_TRACK_OBSERVATION)
-    obs["frame_id"], obs["uv"] = tracks.frames, tracks.pixels
-    header, used, body = _track_rows(tracks.lengths)
-    body[header] = head.view("<u4").reshape(-1, 9)
-    body[~header, :5] = obs.view("<u4").reshape(-1, 5)
-    Path(path).write_bytes(struct.pack("<Q", len(tracks)) + body[used].tobytes())
+    write_tensors(path, [getattr(tracks, name).astype(dtype) for name, (dtype, _) in _TRACK_COLUMNS.items()])
 
 
 def read_tracks(path):
-    """Read a track file into a tracking.Tracks table; only the walk over
-    track headers loops. A track Tracks rejects raises DataCorruptionError."""
+    """Read a track file into a tracking.Tracks table. Another tensor count,
+    or a column of another dtype or row shape, raises SchemaViolationError,
+    and a track Tracks rejects DataCorruptionError, both naming the file."""
     from .tracking import Tracks  # local import keeps io_formats import-light
 
-    raw = _read_bytes(path, "tracks")
-    if len(raw) < 8:
-        raise DataCorruptionError(f"{path}: file shorter than the 8-byte track count")
-    (count,) = struct.unpack_from("<Q", raw, 0)
-    off, lengths = 8, []
-    for ti in range(count):
-        if len(raw) < off + 36:
-            raise DataCorruptionError(f"{path}: track {ti} header truncated at offset {off}")
-        lengths.append(struct.unpack_from("<I", raw, off + 32)[0])
-        off += 36 + 20 * lengths[-1]
-        if len(raw) < off:
-            raise DataCorruptionError(f"{path}: track {ti} observations truncated at offset {off - 20 * lengths[-1]}")
-    if off != len(raw):
-        raise DataCorruptionError(f"{path}: {len(raw) - off} trailing bytes after track {count - 1}")
-    header, used, body = _track_rows(np.array(lengths, dtype=np.int64))
-    body[used] = np.frombuffer(raw, dtype="<u4", offset=8)
-    head = body[header].view(_TRACK_HEADER)[:, 0]
-    obs = np.ascontiguousarray(body[~header, :5]).view(_TRACK_OBSERVATION)[:, 0]
+    columns = read_tensors(path, "tracks")
+    if len(columns) != len(_TRACK_COLUMNS):
+        raise SchemaViolationError(f"{path}: a track file holds {len(_TRACK_COLUMNS)} tensors, found {len(columns)}")
+    for column, (name, (dtype, row)) in zip(columns, _TRACK_COLUMNS.items()):
+        if column.dtype != dtype or column.shape[1:] != row:
+            raise SchemaViolationError(f"{path}: track column {name} is {column.dtype.name} {column.shape}, "
+                                       f"needs {np.dtype(dtype).name} rows of shape {row}")
     try:
-        return Tracks(head["point"], head["confidence"], lengths, obs["frame_id"], obs["uv"])
+        return Tracks(*columns)
     except DataError as e:
         raise DataCorruptionError(f"{path}: {e}") from None
 
@@ -476,7 +481,9 @@ def read_plan(path):
 
     doc = _read_json(path, "plan")
     _check_version(doc, path)
-    return SceneGraphPlan(
+    return _construct(
+        SceneGraphPlan,
+        path,
         pseudo_order=_value(doc, "pseudo_order", _indices, path),
         interleaved_order=_value(doc, "interleaved_order", _indices, path),
         subsets=_value(doc, "subsets", lambda v: [_indices(s) for s in v], path),
@@ -484,6 +491,19 @@ def read_plan(path):
         overlap=_value(doc, "overlap", _int, path),
         n_subsequences=_value(doc, "n_subsequences", _int, path),
     )
+
+
+# ---------------------------------------------------------------------------
+# BA loss history
+
+
+def write_loss_csv(path, ba_result, cfg) -> None:
+    """ba_result's loss history as CSV rows (iteration, lr, loss) under the
+    ba.BAConfig cfg's learning-rate schedule; row 0 is the initial loss."""
+    lines = ["iteration,lr,loss"]
+    for i, loss in enumerate(ba_result.loss_history):
+        lines.append(f"{i},{cfg.learning_rate(i):.10e},{loss:.17e}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +550,11 @@ def read_record(cls, entry: dict, where: str):
         for f in fields(cls)
         if f.name in entry or f.default is not None
     }
+    return _construct(cls, where, **values)
+
+
+def _construct(cls, where, **values):
+    """cls(**values); an error cls raises becomes a SchemaViolationError naming where."""
     try:
         return cls(**values)
     except (ConfigError, DataError) as e:
@@ -608,11 +633,11 @@ def _optional_str(value) -> str | None:
     return None if value is None else _str(value)
 
 
-def _finite_floats(value, shape) -> np.ndarray:
-    """value as a float64 array of the given shape; ValueError for another
-    shape or an entry that is NaN or infinite."""
-    a = np.asarray(value, dtype=np.float64)
-    if a.shape != shape or not np.isfinite(a).all():
+def _finite_floats(value, length: int) -> np.ndarray:
+    """value, a list of length finite JSON numbers, as a float64 array;
+    TypeError or ValueError for any other value."""
+    a = np.array([_finite_float(x) for x in _list(value)], dtype=np.float64)
+    if len(a) != length:
         raise ValueError(value)
     return a
 
@@ -623,7 +648,7 @@ def _quat(value) -> np.ndarray:
     Keeping already-normalized quaternions verbatim makes read/write cycles
     byte-stable (dividing by a norm of 1 + 1e-16 would flip last bits).
     """
-    q = _finite_floats(value, (4,))
+    q = _finite_floats(value, 4)
     n = float(np.linalg.norm(q))
     if abs(n - 1.0) > _QUAT_NORM_TOL:
         raise _Rejected(f"norm {n:.6f} deviates from 1 by more than {_QUAT_NORM_TOL}")
@@ -631,7 +656,10 @@ def _quat(value) -> np.ndarray:
 
 
 def _finite_float(value) -> float:
-    """float(value); ValueError when it is NaN or infinite."""
+    """value, a JSON number, as a float; TypeError for a bool, a string or
+    any other non-number, ValueError when it is NaN or infinite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(value)
     x = float(value)
     if not np.isfinite(x):
         raise ValueError(value)
@@ -639,7 +667,7 @@ def _finite_float(value) -> float:
 
 
 def _positive_float(value) -> float:
-    """float(value); ValueError unless it is finite and above 0."""
+    """_finite_float(value); ValueError unless it is above 0."""
     x = _finite_float(value)
     if x <= 0:
         raise ValueError(value)
@@ -674,9 +702,9 @@ _FIELD_CODECS = {
     "list[int]": (_ints, list),
     "float": (_finite_float, float),
     "PositiveFloat": (_positive_float, float),
-    "Vector3": (lambda v: _finite_floats(v, (3,)), _floats),
+    "Vector3": (lambda v: _finite_floats(v, 3), _floats),
     "Quaternion": (_quat, _floats),
-    "tuple[float, float, float]": (lambda v: tuple(_finite_floats(v, (3,)).tolist()), _floats),
+    "tuple[float, float, float]": (lambda v: tuple(_finite_floats(v, 3).tolist()), _floats),
     "str": (_str, str),
     "str | None": (_optional_str, _optional_str),
     "list[str]": (lambda v: [_str(p) for p in _list(v)], list),

@@ -31,6 +31,7 @@ from .evaluation import evaluate_trajectories, point_cloud_distance, umeyama_ali
 from .geometry import PointCloud, apply_sim3
 from .io_formats import (
     JSON_FORMAT_VERSION,
+    _check_version,
     _int,
     _object,
     _read_json,
@@ -45,6 +46,7 @@ from .io_formats import (
     record_document,
     sim3_from_transform_record,
     transform_record_from_sim3,
+    write_loss_csv,
     write_plan,
     write_ply,
     write_poses,
@@ -253,9 +255,9 @@ def matcher_from_scene_dir(scene_dir):
 
     Regenerates the ground-truth scene from gt/synth.json; raises DataError
     when the record is absent (real scenes need a caller-supplied matcher).
-    A record that is not valid JSON, lacks a field, or holds a value of the
-    wrong type or one generation rejects raises a DataError subclass naming
-    the file and the field.
+    A record that is not valid JSON, has another format_version, lacks a
+    field, or holds a value of the wrong type or one generation rejects
+    raises a DataError subclass naming the file and the field.
     """
     path = Path(scene_dir) / "gt" / SYNTH_RECORD_NAME
     if not path.exists():
@@ -263,6 +265,7 @@ def matcher_from_scene_dir(scene_dir):
             f"{scene_dir} has no gt/{SYNTH_RECORD_NAME}; supply a matcher for non-synthetic scenes"
         )
     record = _read_json(path, "synthetic record")
+    _check_version(record, path)
     spec = read_record(PerturbationSpec, _value(record, "perturb", _object, path), f"{path}: perturb")
     try:
         scene = generate_scene(
@@ -490,14 +493,6 @@ def run_pipeline(
     if out_dir is not None:
         write_run_artifacts(out_dir, result, cfg)
     return result
-
-
-def write_loss_csv(path, ba_result, cfg: BAConfig) -> None:
-    """History as CSV rows (iteration, lr, loss); row 0 is the initial loss."""
-    lines = ["iteration,lr,loss"]
-    for i, loss in enumerate(ba_result.loss_history):
-        lines.append(f"{i},{cfg.learning_rate(i):.10e},{loss:.17e}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_run_artifacts(out_dir, result: PipelineResult, cfg: PipelineConfig) -> dict:

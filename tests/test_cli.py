@@ -9,7 +9,6 @@ byte-for-byte.
 
 import json
 import re
-import struct
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -18,7 +17,15 @@ import numpy as np
 import pytest
 
 from scenemerge.cli import SETTING_FLAGS, main
-from scenemerge.io_formats import read_ply, read_poses, read_tracks, write_ply, write_poses, write_tracks
+from scenemerge.io_formats import (
+    read_ply,
+    read_poses,
+    read_tracks,
+    write_ply,
+    write_poses,
+    write_tensors,
+    write_tracks,
+)
 from scenemerge.pipeline import PipelineConfig
 
 SEED = 13
@@ -507,12 +514,18 @@ class TestExitCodes:
             for i, rows in enumerate(tracks)
         ]
         edit(records)
-        parts = [struct.pack("<Q", len(records))]
-        for point, confidence, obs in records:
-            parts.append(struct.pack("<3dd I", *point, confidence, len(obs)))
-            parts += [struct.pack("<Idd", *o) for o in obs]
+        observations = [o for _, _, obs in records for o in obs]
         path = tmp_path / "tracks.bin"
-        path.write_bytes(b"".join(parts))
+        write_tensors(
+            path,
+            [
+                np.array([point for point, _, _ in records]),
+                np.array([confidence for _, confidence, _ in records]),
+                np.array([len(obs) for _, _, obs in records], dtype=np.uint32),
+                np.array([o[0] for o in observations], dtype=np.uint32),
+                np.array([o[1:] for o in observations]),
+            ],
+        )
         with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
             read_tracks(path)
         code = main(
@@ -527,6 +540,32 @@ class TestExitCodes:
         )
         assert code == 3
         assert f"{path}: {message}" in capsys.readouterr().err
+
+    def test_depth_tensor_as_tracks_exits_3(self, scene_dir, staged, tmp_path, capsys):
+        depth = next((scene_dir / "clusters" / "000").glob("depth_*.mrgt"))
+        code = main(
+            [
+                "ba",
+                "--scene", str(scene_dir),
+                "--tracks", str(depth),
+                "--transforms", str(staged["transforms"]),
+                "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == 3
+        assert f"{depth}: a track file holds 5 tensors, found 1" in capsys.readouterr().err
+
+    def test_plan_that_is_not_a_partition_exits_3(self, scene_dir, staged, tmp_path, capsys):
+        """A plan.json SceneGraphPlan rejects is bad input (exit 3, naming
+        the file); a valid plan that does not fit the clusters exits 2."""
+        plan = tmp_path / "plan.json"
+        doc = json.loads(staged["plan"].read_text())
+        doc["pseudo_order"][0] = doc["pseudo_order"][1]
+        plan.write_text(json.dumps(doc))
+        code = main(["align", "--plan", str(plan), "--clusters", str(scene_dir), "--out", str(tmp_path / "t.json")])
+        assert code == 3
+        message = f"{plan}: plan field pseudo_order is not a permutation of 0..{N_CAMERAS - 1}"
+        assert message in capsys.readouterr().err
 
     def test_divergence_exits_4(self, scene_dir, staged, tmp_path, capsys):
         staged_tracks = read_tracks(staged["tracks"])
@@ -908,6 +947,54 @@ class TestExitCodes:
                 "read_manifest",
                 "clusters[0]: cluster 0: frame_ids/depth_paths/confidence_paths lengths differ",
             ),
+            (
+                "clusters/000/poses.json",
+                lambda doc: doc["poses"][0].__setitem__("fx", "500"),
+                "read_poses",
+                "poses[0]: field 'fx' has invalid value '500'",
+            ),
+            (
+                "clusters/000/poses.json",
+                lambda doc: doc["poses"][0].__setitem__("fy", True),
+                "read_poses",
+                "poses[0]: field 'fy' has invalid value True",
+            ),
+            (
+                "clusters/000/poses.json",
+                lambda doc: doc["poses"][0].__setitem__("translation", ["1", "2", "3"]),
+                "read_poses",
+                "poses[0]: field 'translation' has invalid value ['1', '2', '3']",
+            ),
+            (
+                "transforms.json",
+                lambda doc: doc["clusters"][1].__setitem__("scale", True),
+                "read_transforms",
+                "clusters[1]: field 'scale' has invalid value True",
+            ),
+            (
+                "manifest.json",
+                lambda doc: doc["clusters"][0]["frame_ids"].__setitem__(0, 999),
+                "read_manifest",
+                "cluster 0 references frame_ids absent from images: [999]",
+            ),
+            (
+                "clusters/000/poses.json",
+                lambda doc: doc["poses"][0].__setitem__("translation", [True, False, True]),
+                "read_poses",
+                "poses[0]: field 'translation' has invalid value [True, False, True]",
+            ),
+            (
+                "clusters/000/poses.json",
+                lambda doc: doc["poses"][0]["quat_wxyz"].__setitem__(3, False),
+                "read_poses",
+                "poses[0]: field 'quat_wxyz' has invalid value [",
+            ),
+            (
+                "manifest.json",
+                lambda doc: doc.__setitem__("pose_convention", "world_from_camera"),
+                "read_manifest",
+                "pose_convention is 'world_from_camera', this build requires 'camera_from_world'",
+            ),
         ],
         ids=[
             "pose-without-fx",
@@ -948,6 +1035,14 @@ class TestExitCodes:
             "image-image_path-number",
             "units-list",
             "cluster-depth_paths-short",
+            "pose-fx-string",
+            "pose-fy-bool",
+            "pose-translation-strings",
+            "transform-scale-bool",
+            "cluster-frame-unknown",
+            "pose-translation-bools",
+            "pose-quat-bool",
+            "pose_convention-reversed",
         ],
     )
     def test_malformed_json_entry_exits_3(self, scene_dir, staged, tmp_path, capsys, rel, edit, reader, message):
@@ -1026,6 +1121,16 @@ class TestExitCodes:
                 "perturb: outlier fraction must be in [0, 1), got 1.0",
             ),
             (None, "DataCorruptionError", "invalid JSON in synthetic record file"),
+            (
+                lambda doc: doc.__setitem__("format_version", 99),
+                "UnsupportedVersionError",
+                "format_version 99, supported: 1",
+            ),
+            (
+                lambda doc: doc["perturb"].__setitem__("depth_noise_sigma", "0.01"),
+                "SchemaViolationError",
+                "perturb: field 'depth_noise_sigma' has invalid value '0.01'",
+            ),
         ],
         ids=[
             "seed-string",
@@ -1039,6 +1144,8 @@ class TestExitCodes:
             "perturb-jitter-short",
             "perturb-value-rejected",
             "truncated",
+            "format_version",
+            "perturb-sigma-string",
         ],
     )
     def test_bad_synth_record_exits_3(self, scene_dir, tmp_path, capsys, edit, error, message):

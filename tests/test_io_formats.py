@@ -4,8 +4,9 @@ Hand-derived expectations:
 
 * a 2x3 float32 tensor file is 4 (magic) + 2 (version) + 1 (dtype) +
   1 (rank) + 2*4 (dims) + 6*4 (payload) = 40 bytes;
-* tracks: 8-byte count, then per track 24 (point) + 8 (confidence) +
-  4 (obs count) + 20 per observation;
+* tracks.bin holds five tensors: headers of 16 + 12 + 12 + 12 + 16 = 68
+  bytes, then per track 24 (point) + 8 (confidence) + 4 (length) and per
+  observation 4 (frame) + 16 (pixel);
 * write(read(write(x))) is byte-identical for every format.
 """
 
@@ -43,17 +44,22 @@ from scenemerge.io_formats import (
     read_ply,
     read_poses,
     read_tensor,
+    read_tensors,
     read_tracks,
     read_transforms,
     sim3_from_transform_record,
     transform_record_from_sim3,
     write_manifest,
+    write_plan,
     write_ply,
     write_poses,
     write_tensor,
+    write_tensors,
     write_tracks,
     write_transforms,
 )
+from scenemerge.ordering import SceneGraphPlan
+from scenemerge.pipeline import matcher_from_scene_dir, synthesize_scene_dir
 from scenemerge.tracking import Tracks
 
 
@@ -112,6 +118,59 @@ class TestTensor:
         raw[8] = 200  # first dim now 200, payload still 6 floats
         p.write_bytes(bytes(raw))
         with pytest.raises(DataCorruptionError, match="payload"):
+            read_tensor(p)
+
+    def test_several_dtypes_round_trip(self, tmp_path):
+        arrays = [
+            np.arange(6, dtype=np.float32).reshape(2, 3),
+            np.array([0.1, -2.5e300]),
+            np.array([0, 7, 0xFFFFFFFF], dtype=np.uint32),
+        ]
+        p = tmp_path / "t.mrgt"
+        write_tensors(p, arrays)
+        got = read_tensors(p)
+        assert [a.dtype.str for a in got] == ["<f4", "<f8", "<u4"]
+        for a, b in zip(arrays, got):
+            np.testing.assert_array_equal(a, b)
+        assert p.stat().st_size == (16 + 24) + (12 + 16) + (12 + 12)
+
+    def test_rejects_unknown_dtype_code(self, tmp_path):
+        p = tmp_path / "t.mrgt"
+        write_tensors(p, [np.zeros(2, dtype=np.uint32)])
+        raw = bytearray(p.read_bytes())
+        raw[6] = 4
+        p.write_bytes(bytes(raw))
+        with pytest.raises(SchemaViolationError, match=re.escape(f"{p}: unknown dtype code 4 at offset 6")):
+            read_tensors(p)
+        with pytest.raises(SchemaViolationError, match=re.escape("cannot store <i8 array of shape (2,) as a tensor")):
+            write_tensors(p, [np.zeros(2, dtype=np.int64)])
+
+    def test_trailing_bytes(self, tmp_path):
+        p = tmp_path / "t.mrgt"
+        write_tensor(p, np.zeros(3, dtype=np.float32))
+        for tail in (b"xx", b"not a tensor header"):
+            p.write_bytes(p.read_bytes()[:24] + tail)
+            with pytest.raises(DataCorruptionError, match=re.escape(f"{p}: {len(tail)} trailing bytes after tensor 0")):
+                read_tensor(p)
+
+    @pytest.mark.parametrize(
+        "write, found",
+        [
+            (lambda p: write_tensors(p, [np.zeros((2, 2))]), "float64 (2, 2)"),
+            (lambda p: write_tensors(p, [np.zeros(2, dtype=np.float32)] * 2), "float32 (2,), float32 (2,)"),
+            (
+                lambda p: write_tracks(p, Tracks([[0.0, 1.0, 2.0]], [1.0], [2], [0, 1], [[0.5, 0.5], [1.5, 1.5]])),
+                "float64 (1, 3), float64 (1,), uint32 (1,), uint32 (2,), float64 (2, 2)",
+            ),
+        ],
+        ids=["float64", "two-tensors", "tracks-file"],
+    )
+    def test_read_tensor_needs_one_float32_tensor(self, tmp_path, write, found):
+        """A file of other tensors, such as a tracks.bin, fails at the read
+        of a depth, confidence or similarity tensor, naming the file."""
+        p = tmp_path / "t.mrgt"
+        write(p)
+        with pytest.raises(SchemaViolationError, match=re.escape(f"{p}: expected one float32 tensor, found {found}")):
             read_tensor(p)
 
 
@@ -348,16 +407,6 @@ class TestRandomizedRoundTrips:
         assert checked == 1000
 
 
-def _pack_tracks(tracks) -> bytes:
-    """The track file of per-track (point, confidence, [(frame, (u, v))])
-    records, packed one struct record at a time."""
-    parts = [struct.pack("<Q", len(tracks))]
-    for point, confidence, observations in tracks:
-        parts.append(struct.pack("<3dd I", *point, confidence, len(observations)))
-        parts += [struct.pack("<Idd", f, u, v) for f, (u, v) in observations]
-    return b"".join(parts)
-
-
 class TestTracks:
     def _records(self):
         rng = np.random.default_rng(4)
@@ -383,26 +432,15 @@ class TestTracks:
         t = Tracks(points=np.zeros((1, 3)), confidences=[1.0], lengths=[2], frames=[0, 1], pixels=[[0, 0], [1, 1]])
         p = tmp_path / "t.trk"
         write_tracks(p, t)
-        assert p.stat().st_size == 8 + 36 + 2 * 20
-
-    def test_matches_one_struct_record_per_field(self, tmp_path):
-        """The vectorized writer produces the bytes of packing each header
-        and each observation with struct, and the reader inverts them."""
-        p = tmp_path / "t.trk"
-        write_tracks(p, self._tracks())
-        assert p.read_bytes() == _pack_tracks(self._records())
-        p.write_bytes(_pack_tracks(self._records()))
-        got = read_tracks(p)
-        assert len(got) == 5
-        for i, ((point, confidence, obs), rows) in enumerate(zip(self._records(), got)):
-            assert tuple(got.points[i]) == point
-            assert got.confidences[i] == confidence
-            assert [(int(f), tuple(uv)) for f, uv in zip(got.frames[rows], got.pixels[rows])] == obs
+        assert p.stat().st_size == 68 + 36 + 2 * 20
 
     def test_empty_file_round_trip(self, tmp_path):
         p = tmp_path / "t.trk"
         write_tracks(p, Tracks([], [], [], [], []))
-        assert p.read_bytes() == struct.pack("<Q", 0)
+        headers = [(2, [0, 3]), (2, [0]), (3, [0]), (3, [0]), (2, [0, 2])]
+        assert p.read_bytes() == b"".join(
+            b"MRGT" + struct.pack(f"<HBB{len(dims)}I", 1, code, len(dims), *dims) for code, dims in headers
+        )
         assert len(read_tracks(p)) == 0
 
     def test_round_trip_exact(self, tmp_path):
@@ -414,19 +452,56 @@ class TestTracks:
         assert p1.read_bytes() == p2.read_bytes()
         for name in ("points", "confidences", "lengths", "frames", "pixels"):
             np.testing.assert_array_equal(getattr(got, name), getattr(tracks, name))  # f64 exact
+        for i, ((point, confidence, obs), rows) in enumerate(zip(self._records(), got)):
+            assert tuple(got.points[i]) == point and got.confidences[i] == confidence
+            assert [(int(f), tuple(uv)) for f, uv in zip(got.frames[rows], got.pixels[rows])] == obs
 
     def test_truncation_detected(self, tmp_path):
         p = tmp_path / "t.trk"
         write_tracks(p, self._tracks())
-        p.write_bytes(p.read_bytes()[:-7])
-        with pytest.raises(DataCorruptionError, match="truncated"):
-            read_tracks(p)
+        full = p.read_bytes()
+        for cut in (7, len(full) - 70, len(full) - 3):
+            p.write_bytes(full[:-cut])
+            with pytest.raises(DataCorruptionError, match=re.escape(f"{p}: ")):
+                read_tracks(p)
 
     def test_trailing_garbage_detected(self, tmp_path):
         p = tmp_path / "t.trk"
         write_tracks(p, self._tracks())
         p.write_bytes(p.read_bytes() + b"xx")
-        with pytest.raises(DataCorruptionError, match="trailing"):
+        with pytest.raises(DataCorruptionError, match=re.escape(f"{p}: 2 trailing bytes after tensor 4")):
+            read_tracks(p)
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            (
+                0,
+                np.zeros((5, 3), dtype=np.float32),
+                "track column points is float32 (5, 3), needs float64 rows of shape (3,)",
+            ),
+            (1, np.zeros((5, 1)), "track column confidences is float64 (5, 1), needs float64 rows of shape ()"),
+            (3, np.zeros(17), "track column frames is float64 (17,), needs uint32 rows of shape ()"),
+            (4, np.zeros((17, 3)), "track column pixels is float64 (17, 3), needs float64 rows of shape (2,)"),
+        ],
+        ids=["points-float32", "confidences-2d", "frames-float64", "pixels-3-wide"],
+    )
+    def test_rejects_bad_column(self, tmp_path, column, value, message):
+        """A column of another dtype or row shape fails where it is read,
+        naming the file and the column."""
+        tracks = self._tracks()
+        columns = [tracks.points, tracks.confidences, tracks.lengths.astype(np.uint32),
+                   tracks.frames.astype(np.uint32), tracks.pixels]
+        columns[column] = value
+        p = tmp_path / "t.trk"
+        write_tensors(p, columns)
+        with pytest.raises(SchemaViolationError, match=re.escape(f"{p}: {message}")):
+            read_tracks(p)
+
+    def test_rejects_depth_tensor(self, tmp_path):
+        p = tmp_path / "depth.mrgt"
+        write_tensor(p, np.ones((4, 6), dtype=np.float32))
+        with pytest.raises(SchemaViolationError, match=re.escape(f"{p}: a track file holds 5 tensors, found 1")):
             read_tracks(p)
 
 
@@ -621,6 +696,71 @@ MANIFEST_TEXT = """{
 }
 """
 
+PLAN_TEXT = """{
+  "format_version": 1,
+  "subset_size": 3,
+  "overlap": 1,
+  "n_subsequences": 2,
+  "pseudo_order": [
+    2,
+    0,
+    1,
+    3
+  ],
+  "interleaved_order": [
+    2,
+    1,
+    0,
+    3
+  ],
+  "subsets": [
+    [
+      2,
+      1,
+      0
+    ],
+    [
+      0,
+      3
+    ]
+  ]
+}
+"""
+
+SYNTH_TEXT = """{
+  "format_version": 1,
+  "seed": 5,
+  "n_cameras": 8,
+  "n_landmarks": 400,
+  "layout": "room",
+  "subset_size": 5,
+  "overlap": 2,
+  "perturb": {
+    "per_cluster_sim3_noise": [
+      0.3,
+      30.0,
+      1.0
+    ],
+    "depth_noise_sigma": 0.01,
+    "confidence_model": "inverse_error",
+    "match_pixel_noise_sigma": 0.5,
+    "outlier_match_fraction": 0.05
+  }
+}
+"""
+
+# One track of two observations as tracks.bin: five tensor headers (magic,
+# version 1, dtype code, rank, dims), each followed by its payload.
+TRACKS_BYTES = b"".join(
+    [
+        b"MRGT", struct.pack("<HBB2I", 1, 2, 2, 1, 3), struct.pack("<3d", 0.5, -1.0, 2.25),
+        b"MRGT", struct.pack("<HBBI", 1, 2, 1, 1), struct.pack("<d", 0.75),
+        b"MRGT", struct.pack("<HBBI", 1, 3, 1, 1), struct.pack("<I", 2),
+        b"MRGT", struct.pack("<HBBI", 1, 3, 1, 2), struct.pack("<2I", 4, 9),
+        b"MRGT", struct.pack("<HBB2I", 1, 2, 2, 2, 2), struct.pack("<4d", 10.5, 20.25, 31.0, 0.125),
+    ]
+)
+
 
 class TestPinnedText:
     """Writers produce exactly these texts, and readers take them back."""
@@ -654,6 +794,30 @@ class TestPinnedText:
         write_manifest(p, manifest)
         assert p.read_text() == MANIFEST_TEXT
         assert read_manifest(p) == manifest
+
+    def test_plan(self, tmp_path):
+        p = tmp_path / "plan.json"
+        write_plan(p, SceneGraphPlan([2, 0, 1, 3], [2, 1, 0, 3], [[2, 1, 0], [0, 3]], 3, 1, 2))
+        assert p.read_text() == PLAN_TEXT
+        got = read_plan(p)
+        assert (got.subset_size, got.overlap, got.n_subsequences) == (3, 1, 2)
+        assert got.pseudo_order.tolist() == [2, 0, 1, 3] and got.interleaved_order.tolist() == [2, 1, 0, 3]
+        assert [s.tolist() for s in got.subsets] == [[2, 1, 0], [0, 3]]
+
+    def test_synth_record(self, tmp_path):
+        synthesize_scene_dir(tmp_path, seed=5, n_cameras=8, n_landmarks=400, subset_size=5, overlap=2)
+        assert (tmp_path / "gt" / "synth.json").read_text() == SYNTH_TEXT
+        matcher_from_scene_dir(tmp_path)
+
+    def test_tracks(self, tmp_path):
+        """The writer produces tracks.bin byte for byte, and the reader inverts it."""
+        p = tmp_path / "tracks.bin"
+        write_tracks(p, Tracks([[0.5, -1.0, 2.25]], [0.75], [2], [4, 9], [[10.5, 20.25], [31.0, 0.125]]))
+        assert p.read_bytes() == TRACKS_BYTES
+        got = read_tracks(p)
+        assert got.points.tolist() == [[0.5, -1.0, 2.25]] and got.confidences.tolist() == [0.75]
+        assert got.lengths.tolist() == [2] and got.frames.tolist() == [4, 9]
+        assert got.pixels.tolist() == [[10.5, 20.25], [31.0, 0.125]]
 
 
 class TestMissingFiles:

@@ -11,7 +11,9 @@ are listed as Class.member). An attribute read off a name imported from
 outside the package (np.degrees, sparse.diags) belongs to that import, so
 it keeps no package member alive. Only io_formats.py, which reads and
 writes every JSON file, and cli.py may import json, and cli.py may use it
-only as print(json.dumps(...)) to stdout.
+only as print(json.dumps(...)) to stdout. Only io_formats.py may call what
+reads or writes a file: open(), a path's read_bytes/read_text/write_bytes/
+write_text, numpy's load*/save*, fromfile and tofile.
 """
 
 import ast
@@ -22,6 +24,8 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "scenemerge"
 BROAD = {"Exception", "BaseException"}
 JSON_MODULES = ("io_formats.py", "cli.py")
+FILE_IO_MODULE = "io_formats.py"
+FILE_IO_ATTRS = {"open", "read_bytes", "read_text", "write_bytes", "write_text", "fromfile", "tofile"}
 KEPT_UNREFERENCED = {
     "ba_loss": "test reference for the analytic gradient",
     "ba_gradients": "test reference for the analytic gradient",
@@ -192,4 +196,49 @@ def test_json_rule(source, name, flagged):
 
 def test_package_reads_and_writes_json_in_io_formats():
     found = [v for path in sorted(PACKAGE.glob("*.py")) for v in _json_violations(path.read_text(encoding="utf-8"), path.name)]
+    assert found == []
+
+
+def _file_io_violations(source: str, name: str) -> list[str]:
+    """Calls outside FILE_IO_MODULE that read or write a file: open(), a
+    FILE_IO_ATTRS method, or np.load*/np.save*."""
+    if name == FILE_IO_MODULE:
+        return []
+    out = []
+    for node in ast.walk(ast.parse(source, filename=name)):
+        func = node.func if isinstance(node, ast.Call) else None
+        if isinstance(func, ast.Name):
+            flagged = func.id == "open"
+        elif isinstance(func, ast.Attribute):
+            numpy_io = _attribute_root(func) == "np" and func.attr.startswith(("load", "save"))
+            flagged = func.attr in FILE_IO_ATTRS or numpy_io
+        else:
+            flagged = False
+        if flagged:
+            out.append(f"{name}:{node.lineno}: {ast.unparse(func)}")
+    return out
+
+
+@pytest.mark.parametrize(
+    "source, name, flagged",
+    [
+        ("with open(p, 'wb') as f:\n    f.write(b)", "pipeline.py", ["pipeline.py:1: open"]),
+        ("Path(p).write_text(s)", "pipeline.py", ["pipeline.py:1: Path(p).write_text"]),
+        ("raw = p.read_bytes()", "cli.py", ["cli.py:1: p.read_bytes"]),
+        ("np.save(p, a)\nx = np.loadtxt(p)", "ba.py", ["ba.py:1: np.save", "ba.py:2: np.loadtxt"]),
+        ("a.tofile(f)\nb = np.fromfile(f)", "ba.py", ["ba.py:1: a.tofile", "ba.py:2: np.fromfile"]),
+        ("with open(p, 'wb') as f:\n    f.write(Path(q).read_bytes())", "io_formats.py", []),
+        ("n = np.linalg.norm(a)\nf.write(b)\nroot.mkdir()", "pipeline.py", []),
+    ],
+)
+def test_file_io_rule(source, name, flagged):
+    assert _file_io_violations(source, name) == flagged
+
+
+def test_package_reads_and_writes_files_in_io_formats():
+    found = [
+        v
+        for path in sorted(PACKAGE.glob("*.py"))
+        for v in _file_io_violations(path.read_text(encoding="utf-8"), path.name)
+    ]
     assert found == []
