@@ -3,10 +3,10 @@
 Each stage subcommand reads its interchange artifacts, calls the same stage
 function run_pipeline calls, and writes the stage's artifacts, so any stage
 can be swapped with an external tool (including foundation-model outputs
-dropped into the cluster directory). Exit codes: 0 success, 2
-configuration error, 3 data error, 4 numerical divergence. The MERG3R_LOG
-environment variable selects the log level (default WARNING); logs go to
-stderr so stdout stays machine-readable.
+dropped into a cluster directory as its one maps.mrgt file). Exit codes:
+0 success, 2 configuration error, 3 data error, 4 numerical divergence.
+The MERG3R_LOG environment variable selects the log level (default
+WARNING); logs go to stderr so stdout stays machine-readable.
 
 Every PipelineConfig setting has one flag, declared once in SETTING_FLAGS
 and added to each subcommand that reads it. The flags default to None, so

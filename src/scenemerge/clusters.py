@@ -2,13 +2,15 @@
 
 A cluster is one subset's reconstruction in its own (arbitrary, scaled)
 frame, as a foundation model or the synthetic oracle would produce it.
-Each frame's depth and confidence maps are plain row-major float32 arrays
-of shape (height, width); ClusterReconstruction casts them and is the one
-place their shape and sign are checked. Depth values <= 0 mark invalid
-pixels; confidences are raw nonnegative scores with no cross-model
-calibration (percentile filtering downstream makes the scale irrelevant).
-Integer pixel coordinates sit at pixel centers, so unprojecting pixel
-(u, v) at its stored depth and projecting it back is the identity.
+Its depth and confidence maps are two row-major float32 stacks of shape
+(frames, height, width), frames in frame_ids order, as a model emits one
+subset in one batch; all frames of a cluster share one image size.
+ClusterReconstruction casts the stacks and is the one place their shape,
+finiteness and sign are checked. Depth values <= 0 mark invalid pixels;
+confidences are raw nonnegative scores with no cross-model calibration
+(percentile filtering downstream makes the scale irrelevant). Integer
+pixel coordinates sit at pixel centers, so unprojecting pixel (u, v) at
+its stored depth and projecting it back is the identity.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 
 from .errors import (
     DataCorruptionError,
+    DataError,
     InvalidPoseError,
     MissingFrameError,
     SchemaViolationError,
@@ -30,9 +33,9 @@ from .io_formats import (
     camera_from_pose_record,
     pose_record_from_camera,
     read_poses,
-    read_tensor,
+    read_tensors,
     write_poses,
-    write_tensor,
+    write_tensors,
 )
 
 
@@ -40,45 +43,48 @@ from .io_formats import (
 class ClusterReconstruction:
     """One subset's reconstruction in its own arbitrary Sim(3) gauge.
 
-    Construction casts every map to float32 and rejects, naming the cluster
-    and the frame, a map whose shape is not the camera's (height, width) and
-    a negative confidence.
+    Construction casts both map stacks to float32 and rejects, naming the
+    cluster and a frame, a camera whose image size is not the first
+    camera's, a stack whose shape is not (frames, height, width), a
+    non-finite value (DataCorruptionError) and a negative confidence.
     """
 
     cluster_id: int
     frame_ids: list[int]
     cameras: list[CameraParams]
-    depths: list[np.ndarray]
-    confidences: list[np.ndarray]
+    depths: np.ndarray
+    confidences: np.ndarray
 
     def __post_init__(self):
-        n = len(self.frame_ids)
-        if not (len(self.cameras) == len(self.depths) == len(self.confidences) == n):
-            raise SchemaViolationError(
-                f"cluster {self.cluster_id}: parallel arrays differ in length "
-                f"({n} frames, {len(self.cameras)} cameras, {len(self.depths)} depths, "
-                f"{len(self.confidences)} confidences)"
-            )
-        if len(set(self.frame_ids)) != n:
-            raise SchemaViolationError(f"cluster {self.cluster_id}: duplicate frame_ids")
-        depths = [np.asarray(d, dtype=np.float32) for d in self.depths]
-        confidences = [np.asarray(c, dtype=np.float32) for c in self.confidences]
-        for fid, cam, d, c in zip(self.frame_ids, self.cameras, depths, confidences):
+        cid, fids, n = self.cluster_id, self.frame_ids, len(self.frame_ids)
+        if not n or len(self.cameras) != n:
+            raise SchemaViolationError(f"cluster {cid}: {n} frames, {len(self.cameras)} cameras; needs one per frame")
+        if len(set(fids)) != n:
+            raise SchemaViolationError(f"cluster {cid}: duplicate frame_ids")
+        k = self.cameras[0].intrinsics
+        for fid, cam in zip(fids, self.cameras):
             if cam.frame_id != fid:
+                raise SchemaViolationError(f"cluster {cid}: camera frame_id {cam.frame_id} does not match {fid}")
+            if (cam.intrinsics.width, cam.intrinsics.height) != (k.width, k.height):
+                raise SchemaViolationError(f"cluster {cid} frame {fid}: image size differs from frame {fids[0]}'s")
+        depths, confidences = (np.asarray(m, dtype=np.float32) for m in (self.depths, self.confidences))
+        for kind, m in (("depth", depths), ("confidence", confidences)):
+            if m.shape[:1] != (n,):
+                raise SchemaViolationError(f"cluster {cid}: {kind} stack has shape {m.shape}, needs {n} frames")
+            if m.shape[1:] != (k.height, k.width):
                 raise SchemaViolationError(
-                    f"cluster {self.cluster_id}: camera frame_id {cam.frame_id} does not match {fid}"
+                    f"cluster {cid} frame {fids[0]}: {kind} map has shape {m.shape[1:]}, "
+                    f"intrinsics need ({k.height}, {k.width})"
                 )
-            k = cam.intrinsics
-            for kind, m in (("depth", d), ("confidence", c)):
-                if m.shape != (k.height, k.width):
-                    raise SchemaViolationError(
-                        f"cluster {self.cluster_id} frame {fid}: {kind} map has shape {m.shape}, "
-                        f"intrinsics need ({k.height}, {k.width})"
-                    )
-            if np.any(c < 0):
-                raise SchemaViolationError(
-                    f"cluster {self.cluster_id} frame {fid}: confidence map contains negative values"
-                )
+            finite = np.isfinite(m).all(axis=(1, 2))
+            if not finite.all():
+                bad = fids[finite.argmin()]
+                raise DataCorruptionError(f"cluster {cid} frame {bad}: non-finite value in {kind} map")
+        negative = (confidences < 0).any(axis=(1, 2))
+        if negative.any():
+            raise SchemaViolationError(
+                f"cluster {cid} frame {fids[negative.argmax()]}: confidence map contains negative values"
+            )
         object.__setattr__(self, "depths", depths)
         object.__setattr__(self, "confidences", confidences)
 
@@ -96,47 +102,37 @@ def load_cluster(root, entry: ClusterEntry, image_sizes: dict) -> ClusterReconst
     """Load one manifest cluster entry from the scene directory root.
 
     The entry's paths are relative to root, and image_sizes maps each frame
-    id to its (width, height). Raises MissingFrameError naming the frame
-    when a per-frame file is absent, InvalidPoseError naming the poses file
-    and the frame for a camera geometry rejects, DataCorruptionError for
-    non-finite payloads or truncated tensors, and SchemaViolationError for
-    dimension mismatches.
+    id to its (width, height). Raises MissingFrameError naming the cluster
+    when its poses or maps file is absent or the poses file lacks a frame,
+    InvalidPoseError naming the poses file and the frame for a camera
+    geometry rejects, and, naming the maps file, DataCorruptionError for
+    non-finite or truncated maps and SchemaViolationError for maps that are
+    not two float32 stacks of the cluster's (frames, height, width).
     """
     root = Path(root)
     cluster_id = entry.cluster_id
-    poses_file = root / entry.poses_path
-    if not poses_file.exists():
-        raise MissingFrameError(f"cluster {cluster_id}: poses file {entry.poses_path} not found")
+    for kind, rel in (("poses", entry.poses_path), ("maps", entry.maps_path)):
+        if not (root / rel).exists():
+            raise MissingFrameError(f"cluster {cluster_id}: {kind} file {rel} not found")
+    poses_file, maps_file = root / entry.poses_path, root / entry.maps_path
     records = {r.frame_id: r for r in read_poses(poses_file)}
-
-    cameras, depths, confidences = [], [], []
-    for fid, dpath, cpath in zip(entry.frame_ids, entry.depth_paths, entry.confidence_paths):
+    cameras = []
+    for fid in entry.frame_ids:
         if fid not in records:
             raise MissingFrameError(f"cluster {cluster_id}: frame {fid} missing from {entry.poses_path}")
         try:
             cameras.append(camera_from_pose_record(records[fid], *image_sizes[fid]))
         except InvalidPoseError as e:
             raise InvalidPoseError(f"{poses_file}: frame {fid}: {e}") from e
-        for kind, rel in (("depth", dpath), ("confidence", cpath)):
-            if not (root / rel).exists():
-                raise MissingFrameError(f"cluster {cluster_id}: {kind} file for frame {fid} not found: {rel}")
-        d = read_tensor(root / dpath)
-        c = read_tensor(root / cpath)
-        for kind, arr, rel in (("depth", d, dpath), ("confidence", c, cpath)):
-            if not np.all(np.isfinite(arr)):
-                raise DataCorruptionError(
-                    f"cluster {cluster_id} frame {fid}: non-finite value in {kind} tensor {rel}"
-                )
-        depths.append(d)
-        confidences.append(c)
 
-    return ClusterReconstruction(
-        cluster_id=cluster_id,
-        frame_ids=list(entry.frame_ids),
-        cameras=cameras,
-        depths=depths,
-        confidences=confidences,
-    )
+    maps = read_tensors(maps_file, "maps")
+    if [m.dtype for m in maps] != [np.float32] * 2:
+        found = ", ".join(f"{m.dtype.name} {m.shape}" for m in maps)
+        raise SchemaViolationError(f"{maps_file}: expected two float32 tensors, found {found}")
+    try:
+        return ClusterReconstruction(cluster_id, list(entry.frame_ids), cameras, *maps)
+    except DataError as e:
+        raise type(e)(f"{maps_file}: {e}") from None
 
 
 def write_cluster(scene_dir, cluster: ClusterReconstruction) -> ClusterEntry:
@@ -145,23 +141,14 @@ def write_cluster(scene_dir, cluster: ClusterReconstruction) -> ClusterEntry:
     The returned ClusterEntry carries paths relative to the scene directory
     (where the manifest lives).
     """
-    scene_dir = Path(scene_dir)
     rel_dir = Path("clusters") / f"{cluster.cluster_id:03d}"
-    out_dir = scene_dir / rel_dir
+    out_dir = Path(scene_dir) / rel_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     write_poses(out_dir / "poses.json", [pose_record_from_camera(c) for c in cluster.cameras])
-    depth_paths, conf_paths = [], []
-    for fid, d, c in zip(cluster.frame_ids, cluster.depths, cluster.confidences):
-        dp = rel_dir / f"depth_{fid:05d}.mrgt"
-        cp = rel_dir / f"conf_{fid:05d}.mrgt"
-        write_tensor(scene_dir / dp, d)
-        write_tensor(scene_dir / cp, c)
-        depth_paths.append(str(dp))
-        conf_paths.append(str(cp))
+    write_tensors(out_dir / "maps.mrgt", [cluster.depths, cluster.confidences])
     return ClusterEntry(
         cluster_id=cluster.cluster_id,
         frame_ids=list(cluster.frame_ids),
         poses_path=str(rel_dir / "poses.json"),
-        depth_paths=depth_paths,
-        confidence_paths=conf_paths,
+        maps_path=str(rel_dir / "maps.mrgt"),
     )

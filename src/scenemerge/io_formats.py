@@ -13,7 +13,12 @@ its payload:
     ...           payload, row-major, prod(dims) values of the dtype
 
     A 2x3 float32 tensor therefore occupies 4 + 2 + 1 + 1 + 8 + 24 = 40 bytes.
-    Depth, confidence and similarity files each hold one float32 tensor.
+    A similarity file holds one float32 tensor.
+
+Cluster maps file (clusters/NNN/maps.mrgt): a tensor file holding two
+float32 tensors of shape (F, H, W), a cluster's depth maps, then its
+confidence maps, frames in the order of the cluster's frame_ids. All F
+frames share the one image size (W, H) the manifest gives them.
 
 Track file (tracks.bin): a tensor file holding the five columns of a
 tracking.Tracks table, in field order, so subpixel coordinates are exact:
@@ -50,6 +55,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -175,16 +181,14 @@ class ClusterEntry:
     cluster_id: int
     frame_ids: list[int]
     poses_path: str
-    depth_paths: list[str]
-    confidence_paths: list[str]
+    maps_path: str
 
     def __post_init__(self):
-        n = len(self.frame_ids)
-        if len(self.depth_paths) != n or len(self.confidence_paths) != n:
-            raise SchemaViolationError(
-                f"cluster {self.cluster_id}: frame_ids/depth_paths/confidence_paths lengths differ "
-                f"({n}/{len(self.depth_paths)}/{len(self.confidence_paths)})"
-            )
+        if not self.frame_ids:
+            raise SchemaViolationError(f"cluster {self.cluster_id} lists no frames")
+        repeated = [f for f, count in Counter(self.frame_ids).items() if count > 1]
+        if repeated:
+            raise SchemaViolationError(f"cluster {self.cluster_id} repeats frame_ids {repeated[:5]}")
 
 
 @dataclass(frozen=True)
@@ -203,12 +207,17 @@ class SceneManifest:
         ids = [im.frame_id for im in self.images]
         if len(set(ids)) != len(ids):
             raise SchemaViolationError("manifest field images contains duplicate frame_ids")
-        known = set(ids)
+        sizes = {im.frame_id: (im.width, im.height) for im in self.images}
         for c in self.clusters:
-            missing = [f for f in c.frame_ids if f not in known]
+            missing = [f for f in c.frame_ids if f not in sizes]
             if missing:
                 raise SchemaViolationError(
                     f"cluster {c.cluster_id} references frame_ids absent from images: {missing[:5]}"
+                )
+            odd = [f for f in c.frame_ids if sizes[f] != sizes[c.frame_ids[0]]]
+            if odd:
+                raise SchemaViolationError(
+                    f"cluster {c.cluster_id} frame {odd[0]}: image size differs from frame {c.frame_ids[0]}'s"
                 )
 
 
@@ -707,7 +716,6 @@ _FIELD_CODECS = {
     "tuple[float, float, float]": (lambda v: tuple(_finite_floats(v, 3).tolist()), _floats),
     "str": (_str, str),
     "str | None": (_optional_str, _optional_str),
-    "list[str]": (lambda v: [_str(p) for p in _list(v)], list),
 }
 
 

@@ -383,7 +383,7 @@ def evaluate_run(data: SceneData, cameras, cloud: PointCloud | None) -> dict | N
     gt = read_pose_map(gt_path)
     missing = [c.frame_id for c in cameras if c.frame_id not in gt]
     if missing:
-        raise DataError(f"gt poses missing frames {missing[:5]}")
+        raise DataError(f"{gt_path}: gt poses missing frames {missing[:5]}")
     gt_poses = [gt[c.frame_id] for c in cameras]
     gt_cloud_path = data.root / "gt" / "landmarks.ply"
     if cloud is not None and len(cloud.points) and gt_cloud_path.exists():

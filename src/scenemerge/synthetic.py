@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .clusters import ClusterReconstruction
+from .clusters import ClusterReconstruction, write_cluster
 from .errors import ConfigError, GenerationFailureError
 from .geometry import (
     CameraIntrinsics,
@@ -47,12 +47,15 @@ from .io_formats import (
     SceneManifest,
     ImageEntry,
     pose_record_from_camera,
+    transform_record_from_sim3,
     write_manifest,
     write_ply,
     write_poses,
     write_tensor,
+    write_transforms,
 )
 from .ordering import SimilarityMatrix
+from .tracking import MatchSet
 
 _MIN_LANDMARKS_PER_CAMERA = 50
 _RESAMPLE_ATTEMPTS = 100
@@ -395,8 +398,6 @@ def synthetic_matcher(scene: SyntheticScene, perturb: PerturbationSpec):
     any matcher it returns every pair it finds; run_tracking applies the
     one keypoint cap.
     """
-    from .tracking import MatchSet
-
     w, h = scene.image_size
 
     def match(frame_i: int, frame_j: int) -> MatchSet:
@@ -432,9 +433,6 @@ def write_scene(
     Returns the manifest path. The gt/ subdirectory carries ground-truth
     poses, the landmark cloud, and the injected warps for evaluation.
     """
-    from .clusters import write_cluster
-    from .io_formats import transform_record_from_sim3, write_transforms
-
     scene_dir = Path(scene_dir)
     scene_dir.mkdir(parents=True, exist_ok=True)
     write_tensor(scene_dir / "similarity.mrgt", similarity.values.astype(np.float32))

@@ -18,8 +18,10 @@ import pytest
 
 from scenemerge.cli import SETTING_FLAGS, main
 from scenemerge.io_formats import (
+    read_manifest,
     read_ply,
     read_poses,
+    read_tensors,
     read_tracks,
     write_ply,
     write_poses,
@@ -100,10 +102,28 @@ def staged(scene_dir, tmp_path_factory):
     return paths
 
 
+def _copy_with_cluster_1_maps(scene_dir, tmp_path, edit):
+    """A copy of scene_dir whose cluster 1 maps are edit(depths, confidences),
+    as (scene, maps file, cluster 1 frame ids)."""
+    import shutil
+
+    scene = tmp_path / "scene"
+    shutil.copytree(scene_dir, scene)
+    maps = scene / "clusters" / "001" / "maps.mrgt"
+    write_tensors(maps, [np.ascontiguousarray(m, dtype=np.float32) for m in edit(*read_tensors(maps))])
+    return scene, maps, read_manifest(scene / "manifest.json").clusters[1].frame_ids
+
+
 class TestSynth:
     def test_creates_scene_layout(self, scene_dir):
-        assert (scene_dir / "manifest.json").exists()
-        assert (scene_dir / "gt" / "synth.json").exists()
+        """A scene is exactly its manifest, similarity, gt/ records and, per
+        cluster, one poses file and one maps file."""
+        clusters = read_manifest(scene_dir / "manifest.json").clusters
+        per_cluster = {f"clusters/{c.cluster_id:03d}/{name}" for c in clusters for name in ("poses.json", "maps.mrgt")}
+        gt = {f"gt/{name}" for name in ("poses.json", "landmarks.ply", "warps.json", "synth.json")}
+        files = {p.relative_to(scene_dir).as_posix() for p in scene_dir.rglob("*") if p.is_file()}
+        assert len(clusters) > 1
+        assert files == {"manifest.json", "similarity.mrgt"} | gt | per_cluster
 
     def test_rejects_bad_layout(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -542,18 +562,18 @@ class TestExitCodes:
         assert f"{path}: {message}" in capsys.readouterr().err
 
     def test_depth_tensor_as_tracks_exits_3(self, scene_dir, staged, tmp_path, capsys):
-        depth = next((scene_dir / "clusters" / "000").glob("depth_*.mrgt"))
+        maps = scene_dir / "clusters" / "000" / "maps.mrgt"
         code = main(
             [
                 "ba",
                 "--scene", str(scene_dir),
-                "--tracks", str(depth),
+                "--tracks", str(maps),
                 "--transforms", str(staged["transforms"]),
                 "--out", str(tmp_path / "o"),
             ]
         )
         assert code == 3
-        assert f"{depth}: a track file holds 5 tensors, found 1" in capsys.readouterr().err
+        assert f"{maps}: a track file holds 5 tensors, found 2" in capsys.readouterr().err
 
     def test_plan_that_is_not_a_partition_exits_3(self, scene_dir, staged, tmp_path, capsys):
         """A plan.json SceneGraphPlan rejects is bad input (exit 3, naming
@@ -612,21 +632,14 @@ class TestExitCodes:
         assert "IRLS objective increased" in capsys.readouterr().err
 
     def test_infinite_depth_exits_3_naming_frame(self, scene_dir, tmp_path, capsys):
-        import shutil
-
-        from scenemerge.io_formats import read_manifest, read_tensor, write_tensor
-
-        scene = tmp_path / "scene"
-        shutil.copytree(scene_dir, scene)
-        entry = read_manifest(scene / "manifest.json").clusters[1]
-        fid, rel = entry.frame_ids[0], entry.depth_paths[0]
-        depth = read_tensor(scene / rel)
-        depth[3, 4] = float("inf")
-        write_tensor(scene / rel, depth)
+        scene, maps, frame_ids = _copy_with_cluster_1_maps(scene_dir, tmp_path, lambda d, c: (d, c))
+        depths, confidences = read_tensors(maps)
+        depths[1, 3, 4] = float("inf")
+        write_tensors(maps, [depths, confidences])
         code = main(["run", "--scene", str(scene), "--out", str(tmp_path / "o")])
         assert code == 3
         err = capsys.readouterr().err
-        assert f"load stage: cluster 1 frame {fid}: non-finite value in depth tensor {rel}" in err
+        assert f"load stage: {maps}: cluster 1 frame {frame_ids[1]}: non-finite value in depth map" in err
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -648,28 +661,25 @@ class TestExitCodes:
         assert f"load stage: {path}: frame {doc['poses'][0]['frame_id']}: {message}" in err
 
     @pytest.mark.parametrize(
-        "kind, edit, message",
+        "edit, frame, message",
         [
-            ("confidence", lambda t: t * 0 - 1, "confidence map contains negative values"),
-            ("depth", lambda t: t.reshape(-1), "depth map has shape (3072,), intrinsics need (48, 64)"),
-            ("confidence", lambda t: t[:, :-1], "confidence map has shape (48, 63), intrinsics need (48, 64)"),
+            (
+                lambda d, c: (d, np.concatenate([c[:2], c[2:3] * 0 - 1, c[3:]])),
+                2,
+                "confidence map contains negative values",
+            ),
+            (lambda d, c: (d.reshape(len(d), -1), c), 0, "depth map has shape (3072,), intrinsics need (48, 64)"),
+            (lambda d, c: (d, c[:, :, :-1]), 0, "confidence map has shape (48, 63), intrinsics need (48, 64)"),
         ],
         ids=["negative-confidence", "flat-depth", "narrow-confidence"],
     )
-    def test_bad_cluster_map_exits_3_naming_cluster_and_frame(self, scene_dir, tmp_path, capsys, kind, edit, message):
-        import shutil
-
-        from scenemerge.io_formats import read_manifest, read_tensor, write_tensor
-
-        scene = tmp_path / "scene"
-        shutil.copytree(scene_dir, scene)
-        entry = read_manifest(scene / "manifest.json").clusters[1]
-        fid = entry.frame_ids[2]
-        rel = (entry.depth_paths if kind == "depth" else entry.confidence_paths)[2]
-        write_tensor(scene / rel, np.ascontiguousarray(edit(read_tensor(scene / rel))))
+    def test_bad_cluster_map_exits_3_naming_cluster_and_frame(self, scene_dir, tmp_path, capsys, edit, frame, message):
+        """A map of the wrong shape or sign names the maps file, the cluster
+        and a frame; a stack of the wrong size is wrong in its first frame."""
+        scene, maps, frame_ids = _copy_with_cluster_1_maps(scene_dir, tmp_path, edit)
         code = main(["run", "--scene", str(scene), "--out", str(tmp_path / "o")])
         assert code == 3
-        assert f"load stage: cluster 1 frame {fid}: {message}" in capsys.readouterr().err
+        assert f"load stage: {maps}: cluster 1 frame {frame_ids[frame]}: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, edit, message",
@@ -919,15 +929,15 @@ class TestExitCodes:
             ),
             (
                 "manifest.json",
-                lambda doc: doc["clusters"][0].__setitem__("depth_paths", "clusters/000/depth.mrgt"),
+                lambda doc: doc["clusters"][0].pop("maps_path"),
                 "read_manifest",
-                "clusters[0]: field 'depth_paths' has invalid value 'clusters/000/depth.mrgt'",
+                "clusters[0]: missing field 'maps_path'",
             ),
             (
                 "manifest.json",
-                lambda doc: doc["clusters"][0]["confidence_paths"].__setitem__(0, None),
+                lambda doc: doc["clusters"][0].__setitem__("maps_path", None),
                 "read_manifest",
-                "clusters[0]: field 'confidence_paths' has invalid value [None, ",
+                "clusters[0]: field 'maps_path' has invalid value None",
             ),
             (
                 "manifest.json",
@@ -943,9 +953,9 @@ class TestExitCodes:
             ),
             (
                 "manifest.json",
-                lambda doc: doc["clusters"][0]["depth_paths"].pop(),
+                lambda doc: doc["clusters"][0].__setitem__("maps_path", 5),
                 "read_manifest",
-                "clusters[0]: cluster 0: frame_ids/depth_paths/confidence_paths lengths differ",
+                "clusters[0]: field 'maps_path' has invalid value 5",
             ),
             (
                 "clusters/000/poses.json",
@@ -995,6 +1005,12 @@ class TestExitCodes:
                 "read_manifest",
                 "pose_convention is 'world_from_camera', this build requires 'camera_from_world'",
             ),
+            (
+                "manifest.json",
+                lambda doc: doc["clusters"][1]["frame_ids"].__setitem__(1, doc["clusters"][1]["frame_ids"][0]),
+                "read_manifest",
+                "clusters[1]: cluster 1 repeats frame_ids [",
+            ),
         ],
         ids=[
             "pose-without-fx",
@@ -1030,11 +1046,11 @@ class TestExitCodes:
             "pose-translation-short",
             "pose-quat-norm",
             "cluster-poses_path-number",
-            "cluster-depth_paths-string",
-            "cluster-confidence_paths-null-entry",
+            "cluster-maps_path-missing",
+            "cluster-maps_path-null",
             "image-image_path-number",
             "units-list",
-            "cluster-depth_paths-short",
+            "cluster-maps_path-number",
             "pose-fx-string",
             "pose-fy-bool",
             "pose-translation-strings",
@@ -1043,6 +1059,7 @@ class TestExitCodes:
             "pose-translation-bools",
             "pose-quat-bool",
             "pose_convention-reversed",
+            "cluster-frame_ids-repeated",
         ],
     )
     def test_malformed_json_entry_exits_3(self, scene_dir, staged, tmp_path, capsys, rel, edit, reader, message):

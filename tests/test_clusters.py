@@ -1,5 +1,7 @@
 """Tests for cluster loading, writing, and point-cloud extraction."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -19,7 +21,7 @@ from scenemerge.geometry import (
     apply_sim3,
     project_points,
 )
-from scenemerge.io_formats import read_manifest, read_tensor, write_tensor
+from scenemerge.io_formats import read_manifest, read_tensors, write_tensors
 from scenemerge.pipeline import load_scene
 from scenemerge.synthetic import (
     PerturbationSpec,
@@ -60,6 +62,16 @@ def _write_synthetic_scene(tmp_path, seed=2, n_cameras=6, subsets=((0, 1, 2), (2
     return path, scene, clusters
 
 
+def _edit_maps(path, cluster_id, edit, keep=slice(None)):
+    """Apply edit(depths, confidences) in place to the maps file of cluster
+    cluster_id, keeping the frames keep selects, and return the file's path."""
+    maps = path.parent / "clusters" / f"{cluster_id:03d}" / "maps.mrgt"
+    depths, confidences = read_tensors(maps)
+    edit(depths, confidences)
+    write_tensors(maps, [depths[keep], confidences[keep]])
+    return maps
+
+
 def _load(path, cluster_id):
     """One cluster of the scene whose manifest is at path, loaded by load_scene."""
     return load_scene(path.parent).clusters[cluster_id]
@@ -96,6 +108,15 @@ class TestValidation:
                 depths=[np.ones((4, 4), dtype=np.float32)],
                 confidences=[np.ones((4, 4), dtype=np.float32)],
             )
+        with pytest.raises(SchemaViolationError, match="cluster 0: 0 frames, 0 cameras"):
+            ClusterReconstruction(0, [], [], np.ones((0, 4, 4)), np.ones((0, 4, 4)))
+
+    def test_cluster_frames_share_one_image_size(self):
+        """The maps are one (frames, height, width) stack, so every camera
+        has the first camera's image size."""
+        cams = [_tiny_camera(4, 4, frame_id=0), _tiny_camera(4, 2, frame_id=1)]
+        with pytest.raises(SchemaViolationError, match="cluster 0 frame 1: image size differs from frame 0's"):
+            ClusterReconstruction(0, [0, 1], cams, np.ones((2, 4, 4)), np.ones((2, 4, 4)))
 
     def test_cluster_rejects_dimension_mismatch(self):
         """Depth 3x4 against 4x4 intrinsics fails."""
@@ -156,45 +177,74 @@ class TestLoadCluster:
             assert np.allclose(ra["quat_wxyz"], rb["quat_wxyz"], atol=1e-15)
             assert np.allclose(ra["translation"], rb["translation"], atol=1e-15)
 
-    def test_missing_depth_file_names_frame(self, tmp_path):
-        path, _, clusters = _write_synthetic_scene(tmp_path)
-        victim = clusters[1].frame_ids[1]
-        (path.parent / "clusters" / "001" / f"depth_{victim:05d}.mrgt").unlink()
-        with pytest.raises(MissingFrameError, match=str(victim)):
+    def test_missing_maps_file_names_cluster(self, tmp_path):
+        path, _, _ = _write_synthetic_scene(tmp_path)
+        (path.parent / "clusters" / "001" / "maps.mrgt").unlink()
+        with pytest.raises(MissingFrameError, match="cluster 1: maps file clusters/001/maps.mrgt not found"):
             _load(path, 1)
 
     def test_truncated_tensor(self, tmp_path):
-        path, _, clusters = _write_synthetic_scene(tmp_path)
-        victim = path.parent / "clusters" / "000" / f"depth_{clusters[0].frame_ids[0]:05d}.mrgt"
+        path, _, _ = _write_synthetic_scene(tmp_path)
+        victim = path.parent / "clusters" / "000" / "maps.mrgt"
         victim.write_bytes(victim.read_bytes()[:-40])
-        with pytest.raises(DataCorruptionError):
+        with pytest.raises(DataCorruptionError, match=re.escape(f"{victim}: payload at offset")):
             _load(path, 0)
 
     def test_nan_payload(self, tmp_path):
         path, _, clusters = _write_synthetic_scene(tmp_path)
-        victim = path.parent / "clusters" / "000" / f"conf_{clusters[0].frame_ids[0]:05d}.mrgt"
-        bad = np.full((48, 64), np.nan, dtype=np.float32)
-        write_tensor(victim, bad)
-        with pytest.raises(DataCorruptionError):
+        victim = _edit_maps(path, 0, lambda d, c: c[1].fill(np.nan))
+        message = f"{victim}: cluster 0 frame {clusters[0].frame_ids[1]}: non-finite value in confidence map"
+        with pytest.raises(DataCorruptionError, match=re.escape(message)):
             _load(path, 0)
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf])
     def test_infinite_depth_names_cluster_frame_and_file(self, tmp_path, value):
         path, _, clusters = _write_synthetic_scene(tmp_path)
-        fid = clusters[1].frame_ids[2]
-        rel = f"clusters/001/depth_{fid:05d}.mrgt"
-        bad = read_tensor(path.parent / rel)
-        bad[5, 7] = value
-        write_tensor(path.parent / rel, bad)
-        with pytest.raises(DataCorruptionError, match=f"cluster 1 frame {fid}: non-finite value in depth tensor {rel}"):
+        victim = _edit_maps(path, 1, lambda d, c: d[2].__setitem__((5, 7), value))
+        message = f"{victim}: cluster 1 frame {clusters[1].frame_ids[2]}: non-finite value in depth map"
+        with pytest.raises(DataCorruptionError, match=re.escape(message)):
+            _load(path, 1)
+
+    def test_negative_infinite_confidence_is_corruption(self, tmp_path):
+        """-inf is reported as the non-finite value it is, not as a negative
+        confidence."""
+        path, _, clusters = _write_synthetic_scene(tmp_path)
+        _edit_maps(path, 1, lambda d, c: c[3].__setitem__((0, 0), -np.inf))
+        with pytest.raises(DataCorruptionError, match=f"frame {clusters[1].frame_ids[3]}: non-finite value"):
             _load(path, 1)
 
     def test_wrong_shape_tensor(self, tmp_path):
-        """A depth grid that disagrees with the manifest image size fails."""
+        """Maps whose size disagrees with the manifest image size fail, naming the file."""
         path, _, clusters = _write_synthetic_scene(tmp_path)
-        victim = path.parent / "clusters" / "000" / f"depth_{clusters[0].frame_ids[0]:05d}.mrgt"
-        write_tensor(victim, np.ones((10, 10), dtype=np.float32))
-        with pytest.raises(SchemaViolationError):
+        victim = path.parent / "clusters" / "000" / "maps.mrgt"
+        write_tensors(victim, [np.ones((3, 10, 10), dtype=np.float32)] * 2)
+        fid = clusters[0].frame_ids[0]
+        message = f"{victim}: cluster 0 frame {fid}: depth map has shape (10, 10), intrinsics need (48, 64)"
+        with pytest.raises(SchemaViolationError, match=re.escape(message)):
+            _load(path, 0)
+
+    def test_wrong_frame_count(self, tmp_path):
+        path, _, _ = _write_synthetic_scene(tmp_path)
+        victim = _edit_maps(path, 1, lambda d, c: None, keep=slice(1, None))
+        message = f"{victim}: cluster 1: depth stack has shape (3, 48, 64), needs 4 frames"
+        with pytest.raises(SchemaViolationError, match=re.escape(message)):
+            _load(path, 1)
+
+    @pytest.mark.parametrize(
+        "maps, found",
+        [
+            (lambda d, c: [d], "float32 (3, 48, 64)"),
+            (lambda d, c: [d, c, c], "float32 (3, 48, 64), float32 (3, 48, 64), float32 (3, 48, 64)"),
+            (lambda d, c: [d, c.astype(np.float64)], "float32 (3, 48, 64), float64 (3, 48, 64)"),
+        ],
+        ids=["one-tensor", "three-tensors", "float64-confidence"],
+    )
+    def test_maps_need_two_float32_tensors(self, tmp_path, maps, found):
+        path, _, _ = _write_synthetic_scene(tmp_path)
+        victim = path.parent / "clusters" / "000" / "maps.mrgt"
+        write_tensors(victim, maps(*read_tensors(victim)))
+        message = f"{victim}: expected two float32 tensors, found {found}"
+        with pytest.raises(SchemaViolationError, match=re.escape(message)):
             _load(path, 0)
 
     def test_missing_poses_file_names_cluster(self, tmp_path):

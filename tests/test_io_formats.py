@@ -4,6 +4,8 @@ Hand-derived expectations:
 
 * a 2x3 float32 tensor file is 4 (magic) + 2 (version) + 1 (dtype) +
   1 (rank) + 2*4 (dims) + 6*4 (payload) = 40 bytes;
+* a cluster's maps.mrgt holds two (F, H, W) float32 tensors: per tensor
+  a 20-byte header and 4*F*H*W payload bytes;
 * tracks.bin holds five tensors: headers of 16 + 12 + 12 + 12 + 16 = 68
   bytes, then per track 24 (point) + 8 (confidence) + 4 (length) and per
   observation 4 (frame) + 16 (pixel);
@@ -17,6 +19,7 @@ import struct
 import numpy as np
 import pytest
 
+from scenemerge.clusters import ClusterReconstruction, load_cluster, write_cluster
 from scenemerge.errors import (
     DataCorruptionError,
     DataError,
@@ -183,8 +186,7 @@ class TestManifest:
                     cluster_id=0,
                     frame_ids=[0, 1, 2],
                     poses_path="clusters/000/poses.json",
-                    depth_paths=[f"clusters/000/depth_{i}.mrgt" for i in range(3)],
-                    confidence_paths=[f"clusters/000/conf_{i}.mrgt" for i in range(3)],
+                    maps_path="clusters/000/maps.mrgt",
                 )
             ],
             similarity_path="similarity.mrgt",
@@ -209,8 +211,7 @@ class TestManifest:
                         cluster_id=0,
                         frame_ids=[0, 5],
                         poses_path="p.json",
-                        depth_paths=["a", "b"],
-                        confidence_paths=["a", "b"],
+                        maps_path="m.mrgt",
                     )
                 ],
             )
@@ -219,9 +220,23 @@ class TestManifest:
         with pytest.raises(SchemaViolationError, match="pose_convention"):
             SceneManifest(images=[], pose_convention="world_from_camera")
 
-    def test_rejects_mismatched_path_lists(self):
-        with pytest.raises(SchemaViolationError, match="lengths differ"):
-            ClusterEntry(0, [0, 1], "p.json", ["a"], ["a", "b"])
+    def test_cluster_entry_rejects_repeated_or_no_frames(self):
+        with pytest.raises(SchemaViolationError, match=re.escape("cluster 3 repeats frame_ids [1]")):
+            ClusterEntry(3, [0, 1, 2, 1], "p.json", "m.mrgt")
+        with pytest.raises(SchemaViolationError, match="cluster 3 lists no frames"):
+            ClusterEntry(3, [], "p.json", "m.mrgt")
+
+    def test_rejects_cluster_of_two_image_sizes(self, tmp_path):
+        """A cluster's maps are one (F, H, W) stack, so its frames share one
+        size; the manifest reader names the file, the cluster and the frame."""
+        p = tmp_path / "m.json"
+        write_manifest(p, self._manifest())
+        doc = json.loads(p.read_text())
+        doc["images"][2]["width"] = 32
+        p.write_text(json.dumps(doc))
+        message = f"{p}: cluster 0 frame 2: image size differs from frame 0's"
+        with pytest.raises(SchemaViolationError, match=re.escape(message)):
+            read_manifest(p)
 
     def test_optional_fields_may_be_absent(self, tmp_path):
         """image_path, similarity_path and units may be left out; every
@@ -683,14 +698,7 @@ MANIFEST_TEXT = """{
         1
       ],
       "poses_path": "clusters/000/poses.json",
-      "depth_paths": [
-        "d0.mrgt",
-        "d1.mrgt"
-      ],
-      "confidence_paths": [
-        "c0.mrgt",
-        "c1.mrgt"
-      ]
+      "maps_path": "clusters/000/maps.mrgt"
     }
   ]
 }
@@ -749,6 +757,18 @@ SYNTH_TEXT = """{
 }
 """
 
+# A cluster of frames 4 and 9, 3 pixels wide and 2 high, as maps.mrgt: the
+# (2, 2, 3) float32 depth stack, then the confidence stack, each a tensor
+# header (magic, version 1, dtype code 1, rank 3, dims) and its payload.
+MAP_DEPTHS = [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 0.0, 4.0, 4.25, 4.5, 4.75, 5.0]
+MAP_CONFIDENCES = [0.5, 0.25, 1.0, 0.0, 2.0, 0.125, 0.0, 1.0, 1.0, 0.5, 0.5, 0.75]
+MAPS_BYTES = b"".join(
+    [
+        b"MRGT", struct.pack("<HBB3I", 1, 1, 3, 2, 2, 3), struct.pack("<12f", *MAP_DEPTHS),
+        b"MRGT", struct.pack("<HBB3I", 1, 1, 3, 2, 2, 3), struct.pack("<12f", *MAP_CONFIDENCES),
+    ]
+)
+
 # One track of two observations as tracks.bin: five tensor headers (magic,
 # version 1, dtype code, rank, dims), each followed by its payload.
 TRACKS_BYTES = b"".join(
@@ -788,7 +808,7 @@ class TestPinnedText:
         p = tmp_path / "m.json"
         manifest = SceneManifest(
             images=[ImageEntry(0, 64, 48), ImageEntry(1, 64, 48, "images/1.png")],
-            clusters=[ClusterEntry(0, [0, 1], "clusters/000/poses.json", ["d0.mrgt", "d1.mrgt"], ["c0.mrgt", "c1.mrgt"])],
+            clusters=[ClusterEntry(0, [0, 1], "clusters/000/poses.json", "clusters/000/maps.mrgt")],
             similarity_path="similarity.mrgt",
         )
         write_manifest(p, manifest)
@@ -808,6 +828,19 @@ class TestPinnedText:
         synthesize_scene_dir(tmp_path, seed=5, n_cameras=8, n_landmarks=400, subset_size=5, overlap=2)
         assert (tmp_path / "gt" / "synth.json").read_text() == SYNTH_TEXT
         matcher_from_scene_dir(tmp_path)
+
+    def test_cluster_maps(self, tmp_path):
+        """write_cluster writes a cluster's maps as MAPS_BYTES, and
+        load_cluster reads the two stacks back."""
+        intrinsics = CameraIntrinsics(fx=2.0, fy=2.0, cx=1.0, cy=0.5, width=3, height=2)
+        cameras = [CameraParams(intrinsics, CameraPose(np.eye(3), np.zeros(3)), frame_id=f) for f in (4, 9)]
+        depths = np.reshape(MAP_DEPTHS, (2, 2, 3))
+        confidences = np.reshape(MAP_CONFIDENCES, (2, 2, 3))
+        entry = write_cluster(tmp_path, ClusterReconstruction(5, [4, 9], cameras, depths, confidences))
+        assert entry == ClusterEntry(5, [4, 9], "clusters/005/poses.json", "clusters/005/maps.mrgt")
+        assert (tmp_path / entry.maps_path).read_bytes() == MAPS_BYTES
+        got = load_cluster(tmp_path, entry, {4: (3, 2), 9: (3, 2)})
+        assert got.depths.tolist() == depths.tolist() and got.confidences.tolist() == confidences.tolist()
 
     def test_tracks(self, tmp_path):
         """The writer produces tracks.bin byte for byte, and the reader inverts it."""

@@ -8,6 +8,7 @@ K*T^2 = 3*144 = 432 against N^2 = 576, ratio 0.75.
 """
 
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -404,7 +405,7 @@ class TestRunPipeline:
         shutil.copytree(scene_dir, scene)
         gt_path = scene / "gt" / "poses.json"
         write_poses(gt_path, [r for r in read_poses(gt_path) if r.frame_id not in (3, 7)])
-        with pytest.raises(DataError, match=r"gt poses missing frames \[3, 7\]"):
+        with pytest.raises(DataError, match=re.escape(f"{gt_path}: gt poses missing frames [3, 7]")):
             evaluate_run(load_scene(scene), result.cameras, result.cloud)
 
     def test_stage_name_tags_errors(self, scene_dir):
