@@ -114,24 +114,17 @@ def cmd_synth(args) -> None:
         n_cameras=args.cameras,
         n_landmarks=args.landmarks,
         layout=args.layout,
-        perturb=PerturbationSpec.none() if args.perturb == "none" else PerturbationSpec.default(),
+        perturb=PerturbationSpec() if args.perturb == "none" else PerturbationSpec.default(),
         subset_size=cfg.subset_size,
         overlap=cfg.overlap,
         n_subsequences=cfg.n_subsequences,
-        similarity_constrained=cfg.similarity_constrained,
     )
     print(f"wrote {manifest_path}")
 
 
 def cmd_plan(args) -> None:
     cfg = _pipeline_config(args)
-    plan = plan_scene(
-        read_similarity(args.similarity),
-        cfg.subset_size,
-        cfg.overlap,
-        n_subsequences=cfg.n_subsequences,
-        similarity_constrained=cfg.similarity_constrained,
-    )
+    plan = plan_scene(read_similarity(args.similarity), cfg.subset_size, cfg.overlap, n_subsequences=cfg.n_subsequences)
     if args.out is None:
         print(json.dumps(plan_document(plan), indent=2))
     else:
@@ -231,10 +224,11 @@ def cmd_run(args) -> None:
 # None, so PipelineConfig supplies the default and checks the bounds.
 SETTING_FLAGS = {
     "subset_size": ("--subset-size", {"type": int, "help": "frames per subset"}),
-    "overlap": ("--overlap", {"type": int, "help": "frames shared by consecutive subsets"}),
-    "n_subsequences": ("--n-subsequences", {"type": int, "help": "number of interleaved subsequences"}),
-    "similarity_constrained": ("--similarity-band", {"action": argparse.BooleanOptionalAction,
-                               "help": "constrain the interleave to similarity-banded subsequences"}),
+    "overlap": ("--overlap", {"type": int,
+                "help": "frames shared by consecutive subsets (at least 1 when there are several)"}),
+    "n_subsequences": ("--n-subsequences", {"type": int,
+                       "help": "subsequences the pseudo-video is interleaved into; 1 keeps each subset "
+                               "contiguous (default: one per subset)"}),
     "conf_percentile": ("--conf-percentile", {"type": float,
                         "help": "percent of overlap pairs dropped, least confident first"}),
     "k": ("--k", {"type": int, "help": "frame-graph neighbor count"}),
@@ -244,7 +238,7 @@ SETTING_FLAGS = {
     "ba_lr": ("--lr", {"type": float, "metavar": "LR", "help": "BA initial learning rate"}),
     "lambda_exp": ("--lambda", {"type": float, "metavar": "LAMBDA", "help": "BA robust-loss exponent"}),
 }
-PLAN_SETTINGS = ("subset_size", "overlap", "n_subsequences", "similarity_constrained")
+PLAN_SETTINGS = ("subset_size", "overlap", "n_subsequences")
 
 
 def _add_settings(parser, names) -> None:

@@ -3,9 +3,12 @@
 An unordered image collection is turned into a pseudo-video by solving an
 open-path traversal on the pairwise similarity matrix (greedy nearest
 neighbor plus 2-opt refinement, maximizing the sum of consecutive
-similarities). The path is then split into K interleaved subsequences so
-each subset spans the whole scene, and finally cut into sliding windows of
-subset_size frames overlapping by exactly `overlap` frames.
+similarities). The path is then dealt into K subsequences by a plain stride
+(`interleave`) so each subset spans the whole scene; K = 1 keeps the path
+contiguous. Finally the result is cut into sliding windows of subset_size
+frames overlapping by exactly `overlap` frames. Adjacent windows are aligned
+through the frames they share, so a plan with more than one subset needs
+overlap >= 1.
 """
 
 from __future__ import annotations
@@ -83,6 +86,11 @@ class SceneGraphPlan:
     def validate(self) -> None:
         """Check permutation validity, full coverage, and exact adjacent overlap."""
         n = len(self.pseudo_order)
+        if len(self.subsets) > 1 and self.overlap < 1:
+            raise ConfigError(
+                f"overlap must be >= 1 for a plan of {len(self.subsets)} subsets, got {self.overlap}: "
+                "adjacent subsets are aligned through the frames they share"
+            )
         for name, order in (("pseudo_order", self.pseudo_order), ("interleaved_order", self.interleaved_order)):
             if sorted(order.tolist()) != list(range(n)):
                 raise ConfigError(f"plan field {name} is not a permutation of 0..{n - 1}")
@@ -98,7 +106,7 @@ class SceneGraphPlan:
             raise ConfigError(f"subsets do not cover all images, missing {missing[:5]}")
         for i in range(len(self.subsets) - 1):
             shared = set(self.subsets[i].tolist()) & set(self.subsets[i + 1].tolist())
-            if len(self.subsets) > 1 and len(shared) != self.overlap:
+            if len(shared) != self.overlap:
                 raise ConfigError(
                     f"subsets {i} and {i + 1} share {len(shared)} frames, expected exactly {self.overlap}"
                 )
@@ -200,55 +208,6 @@ def interleave(order, n_subsequences: int) -> np.ndarray:
     return o[flat[flat < n]]
 
 
-def interleave_similarity_constrained(order, similarity: SimilarityMatrix, n_subsequences: int) -> np.ndarray:
-    """Interleave variant that keeps consecutive picks moderately similar.
-
-    Walks the plain interleaved sequence greedily: from the last chosen
-    image, compute the median similarity m over the remaining images and
-    take the next unselected image (scanning cyclically forward from the
-    last chosen position) whose similarity lies in [0.5 m, 0.95 m]. The
-    band skips near-duplicates (> 0.95 m) and unrelated jumps (< 0.5 m);
-    when no image falls inside it, the nearest unselected image forward is
-    taken. With all similarities equal the band is everywhere empty and the
-    output degenerates to the plain interleave; images dissimilar to
-    everything are never admitted by any band and sink toward the end.
-    """
-    o = np.asarray(order, dtype=np.int64)
-    n = len(o)
-    k = _check_k(n_subsequences, n)
-    base = interleave(o, k)
-    m = similarity.values
-    selected = np.zeros(n, dtype=bool)
-    out = np.empty(n, dtype=np.int64)
-    out[0] = base[0]
-    selected[0] = True
-    cursor = 0
-    for step in range(1, n):
-        last = base[cursor]
-        rem = base[~selected]
-        sims = m[last, rem]
-        med = float(np.median(sims))
-        lo, hi = 0.5 * med, 0.95 * med
-        chosen = -1
-        fallback = -1
-        for off in range(1, n + 1):
-            p = (cursor + off) % n
-            if selected[p]:
-                continue
-            if fallback < 0:
-                fallback = p
-            s = m[last, base[p]]
-            if lo <= s <= hi:
-                chosen = p
-                break
-        if chosen < 0:
-            chosen = fallback
-        out[step] = base[chosen]
-        selected[chosen] = True
-        cursor = chosen
-    return out
-
-
 def expected_subset_count(n_images: int, subset_size: int, overlap: int) -> int:
     """ceil((N - T) / (T - O)) + 1 sliding windows, or 1 when N <= T."""
     if n_images <= subset_size:
@@ -287,7 +246,6 @@ def plan_scene(
     subset_size: int,
     overlap: int,
     n_subsequences: int | None = None,
-    similarity_constrained: bool = False,
 ) -> SceneGraphPlan:
     """Full partition plan: pseudo-order, interleave, sliding windows.
 
@@ -299,10 +257,7 @@ def plan_scene(
     k = n_subsequences if n_subsequences is not None else min(expected_subset_count(n, subset_size, overlap), n)
     _check_k(k, n)
     order = build_pseudo_order(similarity)
-    if similarity_constrained:
-        inter = interleave_similarity_constrained(order, similarity, k)
-    else:
-        inter = interleave(order, k)
+    inter = interleave(order, k)
     subsets = make_subsets(inter, subset_size, overlap)
     return SceneGraphPlan(
         pseudo_order=order,

@@ -69,7 +69,7 @@ SYNTH_RECORD_NAME = "synth.json"
 logger = logging.getLogger(__name__)
 
 # PipelineConfig field annotation -> the type a config value must have
-_FIELD_KINDS = {"int": numbers.Integral, "int | None": numbers.Integral, "float": numbers.Real, "bool": bool}
+_FIELD_KINDS = {"int": numbers.Integral, "int | None": numbers.Integral, "float": numbers.Real}
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,6 @@ class PipelineConfig:
     ba_lr: float = 3e-3
     lambda_exp: float = 0.5
     n_subsequences: int | None = None
-    similarity_constrained: bool = False
 
     def __post_init__(self):
         if self.subset_size < 2:
@@ -120,8 +119,8 @@ class PipelineConfig:
         """Merge with precedence overrides > file_values > defaults.
 
         None entries mean "not given" and never shadow a lower layer. Any
-        other value must fit its field: an int field takes an int but not a
-        bool, a float field an int or a float, a bool field a bool.
+        other value must fit its field: an int field takes an int, a float
+        field an int or a float, and neither takes a bool.
         """
         types = {f.name: f.type for f in fields(cls)}
         values = {}
@@ -132,7 +131,7 @@ class PipelineConfig:
                 if val is None:
                     continue
                 kind = _FIELD_KINDS[types[key]]
-                if isinstance(val, bool) != (kind is bool) or not isinstance(val, kind):
+                if isinstance(val, bool) or not isinstance(val, kind):
                     raise ConfigError(f"config field {key!r} must be {types[key]}, got {val!r}")
                 values[key] = val
         return cls(**values)
@@ -205,7 +204,6 @@ def synthesize_scene_dir(
     subset_size: int = 100,
     overlap: int = 5,
     n_subsequences: int | None = None,
-    similarity_constrained: bool = False,
 ) -> Path:
     """Generate a scene, partition it, render per-subset clusters, and
     write the full interchange layout plus the gt/ directory.
@@ -223,13 +221,7 @@ def synthesize_scene_dir(
     similarity = SimilarityMatrix(
         synthetic_similarity(scene).values.astype(np.float32)
     )
-    plan = plan_scene(
-        similarity,
-        subset_size,
-        overlap,
-        n_subsequences=n_subsequences,
-        similarity_constrained=similarity_constrained,
-    )
+    plan = plan_scene(similarity, subset_size, overlap, n_subsequences=n_subsequences)
     clusters, warps = [], []
     for cid, subset in enumerate(plan.subsets):
         c, w = render_cluster(scene, [int(i) for i in subset], perturb, cluster_id=cid)
@@ -329,15 +321,22 @@ def _stage(name: str, timings: dict):
 
 
 def check_plan_matches_clusters(clusters, plan) -> None:
-    """Raise ConfigError unless clusters are exactly the plan's subsets."""
+    """Raise ConfigError unless clusters are exactly the plan's subsets.
+
+    The message names the plan's partition settings, so a scene built under
+    other settings tells its user which flags to pass.
+    """
+    settings = (
+        f"the plan has subset_size {plan.subset_size}, overlap {plan.overlap}, "
+        f"n_subsequences {plan.n_subsequences}; partition settings do not match the reconstruction layout"
+    )
     if len(clusters) != len(plan.subsets):
         raise ConfigError(
-            f"scene has {len(clusters)} clusters but the plan produces {len(plan.subsets)} subsets; "
-            "partition settings do not match the reconstruction layout"
+            f"scene has {len(clusters)} clusters but the plan produces {len(plan.subsets)} subsets; {settings}"
         )
     for idx, cluster in enumerate(clusters):
         if list(cluster.frame_ids) != [int(i) for i in plan.subsets[idx]]:
-            raise ConfigError(f"cluster {cluster.cluster_id} frames do not match plan subset {idx}")
+            raise ConfigError(f"cluster {cluster.cluster_id} frames do not match plan subset {idx}; {settings}")
 
 
 def bundle_adjust(merged: MergedGeometry, tracks, cfg: BAConfig):
@@ -421,13 +420,7 @@ def run_pipeline(
         data = load_scene(scene_dir)
 
     with stage("plan"):
-        plan = plan_scene(
-            data.similarity,
-            cfg.subset_size,
-            cfg.overlap,
-            n_subsequences=cfg.n_subsequences,
-            similarity_constrained=cfg.similarity_constrained,
-        )
+        plan = plan_scene(data.similarity, cfg.subset_size, cfg.overlap, n_subsequences=cfg.n_subsequences)
         check_plan_matches_clusters(data.clusters, plan)
 
     with stage("align"):

@@ -72,7 +72,7 @@ class PerturbationSpec:
     degrees, translation jitter in scene units) for the injected gauge
     warp. depth_noise_sigma is the log-normal sigma of multiplicative
     depth noise. match_pixel_noise_sigma (px) and outlier_match_fraction
-    shape the synthetic matcher.
+    shape the synthetic matcher. PerturbationSpec() adds no noise.
     """
 
     per_cluster_sim3_noise: tuple[float, float, float] = (0.0, 0.0, 0.0)
@@ -93,10 +93,6 @@ class PerturbationSpec:
             raise ConfigError(f"outlier fraction must be in [0, 1), got {self.outlier_match_fraction}")
         if self.confidence_model != "inverse_error":
             raise ConfigError(f"unknown confidence model {self.confidence_model!r}")
-
-    @classmethod
-    def none(cls) -> "PerturbationSpec":
-        return cls()
 
     @classmethod
     def default(cls) -> "PerturbationSpec":

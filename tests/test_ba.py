@@ -792,7 +792,7 @@ class TestApplyBAResult:
         from scenemerge.geometry import Sim3Transform
 
         scene = generate_scene(seed, n_cameras=6, n_landmarks=2000, layout="room")
-        cluster, _ = render_cluster(scene, list(range(6)), PerturbationSpec.none(), cluster_id=0)
+        cluster, _ = render_cluster(scene, list(range(6)), PerturbationSpec(), cluster_id=0)
         transforms = [Sim3Transform.identity()]
         merged = MergedGeometry([cluster], transforms)
         cameras = [merged.camera(fid) for fid in merged.frames()]

@@ -184,18 +184,19 @@ class TestPlan:
         assert code == 2
         assert "subset_size must be >= 2" in capsys.readouterr().err
 
-    def test_no_similarity_band_is_the_default(self, scene_dir, staged, capsys):
-        code = main(
-            [
-                "plan",
-                "--similarity", str(scene_dir / "similarity.mrgt"),
-                "--subset-size", str(SUBSET_SIZE),
-                "--overlap", str(OVERLAP),
-                "--no-similarity-band",
-            ]
-        )
-        assert code == 0
-        assert json.loads(capsys.readouterr().out) == json.loads(staged["plan"].read_text())
+    @pytest.mark.parametrize("command", ["synth", "plan", "run"])
+    def test_zero_overlap_with_several_subsets_exits_2(self, scene_dir, tmp_path, capsys, command):
+        """Subsets that share no frame can never be aligned, so synth, plan
+        and run refuse overlap 0 before writing anything."""
+        out = tmp_path / "out"
+        argv = {
+            "synth": ["synth", "--cameras", str(N_CAMERAS), "--landmarks", str(N_LANDMARKS)],
+            "plan": ["plan", "--similarity", str(scene_dir / "similarity.mrgt")],
+            "run": ["run", "--scene", str(scene_dir)],
+        }[command]
+        assert main(argv + ["--subset-size", str(SUBSET_SIZE), "--overlap", "0", "--out", str(out)]) == 2
+        assert "overlap must be >= 1 for a plan of 2 subsets, got 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSettingFlags:
@@ -203,17 +204,31 @@ class TestSettingFlags:
         assert set(SETTING_FLAGS) == {f.name for f in fields(PipelineConfig)}
 
     def test_interleave_flags_reach_synth_plan_and_run(self, tmp_path, capsys):
-        """synth, plan and run all read --similarity-band and --n-subsequences:
-        plan's plan.json equals run's byte for byte, and it matches the
-        clusters synth rendered."""
+        """synth, plan and run all read --n-subsequences: plan's plan.json
+        equals run's byte for byte, and it matches the clusters synth
+        rendered."""
         scene, plan = tmp_path / "scene", tmp_path / "plan.json"
-        settings = ["--subset-size", "6", "--overlap", "2", "--similarity-band", "--n-subsequences", "2"]
+        settings = ["--subset-size", "6", "--overlap", "2", "--n-subsequences", "2"]
         synth = ["synth", "--seed", "3", "--cameras", "12", "--landmarks", "400", "--out", str(scene)]
         assert main(synth + settings) == 0
         assert main(["plan", "--similarity", str(scene / "similarity.mrgt"), "--out", str(plan)] + settings) == 0
         assert main(["run", "--scene", str(scene), "--out", str(tmp_path / "out")] + settings) == 0
         assert plan.read_bytes() == (tmp_path / "out" / "plan.json").read_bytes()
         assert json.loads(plan.read_text())["n_subsequences"] == 2
+
+    @pytest.mark.parametrize("command", ["synth", "plan", "run"])
+    def test_similarity_band_flag_is_gone(self, tmp_path, capsys, command):
+        """The similarity-band interleave was deleted with its flag; argparse
+        refuses the flag like any unknown one."""
+        argv = {
+            "synth": ["synth", "--out", str(tmp_path / "scene")],
+            "plan": ["plan", "--similarity", str(tmp_path / "similarity.mrgt")],
+            "run": ["run", "--scene", str(tmp_path), "--out", str(tmp_path / "out")],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--similarity-band"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --similarity-band" in capsys.readouterr().err
 
 
 class TestStagedArtifacts:
@@ -417,10 +432,10 @@ class TestRun:
         assert code == 2
         assert "unknown config field" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field", ["threads", "seed"])
+    @pytest.mark.parametrize("field", ["threads", "seed", "similarity_constrained"])
     def test_removed_config_fields_exit_2(self, scene_dir, tmp_path, capsys, field):
-        """threads and seed left PipelineConfig; a config file naming them is
-        rejected like any other unknown field."""
+        """threads, seed and similarity_constrained left PipelineConfig; a
+        config file naming them is rejected like any other unknown field."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({field: 1}))
         code = main(
@@ -434,9 +449,10 @@ class TestRun:
         [
             ({"ba_lr": "abc"}, "config field 'ba_lr' must be float, got 'abc'"),
             ({"k": 2.5}, "config field 'k' must be int, got 2.5"),
-            ({"similarity_constrained": "no"}, "config field 'similarity_constrained' must be bool, got 'no'"),
+            ({"k": True}, "config field 'k' must be int, got True"),
+            ({"ba_lr": True}, "config field 'ba_lr' must be float, got True"),
         ],
-        ids=["float-field-string", "int-field-float", "bool-field-string"],
+        ids=["float-field-string", "int-field-float", "int-field-bool", "float-field-bool"],
     )
     def test_config_value_of_wrong_type_exits_2(self, scene_dir, tmp_path, capsys, values, message):
         """A config-file value that does not fit its field's type is refused
@@ -587,6 +603,17 @@ class TestExitCodes:
         message = f"{plan}: plan field pseudo_order is not a permutation of 0..{N_CAMERAS - 1}"
         assert message in capsys.readouterr().err
 
+    def test_plan_with_zero_overlap_exits_3(self, scene_dir, staged, tmp_path, capsys):
+        """A plan.json whose several subsets may share no frame is bad input,
+        named like any plan SceneGraphPlan rejects."""
+        plan = tmp_path / "plan.json"
+        doc = json.loads(staged["plan"].read_text())
+        doc["overlap"] = 0
+        plan.write_text(json.dumps(doc))
+        code = main(["align", "--plan", str(plan), "--clusters", str(scene_dir), "--out", str(tmp_path / "t.json")])
+        assert code == 3
+        assert f"{plan}: overlap must be >= 1 for a plan of 3 subsets, got 0" in capsys.readouterr().err
+
     def test_divergence_exits_4(self, scene_dir, staged, tmp_path, capsys):
         staged_tracks = read_tracks(staged["tracks"])
         heavy = replace(staged_tracks, confidences=np.full(len(staged_tracks), 1e200))
@@ -730,6 +757,19 @@ class TestExitCodes:
         )
         assert code == 2
         assert "partition settings" in capsys.readouterr().err
+
+    def test_run_plan_mismatch_names_the_plan_settings(self, tmp_path, capsys):
+        """A scene synthesized with --n-subsequences 2 and run without it:
+        the error gives the settings of run's plan, so the user can see
+        which flag differs."""
+        scene, settings = tmp_path / "scene", ["--subset-size", "6", "--overlap", "2"]
+        synth = ["synth", "--seed", "3", "--cameras", "12", "--landmarks", "400", "--n-subsequences", "2"]
+        assert main(synth + settings + ["--out", str(scene)]) == 0
+        assert main(["run", "--scene", str(scene), "--out", str(tmp_path / "out")] + settings) == 2
+        err = capsys.readouterr().err
+        assert "cluster 0 frames do not match plan subset 0" in err
+        assert "the plan has subset_size 6, overlap 2, n_subsequences 3" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "rel, edit, reader, message",

@@ -22,7 +22,6 @@ from scenemerge.ordering import (
     build_pseudo_order,
     expected_subset_count,
     interleave,
-    interleave_similarity_constrained,
     make_subsets,
     path_objective,
     plan_scene,
@@ -175,53 +174,6 @@ class TestInterleave:
             interleave(np.arange(5), 6)
 
 
-class TestConstrainedInterleave:
-    def test_is_permutation(self):
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            n = int(rng.integers(2, 40))
-            sim = random_similarity(rng, n)
-            base = build_pseudo_order(sim)
-            out = interleave_similarity_constrained(base, sim, min(3, n))
-            assert sorted(out.tolist()) == list(range(n))
-
-    def test_all_equal_degenerates_to_plain_interleave(self):
-        # the band [0.5m, 0.95m] never contains the common value m, so the
-        # fallback fires at every step and reproduces the plain deal
-        m = np.full((10, 10), 0.42)
-        np.fill_diagonal(m, 1.0)
-        sim = SimilarityMatrix(m)
-        base = np.random.default_rng(8).permutation(10)
-        out = interleave_similarity_constrained(base, sim, 4)
-        np.testing.assert_array_equal(out, interleave(base, 4))
-
-    def test_outliers_land_last(self):
-        # 20 images, 3 outliers with similarity 0.01 to everything. Normal
-        # pairs sit at 0.6 except consecutive ones at 0.5: while many images
-        # remain the median is 0.6 and the band [0.3, 0.57] admits exactly
-        # the next chain image (band-driven); near the end the outliers drag
-        # the median down, the band empties, and the positional fallback
-        # finishes the normals. The outliers are never admitted by any band
-        # and fill the last 3 slots.
-        n = 20
-        m = np.full((n, n), 0.6)
-        for i in range(16):
-            m[i, i + 1] = m[i + 1, i] = 0.5
-        for o in (17, 18, 19):
-            m[o, :] = m[:, o] = 0.01
-        np.fill_diagonal(m, 1.0)
-        sim = SimilarityMatrix(m)
-        out = interleave_similarity_constrained(np.arange(n), sim, 1)
-        assert sorted(out[-3:].tolist()) == [17, 18, 19]
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(9)
-        sim = random_similarity(rng, 20)
-        a = interleave_similarity_constrained(np.arange(20), sim, 4)
-        b = interleave_similarity_constrained(np.arange(20), sim, 4)
-        np.testing.assert_array_equal(a, b)
-
-
 class TestMakeSubsets:
     def test_frozen_ten_four_two(self):
         subsets = make_subsets(np.arange(10), 4, 2)
@@ -280,10 +232,13 @@ class TestPlanScene:
         plan = plan_scene(sim, subset_size=10, overlap=2)
         assert plan.n_subsequences == expected_subset_count(30, 10, 2)
 
-    def test_similarity_constrained_variant(self):
+    def test_zero_overlap_needs_a_single_subset(self):
+        """Several subsets must share frames to be aligned; one subset needs none."""
         sim = random_similarity(np.random.default_rng(13), 24)
-        plan = plan_scene(sim, subset_size=8, overlap=2, similarity_constrained=True)
-        plan.validate()
+        with pytest.raises(ConfigError, match="overlap must be >= 1 for a plan of 3 subsets, got 0"):
+            plan_scene(sim, subset_size=8, overlap=0)
+        plan = plan_scene(sim, subset_size=24, overlap=0)
+        assert len(plan.subsets) == 1
 
     def test_validate_catches_bad_plans(self):
         with pytest.raises(ConfigError):

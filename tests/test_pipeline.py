@@ -81,7 +81,6 @@ class TestPipelineConfig:
         assert cfg.ba_lr == 3e-3
         assert cfg.lambda_exp == 0.5
         assert cfg.n_subsequences is None
-        assert cfg.similarity_constrained is False
 
     def test_ba_config_mirrors_fields(self):
         cfg = PipelineConfig(ba_iterations=7, ba_lr=0.01, lambda_exp=2.0)
@@ -110,14 +109,12 @@ class TestPipelineConfig:
             PipelineConfig.from_sources(overrides={"lr": 0.1})
 
     def test_from_sources_checks_value_types(self):
-        """int fields take ints but not bools, float fields ints or floats,
-        bool fields bools; None still means "not given"."""
-        cfg = PipelineConfig.from_sources(
-            file_values={"ba_lr": 1, "n_subsequences": None, "similarity_constrained": True, "k": 4}
-        )
-        assert (cfg.ba_lr, cfg.n_subsequences, cfg.similarity_constrained, cfg.k) == (1, None, True, 4)
+        """int fields take ints, float fields ints or floats, and neither
+        takes a bool; None still means "not given"."""
+        cfg = PipelineConfig.from_sources(file_values={"ba_lr": 1, "n_subsequences": None, "k": 4})
+        assert (cfg.ba_lr, cfg.n_subsequences, cfg.k) == (1, None, 4)
         for bad in ({"k": True}, {"k": 2.5}, {"k": "5"}, {"ba_lr": "abc"}, {"ba_lr": False},
-                    {"similarity_constrained": 1}, {"similarity_constrained": "no"}, {"n_subsequences": 2.0}):
+                    {"n_subsequences": True}, {"n_subsequences": 2.0}):
             (key,) = bad
             with pytest.raises(ConfigError, match=f"config field {key!r} must be"):
                 PipelineConfig.from_sources(file_values=bad)
@@ -178,7 +175,7 @@ class TestSynthesizeSceneDir:
             n_cameras=10,
             n_landmarks=300,
             layout="object",
-            perturb=PerturbationSpec.none(),
+            perturb=PerturbationSpec(),
             subset_size=5,
             overlap=1,
         )
@@ -363,7 +360,7 @@ class TestRunPipeline:
             seed=11,
             n_cameras=N_CAMERAS,
             n_landmarks=N_LANDMARKS,
-            perturb=PerturbationSpec.none(),
+            perturb=PerturbationSpec(),
             subset_size=SUBSET_SIZE,
             overlap=OVERLAP,
         )

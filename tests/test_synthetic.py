@@ -189,7 +189,7 @@ class TestPerturbationSpec:
             PerturbationSpec(confidence_model="linear")
 
     def test_none_is_noise_free(self):
-        spec = PerturbationSpec.none()
+        spec = PerturbationSpec()
         assert spec.per_cluster_sim3_noise == (0.0, 0.0, 0.0)
         assert spec.depth_noise_sigma == 0.0
         assert spec.outlier_match_fraction == 0.0
@@ -216,7 +216,7 @@ class TestRenderCluster:
     def test_zero_noise_identity_warp(self):
         """No perturbation at all: cameras and depths equal ground truth."""
         scene = generate_scene(seed=5, n_cameras=6, n_landmarks=1500, layout="room")
-        cluster, warp = render_cluster(scene, [1, 3], PerturbationSpec.none())
+        cluster, warp = render_cluster(scene, [1, 3], PerturbationSpec())
         assert warp.scale == 1.0
         assert rotation_angle(warp.rotation) == 0.0
         assert np.all(warp.translation == 0.0)
@@ -260,7 +260,7 @@ class TestRenderCluster:
     def test_rejects_out_of_range_subset(self):
         scene = generate_scene(seed=0, n_cameras=4, n_landmarks=1000, layout="room")
         with pytest.raises(ConfigError):
-            render_cluster(scene, [0, 9], PerturbationSpec.none())
+            render_cluster(scene, [0, 9], PerturbationSpec())
 
 
 class TestSyntheticSimilarity:
@@ -306,7 +306,7 @@ class TestSyntheticMatcher:
 
     def test_orientation_swap(self):
         scene = generate_scene(seed=2, n_cameras=10, n_landmarks=2000, layout="room")
-        match = synthetic_matcher(scene, PerturbationSpec.none())
+        match = synthetic_matcher(scene, PerturbationSpec())
         fwd = match(1, 2)
         rev = match(2, 1)
         assert fwd.frame_i == 1 and rev.frame_i == 2
@@ -315,7 +315,7 @@ class TestSyntheticMatcher:
 
     def test_zero_noise_pixels_are_exact_projections(self):
         scene = generate_scene(seed=2, n_cameras=10, n_landmarks=2000, layout="room")
-        match = synthetic_matcher(scene, PerturbationSpec.none())
+        match = synthetic_matcher(scene, PerturbationSpec())
         ms = match(3, 4)
         shared = np.nonzero(scene.visibility[3] & scene.visibility[4])[0]
         assert len(ms) == len(shared)
@@ -328,7 +328,7 @@ class TestSyntheticMatcher:
     def test_outlier_count(self):
         """Exactly floor(fraction * n) pairs are replaced."""
         scene = generate_scene(seed=2, n_cameras=10, n_landmarks=2000, layout="room")
-        clean = synthetic_matcher(scene, PerturbationSpec.none())(1, 2)
+        clean = synthetic_matcher(scene, PerturbationSpec())(1, 2)
         dirty = synthetic_matcher(scene, PerturbationSpec(outlier_match_fraction=0.2))(1, 2)
         moved = np.any(clean.pixels_i != dirty.pixels_i, axis=1) | np.any(
             clean.pixels_j != dirty.pixels_j, axis=1

@@ -358,14 +358,14 @@ class TestVerifyMatches:
         scene = generate_scene(
             seed=seed, n_cameras=n_cameras, n_landmarks=n_landmarks, layout="room", image_size=image_size
         )
-        cluster, _ = render_cluster(scene, list(range(n_cameras)), PerturbationSpec.none())
+        cluster, _ = render_cluster(scene, list(range(n_cameras)), PerturbationSpec())
         merged = MergedGeometry([cluster], [Sim3Transform.identity()])
         return scene, merged
 
     def test_perfect_matches_fully_retained(self):
         """Exact projected landmarks survive tau=8 at 100%."""
         scene, merged = self._scene_geometry()
-        ms = synthetic_matcher(scene, PerturbationSpec.none())(1, 2)
+        ms = synthetic_matcher(scene, PerturbationSpec())(1, 2)
         kept = verify_matches(ms, merged, 8.0)
         assert len(kept) == len(ms) > 0
 
@@ -382,7 +382,7 @@ class TestVerifyMatches:
     def test_offset_matches_fully_rejected(self):
         """Shifting image-j pixels by 20 px kills every pair at tau=8."""
         scene, merged = self._scene_geometry()
-        ms = synthetic_matcher(scene, PerturbationSpec.none())(1, 2)
+        ms = synthetic_matcher(scene, PerturbationSpec())(1, 2)
         shifted = MatchSet(
             frame_i=1, frame_j=2, pixels_i=ms.pixels_i, pixels_j=ms.pixels_j + [20.0, 0.0]
         )
@@ -394,7 +394,7 @@ class TestVerifyMatches:
         scene, merged = self._scene_geometry(
             seed=3, n_cameras=6, n_landmarks=20000, image_size=(640, 480)
         )
-        full = synthetic_matcher(scene, PerturbationSpec.none())(2, 3)
+        full = synthetic_matcher(scene, PerturbationSpec())(2, 3)
         for seed in range(3):
             rng = np.random.default_rng(seed)
             pick = rng.choice(len(full), size=80, replace=False)
