@@ -209,8 +209,9 @@ def synthesize_scene_dir(
     write the full interchange layout plus the gt/ directory.
 
     gt/synth.json records the generation parameters so later stages can
-    rebuild the deterministic synthetic matcher from the directory alone.
-    Returns the manifest path.
+    rebuild the deterministic synthetic matcher from the directory alone,
+    and the partition settings the clusters were cut with (n_subsequences
+    is null when derived). Returns the manifest path.
     """
     perturb = perturb if perturb is not None else PerturbationSpec.default()
     scene = generate_scene(seed, n_cameras=n_cameras, n_landmarks=n_landmarks, layout=layout)
@@ -236,6 +237,7 @@ def synthesize_scene_dir(
         "layout": layout,
         "subset_size": subset_size,
         "overlap": overlap,
+        "n_subsequences": n_subsequences,
         "perturb": record_document(perturb),
     }
     _write_json(Path(out_dir) / "gt" / SYNTH_RECORD_NAME, record)

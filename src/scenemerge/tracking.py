@@ -3,12 +3,13 @@
 Pairwise matches are verified by bidirectional reprojection against the
 globally aligned geometry, then merged into tracks: the connected
 components of the match graph over keypoints keyed on (frame id, rounded
-pixel). The keypoint identities form a per-frame table: each frame's
-keypoints are numbered on their own, so besides one int64 node per
-keypoint and the pair graph, the merge's work arrays hold one frame's
-rows at a time. Every pixel is lifted to 3D through MergedGeometry.sample. Each track fuses its
-per-observation 3D points by confidence-weighted averaging; the fused
-confidence is the mean of the observation confidences.
+pixel). Verified pairs stream into a KeypointTable, which keeps one sorted
+keypoint table per frame and two int32 keypoint ids per pair, not the
+match sets; merge_tracks finds the components by hook and compress over
+those ids, in numpy. Every pixel is lifted to 3D through
+MergedGeometry.sample. Each track fuses its per-observation 3D points by
+confidence-weighted averaging; the fused confidence is the mean of the
+observation confidences.
 
 All tracks live in one Tracks table (see its docstring). Canonical order:
 tracks by their first keypoint in merge_tracks' keypoint table, each
@@ -20,14 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ConfigError, DataError, MissingFrameError
 from .geometry import project_points
 
 __all__ = [
     "MatchSet",
+    "KeypointTable",
     "FrameGraph",
     "Tracks",
     "TrackingResult",
@@ -230,124 +230,265 @@ def _reprojects(merged, src: int, pix_src: np.ndarray, dst: int, pix_dst: np.nda
     return valid & in_front & (err <= tau_reproj)
 
 
-def _intern_keypoints(all_matches):
-    """Keypoint identities of the merge_tracks table (non-empty match sets).
+# Pending keypoint rows (two per pair) that trigger interning, and the pairs
+# per batch of the components search.
+_FLUSH_ROWS = 65_536
 
-    Returns (node of each table row, first table row of each node, node
-    frame ids, node subpixel coordinates). Nodes are numbered by frame id,
-    then rounded row, then rounded column. The table is never built: each
-    match set adds one strided block of rows per side, and the blocks are
-    interned one frame at a time, keyed by (row, column) within that
-    frame's own rounded span. Apart from node, every work array holds one
-    frame's rows.
+
+class KeypointTable:
+    """Verified pairs as int32 keypoint ids over one keypoint table per frame.
+
+    The rows of the table are both keypoints of every pair: match sets in
+    the order added, pairs in order, frame_i before frame_j. Keypoint
+    identity is (frame id, pixel rounded half to even); a keypoint keeps the
+    first table row and first subpixel coordinate the table holds for it.
+    add() keeps no match set: each non-empty one becomes one (pairs, 2) int32
+    array of keypoint ids, and iterating the table yields those arrays in
+    order. Pixels wait in a per-frame buffer until _FLUSH_ROWS rows are
+    pending; a flush interns each pending frame with one sort over its
+    rounded (row, column) keys, merged into that frame's sorted key table.
+    So besides the ids (8 bytes per pair) and the buffer, the table grows
+    with keypoints, not pairs. The buffer lets one sort serve many match
+    sets; a sorted insert per set made run_tracking 40% slower on the
+    bench's object-200 scene.
+
+    keypoints() flushes, renumbers the ids by (frame id, row, column) and
+    hands over the per-keypoint arrays; the table then takes no more pairs.
     """
-    blocks = {}  # frame id -> [(first table row, pixels)], in table order
-    n_rows = 0
-    for ms in all_matches:
-        blocks.setdefault(ms.frame_i, []).append((n_rows, ms.pixels_i))
-        blocks.setdefault(ms.frame_j, []).append((n_rows + 1, ms.pixels_j))
-        n_rows += 2 * len(ms)
-    node = np.empty(n_rows, dtype=np.int64)
-    frame_ids = sorted(blocks)
-    firsts, pixels = [], []
-    n_nodes = 0
-    for fid in frame_ids:
-        starts = [row for row, _ in blocks[fid]]
-        sizes = np.array([len(px) for _, px in blocks[fid]])
-        px = np.concatenate([px for _, px in blocks[fid]])
-        u, v = np.rint(px).T
-        u0, u1, v0, v1 = u.min(), u.max(), v.min(), v.max()
+
+    def __init__(self, matches=()):
+        self._edges = []  # one (pairs, 2) int32 id array per non-empty match set
+        self._pending = {}  # frame id -> [(first table row, pixels, id column)]
+        self._pending_rows = 0
+        self._n_rows = 0
+        self._keys = {}  # frame id -> (sorted int64 keys, their int32 ids)
+        self._first = [np.empty(0, dtype=np.int64)]  # per id, in id order
+        self._pixels = [np.empty((0, 2))]
+        self._n_nodes = 0
+        for ms in matches:
+            self.add(ms)
+
+    def __iter__(self):
+        return iter(self._edges)
+
+    def add(self, ms: MatchSet) -> None:
+        """Append the pairs of ms to the table."""
+        if self._keys is None:
+            raise ConfigError("keypoint table is already numbered; it takes no more match sets")
+        if not len(ms):
+            return
+        ids = np.empty((len(ms), 2), dtype=np.int32)
+        self._edges.append(ids)
+        for side, fid, px in ((0, ms.frame_i, ms.pixels_i), (1, ms.frame_j, ms.pixels_j)):
+            self._pending.setdefault(fid, []).append((self._n_rows + side, px, ids[:, side]))
+        self._n_rows += 2 * len(ms)
+        self._pending_rows += 2 * len(ms)
+        if self._pending_rows >= _FLUSH_ROWS:
+            self._flush()
+
+    def _flush(self) -> None:
+        """Intern the pending rows, one frame at a time in frame id order."""
+        for fid in sorted(self._pending):
+            self._intern(fid, self._pending[fid])
+        self._pending.clear()
+        self._pending_rows = 0
+
+    def _intern(self, fid: int, blocks) -> None:
+        """Give the pending rows of frame fid their keypoint ids, adding the
+        keypoints not yet in the frame's key table."""
+        table_rows, pixel_blocks, columns = zip(*blocks)
+        px = np.concatenate(pixel_blocks)
+        uv = np.rint(px)
         # bounds first, so an out-of-range pixel never reaches the cast
-        if not (np.abs([u0, u1, v0, v1]).max() < 2**31 and (u1 - u0 + 1) * (v1 - v0 + 1) < 2**62):
+        if not np.abs(uv).max() < 2**31:
+            (u0, v0), (u1, v1) = uv.min(axis=0), uv.max(axis=0)
             raise DataError(
-                f"frame {fid}: match pixels must be finite, round to below 2**31 in magnitude and span "
-                f"fewer than 2**62 keys, got rounded pixels from ({u0}, {v0}) to ({u1}, {v1})"
+                f"frame {fid}: match pixels must be finite and round to below 2**31 in magnitude, "
+                f"got rounded pixels from ({u0}, {v0}) to ({u1}, {v1})"
             )
-        key = (v - v0).astype(np.int64) * int(u1 - u0 + 1) + (u - u0).astype(np.int64)
-        _, first, rank = np.unique(key, return_index=True, return_inverse=True)
-        rank += n_nodes
+        # row-major: the row in the high 32 bits, the signed column added below
+        key = uv[:, 1].astype(np.int64) * 2**32 + uv[:, 0].astype(np.int64)
+        # what np.unique(key, return_index=True, return_inverse=True)
+        # gives, from one unstable argsort: a third of np.unique's time
+        order = np.argsort(key)
+        key = key[order]
+        heads = np.ones(len(key), dtype=bool)  # the first sorted row of each key
+        np.not_equal(key[1:], key[:-1], out=heads[1:])
+        heads = np.flatnonzero(heads)
+        uniq, first = key[heads], np.minimum.reduceat(order, heads)
+
+        keys, key_ids = self._keys.get(fid, (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32)))
+        pos = np.searchsorted(keys, uniq)
+        seen = keys[np.minimum(pos, len(keys) - 1)] == uniq if len(keys) else np.zeros(len(uniq), dtype=bool)
+        new = np.flatnonzero(~seen)
+        if self._n_nodes + len(new) >= 2**31:
+            raise DataError(f"frame {fid}: more than 2**31 - 1 keypoints in one table")
+        ids = np.empty(len(uniq), dtype=np.int32)
+        ids[seen] = key_ids[pos[seen]]
+        ids[new] = np.arange(self._n_nodes, self._n_nodes + len(new))
+        self._n_nodes += len(new)
+        # insert the new keys into the frame's sorted table
+        at = pos[new] + np.arange(len(new))
+        old = np.ones(len(keys) + len(new), dtype=bool)
+        old[at] = False
+        merged_keys, merged_ids = np.empty(len(old), dtype=np.int64), np.empty(len(old), dtype=np.int32)
+        merged_keys[at], merged_keys[old] = uniq[new], keys
+        merged_ids[at], merged_ids[old] = ids[new], key_ids
+        self._keys[fid] = merged_keys, merged_ids
+
+        # a block's rows are every other table row from its first
+        sizes = np.array([len(p) for p in pixel_blocks])
         offsets = np.cumsum(sizes) - sizes
-        for start, n, offset in zip(starts, sizes.tolist(), offsets.tolist()):
-            node[start : start + 2 * n : 2] = rank[offset : offset + n]
+        first = first[new]
         block = np.searchsorted(offsets, first, side="right") - 1
-        firsts.append(np.asarray(starts)[block] + 2 * (first - offsets[block]))
-        pixels.append(px[first])
-        n_nodes += len(first)
-    node_frame = np.repeat(frame_ids, [len(p) for p in pixels])
-    return node, np.concatenate(firsts), node_frame, np.concatenate(pixels)
+        self._first.append(np.array(table_rows)[block] + 2 * (first - offsets[block]))
+        self._pixels.append(px[first])
+        row_ids = np.empty(len(order), dtype=np.int32)
+        row_ids[order] = np.repeat(ids, np.diff(heads, append=len(key)))
+        for column, offset, n in zip(columns, offsets.tolist(), sizes.tolist()):
+            column[:] = row_ids[offset : offset + n]
+
+    def keypoints(self):
+        """(first table row, frame id, subpixel coordinate) of every keypoint.
+
+        Flushes, numbers the keypoints by frame id, then rounded row, then
+        rounded column, renumbers every id array of the table to match and
+        hands the per-keypoint arrays over: the table keeps only its ids, so
+        this runs once and the table then takes no more match sets.
+        """
+        if self._keys is None:
+            raise ConfigError("keypoint table is already numbered")
+        self._flush()
+        keys, first, pixels = self._keys, np.concatenate(self._first), np.concatenate(self._pixels)
+        self._keys = self._first = self._pixels = None
+        frame_ids = sorted(keys)
+        order = np.concatenate([np.empty(0, dtype=np.int32)] + [keys[f][1] for f in frame_ids])
+        frames = np.repeat(np.array(frame_ids, dtype=np.int64), [len(keys[f][1]) for f in frame_ids])
+        node = np.empty(len(order), dtype=np.int32)
+        node[order] = np.arange(len(order), dtype=np.int32)
+        for ids in self._edges:
+            ids[...] = node[ids]
+        return first[order], frames, pixels[order]
 
 
-def merge_tracks(all_matches, merged) -> Tracks:
-    """Connected components over one keypoint table, then fusion per component.
+def _components(n_nodes: int, edges) -> np.ndarray:
+    """Connected-component label of every node: the smallest node id in it.
 
-    The table lists both keypoints of every pair: match sets in order,
-    pairs in order, frame_i before frame_j. Keypoint identity is (frame id,
-    pixel rounded half to even); an identity keeps the first subpixel
-    coordinate the table holds for it. Components with two keypoints in
-    one frame are ambiguous and discarded. The remaining keypoints are
-    lifted with one merged.sample call per frame, and a component keeps
-    only its valid samples, needing at least 2 of them. Fusion follows
-    x = sum(C_k x_k) / sum(C_k) and C = sum(C_k) / K, over one (count, K)
-    block per track length K; each block sums its rows as a single track's
-    arrays would, so the bits do not depend on the blocking.
+    edges is a sequence of (pairs, 2) int32 node-id arrays. Hook and
+    compress: each round, every edge whose ends have different roots hooks
+    the larger root to the smaller (np.minimum.at, against the roots the
+    round started with), then pointer jumping runs until every node points
+    at its root; a round that hooks nothing ends the search. A node's parent
+    never exceeds it, so the smallest id of a component is its root. Work
+    arrays hold one batch of about _FLUSH_ROWS / 2 pairs at a time.
+    """
+    parent = np.arange(n_nodes, dtype=np.int32)
+    while True:
+        roots = parent.copy()
+        for e in _batches(edges, _FLUSH_ROWS // 2):
+            a, b = roots.take(e[:, 0]), roots.take(e[:, 1])
+            crossing = a != b
+            a, b = a[crossing], b[crossing]
+            np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        if np.array_equal(parent, roots):
+            return parent
+        while not np.array_equal(grand := parent.take(parent), parent):
+            parent = grand
+
+
+def _batches(arrays, rows: int):
+    """arrays, concatenated in order into batches of at least rows rows (the last may be shorter)."""
+    batch, n = [], 0
+    for array in arrays:
+        batch.append(array)
+        n += len(array)
+        if n >= rows:
+            yield np.concatenate(batch)
+            batch, n = [], 0
+    if batch:
+        yield np.concatenate(batch)
+
+
+def merge_tracks(table, merged) -> Tracks:
+    """Connected components over one KeypointTable, then fusion per component.
+
+    table is a KeypointTable, or MatchSets to build one from (see its
+    docstring for the table rows and keypoint identity). The keypoints are
+    numbered by (frame id, rounded row, rounded column) and the components
+    found by hook and compress over the table's int32 id arrays.
+    Components with two keypoints in one frame are ambiguous and
+    discarded. The remaining keypoints are lifted with one merged.sample
+    call per frame, and a component keeps only its valid samples, needing
+    at least 2 of them. Fusion follows x = sum(C_k x_k) / sum(C_k) and
+    C = sum(C_k) / K, over one (count, K) block per track length K; each
+    block sums its rows as a single track's arrays would, so the bits do
+    not depend on the blocking.
 
     Tracks come out in the order of their first keypoint in the table,
     each with its observations sorted by frame id.
 
-    The table is never built: _intern_keypoints numbers the keypoints one
-    frame at a time. Beyond the match sets, the merge holds the node of
-    every table row (8 bytes per keypoint), the pair graph as CSR with
-    1-byte data, and one frame's work arrays; node is freed before the
-    components are found. Its traced peak stays below twice the bytes of
-    the input pixels (tests/test_tracking.py checks a ~200k-pair table).
+    Beyond the table's ids (8 bytes per pair), the merge holds a few arrays
+    per keypoint and one batch of pairs while hooking. Given MatchSets, its
+    traced peak stays below twice the bytes of their pixels; run_tracking,
+    which streams verified sets into a table, peaks below the bytes of the
+    verified pixels (tests/test_tracking.py checks both at ~200k pairs).
     """
-    all_matches = [ms for ms in all_matches if len(ms)]
-    if not all_matches:
+    if not isinstance(table, KeypointTable):
+        table = KeypointTable(table)
+    first, node_frame, node_pixel = table.keypoints()
+    if not len(first):
         return Tracks([], [], [], [], [])
-    node, first, node_frame, node_pixel = _intern_keypoints(all_matches)
-    n_rows, n_nodes = len(node), len(first)
-    pairs = csr_matrix((np.ones(n_rows // 2, dtype=bool), (node[0::2], node[1::2])), shape=(n_nodes, n_nodes))
-    del node
-    n_comp, label = connected_components(pairs, directed=False)
-    del pairs
+    label = _components(len(first), list(table))
 
-    first_row = np.full(n_comp, n_rows)
+    first_row = first.copy()  # each component's first table row, at its label
     np.minimum.at(first_row, label, first)
     order = np.lexsort((node_frame, first_row[label]))
+    del first, first_row
     comp, obs_frame = label[order], node_frame[order]
-    ambiguous = np.zeros(n_comp, dtype=bool)
+    ambiguous = np.zeros(len(label), dtype=bool)
     ambiguous[comp[1:][(comp[1:] == comp[:-1]) & (obs_frame[1:] == obs_frame[:-1])]] = True
     order = order[~ambiguous[comp]]
-    obs_frame, obs_pixel = node_frame[order], node_pixel[order]
+    comp, obs_frame, obs_pixel = label[order], node_frame[order], node_pixel[order]
+    del label, node_frame, node_pixel, order, ambiguous
 
-    pts = np.empty((len(order), 3))
-    confs = np.empty(len(order))
-    ok = np.empty(len(order), dtype=bool)
+    pts = np.empty((len(comp), 3))
+    confs = np.empty(len(comp))
+    ok = np.empty(len(comp), dtype=bool)
     for fid in np.unique(obs_frame):
         rows = np.flatnonzero(obs_frame == fid)
         pts[rows], confs[rows], ok[rows] = merged.sample(int(fid), obs_pixel[rows])
 
-    # Components stay contiguous in order; keep the valid samples of those
-    # with at least 2 of them.
-    comp = label[order][ok]
-    lengths = np.diff(np.flatnonzero(np.diff(comp, prepend=-1, append=-1)))
-    keep = np.repeat(lengths >= 2, lengths)
+    # Components stay contiguous; keep the valid samples of those with at
+    # least 2 of them.
+    kept = np.flatnonzero(ok)
+    lengths = np.diff(np.flatnonzero(np.diff(comp[kept], prepend=-1, append=-1)))
+    kept = kept[np.repeat(lengths >= 2, lengths)]
     lengths = lengths[lengths >= 2]
-    pts, confs = pts[ok][keep], confs[ok][keep]
+    points, confidences = _fuse(pts, confs, kept, lengths)
+    del pts, confs
+    return Tracks(points, confidences, lengths, obs_frame[kept], obs_pixel[kept])
 
+
+def _fuse(pts, confs, rows, lengths):
+    """Confidence-weighted point and mean confidence of each track. The
+    tracks' observations are the rows of pts (M, 3) and confs (M,) listed
+    in rows, each track's contiguous there."""
     starts = np.cumsum(lengths) - lengths
     points = np.empty((len(lengths), 3))
     confidences = np.empty(len(lengths))
     for n in np.unique(lengths):
         sel = np.flatnonzero(lengths == n)
-        rows = starts[sel, None] + np.arange(n)
-        p, c = pts[rows], confs[rows]
+        block = rows[starts[sel, None] + np.arange(n)]
+        p, c = pts[block], confs[block]
         total = c.sum(axis=1)
-        w = total > 0
-        points[sel] = p.mean(axis=1)
-        points[sel[w]] = (c[w, :, None] * p[w]).sum(axis=1) / total[w, None]
         confidences[sel] = total / n
-    return Tracks(points, confidences, lengths, obs_frame[ok][keep], obs_pixel[ok][keep])
+        points[sel] = p.mean(axis=1)
+        w = total > 0
+        if not w.all():
+            sel, p, c, total = sel[w], p[w], c[w], total[w]
+        p *= c[:, :, None]
+        points[sel] = p.sum(axis=1) / total[:, None]
+    return points, confidences
 
 
 def run_tracking(
@@ -378,7 +519,7 @@ def run_tracking(
             f"graph edges reference frames missing from all clusters: {sorted(missing)[:5]}"
         )
 
-    verified = []
+    table = KeypointTable()
     failures = 0
     for i, j in graph.edges:
         try:
@@ -388,9 +529,9 @@ def run_tracking(
             continue
         if len(ms) > max_keypoints:
             ms = ms.select(slice(max_keypoints))
-        verified.append(verify_matches(ms, merged, tau_reproj))
+        table.add(verify_matches(ms, merged, tau_reproj))
 
-    tracks = merge_tracks(verified, merged)
+    tracks = merge_tracks(table, merged)
     return TrackingResult(
         tracks=tracks,
         graph=graph,

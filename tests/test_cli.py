@@ -28,7 +28,7 @@ from scenemerge.io_formats import (
     write_tensors,
     write_tracks,
 )
-from scenemerge.pipeline import PipelineConfig
+from scenemerge.pipeline import PipelineConfig, matcher_from_scene_dir
 
 SEED = 13
 N_CAMERAS = 18
@@ -215,6 +215,21 @@ class TestSettingFlags:
         assert main(["run", "--scene", str(scene), "--out", str(tmp_path / "out")] + settings) == 0
         assert plan.read_bytes() == (tmp_path / "out" / "plan.json").read_bytes()
         assert json.loads(plan.read_text())["n_subsequences"] == 2
+
+    def test_synth_records_n_subsequences(self, tmp_path):
+        """gt/synth.json records --n-subsequences (null when derived), and a
+        record written before it held the key still rebuilds the matcher."""
+        synth = ["synth", "--seed", "3", "--cameras", "12", "--landmarks", "400"]
+        synth += ["--subset-size", "6", "--overlap", "2"]
+        assert main(synth + ["--n-subsequences", "2", "--out", str(tmp_path / "k2")]) == 0
+        assert main(synth + ["--out", str(tmp_path / "derived")]) == 0
+        record = json.loads((tmp_path / "k2" / "gt" / "synth.json").read_text())
+        assert (record["subset_size"], record["n_subsequences"]) == (6, 2)
+        path = tmp_path / "derived" / "gt" / "synth.json"
+        record = json.loads(path.read_text())
+        assert record.pop("n_subsequences") is None
+        path.write_text(json.dumps(record))
+        assert matcher_from_scene_dir(tmp_path / "derived")(0, 1).frame_j == 1
 
     @pytest.mark.parametrize("command", ["synth", "plan", "run"])
     def test_similarity_band_flag_is_gone(self, tmp_path, capsys, command):

@@ -743,6 +743,7 @@ SYNTH_TEXT = """{
   "layout": "room",
   "subset_size": 5,
   "overlap": 2,
+  "n_subsequences": null,
   "perturb": {
     "per_cluster_sim3_noise": [
       0.3,

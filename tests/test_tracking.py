@@ -2,12 +2,19 @@
 
 import dataclasses
 import gc
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
+import scenemerge
 from scenemerge.alignment import (
     MergedGeometry,
     chain_alignments,
@@ -50,14 +57,15 @@ def _random_similarity(rng, n):
     return SimilarityMatrix(m)
 
 
-def _flat_cluster(frame_ids, depth_value=2.0, conf_values=None, size=8):
-    """One cluster of identical forward-facing frames with constant depth."""
+def _flat_cluster(frame_ids, depth_value=2.0, conf_values=None, size=8, baseline=0.1):
+    """One cluster of identical forward-facing frames with constant depth,
+    baseline apart along x."""
     cams, depths, confs = [], [], []
     for idx, fid in enumerate(frame_ids):
         intr = CameraIntrinsics(
             fx=2.0 * size, fy=2.0 * size, cx=size / 2.0, cy=size / 2.0, width=size, height=size
         )
-        pose = CameraPose(rotation=np.eye(3), translation=np.array([0.1 * idx, 0.0, 0.0]))
+        pose = CameraPose(rotation=np.eye(3), translation=np.array([baseline * idx, 0.0, 0.0]))
         cams.append(CameraParams(intrinsics=intr, pose=pose, frame_id=fid))
         depths.append(np.full((size, size), depth_value, dtype=np.float32))
         c = 1.0 if conf_values is None else conf_values[idx]
@@ -190,10 +198,11 @@ def _reference_merge_tracks(all_matches, merged):
 
 
 def _reference_intern_keypoints(all_matches):
-    """The global-key version of tracking._intern_keypoints: one interleaved
-    table of every keypoint, each keyed by the mixed-radix int64 (frame
-    index, rounded row, rounded column) over the whole table's span, then
-    one np.unique."""
+    """The global-key version of tracking.KeypointTable's numbering: one
+    interleaved table of every keypoint, each keyed by the mixed-radix int64
+    (frame index, rounded row, rounded column) over the whole table's span,
+    then one np.unique. Returns (int32 node of every table row, first table
+    row, frame and subpixel coordinate of every node)."""
     lo = np.rint(np.min([np.minimum(ms.pixels_i.min(axis=0), ms.pixels_j.min(axis=0)) for ms in all_matches], axis=0))
     hi = np.rint(np.max([np.maximum(ms.pixels_i.max(axis=0), ms.pixels_j.max(axis=0)) for ms in all_matches], axis=0))
     frame_ids = sorted({f for ms in all_matches for f in (ms.frame_i, ms.frame_j)})
@@ -209,7 +218,7 @@ def _reference_intern_keypoints(all_matches):
             pixels[start + side : start + 2 * len(ms) : 2] = px
         start += 2 * len(ms)
     uniq, first, node = np.unique(key, return_index=True, return_inverse=True)
-    return node, first, np.asarray(frame_ids)[uniq // (w * h)], pixels[first]
+    return node.astype(np.int32), first, np.asarray(frame_ids)[uniq // (w * h)], pixels[first]
 
 
 def _track_list(tracks):
@@ -518,12 +527,13 @@ class TestMergeTracks:
             with pytest.raises(DataError, match=r"^frame 1: match pixels must"):
                 merge_tracks([_pair(0, 1, [((1.0, 1.0), (-3e9, 2.0))])], merged)
 
-    def test_intern_matches_global_key_reference(self):
-        """Interning frame by frame numbers the keypoints as one global key
-        over the whole table does: same node of every row, first table row,
-        frame and kept subpixel coordinate of every node. The table has
-        unsorted sparse frame ids, frames on both sides of a pair, negative
-        pixels, half-pixel ties and per-frame spans far apart."""
+    def test_intern_matches_global_key_reference(self, monkeypatch):
+        """A KeypointTable numbers the keypoints as one global key over the
+        whole table does: same node of every row, first table row, frame and
+        kept subpixel coordinate of every node, whether it interns once or
+        flushes every 7 rows. The table has unsorted sparse frame ids,
+        frames on both sides of a pair, negative pixels, half-pixel ties and
+        per-frame spans far apart."""
         rng = np.random.default_rng(21)
         frame_ids = [40, 3, 17, 8, 25, 11]
         shift = {f: rng.uniform(-500.0, 500.0, size=2) for f in frame_ids}
@@ -534,11 +544,19 @@ class TestMergeTracks:
             pi = np.round(rng.uniform(-6.0, 6.0, (n, 2)) * 2) / 2 + np.round(shift[fi])
             pj = rng.uniform(-6.0, 6.0, (n, 2)) + shift[fj]
             matches.append(MatchSet(fi, fj, pi, pj))
-        got = tracking._intern_keypoints(matches)
         expected = _reference_intern_keypoints(matches)
-        assert len(got[1]) < sum(2 * len(ms) for ms in matches)  # rows share nodes
-        for a, b in zip(got, expected):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert len(expected[1]) < sum(2 * len(ms) for ms in matches)  # rows share nodes
+        for flush_rows in (tracking._FLUSH_ROWS, 7):
+            monkeypatch.setattr(tracking, "_FLUSH_ROWS", flush_rows)
+            table = tracking.KeypointTable(matches)
+            keypoints = table.keypoints()  # renumbers the table's ids
+            got = (np.concatenate([ids.ravel() for ids in table]), *keypoints)
+            for a, b in zip(got, expected):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            with pytest.raises(ConfigError, match="numbered"):
+                table.add(matches[0])
+            with pytest.raises(ConfigError, match="numbered"):
+                table.keypoints()
 
     def test_merge_memory_bounded_by_input(self):
         """Merging ~200k pairs allocates at most twice the bytes of the
@@ -698,6 +716,54 @@ class TestMergeTracks:
         assert sorted(calls) == [0, 1, 2, 3]
 
 
+class TestComponents:
+    """tracking._components against scipy's connected_components."""
+
+    @staticmethod
+    def _check(n_nodes, edges):
+        """Same partition as scipy, each component labelled by its smallest node."""
+        edges = [np.asarray(e, dtype=np.int32).reshape(-1, 2) for e in edges]
+        label = tracking._components(n_nodes, edges)
+        pairs = np.concatenate([np.empty((0, 2), dtype=np.int32)] + edges)
+        graph = csr_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n_nodes, n_nodes))
+        n_comp, reference = connected_components(graph, directed=False)
+        smallest = np.full(n_comp, n_nodes)
+        np.minimum.at(smallest, reference, np.arange(n_nodes))
+        assert label.dtype == np.int32
+        assert label.tolist() == smallest[reference].tolist()
+        return label
+
+    def test_alternating_path(self):
+        """1-0-3-2-5-4...: every node's smaller neighbour is a hook away from
+        the other side, so the path needs several rounds."""
+        path = np.arange(1000) ^ 1
+        edges = np.stack([path[:-1], path[1:]], axis=1)
+        assert self._check(1000, [edges[:300], edges[300:]]).tolist() == [0] * 1000
+
+    def test_star_with_largest_centre(self):
+        centre = 499
+        leaves = np.arange(centre)
+        edges = np.stack([np.full(centre, centre), leaves], axis=1)
+        edges[::2] = edges[::2, ::-1]  # both orientations
+        assert self._check(500, [edges]).tolist() == [0] * 500
+
+    def test_duplicates_self_loops_and_isolated_nodes(self):
+        edges = [[(3, 3), (5, 7), (7, 5), (5, 7)], [(9, 9), (12, 2), (2, 12), (7, 12)], []]
+        label = self._check(20, edges)
+        assert label[[2, 5, 7, 12]].tolist() == [2] * 4
+        assert label[[3, 9, 19]].tolist() == [3, 9, 19]
+
+    def test_no_edges(self):
+        assert self._check(6, []).tolist() == list(range(6))
+
+    def test_random_graph(self):
+        rng = np.random.default_rng(4)
+        n = 100_000
+        edges = rng.integers(0, n, (70_000, 2))
+        label = self._check(n, np.array_split(edges, 7))
+        assert 1 < len(np.unique(label)) < n
+
+
 class TestRunTracking:
     def _pipeline_pieces(self, n_cameras=20, seed=7):
         scene = generate_scene(seed=seed, n_cameras=n_cameras, n_landmarks=4000, layout="room")
@@ -767,6 +833,45 @@ class TestRunTracking:
             forward_only += int(np.sum(~forward & reverse))
             reverse_only += int(np.sum(forward & ~reverse))
         assert forward_only > 0 and reverse_only > 0
+
+    def test_run_tracking_memory_below_verified_pixels(self):
+        """Tracking ~200k pairs that all verify peaks (tracemalloc) below the
+        bytes of their verified pixels: the keypoint table keeps two int32
+        ids per pair and one row per keypoint, never the match sets."""
+        n_frames, size = 100, 64
+        merged = _merged_flat(list(range(n_frames)), size=size, baseline=0.0)
+        pool = np.random.default_rng(5).uniform(-0.5, size - 0.5, (300, 2))
+        sim = _random_similarity(np.random.default_rng(6), n_frames)
+        edges = build_frame_graph(sim, 10).edges
+        per_edge = 200_000 // len(edges) + 1
+
+        def matcher(i, j):
+            rows = np.random.default_rng(i * n_frames + j).integers(0, len(pool), per_edge)
+            return MatchSet(i, j, pool[rows], pool[rows])  # identical cameras: every pair verifies
+
+        verified = sum(len(verify_matches(matcher(i, j), merged)) for i, j in edges)
+        assert verified == per_edge * len(edges) >= 200_000
+        verified_bytes = 4 * 8 * verified
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = run_tracking(sim, merged, matcher, k=10)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(result.tracks) > 0
+        assert peak < verified_bytes, f"peak {peak / verified_bytes:.2f}x the verified pixel bytes"
+
+    def test_pipeline_import_leaves_out_csgraph(self):
+        """Tracks are found without scipy.sparse.csgraph, so importing the
+        pipeline does not load it."""
+        src = str(Path(scenemerge.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = "import sys, scenemerge.pipeline; print('scipy.sparse.csgraph' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_matcher_failure_skips_edge(self):
         scene, spec, sim, plan, clusters, warps, merged = self._pipeline_pieces(n_cameras=10)
