@@ -375,6 +375,10 @@ class MergedGeometry:
         frames = self.frames()
         if cameras is None:
             cameras = [self.camera(fid) for fid in frames]
+        if len(cameras) != len(frames):
+            raise DataError(
+                f"dense cloud needs one camera per frame: got {len(cameras)} cameras for {len(frames)} frames"
+            )
         pts, confs = [], []
         for fid, cam in zip(frames, cameras):
             _, depth, conf, scale = self._frames[fid]

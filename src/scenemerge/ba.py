@@ -34,12 +34,17 @@ which forms conf * C inside the product, and the step denominator
 A @ |C|. Each CSR row lists its observations in order, so the sums add
 exactly as np.bincount of conf * C and |C|.
 
-Column layout: an iteration gathers the camera table [rotation |
-translation | intrinsics] (16 x cameras) and the point table (3 x points)
-once each with np.take along the transposed column axis, so every
-per-observation quantity is a contiguous row of length M, and writes the
-13 contribution rows into one (13, M) block that two copies turn into the
-row-major (M, 10) and (M, 3) buffers the products read. The sums are
+Column layout, in blocks: an iteration walks the observations _BA_BLOCK
+at a time. For each block it gathers the block's columns of the camera
+table [rotation | translation | intrinsics] (16 x cameras) and of the
+point table (3 x points) with np.take along the transposed column axis,
+so every per-observation quantity is a contiguous row of the block's
+length, and writes the 13 contribution rows into one (13, block) scratch
+that two copies turn into the block's slices of the row-major (M, 10) and
+(M, 3) buffers the products read; the block's losses go into an (M,)
+buffer. A run allocates those three buffers once, so only they, the
+incidence products and |C| grow with M. Every quantity is per
+observation, so the block size changes no bit. The sums are
 written out with fixed addition orders, so each one keeps the bits of the
 stacked einsum/np.cross form it replaced: R x adds (R_i0 x_0 + R_i2 x_2) +
 R_i1 x_1, R^T g adds (R_0i g_0 + R_1i g_1) + R_2i g_2, the cross product is
@@ -58,6 +63,7 @@ from .geometry import CameraParams, CameraPose, pinhole, rotation_exp
 
 _BEHIND_PENALTY = 1e4  # px-equivalent floor for behind-camera observations
 _NORM_FLOOR = 1e-30
+_BA_BLOCK = 4096  # observations per kernel block, so temporaries do not grow with M
 
 
 @dataclass(frozen=True)
@@ -200,16 +206,23 @@ def _rebuild_cameras(prob: BAProblem, r, t, k):
     ]
 
 
-def _camera_frame(prob: BAProblem, r, t, k, points):
-    """Per-observation columns (rotation (9, M), intrinsics (4, M), R x (3, M),
-    R x + t (3, M)) for every observation's point x under its camera.
+def _tables(r, t, k, points):
+    """(camera table (16, cameras), point table (3, points)): the camera
+    rows [rotation | translation | intrinsics] and the points, transposed
+    so each gathered quantity is a contiguous row."""
+    return np.concatenate([r.reshape(-1, 9), t, k], axis=1).T, points.T
 
-    Row 3i + j of the rotation block holds R_ij. The camera table
-    [rotation | translation | intrinsics] and the point table are each
-    gathered once with np.take along their transposed column axis.
+
+def _camera_frame(tables, camera_indices, point_indices):
+    """Per-observation columns (rotation (9, n), intrinsics (4, n), R x (3, n),
+    R x + t (3, n)) for the observations of the given camera and point
+    indices.
+
+    Row 3i + j of the rotation block holds R_ij. Each table is gathered
+    once with np.take along its column axis.
     """
-    cam = np.take(np.concatenate([r.reshape(-1, 9), t, k], axis=1).T, prob.camera_indices, axis=1)
-    x = np.take(points.T, prob.point_indices, axis=1)
+    cam = np.take(tables[0], camera_indices, axis=1)
+    x = np.take(tables[1], point_indices, axis=1)
     rm = cam[:9]
     # (R_i0 x_0 + R_i2 x_2) + R_i1 x_1, the order numpy 2.4's "mij,mj->mi"
     # einsum adds in; keeping it keeps every refined pose's bits
@@ -218,55 +231,66 @@ def _camera_frame(prob: BAProblem, r, t, k, points):
     return rm, cam[12:], rx, rx + cam[9:12]
 
 
-def _contribution_buffers(prob: BAProblem):
-    """(camera rows (M, 10), point rows (M, 3)) for _loss_terms to fill."""
-    return np.empty((prob.n_observations, 10)), np.empty((prob.n_observations, 3))
+def _kernel_buffers(prob: BAProblem):
+    """(camera rows (M, 10), point rows (M, 3), losses (M,)) for _loss_terms
+    to fill; a run allocates them once."""
+    m = prob.n_observations
+    return np.empty((m, 10)), np.empty((m, 3)), np.empty(m)
 
 
-def _loss_terms(prob: BAProblem, cfg: BAConfig, r, t, k, points, c_cam, c_pt):
-    """Per-observation unweighted losses (M,); fills the contribution rows.
+def _loss_terms(prob: BAProblem, cfg: BAConfig, r, t, k, points, buffers):
+    """Fills the buffers of _kernel_buffers and returns the per-observation
+    unweighted losses (M,).
 
-    c_cam receives each observation's camera row [rotation | translation |
-    intrinsics] and c_pt its point row, both before the confidence weight:
-    multiplying by the observation confidence yields the weighted
-    quantities, so one geometry pass serves both the true gradient and the
-    confidence-free normalizer.
+    The camera buffer receives each observation's camera row [rotation |
+    translation | intrinsics] and the point buffer its point row, both
+    before the confidence weight: multiplying by the observation confidence
+    yields the weighted quantities, so one geometry pass serves both the
+    true gradient and the confidence-free normalizer. Observations are
+    taken _BA_BLOCK at a time; every quantity is per observation, so the
+    block size changes no bit.
     """
+    c_cam, c_pt, loss = buffers
     lam, eps = cfg.lambda_exp, cfg.epsilon
-    rm, km, rx, v = _camera_frame(prob, r, t, k, points)
-    uv, front = pinhole(v.T, km.T)
-    z = v[2]
-    zs = np.where(front, z, 1.0)
-    e = (prob.pixels - uv).T
-    s2 = e[0] * e[0] + e[1] * e[1] + eps
-    gpi = -(lam * s2 ** (lam / 2.0 - 1.0)) * e  # d loss / d projected pixel
+    tables = _tables(r, t, k, points)
+    # rows [rotation | translation | intrinsics | point] of one block, copied
+    # into the row-major buffers the incidence products read
+    block_rows = np.empty((13, min(_BA_BLOCK, prob.n_observations)))
+    for start in range(0, prob.n_observations, _BA_BLOCK):
+        obs = slice(start, start + _BA_BLOCK)
+        rm, km, rx, v = _camera_frame(tables, prob.camera_indices[obs], prob.point_indices[obs])
+        uv, front = pinhole(v.T, km.T)
+        z = v[2]
+        zs = np.where(front, z, 1.0)
+        e = (prob.pixels[obs] - uv).T
+        s2 = e[0] * e[0] + e[1] * e[1] + eps
+        gpi = -(lam * s2 ** (lam / 2.0 - 1.0)) * e  # d loss / d projected pixel
 
-    # rows [rotation | translation | intrinsics | point], copied into the
-    # row-major contribution buffers the incidence products read
-    rows = np.empty((13, prob.n_observations))
-    g = rows[3:6]
-    a = gpi * km[0:2]
-    np.divide(a, zs, out=g[0:2])
-    np.divide(-(a[0] * v[0] + a[1] * v[1]), zs * zs, out=g[2])
-    np.divide(gpi * v[0:2], zs, out=rows[6:8])
-    rows[8:10] = gpi
-    # behind-camera branch: C * (B + Z^2), gradient (0, 0, 2Z)
-    back = ~front
-    rows[3:10, back] = 0.0
-    g[2, back] = 2.0 * z[back]
+        rows = block_rows[:, : len(z)]
+        g = rows[3:6]
+        a = gpi * km[0:2]
+        np.divide(a, zs, out=g[0:2])
+        np.divide(-(a[0] * v[0] + a[1] * v[1]), zs * zs, out=g[2])
+        np.divide(gpi * v[0:2], zs, out=rows[6:8])
+        rows[8:10] = gpi
+        # behind-camera branch: C * (B + Z^2), gradient (0, 0, 2Z)
+        back = ~front
+        rows[3:10, back] = 0.0
+        g[2, back] = 2.0 * z[back]
 
-    # rotation rows rx x g, each component a_1 b_2 - a_2 b_1 as np.cross forms it
-    for i, j, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        np.multiply(rx[j], g[l], out=rows[i])
-        rows[i] -= rx[l] * g[j]
-    # point rows R^T g, adding (R_0i g_0 + R_1i g_1) + R_2i g_2
-    pt = rows[10:13]
-    np.multiply(rm[0:3], g[0], out=pt)
-    pt += rm[3:6] * g[1]
-    pt += rm[6:9] * g[2]
-    np.copyto(c_cam, rows[:10].T)
-    np.copyto(c_pt, pt.T)
-    return np.where(front, s2 ** (lam / 2.0), _BEHIND_PENALTY + z * z)
+        # rotation rows rx x g, each component a_1 b_2 - a_2 b_1 as np.cross forms it
+        for i, j, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            np.multiply(rx[j], g[l], out=rows[i])
+            rows[i] -= rx[l] * g[j]
+        # point rows R^T g, adding (R_0i g_0 + R_1i g_1) + R_2i g_2
+        pt = rows[10:13]
+        np.multiply(rm[0:3], g[0], out=pt)
+        pt += rm[3:6] * g[1]
+        pt += rm[6:9] * g[2]
+        np.copyto(c_cam[obs], rows[:10].T)
+        np.copyto(c_pt[obs], pt.T)
+        loss[obs] = np.where(front, s2 ** (lam / 2.0), _BEHIND_PENALTY + z * z)
+    return loss
 
 
 def _incidences(prob: BAProblem):
@@ -282,7 +306,7 @@ def _incidences(prob: BAProblem):
     )
 
 
-def _gradient_sums(incidences, c_cam, c_pt):
+def _gradient_sums(incidences, buffers):
     """(camera gradient, point gradient, camera denominator, point denominator).
 
     Each sum is one incidence product over the contribution rows
@@ -290,13 +314,14 @@ def _gradient_sums(incidences, c_cam, c_pt):
     product, the 0/1 one sums |C|.
     """
     (w_cam, w_pt), (a_cam, a_pt) = incidences
+    c_cam, c_pt, _ = buffers
     return w_cam @ c_cam, w_pt @ c_pt, a_cam @ np.abs(c_cam), a_pt @ np.abs(c_pt)
 
 
 def ba_loss(prob: BAProblem, cfg: BAConfig | None = None) -> float:
     """Confidence-weighted robust reprojection loss."""
     cfg = cfg or BAConfig()
-    loss = _loss_terms(prob, cfg, *_stack_state(prob), *_contribution_buffers(prob))
+    loss = _loss_terms(prob, cfg, *_stack_state(prob), _kernel_buffers(prob))
     return float(np.sum(prob.confidences * loss))
 
 
@@ -308,7 +333,7 @@ def predicted_pixels(prob: BAProblem) -> tuple[np.ndarray, np.ndarray]:
     pinhole call, so observations built from this output yield bitwise-zero
     residuals.
     """
-    _, km, _, v = _camera_frame(prob, *_stack_state(prob))
+    _, km, _, v = _camera_frame(_tables(*_stack_state(prob)), prob.camera_indices, prob.point_indices)
     return pinhole(v.T, km.T)
 
 
@@ -321,9 +346,9 @@ def reprojection_errors(prob: BAProblem) -> tuple[np.ndarray, np.ndarray]:
 def ba_gradients(prob: BAProblem, cfg: BAConfig | None = None) -> BAGradients:
     """Analytic gradient of ba_loss for every parameter block."""
     cfg = cfg or BAConfig()
-    c_cam, c_pt = _contribution_buffers(prob)
-    _loss_terms(prob, cfg, *_stack_state(prob), c_cam, c_pt)
-    g, g_pt, _, _ = _gradient_sums(_incidences(prob), c_cam, c_pt)
+    buffers = _kernel_buffers(prob)
+    _loss_terms(prob, cfg, *_stack_state(prob), buffers)
+    g, g_pt, _, _ = _gradient_sums(_incidences(prob), buffers)
     return BAGradients(rotation=g[:, :3], translation=g[:, 3:6], points=g_pt, intrinsics=g[:, 6:])
 
 
@@ -370,8 +395,8 @@ def run_ba(prob: BAProblem, cfg: BAConfig | None = None) -> BAResult:
     focal_floor = 1e-6 * unit_k[:, 0]
 
     history = np.empty(cfg.iterations + 1)
-    c_cam, c_pt = _contribution_buffers(prob)
-    current = float(np.sum(prob.confidences * _loss_terms(prob, cfg, r, t, k, points, c_cam, c_pt)))
+    buffers = _kernel_buffers(prob)
+    current = float(np.sum(prob.confidences * _loss_terms(prob, cfg, r, t, k, points, buffers)))
     if not np.isfinite(current):
         raise DivergenceError("initial loss is not finite", iteration=0)
     history[0] = current
@@ -385,7 +410,7 @@ def run_ba(prob: BAProblem, cfg: BAConfig | None = None) -> BAResult:
     incidences = _incidences(prob)
 
     for it in range(cfg.iterations):
-        grad_cam, grad_pt, denom_cam, denom_pt = _gradient_sums(incidences, c_cam, c_pt)
+        grad_cam, grad_pt, denom_cam, denom_pt = _gradient_sums(incidences, buffers)
         if not (np.all(np.isfinite(grad_cam)) and np.all(np.isfinite(grad_pt))):
             raise DivergenceError("non-finite gradient", iteration=it + 1)
 
@@ -406,7 +431,7 @@ def run_ba(prob: BAProblem, cfg: BAConfig | None = None) -> BAResult:
                 k[:, 2] = np.clip(k[:, 2], 0.0, widths)
                 k[:, 3] = np.clip(k[:, 3], 0.0, heights)
 
-            loss_terms = _loss_terms(prob, cfg, r, t, k, points, c_cam, c_pt)
+            loss_terms = _loss_terms(prob, cfg, r, t, k, points, buffers)
         current = float(np.sum(prob.confidences * loss_terms))
         if not np.isfinite(current):
             raise DivergenceError("loss became non-finite", iteration=it + 1)

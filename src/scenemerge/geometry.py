@@ -264,15 +264,19 @@ def rotation_distance(a: np.ndarray, b: np.ndarray):
     return np.where(equal, 0.0, rotation_angle(a @ np.swapaxes(b, -1, -2)))[()]
 
 
+def _rodrigues(k, angle):
+    """I + sin(angle) K + (1 - cos(angle)) K^2 for unit-axis skew matrices K."""
+    angle = angle[..., None, None]
+    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+
+
 def rotation_from_axis_angle(axis, angle) -> np.ndarray:
     """Rodrigues formula; a zero axis gives the identity. axis need not be
     normalized unless angle comes from its norm."""
     ax = np.asarray(axis, dtype=np.float64)
-    angle = np.asarray(angle, dtype=np.float64)[..., None, None]
     n = np.sqrt(row_dot(ax, ax))[..., None]
     zero = n == 0
-    k = skew(ax / np.where(zero, 1.0, n))
-    r = np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+    r = _rodrigues(skew(ax / np.where(zero, 1.0, n)), np.asarray(angle, dtype=np.float64))
     return np.where(zero[..., None], np.eye(3), r)
 
 
@@ -280,14 +284,17 @@ def rotation_exp(omega) -> np.ndarray:
     """Matrix exponential of skew(omega): rotation by ||omega|| around omega.
 
     Below an angle of 1e-12 the second-order series keeps the result
-    orthonormal to machine precision.
+    orthonormal to machine precision; it is built only when some row needs
+    it. The angle is computed once and also normalizes the axis.
     """
     w = np.asarray(omega, dtype=np.float64)
     angle = np.sqrt(row_dot(w, w))
-    small = (angle < 1e-12)[..., None]
-    k = skew(np.where(small, w, 0.0))
-    series = np.eye(3) + k + 0.5 * (k @ k)
-    return np.where(small[..., None], series, rotation_from_axis_angle(w, angle))
+    small = angle < 1e-12
+    r = _rodrigues(skew(w / np.where(small, 1.0, angle)[..., None]), angle)
+    if np.any(small):
+        k = skew(np.where(small[..., None], w, 0.0))
+        r = np.where(small[..., None, None], np.eye(3) + k + 0.5 * (k @ k), r)
+    return r
 
 
 def skew(v) -> np.ndarray:

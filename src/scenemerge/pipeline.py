@@ -28,7 +28,7 @@ from .ba import BAConfig, BAProblem, apply_ba_result, run_ba
 from .clusters import load_cluster
 from .errors import ConfigError, DataError, SceneMergeError, SchemaViolationError
 from .evaluation import evaluate_trajectories, point_cloud_distance, umeyama_align
-from .geometry import PointCloud, apply_sim3
+from .geometry import PointCloud
 from .io_formats import (
     JSON_FORMAT_VERSION,
     _check_version,
@@ -361,13 +361,13 @@ def evaluate_reconstruction(
     plus point-cloud accuracy and completion when both clouds are given.
 
     The predicted cloud shares the estimated trajectory's coordinate frame,
-    so the trajectory's fitted Sim(3) gauge maps it into ground-truth
-    coordinates before comparing.
+    so point_cloud_distance maps it into ground-truth coordinates by the
+    trajectory's fitted Sim(3) gauge, chunk by chunk, while it scores.
     """
     metrics = {"trajectory": evaluate_trajectories(est, gt).to_dict()}
     if pred_cloud is not None and gt_cloud is not None:
         gauge = umeyama_align(est, gt)
-        accuracy, completion = point_cloud_distance(apply_sim3(gauge, pred_cloud.points), gt_cloud)
+        accuracy, completion = point_cloud_distance(pred_cloud, gt_cloud, gauge)
         metrics["point_cloud"] = {"accuracy": accuracy, "completion": completion}
     return metrics
 

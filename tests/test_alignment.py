@@ -454,6 +454,17 @@ class TestMergeClusters:
         assert np.all(cloud.confidences == np.float32(0.9))
         assert np.allclose(cloud.points[:, 2], 1.0)
 
+    def test_dense_cloud_rejects_wrong_camera_count(self):
+        """A camera list of the wrong length is rejected, naming both counts,
+        instead of zip dropping the frames it has no camera for."""
+        depth = np.ones((4, 4), dtype=np.float32)
+        cluster = _cluster(0, [(0, depth, np.ones((4, 4))), (1, depth, np.ones((4, 4)))])
+        merged = MergedGeometry([cluster], [Sim3Transform.identity()])
+        with pytest.raises(DataError, match="1 cameras for 2 frames"):
+            merged.dense_cloud([merged.camera(0)])
+        with pytest.raises(DataError, match="3 cameras for 2 frames"):
+            merged.dense_cloud([merged.camera(0)] * 3)
+
     def test_reprojection_invariance(self):
         """project(T(p), T(cam)) == project(p, cam) within 1e-6 px, and the
         merged dense cloud is the cluster-local cloud mapped by T."""

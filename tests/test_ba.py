@@ -711,15 +711,15 @@ class TestRunBA:
         start and after a few iterations that move (or freeze) the
         intrinsics, on the 20-camera scene and on a ring where some
         observations lie behind their camera."""
-        from scenemerge.ba import _contribution_buffers, _gradient_sums, _incidences, _loss_terms, _stack_state
+        from scenemerge.ba import _gradient_sums, _incidences, _kernel_buffers, _loss_terms, _stack_state
 
         prob = _perturbed_scene_problem(0)[0] if problem == "scene" else _behind_problem(23)
         cfg = BAConfig(iterations=5, optimize_intrinsics=optimize_intrinsics)
         for state in (prob, run_ba(prob, cfg).problem):
             r, t, k, points = _stack_state(state)
-            c_cam, c_pt = _contribution_buffers(state)
-            loss = _loss_terms(state, cfg, r, t, k, points, c_cam, c_pt)
-            sums = _gradient_sums(_incidences(state), c_cam, c_pt)
+            buffers = _kernel_buffers(state)
+            loss = _loss_terms(state, cfg, r, t, k, points, buffers)
+            sums = _gradient_sums(_incidences(state), buffers)
             ref_loss, g_cam, g_intr, rx, front = _ref_loss_terms(state, cfg, r, t, k, points)
             assert front.any() and (problem == "scene") == front.all()
             np.testing.assert_array_equal(loss, ref_loss)
@@ -783,6 +783,59 @@ class TestRunBA:
         r2 = run_ba(prob, BAConfig(iterations=15))
         np.testing.assert_array_equal(r1.loss_history, r2.loss_history)
         np.testing.assert_array_equal(r1.problem.points, r2.problem.points)
+
+
+def _large_problem(n_cams=50, n_pts=25_000, per_point=4) -> BAProblem:
+    """n_pts points each seen by per_point ring cameras: 100,000 observations
+    by default, with random pixels (only the problem's size matters)."""
+    rng = np.random.default_rng(31)
+    pi = np.repeat(np.arange(n_pts), per_point)
+    ci = (7 * pi + np.tile(13 * np.arange(per_point), n_pts)) % n_cams
+    return BAProblem(
+        cameras=_ring_cameras(rng, n_cams),
+        points=rng.normal(0, 0.7, (n_pts, 3)),
+        camera_indices=ci,
+        point_indices=pi,
+        pixels=rng.uniform(0, 48, (len(pi), 2)),
+        confidences=rng.uniform(0.1, 2.0, len(pi)),
+    )
+
+
+class TestBlockedKernel:
+    """run_ba, ba_loss and ba_gradients evaluate the kernel _BA_BLOCK
+    observations at a time; the block size changes no bit and bounds what
+    an iteration allocates."""
+
+    @pytest.mark.parametrize("block", [7, 64])
+    def test_block_size_keeps_bits(self, block, monkeypatch):
+        from scenemerge import ba
+
+        prob = _behind_problem(23)
+        _, front = predicted_pixels(prob)
+        assert np.flatnonzero(~front).max() >= block  # a behind-camera row past the first block
+        cfg = BAConfig(iterations=20)
+        want = run_ba(prob, cfg), ba_loss(prob, cfg), ba_gradients(prob, cfg)
+        monkeypatch.setattr(ba, "_BA_BLOCK", block)
+        got = run_ba(prob, cfg), ba_loss(prob, cfg), ba_gradients(prob, cfg)
+        np.testing.assert_array_equal(got[0].loss_history, want[0].loss_history)
+        np.testing.assert_array_equal(got[0].problem.points, want[0].problem.points)
+        for a, b in zip(got[0].problem.cameras, want[0].problem.cameras):
+            np.testing.assert_array_equal(a.pose.rotation, b.pose.rotation)
+            np.testing.assert_array_equal(a.pose.translation, b.pose.translation)
+            assert a.intrinsics == b.intrinsics
+        assert got[1] == want[1]
+        for name in ("rotation", "translation", "points", "intrinsics"):
+            np.testing.assert_array_equal(getattr(got[2], name), getattr(want[2], name))
+
+    def test_memory_per_observation(self, traced_peak):
+        """On 100,000 observations run_ba peaks (tracemalloc) below 400 bytes
+        per observation: the contribution and loss buffers, the incidence
+        matrices and one |C| copy, while every other temporary is one
+        block's. Allocating each temporary at full size took about 600."""
+        prob = _large_problem()
+        assert prob.n_observations == 100_000
+        _, peak = traced_peak(lambda: run_ba(prob, BAConfig(iterations=2)))
+        assert peak / prob.n_observations < 400, f"{peak / prob.n_observations:.0f} bytes per observation"
 
 
 class TestApplyBAResult:

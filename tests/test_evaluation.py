@@ -563,6 +563,45 @@ class TestPointCloudDistance:
         assert accuracy == float(np.mean(np.min(dist, axis=1)))
         assert completion == float(np.mean(np.min(dist, axis=0)))
 
+    @pytest.mark.parametrize("with_gauge", [False, True])
+    @pytest.mark.parametrize("swapped", [False, True])
+    def test_chunks_keep_whole_cloud_bits(self, with_gauge, swapped, monkeypatch):
+        """Scored 6 points at a time, both metrics equal whole-cloud cKDTree
+        queries over the gauge-mapped cloud bit for bit, in either argument
+        order. apply_sim3's block shrinks with the chunk, which stays a
+        multiple of it."""
+        from scenemerge import geometry
+        from scipy.spatial import cKDTree
+
+        rng = np.random.default_rng(24)
+        pred, gt = rng.normal(size=(100, 3)), rng.normal(size=(40, 3)) * [2.0, 1.0, 0.5]
+        if swapped:
+            pred, gt = gt, pred
+        gauge = Sim3Transform(1.7, random_rotation(rng), rng.normal(size=3)) if with_gauge else None
+        monkeypatch.setattr(evaluation, "_CLOUD_CHUNK", 6)
+        monkeypatch.setattr(geometry, "_SIM3_BLOCK_ROWS", 3)
+        mapped = pred if gauge is None else apply_sim3(gauge, pred)
+        accuracy = float(np.mean(cKDTree(gt).query(mapped)[0]))
+        completion = float(np.mean(cKDTree(mapped).query(gt)[0]))
+        assert point_cloud_distance(pred, gt, gauge) == (accuracy, completion)
+
+    def test_chunk_is_a_multiple_of_the_sim3_block(self):
+        from scenemerge import geometry
+
+        assert evaluation._CLOUD_CHUNK % geometry._SIM3_BLOCK_ROWS == 0
+
+    @pytest.mark.parametrize("with_gauge", [False, True])
+    def test_memory_below_sixteen_bytes_per_point(self, with_gauge, traced_peak):
+        """Scoring 400,000 points against 20,000 peaks (tracemalloc) below
+        16 bytes per predicted point: one (N,) distance array plus one
+        chunk's temporaries. A whole-cloud query's distance and index
+        arrays alone take 16."""
+        rng = np.random.default_rng(25)
+        pred, gt = rng.normal(size=(400_000, 3)), rng.normal(size=(20_000, 3))
+        args = (pred, gt, Sim3Transform(1.1, random_rotation(rng), rng.normal(size=3))) if with_gauge else (pred, gt)
+        _, peak = traced_peak(lambda: point_cloud_distance(*args))
+        assert peak < 16 * len(pred), f"{peak / len(pred):.1f} bytes per point"
+
     def test_accepts_point_cloud_objects(self):
         rng = np.random.default_rng(21)
         pts = rng.normal(size=(25, 3))

@@ -1,11 +1,9 @@
 """Tests for frame-graph construction, match verification, and tracks."""
 
 import dataclasses
-import gc
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -558,7 +556,7 @@ class TestMergeTracks:
             with pytest.raises(ConfigError, match="numbered"):
                 table.keypoints()
 
-    def test_merge_memory_bounded_by_input(self):
+    def test_merge_memory_bounded_by_input(self, traced_peak):
         """Merging ~200k pairs allocates at most twice the bytes of the
         input pixels at its peak (a global key, a stable sort over every
         keypoint and an interleaved pixel table took 3.1x)."""
@@ -572,14 +570,7 @@ class TestMergeTracks:
             rows_i, rows_j = rng.integers(0, 300, (2, 200))
             matches.append(MatchSet(int(fi), int(fj), keypoints[fi, rows_i], keypoints[fj, rows_j]))
         input_bytes = sum(ms.pixels_i.nbytes + ms.pixels_j.nbytes for ms in matches)
-        gc.collect()
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            merge_tracks(matches, merged)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: merge_tracks(matches, merged))
         assert peak <= 2.0 * input_bytes, f"peak {peak / input_bytes:.2f}x the input pixel bytes"
 
     def test_subpixel_coordinates_share_rounded_node(self):
@@ -834,7 +825,7 @@ class TestRunTracking:
             reverse_only += int(np.sum(forward & ~reverse))
         assert forward_only > 0 and reverse_only > 0
 
-    def test_run_tracking_memory_below_verified_pixels(self):
+    def test_run_tracking_memory_below_verified_pixels(self, traced_peak):
         """Tracking ~200k pairs that all verify peaks (tracemalloc) below the
         bytes of their verified pixels: the keypoint table keeps two int32
         ids per pair and one row per keypoint, never the match sets."""
@@ -852,14 +843,7 @@ class TestRunTracking:
         verified = sum(len(verify_matches(matcher(i, j), merged)) for i, j in edges)
         assert verified == per_edge * len(edges) >= 200_000
         verified_bytes = 4 * 8 * verified
-        gc.collect()
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            result = run_tracking(sim, merged, matcher, k=10)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        result, peak = traced_peak(lambda: run_tracking(sim, merged, matcher, k=10))
         assert len(result.tracks) > 0
         assert peak < verified_bytes, f"peak {peak / verified_bytes:.2f}x the verified pixel bytes"
 
