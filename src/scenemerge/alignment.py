@@ -370,7 +370,10 @@ class MergedGeometry:
         """Every valid-depth pixel of every frame, unprojected in frame order.
 
         cameras, one per frame in frames() order, replace the merged global
-        cameras; apply_ba_result passes the refined ones.
+        cameras; apply_ba_result passes the refined ones. Each frame's valid
+        pixels are counted first, then unprojected in place into one (N, 3)
+        points array and one (N,) confidences array, so the cloud is held
+        once and beside it only one frame's temporaries.
         """
         frames = self.frames()
         if cameras is None:
@@ -379,16 +382,15 @@ class MergedGeometry:
             raise DataError(
                 f"dense cloud needs one camera per frame: got {len(cameras)} cameras for {len(frames)} frames"
             )
-        pts, confs = [], []
-        for fid, cam in zip(frames, cameras):
-            _, depth, conf, scale = self._frames[fid]
-            d = depth.astype(np.float64)
-            rows, cols = np.nonzero(d > 0)
-            if len(rows) == 0:
-                continue
+        maps = [self._frames[fid][1:] for fid in frames]
+        counts = [int(np.count_nonzero(depth > 0)) for depth, _, _ in maps]
+        points, confidences = np.empty((sum(counts), 3)), np.empty(sum(counts))
+        end = 0
+        for (depth, conf, scale), cam, n in zip(maps, cameras, counts):
+            rows, cols = np.nonzero(depth > 0)
+            at = slice(end, end + n)
+            end += n
             pixels = np.stack([cols, rows], axis=1).astype(np.float64)
-            pts.append(unproject_pixels(pixels, d[rows, cols] * scale, cam))
-            confs.append(conf[rows, cols].astype(np.float64))
-        if not pts:
-            return PointCloud(points=np.zeros((0, 3)), confidences=np.zeros(0))
-        return PointCloud(points=np.concatenate(pts), confidences=np.concatenate(confs))
+            points[at] = unproject_pixels(pixels, depth[rows, cols].astype(np.float64) * scale, cam)
+            confidences[at] = conf[rows, cols]
+        return PointCloud(points=points, confidences=confidences)

@@ -403,7 +403,7 @@ def write_ply(path, cloud: PointCloud) -> None:
     )
     with open(path, "wb") as f:
         f.write(header.encode("ascii"))
-        f.write(rec.tobytes())
+        f.write(rec)  # through the buffer protocol, without a bytes copy
 
 
 _PLY_TYPES = {

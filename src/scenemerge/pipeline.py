@@ -465,6 +465,8 @@ def run_pipeline(
         "counts": {
             "matcher_invocations": tracking.matcher_invocations,
             "failed_edges": tracking.failed_edges,
+            "keypoints": tracking.keypoints,
+            "verified_pairs": tracking.verified_pairs,
             "tracks": len(tracking.tracks),
             "ba_observations": problem.n_observations,
             "merged_points": int(len(cloud.points)),

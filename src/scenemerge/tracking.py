@@ -4,12 +4,13 @@ Pairwise matches are verified by bidirectional reprojection against the
 globally aligned geometry, then merged into tracks: the connected
 components of the match graph over keypoints keyed on (frame id, rounded
 pixel). Verified pairs stream into a KeypointTable, which keeps one sorted
-keypoint table per frame and two int32 keypoint ids per pair, not the
-match sets; merge_tracks finds the components by hook and compress over
-those ids, in numpy. Every pixel is lifted to 3D through
-MergedGeometry.sample. Each track fuses its per-observation 3D points by
-confidence-weighted averaging; the fused confidence is the mean of the
-observation confidences.
+keypoint table per frame and unions each batch of pairs into one int32
+parent array over the keypoints as it is interned (hook and compress, in
+numpy), so neither the match sets nor the pairs are kept and tracking
+memory grows with keypoints, not pairs. Every pixel is lifted to 3D
+through MergedGeometry.sample. Each track fuses its per-observation 3D
+points by confidence-weighted averaging; the fused confidence is the mean
+of the observation confidences.
 
 All tracks live in one Tracks table (see its docstring). Canonical order:
 tracks by their first keypoint in merge_tracks' keypoint table, each
@@ -161,12 +162,15 @@ class FrameGraph:
 
 @dataclass(frozen=True)
 class TrackingResult:
-    """Tracks plus bookkeeping from the per-edge matching phase."""
+    """Tracks plus bookkeeping from the per-edge matching phase: the
+    verified pairs and the distinct keypoints they hold."""
 
     tracks: Tracks
     graph: FrameGraph
     matcher_invocations: int
     failed_edges: int
+    keypoints: int
+    verified_pairs: int
 
 
 def build_frame_graph(m, k: int) -> FrameGraph:
@@ -230,46 +234,52 @@ def _reprojects(merged, src: int, pix_src: np.ndarray, dst: int, pix_dst: np.nda
     return valid & in_front & (err <= tau_reproj)
 
 
-# Pending keypoint rows (two per pair) that trigger interning, and the pairs
-# per batch of the components search.
+# Pending keypoint rows (two per pair) that trigger interning and a union.
 _FLUSH_ROWS = 65_536
 
 
 class KeypointTable:
-    """Verified pairs as int32 keypoint ids over one keypoint table per frame.
+    """Verified pairs unioned into components over one keypoint table per frame.
 
     The rows of the table are both keypoints of every pair: match sets in
-    the order added, pairs in order, frame_i before frame_j. Keypoint
-    identity is (frame id, pixel rounded half to even); a keypoint keeps the
-    first table row and first subpixel coordinate the table holds for it.
-    add() keeps no match set: each non-empty one becomes one (pairs, 2) int32
-    array of keypoint ids, and iterating the table yields those arrays in
-    order. Pixels wait in a per-frame buffer until _FLUSH_ROWS rows are
-    pending; a flush interns each pending frame with one sort over its
-    rounded (row, column) keys, merged into that frame's sorted key table.
-    So besides the ids (8 bytes per pair) and the buffer, the table grows
-    with keypoints, not pairs. The buffer lets one sort serve many match
-    sets; a sorted insert per set made run_tracking 40% slower on the
-    bench's object-200 scene.
+    the order added, pairs in order, frame_i before frame_j, so pair p holds
+    rows 2p and 2p + 1. Keypoint identity is (frame id, pixel rounded half
+    to even); a keypoint keeps the first table row and first subpixel
+    coordinate the table holds for it. add() keeps no match set: its pixels
+    wait in a per-frame buffer until _FLUSH_ROWS rows are pending. A flush
+    interns each pending frame with one sort over its rounded (row, column)
+    keys, merged into that frame's sorted key table, then unions the
+    flushed pairs into one int32 parent array over the keypoints (_union)
+    and drops their ids. So besides the buffer, the table grows with
+    keypoints, not pairs. The buffer lets one sort serve many match sets; a
+    sorted insert per set made run_tracking 40% slower on the bench's
+    object-200 scene. Iterating the table yields one range of pair numbers
+    per non-empty match set added, in order.
 
-    keypoints() flushes, renumbers the ids by (frame id, row, column) and
-    hands over the per-keypoint arrays; the table then takes no more pairs.
+    keypoints() flushes and hands over the per-keypoint arrays, numbered by
+    (frame id, row, column), with their component labels; the table then
+    takes no more pairs.
     """
 
     def __init__(self, matches=()):
-        self._edges = []  # one (pairs, 2) int32 id array per non-empty match set
-        self._pending = {}  # frame id -> [(first table row, pixels, id column)]
+        self._pending = {}  # frame id -> [(first table row, pixels)]
         self._pending_rows = 0
         self._n_rows = 0
+        self._sets = []  # pair numbers of each non-empty match set
         self._keys = {}  # frame id -> (sorted int64 keys, their int32 ids)
         self._first = [np.empty(0, dtype=np.int64)]  # per id, in id order
         self._pixels = [np.empty((0, 2))]
-        self._n_nodes = 0
+        self._parent = np.empty(0, dtype=np.int32)  # union-find forest over the ids
+        self.n_keypoints = 0
         for ms in matches:
             self.add(ms)
 
     def __iter__(self):
-        return iter(self._edges)
+        return iter(self._sets)
+
+    @property
+    def n_pairs(self) -> int:
+        return self._n_rows // 2
 
     def add(self, ms: MatchSet) -> None:
         """Append the pairs of ms to the table."""
@@ -277,26 +287,34 @@ class KeypointTable:
             raise ConfigError("keypoint table is already numbered; it takes no more match sets")
         if not len(ms):
             return
-        ids = np.empty((len(ms), 2), dtype=np.int32)
-        self._edges.append(ids)
         for side, fid, px in ((0, ms.frame_i, ms.pixels_i), (1, ms.frame_j, ms.pixels_j)):
-            self._pending.setdefault(fid, []).append((self._n_rows + side, px, ids[:, side]))
+            self._pending.setdefault(fid, []).append((self._n_rows + side, px))
+        self._sets.append(range(self.n_pairs, self.n_pairs + len(ms)))
         self._n_rows += 2 * len(ms)
         self._pending_rows += 2 * len(ms)
         if self._pending_rows >= _FLUSH_ROWS:
             self._flush()
 
     def _flush(self) -> None:
-        """Intern the pending rows, one frame at a time in frame id order."""
+        """Intern the pending rows, one frame at a time in frame id order,
+        then union their pairs."""
+        if not self._pending_rows:
+            return
+        ids = np.empty(self._pending_rows, dtype=np.int32)  # per pending table row
+        base = self._n_rows - self._pending_rows
         for fid in sorted(self._pending):
-            self._intern(fid, self._pending[fid])
+            self._intern(fid, self._pending[fid], ids, base)
         self._pending.clear()
         self._pending_rows = 0
+        grown = np.arange(len(self._parent), self.n_keypoints, dtype=np.int32)
+        self._parent = np.concatenate([self._parent, grown])
+        _union(self._parent, ids.reshape(-1, 2))
 
-    def _intern(self, fid: int, blocks) -> None:
-        """Give the pending rows of frame fid their keypoint ids, adding the
-        keypoints not yet in the frame's key table."""
-        table_rows, pixel_blocks, columns = zip(*blocks)
+    def _intern(self, fid: int, blocks, ids: np.ndarray, base: int) -> None:
+        """Write the keypoint id of each pending row of frame fid into ids
+        (at its table row minus base), adding the keypoints not yet in the
+        frame's key table."""
+        table_rows, pixel_blocks = zip(*blocks)
         px = np.concatenate(pixel_blocks)
         uv = np.rint(px)
         # bounds first, so an out-of-range pixel never reaches the cast
@@ -311,7 +329,7 @@ class KeypointTable:
         # what np.unique(key, return_index=True, return_inverse=True)
         # gives, from one unstable argsort: a third of np.unique's time
         order = np.argsort(key)
-        key = key[order]
+        key = key.take(order)
         heads = np.ones(len(key), dtype=bool)  # the first sorted row of each key
         np.not_equal(key[1:], key[:-1], out=heads[1:])
         heads = np.flatnonzero(heads)
@@ -321,101 +339,104 @@ class KeypointTable:
         pos = np.searchsorted(keys, uniq)
         seen = keys[np.minimum(pos, len(keys) - 1)] == uniq if len(keys) else np.zeros(len(uniq), dtype=bool)
         new = np.flatnonzero(~seen)
-        if self._n_nodes + len(new) >= 2**31:
+        if self.n_keypoints + len(new) >= 2**31:
             raise DataError(f"frame {fid}: more than 2**31 - 1 keypoints in one table")
-        ids = np.empty(len(uniq), dtype=np.int32)
-        ids[seen] = key_ids[pos[seen]]
-        ids[new] = np.arange(self._n_nodes, self._n_nodes + len(new))
-        self._n_nodes += len(new)
+        uniq_ids = np.empty(len(uniq), dtype=np.int32)
+        uniq_ids[seen] = key_ids[pos[seen]]
+        uniq_ids[new] = np.arange(self.n_keypoints, self.n_keypoints + len(new))
+        self.n_keypoints += len(new)
         # insert the new keys into the frame's sorted table
         at = pos[new] + np.arange(len(new))
         old = np.ones(len(keys) + len(new), dtype=bool)
         old[at] = False
         merged_keys, merged_ids = np.empty(len(old), dtype=np.int64), np.empty(len(old), dtype=np.int32)
         merged_keys[at], merged_keys[old] = uniq[new], keys
-        merged_ids[at], merged_ids[old] = ids[new], key_ids
+        merged_ids[at], merged_ids[old] = uniq_ids[new], key_ids
         self._keys[fid] = merged_keys, merged_ids
 
-        # a block's rows are every other table row from its first
-        sizes = np.array([len(p) for p in pixel_blocks])
-        offsets = np.cumsum(sizes) - sizes
+        # a block's rows are every other table row from its first; rows
+        # counts them from base
+        sizes = [len(p) for p in pixel_blocks]
+        starts = np.array(table_rows) - base - 2 * (np.cumsum(sizes) - sizes)
+        rows = np.repeat(starts, sizes) + 2 * np.arange(len(px))
         first = first[new]
-        block = np.searchsorted(offsets, first, side="right") - 1
-        self._first.append(np.array(table_rows)[block] + 2 * (first - offsets[block]))
+        self._first.append(rows.take(first) + base)
         self._pixels.append(px[first])
-        row_ids = np.empty(len(order), dtype=np.int32)
-        row_ids[order] = np.repeat(ids, np.diff(heads, append=len(key)))
-        for column, offset, n in zip(columns, offsets.tolist(), sizes.tolist()):
-            column[:] = row_ids[offset : offset + n]
+        ids[rows.take(order)] = np.repeat(uniq_ids, np.diff(heads, append=len(key)))
 
     def keypoints(self):
-        """(first table row, frame id, subpixel coordinate) of every keypoint.
+        """(first table row, frame id, subpixel coordinate, component label)
+        of every keypoint.
 
-        Flushes, numbers the keypoints by frame id, then rounded row, then
-        rounded column, renumbers every id array of the table to match and
-        hands the per-keypoint arrays over: the table keeps only its ids, so
-        this runs once and the table then takes no more match sets.
+        Flushes and numbers the keypoints by frame id, then rounded row,
+        then rounded column; a keypoint's label is the smallest number in
+        its component. Each frame's key table is dropped as its ids are
+        gathered, and each per-keypoint array is gathered into that order
+        before the next is built. The table hands the arrays over, so this
+        runs once and the table then takes no more match sets.
         """
         if self._keys is None:
             raise ConfigError("keypoint table is already numbered")
         self._flush()
-        keys, first, pixels = self._keys, np.concatenate(self._first), np.concatenate(self._pixels)
-        self._keys = self._first = self._pixels = None
+        keys, self._keys = self._keys, None
         frame_ids = sorted(keys)
-        order = np.concatenate([np.empty(0, dtype=np.int32)] + [keys[f][1] for f in frame_ids])
         frames = np.repeat(np.array(frame_ids, dtype=np.int64), [len(keys[f][1]) for f in frame_ids])
-        node = np.empty(len(order), dtype=np.int32)
-        node[order] = np.arange(len(order), dtype=np.int32)
-        for ids in self._edges:
-            ids[...] = node[ids]
-        return first[order], frames, pixels[order]
+        order = np.concatenate([np.empty(0, dtype=np.int32)] + [keys.pop(f)[1] for f in frame_ids])
+        first, self._first = np.concatenate(self._first), None
+        first = first.take(order)
+        pixels, self._pixels = np.concatenate(self._pixels), None
+        pixels = pixels.take(order, axis=0)
+        parent, self._parent = self._parent, None
+        root = _find(parent, np.arange(len(order), dtype=np.int32)).take(order)
+        del parent
+        least = np.full(len(order), len(order), dtype=np.int32)  # per root, its component's smallest number
+        np.minimum.at(least, root, np.arange(len(order), dtype=np.int32))
+        return first, frames, pixels, least.take(root)
 
 
-def _components(n_nodes: int, edges) -> np.ndarray:
-    """Connected-component label of every node: the smallest node id in it.
+def _union(parent: np.ndarray, pairs: np.ndarray) -> None:
+    """Join, in the int32 forest parent, the components of the two nodes of
+    every (pairs, 2) row.
 
-    edges is a sequence of (pairs, 2) int32 node-id arrays. Hook and
-    compress: each round, every edge whose ends have different roots hooks
-    the larger root to the smaller (np.minimum.at, against the roots the
-    round started with), then pointer jumping runs until every node points
-    at its root; a round that hooks nothing ends the search. A node's parent
-    never exceeds it, so the smallest id of a component is its root. Work
-    arrays hold one batch of about _FLUSH_ROWS / 2 pairs at a time.
+    Hook and compress: each round finds the roots of the pairs still to
+    join (_find), and every pair whose roots differ hooks the larger root to
+    the smaller (np.minimum.at, against the roots the round started with).
+    A root that several pairs hook keeps only the smallest target, so the
+    next round checks the hooked root pairs again, until a round hooks
+    nothing. A node's parent never exceeds it, so the root of a component
+    is its smallest node.
     """
-    parent = np.arange(n_nodes, dtype=np.int32)
-    while True:
-        roots = parent.copy()
-        for e in _batches(edges, _FLUSH_ROWS // 2):
-            a, b = roots.take(e[:, 0]), roots.take(e[:, 1])
-            crossing = a != b
-            a, b = a[crossing], b[crossing]
-            np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
-        if np.array_equal(parent, roots):
-            return parent
-        while not np.array_equal(grand := parent.take(parent), parent):
-            parent = grand
+    a, b = pairs[:, 0], pairs[:, 1]
+    while len(a):
+        a, b = _find(parent, a), _find(parent, b)
+        crossing = np.flatnonzero(a != b)
+        a, b = a.take(crossing), b.take(crossing)
+        a, b = np.maximum(a, b), np.minimum(a, b)
+        np.minimum.at(parent, a, b)
 
 
-def _batches(arrays, rows: int):
-    """arrays, concatenated in order into batches of at least rows rows (the last may be shorter)."""
-    batch, n = [], 0
-    for array in arrays:
-        batch.append(array)
-        n += len(array)
-        if n >= rows:
-            yield np.concatenate(batch)
-            batch, n = [], 0
-    if batch:
-        yield np.concatenate(batch)
+def _find(parent: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Root of every node in the forest parent.
+
+    Pointer jumping over the queried nodes only: each round points every one
+    of them at its grandparent, so a path made of queried nodes halves in
+    length per round, and the nodes end pointing straight at their roots.
+    The rest of the forest is left as it is.
+    """
+    up = parent.take(nodes)
+    while not np.array_equal(top := parent.take(up), up):
+        parent[nodes] = top
+        up = top
+    return up
 
 
 def merge_tracks(table, merged) -> Tracks:
     """Connected components over one KeypointTable, then fusion per component.
 
     table is a KeypointTable, or MatchSets to build one from (see its
-    docstring for the table rows and keypoint identity). The keypoints are
-    numbered by (frame id, rounded row, rounded column) and the components
-    found by hook and compress over the table's int32 id arrays.
+    docstring for the table rows and keypoint identity). The table numbers
+    the keypoints by (frame id, rounded row, rounded column) and labels each
+    with its component, found by hook and compress as the pairs streamed in.
     Components with two keypoints in one frame are ambiguous and
     discarded. The remaining keypoints are lifted with one merged.sample
     call per frame, and a component keeps only its valid samples, needing
@@ -427,18 +448,18 @@ def merge_tracks(table, merged) -> Tracks:
     Tracks come out in the order of their first keypoint in the table,
     each with its observations sorted by frame id.
 
-    Beyond the table's ids (8 bytes per pair), the merge holds a few arrays
-    per keypoint and one batch of pairs while hooking. Given MatchSets, its
-    traced peak stays below twice the bytes of their pixels; run_tracking,
-    which streams verified sets into a table, peaks below the bytes of the
-    verified pixels (tests/test_tracking.py checks both at ~200k pairs).
+    The merge holds a few arrays per keypoint and nothing per pair. Given
+    MatchSets, its traced peak stays below twice the bytes of their pixels;
+    run_tracking, which streams verified sets into a table, peaks below 0.6x
+    the bytes of the verified pixels, and twice the pairs over the same
+    keypoints raise that peak by under 10% (tests/test_tracking.py checks
+    these at ~200k pairs).
     """
     if not isinstance(table, KeypointTable):
         table = KeypointTable(table)
-    first, node_frame, node_pixel = table.keypoints()
+    first, node_frame, node_pixel, label = table.keypoints()
     if not len(first):
         return Tracks([], [], [], [], [])
-    label = _components(len(first), list(table))
 
     first_row = first.copy()  # each component's first table row, at its label
     np.minimum.at(first_row, label, first)
@@ -537,4 +558,6 @@ def run_tracking(
         graph=graph,
         matcher_invocations=len(graph.edges),
         failed_edges=failures,
+        keypoints=table.n_keypoints,
+        verified_pairs=table.n_pairs,
     )

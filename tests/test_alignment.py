@@ -465,6 +465,22 @@ class TestMergeClusters:
         with pytest.raises(DataError, match="3 cameras for 2 frames"):
             merged.dense_cloud([merged.camera(0)] * 3)
 
+    def test_dense_cloud_memory_is_the_cloud(self, traced_peak):
+        """dense_cloud's traced peak is at most 1.1x the arrays it returns: each
+        frame is unprojected in place, so beside the cloud it holds one
+        frame's temporaries (concatenating per-frame lists held the cloud
+        twice). Frames have holes, and one has no valid depth at all."""
+        rng = np.random.default_rng(15)
+        frames = []
+        for fid in range(100):
+            depth = rng.uniform(1.0, 2.0, (32, 32)) * (rng.uniform(size=(32, 32)) > 0.2) * (fid != 7)
+            frames.append((fid, depth, rng.uniform(0.1, 1.0, (32, 32)).astype(np.float32)))
+        merged = MergedGeometry([_cluster(0, frames)], [Sim3Transform.identity()])
+        cloud, peak = traced_peak(merged.dense_cloud)
+        assert len(cloud) == sum(int(np.count_nonzero(np.float32(d) > 0)) for _, d, _ in frames)
+        returned = cloud.points.nbytes + cloud.confidences.nbytes
+        assert peak <= 1.1 * returned, f"peak {peak / returned:.2f}x the returned cloud"
+
     def test_reprojection_invariance(self):
         """project(T(p), T(cam)) == project(p, cam) within 1e-6 px, and the
         merged dense cloud is the cluster-local cloud mapped by T."""

@@ -277,6 +277,9 @@ class TestRunPipeline:
         assert counts["ba_observations"] > 0
         assert counts["merged_points"] == len(result.cloud.points) > 0
         assert counts["failed_edges"] == 0
+        assert counts["keypoints"] == result.tracking.keypoints >= len(result.tracking.tracks.frames)
+        assert counts["verified_pairs"] == result.tracking.verified_pairs > 0
+        assert counts["keypoints"] <= 2 * counts["verified_pairs"]
         assert len(result.cameras) == N_CAMERAS
         assert len(result.tracks) == counts["tracks"]
 

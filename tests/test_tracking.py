@@ -527,11 +527,12 @@ class TestMergeTracks:
 
     def test_intern_matches_global_key_reference(self, monkeypatch):
         """A KeypointTable numbers the keypoints as one global key over the
-        whole table does: same node of every row, first table row, frame and
-        kept subpixel coordinate of every node, whether it interns once or
-        flushes every 7 rows. The table has unsorted sparse frame ids,
-        frames on both sides of a pair, negative pixels, half-pixel ties and
-        per-frame spans far apart."""
+        whole table does: same first table row, frame and kept subpixel
+        coordinate of every node, and each node labelled by the smallest node
+        of its scipy connected component over the reference's pairs, whether
+        it interns once or flushes every 7 rows. The table has unsorted
+        sparse frame ids, frames on both sides of a pair, negative pixels,
+        half-pixel ties and per-frame spans far apart."""
         rng = np.random.default_rng(21)
         frame_ids = [40, 3, 17, 8, 25, 11]
         shift = {f: rng.uniform(-500.0, 500.0, size=2) for f in frame_ids}
@@ -542,14 +543,21 @@ class TestMergeTracks:
             pi = np.round(rng.uniform(-6.0, 6.0, (n, 2)) * 2) / 2 + np.round(shift[fi])
             pj = rng.uniform(-6.0, 6.0, (n, 2)) + shift[fj]
             matches.append(MatchSet(fi, fj, pi, pj))
-        expected = _reference_intern_keypoints(matches)
-        assert len(expected[1]) < sum(2 * len(ms) for ms in matches)  # rows share nodes
+        node, *expected = _reference_intern_keypoints(matches)
+        n_nodes = len(expected[0])
+        assert n_nodes < len(node)  # rows share nodes
+        graph = csr_matrix((np.ones(len(node) // 2), (node[0::2], node[1::2])), shape=(n_nodes, n_nodes))
+        n_comp, component = connected_components(graph, directed=False)
+        smallest = np.full(n_comp, n_nodes, dtype=np.int32)
+        np.minimum.at(smallest, component, np.arange(n_nodes, dtype=np.int32))
+        expected.append(smallest[component])
+        assert 1 < n_comp < n_nodes
         for flush_rows in (tracking._FLUSH_ROWS, 7):
             monkeypatch.setattr(tracking, "_FLUSH_ROWS", flush_rows)
             table = tracking.KeypointTable(matches)
-            keypoints = table.keypoints()  # renumbers the table's ids
-            got = (np.concatenate([ids.ravel() for ids in table]), *keypoints)
-            for a, b in zip(got, expected):
+            assert [len(pairs) for pairs in table] == [len(ms) for ms in matches]
+            assert table.n_pairs == len(node) // 2
+            for a, b in zip(table.keypoints(), expected, strict=True):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
             with pytest.raises(ConfigError, match="numbered"):
                 table.add(matches[0])
@@ -708,13 +716,19 @@ class TestMergeTracks:
 
 
 class TestComponents:
-    """tracking._components against scipy's connected_components."""
+    """tracking._union, streamed over several batches, against scipy's connected_components."""
 
     @staticmethod
     def _check(n_nodes, edges):
-        """Same partition as scipy, each component labelled by its smallest node."""
+        """Each batch of edges, split in three, is unioned in turn; then every
+        node's root (tracking._find) gives scipy's partition, each component
+        rooted at its smallest node."""
         edges = [np.asarray(e, dtype=np.int32).reshape(-1, 2) for e in edges]
-        label = tracking._components(n_nodes, edges)
+        parent = np.arange(n_nodes, dtype=np.int32)
+        for batch in edges:
+            for part in np.array_split(batch, 3):
+                tracking._union(parent, part)
+        label = tracking._find(parent, np.arange(n_nodes, dtype=np.int32))
         pairs = np.concatenate([np.empty((0, 2), dtype=np.int32)] + edges)
         graph = csr_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n_nodes, n_nodes))
         n_comp, reference = connected_components(graph, directed=False)
@@ -722,6 +736,7 @@ class TestComponents:
         np.minimum.at(smallest, reference, np.arange(n_nodes))
         assert label.dtype == np.int32
         assert label.tolist() == smallest[reference].tolist()
+        assert np.array_equal(parent, label)  # every node now points at its root
         return label
 
     def test_alternating_path(self):
@@ -825,27 +840,46 @@ class TestRunTracking:
             reverse_only += int(np.sum(forward & ~reverse))
         assert forward_only > 0 and reverse_only > 0
 
-    def test_run_tracking_memory_below_verified_pixels(self, traced_peak):
-        """Tracking ~200k pairs that all verify peaks (tracemalloc) below the
-        bytes of their verified pixels: the keypoint table keeps two int32
-        ids per pair and one row per keypoint, never the match sets."""
+    @staticmethod
+    def _pool_tracking(traced_peak, pairs):
+        """run_tracking over about `pairs` pairs that all verify, drawn from a
+        fixed pool of 300 pixels in each of 100 identical frames: (result,
+        traced peak bytes)."""
         n_frames, size = 100, 64
         merged = _merged_flat(list(range(n_frames)), size=size, baseline=0.0)
         pool = np.random.default_rng(5).uniform(-0.5, size - 0.5, (300, 2))
         sim = _random_similarity(np.random.default_rng(6), n_frames)
         edges = build_frame_graph(sim, 10).edges
-        per_edge = 200_000 // len(edges) + 1
+        per_edge = pairs // len(edges) + 1
 
         def matcher(i, j):
             rows = np.random.default_rng(i * n_frames + j).integers(0, len(pool), per_edge)
             return MatchSet(i, j, pool[rows], pool[rows])  # identical cameras: every pair verifies
 
-        verified = sum(len(verify_matches(matcher(i, j), merged)) for i, j in edges)
-        assert verified == per_edge * len(edges) >= 200_000
-        verified_bytes = 4 * 8 * verified
         result, peak = traced_peak(lambda: run_tracking(sim, merged, matcher, k=10))
+        assert result.verified_pairs == per_edge * len(edges) >= pairs
         assert len(result.tracks) > 0
-        assert peak < verified_bytes, f"peak {peak / verified_bytes:.2f}x the verified pixel bytes"
+        return result, peak
+
+    def test_run_tracking_memory_below_verified_pixels(self, traced_peak):
+        """Tracking ~200k pairs that all verify peaks (tracemalloc) below
+        0.6x the bytes of their verified pixels: the keypoint table unions
+        pairs as they are interned and keeps one row per keypoint, never the
+        match sets or an id per pair (keeping two int32 ids per pair read
+        0.81x)."""
+        result, peak = self._pool_tracking(traced_peak, 200_000)
+        verified_bytes = 4 * 8 * result.verified_pairs
+        assert peak < 0.6 * verified_bytes, f"peak {peak / verified_bytes:.2f}x the verified pixel bytes"
+
+    def test_run_tracking_memory_flat_in_pairs(self, traced_peak):
+        """Twice the verified pairs over the same keypoints raise run_tracking's
+        traced peak by less than 10%: only keypoints and the flush buffer
+        are held (an int32 id pair per verified pair grew it by 8 bytes per
+        pair)."""
+        once, peak_once = self._pool_tracking(traced_peak, 200_000)
+        twice, peak_twice = self._pool_tracking(traced_peak, 400_000)
+        assert twice.keypoints == once.keypoints and twice.verified_pairs >= 2 * 200_000
+        assert peak_twice < 1.1 * peak_once, f"peak {peak_once} -> {peak_twice} bytes"
 
     def test_pipeline_import_leaves_out_csgraph(self):
         """Tracks are found without scipy.sparse.csgraph, so importing the
