@@ -308,8 +308,8 @@ class MergedGeometry:
     run_pipeline builds it once, after alignment. Holds, for each frame id,
     the winning cluster instance's camera mapped into the global frame, its
     cluster-local depth and confidence maps, and the cluster transform's
-    scale. Depth values are multiplied by that scale at sample time (in
-    float64), since a Sim(3)-transformed camera sees all depths scaled.
+    scale. Depth values are multiplied by that scale when a pixel is lifted
+    (in float64), since a Sim(3)-transformed camera sees all depths scaled.
     """
 
     def __init__(self, clusters, transforms):
@@ -345,26 +345,41 @@ class MergedGeometry:
     def sample(self, frame_id: int, pixels: np.ndarray):
         """Unproject subpixel coordinates through the global camera.
 
-        Depth and confidence are read once each, at the nearest integer
-        pixel of the valid samples (inside the map, depth > 0); returns
-        (points (N,3), confidences (N,), valid (N,) bool) with rows of
-        invalid samples left as NaN/0. Pixels are clipped to one past the map
-        before the integer cast, which a huge finite pixel would overflow.
+        Returns (points (N,3), confidences (N,), valid (N,) bool): the rows
+        of the valid samples (inside the map, depth > 0) hold what _lift
+        gives them and the confidence at the same integer pixel; rows of
+        invalid samples are left as NaN/0.
         """
-        cam, depth, conf, scale = self.frame_geometry(frame_id)
         pixels = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
-        height, width = depth.shape
-        col, row = np.rint(np.clip(pixels, -1, [width, height])).astype(np.int64).T
-        rows = np.flatnonzero((col >= 0) & (col < width) & (row >= 0) & (row < height))
-        d = depth[row[rows], col[rows]]
-        rows, d = rows[d > 0], d[d > 0]
+        rows, at, lifted = self._lift(frame_id, pixels)
         pts = np.full((len(pixels), 3), np.nan)
         confs = np.zeros(len(pixels))
         valid = np.zeros(len(pixels), dtype=bool)
-        pts[rows] = unproject_pixels(pixels[rows], d.astype(np.float64) * scale, cam)
-        confs[rows] = conf[row[rows], col[rows]]
+        pts[rows] = lifted
+        confs[rows] = self.frame_geometry(frame_id)[2].take(at)
         valid[rows] = True
         return pts, confs, valid
+
+    def _lift(self, frame_id: int, pixels: np.ndarray):
+        """The one lift of (N, 2) float64 subpixel coordinates, which sample
+        and the match gate share: (rows, at, points).
+
+        Depth is read once, at the nearest integer pixel. Only the valid
+        samples (inside the map, depth > 0) are kept: rows numbers them in
+        pixels, at is each one's flat index into the frame's maps and points
+        (len(rows), 3) their world points. Pixels are rounded and bounded in
+        float64, and only those inside the map are cast to integers, so a
+        huge finite pixel cannot overflow the cast.
+        """
+        cam, depth, _, scale = self.frame_geometry(frame_id)
+        height, width = depth.shape
+        u, v = np.rint(pixels[:, 0]), np.rint(pixels[:, 1])
+        rows = np.flatnonzero((u >= 0) & (u < width) & (v >= 0) & (v < height))
+        at = (v.take(rows) * width + u.take(rows)).astype(np.int64)  # exact: whole numbers below 2**53
+        d = depth.take(at)
+        ok = np.flatnonzero(d > 0)
+        rows, at = rows.take(ok), at.take(ok)
+        return rows, at, unproject_pixels(pixels.take(rows, axis=0), d.take(ok).astype(np.float64) * scale, cam)
 
     def dense_cloud(self, cameras=None) -> PointCloud:
         """Every valid-depth pixel of every frame, unprojected in frame order.

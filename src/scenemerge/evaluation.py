@@ -51,6 +51,10 @@ PAIR_CHUNK = 4096  # camera pairs per kernel call in pairwise_relative_accuracy
 # predicted points per chunk in point_cloud_distance; a multiple of
 # apply_sim3's block, so each chunk is mapped in whole-cloud blocks
 _CLOUD_CHUNK = 2 * _SIM3_BLOCK_ROWS
+# threads per cKDTree query in point_cloud_distance (-1: one per core); the
+# queries run in C++ without the GIL, and each point's answer does not
+# depend on which thread finds it
+_QUERY_WORKERS = -1
 
 
 @dataclass(frozen=True)
@@ -253,6 +257,8 @@ def point_cloud_distance(pred, gt, gauge: Sim3Transform | None = None):
     completion of a 1000-camera room three times slower. Nearest distances
     do not depend on the tree, are symmetric, and min(sqrt(a), sqrt(b)) ==
     sqrt(min(a, b)), so both means keep the bits of whole-cloud trees.
+    Every query runs on _QUERY_WORKERS threads; each point's answer, and so
+    every bit of both means, does not depend on how many.
     """
     p = pred.points if isinstance(pred, PointCloud) else np.asarray(pred, dtype=np.float64)
     g = gt.points if isinstance(gt, PointCloud) else np.asarray(gt, dtype=np.float64)
@@ -270,14 +276,14 @@ def point_cloud_distance(pred, gt, gauge: Sim3Transform | None = None):
     to_gt = np.empty(len(p))
     to_pred = np.full(len(g), np.inf)
     for rows in chunks:
-        to_gt[rows], nearest = gt_tree.query(mapped(rows))
+        to_gt[rows], nearest = gt_tree.query(mapped(rows), workers=_QUERY_WORKERS)
         np.minimum.at(to_pred, nearest, to_gt[rows])
     for rows in chunks:
         # over a large chunk a sliding-midpoint tree builds and answers
         # faster than a median-split one; no reference to it outlives the
         # statement, so the next chunk's tree never coexists with it
         nearest_pred = cKDTree(mapped(rows), balanced_tree=False, compact_nodes=False).query(
-            g, distance_upper_bound=to_pred.max()
+            g, distance_upper_bound=to_pred.max(), workers=_QUERY_WORKERS
         )[0]
         np.minimum(to_pred, nearest_pred, out=to_pred)
     return float(np.mean(to_gt)), float(np.mean(to_pred))

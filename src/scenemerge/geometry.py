@@ -191,9 +191,10 @@ def unproject_pixels(pixels: np.ndarray, depths: np.ndarray, camera: CameraParam
     k = camera.intrinsics
     x = (px[:, 0] - k.cx) / k.fx * d
     y = (px[:, 1] - k.cy) / k.fy * d
-    cam = np.stack([x, y, d], axis=1)
-    r = camera.pose.rotation
-    return (cam - camera.pose.translation) @ r
+    t = camera.pose.translation
+    # camera-frame point minus t, column by column: the bits of subtracting
+    # t from each (3,) row, without numpy's slow broadcast over rows of 3
+    return np.stack([x - t[0], y - t[1], d - t[2]], axis=1) @ camera.pose.rotation
 
 
 def apply_sim3(t: Sim3Transform, points: np.ndarray) -> np.ndarray:

@@ -8,6 +8,8 @@ keypoint table per frame and unions each batch of pairs into one int32
 parent array over the keypoints as it is interned (hook and compress, in
 numpy), so neither the match sets nor the pairs are kept and tracking
 memory grows with keypoints, not pairs. Every pixel is lifted to 3D
+through MergedGeometry's one lifting core: the gate takes only the valid
+rows' points from it, and fusion reads them with their confidences
 through MergedGeometry.sample. Each track fuses its per-observation 3D
 points by confidence-weighted averaging; the fused confidence is the mean
 of the observation confidences.
@@ -207,31 +209,41 @@ def verify_matches(ms: MatchSet, merged, tau_reproj: float = 8.0) -> MatchSet:
     """Bidirectional reprojection gate at tau_reproj pixels.
 
     A pair survives iff both pixels sample valid depth, the point that
-    merged.sample lifts from pixel i reprojects through merged's camera of
-    frame j within tau_reproj of its partner (landing in front of the
-    camera), and the symmetric j to i check passes. The reverse check runs
-    only on the pairs that survive the forward one; every row gets the bits
-    it would get alone, so the survivors are those of checking both
-    directions on every pair.
+    merged lifts from pixel i reprojects through merged's camera of frame j
+    within tau_reproj of its partner (landing in front of the camera), and
+    the symmetric j to i check passes. Each direction lifts and projects
+    only the rows that can still pass (see _reprojects), and the reverse
+    check runs only on the pairs that survive the forward one; every row
+    gets the bits it would get alone, so the survivors are those of
+    checking both directions on every pair.
     """
     if not (np.isfinite(tau_reproj) and tau_reproj > 0):
         raise ConfigError(f"tau_reproj must be positive and finite, got {tau_reproj}")
     if len(ms) == 0:
         return ms
-    keep = np.flatnonzero(_reprojects(merged, ms.frame_i, ms.pixels_i, ms.frame_j, ms.pixels_j, tau_reproj))
-    back = _reprojects(merged, ms.frame_j, ms.pixels_j[keep], ms.frame_i, ms.pixels_i[keep], tau_reproj)
+    keep = _reprojects(merged, ms.frame_i, ms.pixels_i, ms.frame_j, ms.pixels_j, tau_reproj)
+    back = _reprojects(
+        merged, ms.frame_j, ms.pixels_j.take(keep, axis=0), ms.frame_i, ms.pixels_i.take(keep, axis=0), tau_reproj
+    )
     return ms.select(keep[back])
 
 
 def _reprojects(merged, src: int, pix_src: np.ndarray, dst: int, pix_dst: np.ndarray, tau_reproj: float):
-    """Mask of the pixels of frame src whose lifted point lands in front of
-    frame dst's camera within tau_reproj of its partner in pix_dst."""
-    pts, _, valid = merged.sample(src, pix_src)
+    """Rows of the pixels of frame src whose lifted point lands in front of
+    frame dst's camera within tau_reproj of its partner in pix_dst.
+
+    merged._lift returns only the valid samples' rows and points, so
+    confidences are never read, and only the points in front of the camera
+    reach the error: their pixels are finite or, on overflow, infinite, and
+    neither needs a guard.
+    """
+    rows, _, pts = merged._lift(src, pix_src)
     uv, in_front = project_points(pts, merged.camera(dst))
-    # clipped so a huge pixel cannot overflow the norm; it fails either way
-    diff = np.where(np.isfinite(uv), uv, np.inf) - pix_dst
-    err = np.linalg.norm(np.clip(diff, -2 * tau_reproj, 2 * tau_reproj), axis=1)
-    return valid & in_front & (err <= tau_reproj)
+    rows, uv = rows[in_front], uv.compress(in_front, axis=0)
+    # clipped so a huge pixel cannot overflow the square; it fails either
+    # way. sqrt(du * du + dv * dv) is np.linalg.norm's sum over two columns.
+    du, dv = np.clip(uv - pix_dst.take(rows, axis=0), -2 * tau_reproj, 2 * tau_reproj).T
+    return rows[np.sqrt(du * du + dv * dv) <= tau_reproj]
 
 
 # Pending keypoint rows (two per pair) that trigger interning and a union.

@@ -454,6 +454,35 @@ class TestMergeClusters:
         assert np.all(cloud.confidences == np.float32(0.9))
         assert np.allclose(cloud.points[:, 2], 1.0)
 
+    def test_sample_reads_the_nearest_pixel(self):
+        """On a 5x7 map with holes, under a non-identity Sim(3), sample
+        lifts each pixel inside the map with valid depth at its nearest
+        integer pixel and reads the confidence there; every other row is
+        NaN/0/False. Pixels sit on and past every clip edge."""
+        rng = np.random.default_rng(16)
+        depth = rng.uniform(1.0, 2.0, (5, 7)) * (rng.uniform(size=(5, 7)) > 0.3)
+        conf = rng.uniform(0.1, 1.0, (5, 7)).astype(np.float32)
+        t = _random_sim3(rng)
+        merged = MergedGeometry([_cluster(0, [(3, depth, conf)])], [t])
+        pixels = np.concatenate(
+            [
+                rng.uniform(-1.5, 7.5, (200, 2)) * [1.0, 5.0 / 7.0],
+                [[-1.0, 0.0], [-0.5, 0.0], [-0.51, 0.0], [6.49, 4.49], [6.5, 0.0], [7.0, 0.0], [0.0, 5.0]],
+                [[0.0, 4.5], [1e300, 1.0], [1.0, -1e300]],
+            ]
+        )
+        pts, confs, valid = merged.sample(3, pixels)
+        col, row = np.rint(pixels).clip(-1, 8).astype(int).T
+        inside = (col >= 0) & (col < 7) & (row >= 0) & (row < 5)
+        expected = inside.copy()
+        expected[inside] = depth.astype(np.float32)[row[inside], col[inside]] > 0
+        assert valid.tolist() == expected.tolist() and 0 < expected.sum() < len(pixels)
+        d = depth.astype(np.float32)[row[expected], col[expected]].astype(np.float64) * t.scale
+        lifted = unproject_pixels(pixels[expected], d, merged.camera(3))
+        assert pts[expected].tobytes() == lifted.tobytes()
+        assert np.isnan(pts[~expected]).all()
+        assert confs.tolist() == np.where(expected, conf[row.clip(0, 4), col.clip(0, 6)], 0.0).tolist()
+
     def test_dense_cloud_rejects_wrong_camera_count(self):
         """A camera list of the wrong length is rejected, naming both counts,
         instead of zip dropping the frames it has no camera for."""

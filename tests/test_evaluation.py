@@ -585,6 +585,25 @@ class TestPointCloudDistance:
         completion = float(np.mean(cKDTree(mapped).query(gt)[0]))
         assert point_cloud_distance(pred, gt, gauge) == (accuracy, completion)
 
+    @pytest.mark.parametrize("with_gauge", [False, True])
+    def test_query_threads_keep_bits(self, with_gauge, monkeypatch):
+        """Over several chunks, queries on every core give the bits of
+        queries on one thread. gt repeats some points, so nearest-neighbour
+        ties are broken the same way on any number of threads."""
+        from scenemerge import geometry
+
+        rng = np.random.default_rng(26)
+        pred = rng.normal(size=(3000, 3))
+        gt = rng.normal(size=(2000, 3)) * [2.0, 1.0, 0.5]
+        gt = np.concatenate([gt, gt[:200]])
+        gauge = Sim3Transform(0.8, random_rotation(rng), rng.normal(size=3)) if with_gauge else None
+        monkeypatch.setattr(evaluation, "_CLOUD_CHUNK", 512)
+        monkeypatch.setattr(geometry, "_SIM3_BLOCK_ROWS", 256)
+        assert evaluation._QUERY_WORKERS == -1
+        threaded = point_cloud_distance(pred, gt, gauge)
+        monkeypatch.setattr(evaluation, "_QUERY_WORKERS", 1)
+        assert np.array(point_cloud_distance(pred, gt, gauge)).tobytes() == np.array(threaded).tobytes()
+
     def test_chunk_is_a_multiple_of_the_sim3_block(self):
         from scenemerge import geometry
 

@@ -440,6 +440,56 @@ class TestVerifyMatches:
         set_b = {tuple(np.concatenate([p, q])) for p, q in zip(b.pixels_i, b.pixels_j)}
         assert set_a == set_b
 
+    def test_every_rejection_branch_matches_reference(self):
+        """On one hand-built edge the gate keeps, bit for bit, what the
+        reference (both directions on every row, NaN rows guarded) keeps, and
+        each row fails where it is built to. Frame 1 sits 1 unit ahead of
+        frame 0 on the optical axis with half its depth, so a depth-2 pixel
+        (u, v) of frame 0 lands at (2u - 4, 2v - 4) in frame 1 and back."""
+        intr = CameraIntrinsics(fx=16.0, fy=16.0, cx=4.0, cy=4.0, width=8, height=8)
+        cams = [
+            CameraParams(intr, CameraPose(np.eye(3), np.array([0.0, 0.0, -dz])), fid)
+            for fid, dz in ((0, 0.0), (1, 1.0))
+        ]
+        depth0 = np.full((8, 8), 2.0, dtype=np.float32)
+        depth0[2, 2] = 0.0  # hole
+        depth0[6, 1] = 0.5  # lifts behind frame 1
+        depth1 = np.full((8, 8), 1.0, dtype=np.float32)
+        depth1[4, 0] = 0.2  # lifts back to (3.33, 4), 1.33 px off
+        depth1[4, 4] = 0.0  # hole; a depth-0 lift would land at (4, 4) in frame 0
+        cluster = ClusterReconstruction(
+            cluster_id=0,
+            frame_ids=[0, 1],
+            cameras=cams,
+            depths=[depth0, depth1],
+            confidences=[np.ones((8, 8), dtype=np.float32)] * 2,
+        )
+        merged = MergedGeometry([cluster], [Sim3Transform.identity()])
+        rows = [
+            ((5.0, 5.0), (6.0, 6.0)),  # 0 passes
+            ((3.0, 3.0), (2.0, 2.0)),  # 1 passes
+            ((9.0, 3.0), (14.0, 2.0)),  # 2 i outside the map
+            ((-1.0, 3.0), (-6.0, 2.0)),  # 3 i at the -1 clip edge
+            ((3.0, 8.0), (2.0, 12.0)),  # 4 i at the height clip edge
+            ((-0.5, 3.0), (-5.0, 2.0)),  # 5 i rounds into the map; j at (-5, 2) does not
+            ((6.0, 3.0), (8.0, 2.0)),  # 6 j at the width clip edge
+            ((2.0, 2.0), (0.0, 0.0)),  # 7 i has zero depth
+            ((1.0, 6.0), (2.0, 8.0)),  # 8 i lifts behind frame 1
+            ((1e300, 3.0), (2.0, 2.0)),  # 9 huge i
+            ((3.0, 3.0), (2.0, -1e300)),  # 10 huge j
+            ((5.0, 5.0), (7.5, 6.0)),  # 11 1.5 px off forward
+            ((2.0, 4.0), (0.0, 4.0)),  # 12 1.33 px off in reverse
+            ((4.0, 4.0), (4.0, 4.0)),  # 13 j has zero depth
+        ]
+        ms = _pair(0, 1, rows)
+        kept = verify_matches(ms, merged, 1.0)
+        reference, forward, reverse = _reference_verify_matches(ms, merged, 1.0)
+        assert kept.pixels_i.tobytes() == reference.pixels_i.tobytes()
+        assert kept.pixels_j.tobytes() == reference.pixels_j.tobytes()
+        np.testing.assert_array_equal(kept.pixels_i, ms.pixels_i[[0, 1]])
+        assert np.flatnonzero(~forward).tolist() == [2, 3, 4, 7, 8, 9, 10, 11]
+        assert np.flatnonzero(forward & ~reverse).tolist() == [5, 6, 12, 13]
+
     def test_rejects_bad_tau(self):
         merged = _merged_flat([0, 1])
         ms = _pair(0, 1, [((2.0, 2.0), (2.0, 2.0))])
