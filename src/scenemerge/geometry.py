@@ -100,8 +100,14 @@ class CameraPose:
         return -self.rotation.T @ self.translation
 
     def world_to_camera(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        return pts @ self.rotation.T + self.translation
+        cam = np.asarray(points, dtype=np.float64) @ self.rotation.T
+        t, axes = self.translation, cam.T  # axes[0] is every point's x, of any (..., 3) shape
+        # t added axis by axis: the bits of adding it to each (3,) row,
+        # without numpy's slow broadcast over rows of 3
+        axes[0] += t[0]
+        axes[1] += t[1]
+        axes[2] += t[2]
+        return cam
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,17 @@ tracking.Tracks table, in field order, so subpixel coordinates are exact:
     frames       (M,)    uint32, frame id of each observation
     pixels       (M, 2)  float64, observations grouped by track in track order
 
+Ground-truth scene file (gt/scene.mrgt): a tensor file holding the exact
+scene a synthetic scene directory was generated from, so the synthetic
+matcher is read back instead of regenerated. C cameras see L landmarks,
+packed W = ceil(L / 32) words per camera:
+
+    landmarks   (L, 3)   float64, world points
+    cameras     (C, 16)  float64, rotation row-major, translation, fx fy cx cy
+    image       (2,)     uint32, width and height shared by every camera
+    visibility  (C, W)   uint32, bit l % 32 of word l // 32 set when landmark
+                         l wins the camera's z-buffer; bits from L on are 0
+
 Point clouds use binary little-endian PLY with float x/y/z and an optional
 float "quality" carrying per-point confidence. The reader reads past any
 other vertex property (red/green/blue, normals).
@@ -380,6 +391,72 @@ def read_tracks(path):
         return Tracks(*columns)
     except DataError as e:
         raise DataCorruptionError(f"{path}: {e}") from None
+
+
+# ---------------------------------------------------------------------------
+# synthetic ground-truth scene
+
+
+def write_gt_scene(path, scene) -> None:
+    """Write a synthetic.SyntheticScene's landmarks, cameras, image size and
+    visibility as the four tensors of a ground-truth scene file."""
+    cameras = [np.concatenate([c.pose.rotation.ravel(), c.pose.translation, c.intrinsics.row()])
+               for c in scene.gt_cameras]
+    packed = np.packbits(scene.visibility, axis=1, bitorder="little")  # little-endian bytes of the words
+    write_tensors(path, [
+        np.asarray(scene.landmarks, dtype="<f8"),
+        np.array(cameras, dtype="<f8"),
+        np.array(scene.image_size, dtype="<u4"),
+        np.pad(packed, ((0, 0), (0, -packed.shape[1] % 4))).view("<u4"),
+    ])
+
+
+def read_gt_scene(path, seed: int, layout: str, n_cameras: int, n_landmarks: int):
+    """The synthetic.SyntheticScene of seed and layout stored in the
+    ground-truth scene file at path.
+
+    Another tensor count, or a tensor of another dtype or of a shape other
+    than n_cameras and n_landmarks give, raises SchemaViolationError; a
+    non-finite landmark or camera value, a visibility bit set for a
+    landmark index >= n_landmarks, or a camera geometry rejects raise
+    DataCorruptionError. Each error names the file.
+    """
+    from .synthetic import SyntheticScene  # local import: synthetic writes through this module
+
+    tensors = read_tensors(path, "ground-truth scene")
+    expected = {"landmarks": ("<f8", (n_landmarks, 3)), "cameras": ("<f8", (n_cameras, 16)),
+                "image": ("<u4", (2,)), "visibility": ("<u4", (n_cameras, (n_landmarks + 31) // 32))}
+    if len(tensors) != len(expected):
+        raise SchemaViolationError(f"{path}: a ground-truth scene file holds {len(expected)} tensors, "
+                                   f"found {len(tensors)}")
+    for t, (name, (dtype, shape)) in zip(tensors, expected.items()):
+        if t.dtype != dtype or t.shape != shape:
+            raise SchemaViolationError(f"{path}: tensor {name} is {t.dtype.name} {t.shape}, "
+                                       f"needs {np.dtype(dtype).name} {shape}")
+    landmarks, cameras, image, words = tensors
+    for name, rows in (("landmarks", landmarks), ("cameras", cameras)):
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+        if len(bad):
+            raise DataCorruptionError(f"{path}: {name} row {bad[0]} is not finite: {rows[bad[0]].tolist()}")
+    bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+    stray = np.argwhere(bits[:, n_landmarks:])
+    if len(stray):
+        camera, landmark = stray[0] + (0, n_landmarks)
+        raise DataCorruptionError(f"{path}: camera {camera} sees landmark {landmark}, "
+                                  f"beyond the {n_landmarks} landmarks")
+    width, height = image.tolist()
+    gt_cameras = []
+    for i, row in enumerate(cameras):
+        try:
+            gt_cameras.append(CameraParams(
+                intrinsics=CameraIntrinsics(*row[12:].tolist(), width=width, height=height),
+                pose=CameraPose(rotation=row[:9].reshape(3, 3), translation=row[9:12]),
+                frame_id=i,
+            ))
+        except DataError as e:
+            raise DataCorruptionError(f"{path}: camera {i}: {e}") from None
+    return SyntheticScene(seed=seed, layout=layout, landmarks=landmarks, gt_cameras=gt_cameras,
+                          image_size=(width, height), visibility=bits[:, :n_landmarks].view(bool))
 
 
 # ---------------------------------------------------------------------------

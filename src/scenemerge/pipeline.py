@@ -39,6 +39,7 @@ from .io_formats import (
     _value,
     _write_json,
     pose_record_from_camera,
+    read_gt_scene,
     read_manifest,
     read_ply,
     read_pose_map,
@@ -55,7 +56,9 @@ from .io_formats import (
 )
 from .ordering import SimilarityMatrix, plan_scene, read_similarity
 from .synthetic import (
+    GT_SCENE_NAME,
     PerturbationSpec,
+    check_scene_args,
     generate_scene,
     render_cluster,
     synthetic_matcher,
@@ -208,10 +211,12 @@ def synthesize_scene_dir(
     """Generate a scene, partition it, render per-subset clusters, and
     write the full interchange layout plus the gt/ directory.
 
-    gt/synth.json records the generation parameters so later stages can
-    rebuild the deterministic synthetic matcher from the directory alone,
-    and the partition settings the clusters were cut with (n_subsequences
-    is null when derived). Returns the manifest path.
+    gt/synth.json records the generation parameters and the partition
+    settings the clusters were cut with (n_subsequences is null when
+    derived); gt/scene.mrgt holds the generated scene itself, so later
+    stages read the deterministic synthetic matcher back from the
+    directory alone without generating the scene again. Returns the
+    manifest path.
     """
     perturb = perturb if perturb is not None else PerturbationSpec.default()
     scene = generate_scene(seed, n_cameras=n_cameras, n_landmarks=n_landmarks, layout=layout)
@@ -245,13 +250,16 @@ def synthesize_scene_dir(
 
 
 def matcher_from_scene_dir(scene_dir):
-    """Rebuild the deterministic synthetic matcher recorded at synth time.
+    """The deterministic synthetic matcher recorded at synth time.
 
-    Regenerates the ground-truth scene from gt/synth.json; raises DataError
-    when the record is absent (real scenes need a caller-supplied matcher).
-    A record that is not valid JSON, has another format_version, lacks a
-    field, or holds a value of the wrong type or one generation rejects
-    raises a DataError subclass naming the file and the field.
+    Reads the ground-truth scene from gt/scene.mrgt and the seed and noise
+    model from gt/synth.json; the scene is never generated again. Raises
+    DataError when the record is absent (real scenes need a caller-supplied
+    matcher) or when the scene file is (the scene predates it and must be
+    synthesized again). A record that is not valid JSON, has another
+    format_version, lacks a field, or holds a value of the wrong type or
+    one generation rejects, and a scene file read_gt_scene rejects, raise
+    a DataError subclass naming the file and the field.
     """
     path = Path(scene_dir) / "gt" / SYNTH_RECORD_NAME
     if not path.exists():
@@ -261,16 +269,18 @@ def matcher_from_scene_dir(scene_dir):
     record = _read_json(path, "synthetic record")
     _check_version(record, path)
     spec = read_record(PerturbationSpec, _value(record, "perturb", _object, path), f"{path}: perturb")
+    seed = _value(record, "seed", _int, path)
+    n_cameras = _value(record, "n_cameras", _int, path)
+    n_landmarks = _value(record, "n_landmarks", _int, path)
+    layout = _value(record, "layout", _str, path)
     try:
-        scene = generate_scene(
-            _value(record, "seed", _int, path),
-            n_cameras=_value(record, "n_cameras", _int, path),
-            n_landmarks=_value(record, "n_landmarks", _int, path),
-            layout=_value(record, "layout", _str, path),
-        )
+        check_scene_args(seed, n_cameras, n_landmarks, layout)
     except ConfigError as e:
         raise SchemaViolationError(f"{path}: {e}") from None
-    return synthetic_matcher(scene, spec)
+    scene_path = path.parent / GT_SCENE_NAME
+    if not scene_path.exists():
+        raise DataError(f"{scene_path}: ground-truth scene file not found; synthesize the scene again")
+    return synthetic_matcher(read_gt_scene(scene_path, seed, layout, n_cameras, n_landmarks), spec)
 
 
 def align_clusters(clusters, conf_percentile: float = 70.0):

@@ -48,6 +48,7 @@ from .io_formats import (
     ImageEntry,
     pose_record_from_camera,
     transform_record_from_sim3,
+    write_gt_scene,
     write_manifest,
     write_ply,
     write_poses,
@@ -62,6 +63,7 @@ _RESAMPLE_ATTEMPTS = 100
 _NEAR_PLANE = 0.05
 _MAX_STEP_FRACTION = 0.04  # of scene diameter, under the 5% smoothness bound
 _MAX_ARC_SPAN = 0.9 * 2.0 * np.pi  # open trajectory: no wraparound
+GT_SCENE_NAME = "scene.mrgt"  # write_scene's exact ground-truth scene, in gt/
 
 
 @dataclass(frozen=True)
@@ -251,6 +253,18 @@ def _resample_through_cameras(rng, cameras, count, layout):
     return out
 
 
+def check_scene_args(seed: int, n_cameras: int, n_landmarks: int, layout: str) -> None:
+    """Raise ConfigError unless generate_scene takes these arguments."""
+    if n_cameras < 2:
+        raise ConfigError(f"need at least 2 cameras, got {n_cameras}")
+    if n_landmarks < 1:
+        raise ConfigError(f"need at least 1 landmark, got {n_landmarks}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    if layout not in ("room", "object"):
+        raise ConfigError(f"unknown layout {layout!r}, expected 'room' or 'object'")
+
+
 def generate_scene(
     seed: int,
     n_cameras: int = 20,
@@ -264,14 +278,7 @@ def generate_scene(
     attempts); if the constraint cannot be met, or some camera ends up
     seeing fewer than 50 landmarks, generation fails.
     """
-    if n_cameras < 2:
-        raise ConfigError(f"need at least 2 cameras, got {n_cameras}")
-    if n_landmarks < 1:
-        raise ConfigError(f"need at least 1 landmark, got {n_landmarks}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    if layout not in ("room", "object"):
-        raise ConfigError(f"unknown layout {layout!r}, expected 'room' or 'object'")
+    check_scene_args(seed, n_cameras, n_landmarks, layout)
     rng = np.random.default_rng(seed)
 
     if layout == "room":
@@ -427,7 +434,8 @@ def write_scene(
     """Write the full interchange layout (manifest, tensors, clusters, gt/).
 
     Returns the manifest path. The gt/ subdirectory carries ground-truth
-    poses, the landmark cloud, and the injected warps for evaluation.
+    poses, the landmark cloud, and the injected warps for evaluation, and
+    the exact scene (GT_SCENE_NAME) the synthetic matcher is read from.
     """
     scene_dir = Path(scene_dir)
     scene_dir.mkdir(parents=True, exist_ok=True)
@@ -445,6 +453,7 @@ def write_scene(
     gt_dir.mkdir(exist_ok=True)
     write_poses(gt_dir / "poses.json", [pose_record_from_camera(c) for c in scene.gt_cameras])
     write_ply(gt_dir / "landmarks.ply", scene.gt_pointcloud())
+    write_gt_scene(gt_dir / GT_SCENE_NAME, scene)
     if warps is not None:
         write_transforms(
             gt_dir / "warps.json",

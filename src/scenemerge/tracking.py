@@ -73,12 +73,16 @@ class MatchSet:
         """The pairs at rows (an index array, slice or boolean mask).
 
         Those rows were cast and checked when this set was built, so the
-        subset is assembled without running __post_init__ again.
+        subset is assembled without running __post_init__ again. An integer
+        index array is gathered with take, which is several times faster
+        than fancy indexing on rows of 2.
         """
+        if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu":
+            pixels_i, pixels_j = self.pixels_i.take(rows, axis=0), self.pixels_j.take(rows, axis=0)
+        else:
+            pixels_i, pixels_j = self.pixels_i[rows], self.pixels_j[rows]
         subset = object.__new__(MatchSet)
-        subset.__dict__.update(
-            frame_i=self.frame_i, frame_j=self.frame_j, pixels_i=self.pixels_i[rows], pixels_j=self.pixels_j[rows]
-        )
+        subset.__dict__.update(frame_i=self.frame_i, frame_j=self.frame_j, pixels_i=pixels_i, pixels_j=pixels_j)
         return subset
 
 

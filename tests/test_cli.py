@@ -120,7 +120,7 @@ class TestSynth:
         cluster, one poses file and one maps file."""
         clusters = read_manifest(scene_dir / "manifest.json").clusters
         per_cluster = {f"clusters/{c.cluster_id:03d}/{name}" for c in clusters for name in ("poses.json", "maps.mrgt")}
-        gt = {f"gt/{name}" for name in ("poses.json", "landmarks.ply", "warps.json", "synth.json")}
+        gt = {f"gt/{name}" for name in ("poses.json", "landmarks.ply", "warps.json", "synth.json", "scene.mrgt")}
         files = {p.relative_to(scene_dir).as_posix() for p in scene_dir.rglob("*") if p.is_file()}
         assert len(clusters) > 1
         assert files == {"manifest.json", "similarity.mrgt"} | gt | per_cluster
@@ -1240,6 +1240,70 @@ class TestExitCodes:
             path.write_text(json.dumps(doc))
         with pytest.raises(getattr(errors, error), match=re.escape(message)):
             matcher_from_scene_dir(scene)
+        argv = ["run", "--scene", str(scene), "--subset-size", str(SUBSET_SIZE), "--overlap", str(OVERLAP)]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert f"{path}: " in err and message in err
+
+    @pytest.mark.parametrize(
+        "edit, error, message",
+        [
+            (lambda t: t[:3], "SchemaViolationError", "holds 4 tensors, found 3"),
+            (lambda t: [t[0][:-1]] + t[1:], "SchemaViolationError", f"tensor landmarks is float64 ({N_LANDMARKS - 1}, 3)"),
+            (lambda t: t[:1] + [t[1][:-1]] + t[2:], "SchemaViolationError", "tensor cameras is float64"),
+            (lambda t: t[:3] + [t[3].astype("<f8")], "SchemaViolationError", "tensor visibility is float64"),
+            (
+                lambda t: [np.where(np.arange(N_LANDMARKS)[:, None] == 7, np.nan, t[0])] + t[1:],
+                "DataCorruptionError",
+                "landmarks row 7 is not finite",
+            ),
+            (
+                lambda t: t[:1] + [np.where(np.arange(N_CAMERAS)[:, None] == 2, np.inf, t[1])] + t[2:],
+                "DataCorruptionError",
+                "cameras row 2 is not finite",
+            ),
+            (
+                lambda t: t[:3] + [np.where(np.arange(N_CAMERAS)[:, None] == 4, t[3] | (1 << 31), t[3]).astype("<u4")],
+                "DataCorruptionError",
+                f"camera 4 sees landmark {32 * -(-N_LANDMARKS // 32) - 1}, beyond the {N_LANDMARKS} landmarks",
+            ),
+            (
+                lambda t: t[:2] + [np.array([0, 48], dtype="<u4")] + t[3:],
+                "DataCorruptionError",
+                "camera 0: image size must be positive",
+            ),
+            (None, "DataError", "ground-truth scene file not found; synthesize the scene again"),
+        ],
+        ids=[
+            "tensor-missing",
+            "landmarks-short",
+            "cameras-short",
+            "visibility-dtype",
+            "landmark-nan",
+            "camera-inf",
+            "visibility-beyond-landmarks",
+            "image-empty",
+            "file-missing",
+        ],
+    )
+    def test_bad_gt_scene_exits_3(self, scene_dir, tmp_path, capsys, edit, error, message):
+        """gt/scene.mrgt, the scene the synthetic matcher is read from, is
+        checked against gt/synth.json and itself: each defect raises a
+        DataError naming the file, and run exits 3."""
+        import shutil
+
+        from scenemerge import errors
+
+        scene = tmp_path / "scene"
+        shutil.copytree(scene_dir, scene)
+        path = scene / "gt" / "scene.mrgt"
+        if edit is None:
+            path.unlink()
+        else:
+            write_tensors(path, edit(read_tensors(path)))
+        with pytest.raises(getattr(errors, error), match=re.escape(message)) as exc:
+            matcher_from_scene_dir(scene)
+        assert str(exc.value).startswith(f"{path}: ")
         argv = ["run", "--scene", str(scene), "--subset-size", str(SUBSET_SIZE), "--overlap", str(OVERLAP)]
         assert main(argv + ["--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err

@@ -119,6 +119,19 @@ class TestProjection:
             back = unproject_pixels(uv, cam.pose.world_to_camera(pts)[:, 2], cam)
             np.testing.assert_allclose(back, pts, atol=1e-9)
 
+    def test_world_to_camera_bits_of_the_broadcast_add(self):
+        """Adding t axis by axis gives the bits of the broadcast
+        points @ R.T + t, for an empty, a strided and a single point."""
+        rng = np.random.default_rng(11)
+        pose = _random_camera(rng).pose
+        wide = rng.normal(size=(781, 5)) * 4.0
+        for pts in (wide[:, :3], wide[:, 1:4].copy(), wide[::3, 2:], np.empty((0, 3)), wide[7, :3]):
+            got = pose.world_to_camera(pts)
+            want = np.asarray(pts) @ pose.rotation.T + pose.translation
+            assert got.shape == want.shape and got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+        assert not wide[::3, 2:].flags.c_contiguous
+
     def test_unproject_scalar_matches_vectorized(self):
         """Each row of a stacked unprojection matches that row alone."""
         rng = np.random.default_rng(3)

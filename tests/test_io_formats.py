@@ -6,6 +6,9 @@ Hand-derived expectations:
   1 (rank) + 2*4 (dims) + 6*4 (payload) = 40 bytes;
 * a cluster's maps.mrgt holds two (F, H, W) float32 tensors: per tensor
   a 20-byte header and 4*F*H*W payload bytes;
+* gt/scene.mrgt holds four tensors: headers of 16 + 16 + 12 + 16 = 60
+  bytes, then 24 bytes per landmark, 128 per camera, 8 for the image size
+  and per camera 4 * ceil(L / 32) bytes of visibility bits for L landmarks;
 * tracks.bin holds five tensors: headers of 16 + 12 + 12 + 12 + 16 = 68
   bytes, then per track 24 (point) + 8 (confidence) + 4 (length) and per
   observation 4 (frame) + 16 (pixel);
@@ -42,6 +45,7 @@ from scenemerge.io_formats import (
     TransformRecord,
     camera_from_pose_record,
     pose_record_from_camera,
+    read_gt_scene,
     read_manifest,
     read_plan,
     read_ply,
@@ -52,6 +56,7 @@ from scenemerge.io_formats import (
     read_transforms,
     sim3_from_transform_record,
     transform_record_from_sim3,
+    write_gt_scene,
     write_manifest,
     write_plan,
     write_ply,
@@ -63,6 +68,7 @@ from scenemerge.io_formats import (
 )
 from scenemerge.ordering import SceneGraphPlan
 from scenemerge.pipeline import matcher_from_scene_dir, synthesize_scene_dir
+from scenemerge.synthetic import generate_scene
 from scenemerge.tracking import Tracks
 
 
@@ -518,6 +524,44 @@ class TestTracks:
         write_tensor(p, np.ones((4, 6), dtype=np.float32))
         with pytest.raises(SchemaViolationError, match=re.escape(f"{p}: a track file holds 5 tensors, found 1")):
             read_tracks(p)
+
+
+class TestGtScene:
+    def test_round_trip_exact(self, tmp_path):
+        """read_gt_scene gives back every bit of the scene, and rewriting it
+        gives back every byte of the file."""
+        scene = generate_scene(3, n_cameras=6, n_landmarks=700, layout="object", image_size=(40, 30))
+        p1, p2 = tmp_path / "a.mrgt", tmp_path / "b.mrgt"
+        write_gt_scene(p1, scene)
+        assert p1.stat().st_size == 60 + 24 * 700 + 128 * 6 + 8 + 6 * 4 * 22
+        got = read_gt_scene(p1, 3, "object", 6, 700)
+        write_gt_scene(p2, got)
+        assert p1.read_bytes() == p2.read_bytes()
+        assert (got.seed, got.layout, got.image_size) == (3, "object", (40, 30))
+        assert got.landmarks.tobytes() == scene.landmarks.tobytes()
+        assert np.array_equal(got.visibility, scene.visibility)
+        for mine, theirs in zip(got.gt_cameras, scene.gt_cameras, strict=True):
+            assert mine.frame_id == theirs.frame_id
+            assert mine.intrinsics == theirs.intrinsics
+            assert mine.pose.rotation.tobytes() == theirs.pose.rotation.tobytes()
+            assert mine.pose.translation.tobytes() == theirs.pose.translation.tobytes()
+
+    def test_rejects_counts_other_than_the_record(self, tmp_path):
+        p = tmp_path / "s.mrgt"
+        write_gt_scene(p, generate_scene(0, n_cameras=4, n_landmarks=500))
+        with pytest.raises(SchemaViolationError, match=re.escape(f"{p}: tensor landmarks is float64 (500, 3)")):
+            read_gt_scene(p, 0, "room", 4, 501)
+        with pytest.raises(SchemaViolationError, match=re.escape(f"{p}: tensor cameras is float64 (4, 16)")):
+            read_gt_scene(p, 0, "room", 5, 500)
+
+    def test_rejects_rotation_that_is_not_one(self, tmp_path):
+        p = tmp_path / "s.mrgt"
+        write_gt_scene(p, generate_scene(0, n_cameras=4, n_landmarks=500))
+        tensors = read_tensors(p)
+        tensors[1][3, 0] += 0.5
+        write_tensors(p, tensors)
+        with pytest.raises(DataCorruptionError, match=re.escape(f"{p}: camera 3: rotation is not orthonormal")):
+            read_gt_scene(p, 0, "room", 4, 500)
 
 
 class TestPly:

@@ -210,14 +210,65 @@ class TestMatcherFromSceneDir:
         with pytest.raises(DataError, match="depth_noise_sigma"):
             matcher_from_scene_dir(tmp_path)
 
-    def test_rebuilds_recorded_matcher(self, scene_dir):
-        rebuilt = matcher_from_scene_dir(scene_dir)
-        scene = generate_scene(SEED, n_cameras=N_CAMERAS, n_landmarks=N_LANDMARKS)
-        fresh = synthetic_matcher(scene, PerturbationSpec.default())
-        for i, j in ((0, 1), (3, 17), (20, 4)):
-            a, b = rebuilt(i, j), fresh(i, j)
-            assert np.array_equal(a.pixels_i, b.pixels_i)
-            assert np.array_equal(a.pixels_j, b.pixels_j)
+    def test_rebuilds_recorded_matcher(self, scene_dir, tmp_path, monkeypatch):
+        """On both layouts, the matcher read from gt/ matches every
+        frame-graph edge bit for bit with the one built on a freshly
+        generated scene, and reading it never generates the scene."""
+        from scenemerge import pipeline, synthetic
+        from scenemerge.tracking import build_frame_graph
+
+        object_dir = tmp_path / "object"
+        synthesize_scene_dir(object_dir, seed=SEED, n_cameras=N_CAMERAS, n_landmarks=N_LANDMARKS, layout="object",
+                             subset_size=SUBSET_SIZE, overlap=OVERLAP)
+        fresh = {
+            layout: synthetic_matcher(
+                generate_scene(SEED, n_cameras=N_CAMERAS, n_landmarks=N_LANDMARKS, layout=layout),
+                PerturbationSpec.default(),
+            )
+            for layout in ("room", "object")
+        }
+
+        def no_generation(*args, **kwargs):
+            raise AssertionError("matcher_from_scene_dir generated the scene")
+
+        for module in (synthetic, pipeline):
+            monkeypatch.setattr(module, "generate_scene", no_generation)
+        for layout, root in (("room", scene_dir), ("object", object_dir)):
+            read = matcher_from_scene_dir(root)
+            edges = build_frame_graph(load_scene(root).similarity, k=5).edges
+            assert len(edges) > N_CAMERAS
+            for i, j in edges:
+                for a, b in ((read(i, j), fresh[layout](i, j)), (read(j, i), fresh[layout](j, i))):
+                    assert (a.frame_i, a.frame_j) == (b.frame_i, b.frame_j)
+                    assert a.pixels_i.tobytes() == b.pixels_i.tobytes()
+                    assert a.pixels_j.tobytes() == b.pixels_j.tobytes()
+
+    def test_matches_scene_of_any_image_size(self, tmp_path):
+        """A scene generated at 96x72 gets its matches in its own pixel frame:
+        with no match noise every one of them verifies."""
+        from scenemerge.alignment import MergedGeometry
+        from scenemerge.synthetic import render_cluster, synthetic_similarity, write_scene
+        from scenemerge.tracking import build_frame_graph, verify_matches
+
+        root = tmp_path / "wide"
+        n_cameras, n_landmarks, noise_free = 16, 900, PerturbationSpec()
+        synthesize_scene_dir(root, seed=SEED, n_cameras=n_cameras, n_landmarks=n_landmarks, perturb=noise_free,
+                             subset_size=8, overlap=2)  # writes the synth record
+        scene = generate_scene(SEED, n_cameras=n_cameras, n_landmarks=n_landmarks, image_size=(96, 72))
+        similarity = synthetic_similarity(scene)
+        clusters = [render_cluster(scene, s, noise_free, cluster_id=c)[0]
+                    for c, s in enumerate(plan_scene(similarity, 8, 2).subsets)]
+        write_scene(root, scene, clusters, similarity)
+        assert read_manifest(root / "manifest.json").images[0].width == 96
+
+        matcher = matcher_from_scene_dir(root)
+        merged = MergedGeometry(clusters, [Sim3Transform.identity()] * len(clusters))
+        total = verified = 0
+        for i, j in build_frame_graph(similarity, k=3).edges:
+            ms = matcher(i, j)
+            total += len(ms)
+            verified += len(verify_matches(ms, merged, tau_reproj=1.0))
+        assert total > 0 and verified == total
 
 
 class TestAlignClusters:

@@ -276,12 +276,13 @@ class TestMatchSetAndTrack:
             raise AssertionError("select re-ran __post_init__")
 
         monkeypatch.setattr(MatchSet, "__post_init__", no_second_check)
-        for rows in (np.array([2, 0]), slice(1, None), np.array([True, False, True])):
+        index_arrays = (np.array([2, 0]), np.array([-1, 1, 1], dtype=np.int32), np.array([], dtype=np.uint32))
+        for rows in (*index_arrays, slice(1, None), np.array([True, False, True])):
             subset = ms.select(rows)
             assert isinstance(subset, MatchSet)
             assert (subset.frame_i, subset.frame_j) == (2, 7)
-            assert subset.pixels_i.tobytes() == ms.pixels_i[rows].tobytes()
-            assert subset.pixels_j.tobytes() == ms.pixels_j[rows].tobytes()
+            for mine, theirs in ((subset.pixels_i, ms.pixels_i[rows]), (subset.pixels_j, ms.pixels_j[rows])):
+                assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
         with pytest.raises(dataclasses.FrozenInstanceError):
             subset.frame_i = 3
 
