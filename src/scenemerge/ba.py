@@ -34,21 +34,35 @@ which forms conf * C inside the product, and the step denominator
 A @ |C|. Each CSR row lists its observations in order, so the sums add
 exactly as np.bincount of conf * C and |C|.
 
-Column layout, in blocks: an iteration walks the observations _BA_BLOCK
-at a time. For each block it gathers the block's columns of the camera
-table [rotation | translation | intrinsics] (16 x cameras) and of the
-point table (3 x points) with np.take along the transposed column axis,
-so every per-observation quantity is a contiguous row of the block's
-length, and writes the 13 contribution rows into one (13, block) scratch
-that two copies turn into the block's slices of the row-major (M, 10) and
-(M, 3) buffers the products read; the block's losses go into an (M,)
-buffer. A run allocates those three buffers once, so only they, the
-incidence products and |C| grow with M. Every quantity is per
-observation, so the block size changes no bit. The sums are
-written out with fixed addition orders, so each one keeps the bits of the
-stacked einsum/np.cross form it replaced: R x adds (R_i0 x_0 + R_i2 x_2) +
-R_i1 x_1, R^T g adds (R_0i g_0 + R_1i g_1) + R_2i g_2, the cross product is
-a_1 b_2 - a_2 b_1 (and its rotations) and ||e||^2 is e_0^2 + e_1^2.
+Column layout, in blocks: a run allocates one workspace (_Workspace) and
+writes into it every iteration. It holds C-contiguous camera (16 x
+cameras, [rotation | translation | intrinsics]) and point (3 x points)
+tables, the pixels transposed once to (2, M), the row-major (M, 10) and
+(M, 3) contribution buffers the incidence products read, an (M,) loss
+buffer and one block's scratch rows. An iteration walks the observations
+_BA_BLOCK at a time: np.take gathers the block's table columns straight
+into the scratch, so every per-observation quantity is a contiguous row,
+and each step writes its rows there with out=. The projection is
+geometry.pinhole_rows, pinhole's formula, which predicted_pixels also
+uses; the behind-camera mask is built only for a block that has a row
+behind its camera. Two transposed copies move the 13 contribution rows
+into the block's slices of the buffers. The step denominators take |C| in
+place once the weighted products have read C, and the adaptive moments and
+the best iterate are updated in place, so an iteration allocates nothing
+per observation: only the products' per-camera and per-point results and
+the rotation update. Every quantity is per observation, so the block size
+changes no bit. The sums are written out with fixed addition orders, so
+each one keeps the bits of the stacked einsum/np.cross form it replaced:
+R x adds (R_i0 x_0 + R_i2 x_2) + R_i1 x_1, R^T g adds (R_0i g_0 +
+R_1i g_1) + R_2i g_2, the cross product is a_1 b_2 - a_2 b_1 (and its
+rotations) and ||e||^2 is e_0^2 + e_1^2.
+
+Observed cameras only: a camera that no observation refers to gets an
+exactly zero step every iteration. After its first application that step
+maps the camera to itself (it can only turn a -0.0 rotation entry into
++0.0), so run_ba iterates over the observed cameras and gives each other
+camera the zero step once, when the best iterate is past iteration 0.
+Every camera center still counts toward the translation unit.
 """
 
 from __future__ import annotations
@@ -59,7 +73,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ConfigError, DataError, DivergenceError
-from .geometry import CameraParams, CameraPose, pinhole, rotation_exp
+from .geometry import CameraParams, CameraPose, pinhole_rows, rotation_exp
 
 _BEHIND_PENALTY = 1e4  # px-equivalent floor for behind-camera observations
 _NORM_FLOOR = 1e-30
@@ -120,6 +134,10 @@ class BAProblem:
             raise DataError("point index out of range")
         if np.any(cf < 0) or not np.all(np.isfinite(cf)):
             raise DataError("observation confidences must be finite and >= 0")
+        for what, rows in (("pixel of observation", px), ("point", pts)):
+            bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+            if len(bad):
+                raise DataError(f"{what} {bad[0]} is not finite: {rows[bad[0]].tolist()}")
         counts = np.bincount(pi, minlength=len(pts))
         if counts.min() < 2:
             raise DataError(
@@ -188,11 +206,15 @@ class BAResult:
     best_iteration: int
 
 
+def _stack_cameras(cameras):
+    r = np.stack([c.pose.rotation for c in cameras])
+    t = np.stack([c.pose.translation for c in cameras])
+    k = np.stack([c.intrinsics.row() for c in cameras])
+    return r, t, k
+
+
 def _stack_state(prob: BAProblem):
-    r = np.stack([c.pose.rotation for c in prob.cameras])
-    t = np.stack([c.pose.translation for c in prob.cameras])
-    k = np.stack([c.intrinsics.row() for c in prob.cameras])
-    return r, t, k, prob.points.copy()
+    return *_stack_cameras(prob.cameras), prob.points.copy()
 
 
 def _rebuild_cameras(prob: BAProblem, r, t, k):
@@ -206,41 +228,70 @@ def _rebuild_cameras(prob: BAProblem, r, t, k):
     ]
 
 
-def _tables(r, t, k, points):
-    """(camera table (16, cameras), point table (3, points)): the camera
-    rows [rotation | translation | intrinsics] and the points, transposed
-    so each gathered quantity is a contiguous row."""
-    return np.concatenate([r.reshape(-1, 9), t, k], axis=1).T, points.T
+def _tables(r, t, k, points, out=None):
+    """(camera table (16, cameras), point table (3, points)), both
+    C-contiguous: the camera rows [rotation | translation | intrinsics] and
+    the points, transposed so each gathered quantity is a contiguous row.
+    Fills out, a pair of such tables, when given."""
+    cam, pt = out if out is not None else (np.empty((16, len(r))), np.empty((3, len(points))))
+    cam[:9] = r.reshape(-1, 9).T
+    cam[9:12] = t.T
+    cam[12:] = k.T
+    pt[...] = points.T
+    return cam, pt
 
 
-def _camera_frame(tables, camera_indices, point_indices):
-    """Per-observation columns (rotation (9, n), intrinsics (4, n), R x (3, n),
-    R x + t (3, n)) for the observations of the given camera and point
-    indices.
+def _camera_frame(cam, x, rx, v, tmp):
+    """Fills rx with R x and v with R x + t for gathered camera columns cam
+    (16, n) and point columns x (3, n); tmp is (3, n) scratch.
 
-    Row 3i + j of the rotation block holds R_ij. Each table is gathered
-    once with np.take along its column axis.
+    Row 3i + j of the rotation block holds R_ij.
     """
-    cam = np.take(tables[0], camera_indices, axis=1)
-    x = np.take(tables[1], point_indices, axis=1)
     rm = cam[:9]
     # (R_i0 x_0 + R_i2 x_2) + R_i1 x_1, the order numpy 2.4's "mij,mj->mi"
     # einsum adds in; keeping it keeps every refined pose's bits
-    rx = rm[0::3] * x[0] + rm[2::3] * x[2]
-    rx += rm[1::3] * x[1]
-    return rm, cam[12:], rx, rx + cam[9:12]
+    np.multiply(rm[0::3], x[0], out=rx)
+    rx += np.multiply(rm[2::3], x[2], out=tmp)
+    rx += np.multiply(rm[1::3], x[1], out=tmp)
+    np.add(rx, cam[9:12], out=v)
 
 
-def _kernel_buffers(prob: BAProblem):
-    """(camera rows (M, 10), point rows (M, 3), losses (M,)) for _loss_terms
-    to fill; a run allocates them once."""
-    m = prob.n_observations
-    return np.empty((m, 10)), np.empty((m, 3)), np.empty(m)
+# per-observation rows of one block's scratch: the gathered camera columns
+# (16) and point columns (3), R x, R x + t, the residual, its squared norm,
+# the 13 contribution rows, gpi * (fx, fy) and three rows of temporaries
+_BLOCK_ROWS = {"cam": 16, "x": 3, "rx": 3, "v": 3, "e": 2, "s2": 1, "rows": 13, "a": 2, "tmp": 3}
 
 
-def _loss_terms(prob: BAProblem, cfg: BAConfig, r, t, k, points, buffers):
-    """Fills the buffers of _kernel_buffers and returns the per-observation
-    unweighted losses (M,).
+class _Workspace:
+    """Everything the kernel writes, allocated once per run: the tables,
+    the transposed pixels (2, M), the contribution rows the incidence
+    products read (camera (M, 10), point (M, 3)), the unweighted losses
+    (M,) and one block's scratch rows."""
+
+    def __init__(self, prob: BAProblem):
+        m = prob.n_observations
+        self.prob = prob
+        self.tables = np.empty((16, prob.n_cameras)), np.empty((3, prob.n_points))
+        self.pixels = np.ascontiguousarray(prob.pixels.T)
+        self.c_cam, self.c_pt, self.loss = np.empty((m, 10)), np.empty((m, 3)), np.empty(m)
+        self._arena = np.empty(sum(_BLOCK_ROWS.values()) * min(_BA_BLOCK, m))
+        self._blocks = {}
+
+    def block(self, n: int) -> dict:
+        """Named (rows, n) views of the scratch, each C-contiguous; a run
+        carves them once per block length."""
+        if n not in self._blocks:
+            views, off = {}, 0
+            for name, rows in _BLOCK_ROWS.items():
+                views[name] = self._arena[off:off + rows * n].reshape(rows, n)
+                off += rows * n
+            self._blocks[n] = views
+        return self._blocks[n]
+
+
+def _loss_terms(ws: _Workspace, cfg: BAConfig, r, t, k, points):
+    """Fills the workspace's contribution rows and losses and returns the
+    per-observation unweighted losses (M,), a view of its buffer.
 
     The camera buffer receives each observation's camera row [rotation |
     translation | intrinsics] and the point buffer its point row, both
@@ -250,47 +301,71 @@ def _loss_terms(prob: BAProblem, cfg: BAConfig, r, t, k, points, buffers):
     taken _BA_BLOCK at a time; every quantity is per observation, so the
     block size changes no bit.
     """
-    c_cam, c_pt, loss = buffers
+    prob = ws.prob
     lam, eps = cfg.lambda_exp, cfg.epsilon
-    tables = _tables(r, t, k, points)
-    # rows [rotation | translation | intrinsics | point] of one block, copied
-    # into the row-major buffers the incidence products read
-    block_rows = np.empty((13, min(_BA_BLOCK, prob.n_observations)))
+    cam_tab, pt_tab = _tables(r, t, k, points, out=ws.tables)
     for start in range(0, prob.n_observations, _BA_BLOCK):
         obs = slice(start, start + _BA_BLOCK)
-        rm, km, rx, v = _camera_frame(tables, prob.camera_indices[obs], prob.point_indices[obs])
-        uv, front = pinhole(v.T, km.T)
+        ci = prob.camera_indices[obs]
+        b = ws.block(len(ci))
+        # indices were range-checked with the problem, so "clip" changes
+        # none and lets take write straight into the scratch
+        cam = np.take(cam_tab, ci, axis=1, out=b["cam"], mode="clip")
+        x = np.take(pt_tab, prob.point_indices[obs], axis=1, out=b["x"], mode="clip")
+        rm, km, rx, v, tmp, rows = cam[:9], cam[12:], b["rx"], b["v"], b["tmp"], b["rows"]
+        _camera_frame(cam, x, rx, v, tmp)
         z = v[2]
-        zs = np.where(front, z, 1.0)
-        e = (prob.pixels[obs] - uv).T
-        s2 = e[0] * e[0] + e[1] * e[1] + eps
-        gpi = -(lam * s2 ** (lam / 2.0 - 1.0)) * e  # d loss / d projected pixel
+        all_front = z.min() > 0  # False on a NaN depth, which then counts as behind
+        if all_front:
+            zs = z
+        else:
+            back = ~(z > 0)
+            zs = np.where(back, 1.0, z)
+        e = pinhole_rows(v, km, zs, b["e"])
+        np.subtract(ws.pixels[:, obs], e, out=e)
+        s2, t0 = b["s2"][0], tmp[0]
+        np.multiply(e[0], e[0], out=s2)
+        s2 += np.multiply(e[1], e[1], out=t0)
+        s2 += eps
+        loss = ws.loss[obs]
+        np.copyto(loss, s2)
+        # in-place ** keeps the operator's bits (it takes sqrt for 0.5)
+        loss **= lam / 2.0
+        # d loss / d projected pixel: -(lam * s2^(lam/2 - 1)) * e, in rows 8:10;
+        # rounding is symmetric, so (-lam) * w is -(lam * w) bit for bit
+        s2 **= lam / 2.0 - 1.0
+        s2 *= -lam
+        gpi = np.multiply(s2, e, out=rows[8:10])
 
-        rows = block_rows[:, : len(z)]
         g = rows[3:6]
-        a = gpi * km[0:2]
+        a = np.multiply(gpi, km[0:2], out=b["a"])
         np.divide(a, zs, out=g[0:2])
-        np.divide(-(a[0] * v[0] + a[1] * v[1]), zs * zs, out=g[2])
-        np.divide(gpi * v[0:2], zs, out=rows[6:8])
-        rows[8:10] = gpi
-        # behind-camera branch: C * (B + Z^2), gradient (0, 0, 2Z)
-        back = ~front
-        rows[3:10, back] = 0.0
-        g[2, back] = 2.0 * z[back]
+        np.multiply(a[0], v[0], out=g[2])
+        g[2] += np.multiply(a[1], v[1], out=t0)
+        np.negative(g[2], out=g[2])
+        g[2] /= np.multiply(zs, zs, out=t0)
+        np.multiply(gpi, v[0:2], out=rows[6:8])
+        rows[6:8] /= zs
+        if not all_front:
+            # behind-camera branch: C * (B + Z^2), gradient (0, 0, 2Z)
+            rows[3:10, back] = 0.0
+            zb = z[back]
+            g[2, back] = 2.0 * zb
+            loss[back] = _BEHIND_PENALTY + zb * zb
 
         # rotation rows rx x g, each component a_1 b_2 - a_2 b_1 as np.cross forms it
         for i, j, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
             np.multiply(rx[j], g[l], out=rows[i])
-            rows[i] -= rx[l] * g[j]
+            rows[i] -= np.multiply(rx[l], g[j], out=t0)
         # point rows R^T g, adding (R_0i g_0 + R_1i g_1) + R_2i g_2
         pt = rows[10:13]
         np.multiply(rm[0:3], g[0], out=pt)
-        pt += rm[3:6] * g[1]
-        pt += rm[6:9] * g[2]
-        np.copyto(c_cam[obs], rows[:10].T)
-        np.copyto(c_pt[obs], pt.T)
-        loss[obs] = np.where(front, s2 ** (lam / 2.0), _BEHIND_PENALTY + z * z)
-    return loss
+        pt += np.multiply(rm[3:6], g[1], out=tmp)
+        pt += np.multiply(rm[6:9], g[2], out=tmp)
+        # the incidence products read row-major (M, 10) and (M, 3) buffers
+        np.copyto(ws.c_cam[obs], rows[:10].T)
+        np.copyto(ws.c_pt[obs], pt.T)
+    return ws.loss
 
 
 def _incidences(prob: BAProblem):
@@ -306,23 +381,27 @@ def _incidences(prob: BAProblem):
     )
 
 
-def _gradient_sums(incidences, buffers):
+def _gradient_sums(incidences, ws: _Workspace):
     """(camera gradient, point gradient, camera denominator, point denominator).
 
     Each sum is one incidence product over the contribution rows
     _loss_terms filled: the weighted incidence forms conf * C inside the
-    product, the 0/1 one sums |C|.
+    product, then the 0/1 one sums |C|, which replaces C in its buffer.
     """
     (w_cam, w_pt), (a_cam, a_pt) = incidences
-    c_cam, c_pt, _ = buffers
-    return w_cam @ c_cam, w_pt @ c_pt, a_cam @ np.abs(c_cam), a_pt @ np.abs(c_pt)
+    g_cam, g_pt = w_cam @ ws.c_cam, w_pt @ ws.c_pt
+    return g_cam, g_pt, a_cam @ np.abs(ws.c_cam, out=ws.c_cam), a_pt @ np.abs(ws.c_pt, out=ws.c_pt)
+
+
+def _total(prob: BAProblem, loss) -> float:
+    """sum of confidence * loss; weights the loss buffer in place."""
+    return float(np.sum(np.multiply(prob.confidences, loss, out=loss)))
 
 
 def ba_loss(prob: BAProblem, cfg: BAConfig | None = None) -> float:
     """Confidence-weighted robust reprojection loss."""
     cfg = cfg or BAConfig()
-    loss = _loss_terms(prob, cfg, *_stack_state(prob), _kernel_buffers(prob))
-    return float(np.sum(prob.confidences * loss))
+    return _total(prob, _loss_terms(_Workspace(prob), cfg, *_stack_state(prob)))
 
 
 def predicted_pixels(prob: BAProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -330,11 +409,17 @@ def predicted_pixels(prob: BAProblem) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (uv (M, 2), in_front (M,)); behind-camera rows are NaN. The
     loss takes its pixels from the same camera-frame step and the same
-    pinhole call, so observations built from this output yield bitwise-zero
-    residuals.
+    projection, pinhole_rows, so observations built from this output yield
+    bitwise-zero residuals.
     """
-    _, km, _, v = _camera_frame(_tables(*_stack_state(prob)), prob.camera_indices, prob.point_indices)
-    return pinhole(v.T, km.T)
+    m = prob.n_observations
+    cam_tab, pt_tab = _tables(*_stack_state(prob))
+    cam = cam_tab.take(prob.camera_indices, axis=1)
+    rx, v = np.empty((3, m)), np.empty((3, m))
+    _camera_frame(cam, pt_tab.take(prob.point_indices, axis=1), rx, v, np.empty((3, m)))
+    front = v[2] > 0
+    uv = pinhole_rows(v, cam[12:], np.where(front, v[2], np.nan), np.empty((2, m)))
+    return uv.T.copy(), front
 
 
 def reprojection_errors(prob: BAProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -346,15 +431,16 @@ def reprojection_errors(prob: BAProblem) -> tuple[np.ndarray, np.ndarray]:
 def ba_gradients(prob: BAProblem, cfg: BAConfig | None = None) -> BAGradients:
     """Analytic gradient of ba_loss for every parameter block."""
     cfg = cfg or BAConfig()
-    buffers = _kernel_buffers(prob)
-    _loss_terms(prob, cfg, *_stack_state(prob), buffers)
-    g, g_pt, _, _ = _gradient_sums(_incidences(prob), buffers)
+    ws = _Workspace(prob)
+    _loss_terms(ws, cfg, *_stack_state(prob))
+    g, g_pt, _, _ = _gradient_sums(_incidences(prob), ws)
     return BAGradients(rotation=g[:, :3], translation=g[:, 3:6], points=g_pt, intrinsics=g[:, 6:])
 
 
 class _AdaptiveState:
     """First moment of the weighted gradient over an L1 denominator built
-    from confidence-free contribution magnitudes, with bias correction."""
+    from confidence-free contribution magnitudes, with bias correction.
+    Updates its moments in place."""
 
     beta1, beta2 = 0.9, 0.99
 
@@ -364,12 +450,47 @@ class _AdaptiveState:
         self.count = 0
 
     def step(self, grad, denom_l1, lr, unit):
+        """(lr * unit) * m_hat / (d_hat + floor). grad and denom_l1 are
+        used as scratch: the step is returned in grad's buffer."""
         self.count += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.d = self.beta2 * self.d + (1.0 - self.beta2) * denom_l1
-        m_hat = self.m / (1.0 - self.beta1**self.count)
-        d_hat = self.d / (1.0 - self.beta2**self.count)
-        return (lr * unit) * m_hat / (d_hat + _NORM_FLOOR)
+        self.m *= self.beta1
+        self.m += np.multiply(grad, 1.0 - self.beta1, out=grad)
+        self.d *= self.beta2
+        self.d += np.multiply(denom_l1, 1.0 - self.beta2, out=denom_l1)
+        step = np.divide(self.m, 1.0 - self.beta1**self.count, out=grad)
+        step *= lr * unit
+        d_hat = np.divide(self.d, 1.0 - self.beta2**self.count, out=denom_l1)
+        d_hat += _NORM_FLOOR
+        step /= d_hat
+        return step
+
+
+def _camera_bounds(cameras, k):
+    """(per-camera focal unit, focal floor, image widths, image heights),
+    fixed for the run: intrinsic steps are taken in units of each camera's
+    initial focal length (the first column of its intrinsics row in k)."""
+    unit_k = k[:, 0:1].copy()
+    widths = np.array([float(c.intrinsics.width) for c in cameras])
+    heights = np.array([float(c.intrinsics.height) for c in cameras])
+    return unit_k, 1e-6 * unit_k[:, 0], widths, heights
+
+
+def _step_cameras(r, t, k, step, bounds, optimize_intrinsics: bool):
+    """Takes step (cameras, 10) [rotation | translation | intrinsics]: the
+    rotation on the manifold, translation and intrinsics in place, keeping
+    the intrinsics rebuildable (positive focals, principal point inside the
+    image). Returns the new rotations; step's intrinsic columns are used as
+    scratch."""
+    r = rotation_exp(-step[:, :3]) @ r
+    t -= step[:, 3:6]
+    if optimize_intrinsics:
+        unit_k, focal_floor, widths, heights = bounds
+        k -= np.multiply(step[:, 6:], unit_k, out=step[:, 6:])
+        np.maximum(k[:, 0], focal_floor, out=k[:, 0])
+        np.maximum(k[:, 1], focal_floor, out=k[:, 1])
+        np.clip(k[:, 2], 0.0, widths, out=k[:, 2])
+        np.clip(k[:, 3], 0.0, heights, out=k[:, 3])
+    return r
 
 
 def run_ba(prob: BAProblem, cfg: BAConfig | None = None) -> BAResult:
@@ -382,35 +503,45 @@ def run_ba(prob: BAProblem, cfg: BAConfig | None = None) -> BAResult:
     gradient raises DivergenceError naming the iteration.
     """
     cfg = cfg or BAConfig()
-    r, t, k, points = _stack_state(prob)
-
     centers = np.stack([c.pose.center for c in prob.cameras])
     spread = np.linalg.norm(centers - centers.mean(axis=0), axis=1)
     unit_t = float(np.median(spread))
     if unit_t <= 0:
         unit_t = 1.0
-    unit_k = k[:, 0:1].copy()  # per-camera initial focal, fixed for the run
-    widths = np.array([float(c.intrinsics.width) for c in prob.cameras])
-    heights = np.array([float(c.intrinsics.height) for c in prob.cameras])
-    focal_floor = 1e-6 * unit_k[:, 0]
+
+    # A camera without observations gets an exactly zero step at every
+    # iteration, so the loop runs over the observed cameras only and the
+    # others take that zero step once at the end.
+    observed = np.bincount(prob.camera_indices, minlength=prob.n_cameras) > 0
+    if observed.all():
+        sub = prob
+    else:
+        index = np.flatnonzero(observed)
+        sub = replace(
+            prob,
+            cameras=[prob.cameras[i] for i in index],
+            camera_indices=np.searchsorted(index, prob.camera_indices),
+        )
+    r, t, k, points = _stack_state(sub)
+    bounds = _camera_bounds(sub.cameras, k)
 
     history = np.empty(cfg.iterations + 1)
-    buffers = _kernel_buffers(prob)
-    current = float(np.sum(prob.confidences * _loss_terms(prob, cfg, r, t, k, points, buffers)))
+    incidences = _incidences(sub)  # before the workspace, so its build transients do not stack on it
+    ws = _Workspace(sub)
+    current = _total(sub, _loss_terms(ws, cfg, r, t, k, points))
     if not np.isfinite(current):
         raise DivergenceError("initial loss is not finite", iteration=0)
     history[0] = current
-    best = (current, r.copy(), t.copy(), k.copy(), points.copy(), 0)
+    best_it, best = 0, (r.copy(), t.copy(), k.copy(), points.copy())
 
     # camera columns [rotation | translation | intrinsics]; intrinsic steps
-    # are taken in unit 1 and scaled by each camera's focal below
+    # are taken in unit 1 and scaled by each camera's focal
     unit_cam = np.array([1.0] * 3 + [unit_t] * 3 + [1.0] * 4)
-    state_cam = _AdaptiveState((prob.n_cameras, 10))
-    state_pt = _AdaptiveState((prob.n_points, 3))
-    incidences = _incidences(prob)
+    state_cam = _AdaptiveState((sub.n_cameras, 10))
+    state_pt = _AdaptiveState((sub.n_points, 3))
 
     for it in range(cfg.iterations):
-        grad_cam, grad_pt, denom_cam, denom_pt = _gradient_sums(incidences, buffers)
+        grad_cam, grad_pt, denom_cam, denom_pt = _gradient_sums(incidences, ws)
         if not (np.all(np.isfinite(grad_cam)) and np.all(np.isfinite(grad_pt))):
             raise DivergenceError("non-finite gradient", iteration=it + 1)
 
@@ -419,27 +550,29 @@ def run_ba(prob: BAProblem, cfg: BAConfig | None = None) -> BAResult:
         # catch; silence the intermediate overflow warnings
         with np.errstate(all="ignore"):
             step_cam = state_cam.step(grad_cam, denom_cam, lr, unit_cam)
-            r = rotation_exp(-step_cam[:, :3]) @ r
-            t = t - step_cam[:, 3:6]
-            points = points - state_pt.step(grad_pt, denom_pt, lr, unit_t)
-            if cfg.optimize_intrinsics:
-                k = k - step_cam[:, 6:] * unit_k
-                # keep intrinsics rebuildable: positive focals, principal
-                # point inside the image
-                k[:, 0] = np.maximum(k[:, 0], focal_floor)
-                k[:, 1] = np.maximum(k[:, 1], focal_floor)
-                k[:, 2] = np.clip(k[:, 2], 0.0, widths)
-                k[:, 3] = np.clip(k[:, 3], 0.0, heights)
-
-            loss_terms = _loss_terms(prob, cfg, r, t, k, points, buffers)
-        current = float(np.sum(prob.confidences * loss_terms))
+            r = _step_cameras(r, t, k, step_cam, bounds, cfg.optimize_intrinsics)
+            points -= state_pt.step(grad_pt, denom_pt, lr, unit_t)
+            loss_terms = _loss_terms(ws, cfg, r, t, k, points)
+        current = _total(sub, loss_terms)
         if not np.isfinite(current):
             raise DivergenceError("loss became non-finite", iteration=it + 1)
         history[it + 1] = current
-        if current < best[0]:
-            best = (current, r.copy(), t.copy(), k.copy(), points.copy(), it + 1)
+        if current < history[best_it]:
+            best_it = it + 1
+            for snapshot, now in zip(best, (r, t, k, points)):
+                np.copyto(snapshot, now)
 
-    best_loss, r_b, t_b, k_b, p_b, best_it = best
+    r_b, t_b, k_b, p_b = best
+    if sub is not prob:
+        r_all, t_all, k_all = _stack_cameras(prob.cameras)
+        r_all[observed], t_all[observed], k_all[observed] = r_b, t_b, k_b
+        if best_it:
+            idle = ~observed
+            r_i, t_i, k_i = r_all[idle], t_all[idle], k_all[idle]
+            bounds_i = _camera_bounds([c for c, o in zip(prob.cameras, observed) if not o], k_i)
+            r_all[idle] = _step_cameras(r_i, t_i, k_i, np.zeros((len(k_i), 10)), bounds_i, cfg.optimize_intrinsics)
+            t_all[idle], k_all[idle] = t_i, k_i
+        r_b, t_b, k_b = r_all, t_all, k_all
     refined = replace(
         prob,
         cameras=_rebuild_cameras(prob, r_b, t_b, k_b),
@@ -449,7 +582,7 @@ def run_ba(prob: BAProblem, cfg: BAConfig | None = None) -> BAResult:
         problem=refined,
         loss_history=history,
         initial_loss=float(history[0]),
-        final_loss=best_loss,
+        final_loss=float(history[best_it]),
         best_iteration=best_it,
     )
 

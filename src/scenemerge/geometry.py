@@ -9,9 +9,11 @@ Conventions used throughout the package:
 * Depth is the camera-frame z coordinate; points with z <= 0 are behind
   the camera and are flagged, never silently projected.
 * pinhole is the one projection: every pixel the package computes from a
-  3D point goes through it. The world-to-camera step before it stays with
-  each caller (a gemm for one camera, BA's per-observation einsum), since
-  the two differ in the last bit and every artifact keeps its bits.
+  3D point goes through it, or through pinhole_rows, its formula on
+  columns, which BA calls on its per-observation rows. The world-to-camera
+  step before it stays with each caller (a gemm for one camera, BA's
+  per-observation sums), since the two differ in the last bit and every
+  artifact keeps its bits.
 * The rotation primitives take stacks, (..., 3) vectors and (..., 3, 3)
   matrices, and give each row the bits a call on that row alone gives.
   Branches (small angle, zero axis, equal rotations) are picked per row
@@ -165,6 +167,17 @@ class PointCloud:
         return len(self.points)
 
 
+def pinhole_rows(v: np.ndarray, k: np.ndarray, zs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fills out (2, n) with the pixels u = fx * x / z + cx, v = fy * y / z + cy
+    of camera-frame columns v (3, n), dividing by zs in place of z; k holds
+    the intrinsics as rows [fx, fy, cx, cy], (4, n) or (4, 1). The formula
+    pinhole and bundle adjustment share."""
+    np.multiply(k[0:2], v[0:2], out=out)
+    out /= zs
+    out += k[2:4]
+    return out
+
+
 def pinhole(points_cam: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
     """Pixels u = fx * x / z + cx, v = fy * y / z + cy of (N, 3) camera-frame points.
 
@@ -177,8 +190,8 @@ def pinhole(points_cam: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
     z = p[:, 2]
     in_front = z > 0
     zs = np.where(in_front, z, np.nan)  # NaN propagates quietly; no divide by 0
-    uv = np.stack([k[..., 0] * p[:, 0] / zs + k[..., 2], k[..., 1] * p[:, 1] / zs + k[..., 3]], axis=1)
-    return uv, in_front
+    u, v = pinhole_rows(p.T, k.reshape(-1, 4).T, zs, np.empty((2, len(p))))
+    return np.stack([u, v], axis=1), in_front
 
 
 def project_points(points: np.ndarray, camera: CameraParams) -> tuple[np.ndarray, np.ndarray]:

@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from collections import Counter
 from dataclasses import dataclass, field, fields
@@ -129,7 +130,12 @@ def write_tensor(path, array) -> None:
 
 def read_tensors(path, kind: str = "tensor") -> list[np.ndarray]:
     """Every tensor in the tensor file at path, in file order, each with its
-    stored dtype; errors name the file and the offset."""
+    stored dtype; errors name the file and the offset.
+
+    The tensors are writable views of one buffer holding the file, so a
+    read holds the file once; only a tensor whose payload offset is
+    misaligned for its dtype is copied out.
+    """
     raw = _read_bytes(path, kind)
     tensors, off = [], 0
     while True:
@@ -159,7 +165,8 @@ def read_tensors(path, kind: str = "tensor") -> list[np.ndarray]:
                 f"{path}: payload at offset {dims_end} is {len(raw) - dims_end} bytes, "
                 f"dims {dims} require {off - dims_end}"
             )
-        tensors.append(np.frombuffer(raw, dtype=_DTYPES[code], count=count, offset=dims_end).reshape(dims).copy())
+        tensor = np.frombuffer(raw, dtype=_DTYPES[code], count=count, offset=dims_end).reshape(dims)
+        tensors.append(tensor if tensor.flags.aligned else tensor.copy())
         if off == len(raw):
             return tensors
 
@@ -600,9 +607,15 @@ def _write_json(path, doc) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
-def _read_bytes(path, kind: str) -> bytes:
+def _read_bytes(path, kind: str) -> bytearray:
+    """The file's bytes in one mutable buffer, read in place: arrays viewing
+    it are writable and need no copy."""
     try:
-        return Path(path).read_bytes()
+        with open(path, "rb") as f:
+            raw = bytearray(os.fstat(f.fileno()).st_size)
+            del raw[f.readinto(raw):]
+            raw += f.read()  # whatever the size did not announce: a file that grew, a pipe
+            return raw
     except FileNotFoundError:
         raise SchemaViolationError(f"{path}: {kind} file not found") from None
     except OSError as e:  # a directory, a permission, an I/O failure

@@ -437,6 +437,14 @@ class TestBAProblem:
             BAProblem(**{**ok, "confidences": np.array([1.0])})
         with pytest.raises(DataError, match="no cameras"):
             BAProblem(**{**ok, "cameras": []})
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(DataError, match=r"pixel of observation 1 is not finite: \[30.0, "):
+                BAProblem(**{**ok, "pixels": np.array([[32.0, 24.0], [30.0, bad]])})
+        two = {**ok, "points": np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 2.0]]), "camera_indices": np.array([0, 1, 0, 1]),
+               "point_indices": np.array([0, 0, 1, 1]), "pixels": np.full((4, 2), 30.0), "confidences": np.ones(4)}
+        assert BAProblem(**two).n_points == 2
+        with pytest.raises(DataError, match=r"point 1 is not finite: \[0.0, nan, 2.0\]"):
+            BAProblem(**{**two, "points": np.array([[0.0, 0.0, 2.0], [0.0, np.nan, 2.0]])})
 
     def test_from_tracks(self):
         """Cameras are found by frame id in any camera order; a track of
@@ -630,6 +638,23 @@ class TestBAGradients:
             assert ba_loss(stepped) < ba_loss(prob)
 
 
+def _assert_kernel_matches_reference(prob: BAProblem, cfg: BAConfig):
+    """Checks the kernel's per-observation losses and its four incidence
+    sums against the stacked reference bit for bit; returns the reference's
+    in-front mask."""
+    from scenemerge.ba import _Workspace, _gradient_sums, _incidences, _loss_terms, _stack_state
+
+    r, t, k, points = _stack_state(prob)
+    ws = _Workspace(prob)
+    loss = _loss_terms(ws, cfg, r, t, k, points)
+    sums = _gradient_sums(_incidences(prob), ws)
+    ref_loss, g_cam, g_intr, rx, front = _ref_loss_terms(prob, cfg, r, t, k, points)
+    np.testing.assert_array_equal(loss, ref_loss)
+    for got, want in zip(sums, _reference_gradient_sums(prob, r, g_cam, g_intr, rx)):
+        np.testing.assert_array_equal(got, want)
+    return front
+
+
 class TestRunBA:
     def test_loss_history_shape(self):
         prob = _ring_problem(11)
@@ -711,20 +736,42 @@ class TestRunBA:
         start and after a few iterations that move (or freeze) the
         intrinsics, on the 20-camera scene and on a ring where some
         observations lie behind their camera."""
-        from scenemerge.ba import _gradient_sums, _incidences, _kernel_buffers, _loss_terms, _stack_state
-
         prob = _perturbed_scene_problem(0)[0] if problem == "scene" else _behind_problem(23)
         cfg = BAConfig(iterations=5, optimize_intrinsics=optimize_intrinsics)
         for state in (prob, run_ba(prob, cfg).problem):
-            r, t, k, points = _stack_state(state)
-            buffers = _kernel_buffers(state)
-            loss = _loss_terms(state, cfg, r, t, k, points, buffers)
-            sums = _gradient_sums(_incidences(state), buffers)
-            ref_loss, g_cam, g_intr, rx, front = _ref_loss_terms(state, cfg, r, t, k, points)
+            front = _assert_kernel_matches_reference(state, cfg)
             assert front.any() and (problem == "scene") == front.all()
-            np.testing.assert_array_equal(loss, ref_loss)
-            for got, want in zip(sums, _reference_gradient_sums(state, r, g_cam, g_intr, rx)):
-                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("optimize_intrinsics", [True, False])
+    def test_unobserved_camera_keeps_bits(self, optimize_intrinsics):
+        """A camera no observation refers to comes back with the bits of the
+        all-camera loop, which takes its zero step every iteration: a
+        rotation entry of -0.0 comes back +0.0. Its center still counts in
+        the translation unit, so every other bit matches that loop too."""
+        prob = _ring_problem(41, n_cams=5, n_pts=20)
+        idle = CameraParams(
+            intrinsics=CameraIntrinsics(fx=55.0, fy=57.0, cx=64.0, cy=0.0, width=64, height=48),
+            pose=CameraPose(rotation=[[1.0, -0.0, 0.0], [0.0, 0.6, -0.8], [-0.0, 0.8, 0.6]], translation=[0.1, -0.0, 2.0]),
+            frame_id=99,
+        )
+        with_idle = replace(
+            prob,
+            cameras=prob.cameras[:2] + [idle] + prob.cameras[2:],
+            camera_indices=prob.camera_indices + (prob.camera_indices >= 2),
+        )
+        cfg = BAConfig(iterations=30, optimize_intrinsics=optimize_intrinsics)
+        res = run_ba(with_idle, cfg)
+        history, (r, t, k, points), best_it = _reference_run_ba(with_idle, cfg)
+        assert best_it > 0 and res.best_iteration == best_it
+        assert res.loss_history.tobytes() == history.tobytes()
+        assert res.problem.points.tobytes() == points.tobytes()
+        for i, cam in enumerate(res.problem.cameras):
+            intr = cam.intrinsics
+            assert cam.pose.rotation.tobytes() == r[i].tobytes()
+            assert cam.pose.translation.tobytes() == t[i].tobytes()
+            assert np.array([intr.fx, intr.fy, intr.cx, intr.cy]).tobytes() == k[i].tobytes()
+        rot = res.problem.cameras[2].pose.rotation
+        assert np.signbit(idle.pose.rotation[rot == 0]).any() and not np.signbit(rot[rot == 0]).any()
 
     def test_homogeneity(self):
         """Scaling confidences by a and the learning rate by 1/a reproduces
@@ -827,11 +874,27 @@ class TestBlockedKernel:
         for name in ("rotation", "translation", "points", "intrinsics"):
             np.testing.assert_array_equal(getattr(got[2], name), getattr(want[2], name))
 
+    def test_mixed_blocks_match_reference(self, monkeypatch):
+        """With blocks of 8 observations the ring problem has blocks wholly
+        in front of their cameras (the kernel skips the behind-camera mask)
+        and blocks with rows behind; both kinds keep the stacked reference's
+        bits, at the start and after a few iterations."""
+        from scenemerge import ba
+
+        monkeypatch.setattr(ba, "_BA_BLOCK", 8)
+        prob = _behind_problem(23)
+        cfg = BAConfig(iterations=5)
+        for state in (prob, run_ba(prob, cfg).problem):
+            front = _assert_kernel_matches_reference(state, cfg)
+            in_front = [front[s:s + 8].all() for s in range(0, len(front), 8)]
+            assert any(in_front) and not all(in_front)
+
     def test_memory_per_observation(self, traced_peak):
         """On 100,000 observations run_ba peaks (tracemalloc) below 400 bytes
-        per observation: the contribution and loss buffers, the incidence
-        matrices and one |C| copy, while every other temporary is one
-        block's. Allocating each temporary at full size took about 600."""
+        per observation: the contribution and loss buffers (|C| is taken in
+        place), the transposed pixels and the incidence matrices, while
+        every other temporary is one block's; it reads about 270. Allocating
+        each temporary at full size took about 600."""
         prob = _large_problem()
         assert prob.n_observations == 100_000
         _, peak = traced_peak(lambda: run_ba(prob, BAConfig(iterations=2)))
