@@ -60,9 +60,10 @@ rotations) and ||e||^2 is e_0^2 + e_1^2.
 Observed cameras only: a camera that no observation refers to gets an
 exactly zero step every iteration. After its first application that step
 maps the camera to itself (it can only turn a -0.0 rotation entry into
-+0.0), so run_ba iterates over the observed cameras and gives each other
-camera the zero step once, when the best iterate is past iteration 0.
-Every camera center still counts toward the translation unit.
++0.0), so run_ba iterates over the observed cameras and, when the best
+iterate is past iteration 0, gives each other camera that step's one
+effect: its rotation R becomes I R. Every camera center still counts
+toward the translation unit.
 """
 
 from __future__ import annotations
@@ -370,15 +371,23 @@ def _loss_terms(ws: _Workspace, cfg: BAConfig, r, t, k, points):
 
 def _incidences(prob: BAProblem):
     """(cameras x observations, points x observations) CSR pairs, first
-    holding each observation's confidence, then holding ones."""
-    obs = np.arange(prob.n_observations)
-    return tuple(
-        (
-            sparse.csr_array((w, (prob.camera_indices, obs)), shape=(prob.n_cameras, prob.n_observations)),
-            sparse.csr_array((w, (prob.point_indices, obs)), shape=(prob.n_points, prob.n_observations)),
-        )
-        for w in (prob.confidences, np.ones(prob.n_observations))
-    )
+    holding each observation's confidence, then holding ones.
+
+    The two matrices of a side share one int32 index structure, each row's
+    observations in ascending order, and both 0/1 matrices share one vector
+    of ones: about 32 bytes per observation in all.
+    """
+    m = prob.n_observations
+    dtype = np.int32 if m < 2**31 else np.int64
+    ones = np.ones(m)
+    weighted, unit = [], []
+    for index, n in ((prob.camera_indices, prob.n_cameras), (prob.point_indices, prob.n_points)):
+        obs = np.argsort(index, kind="stable").astype(dtype)
+        indptr = np.zeros(n + 1, dtype=dtype)
+        np.cumsum(np.bincount(index, minlength=n), out=indptr[1:])
+        weighted.append(sparse.csr_array((prob.confidences.take(obs), obs, indptr), shape=(n, m)))
+        unit.append(sparse.csr_array((ones, obs, indptr), shape=(n, m)))
+    return tuple(weighted), tuple(unit)
 
 
 def _gradient_sums(incidences, ws: _Workspace):
@@ -567,11 +576,9 @@ def run_ba(prob: BAProblem, cfg: BAConfig | None = None) -> BAResult:
         r_all, t_all, k_all = _stack_cameras(prob.cameras)
         r_all[observed], t_all[observed], k_all[observed] = r_b, t_b, k_b
         if best_it:
-            idle = ~observed
-            r_i, t_i, k_i = r_all[idle], t_all[idle], k_all[idle]
-            bounds_i = _camera_bounds([c for c, o in zip(prob.cameras, observed) if not o], k_i)
-            r_all[idle] = _step_cameras(r_i, t_i, k_i, np.zeros((len(k_i), 10)), bounds_i, cfg.optimize_intrinsics)
-            t_all[idle], k_all[idle] = t_i, k_i
+            # their zero steps leave translation and intrinsics as they
+            # are, and turn each rotation into exp(0) R with an exact identity
+            r_all[~observed] = np.eye(3) @ r_all[~observed]
         r_b, t_b, k_b = r_all, t_all, k_all
     refined = replace(
         prob,

@@ -1,27 +1,27 @@
 """Multi-view track building over a sparse k-NN frame graph.
 
 Pairwise matches are verified by bidirectional reprojection against the
-globally aligned geometry, then merged into tracks: the connected
-components of the match graph over keypoints keyed on (frame id, rounded
-pixel). Verified pairs stream into a KeypointTable, which keeps one sorted
-keypoint table per frame and unions each batch of pairs into one int32
-parent array over the keypoints as it is interned (hook and compress, in
-numpy), so neither the match sets nor the pairs are kept and tracking
-memory grows with keypoints, not pairs. Every pixel is lifted to 3D
-through MergedGeometry's one lifting core: the gate takes only the valid
-rows' points from it, and fusion reads them with their confidences
-through MergedGeometry.sample. Each track fuses its per-observation 3D
-points by confidence-weighted averaging; the fused confidence is the mean
-of the observation confidences.
+globally aligned geometry, which returns the rows that pass, then merged
+into tracks: the connected components of the match graph over keypoints
+keyed on (frame id, rounded pixel). Each match set's kept rows stream into
+a KeypointTable, which keeps one sorted keypoint table per frame and unions
+each batch of pairs into one int32 parent array over the keypoints as it
+is interned (hook and compress, in numpy), so neither the match sets nor
+the pairs are kept and tracking memory grows with keypoints, not pairs.
+Every pixel is lifted to 3D through MergedGeometry's one lifting core: the
+gate takes only the valid rows' points from it, and fusion reads them with
+their confidences through MergedGeometry.sample. Each track fuses its
+per-observation 3D points by confidence-weighted averaging; the fused
+confidence is the mean of the observation confidences.
 
 All tracks live in one Tracks table (see its docstring). Canonical order:
-tracks by their first keypoint in merge_tracks' keypoint table, each
-track's observations by frame id; tracks.bin stores the table as is.
+tracks by their first row in merge_tracks' keypoint table, each track's
+observations by frame id; tracks.bin stores the table as is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,22 +68,6 @@ class MatchSet:
 
     def __len__(self) -> int:
         return len(self.pixels_i)
-
-    def select(self, rows) -> MatchSet:
-        """The pairs at rows (an index array, slice or boolean mask).
-
-        Those rows were cast and checked when this set was built, so the
-        subset is assembled without running __post_init__ again. An integer
-        index array is gathered with take, which is several times faster
-        than fancy indexing on rows of 2.
-        """
-        if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu":
-            pixels_i, pixels_j = self.pixels_i.take(rows, axis=0), self.pixels_j.take(rows, axis=0)
-        else:
-            pixels_i, pixels_j = self.pixels_i[rows], self.pixels_j[rows]
-        subset = object.__new__(MatchSet)
-        subset.__dict__.update(frame_i=self.frame_i, frame_j=self.frame_j, pixels_i=pixels_i, pixels_j=pixels_j)
-        return subset
 
 
 def _reject(bad_tracks: np.ndarray, message) -> None:
@@ -209,27 +193,28 @@ def build_frame_graph(m, k: int) -> FrameGraph:
     return FrameGraph(n_frames=n, edges=list(edges))
 
 
-def verify_matches(ms: MatchSet, merged, tau_reproj: float = 8.0) -> MatchSet:
-    """Bidirectional reprojection gate at tau_reproj pixels.
+def verify_matches(ms: MatchSet, merged, tau_reproj: float = 8.0) -> np.ndarray:
+    """Bidirectional reprojection gate at tau_reproj pixels: the rows of ms
+    that pass, in ascending order, as an int array.
 
-    A pair survives iff both pixels sample valid depth, the point that
+    A pair passes iff both pixels sample valid depth, the point that
     merged lifts from pixel i reprojects through merged's camera of frame j
     within tau_reproj of its partner (landing in front of the camera), and
     the symmetric j to i check passes. Each direction lifts and projects
     only the rows that can still pass (see _reprojects), and the reverse
     check runs only on the pairs that survive the forward one; every row
-    gets the bits it would get alone, so the survivors are those of
+    gets the bits it would get alone, so the rows kept are those of
     checking both directions on every pair.
     """
     if not (np.isfinite(tau_reproj) and tau_reproj > 0):
         raise ConfigError(f"tau_reproj must be positive and finite, got {tau_reproj}")
     if len(ms) == 0:
-        return ms
+        return np.empty(0, dtype=np.intp)
     keep = _reprojects(merged, ms.frame_i, ms.pixels_i, ms.frame_j, ms.pixels_j, tau_reproj)
     back = _reprojects(
         merged, ms.frame_j, ms.pixels_j.take(keep, axis=0), ms.frame_i, ms.pixels_i.take(keep, axis=0), tau_reproj
     )
-    return ms.select(keep[back])
+    return keep[back]
 
 
 def _reprojects(merged, src: int, pix_src: np.ndarray, dst: int, pix_dst: np.ndarray, tau_reproj: float):
@@ -257,12 +242,13 @@ _FLUSH_ROWS = 65_536
 class KeypointTable:
     """Verified pairs unioned into components over one keypoint table per frame.
 
-    The rows of the table are both keypoints of every pair: match sets in
-    the order added, pairs in order, frame_i before frame_j, so pair p holds
-    rows 2p and 2p + 1. Keypoint identity is (frame id, pixel rounded half
-    to even); a keypoint keeps the first table row and first subpixel
-    coordinate the table holds for it. add() keeps no match set: its pixels
-    wait in a per-frame buffer until _FLUSH_ROWS rows are pending. A flush
+    The rows of the table are both keypoints of every pair added: match sets
+    in the order added, the pairs of each at the rows given in order,
+    frame_i before frame_j, so pair p holds rows 2p and 2p + 1. Keypoint
+    identity is (frame id, pixel rounded half to even); a keypoint keeps the
+    first table row and first subpixel coordinate the table holds for it.
+    add() keeps no match set: its pixels wait in a per-frame buffer until
+    _FLUSH_ROWS rows are pending. A flush
     interns each pending frame with one sort over its rounded (row, column)
     keys, merged into that frame's sorted key table, then unions the
     flushed pairs into one int32 parent array over the keypoints (_union)
@@ -270,25 +256,25 @@ class KeypointTable:
     keypoints, not pairs. The buffer lets one sort serve many match sets; a
     sorted insert per set made run_tracking 40% slower on the bench's
     object-200 scene. Iterating the table yields one range of pair numbers
-    per non-empty match set added, in order.
+    per match set added with at least one pair, in order.
 
-    keypoints() flushes and hands over the per-keypoint arrays, numbered by
-    (frame id, row, column), with their component labels; the table then
-    takes no more pairs.
+    Ids are handed out as keypoints are interned, so they follow the flush
+    order; nothing downstream reads their values. keypoints() flushes and
+    hands over the per-keypoint arrays in id order with each keypoint's
+    component root; the table then takes no more pairs.
     """
 
-    def __init__(self, matches=()):
+    def __init__(self):
         self._pending = {}  # frame id -> [(first table row, pixels)]
         self._pending_rows = 0
         self._n_rows = 0
-        self._sets = []  # pair numbers of each non-empty match set
+        self._sets = []  # pair numbers of each match set with pairs
         self._keys = {}  # frame id -> (sorted int64 keys, their int32 ids)
         self._first = [np.empty(0, dtype=np.int64)]  # per id, in id order
         self._pixels = [np.empty((0, 2))]
+        self._runs = []  # (frame id, count) of each interned run of ids, in id order
         self._parent = np.empty(0, dtype=np.int32)  # union-find forest over the ids
         self.n_keypoints = 0
-        for ms in matches:
-            self.add(ms)
 
     def __iter__(self):
         return iter(self._sets)
@@ -297,17 +283,18 @@ class KeypointTable:
     def n_pairs(self) -> int:
         return self._n_rows // 2
 
-    def add(self, ms: MatchSet) -> None:
-        """Append the pairs of ms to the table."""
+    def add(self, ms: MatchSet, rows: np.ndarray) -> None:
+        """Append the pairs of ms at rows, an int array such as
+        verify_matches returns, to the table."""
         if self._keys is None:
-            raise ConfigError("keypoint table is already numbered; it takes no more match sets")
-        if not len(ms):
+            raise ConfigError("keypoint table has handed over its keypoints; it takes no more match sets")
+        if not len(rows):
             return
         for side, fid, px in ((0, ms.frame_i, ms.pixels_i), (1, ms.frame_j, ms.pixels_j)):
-            self._pending.setdefault(fid, []).append((self._n_rows + side, px))
-        self._sets.append(range(self.n_pairs, self.n_pairs + len(ms)))
-        self._n_rows += 2 * len(ms)
-        self._pending_rows += 2 * len(ms)
+            self._pending.setdefault(fid, []).append((self._n_rows + side, px.take(rows, axis=0)))
+        self._sets.append(range(self.n_pairs, self.n_pairs + len(rows)))
+        self._n_rows += 2 * len(rows)
+        self._pending_rows += 2 * len(rows)
         if self._pending_rows >= _FLUSH_ROWS:
             self._flush()
 
@@ -361,6 +348,7 @@ class KeypointTable:
         uniq_ids[seen] = key_ids[pos[seen]]
         uniq_ids[new] = np.arange(self.n_keypoints, self.n_keypoints + len(new))
         self.n_keypoints += len(new)
+        self._runs.append((fid, len(new)))
         # insert the new keys into the frame's sorted table
         at = pos[new] + np.arange(len(new))
         old = np.ones(len(keys) + len(new), dtype=bool)
@@ -381,33 +369,23 @@ class KeypointTable:
         ids[rows.take(order)] = np.repeat(uniq_ids, np.diff(heads, append=len(key)))
 
     def keypoints(self):
-        """(first table row, frame id, subpixel coordinate, component label)
-        of every keypoint.
+        """(first table row, frame id, subpixel coordinate, component root)
+        of every keypoint, in id order.
 
-        Flushes and numbers the keypoints by frame id, then rounded row,
-        then rounded column; a keypoint's label is the smallest number in
-        its component. Each frame's key table is dropped as its ids are
-        gathered, and each per-keypoint array is gathered into that order
-        before the next is built. The table hands the arrays over, so this
-        runs once and the table then takes no more match sets.
+        A keypoint's root (_find) is the smallest id in its component, so it
+        labels the component. The table hands the arrays over, so this runs
+        once and the table then takes no more match sets.
         """
         if self._keys is None:
-            raise ConfigError("keypoint table is already numbered")
+            raise ConfigError("keypoint table has already handed over its keypoints")
         self._flush()
-        keys, self._keys = self._keys, None
-        frame_ids = sorted(keys)
-        frames = np.repeat(np.array(frame_ids, dtype=np.int64), [len(keys[f][1]) for f in frame_ids])
-        order = np.concatenate([np.empty(0, dtype=np.int32)] + [keys.pop(f)[1] for f in frame_ids])
+        self._keys = None
         first, self._first = np.concatenate(self._first), None
-        first = first.take(order)
         pixels, self._pixels = np.concatenate(self._pixels), None
-        pixels = pixels.take(order, axis=0)
+        runs, self._runs = np.array(self._runs, dtype=np.int64).reshape(-1, 2), None
+        frames = np.repeat(runs[:, 0], runs[:, 1])
         parent, self._parent = self._parent, None
-        root = _find(parent, np.arange(len(order), dtype=np.int32)).take(order)
-        del parent
-        least = np.full(len(order), len(order), dtype=np.int32)  # per root, its component's smallest number
-        np.minimum.at(least, root, np.arange(len(order), dtype=np.int32))
-        return first, frames, pixels, least.take(root)
+        return first, frames, pixels, _find(parent, np.arange(len(first), dtype=np.int32))
 
 
 def _union(parent: np.ndarray, pairs: np.ndarray) -> None:
@@ -446,47 +424,47 @@ def _find(parent: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return up
 
 
-def merge_tracks(table, merged) -> Tracks:
+def merge_tracks(table: KeypointTable, merged) -> Tracks:
     """Connected components over one KeypointTable, then fusion per component.
 
-    table is a KeypointTable, or MatchSets to build one from (see its
-    docstring for the table rows and keypoint identity). The table numbers
-    the keypoints by (frame id, rounded row, rounded column) and labels each
-    with its component, found by hook and compress as the pairs streamed in.
-    Components with two keypoints in one frame are ambiguous and
-    discarded. The remaining keypoints are lifted with one merged.sample
-    call per frame, and a component keeps only its valid samples, needing
-    at least 2 of them. Fusion follows x = sum(C_k x_k) / sum(C_k) and
-    C = sum(C_k) / K, over one (count, K) block per track length K; each
-    block sums its rows as a single track's arrays would, so the bits do
-    not depend on the blocking.
+    The table labels each keypoint with its component, found by hook and
+    compress as the pairs streamed in (see its docstring for the table rows
+    and keypoint identity). Components with two keypoints in one frame are
+    ambiguous and discarded. The remaining keypoints are lifted with one
+    merged.sample call per frame, and a component keeps only its valid
+    samples, needing at least 2 of them. Fusion follows
+    x = sum(C_k x_k) / sum(C_k) and C = sum(C_k) / K, over one (count, K)
+    block per track length K; each block sums its rows as a single track's
+    arrays would, so the bits do not depend on the blocking.
 
-    Tracks come out in the order of their first keypoint in the table,
-    each with its observations sorted by frame id.
+    Tracks come out in the order of their first table row, each with its
+    observations sorted by frame id. First rows are unique and a track
+    holds each frame once, so neither order reads a keypoint id.
 
-    The merge holds a few arrays per keypoint and nothing per pair. Given
-    MatchSets, its traced peak stays below twice the bytes of their pixels;
-    run_tracking, which streams verified sets into a table, peaks below 0.6x
-    the bytes of the verified pixels, and twice the pairs over the same
-    keypoints raise that peak by under 10% (tests/test_tracking.py checks
-    these at ~200k pairs).
+    The merge holds a few arrays per keypoint and nothing per pair, and
+    gathers each per-keypoint array into track order once. Building a table
+    from match sets and merging it peaks below twice the bytes of their
+    pixels; run_tracking, which streams verified rows into a table, peaks
+    below 0.6x the bytes of the verified pixels, and twice the pairs over
+    the same keypoints raise that peak by under 10% (tests/test_tracking.py
+    checks these at ~200k pairs).
     """
-    if not isinstance(table, KeypointTable):
-        table = KeypointTable(table)
-    first, node_frame, node_pixel, label = table.keypoints()
+    first, node_frame, node_pixel, root = table.keypoints()
     if not len(first):
         return Tracks([], [], [], [], [])
 
-    first_row = first.copy()  # each component's first table row, at its label
-    np.minimum.at(first_row, label, first)
-    order = np.lexsort((node_frame, first_row[label]))
+    first_row = first.copy()  # each component's first table row, at its root
+    np.minimum.at(first_row, root, first)
+    order = np.lexsort((node_frame, first_row.take(root)))
     del first, first_row
-    comp, obs_frame = label[order], node_frame[order]
-    ambiguous = np.zeros(len(label), dtype=bool)
+    comp, obs_frame = root.take(order), node_frame.take(order)
+    del root, node_frame
+    ambiguous = np.zeros(len(order), dtype=bool)  # per root
     ambiguous[comp[1:][(comp[1:] == comp[:-1]) & (obs_frame[1:] == obs_frame[:-1])]] = True
-    order = order[~ambiguous[comp]]
-    comp, obs_frame, obs_pixel = label[order], node_frame[order], node_pixel[order]
-    del label, node_frame, node_pixel, order, ambiguous
+    keep = np.flatnonzero(~ambiguous.take(comp))
+    comp, obs_frame = comp.take(keep), obs_frame.take(keep)
+    obs_pixel = node_pixel.take(order.take(keep), axis=0)
+    del node_pixel, order, ambiguous, keep
 
     pts = np.empty((len(comp), 3))
     confs = np.empty(len(comp))
@@ -544,7 +522,8 @@ def run_tracking(
     edge whose matcher call raises DataError (such as a MatchSet holding a
     non-finite pixel) is skipped and counted in failed_edges, while any
     other exception propagates. This is the one keypoint cap, for any
-    matcher: a match set keeps its first max_keypoints pairs.
+    matcher: a match set keeps its first max_keypoints pairs, and only
+    those are verified.
     """
     if max_keypoints < 1:
         raise ConfigError(f"max_keypoints must be >= 1, got {max_keypoints}")
@@ -565,8 +544,8 @@ def run_tracking(
             failures += 1
             continue
         if len(ms) > max_keypoints:
-            ms = ms.select(slice(max_keypoints))
-        table.add(verify_matches(ms, merged, tau_reproj))
+            ms = replace(ms, pixels_i=ms.pixels_i[:max_keypoints], pixels_j=ms.pixels_j[:max_keypoints])
+        table.add(ms, verify_matches(ms, merged, tau_reproj))
 
     tracks = merge_tracks(table, merged)
     return TrackingResult(

@@ -900,6 +900,23 @@ class TestBlockedKernel:
         _, peak = traced_peak(lambda: run_ba(prob, BAConfig(iterations=2)))
         assert peak / prob.n_observations < 400, f"{peak / prob.n_observations:.0f} bytes per observation"
 
+    def test_incidence_bytes_per_observation(self):
+        """The four incidence matrices of 100,000 observations hold under 40
+        bytes per observation, each shared array counted once: each side's
+        pair shares one int32 index structure and both 0/1 matrices one
+        vector of ones (33 here). Four matrices with int64 indices of their
+        own held about 68."""
+        from scenemerge import ba
+
+        prob = _large_problem()
+        arrays = {}
+        for pair in ba._incidences(prob):
+            for matrix in pair:
+                for a in (matrix.data, matrix.indices, matrix.indptr):
+                    arrays[a.__array_interface__["data"][0], a.nbytes] = a.nbytes
+        per_observation = sum(arrays.values()) / prob.n_observations
+        assert per_observation < 40, f"{per_observation:.1f} bytes per observation"
+
 
 class TestApplyBAResult:
     def _merged_setup(self, seed=4):

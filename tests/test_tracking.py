@@ -88,10 +88,23 @@ def _pair(fi, fj, pixels):
     )
 
 
+def _table(matches):
+    """A KeypointTable holding every pair of each match set."""
+    table = tracking.KeypointTable()
+    for ms in matches:
+        table.add(ms, np.arange(len(ms)))
+    return table
+
+
+def _kept(ms, rows):
+    """The match set of the pairs of ms at rows."""
+    return MatchSet(ms.frame_i, ms.frame_j, ms.pixels_i[rows], ms.pixels_j[rows])
+
+
 def _reference_verify_matches(ms, merged, tau_reproj):
     """Reference gate: both directions on every pair, then AND.
 
-    Returns (kept pairs, forward pass mask, reverse pass mask)."""
+    Returns (kept rows, forward pass mask, reverse pass mask)."""
     passes = []
     for src, pix_src, dst, pix_dst in (
         (ms.frame_i, ms.pixels_i, ms.frame_j, ms.pixels_j),
@@ -103,7 +116,7 @@ def _reference_verify_matches(ms, merged, tau_reproj):
         err = np.linalg.norm(np.clip(diff, -2 * tau_reproj, 2 * tau_reproj), axis=1)
         passes.append(valid & in_front & (err <= tau_reproj))
     forward, reverse = passes
-    return ms.select(forward & reverse), forward, reverse
+    return np.flatnonzero(forward & reverse), forward, reverse
 
 
 class _DisjointSet:
@@ -196,7 +209,7 @@ def _reference_merge_tracks(all_matches, merged):
 
 
 def _reference_intern_keypoints(all_matches):
-    """The global-key version of tracking.KeypointTable's numbering: one
+    """The global-key version of tracking.KeypointTable's interning: one
     interleaved table of every keypoint, each keyed by the mixed-radix int64
     (frame index, rounded row, rounded column) over the whole table's span,
     then one np.unique. Returns (int32 node of every table row, first table
@@ -266,25 +279,6 @@ class TestMatchSetAndTrack:
             MatchSet(frame_i=3, frame_j=5, pixels_i=[[1.0, 1.0], [np.nan, 1.0]], pixels_j=[[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(DataError, match="row 0"):
             MatchSet(frame_i=0, frame_j=1, pixels_i=[[1.0, 1.0]], pixels_j=[[np.inf, 1.0]])
-
-    def test_select_keeps_rows_without_rechecking(self, monkeypatch):
-        """A subset holds the chosen rows as they were; it is not cast and
-        checked a second time."""
-        ms = _pair(2, 7, [((1.0, 2.0), (3.0, 4.0)), ((5.0, 6.0), (7.0, 8.0)), ((9.5, 1.5), (2.5, 3.5))])
-
-        def no_second_check(self):
-            raise AssertionError("select re-ran __post_init__")
-
-        monkeypatch.setattr(MatchSet, "__post_init__", no_second_check)
-        index_arrays = (np.array([2, 0]), np.array([-1, 1, 1], dtype=np.int32), np.array([], dtype=np.uint32))
-        for rows in (*index_arrays, slice(1, None), np.array([True, False, True])):
-            subset = ms.select(rows)
-            assert isinstance(subset, MatchSet)
-            assert (subset.frame_i, subset.frame_j) == (2, 7)
-            for mine, theirs in ((subset.pixels_i, ms.pixels_i[rows]), (subset.pixels_j, ms.pixels_j[rows])):
-                assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            subset.frame_i = 3
 
     def test_track_requires_two_observations(self):
         with pytest.raises(DataError, match="track 1 has 1 observations"):
@@ -385,7 +379,7 @@ class TestVerifyMatches:
             0, 1, [((2.0, 2.0), (2.0, 2.0)), ((1e300, 3.0), (2.0, 2.0)), ((2.0, 2.0), (3.0, -1e300))]
         )
         kept = verify_matches(ms, _merged_flat([0, 1]))
-        np.testing.assert_array_equal(kept.pixels_i, [[2.0, 2.0]])
+        assert kept.dtype.kind == "i" and kept.tolist() == [0]
 
     def test_offset_matches_fully_rejected(self):
         """Shifting image-j pixels by 20 px kills every pair at tau=8."""
@@ -415,7 +409,7 @@ class TestVerifyMatches:
                 pixels_j=np.concatenate([full.pixels_j[pick], rnd_j]),
             )
             kept = verify_matches(mixed, merged, 8.0)
-            kept_set = {tuple(p) for p in kept.pixels_i}
+            kept_set = {tuple(p) for p in mixed.pixels_i[kept]}
             assert sum(tuple(p) in kept_set for p in full.pixels_i[pick]) == 80
             assert sum(tuple(p) in kept_set for p in rnd_i) <= 2
 
@@ -426,9 +420,7 @@ class TestVerifyMatches:
         cluster = dataclasses.replace(flat, depths=[hole, flat.depths[1]])
         merged = MergedGeometry([cluster], [Sim3Transform.identity()])
         ms = _pair(0, 1, [(((2.0, 2.0)), (2.0, 2.0)), ((6.0, 6.0), (4.4, 6.0))])
-        kept = verify_matches(ms, merged, 8.0)
-        assert len(kept) == 1
-        assert kept.pixels_i[0, 0] == 6.0
+        assert verify_matches(ms, merged, 8.0).tolist() == [1]
 
     def test_pair_order_invariance(self):
         scene, merged = self._scene_geometry()
@@ -437,16 +429,14 @@ class TestVerifyMatches:
         shuffled = MatchSet(frame_i=1, frame_j=2, pixels_i=ms.pixels_i[perm], pixels_j=ms.pixels_j[perm])
         a = verify_matches(ms, merged, 8.0)
         b = verify_matches(shuffled, merged, 8.0)
-        set_a = {tuple(np.concatenate([p, q])) for p, q in zip(a.pixels_i, a.pixels_j)}
-        set_b = {tuple(np.concatenate([p, q])) for p, q in zip(b.pixels_i, b.pixels_j)}
-        assert set_a == set_b
+        assert sorted(perm[b].tolist()) == a.tolist()
 
     def test_every_rejection_branch_matches_reference(self):
-        """On one hand-built edge the gate keeps, bit for bit, what the
-        reference (both directions on every row, NaN rows guarded) keeps, and
-        each row fails where it is built to. Frame 1 sits 1 unit ahead of
-        frame 0 on the optical axis with half its depth, so a depth-2 pixel
-        (u, v) of frame 0 lands at (2u - 4, 2v - 4) in frame 1 and back."""
+        """On one hand-built edge the gate keeps the rows that the reference
+        (both directions on every row, NaN rows guarded) keeps, and each row
+        fails where it is built to. Frame 1 sits 1 unit ahead of frame 0 on
+        the optical axis with half its depth, so a depth-2 pixel (u, v) of
+        frame 0 lands at (2u - 4, 2v - 4) in frame 1 and back."""
         intr = CameraIntrinsics(fx=16.0, fy=16.0, cx=4.0, cy=4.0, width=8, height=8)
         cams = [
             CameraParams(intr, CameraPose(np.eye(3), np.array([0.0, 0.0, -dz])), fid)
@@ -485,9 +475,7 @@ class TestVerifyMatches:
         ms = _pair(0, 1, rows)
         kept = verify_matches(ms, merged, 1.0)
         reference, forward, reverse = _reference_verify_matches(ms, merged, 1.0)
-        assert kept.pixels_i.tobytes() == reference.pixels_i.tobytes()
-        assert kept.pixels_j.tobytes() == reference.pixels_j.tobytes()
-        np.testing.assert_array_equal(kept.pixels_i, ms.pixels_i[[0, 1]])
+        assert kept.tolist() == reference.tolist() == [0, 1]
         assert np.flatnonzero(~forward).tolist() == [2, 3, 4, 7, 8, 9, 10, 11]
         assert np.flatnonzero(forward & ~reverse).tolist() == [5, 6, 12, 13]
 
@@ -507,7 +495,7 @@ class TestMergeTracks:
             _pair(0, 1, [((1.0, 1.0), (2.0, 1.0))]),
             _pair(1, 2, [((2.0, 1.0), (3.0, 4.0))]),
         ]
-        tracks = merge_tracks(matches, merged)
+        tracks = merge_tracks(_table(matches), merged)
         assert len(tracks) == 1
         assert _frames(tracks) == [[0, 1, 2]]
 
@@ -515,7 +503,7 @@ class TestMergeTracks:
         """Equal weights: fused = (p+q)/2 and C equals that confidence."""
         merged = _merged_flat([0, 1], conf_values=[0.7, 0.7])
         pa, pb = (1.0, 1.0), (5.0, 3.0)
-        tracks = merge_tracks([_pair(0, 1, [(pa, pb)])], merged)
+        tracks = merge_tracks(_table([_pair(0, 1, [(pa, pb)])]), merged)
         assert len(tracks) == 1
         p, _, _ = merged.sample(0, np.array([pa]))
         q, _, _ = merged.sample(1, np.array([pb]))
@@ -530,7 +518,7 @@ class TestMergeTracks:
         """
         merged = _merged_flat([0, 1], conf_values=[3.0, 1.0])
         pa, pb = (2.0, 2.0), (6.0, 5.0)
-        tracks = merge_tracks([_pair(0, 1, [(pa, pb)])], merged)
+        tracks = merge_tracks(_table([_pair(0, 1, [(pa, pb)])]), merged)
         p, _, _ = merged.sample(0, np.array([pa]))
         q, _, _ = merged.sample(1, np.array([pb]))
         assert np.allclose(tracks.points[0], p[0] + 0.25 * (q[0] - p[0]), atol=1e-12)
@@ -543,7 +531,7 @@ class TestMergeTracks:
             _pair(0, 1, [((1.0, 1.0), (4.0, 4.0))]),
             _pair(0, 1, [((6.0, 6.0), (4.0, 4.0))]),
         ]
-        assert len(merge_tracks(matches, merged)) == 0
+        assert len(merge_tracks(_table(matches), merged)) == 0
 
     def test_min_track_len(self):
         """A track needs 2 valid samples: a three-frame chain is kept whole,
@@ -553,13 +541,13 @@ class TestMergeTracks:
             _pair(0, 1, [((1.0, 1.0), (2.0, 1.0))]),
             _pair(1, 2, [((2.0, 1.0), (3.0, 4.0))]),
         ]
-        assert merge_tracks(matches, merged).lengths.tolist() == [3]
-        assert len(merge_tracks([_pair(0, 1, [((1.0, 1.0), (20.0, 1.0))])], merged)) == 0
+        assert merge_tracks(_table(matches), merged).lengths.tolist() == [3]
+        assert len(merge_tracks(_table([_pair(0, 1, [((1.0, 1.0), (20.0, 1.0))])]), merged)) == 0
 
     def test_non_finite_pixel_rejected(self):
         merged = _merged_flat([0, 1])
         with pytest.raises(DataError, match="finite"):
-            merge_tracks([_pair(0, 1, [((1.0, 1.0), (2.0, 2.0)), ((np.nan, 3.0), (4.0, 4.0))])], merged)
+            merge_tracks(_table([_pair(0, 1, [((1.0, 1.0), (2.0, 2.0)), ((np.nan, 3.0), (4.0, 4.0))])]), merged)
 
     def test_huge_finite_pixel_rejected_naming_frame(self):
         """A finite pixel too large to key fails with the frame's id before
@@ -572,18 +560,19 @@ class TestMergeTracks:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataError, match=r"^frame 2: match pixels must"):
-                merge_tracks(matches, merged)
+                merge_tracks(_table(matches), merged)
             with pytest.raises(DataError, match=r"^frame 1: match pixels must"):
-                merge_tracks([_pair(0, 1, [((1.0, 1.0), (-3e9, 2.0))])], merged)
+                merge_tracks(_table([_pair(0, 1, [((1.0, 1.0), (-3e9, 2.0))])]), merged)
 
     def test_intern_matches_global_key_reference(self, monkeypatch):
-        """A KeypointTable numbers the keypoints as one global key over the
-        whole table does: same first table row, frame and kept subpixel
-        coordinate of every node, and each node labelled by the smallest node
-        of its scipy connected component over the reference's pairs, whether
-        it interns once or flushes every 7 rows. The table has unsorted
-        sparse frame ids, frames on both sides of a pair, negative pixels,
-        half-pixel ties and per-frame spans far apart."""
+        """A KeypointTable interns the keypoints one global key over the
+        whole table does: taken in the order of their unique first table
+        rows, the same first rows, frames and kept subpixel coordinates, and
+        the same partition into scipy's connected components over the
+        reference's pairs, with each keypoint's root an id of its component,
+        whether it interns once or flushes every 7 rows. The table has
+        unsorted sparse frame ids, frames on both sides of a pair, negative
+        pixels, half-pixel ties and per-frame spans far apart."""
         rng = np.random.default_rng(21)
         frame_ids = [40, 3, 17, 8, 25, 11]
         shift = {f: rng.uniform(-500.0, 500.0, size=2) for f in frame_ids}
@@ -594,31 +583,48 @@ class TestMergeTracks:
             pi = np.round(rng.uniform(-6.0, 6.0, (n, 2)) * 2) / 2 + np.round(shift[fi])
             pj = rng.uniform(-6.0, 6.0, (n, 2)) + shift[fj]
             matches.append(MatchSet(fi, fj, pi, pj))
-        node, *expected = _reference_intern_keypoints(matches)
-        n_nodes = len(expected[0])
+        node, first, frames, pixels = _reference_intern_keypoints(matches)
+        n_nodes = len(first)
         assert n_nodes < len(node)  # rows share nodes
         graph = csr_matrix((np.ones(len(node) // 2), (node[0::2], node[1::2])), shape=(n_nodes, n_nodes))
         n_comp, component = connected_components(graph, directed=False)
-        smallest = np.full(n_comp, n_nodes, dtype=np.int32)
-        np.minimum.at(smallest, component, np.arange(n_nodes, dtype=np.int32))
-        expected.append(smallest[component])
         assert 1 < n_comp < n_nodes
+
+        def by_first_row(first, component):
+            """Every keypoint's component as the first row of its first
+            keypoint, in first-row order."""
+            order = np.argsort(first)
+            head = np.full(component.max() + 1, first.max() + 1)
+            np.minimum.at(head, component, first)
+            return order, head[component].take(order)
+
+        order, expected_partition = by_first_row(first, component)
+        expected = (first[order], frames[order], pixels[order])
         for flush_rows in (tracking._FLUSH_ROWS, 7):
             monkeypatch.setattr(tracking, "_FLUSH_ROWS", flush_rows)
-            table = tracking.KeypointTable(matches)
+            table = _table(matches)
             assert [len(pairs) for pairs in table] == [len(ms) for ms in matches]
             assert table.n_pairs == len(node) // 2
-            for a, b in zip(table.keypoints(), expected, strict=True):
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-            with pytest.raises(ConfigError, match="numbered"):
-                table.add(matches[0])
-            with pytest.raises(ConfigError, match="numbered"):
+            got_first, got_frames, got_pixels, root = table.keypoints()
+            assert table.n_keypoints == n_nodes
+            assert (got_first.dtype, got_frames.dtype, got_pixels.dtype, root.dtype) == (
+                np.int64, np.int64, np.float64, np.int32
+            )
+            got_order, partition = by_first_row(got_first, root)
+            for a, b in zip((got_first[got_order], got_frames[got_order], got_pixels[got_order]), expected):
+                assert a.tobytes() == b.tobytes()
+            assert partition.tolist() == expected_partition.tolist()
+            assert np.array_equal(root.take(root), root)  # each root is an id of its own component
+            with pytest.raises(ConfigError, match="handed over"):
+                table.add(matches[0], np.arange(len(matches[0])))
+            with pytest.raises(ConfigError, match="handed over"):
                 table.keypoints()
 
     def test_merge_memory_bounded_by_input(self, traced_peak):
-        """Merging ~200k pairs allocates at most twice the bytes of the
-        input pixels at its peak (a global key, a stable sort over every
-        keypoint and an interleaved pixel table took 3.1x)."""
+        """Building a table of ~200k pairs and merging it allocates at most
+        twice the bytes of the input pixels at its peak (a global key, a
+        stable sort over every keypoint and an interleaved pixel table took
+        3.1x)."""
         rng = np.random.default_rng(12)
         n_frames, size = 100, 64
         merged = _merged_flat(list(range(n_frames)), size=size)
@@ -629,7 +635,7 @@ class TestMergeTracks:
             rows_i, rows_j = rng.integers(0, 300, (2, 200))
             matches.append(MatchSet(int(fi), int(fj), keypoints[fi, rows_i], keypoints[fj, rows_j]))
         input_bytes = sum(ms.pixels_i.nbytes + ms.pixels_j.nbytes for ms in matches)
-        _, peak = traced_peak(lambda: merge_tracks(matches, merged))
+        _, peak = traced_peak(lambda: merge_tracks(_table(matches), merged))
         assert peak <= 2.0 * input_bytes, f"peak {peak / input_bytes:.2f}x the input pixel bytes"
 
     def test_subpixel_coordinates_share_rounded_node(self):
@@ -639,7 +645,7 @@ class TestMergeTracks:
             _pair(0, 1, [((1.4, 1.4), (3.0, 3.0))]),
             _pair(0, 2, [((0.6, 0.6), (5.0, 5.0))]),
         ]
-        tracks = merge_tracks(matches, merged)
+        tracks = merge_tracks(_table(matches), merged)
         assert list(tracks.lengths) == [3]
         obs = dict(_track_list(tracks)[0][2])
         assert np.allclose(obs[0], [1.4, 1.4])
@@ -655,7 +661,7 @@ class TestMergeTracks:
             px = tuple(rng.uniform(0.0, 7.0, size=2))
             qx = tuple(rng.uniform(0.0, 7.0, size=2))
             matches.append(_pair(f, f + 1, [(px, qx)]))
-        tracks = merge_tracks(matches, merged)
+        tracks = merge_tracks(_table(matches), merged)
         for point, confidence, observations in _track_list(tracks):
             member_pts = []
             member_confs = []
@@ -704,7 +710,7 @@ class TestMergeTracks:
                 expected.add(frozenset(comp))
 
         got = set()
-        for _, _, observations in _track_list(merge_tracks(matches, merged)):
+        for _, _, observations in _track_list(merge_tracks(_table(matches), merged)):
             got.add(frozenset((f, (float(uv[0]), float(uv[1]))) for f, uv in observations))
         assert got == expected
 
@@ -722,7 +728,7 @@ class TestMergeTracks:
             _pair(3, 4, [((2.0, 2.0), (3.0, 3.0))]),
             _pair(0, 4, [((1.0, 1.0), (3.0, 3.0))]),
         ]
-        tracks = merge_tracks(matches, merged)
+        tracks = merge_tracks(_table(matches), merged)
         assert _frames(tracks) == [[0, 1, 2, 3, 4], [0, 1]]
         assert [tuple(tracks.pixels[rows[0]]) for rows in tracks] == [(1.0, 1.0), (5.0, 5.0)]
         reference = _reference_merge_tracks(matches, merged)
@@ -739,11 +745,11 @@ class TestMergeTracks:
             _pair(0, 1, [((1.0, 1.0), (2.0, 2.0))]),
             MatchSet(frame_i=2, frame_j=3, pixels_i=empty, pixels_j=empty),
         ]
-        tracks = merge_tracks(matches, merged)
+        tracks = merge_tracks(_table(matches), merged)
         assert _frames(tracks) == [[0, 1]]
         reference = _reference_merge_tracks(matches, merged)
         assert list(map(_track_bits, _track_list(tracks))) == list(map(_track_bits, reference))
-        assert len(merge_tracks(matches[::2], merged)) == 0
+        assert len(merge_tracks(_table(matches[::2]), merged)) == 0
 
     def test_one_sample_call_per_frame(self, monkeypatch):
         """Every keypoint of a frame is lifted in a single merged.sample call."""
@@ -761,7 +767,7 @@ class TestMergeTracks:
             return sample(fid, pixels)
 
         monkeypatch.setattr(merged, "sample", counting_sample)
-        tracks = merge_tracks(matches, merged)
+        tracks = merge_tracks(_table(matches), merged)
         assert len(tracks) == 2
         assert sorted(calls) == [0, 1, 2, 3]
 
@@ -859,25 +865,41 @@ class TestRunTracking:
         bound = 3.0 * spec.match_pixel_noise_sigma * 2.2 / scene.gt_cameras[0].intrinsics.fx
         assert (dist < bound).mean() >= 0.95
 
-    def test_merge_matches_reference_bit_for_bit(self):
+    def test_merge_matches_reference_bit_for_bit(self, monkeypatch):
         """On a 20-camera scene the array merge returns the loop reference's
-        tracks: same points, confidences and observations, bit for bit."""
+        tracks: same points, confidences and observations, bit for bit,
+        whether the keypoint table flushes every _FLUSH_ROWS rows or every 7
+        rows, which hands out the keypoint ids in another order."""
         scene, spec, sim, plan, clusters, warps, merged = self._pipeline_pieces()
         matcher = synthetic_matcher(scene, spec)
-        verified = [verify_matches(matcher(i, j), merged, 8.0) for i, j in build_frame_graph(sim, 5).edges]
-        tracks = _track_list(merge_tracks(verified, merged))
-        reference = _reference_merge_tracks(verified, merged)
-        assert len(tracks) > 100
-        assert sorted(map(_track_bits, tracks)) == sorted(map(_track_bits, reference))
-        via_run = _track_list(run_tracking(sim, merged, matcher, k=5).tracks)
-        assert list(map(_track_bits, via_run)) == list(map(_track_bits, tracks))
+        match_sets = [matcher(i, j) for i, j in build_frame_graph(sim, 5).edges]
+        verified = [(ms, verify_matches(ms, merged, 8.0)) for ms in match_sets]
+        reference = _reference_merge_tracks([_kept(ms, rows) for ms, rows in verified], merged)
+        assert len(reference) > 100
+
+        def table():
+            table = tracking.KeypointTable()
+            for ms, rows in verified:
+                table.add(ms, rows)
+            return table
+
+        runs, id_order = [], []
+        for flush_rows in (tracking._FLUSH_ROWS, 7):
+            monkeypatch.setattr(tracking, "_FLUSH_ROWS", flush_rows)
+            tracks = list(map(_track_bits, _track_list(merge_tracks(table(), merged))))
+            assert sorted(tracks) == sorted(map(_track_bits, reference))
+            via_run = _track_list(run_tracking(sim, merged, matcher, k=5).tracks)
+            assert list(map(_track_bits, via_run)) == tracks
+            runs.append(tracks)
+            id_order.append(table().keypoints()[0])  # each keypoint's first table row, in id order
+        assert runs[0] == runs[1]
+        assert sorted(id_order[0]) == sorted(id_order[1]) and not np.array_equal(*id_order)
 
     def test_verify_matches_reference_bit_for_bit(self):
         """On every edge of a 20-camera scene, checking the reverse direction
-        only on forward survivors keeps the pairs that checking both
-        directions on every pair keeps, bit for bit; the edges hold pairs
-        that fail only the forward check and pairs that fail only the
-        reverse one."""
+        only on forward survivors keeps the rows that checking both
+        directions on every pair keeps; the edges hold pairs that fail only
+        the forward check and pairs that fail only the reverse one."""
         scene, spec, sim, plan, clusters, warps, merged = self._pipeline_pieces()
         matcher = synthetic_matcher(scene, spec)
         forward_only = reverse_only = 0
@@ -885,8 +907,7 @@ class TestRunTracking:
             ms = matcher(i, j)
             kept = verify_matches(ms, merged, 8.0)
             reference, forward, reverse = _reference_verify_matches(ms, merged, 8.0)
-            assert kept.pixels_i.tobytes() == reference.pixels_i.tobytes()
-            assert kept.pixels_j.tobytes() == reference.pixels_j.tobytes()
+            assert kept.tolist() == reference.tolist()
             forward_only += int(np.sum(~forward & reverse))
             reverse_only += int(np.sum(forward & ~reverse))
         assert forward_only > 0 and reverse_only > 0
