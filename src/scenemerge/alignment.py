@@ -305,8 +305,8 @@ def _select_winner_instances(clusters) -> dict:
 class MergedGeometry:
     """Per-frame globally-aligned geometry for tracking, BA and the dense cloud.
 
-    run_pipeline builds it once, after alignment. Holds, for each frame id,
-    the winning cluster instance's camera mapped into the global frame, its
+    pipeline.merged_geometry builds it. Holds, for each frame id, the
+    winning cluster instance's camera mapped into the global frame, its
     cluster-local depth and confidence maps, and the cluster transform's
     scale. Depth values are multiplied by that scale when a pixel is lifted
     (in float64), since a Sim(3)-transformed camera sees all depths scaled.

@@ -1,9 +1,11 @@
 """Command-line entry point: synth, plan, align, track, ba, eval, run.
 
-Each stage subcommand reads its interchange artifacts, calls the same stage
-function run_pipeline calls, and writes the stage's artifacts, so any stage
-can be swapped with an external tool (including foundation-model outputs
-dropped into a cluster directory as its one maps.mrgt file). Exit codes:
+Each stage subcommand reads its interchange artifacts, calls the stage
+functions run_pipeline calls (align: align_clusters; track: merged_geometry
+and track_scene; ba: merged_geometry, bundle_adjust and write_ba_artifacts),
+and writes the stage's artifacts, so any stage can be swapped with an
+external tool (including foundation-model outputs dropped into a cluster
+directory as its one maps.mrgt file). Exit codes:
 0 success, 2 configuration error, 3 data error, 4 numerical divergence.
 The MERG3R_LOG environment variable selects the log level (default
 WARNING); logs go to stderr so stdout stays machine-readable.
@@ -24,23 +26,17 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .alignment import MergedGeometry
 from .errors import ConfigError, DataError, DivergenceError
 from .io_formats import (
     JSON_FORMAT_VERSION,
     _read_json,
     plan_document,
-    pose_record_from_camera,
     read_plan,
     read_ply,
     read_pose_map,
     read_tracks,
     read_transforms,
-    sim3_from_transform_record,
-    write_loss_csv,
     write_plan,
-    write_ply,
-    write_poses,
     write_tracks,
     write_transforms,
 )
@@ -52,12 +48,13 @@ from .pipeline import (
     check_plan_matches_clusters,
     evaluate_reconstruction,
     load_scene,
-    matcher_from_scene_dir,
+    merged_geometry,
     run_pipeline,
     synthesize_scene_dir,
+    track_scene,
+    write_ba_artifacts,
 )
 from .synthetic import PerturbationSpec
-from .tracking import run_tracking
 
 LOG_ENV_VAR = "MERG3R_LOG"
 
@@ -77,15 +74,6 @@ def _configure_logging() -> None:
     )
     if not isinstance(getattr(logging, name, None), int):
         logger.warning("unrecognized %s level %r, using WARNING", LOG_ENV_VAR, name)
-
-
-def _merged_geometry(data, transforms_path) -> MergedGeometry:
-    """The scene's clusters under the transforms.json records of their ids."""
-    by_id = {rec.cluster_id: rec for rec in read_transforms(transforms_path)}
-    missing = [c.cluster_id for c in data.clusters if c.cluster_id not in by_id]
-    if missing:
-        raise DataError(f"{transforms_path} has no transform for cluster {missing[0]}")
-    return MergedGeometry(data.clusters, [sim3_from_transform_record(by_id[c.cluster_id]) for c in data.clusters])
 
 
 def _load_config_file(path) -> dict:
@@ -132,28 +120,24 @@ def cmd_plan(args) -> None:
         print(f"wrote {args.out} ({len(plan.subsets)} subsets of {plan.subset_size})")
 
 
-def cmd_align(args) -> None:
+def _planned_scene(args):
+    """The --clusters scene, checked against the --plan partition."""
     plan = read_plan(args.plan)
     data = load_scene(args.clusters)
     check_plan_matches_clusters(data.clusters, plan)
-    _, records, _ = align_clusters(data.clusters, _pipeline_config(args).conf_percentile)
+    return data
+
+
+def cmd_align(args) -> None:
+    records, _ = align_clusters(_planned_scene(args).clusters, _pipeline_config(args).conf_percentile)
     write_transforms(args.out, records)
     print(f"wrote {args.out} ({len(records)} cluster transforms)")
 
 
 def cmd_track(args) -> None:
-    plan = read_plan(args.plan)
-    data = load_scene(args.clusters)
-    check_plan_matches_clusters(data.clusters, plan)
-    cfg = _pipeline_config(args)
-    tracking = run_tracking(
-        data.similarity,
-        _merged_geometry(data, args.transforms),
-        matcher_from_scene_dir(data.root),
-        k=cfg.k,
-        tau_reproj=cfg.tau_reproj,
-        max_keypoints=cfg.max_keypoints,
-    )
+    data = _planned_scene(args)
+    merged = merged_geometry(data.clusters, read_transforms(args.transforms), args.transforms)
+    tracking = track_scene(data, merged, _pipeline_config(args))
     write_tracks(args.out, tracking.tracks)
     print(
         f"wrote {args.out} ({len(tracking.tracks)} tracks from "
@@ -165,23 +149,19 @@ def cmd_track(args) -> None:
 def cmd_ba(args) -> None:
     data = load_scene(args.scene)
     tracks = read_tracks(args.tracks)
-    transforms_path = Path(args.transforms or Path(args.tracks).parent / "transforms.json")
-    if not transforms_path.exists():
+    transforms_path = args.transforms or Path(args.tracks).parent / "transforms.json"
+    if args.transforms is None and not transforms_path.exists():
         raise DataError(f"{transforms_path} not found; pass --transforms explicitly")
+    merged = merged_geometry(data.clusters, read_transforms(transforms_path), transforms_path)
     cfg = _pipeline_config(args).ba_config()
-    problem, result, refined_cameras, _, cloud = bundle_adjust(_merged_geometry(data, transforms_path), tracks, cfg)
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_poses(out / "poses_refined.json", [pose_record_from_camera(c) for c in refined_cameras])
-    write_loss_csv(out / "ba_loss.csv", result, cfg)
-    write_ply(out / "merged.ply", cloud)
+    problem, result, refined_cameras, _, cloud = bundle_adjust(merged, tracks, cfg)
+    write_ba_artifacts(args.out, refined_cameras, result, cloud, cfg)
     print(
         f"optimized {problem.n_cameras} cameras over {problem.n_points} tracks: "
         f"loss {result.initial_loss:.6g} -> {result.final_loss:.6g} "
         f"(best iteration {result.best_iteration})"
     )
-    print(f"wrote poses_refined.json, ba_loss.csv, merged.ply under {out}")
+    print(f"wrote poses_refined.json, ba_loss.csv, merged.ply under {args.out}")
 
 
 def cmd_eval(args) -> None:

@@ -1,9 +1,11 @@
 """End-to-end merge pipeline: plan, align, track, refine, evaluate.
 
 Each stage is one function that run_pipeline composes and the matching CLI
-subcommand calls after reading its files. Stages consume and produce
-interchange artifacts, so a pipeline run is reproducible stage by stage
-from cached files, and every artifact is byte-identical across runs.
+subcommand calls after reading its files: align_clusters, merged_geometry
+(the one builder of MergedGeometry, from transforms.json records),
+track_scene, bundle_adjust and write_ba_artifacts. Stages consume and
+produce interchange artifacts, so a pipeline run is reproducible stage by
+stage from cached files, and every artifact is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -187,6 +189,9 @@ def load_scene(scene_dir) -> SceneData:
             f"{similarity_path}: similarity matrix is {similarity.n}x{similarity.n} "
             f"but the manifest lists {len(manifest.images)} images"
         )
+    bad = [im.frame_id for im in manifest.images if not 0 <= im.frame_id < similarity.n]
+    if bad:  # the similarity matrix, the plan and the frame graph index frames by row
+        raise SchemaViolationError(f"{manifest_path}: frame_id {bad[0]} is outside 0..{similarity.n - 1}")
     image_sizes = {im.frame_id: (im.width, im.height) for im in manifest.images}
     clusters = [load_cluster(root, entry, image_sizes) for entry in manifest.clusters]
     return SceneData(
@@ -286,12 +291,8 @@ def matcher_from_scene_dir(scene_dir):
 def align_clusters(clusters, conf_percentile: float = 70.0):
     """Robust Sim(3) for each consecutive cluster pair, chained to cluster 0.
 
-    Returns (per-cluster transforms into the global frame, their
-    transforms.json records, per-pair AlignmentResult list). The transforms
-    are read back from the records: rotation -> quaternion -> rotation
-    loses ~1e-16, so later stages must consume exactly what a reader of
-    transforms.json reconstructs, or a stage-by-stage run from cached files
-    would drift from the end-to-end run by ulps.
+    Returns (the transforms.json record of each cluster's transform into the
+    global frame, per-pair AlignmentResult list).
     """
     if not clusters:
         raise ConfigError("no clusters to align")
@@ -311,7 +312,32 @@ def align_clusters(clusters, conf_percentile: float = 70.0):
         transform_record_from_sim3(c.cluster_id, t)
         for c, t in zip(clusters, chain_alignments([r.transform for r in results]))
     ]
-    return [sim3_from_transform_record(r) for r in records], records, results
+    return records, results
+
+
+def merged_geometry(clusters, records, source) -> MergedGeometry:
+    """The clusters under the transforms.json records of their ids; DataError
+    names source when a cluster has no record.
+
+    Each Sim(3) is read back from its record (rotation -> quaternion ->
+    rotation loses ~1e-16), so later stages consume exactly what a reader of
+    transforms.json reconstructs and a staged run matches run_pipeline's.
+    """
+    by_id = {rec.cluster_id: rec for rec in records}
+    missing = [c.cluster_id for c in clusters if c.cluster_id not in by_id]
+    if missing:
+        raise DataError(f"{source} has no transform for cluster {missing[0]}")
+    return MergedGeometry(clusters, [sim3_from_transform_record(by_id[c.cluster_id]) for c in clusters])
+
+
+def track_scene(data: SceneData, merged: MergedGeometry, cfg: PipelineConfig, matcher=None):
+    """Tracks across the scene's frame graph under cfg's k, tau_reproj and
+    max_keypoints; the matcher defaults to the scene's synthetic one."""
+    if matcher is None:
+        matcher = matcher_from_scene_dir(data.root)
+    return run_tracking(
+        data.similarity, merged, matcher, k=cfg.k, tau_reproj=cfg.tau_reproj, max_keypoints=cfg.max_keypoints
+    )
 
 
 @contextmanager
@@ -436,20 +462,11 @@ def run_pipeline(
         check_plan_matches_clusters(data.clusters, plan)
 
     with stage("align"):
-        transforms, transform_records, _ = align_clusters(data.clusters, cfg.conf_percentile)
+        transform_records, _ = align_clusters(data.clusters, cfg.conf_percentile)
 
     with stage("track"):
-        if matcher is None:
-            matcher = matcher_from_scene_dir(data.root)
-        merged = MergedGeometry(data.clusters, transforms)
-        tracking = run_tracking(
-            data.similarity,
-            merged,
-            matcher,
-            k=cfg.k,
-            tau_reproj=cfg.tau_reproj,
-            max_keypoints=cfg.max_keypoints,
-        )
+        merged = merged_geometry(data.clusters, transform_records, "the align stage")
+        tracking = track_scene(data, merged, cfg, matcher)
 
     with stage("ba"):
         problem, ba_result, refined_cameras, refined_tracks, cloud = bundle_adjust(
@@ -506,23 +523,25 @@ def write_run_artifacts(out_dir, result: PipelineResult, cfg: PipelineConfig) ->
     """Serialize every stage output; returns {artifact name: path}."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {}
-
-    paths["plan"] = out / "plan.json"
+    paths = {"plan": out / "plan.json", "transforms": out / "transforms.json", "tracks": out / "tracks.bin"}
     write_plan(paths["plan"], result.plan)
-    paths["transforms"] = out / "transforms.json"
     write_transforms(paths["transforms"], result.transform_records)
-    paths["tracks"] = out / "tracks.bin"
     write_tracks(paths["tracks"], result.tracking.tracks)
-    paths["poses"] = out / "poses_refined.json"
-    write_poses(paths["poses"], [pose_record_from_camera(c) for c in result.cameras])
-    paths["cloud"] = out / "merged.ply"
-    write_ply(paths["cloud"], result.cloud)
-    paths["ba_loss"] = out / "ba_loss.csv"
-    write_loss_csv(paths["ba_loss"], result.ba, cfg.ba_config())
+    paths.update(write_ba_artifacts(out, result.cameras, result.ba, result.cloud, cfg.ba_config()))
     if result.metrics is not None:
         paths["metrics"] = out / "metrics.json"
         _write_json(paths["metrics"], result.metrics)
     paths["report"] = out / "report.json"
     _write_json(paths["report"], result.report)
+    return paths
+
+
+def write_ba_artifacts(out_dir, cameras, ba_result, cloud: PointCloud, ba_cfg: BAConfig) -> dict:
+    """Write poses_refined.json, merged.ply and ba_loss.csv; returns {artifact name: path}."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = {"poses": out / "poses_refined.json", "cloud": out / "merged.ply", "ba_loss": out / "ba_loss.csv"}
+    write_poses(paths["poses"], [pose_record_from_camera(c) for c in cameras])
+    write_ply(paths["cloud"], cloud)
+    write_loss_csv(paths["ba_loss"], ba_result, ba_cfg)
     return paths

@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -271,6 +272,23 @@ class TestStagedArtifacts:
         )
         assert code == 3
         assert "pass --transforms explicitly" in capsys.readouterr().err
+
+    def test_ba_missing_explicit_transforms_exits_3(self, scene_dir, staged, tmp_path, capsys):
+        """The hint to pass --transforms is for the default path only."""
+        missing = tmp_path / "missing.json"
+        code = main(
+            [
+                "ba",
+                "--scene", str(scene_dir),
+                "--tracks", str(staged["tracks"]),
+                "--transforms", str(missing),
+                "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"{missing}: transforms file not found" in err
+        assert "pass --transforms" not in err
 
 
 class TestEval:
@@ -749,6 +767,51 @@ class TestExitCodes:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert f"{path}: {message}" in err
+
+    @pytest.mark.parametrize("command", ["track", "ba"])
+    def test_transforms_missing_a_cluster_exits_3(self, scene_dir, staged, tmp_path, capsys, command):
+        path = tmp_path / "transforms.json"
+        doc = json.loads(staged["transforms"].read_text())
+        doc["clusters"] = [c for c in doc["clusters"] if c["cluster_id"] != 1]
+        path.write_text(json.dumps(doc))
+        if command == "track":
+            argv = ["track", "--plan", str(staged["plan"]), "--clusters", str(scene_dir),
+                    "--out", str(tmp_path / "tracks.bin")]
+        else:
+            argv = ["ba", "--scene", str(scene_dir), "--tracks", str(staged["tracks"]), "--out", str(tmp_path / "o")]
+        assert main(argv + ["--transforms", str(path)]) == 3
+        assert f"{path} has no transform for cluster 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "align"])
+    def test_frame_ids_not_rows_exit_3_naming_manifest(self, scene_dir, staged, tmp_path, capsys, command):
+        """The similarity matrix, the plan and the frame graph index frames
+        by row, so a manifest whose frame ids are not 0..n-1 fails where it
+        is loaded, not as a partition mismatch."""
+        import shutil
+
+        scene = tmp_path / "scene"
+        shutil.copytree(scene_dir, scene)
+        last, renamed = N_CAMERAS - 1, N_CAMERAS + 6
+        manifest = scene / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        for image in doc["images"]:
+            if image["frame_id"] == last:
+                image["frame_id"] = renamed
+        for cluster in doc["clusters"]:
+            cluster["frame_ids"] = [renamed if f == last else f for f in cluster["frame_ids"]]
+            poses = scene / cluster["poses_path"]
+            poses_doc = json.loads(poses.read_text())
+            for pose in poses_doc["poses"]:
+                if pose["frame_id"] == last:
+                    pose["frame_id"] = renamed
+            poses.write_text(json.dumps(poses_doc))
+        manifest.write_text(json.dumps(doc))
+        if command == "run":
+            argv = ["run", "--scene", str(scene), "--subset-size", str(SUBSET_SIZE), "--overlap", str(OVERLAP)]
+        else:
+            argv = ["align", "--plan", str(staged["plan"]), "--clusters", str(scene)]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 3
+        assert f"{manifest}: frame_id {renamed} is outside 0..{N_CAMERAS - 1}" in capsys.readouterr().err
 
     def test_track_plan_mismatch_exits_2(self, scene_dir, staged, tmp_path, capsys):
         plan = tmp_path / "plan.json"
@@ -1380,10 +1443,17 @@ class TestLogging:
 
 class TestConsoleEntry:
     def test_module_is_executable(self):
+        import os
+
+        import scenemerge
+
+        src = str(Path(scenemerge.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         proc = subprocess.run(
             [sys.executable, "-m", "scenemerge.cli", "--help"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert "synth" in proc.stdout and "run" in proc.stdout
