@@ -310,6 +310,15 @@ class MergedGeometry:
     cluster-local depth and confidence maps, and the cluster transform's
     scale. Depth values are multiplied by that scale when a pixel is lifted
     (in float64), since a Sim(3)-transformed camera sees all depths scaled.
+
+    It also builds, once, the per-frame tables the match gate
+    (tracking.verify_matches) reads, one row per frame in frames() order:
+    rotations (F, 3, 3), translations (F, 3) and intrinsics rows (F, 4) of
+    the global cameras, each frame's image size and depth scale, and which
+    cluster holds its depth at what flat offset in that cluster's depth
+    stack. depths() reads a block of pixels of many frames straight from
+    the stacks, so no map is copied; the gate moves pixels between cameras
+    without lifting them to world points, so _lift serves sample alone.
     """
 
     def __init__(self, clusters, transforms):
@@ -319,8 +328,9 @@ class MergedGeometry:
             )
         if not clusters:
             raise ConfigError("no clusters to merge")
+        winners = _select_winner_instances(clusters)
         self._frames = {}
-        for fid, (_, ci, fi) in _select_winner_instances(clusters).items():
+        for fid, (_, ci, fi) in winners.items():
             cluster, t = clusters[ci], transforms[ci]
             self._frames[fid] = (
                 transform_camera(t, cluster.cameras[fi]),
@@ -328,6 +338,20 @@ class MergedGeometry:
                 cluster.confidences[fi],
                 t.scale,
             )
+        ids = self.frames()
+        self._ids = np.array(ids, dtype=np.int64)
+        cams = [self.camera(fid) for fid in ids]
+        holders = [winners[fid][1:] for fid in ids]  # (cluster index, frame index in it)
+        self.rotations = np.array([c.pose.rotation for c in cams])
+        self.translations = np.array([c.pose.translation for c in cams])
+        self.intrinsics = np.array([c.intrinsics.row() for c in cams])
+        self._depth_scales = np.array([transforms[ci].scale for ci, _ in holders], dtype=np.float64)
+        # per frame: width, height, holding cluster and flat offset in that cluster's stacks
+        sizes = [(c.intrinsics.width, c.intrinsics.height) for c in cams]
+        self._pixel_table = np.ascontiguousarray(
+            np.array([(w, h, ci, fi * w * h) for (w, h), (ci, fi) in zip(sizes, holders)], dtype=np.int64).T
+        )
+        self._depth_stacks = [np.ravel(c.depths) for c in clusters]  # views of the cluster stacks
 
     def frames(self):
         return sorted(self._frames)
@@ -341,6 +365,43 @@ class MergedGeometry:
             return self._frames[frame_id]
         except KeyError:
             raise MissingFrameError(f"frame {frame_id} not present in any cluster") from None
+
+    def table_rows(self, frame_ids) -> np.ndarray:
+        """Row of each frame id in the per-frame tables; MissingFrameError
+        names the first id no cluster holds."""
+        ids = np.asarray(frame_ids, dtype=np.int64)
+        rows = np.minimum(np.searchsorted(self._ids, ids), len(self._ids) - 1)
+        missing = self._ids.take(rows) != ids
+        if missing.any():
+            raise MissingFrameError(f"frame {ids[missing][0]} not present in any cluster")
+        return rows
+
+    def depths(self, rows: np.ndarray, pixels: np.ndarray):
+        """(kept, at, depths) of (N, 2) float64 subpixel coordinates, each of
+        the frame at its table row in rows (N,).
+
+        Depth is read at the nearest integer pixel, by flat index straight
+        from the holding cluster's depth stack. Only the valid samples
+        (inside the map, depth > 0) are kept: kept numbers them in pixels, at
+        is each one's flat index into its frame's maps and depths their depth
+        times the frame's depth scale, in float64. Pixels are rounded and
+        bounded in float64, and only those inside the map are cast to
+        integers, so a huge finite pixel cannot overflow the cast.
+        """
+        width, height, holder, offset = self._pixel_table
+        width = width.take(rows)
+        u, v = np.rint(pixels[:, 0]), np.rint(pixels[:, 1])
+        kept = np.flatnonzero((u >= 0) & (u < width) & (v >= 0) & (v < height.take(rows)))
+        at = (v.take(kept) * width.take(kept) + u.take(kept)).astype(np.int64)  # exact: whole numbers below 2**53
+        del u, v, width  # before the reads: a gate block's memory peaks here
+        rows = rows.take(kept)
+        in_stack, holder = at + offset.take(rows), holder.take(rows)
+        d = np.empty(len(kept), dtype=np.float32)
+        for ci, stack in enumerate(self._depth_stacks):
+            sel = np.flatnonzero(holder == ci)
+            d[sel] = stack.take(in_stack.take(sel))
+        ok = np.flatnonzero(d > 0)
+        return kept.take(ok), at.take(ok), d.take(ok).astype(np.float64) * self._depth_scales.take(rows.take(ok))
 
     def sample(self, frame_id: int, pixels: np.ndarray):
         """Unproject subpixel coordinates through the global camera.
@@ -361,25 +422,14 @@ class MergedGeometry:
         return pts, confs, valid
 
     def _lift(self, frame_id: int, pixels: np.ndarray):
-        """The one lift of (N, 2) float64 subpixel coordinates, which sample
-        and the match gate share: (rows, at, points).
-
-        Depth is read once, at the nearest integer pixel. Only the valid
-        samples (inside the map, depth > 0) are kept: rows numbers them in
-        pixels, at is each one's flat index into the frame's maps and points
-        (len(rows), 3) their world points. Pixels are rounded and bounded in
-        float64, and only those inside the map are cast to integers, so a
-        huge finite pixel cannot overflow the cast.
-        """
-        cam, depth, _, scale = self.frame_geometry(frame_id)
-        height, width = depth.shape
-        u, v = np.rint(pixels[:, 0]), np.rint(pixels[:, 1])
-        rows = np.flatnonzero((u >= 0) & (u < width) & (v >= 0) & (v < height))
-        at = (v.take(rows) * width + u.take(rows)).astype(np.int64)  # exact: whole numbers below 2**53
-        d = depth.take(at)
-        ok = np.flatnonzero(d > 0)
-        rows, at = rows.take(ok), at.take(ok)
-        return rows, at, unproject_pixels(pixels.take(rows, axis=0), d.take(ok).astype(np.float64) * scale, cam)
+        """The one lift of (N, 2) float64 subpixel coordinates to world
+        points, which sample uses: (rows, at, points), rows and at as
+        depths() gives them and points (len(rows), 3) the valid samples'
+        world points. The match gate reads depths() too but forms no world
+        point, so this lift is not shared with it."""
+        table_row = self.table_rows([frame_id])
+        rows, at, d = self.depths(np.repeat(table_row, len(pixels)), pixels)
+        return rows, at, unproject_pixels(pixels.take(rows, axis=0), d, self.camera(frame_id))
 
     def dense_cloud(self, cameras=None) -> PointCloud:
         """Every valid-depth pixel of every frame, unprojected in frame order.

@@ -25,6 +25,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,6 +64,7 @@ _RESAMPLE_ATTEMPTS = 100
 _NEAR_PLANE = 0.05
 _MAX_STEP_FRACTION = 0.04  # of scene diameter, under the 5% smoothness bound
 _MAX_ARC_SPAN = 0.9 * 2.0 * np.pi  # open trajectory: no wraparound
+_PROJECTED_FRAMES = 16  # frames whose projected landmarks a synthetic matcher keeps
 GT_SCENE_NAME = "scene.mrgt"  # write_scene's exact ground-truth scene, in gt/
 
 
@@ -400,23 +402,41 @@ def synthetic_matcher(scene: SyntheticScene, perturb: PerturbationSpec):
     works in ground-truth geometry, as a real image matcher would be. Like
     any matcher it returns every pair it finds; run_tracking applies the
     one keypoint cap.
+
+    Each frame's visible landmarks are projected once and the last
+    _PROJECTED_FRAMES frames' pixels kept, read-only; an edge gathers its
+    shared landmarks' rows from them. A row's pixel has the bits of
+    projecting its landmark alone, so the match sets do not depend on the
+    order edges are asked for.
     """
-    w, h = scene.image_size
+    span = np.array(scene.image_size, dtype=np.float64) - 1  # outliers fall in [0, w - 1] x [0, h - 1]
+
+    @functools.lru_cache(maxsize=_PROJECTED_FRAMES)
+    def projected(frame: int):
+        """(visible landmark ids ascending, their exact pixels) of frame."""
+        visible = np.flatnonzero(scene.visibility[frame])
+        uv = project_points(scene.landmarks[visible], scene.gt_cameras[frame])[0]
+        uv.setflags(write=False)
+        return visible, uv
 
     def match(frame_i: int, frame_j: int) -> MatchSet:
         lo, hi = (frame_i, frame_j) if frame_i < frame_j else (frame_j, frame_i)
         rng = np.random.default_rng(np.random.SeedSequence((scene.seed, 104729, lo, hi)))
-        shared = np.nonzero(scene.visibility[lo] & scene.visibility[hi])[0]
-        pts = scene.landmarks[shared]
-        uv = {f: project_points(pts, scene.gt_cameras[f])[0] for f in (lo, hi)}
+        uv = {}
+        for f, other in ((lo, hi), (hi, lo)):
+            visible, pixels = projected(f)
+            # the shared landmarks' rows, ascending: those other sees too
+            uv[f] = pixels.take(np.flatnonzero(scene.visibility[other].take(visible)), axis=0)
+        n_shared = len(uv[lo])
         if perturb.match_pixel_noise_sigma > 0:
-            uv[lo] = uv[lo] + rng.normal(0, perturb.match_pixel_noise_sigma, size=uv[lo].shape)
-            uv[hi] = uv[hi] + rng.normal(0, perturb.match_pixel_noise_sigma, size=uv[hi].shape)
-        n_out = int(np.floor(perturb.outlier_match_fraction * len(shared)))
+            uv[lo] += rng.normal(0, perturb.match_pixel_noise_sigma, size=uv[lo].shape)
+            uv[hi] += rng.normal(0, perturb.match_pixel_noise_sigma, size=uv[hi].shape)
+        n_out = int(np.floor(perturb.outlier_match_fraction * n_shared))
         if n_out > 0:
-            which = rng.choice(len(shared), size=n_out, replace=False)
-            uv[lo][which] = rng.uniform([0, 0], [w - 1, h - 1], size=(n_out, 2))
-            uv[hi][which] = rng.uniform([0, 0], [w - 1, h - 1], size=(n_out, 2))
+            which = rng.choice(n_shared, size=n_out, replace=False)
+            # the bits of rng.uniform([0, 0], span, (n_out, 2)), from the same draws
+            uv[lo][which] = rng.random((n_out, 2)) * span
+            uv[hi][which] = rng.random((n_out, 2)) * span
         if frame_i == lo:
             return MatchSet(frame_i=lo, frame_j=hi, pixels_i=uv[lo], pixels_j=uv[hi])
         return MatchSet(frame_i=hi, frame_j=lo, pixels_i=uv[hi], pixels_j=uv[lo])

@@ -1,16 +1,18 @@
 """Multi-view track building over a sparse k-NN frame graph.
 
 Pairwise matches are verified by bidirectional reprojection against the
-globally aligned geometry, which returns the rows that pass, then merged
-into tracks: the connected components of the match graph over keypoints
-keyed on (frame id, rounded pixel). Each match set's kept rows stream into
-a KeypointTable, which keeps one sorted keypoint table per frame and unions
-each batch of pairs into one int32 parent array over the keypoints as it
-is interned (hook and compress, in numpy), so neither the match sets nor
-the pairs are kept and tracking memory grows with keypoints, not pairs.
-Every pixel is lifted to 3D through MergedGeometry's one lifting core: the
-gate takes only the valid rows' points from it, and fusion reads them with
-their confidences through MergedGeometry.sample. Each track fuses its
+globally aligned geometry, a block of many edges' rows per call, which
+returns the rows that pass, then merged into tracks: the connected
+components of the match graph over keypoints keyed on (frame id, rounded
+pixel). Each match set's kept rows stream into a KeypointTable, which
+keeps one sorted keypoint table per frame and unions each batch of pairs
+into one int32 parent array over the keypoints as it is interned (hook
+and compress, in numpy), so neither the match sets nor the pairs are kept
+and tracking memory grows with keypoints, not pairs.
+The gate reads depth and cameras from MergedGeometry's per-frame tables
+and moves each pixel into the other camera through the edge's relative
+pose, forming no world point; fusion lifts keypoints to 3D with their
+confidences through MergedGeometry.sample. Each track fuses its
 per-observation 3D points by confidence-weighted averaging; the fused
 confidence is the mean of the observation confidences.
 
@@ -21,15 +23,16 @@ observations by frame id; tracks.bin stores the table as is.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, DataError, MissingFrameError
-from .geometry import project_points
 
 __all__ = [
     "MatchSet",
+    "MatchBlock",
     "KeypointTable",
     "FrameGraph",
     "Tracks",
@@ -193,45 +196,129 @@ def build_frame_graph(m, k: int) -> FrameGraph:
     return FrameGraph(n_frames=n, edges=list(edges))
 
 
-def verify_matches(ms: MatchSet, merged, tau_reproj: float = 8.0) -> np.ndarray:
-    """Bidirectional reprojection gate at tau_reproj pixels: the rows of ms
-    that pass, in ascending order, as an int array.
+@dataclass(frozen=True)
+class MatchBlock:
+    """Consecutive rows of several match sets, verified in one gate call.
 
-    A pair passes iff both pixels sample valid depth, the point that
-    merged lifts from pixel i reprojects through merged's camera of frame j
-    within tau_reproj of its partner (landing in front of the camera), and
-    the symmetric j to i check passes. Each direction lifts and projects
-    only the rows that can still pass (see _reprojects), and the reverse
-    check runs only on the pairs that survive the forward one; every row
-    gets the bits it would get alone, so the rows kept are those of
-    checking both directions on every pair.
+    The block is cut into pieces, each a run of rows of one match set:
+    frames (E, 2) holds each piece's (frame_i, frame_j) and counts (E,) its
+    row count, and pixels_i and pixels_j (N, 2) hold the rows of every piece
+    in order. len() is N, the pairs offered.
+    """
+
+    frames: np.ndarray
+    counts: np.ndarray
+    pixels_i: np.ndarray
+    pixels_j: np.ndarray
+
+    @classmethod
+    def of(cls, pieces) -> "MatchBlock":
+        """The block of (match set, row slice) pieces, in order."""
+        pieces = list(pieces)
+        pixels_i = [ms.pixels_i[rows] for ms, rows in pieces]
+        return cls(
+            frames=np.array([(ms.frame_i, ms.frame_j) for ms, _ in pieces], dtype=np.int64).reshape(-1, 2),
+            counts=np.array([len(p) for p in pixels_i], dtype=np.int64),
+            pixels_i=np.concatenate(pixels_i).reshape(-1, 2),
+            pixels_j=np.concatenate([ms.pixels_j[rows] for ms, rows in pieces]).reshape(-1, 2),
+        )
+
+    def __len__(self) -> int:
+        return len(self.pixels_i)
+
+
+def verify_matches(block: MatchBlock, merged, tau_reproj: float = 8.0) -> np.ndarray:
+    """Bidirectional reprojection gate at tau_reproj pixels: the rows of
+    block that pass, in ascending order, as an int array.
+
+    A pair passes iff both pixels sample valid depth, pixel i moved at its
+    depth into frame j's camera lands in front of it within tau_reproj of
+    its partner, and the symmetric j to i check passes. merged's per-frame
+    tables give each row's depth (MergedGeometry.depths) and each piece's
+    transfer (_transfers); no world point is formed. Each direction
+    transfers only the rows that can still pass, and the reverse check runs
+    only on the pairs that survive the forward one, so the rows kept are
+    those of checking both directions on every pair.
     """
     if not (np.isfinite(tau_reproj) and tau_reproj > 0):
         raise ConfigError(f"tau_reproj must be positive and finite, got {tau_reproj}")
-    if len(ms) == 0:
+    if len(block) == 0:
         return np.empty(0, dtype=np.intp)
-    keep = _reprojects(merged, ms.frame_i, ms.pixels_i, ms.frame_j, ms.pixels_j, tau_reproj)
-    back = _reprojects(
-        merged, ms.frame_j, ms.pixels_j.take(keep, axis=0), ms.frame_i, ms.pixels_i.take(keep, axis=0), tau_reproj
+    frame_i, frame_j = merged.table_rows(block.frames[:, 0]), merged.table_rows(block.frames[:, 1])
+    keep = _passes(merged, block.counts, frame_i, block.pixels_i, frame_j, block.pixels_j, tau_reproj)
+    back = _passes(
+        merged,
+        _runs(keep, block.counts),
+        frame_j,
+        block.pixels_j.take(keep, axis=0),
+        frame_i,
+        block.pixels_i.take(keep, axis=0),
+        tau_reproj,
     )
-    return keep[back]
+    return keep.take(back)
 
 
-def _reprojects(merged, src: int, pix_src: np.ndarray, dst: int, pix_dst: np.ndarray, tau_reproj: float):
-    """Rows of the pixels of frame src whose lifted point lands in front of
-    frame dst's camera within tau_reproj of its partner in pix_dst.
+def _runs(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """How many of rows (ascending) fall in each piece of counts rows."""
+    return np.diff(np.searchsorted(rows, np.cumsum(counts)), prepend=0)
 
-    merged._lift returns only the valid samples' rows and points, so
-    confidences are never read, and only the points in front of the camera
-    reach the error: their pixels are finite or, on overflow, infinite, and
+
+def _transfers(merged, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """(12, E): for each piece, from table row src to table row dst, the
+    3x3 matrix a (row-major) and vector b with which a source pixel (u, v)
+    at depth z lands at the homogeneous destination pixel
+    q = z * a @ (u, v, 1) + b. With K the pinhole matrices and the relative
+    pose r = R_dst R_src^T, t = t_dst - r t_src: a = K_dst r K_src^-1 and
+    b = K_dst t."""
+    r = merged.rotations.take(dst, axis=0) @ merged.rotations.take(src, axis=0).transpose(0, 2, 1)
+    t = merged.translations.take(dst, axis=0) - np.einsum("eij,ej->ei", r, merged.translations.take(src, axis=0))
+    k_src, k_dst = (_pinhole_matrices(merged.intrinsics.take(rows, axis=0)) for rows in (src, dst))
+    a = k_dst @ r @ np.linalg.inv(k_src)
+    b = np.einsum("eij,ej->ei", k_dst, t)
+    return np.ascontiguousarray(np.concatenate([a.reshape(-1, 9), b], axis=1).T)
+
+
+def _pinhole_matrices(k: np.ndarray) -> np.ndarray:
+    """(E, 3, 3) matrices [[fx, 0, cx], [0, fy, cy], [0, 0, 1]] of (E, 4)
+    intrinsics rows [fx, fy, cx, cy]."""
+    m = np.zeros((len(k), 3, 3))
+    m[:, 0, 0], m[:, 1, 1], m[:, 0, 2], m[:, 1, 2], m[:, 2, 2] = *k.T, 1
+    return m
+
+
+def _passes(merged, counts, src, pix_src, dst, pix_dst, tau_reproj: float) -> np.ndarray:
+    """Rows of pix_src, in pieces of counts rows each moving from table row
+    src[piece] to dst[piece], whose pixel moved at its depth lands in front
+    of the dst camera within tau_reproj of its partner in pix_dst.
+
+    Only the rows with valid depth are moved, and each piece's transfer is
+    repeated over its rows, so no per-row index is built. A row behind the
+    camera gets a NaN homogeneous depth there, which fails the comparison
+    quietly; the others' pixels are finite or, on overflow, infinite, and
     neither needs a guard.
     """
-    rows, _, pts = merged._lift(src, pix_src)
-    uv, in_front = project_points(pts, merged.camera(dst))
-    rows, uv = rows[in_front], uv.compress(in_front, axis=0)
+    rows, _, z = merged.depths(np.repeat(src, counts), pix_src)
+    transfer, runs = _transfers(merged, src, dst), _runs(rows, counts)
+    u, v = pix_src.take(rows, axis=0).T
+
+    def moved(k):
+        """Homogeneous coordinate k of every row's moved pixel,
+        z * (a[k, 0] * u + a[k, 1] * v + a[k, 2]) + b[k], in place."""
+        q = np.repeat(transfer[3 * k], runs)
+        q *= u
+        q += np.repeat(transfer[3 * k + 1], runs) * v
+        q += np.repeat(transfer[3 * k + 2], runs)
+        q *= z
+        q += np.repeat(transfer[9 + k], runs)
+        return q
+
+    w = moved(2)
+    w[w <= 0] = np.nan
     # clipped so a huge pixel cannot overflow the square; it fails either
     # way. sqrt(du * du + dv * dv) is np.linalg.norm's sum over two columns.
-    du, dv = np.clip(uv - pix_dst.take(rows, axis=0), -2 * tau_reproj, 2 * tau_reproj).T
+    lim = 2 * tau_reproj
+    du = np.clip(moved(0) / w - pix_dst[:, 0].take(rows), -lim, lim)
+    dv = np.clip(moved(1) / w - pix_dst[:, 1].take(rows), -lim, lim)
     return rows[np.sqrt(du * du + dv * dv) <= tau_reproj]
 
 
@@ -284,8 +371,8 @@ class KeypointTable:
         return self._n_rows // 2
 
     def add(self, ms: MatchSet, rows: np.ndarray) -> None:
-        """Append the pairs of ms at rows, an int array such as
-        verify_matches returns, to the table."""
+        """Append the pairs of ms at rows, an int array such as the kept
+        rows _verified hands back with ms, to the table."""
         if self._keys is None:
             raise ConfigError("keypoint table has handed over its keypoints; it takes no more match sets")
         if not len(rows):
@@ -424,6 +511,10 @@ def _find(parent: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return up
 
 
+# Keypoints per chunk of merge_tracks' sort-key gather.
+_KEY_CHUNK = 65_536
+
+
 def merge_tracks(table: KeypointTable, merged) -> Tracks:
     """Connected components over one KeypointTable, then fusion per component.
 
@@ -442,7 +533,9 @@ def merge_tracks(table: KeypointTable, merged) -> Tracks:
     holds each frame once, so neither order reads a keypoint id.
 
     The merge holds a few arrays per keypoint and nothing per pair, and
-    gathers each per-keypoint array into track order once. Building a table
+    gathers each per-keypoint array into track order once. The sort key is
+    written over the first rows _KEY_CHUNK keypoints at a time, so no
+    full-size int64 copy of the int32 roots exists. Building a table
     from match sets and merging it peaks below twice the bytes of their
     pixels; run_tracking, which streams verified rows into a table, peaks
     below 0.6x the bytes of the verified pixels, and twice the pairs over
@@ -455,8 +548,14 @@ def merge_tracks(table: KeypointTable, merged) -> Tracks:
 
     first_row = first.copy()  # each component's first table row, at its root
     np.minimum.at(first_row, root, first)
-    order = np.lexsort((node_frame, first_row.take(root)))
-    del first, first_row
+    # every keypoint's sort key, written over first a chunk at a time, so
+    # take never casts all the int32 roots to one int64 index
+    for start in range(0, len(root), _KEY_CHUNK):
+        chunk = slice(start, start + _KEY_CHUNK)
+        first[chunk] = first_row.take(root[chunk])
+    del first_row
+    order = np.lexsort((node_frame, first))
+    del first
     comp, obs_frame = root.take(order), node_frame.take(order)
     del root, node_frame
     ambiguous = np.zeros(len(order), dtype=bool)  # per root
@@ -517,13 +616,14 @@ def run_tracking(
     """Graph, per-edge matching, verification, then merge_tracks.
 
     merged is the MergedGeometry of the aligned clusters; verification and
-    fusion lift pixels and project points only through it. The matcher is
-    invoked once per graph edge (at most k * n times), in edge order; an
-    edge whose matcher call raises DataError (such as a MatchSet holding a
-    non-finite pixel) is skipped and counted in failed_edges, while any
-    other exception propagates. This is the one keypoint cap, for any
-    matcher: a match set keeps its first max_keypoints pairs, and only
-    those are verified.
+    fusion read pixels and cameras only through it. The matcher is invoked
+    once per graph edge (at most k * n times), in edge order; an edge whose
+    matcher call raises DataError (such as a MatchSet holding a non-finite
+    pixel), or returns a match set that does not join the edge's two
+    frames, is skipped and counted in failed_edges, while any other
+    exception propagates. This is the one keypoint cap, for any matcher: a
+    match set keeps its first max_keypoints pairs, and only those are
+    verified, _VERIFY_BLOCK rows per verify_matches call (_verified).
     """
     if max_keypoints < 1:
         raise ConfigError(f"max_keypoints must be >= 1, got {max_keypoints}")
@@ -535,17 +635,23 @@ def run_tracking(
             f"graph edges reference frames missing from all clusters: {sorted(missing)[:5]}"
         )
 
-    table = KeypointTable()
     failures = 0
-    for i, j in graph.edges:
-        try:
-            ms = matcher(i, j)
-        except DataError:
-            failures += 1
-            continue
-        if len(ms) > max_keypoints:
-            ms = replace(ms, pixels_i=ms.pixels_i[:max_keypoints], pixels_j=ms.pixels_j[:max_keypoints])
-        table.add(ms, verify_matches(ms, merged, tau_reproj))
+
+    def match_sets():
+        nonlocal failures
+        for i, j in graph.edges:
+            try:
+                ms = _edge_matches(matcher, i, j)
+            except DataError:
+                failures += 1
+                continue
+            if len(ms) > max_keypoints:
+                ms = replace(ms, pixels_i=ms.pixels_i[:max_keypoints], pixels_j=ms.pixels_j[:max_keypoints])
+            yield ms
+
+    table = KeypointTable()
+    for ms, rows in _verified(match_sets(), merged, tau_reproj):
+        table.add(ms, rows)
 
     tracks = merge_tracks(table, merged)
     return TrackingResult(
@@ -556,3 +662,64 @@ def run_tracking(
         keypoints=table.n_keypoints,
         verified_pairs=table.n_pairs,
     )
+
+
+def _edge_matches(matcher, i: int, j: int) -> MatchSet:
+    """matcher(i, j), or DataError naming the edge when the match set does
+    not join frames i and j."""
+    ms = matcher(i, j)
+    if {ms.frame_i, ms.frame_j} != {i, j}:
+        raise DataError(
+            f"edge ({i}, {j}): the matcher returned a match set of frames ({ms.frame_i}, {ms.frame_j})"
+        )
+    return ms
+
+
+# Rows of match sets verified per verify_matches call.
+_VERIFY_BLOCK = 4_096
+
+
+def _verified(match_sets, merged, tau_reproj: float):
+    """(match set, its kept rows) of every match set, in order.
+
+    The match sets' rows are cut into blocks of _VERIFY_BLOCK rows (the
+    last may hold fewer), so a block holds pieces of many match sets and a
+    match set may span several blocks; verify_matches checks one block per
+    call. A match set is handed back once its last row is verified, with
+    its kept rows in ascending order, as one verify_matches call on it
+    alone would give them.
+    """
+    waiting = deque()  # (match set, its first row in the stream), not yet handed back
+    pieces = []  # (match set, row slice) of the block being filled
+    kept = np.empty(0, dtype=np.intp)  # kept stream rows not yet handed back
+    queued = verified = 0  # stream rows put into blocks / verified
+
+    def verify():
+        nonlocal kept, verified
+        block = MatchBlock.of(pieces)
+        pieces.clear()
+        kept = np.concatenate([kept, verify_matches(block, merged, tau_reproj) + verified])
+        verified += len(block)
+
+    def hand_back():
+        nonlocal kept
+        while waiting and waiting[0][1] + len(waiting[0][0]) <= verified:
+            ms, first = waiting.popleft()
+            n = np.searchsorted(kept, first + len(ms))
+            rows, kept = kept[:n] - first, kept[n:]
+            yield ms, rows
+
+    for ms in match_sets:
+        waiting.append((ms, queued))
+        start = 0
+        while start < len(ms):
+            stop = min(len(ms), start + _VERIFY_BLOCK - (queued - verified))
+            pieces.append((ms, slice(start, stop)))
+            queued += stop - start
+            start = stop
+            if queued - verified == _VERIFY_BLOCK:
+                verify()
+        yield from hand_back()
+    if pieces:
+        verify()
+    yield from hand_back()

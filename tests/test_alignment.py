@@ -19,6 +19,7 @@ from scenemerge.errors import (
     DegenerateGeometryError,
     DivergenceError,
     InsufficientOverlapError,
+    MissingFrameError,
 )
 from scenemerge.geometry import (
     CameraIntrinsics,
@@ -554,6 +555,43 @@ class TestMergeClusters:
         expected = apply_sim3(warps[0], gt_centers)
         got = np.array([merged.camera(f).pose.center for f in merged.frames()])
         assert np.abs(got - expected).max() < 1e-5
+
+    def test_depths_read_each_frame_from_its_winning_cluster(self):
+        """depths, given the table rows of many frames at once, reads each
+        pixel from its frame's own map in the winning cluster: three clusters
+        of different image sizes and scales, two frames held twice, pixels
+        inside, on and past every edge, over holes and huge. Each kept row
+        has its flat index into the frame's map and that depth times the
+        cluster's scale, bit for bit; table_rows names a frame no cluster
+        holds."""
+        rng = np.random.default_rng(21)
+
+        def frame(fid, h, w, conf):
+            depth = rng.uniform(1.0, 3.0, (h, w)) * (rng.uniform(size=(h, w)) > 0.3)
+            return fid, depth, np.full((h, w), conf, dtype=np.float32)
+
+        clusters = [
+            _cluster(0, [frame(0, 5, 7, 0.5), frame(1, 5, 7, 0.2), frame(2, 5, 7, 0.9)]),
+            _cluster(1, [frame(2, 4, 6, 0.1), frame(3, 4, 6, 0.5), frame(4, 4, 6, 0.5)]),
+            _cluster(2, [frame(5, 6, 3, 0.5), frame(1, 6, 3, 0.8)]),
+        ]
+        merged = MergedGeometry(clusters, [_random_sim3(rng) for _ in clusters])
+        fids = rng.integers(0, 6, 600)
+        pixels = rng.uniform(-1.5, 8.5, (600, 2))
+        pixels[::50, 0] = 1e300
+        kept, at, depths = merged.depths(merged.table_rows(fids), pixels)
+
+        want = []
+        for row, (fid, (u, v)) in enumerate(zip(fids.tolist(), np.rint(pixels).tolist())):
+            _, depth, _, scale = merged.frame_geometry(fid)
+            h, w = depth.shape
+            if 0 <= u < w and 0 <= v < h and depth[int(v), int(u)] > 0:
+                want.append((row, int(v) * w + int(u), float(depth[int(v), int(u)]) * scale))
+        assert 0 < len(want) < len(pixels)
+        assert list(zip(kept.tolist(), at.tolist(), depths.tolist())) == want
+        assert merged.frame_geometry(1)[1].shape == (6, 3) and merged.frame_geometry(2)[1].shape == (5, 7)
+        with pytest.raises(MissingFrameError, match="frame 9"):
+            merged.table_rows([0, 9])
 
     def test_rejects_mismatched_lists(self):
         depth = np.ones((4, 4), dtype=np.float32)

@@ -29,6 +29,8 @@ OUTSIDE_LAYER_METRICS = {"trace.overhead_s", "ba.ate_ratio", "io_formats.scene_b
 def _hook_points():
     return [
         getattr_static(tracking, "merge_tracks"),
+        getattr_static(tracking, "verify_matches"),
+        getattr_static(pipeline, "matcher_from_scene_dir"),
         getattr_static(ba.BAProblem, "from_tracks"),
         getattr_static(pipeline, "apply_ba_result"),
         getattr_static(pipeline, "_stage"),
@@ -60,3 +62,8 @@ def test_traced_run_reports_every_layer_metric(tmp_path):
     assert metrics["tracking.track_len_mean"][0] == tracks.lengths.mean()
     assert metrics["ba.observations"][0] == tracks.lengths.sum()
     assert metrics["ba.loss_best"][0] == untraced.ba.final_loss == traced.ba.final_loss
+    # the verify span's note counts the pairs offered (len of the first
+    # argument) and kept (len of the result) by each gate call
+    offered = sum(min(n, config.max_keypoints) for n in tracer.notes["synthetic.match"])
+    assert 0 < traced.tracking.verified_pairs < offered
+    assert metrics["tracking.verify_pass_rate"][0] == traced.tracking.verified_pairs / offered

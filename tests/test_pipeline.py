@@ -250,7 +250,7 @@ class TestMatcherFromSceneDir:
         with no match noise every one of them verifies."""
         from scenemerge.alignment import MergedGeometry
         from scenemerge.synthetic import render_cluster, synthetic_similarity, write_scene
-        from scenemerge.tracking import build_frame_graph, verify_matches
+        from scenemerge.tracking import MatchBlock, build_frame_graph, verify_matches
 
         root = tmp_path / "wide"
         n_cameras, n_landmarks, noise_free = 16, 900, PerturbationSpec()
@@ -265,12 +265,8 @@ class TestMatcherFromSceneDir:
 
         matcher = matcher_from_scene_dir(root)
         merged = MergedGeometry(clusters, [Sim3Transform.identity()] * len(clusters))
-        total = verified = 0
-        for i, j in build_frame_graph(similarity, k=3).edges:
-            ms = matcher(i, j)
-            total += len(ms)
-            verified += len(verify_matches(ms, merged, tau_reproj=1.0))
-        assert total > 0 and verified == total
+        block = MatchBlock.of((matcher(i, j), slice(None)) for i, j in build_frame_graph(similarity, k=3).edges)
+        assert len(block) > 0 and len(verify_matches(block, merged, tau_reproj=1.0)) == len(block)
 
 
 class TestAlignClusters:

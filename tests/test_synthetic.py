@@ -13,6 +13,7 @@ from scenemerge.geometry import (
     Sim3Transform,
     apply_sim3,
     pinhole,
+    project_points,
     rotation_angle,
 )
 from scenemerge.synthetic import (
@@ -25,6 +26,7 @@ from scenemerge.synthetic import (
     synthetic_matcher,
     synthetic_similarity,
 )
+from scenemerge.tracking import MatchSet, build_frame_graph
 
 
 def _unproject_gt_frame(scene, frame_index):
@@ -58,6 +60,33 @@ def _splat_lexsort(camera, landmarks):
     depth = np.zeros((k.height, k.width), dtype=np.float32)
     depth.reshape(-1)[win_pix] = z[winners].astype(np.float32)
     return depth, winners, win_pix
+
+
+def _per_edge_matcher(scene, perturb):
+    """The synthetic matcher as it was before its projection cache: each
+    edge projects its shared landmarks into both frames, adds the noise out
+    of place and draws outliers with rng.uniform."""
+    w, h = scene.image_size
+
+    def match(frame_i, frame_j):
+        lo, hi = (frame_i, frame_j) if frame_i < frame_j else (frame_j, frame_i)
+        rng = np.random.default_rng(np.random.SeedSequence((scene.seed, 104729, lo, hi)))
+        shared = np.nonzero(scene.visibility[lo] & scene.visibility[hi])[0]
+        pts = scene.landmarks[shared]
+        uv = {f: project_points(pts, scene.gt_cameras[f])[0] for f in (lo, hi)}
+        if perturb.match_pixel_noise_sigma > 0:
+            uv[lo] = uv[lo] + rng.normal(0, perturb.match_pixel_noise_sigma, size=uv[lo].shape)
+            uv[hi] = uv[hi] + rng.normal(0, perturb.match_pixel_noise_sigma, size=uv[hi].shape)
+        n_out = int(np.floor(perturb.outlier_match_fraction * len(shared)))
+        if n_out > 0:
+            which = rng.choice(len(shared), size=n_out, replace=False)
+            uv[lo][which] = rng.uniform([0, 0], [w - 1, h - 1], size=(n_out, 2))
+            uv[hi][which] = rng.uniform([0, 0], [w - 1, h - 1], size=(n_out, 2))
+        if frame_i == lo:
+            return MatchSet(frame_i=lo, frame_j=hi, pixels_i=uv[lo], pixels_j=uv[hi])
+        return MatchSet(frame_i=hi, frame_j=lo, pixels_i=uv[hi], pixels_j=uv[lo])
+
+    return match
 
 
 def _assert_splats_equal(camera, landmarks):
@@ -334,3 +363,37 @@ class TestSyntheticMatcher:
             clean.pixels_j != dirty.pixels_j, axis=1
         )
         assert moved.sum() == int(np.floor(0.2 * len(clean)))
+
+    @pytest.mark.parametrize("order", ["edges", "reversed", "shuffled"])
+    def test_cached_projections_match_per_edge_reference(self, order):
+        """Every edge's match set, asked for in edge order, in reverse or
+        shuffled (so the 16-frame projection cache evicts frames and
+        projects them again), and in both orientations, equals bit for bit
+        the one of projecting the edge's shared landmarks per edge."""
+        scene = generate_scene(seed=4, n_cameras=40, n_landmarks=3000, layout="room")
+        spec = PerturbationSpec.default()
+        edges = build_frame_graph(synthetic_similarity(scene), 5).edges
+        if order == "reversed":
+            edges = [(j, i) for i, j in reversed(edges)]
+        elif order == "shuffled":
+            edges = [edges[e] for e in np.random.default_rng(3).permutation(len(edges))]
+        cached, reference = synthetic_matcher(scene, spec), _per_edge_matcher(scene, spec)
+        assert len({f for edge in edges for f in edge}) > 16
+        pairs = 0
+        for i, j in edges:
+            a, b = cached(i, j), reference(i, j)
+            assert (a.frame_i, a.frame_j) == (b.frame_i, b.frame_j) == (i, j)
+            assert a.pixels_i.tobytes() == b.pixels_i.tobytes()
+            assert a.pixels_j.tobytes() == b.pixels_j.tobytes()
+            pairs += len(a)
+        assert pairs > 10 * len(edges)
+
+    def test_outlier_draw_has_the_bits_of_uniform(self):
+        """rng.random scaled by the image span gives the bits of
+        rng.uniform([0, 0], [w - 1, h - 1]) from the same stream."""
+        for seed in range(4):
+            for w, h in ((64, 48), (640, 480), (97, 13), (2, 2)):
+                span = np.array([w, h], dtype=np.float64) - 1
+                a = np.random.default_rng(seed).uniform([0, 0], [w - 1, h - 1], size=(513, 2))
+                b = np.random.default_rng(seed).random((513, 2)) * span
+                assert a.tobytes() == b.tobytes()

@@ -39,6 +39,7 @@ from scenemerge.synthetic import (
 )
 from scenemerge import tracking
 from scenemerge.tracking import (
+    MatchBlock,
     MatchSet,
     Tracks,
     build_frame_graph,
@@ -99,6 +100,30 @@ def _table(matches):
 def _kept(ms, rows):
     """The match set of the pairs of ms at rows."""
     return MatchSet(ms.frame_i, ms.frame_j, ms.pixels_i[rows], ms.pixels_j[rows])
+
+
+def _verify(ms, merged, tau_reproj=8.0):
+    """The block gate on one match set: its kept rows."""
+    return verify_matches(MatchBlock.of([(ms, slice(None))]), merged, tau_reproj)
+
+
+def _per_edge_verify(ms, merged, tau_reproj):
+    """The per-edge gate the block gate replaced: each direction lifts the
+    rows that can still pass to world points and projects them, the reverse
+    only on the forward survivors. Its kept rows."""
+
+    def reprojects(src, pix_src, dst, pix_dst):
+        rows, _, pts = merged._lift(src, pix_src)
+        uv, in_front = project_points(pts, merged.camera(dst))
+        rows, uv = rows[in_front], uv.compress(in_front, axis=0)
+        du, dv = np.clip(uv - pix_dst.take(rows, axis=0), -2 * tau_reproj, 2 * tau_reproj).T
+        return rows[np.sqrt(du * du + dv * dv) <= tau_reproj]
+
+    if len(ms) == 0:
+        return np.empty(0, dtype=np.intp)
+    keep = reprojects(ms.frame_i, ms.pixels_i, ms.frame_j, ms.pixels_j)
+    back = reprojects(ms.frame_j, ms.pixels_j.take(keep, axis=0), ms.frame_i, ms.pixels_i.take(keep, axis=0))
+    return keep[back]
 
 
 def _reference_verify_matches(ms, merged, tau_reproj):
@@ -368,7 +393,7 @@ class TestVerifyMatches:
         """Exact projected landmarks survive tau=8 at 100%."""
         scene, merged = self._scene_geometry()
         ms = synthetic_matcher(scene, PerturbationSpec())(1, 2)
-        kept = verify_matches(ms, merged, 8.0)
+        kept = _verify(ms, merged)
         assert len(kept) == len(ms) > 0
 
     def test_huge_finite_pixel_dropped_without_warning(self):
@@ -378,7 +403,7 @@ class TestVerifyMatches:
         ms = _pair(
             0, 1, [((2.0, 2.0), (2.0, 2.0)), ((1e300, 3.0), (2.0, 2.0)), ((2.0, 2.0), (3.0, -1e300))]
         )
-        kept = verify_matches(ms, _merged_flat([0, 1]))
+        kept = _verify(ms, _merged_flat([0, 1]))
         assert kept.dtype.kind == "i" and kept.tolist() == [0]
 
     def test_offset_matches_fully_rejected(self):
@@ -388,7 +413,7 @@ class TestVerifyMatches:
         shifted = MatchSet(
             frame_i=1, frame_j=2, pixels_i=ms.pixels_i, pixels_j=ms.pixels_j + [20.0, 0.0]
         )
-        assert len(verify_matches(shifted, merged, 8.0)) == 0
+        assert len(_verify(shifted, merged)) == 0
 
     def test_outlier_rejection_rate(self):
         """80 true + 20 uniform-random pairs on 640x480: true all kept,
@@ -408,7 +433,7 @@ class TestVerifyMatches:
                 pixels_i=np.concatenate([full.pixels_i[pick], rnd_i]),
                 pixels_j=np.concatenate([full.pixels_j[pick], rnd_j]),
             )
-            kept = verify_matches(mixed, merged, 8.0)
+            kept = _verify(mixed, merged)
             kept_set = {tuple(p) for p in mixed.pixels_i[kept]}
             assert sum(tuple(p) in kept_set for p in full.pixels_i[pick]) == 80
             assert sum(tuple(p) in kept_set for p in rnd_i) <= 2
@@ -420,23 +445,24 @@ class TestVerifyMatches:
         cluster = dataclasses.replace(flat, depths=[hole, flat.depths[1]])
         merged = MergedGeometry([cluster], [Sim3Transform.identity()])
         ms = _pair(0, 1, [(((2.0, 2.0)), (2.0, 2.0)), ((6.0, 6.0), (4.4, 6.0))])
-        assert verify_matches(ms, merged, 8.0).tolist() == [1]
+        assert _verify(ms, merged).tolist() == [1]
 
     def test_pair_order_invariance(self):
         scene, merged = self._scene_geometry()
         ms = synthetic_matcher(scene, PerturbationSpec(match_pixel_noise_sigma=2.0))(1, 2)
         perm = np.random.default_rng(0).permutation(len(ms))
         shuffled = MatchSet(frame_i=1, frame_j=2, pixels_i=ms.pixels_i[perm], pixels_j=ms.pixels_j[perm])
-        a = verify_matches(ms, merged, 8.0)
-        b = verify_matches(shuffled, merged, 8.0)
+        a = _verify(ms, merged)
+        b = _verify(shuffled, merged)
         assert sorted(perm[b].tolist()) == a.tolist()
 
     def test_every_rejection_branch_matches_reference(self):
         """On one hand-built edge the gate keeps the rows that the reference
-        (both directions on every row, NaN rows guarded) keeps, and each row
-        fails where it is built to. Frame 1 sits 1 unit ahead of frame 0 on
-        the optical axis with half its depth, so a depth-2 pixel (u, v) of
-        frame 0 lands at (2u - 4, 2v - 4) in frame 1 and back."""
+        (both directions on every row, NaN rows guarded) and the per-edge
+        gate keep, and each row fails where it is built to, in each
+        direction of the gate alone. Frame 1 sits 1 unit ahead of frame 0
+        on the optical axis with half its depth, so a depth-2 pixel (u, v)
+        of frame 0 lands at (2u - 4, 2v - 4) in frame 1 and back."""
         intr = CameraIntrinsics(fx=16.0, fy=16.0, cx=4.0, cy=4.0, width=8, height=8)
         cams = [
             CameraParams(intr, CameraPose(np.eye(3), np.array([0.0, 0.0, -dz])), fid)
@@ -471,20 +497,29 @@ class TestVerifyMatches:
             ((5.0, 5.0), (7.5, 6.0)),  # 11 1.5 px off forward
             ((2.0, 4.0), (0.0, 4.0)),  # 12 1.33 px off in reverse
             ((4.0, 4.0), (4.0, 4.0)),  # 13 j has zero depth
+            ((1.0, 6.0), (7.0, 2.0)),  # 14 behind frame 1, whose division by -z puts it on its partner
         ]
         ms = _pair(0, 1, rows)
-        kept = verify_matches(ms, merged, 1.0)
+        kept = _verify(ms, merged, 1.0)
         reference, forward, reverse = _reference_verify_matches(ms, merged, 1.0)
-        assert kept.tolist() == reference.tolist() == [0, 1]
-        assert np.flatnonzero(~forward).tolist() == [2, 3, 4, 7, 8, 9, 10, 11]
+        assert kept.tolist() == reference.tolist() == _per_edge_verify(ms, merged, 1.0).tolist() == [0, 1]
+        assert np.flatnonzero(~forward).tolist() == [2, 3, 4, 7, 8, 9, 10, 11, 14]
         assert np.flatnonzero(forward & ~reverse).tolist() == [5, 6, 12, 13]
+        # each direction of the block gate alone, on every row
+        block, (row_0, row_1) = MatchBlock.of([(ms, slice(None))]), merged.table_rows([0, 1])
+        for src, pix_src, dst, pix_dst, want in (
+            ([row_0], block.pixels_i, [row_1], block.pixels_j, forward),
+            ([row_1], block.pixels_j, [row_0], block.pixels_i, reverse),
+        ):
+            passed = tracking._passes(merged, block.counts, np.array(src), pix_src, np.array(dst), pix_dst, 1.0)
+            assert passed.tolist() == np.flatnonzero(want).tolist()
 
     def test_rejects_bad_tau(self):
         merged = _merged_flat([0, 1])
         ms = _pair(0, 1, [((2.0, 2.0), (2.0, 2.0))])
         for bad in (0.0, float("nan"), float("inf")):
             with pytest.raises(ConfigError, match="tau_reproj"):
-                verify_matches(ms, merged, bad)
+                _verify(ms, merged, bad)
 
 
 class TestMergeTracks:
@@ -637,6 +672,27 @@ class TestMergeTracks:
         input_bytes = sum(ms.pixels_i.nbytes + ms.pixels_j.nbytes for ms in matches)
         _, peak = traced_peak(lambda: merge_tracks(_table(matches), merged))
         assert peak <= 2.0 * input_bytes, f"peak {peak / input_bytes:.2f}x the input pixel bytes"
+
+    def test_merge_sort_key_holds_no_index_copy(self, traced_peak):
+        """merge_tracks over 204,800 keypoints peaks (tracemalloc) below 56
+        bytes per keypoint: the table's per-keypoint arrays (36 bytes), the
+        per-root first rows and the sort order, with the sort key written
+        over the first rows. Gathering the key with one take over every
+        int32 root casts them to a full int64 index first and read 60.1.
+        Pixel p of frame 0 matches pixels p and p + 1 of frame 1, so one
+        chain holds frame 1 many times and is dropped: fusion allocates
+        nothing and the peak is the sort's."""
+        size = 320
+        merged = _merged_flat([0, 1], size=size, baseline=0.0)
+        v, u = np.mgrid[0:size, 0:size]
+        pixels = np.stack([u.ravel(), v.ravel()], axis=1).astype(np.float64)
+        table = tracking.KeypointTable()
+        table.add(MatchSet(0, 1, pixels, pixels), np.arange(len(pixels)))
+        table.add(MatchSet(0, 1, pixels[:-1], pixels[1:]), np.arange(len(pixels) - 1))
+        tracks, peak = traced_peak(lambda: merge_tracks(table, merged))
+        assert table.n_keypoints == 2 * size * size >= 200_000 and len(tracks) == 0
+        per_keypoint = peak / table.n_keypoints
+        assert per_keypoint < 56, f"peak {per_keypoint:.1f} bytes per keypoint"
 
     def test_subpixel_coordinates_share_rounded_node(self):
         """(1.4, 1.4) and (0.6, 0.6) both round to pixel (1, 1)."""
@@ -873,7 +929,7 @@ class TestRunTracking:
         scene, spec, sim, plan, clusters, warps, merged = self._pipeline_pieces()
         matcher = synthetic_matcher(scene, spec)
         match_sets = [matcher(i, j) for i, j in build_frame_graph(sim, 5).edges]
-        verified = [(ms, verify_matches(ms, merged, 8.0)) for ms in match_sets]
+        verified = [(ms, _verify(ms, merged)) for ms in match_sets]
         reference = _reference_merge_tracks([_kept(ms, rows) for ms, rows in verified], merged)
         assert len(reference) > 100
 
@@ -898,19 +954,119 @@ class TestRunTracking:
     def test_verify_matches_reference_bit_for_bit(self):
         """On every edge of a 20-camera scene, checking the reverse direction
         only on forward survivors keeps the rows that checking both
-        directions on every pair keeps; the edges hold pairs that fail only
+        directions on every pair keeps, and those of the per-edge gate that
+        lifted pixels to world points; the edges hold pairs that fail only
         the forward check and pairs that fail only the reverse one."""
         scene, spec, sim, plan, clusters, warps, merged = self._pipeline_pieces()
         matcher = synthetic_matcher(scene, spec)
         forward_only = reverse_only = 0
         for i, j in build_frame_graph(sim, 5).edges:
             ms = matcher(i, j)
-            kept = verify_matches(ms, merged, 8.0)
+            kept = _verify(ms, merged)
             reference, forward, reverse = _reference_verify_matches(ms, merged, 8.0)
-            assert kept.tolist() == reference.tolist()
+            assert kept.tolist() == reference.tolist() == _per_edge_verify(ms, merged, 8.0).tolist()
             forward_only += int(np.sum(~forward & reverse))
             reverse_only += int(np.sum(forward & ~reverse))
         assert forward_only > 0 and reverse_only > 0
+
+    @pytest.mark.parametrize("block", [7, 64, pytest.param(tracking._VERIFY_BLOCK, id="default")])
+    def test_block_size_keeps_rows_and_tracks(self, monkeypatch, block):
+        """Verified _VERIFY_BLOCK rows per gate call, every match set gets
+        back the rows the per-edge gate keeps on it alone, in edge order, and
+        run_tracking the tracks of those rows, at 7, 64 and the default rows
+        per block. Blocks split edges, and the edges include empty match sets
+        and ones whose every row fails."""
+        scene, spec, sim, plan, clusters, warps, merged = self._pipeline_pieces()
+        base = synthetic_matcher(scene, spec)
+        edges = build_frame_graph(sim, 5).edges
+
+        def matcher(i, j):
+            ms, e = base(i, j), edges.index((i, j))
+            if e % 7 == 3:
+                return MatchSet(i, j, np.empty((0, 2)), np.empty((0, 2)))
+            if e % 7 == 5:  # 20 px off: every row fails
+                return MatchSet(i, j, ms.pixels_i, ms.pixels_j + [20.0, 0.0])
+            return ms
+
+        match_sets = [matcher(i, j) for i, j in edges]
+        expected = [_per_edge_verify(ms, merged, 8.0) for ms in match_sets]
+        starts = np.cumsum([0] + [len(ms) for ms in match_sets])
+        assert any(len(ms) == 0 for ms in match_sets)
+        assert any(len(ms) > 0 and len(rows) == 0 for ms, rows in zip(match_sets, expected))
+        assert any(s // block != (e - 1) // block for s, e in zip(starts[:-1], starts[1:]) if e > s)
+
+        monkeypatch.setattr(tracking, "_VERIFY_BLOCK", block)
+        offered, gate = [], tracking.verify_matches
+
+        def counted(match_block, *args):
+            offered.append(len(match_block))
+            return gate(match_block, *args)
+
+        monkeypatch.setattr(tracking, "verify_matches", counted)
+        handed = list(tracking._verified(iter(match_sets), merged, 8.0))
+        assert all(a is b for (a, _), b in zip(handed, match_sets)) and len(handed) == len(match_sets)
+        for (_, rows), want in zip(handed, expected):
+            assert rows.tolist() == want.tolist()
+        assert set(offered[:-1]) <= {block} and 0 < offered[-1] <= block and sum(offered) == starts[-1]
+
+        reference = _reference_merge_tracks([_kept(ms, rows) for ms, rows in zip(match_sets, expected)], merged)
+        tracks = _track_list(run_tracking(sim, merged, matcher, k=5).tracks)
+        assert len(reference) > 100
+        assert sorted(map(_track_bits, tracks)) == sorted(map(_track_bits, reference))
+
+    def test_random_match_sets_match_per_edge_reference(self, monkeypatch):
+        """On random match sets over a three-cluster merge, the block gate
+        (64 rows per call) keeps on every match set the rows of the per-edge
+        gate, which lifted pixels to world points, and of both directions on
+        every row. Every rejection branch occurs: outside the map, zero
+        depth, behind the camera, beyond tau and a huge finite pixel. None
+        raises a RuntimeWarning."""
+        scene, spec, sim, plan, clusters, warps, merged = self._pipeline_pieces()
+        assert len(clusters) == 3
+        base = synthetic_matcher(scene, spec)
+        w, h = scene.image_size
+        rng = np.random.default_rng(11)
+        n = scene.n_cameras
+        # graph edges, plus frames half the ring apart: their points fall behind each other
+        pairs = build_frame_graph(sim, 5).edges + [(i, (i + n // 2) % n) for i in range(0, n, 3)]
+        match_sets = []
+        for i, j in pairs:
+            ms = base(i, j)
+            if len(ms) == 0:  # far frames share no landmarks: pair random pixels instead
+                ms = MatchSet(i, j, rng.uniform(0, [w, h], (50, 2)), rng.uniform(0, [w, h], (50, 2)))
+            pi, pj = ms.pixels_i.copy(), ms.pixels_j.copy()
+            kind = rng.integers(0, 10, len(ms))
+            wild = kind < 3  # anywhere in a box wider than the map
+            pi[wild] = rng.uniform([-4, -4], [w + 4, h + 4], (wild.sum(), 2))
+            nudged = kind == 3  # near the threshold
+            pj[nudged] += rng.normal(0, 8, (nudged.sum(), 2))
+            huge = np.flatnonzero(kind == 4)
+            pi[huge[::2], 0], pj[huge[1::2], 1] = 1e300, -1e300
+            match_sets.append(MatchSet(i, j, pi, pj))
+
+        branches = dict.fromkeys(["outside", "zero depth", "behind", "beyond tau", "huge", "kept"], 0)
+        for ms in match_sets:
+            k = merged.camera(ms.frame_i).intrinsics
+            u, v = np.rint(ms.pixels_i).T
+            inside = (u >= 0) & (u < k.width) & (v >= 0) & (v < k.height)
+            pts, _, valid = merged.sample(ms.frame_i, ms.pixels_i)
+            uv, front = project_points(pts, merged.camera(ms.frame_j))
+            reference, forward, _ = _reference_verify_matches(ms, merged, 8.0)
+            branches["outside"] += int(np.sum(~inside))
+            branches["zero depth"] += int(np.sum(inside & ~valid))
+            branches["behind"] += int(np.sum(valid & ~front))
+            branches["beyond tau"] += int(np.sum(valid & front & ~forward))
+            branches["huge"] += int(np.sum(np.abs(np.concatenate([ms.pixels_i, ms.pixels_j])) > 1e100))
+            branches["kept"] += len(reference)
+        assert min(branches.values()) > 0, branches
+
+        monkeypatch.setattr(tracking, "_VERIFY_BLOCK", 64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            handed = list(tracking._verified(iter(match_sets), merged, 8.0))
+            for ms, rows in handed:
+                reference = _reference_verify_matches(ms, merged, 8.0)[0]
+                assert rows.tolist() == _per_edge_verify(ms, merged, 8.0).tolist() == reference.tolist()
 
     @staticmethod
     def _pool_tracking(traced_peak, pairs):
@@ -993,6 +1149,35 @@ class TestRunTracking:
         res = run_tracking(sim, merged, nan_pixel, k=2)
         assert res.failed_edges == run_tracking(sim, merged, base, k=2).failed_edges + 1
         assert len(res.tracks) > 0
+
+    def test_match_set_of_other_frames_fails_the_edge(self):
+        """A match set that does not join its edge's two frames fails the
+        edge with a DataError naming the edge and the frames it holds,
+        counted like any other failed edge, instead of being verified
+        against the wrong frames."""
+        scene, spec, sim, plan, clusters, warps, merged = self._pipeline_pieces(n_cameras=10)
+        base = synthetic_matcher(scene, spec)
+        bad_edge = build_frame_graph(sim, 2).edges[0]
+        other = (bad_edge[1] + 7) % 10
+
+        def wrong_frame(i, j):
+            ms = base(i, j)
+            return dataclasses.replace(ms, frame_j=other) if (i, j) == bad_edge else ms
+
+        def no_matches(i, j):
+            if (i, j) == bad_edge:
+                raise DataError("no matches for this pair")
+            return base(i, j)
+
+        with pytest.raises(DataError, match=rf"edge \({bad_edge[0]}, {bad_edge[1]}\).*\({bad_edge[0]}, {other}\)"):
+            tracking._edge_matches(wrong_frame, *bad_edge)
+        res = run_tracking(sim, merged, wrong_frame, k=2)
+        skipped = run_tracking(sim, merged, no_matches, k=2)
+        assert res.failed_edges == skipped.failed_edges == run_tracking(sim, merged, base, k=2).failed_edges + 1
+        assert res.verified_pairs == skipped.verified_pairs
+        assert list(map(_track_bits, _track_list(res.tracks))) == list(map(_track_bits, _track_list(skipped.tracks)))
+        swapped = run_tracking(sim, merged, lambda i, j: base(j, i), k=2)  # (j, i) joins the same frames
+        assert swapped.failed_edges == res.failed_edges - 1
 
     def test_matcher_bug_propagates(self):
         """Only DataError marks an edge as failed; any other exception is a
