@@ -34,7 +34,7 @@ from .geometry import (
     unproject_pixels,
 )
 
-_DEFAULT_MAX_PAIRS = 50_000
+_MAX_PAIRS = 50_000  # correspondences kept per cluster pair
 _HUBER_K = 1.345  # 95% Gaussian efficiency
 _MAD_SCALE = 1.4826  # MAD to sigma for normal residuals
 _DELTA_FLOOR_FRACTION = 1e-6  # of the RMS point spread
@@ -84,7 +84,6 @@ def extract_overlap_correspondences(
     a: ClusterReconstruction,
     b: ClusterReconstruction,
     conf_percentile: float = 70.0,
-    max_pairs: int = _DEFAULT_MAX_PAIRS,
 ) -> CorrespondenceSet:
     """Pair up per-pixel unprojections over the clusters' shared frames.
 
@@ -92,13 +91,11 @@ def extract_overlap_correspondences(
     clusters, the pair (unproject in a, unproject in b) is emitted with
     confidence min(c_a, c_b). The lowest conf_percentile percent of pairs
     are dropped: with n pairs exactly n - floor(n * percentile / 100)
-    survive, ties keeping the higher pair index. Survivors beyond max_pairs
+    survive, ties keeping the higher pair index. Survivors beyond _MAX_PAIRS
     are thinned by even spacing (deterministic, no randomness).
     """
     if not (0 <= conf_percentile < 100):
         raise ConfigError(f"conf_percentile must be in [0, 100), got {conf_percentile}")
-    if max_pairs < 1:
-        raise ConfigError(f"max_pairs must be >= 1, got {max_pairs}")
     shared = sorted(set(a.frame_ids) & set(b.frame_ids))
     if not shared:
         raise InsufficientOverlapError(
@@ -135,8 +132,8 @@ def extract_overlap_correspondences(
         order = np.argsort(c, kind="stable")
         keep = np.sort(order[n_drop:])
         pa, pb, c = pa[keep], pb[keep], c[keep]
-    if len(pa) > max_pairs:
-        idx = np.unique(np.linspace(0, len(pa) - 1, max_pairs).round().astype(np.int64))
+    if len(pa) > _MAX_PAIRS:
+        idx = np.unique(np.linspace(0, len(pa) - 1, _MAX_PAIRS).round().astype(np.int64))
         pa, pb, c = pa[idx], pb[idx], c[idx]
     return CorrespondenceSet(points_a=pa, points_b=pb, confidences=c)
 
@@ -305,19 +302,17 @@ def _select_winner_instances(clusters) -> dict:
 class MergedGeometry:
     """Per-frame globally-aligned geometry for tracking, BA and the dense cloud.
 
-    pipeline.merged_geometry builds it. Holds, for each frame id, the
-    winning cluster instance's camera mapped into the global frame, its
-    cluster-local depth and confidence maps, and the cluster transform's
-    scale. Depth values are multiplied by that scale when a pixel is lifted
-    (in float64), since a Sim(3)-transformed camera sees all depths scaled.
-
-    It also builds, once, the per-frame tables the match gate
-    (tracking.verify_matches) reads, one row per frame in frames() order:
-    rotations (F, 3, 3), translations (F, 3) and intrinsics rows (F, 4) of
-    the global cameras, each frame's image size and depth scale, and which
-    cluster holds its depth at what flat offset in that cluster's depth
-    stack. depths() reads a block of pixels of many frames straight from
-    the stacks, so no map is copied; the gate moves pixels between cameras
+    pipeline.merged_geometry builds it in one pass over the winning cluster
+    instance of each frame, and keeps each frame once, as one row of
+    per-frame tables in frames() order: its camera mapped into the global
+    frame (rotations (F, 3, 3), translations (F, 3) and intrinsics rows
+    (F, 4), which the match gate tracking.verify_matches reads), its image
+    size, the cluster transform's scale, and which cluster holds its depth
+    and confidence maps at what flat offset in that cluster's stacks. The
+    maps are read from the stacks in place, never copied. Depth values are
+    multiplied by the scale when a pixel is lifted (in float64), since a
+    Sim(3)-transformed camera sees all depths scaled. depths() reads a
+    block of pixels of many frames; the gate moves pixels between cameras
     without lifting them to world points, so _lift serves sample alone.
     """
 
@@ -329,19 +324,9 @@ class MergedGeometry:
         if not clusters:
             raise ConfigError("no clusters to merge")
         winners = _select_winner_instances(clusters)
-        self._frames = {}
-        for fid, (_, ci, fi) in winners.items():
-            cluster, t = clusters[ci], transforms[ci]
-            self._frames[fid] = (
-                transform_camera(t, cluster.cameras[fi]),
-                cluster.depths[fi],
-                cluster.confidences[fi],
-                t.scale,
-            )
-        ids = self.frames()
-        self._ids = np.array(ids, dtype=np.int64)
-        cams = [self.camera(fid) for fid in ids]
-        holders = [winners[fid][1:] for fid in ids]  # (cluster index, frame index in it)
+        self._ids = np.array(sorted(winners), dtype=np.int64)
+        holders = [winners[fid][1:] for fid in self._ids.tolist()]  # (cluster index, frame index in it)
+        self._cameras = cams = [transform_camera(transforms[ci], clusters[ci].cameras[fi]) for ci, fi in holders]
         self.rotations = np.array([c.pose.rotation for c in cams])
         self.translations = np.array([c.pose.translation for c in cams])
         self.intrinsics = np.array([c.intrinsics.row() for c in cams])
@@ -352,19 +337,27 @@ class MergedGeometry:
             np.array([(w, h, ci, fi * w * h) for (w, h), (ci, fi) in zip(sizes, holders)], dtype=np.int64).T
         )
         self._depth_stacks = [np.ravel(c.depths) for c in clusters]  # views of the cluster stacks
+        self._conf_stacks = [np.ravel(c.confidences) for c in clusters]
 
     def frames(self):
-        return sorted(self._frames)
+        return self._ids.tolist()
 
     def camera(self, frame_id: int) -> CameraParams:
-        return self.frame_geometry(frame_id)[0]
+        return self._cameras[self.table_rows([frame_id])[0]]
 
     def frame_geometry(self, frame_id: int):
         """(global camera, local float32 depth map, confidence map, depth scale)."""
-        try:
-            return self._frames[frame_id]
-        except KeyError:
-            raise MissingFrameError(f"frame {frame_id} not present in any cluster") from None
+        row = self.table_rows([frame_id])[0]
+        return (self._cameras[row], *self._maps(row))
+
+    def _maps(self, row: int):
+        """(depth map, confidence map, depth scale) of the frame at table
+        row row; the maps are views of its holding cluster's stacks."""
+        width, height, holder, offset = self._pixel_table[:, row].tolist()
+        at = slice(offset, offset + width * height)
+        depth = self._depth_stacks[holder][at].reshape(height, width)
+        conf = self._conf_stacks[holder][at].reshape(height, width)
+        return depth, conf, self._depth_scales[row]
 
     def table_rows(self, frame_ids) -> np.ndarray:
         """Row of each frame id in the per-frame tables; MissingFrameError
@@ -440,14 +433,13 @@ class MergedGeometry:
         points array and one (N,) confidences array, so the cloud is held
         once and beside it only one frame's temporaries.
         """
-        frames = self.frames()
         if cameras is None:
-            cameras = [self.camera(fid) for fid in frames]
-        if len(cameras) != len(frames):
+            cameras = self._cameras
+        if len(cameras) != len(self._ids):
             raise DataError(
-                f"dense cloud needs one camera per frame: got {len(cameras)} cameras for {len(frames)} frames"
+                f"dense cloud needs one camera per frame: got {len(cameras)} cameras for {len(self._ids)} frames"
             )
-        maps = [self._frames[fid][1:] for fid in frames]
+        maps = [self._maps(row) for row in range(len(self._ids))]
         counts = [int(np.count_nonzero(depth > 0)) for depth, _, _ in maps]
         points, confidences = np.empty((sum(counts), 3)), np.empty(sum(counts))
         end = 0

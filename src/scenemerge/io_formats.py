@@ -520,6 +520,10 @@ def read_ply(path) -> PointCloud:
                 in_vertex = tok[1] == "vertex"
                 if in_vertex:
                     n = int(tok[2])
+                elif n is None and int(tok[2]) != 0:  # its records would be read as vertices
+                    raise SchemaViolationError(
+                        f"{path}: PLY element {tok[1]!r} with {tok[2]} records precedes the vertex element"
+                    )
             elif tok[0] == "property" and in_vertex:
                 if tok[1] == "list":
                     raise SchemaViolationError(f"{path}: list property {tok[-1]!r} not supported for vertices")

@@ -1,14 +1,15 @@
 """Multi-view track building over a sparse k-NN frame graph.
 
-Pairwise matches are verified by bidirectional reprojection against the
-globally aligned geometry, a block of many edges' rows per call, which
-returns the rows that pass, then merged into tracks: the connected
-components of the match graph over keypoints keyed on (frame id, rounded
-pixel). Each match set's kept rows stream into a KeypointTable, which
-keeps one sorted keypoint table per frame and unions each batch of pairs
-into one int32 parent array over the keypoints as it is interned (hook
-and compress, in numpy), so neither the match sets nor the pairs are kept
-and tracking memory grows with keypoints, not pairs.
+Pairwise matches are cut into blocks of many edges' rows and verified by
+bidirectional reprojection against the globally aligned geometry, one
+block per call, which returns the rows that pass, then merged into tracks:
+the connected components of the match graph over keypoints keyed on
+(frame id, rounded pixel). Each verified block and its kept rows stream
+into a KeypointTable, which keeps one sorted keypoint table per frame and
+unions each batch of pairs into one int32 parent array over the keypoints
+as it is interned (hook and compress, in numpy), so neither the match
+sets nor the pairs are kept and tracking memory grows with keypoints, not
+pairs.
 The gate reads depth and cameras from MergedGeometry's per-frame tables
 and moves each pixel into the other camera through the edge's relative
 pose, forming no world point; fusion lifts keypoints to 3D with their
@@ -23,8 +24,7 @@ observations by frame id; tracks.bin stores the table as is.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -329,13 +329,13 @@ _FLUSH_ROWS = 65_536
 class KeypointTable:
     """Verified pairs unioned into components over one keypoint table per frame.
 
-    The rows of the table are both keypoints of every pair added: match sets
-    in the order added, the pairs of each at the rows given in order,
+    The rows of the table are both keypoints of every pair added: blocks in
+    the order added, the pairs of each at the kept rows given in order,
     frame_i before frame_j, so pair p holds rows 2p and 2p + 1. Keypoint
     identity is (frame id, pixel rounded half to even); a keypoint keeps the
     first table row and first subpixel coordinate the table holds for it.
-    add() keeps no match set: its pixels wait in a per-frame buffer until
-    _FLUSH_ROWS rows are pending. A flush
+    add() keeps no block: the kept pixels of each of its pieces wait in a
+    per-frame buffer until _FLUSH_ROWS rows are pending. A flush
     interns each pending frame with one sort over its rounded (row, column)
     keys, merged into that frame's sorted key table, then unions the
     flushed pairs into one int32 parent array over the keypoints (_union)
@@ -343,7 +343,7 @@ class KeypointTable:
     keypoints, not pairs. The buffer lets one sort serve many match sets; a
     sorted insert per set made run_tracking 40% slower on the bench's
     object-200 scene. Iterating the table yields one range of pair numbers
-    per match set added with at least one pair, in order.
+    per add() that kept at least one pair, in order.
 
     Ids are handed out as keypoints are interned, so they follow the flush
     order; nothing downstream reads their values. keypoints() flushes and
@@ -370,15 +370,20 @@ class KeypointTable:
     def n_pairs(self) -> int:
         return self._n_rows // 2
 
-    def add(self, ms: MatchSet, rows: np.ndarray) -> None:
-        """Append the pairs of ms at rows, an int array such as the kept
-        rows _verified hands back with ms, to the table."""
+    def add(self, block: MatchBlock, rows: np.ndarray) -> None:
+        """Append the pairs of block at rows, the ascending int array of
+        kept rows verify_matches returns for it, to the table."""
         if self._keys is None:
             raise ConfigError("keypoint table has handed over its keypoints; it takes no more match sets")
         if not len(rows):
             return
-        for side, fid, px in ((0, ms.frame_i, ms.pixels_i), (1, ms.frame_j, ms.pixels_j)):
-            self._pending.setdefault(fid, []).append((self._n_rows + side, px.take(rows, axis=0)))
+        counts = _runs(rows, block.counts)  # kept rows of each piece
+        starts = np.cumsum(counts) - counts
+        for (fi, fj), start, n in zip(block.frames.tolist(), starts.tolist(), counts.tolist()):
+            if n:
+                kept = rows[start : start + n]
+                for side, fid, px in ((0, fi, block.pixels_i), (1, fj, block.pixels_j)):
+                    self._pending.setdefault(fid, []).append((self._n_rows + 2 * start + side, px.take(kept, axis=0)))
         self._sets.append(range(self.n_pairs, self.n_pairs + len(rows)))
         self._n_rows += 2 * len(rows)
         self._pending_rows += 2 * len(rows)
@@ -623,7 +628,8 @@ def run_tracking(
     frames, is skipped and counted in failed_edges, while any other
     exception propagates. This is the one keypoint cap, for any matcher: a
     match set keeps its first max_keypoints pairs, and only those are
-    verified, _VERIFY_BLOCK rows per verify_matches call (_verified).
+    verified, in blocks of _VERIFY_BLOCK rows (_blocks), each of which goes
+    to the keypoint table with its kept rows.
     """
     if max_keypoints < 1:
         raise ConfigError(f"max_keypoints must be >= 1, got {max_keypoints}")
@@ -645,13 +651,11 @@ def run_tracking(
             except DataError:
                 failures += 1
                 continue
-            if len(ms) > max_keypoints:
-                ms = replace(ms, pixels_i=ms.pixels_i[:max_keypoints], pixels_j=ms.pixels_j[:max_keypoints])
             yield ms
 
     table = KeypointTable()
-    for ms, rows in _verified(match_sets(), merged, tau_reproj):
-        table.add(ms, rows)
+    for block in _blocks(match_sets(), max_keypoints):
+        table.add(block, verify_matches(block, merged, tau_reproj))
 
     tracks = merge_tracks(table, merged)
     return TrackingResult(
@@ -679,47 +683,21 @@ def _edge_matches(matcher, i: int, j: int) -> MatchSet:
 _VERIFY_BLOCK = 4_096
 
 
-def _verified(match_sets, merged, tau_reproj: float):
-    """(match set, its kept rows) of every match set, in order.
-
-    The match sets' rows are cut into blocks of _VERIFY_BLOCK rows (the
-    last may hold fewer), so a block holds pieces of many match sets and a
-    match set may span several blocks; verify_matches checks one block per
-    call. A match set is handed back once its last row is verified, with
-    its kept rows in ascending order, as one verify_matches call on it
-    alone would give them.
-    """
-    waiting = deque()  # (match set, its first row in the stream), not yet handed back
-    pieces = []  # (match set, row slice) of the block being filled
-    kept = np.empty(0, dtype=np.intp)  # kept stream rows not yet handed back
-    queued = verified = 0  # stream rows put into blocks / verified
-
-    def verify():
-        nonlocal kept, verified
-        block = MatchBlock.of(pieces)
-        pieces.clear()
-        kept = np.concatenate([kept, verify_matches(block, merged, tau_reproj) + verified])
-        verified += len(block)
-
-    def hand_back():
-        nonlocal kept
-        while waiting and waiting[0][1] + len(waiting[0][0]) <= verified:
-            ms, first = waiting.popleft()
-            n = np.searchsorted(kept, first + len(ms))
-            rows, kept = kept[:n] - first, kept[n:]
-            yield ms, rows
-
+def _blocks(match_sets, max_keypoints: int):
+    """The first max_keypoints rows of every match set, in order, cut into
+    MatchBlocks of _VERIFY_BLOCK rows (the last may hold fewer). A block
+    holds pieces of many match sets, and a match set may span several
+    blocks; a match set with no rows adds no piece."""
+    pieces, filled = [], 0  # (match set, row slice) of the block being filled, and its rows
     for ms in match_sets:
-        waiting.append((ms, queued))
-        start = 0
-        while start < len(ms):
-            stop = min(len(ms), start + _VERIFY_BLOCK - (queued - verified))
-            pieces.append((ms, slice(start, stop)))
-            queued += stop - start
-            start = stop
-            if queued - verified == _VERIFY_BLOCK:
-                verify()
-        yield from hand_back()
+        start, stop = 0, min(len(ms), max_keypoints)
+        while start < stop:
+            end = min(stop, start + _VERIFY_BLOCK - filled)
+            pieces.append((ms, slice(start, end)))
+            filled += end - start
+            start = end
+            if filled == _VERIFY_BLOCK:
+                yield MatchBlock.of(pieces)
+                pieces, filled = [], 0
     if pieces:
-        verify()
-    yield from hand_back()
+        yield MatchBlock.of(pieces)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from scenemerge import alignment
 from scenemerge.alignment import (
     CorrespondenceSet,
     chain_alignments,
@@ -180,14 +181,15 @@ class TestExtractOverlap:
         with pytest.raises(InsufficientOverlapError):
             extract_overlap_correspondences(a, b)
 
-    def test_max_pairs_thinning(self):
+    def test_max_pairs_thinning(self, monkeypatch):
         rng = np.random.default_rng(2)
         depth = rng.uniform(1.0, 3.0, size=(25, 40)).astype(np.float32)
         conf = rng.uniform(0.0, 1.0, size=(25, 40)).astype(np.float32)
         a = _cluster(0, [(0, depth, conf)])
         b = _cluster(1, [(0, depth, conf)])
-        cs = extract_overlap_correspondences(a, b, conf_percentile=0.0, max_pairs=100)
-        again = extract_overlap_correspondences(a, b, conf_percentile=0.0, max_pairs=100)
+        monkeypatch.setattr(alignment, "_MAX_PAIRS", 100)
+        cs = extract_overlap_correspondences(a, b, conf_percentile=0.0)
+        again = extract_overlap_correspondences(a, b, conf_percentile=0.0)
         assert len(cs) == 100
         assert np.array_equal(cs.points_a, again.points_a)
 

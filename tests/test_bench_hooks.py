@@ -67,3 +67,6 @@ def test_traced_run_reports_every_layer_metric(tmp_path):
     offered = sum(min(n, config.max_keypoints) for n in tracer.notes["synthetic.match"])
     assert 0 < traced.tracking.verified_pairs < offered
     assert metrics["tracking.verify_pass_rate"][0] == traced.tracking.verified_pairs / offered
+    # the merge span's note counts its input keypoints as twice the pair
+    # numbers the keypoint table iterates over, which must be every pair
+    assert metrics["tracking.track_yield"][0] == tracks.lengths.sum() / (2 * traced.tracking.verified_pairs)

@@ -684,6 +684,24 @@ class TestPly:
         with pytest.raises(DataCorruptionError, match=re.escape(f"{p}: PLY vertex 2 is not finite")):
             read_ply(p)
 
+    def test_rejects_element_before_vertex(self, tmp_path):
+        """A PLY whose vertex element is not first is a SchemaViolationError
+        naming the file and the element in front, not vertices read from
+        the start of the body, where the other element's records are. An
+        empty element in front holds no bytes and is read past."""
+        face = [b"element face 1", b"property list uchar int vertex_indices"]
+        vertex = [b"element vertex 2", *(f"property float {c}".encode() for c in "xyz")]
+        pts = np.array([[1, 2, 3], [4, 5, 6]], dtype="<f4")
+        faces = np.array([3], dtype="u1").tobytes() + np.array([0, 1, 0], dtype="<i4").tobytes()
+        p = tmp_path / "a.ply"
+        header = [b"ply", b"format binary_little_endian 1.0", *face, *vertex, b"end_header", b""]
+        p.write_bytes(b"\n".join(header) + faces + pts.tobytes())
+        with pytest.raises(SchemaViolationError, match=re.escape(f"{p}: PLY element 'face' with 1 records precedes")):
+            read_ply(p)
+        header = [b"ply", b"format binary_little_endian 1.0", b"element face 0", *face[1:], *vertex, *face, b"end_header", b""]
+        p.write_bytes(b"\n".join(header) + pts.tobytes() + faces)
+        np.testing.assert_array_equal(read_ply(p).points, pts)
+
     def test_truncated_payload(self, tmp_path):
         p = tmp_path / "a.ply"
         write_ply(p, PointCloud(points=np.zeros((4, 3))))

@@ -89,11 +89,16 @@ def _pair(fi, fj, pixels):
     )
 
 
+def _block(ms):
+    """ms as a block of one piece, holding its pixel arrays uncopied."""
+    return MatchBlock(np.array([[ms.frame_i, ms.frame_j]]), np.array([len(ms)]), ms.pixels_i, ms.pixels_j)
+
+
 def _table(matches):
-    """A KeypointTable holding every pair of each match set."""
+    """A KeypointTable holding every pair of each match set, one add each."""
     table = tracking.KeypointTable()
     for ms in matches:
-        table.add(ms, np.arange(len(ms)))
+        table.add(_block(ms), np.arange(len(ms)))
     return table
 
 
@@ -105,6 +110,30 @@ def _kept(ms, rows):
 def _verify(ms, merged, tau_reproj=8.0):
     """The block gate on one match set: its kept rows."""
     return verify_matches(MatchBlock.of([(ms, slice(None))]), merged, tau_reproj)
+
+
+def _streamed_kept_rows(match_sets, merged, tau_reproj=8.0):
+    """Each match set's kept rows as run_tracking verifies them: its rows
+    cut into blocks (tracking._blocks), one gate call per block. Each
+    piece's rows are recovered from its block's result by position in the
+    stream. The blocks' pieces must hold the match sets' rows and frames,
+    in order."""
+    blocks = list(tracking._blocks(iter(match_sets), max_keypoints=2**62))
+    frames = [np.repeat(b.frames, b.counts, axis=0) for b in blocks]
+    frames = np.concatenate([np.empty((0, 2), dtype=np.int64)] + frames)
+    sizes = [len(ms) for ms in match_sets]
+    want_frames = np.repeat([(ms.frame_i, ms.frame_j) for ms in match_sets], sizes, axis=0).reshape(-1, 2)
+    assert frames.tolist() == want_frames.tolist()
+    for side in ("pixels_i", "pixels_j"):
+        got = np.concatenate([np.empty((0, 2))] + [getattr(b, side) for b in blocks])
+        assert got.tobytes() == np.concatenate([np.empty((0, 2))] + [getattr(ms, side) for ms in match_sets]).tobytes()
+    kept, offset = [np.empty(0, dtype=np.intp)], 0
+    for block in blocks:
+        kept.append(tracking.verify_matches(block, merged, tau_reproj) + offset)
+        offset += len(block)
+    kept, starts = np.concatenate(kept), np.cumsum([0] + sizes)
+    bounds = np.searchsorted(kept, starts)
+    return [kept[a:b] - first for a, b, first in zip(bounds[:-1], bounds[1:], starts)]
 
 
 def _per_edge_verify(ms, merged, tau_reproj):
@@ -651,7 +680,7 @@ class TestMergeTracks:
             assert partition.tolist() == expected_partition.tolist()
             assert np.array_equal(root.take(root), root)  # each root is an id of its own component
             with pytest.raises(ConfigError, match="handed over"):
-                table.add(matches[0], np.arange(len(matches[0])))
+                table.add(_block(matches[0]), np.arange(len(matches[0])))
             with pytest.raises(ConfigError, match="handed over"):
                 table.keypoints()
 
@@ -687,8 +716,8 @@ class TestMergeTracks:
         v, u = np.mgrid[0:size, 0:size]
         pixels = np.stack([u.ravel(), v.ravel()], axis=1).astype(np.float64)
         table = tracking.KeypointTable()
-        table.add(MatchSet(0, 1, pixels, pixels), np.arange(len(pixels)))
-        table.add(MatchSet(0, 1, pixels[:-1], pixels[1:]), np.arange(len(pixels) - 1))
+        table.add(_block(MatchSet(0, 1, pixels, pixels)), np.arange(len(pixels)))
+        table.add(_block(MatchSet(0, 1, pixels[:-1], pixels[1:])), np.arange(len(pixels) - 1))
         tracks, peak = traced_peak(lambda: merge_tracks(table, merged))
         assert table.n_keypoints == 2 * size * size >= 200_000 and len(tracks) == 0
         per_keypoint = peak / table.n_keypoints
@@ -806,6 +835,30 @@ class TestMergeTracks:
         reference = _reference_merge_tracks(matches, merged)
         assert list(map(_track_bits, _track_list(tracks))) == list(map(_track_bits, reference))
         assert len(merge_tracks(_table(matches[::2]), merged)) == 0
+
+    def test_empty_and_rejected_pieces_add_nothing(self):
+        """Empty match sets make no piece of any block, a piece whose rows
+        all fail leaves nothing pending, and a block with no kept row adds
+        no pair and no range: the table holds what a table of the kept
+        pieces alone holds."""
+        empty = MatchSet(4, 5, np.zeros((0, 2)), np.zeros((0, 2)))
+        assert list(tracking._blocks(iter([empty, empty]), 4096)) == []
+        sets = [
+            _pair(0, 1, [((1.0, 1.0), (2.0, 2.0)), ((3.0, 3.0), (4.0, 4.0))]),
+            empty,
+            _pair(2, 3, [((5.0, 5.0), (6.0, 6.0))]),
+            _pair(1, 2, [((2.0, 2.0), (5.0, 5.0)), ((7.0, 7.0), (1.0, 1.0))]),
+        ]
+        (block,) = tracking._blocks(iter(sets), 4096)
+        assert block.frames.tolist() == [[0, 1], [2, 3], [1, 2]] and block.counts.tolist() == [2, 1, 2]
+        table = tracking.KeypointTable()
+        table.add(block, np.empty(0, dtype=np.intp))
+        table.add(block, np.array([0, 1, 3]))  # the (2, 3) piece lost its row, the (1, 2) piece one of two
+        table.add(block, np.empty(0, dtype=np.intp))
+        assert [list(pairs) for pairs in table] == [[0, 1, 2]] and table.n_pairs == 3
+        alone = _table([sets[0], _pair(1, 2, [((2.0, 2.0), (5.0, 5.0))])])
+        for got, want in zip(table.keypoints(), alone.keypoints()):
+            assert got.tobytes() == want.tobytes()
 
     def test_one_sample_call_per_frame(self, monkeypatch):
         """Every keypoint of a frame is lifted in a single merged.sample call."""
@@ -936,7 +989,7 @@ class TestRunTracking:
         def table():
             table = tracking.KeypointTable()
             for ms, rows in verified:
-                table.add(ms, rows)
+                table.add(_block(ms), rows)
             return table
 
         runs, id_order = [], []
@@ -971,11 +1024,13 @@ class TestRunTracking:
 
     @pytest.mark.parametrize("block", [7, 64, pytest.param(tracking._VERIFY_BLOCK, id="default")])
     def test_block_size_keeps_rows_and_tracks(self, monkeypatch, block):
-        """Verified _VERIFY_BLOCK rows per gate call, every match set gets
-        back the rows the per-edge gate keeps on it alone, in edge order, and
-        run_tracking the tracks of those rows, at 7, 64 and the default rows
-        per block. Blocks split edges, and the edges include empty match sets
-        and ones whose every row fails."""
+        """Verified _VERIFY_BLOCK rows per gate call, every match set keeps
+        the rows the per-edge gate keeps on it alone, in edge order, and
+        run_tracking gives the tracks of those rows, at 7, 64 and the
+        default rows per block, whether the keypoint table flushes every
+        _FLUSH_ROWS rows or every 10, inside a block's rows. Blocks split
+        edges, and the edges include empty match sets and ones whose every
+        row fails."""
         scene, spec, sim, plan, clusters, warps, merged = self._pipeline_pieces()
         base = synthetic_matcher(scene, spec)
         edges = build_frame_graph(sim, 5).edges
@@ -1003,16 +1058,21 @@ class TestRunTracking:
             return gate(match_block, *args)
 
         monkeypatch.setattr(tracking, "verify_matches", counted)
-        handed = list(tracking._verified(iter(match_sets), merged, 8.0))
-        assert all(a is b for (a, _), b in zip(handed, match_sets)) and len(handed) == len(match_sets)
-        for (_, rows), want in zip(handed, expected):
+        handed = _streamed_kept_rows(match_sets, merged)
+        assert len(handed) == len(match_sets)
+        for rows, want in zip(handed, expected):
             assert rows.tolist() == want.tolist()
         assert set(offered[:-1]) <= {block} and 0 < offered[-1] <= block and sum(offered) == starts[-1]
 
         reference = _reference_merge_tracks([_kept(ms, rows) for ms, rows in zip(match_sets, expected)], merged)
-        tracks = _track_list(run_tracking(sim, merged, matcher, k=5).tracks)
         assert len(reference) > 100
-        assert sorted(map(_track_bits, tracks)) == sorted(map(_track_bits, reference))
+        for flush_rows in (tracking._FLUSH_ROWS, 10):
+            monkeypatch.setattr(tracking, "_FLUSH_ROWS", flush_rows)
+            offered.clear()
+            result = run_tracking(sim, merged, matcher, k=5)
+            assert result.verified_pairs == sum(map(len, expected)) and sum(offered) == starts[-1]
+            tracks = _track_list(result.tracks)
+            assert sorted(map(_track_bits, tracks)) == sorted(map(_track_bits, reference))
 
     def test_random_match_sets_match_per_edge_reference(self, monkeypatch):
         """On random match sets over a three-cluster merge, the block gate
@@ -1063,8 +1123,9 @@ class TestRunTracking:
         monkeypatch.setattr(tracking, "_VERIFY_BLOCK", 64)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            handed = list(tracking._verified(iter(match_sets), merged, 8.0))
-            for ms, rows in handed:
+            handed = _streamed_kept_rows(match_sets, merged)
+            assert len(handed) == len(match_sets)
+            for ms, rows in zip(match_sets, handed):
                 reference = _reference_verify_matches(ms, merged, 8.0)[0]
                 assert rows.tolist() == _per_edge_verify(ms, merged, 8.0).tolist() == reference.tolist()
 
@@ -1211,6 +1272,23 @@ class TestRunTracking:
         assert len(res.tracks) > 0
         for u, v in res.tracks.pixels:
             assert (float(u), float(v)) in allowed
+
+    def test_max_keypoints_caps_rows_offered(self, monkeypatch):
+        """A 5,000-row match set with max_keypoints 4,096 offers exactly its
+        first 4,096 rows to the gate, in one block."""
+        merged = _merged_flat([0, 1], size=64, baseline=0.0)
+        sim = SimilarityMatrix(np.array([[1.0, 0.9], [0.9, 1.0]]))
+        pts = np.random.default_rng(9).uniform(0.0, 63.0, size=(5000, 2))
+        offered, gate = [], tracking.verify_matches
+
+        def counted(block, *args):
+            offered.append(block)
+            return gate(block, *args)
+
+        monkeypatch.setattr(tracking, "verify_matches", counted)
+        res = run_tracking(sim, merged, lambda i, j: MatchSet(i, j, pts, pts), k=1, max_keypoints=4096)
+        assert [len(block) for block in offered] == [4096] and res.verified_pairs == 4096
+        assert offered[0].pixels_i.tobytes() == offered[0].pixels_j.tobytes() == pts[:4096].tobytes()
 
     def test_plan_mismatch_rejected(self):
         """A 20-camera plan has several subsets, so reversal misaligns; the
