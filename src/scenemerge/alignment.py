@@ -311,9 +311,10 @@ class MergedGeometry:
     and confidence maps at what flat offset in that cluster's stacks. The
     maps are read from the stacks in place, never copied. Depth values are
     multiplied by the scale when a pixel is lifted (in float64), since a
-    Sim(3)-transformed camera sees all depths scaled. depths() reads a
-    block of pixels of many frames; the gate moves pixels between cameras
-    without lifting them to world points, so _lift serves sample alone.
+    Sim(3)-transformed camera sees all depths scaled. _pixel_index is the
+    one rule from a match pixel to a map pixel: depths() reads the gate's
+    depths through it and pixel_keys() the keypoint identity of
+    tracking.KeypointTable, the global pixel index key_base[row] + v * W + u.
     """
 
     def __init__(self, clusters, transforms):
@@ -336,6 +337,8 @@ class MergedGeometry:
         self._pixel_table = np.ascontiguousarray(
             np.array([(w, h, ci, fi * w * h) for (w, h), (ci, fi) in zip(sizes, holders)], dtype=np.int64).T
         )
+        # each frame's first global pixel index, then the pixel count
+        self.key_base = np.concatenate([[0], np.cumsum(self._pixel_table[0] * self._pixel_table[1])])
         self._depth_stacks = [np.ravel(c.depths) for c in clusters]  # views of the cluster stacks
         self._conf_stacks = [np.ravel(c.confidences) for c in clusters]
 
@@ -344,11 +347,6 @@ class MergedGeometry:
 
     def camera(self, frame_id: int) -> CameraParams:
         return self._cameras[self.table_rows([frame_id])[0]]
-
-    def frame_geometry(self, frame_id: int):
-        """(global camera, local float32 depth map, confidence map, depth scale)."""
-        row = self.table_rows([frame_id])[0]
-        return (self._cameras[row], *self._maps(row))
 
     def _maps(self, row: int):
         """(depth map, confidence map, depth scale) of the frame at table
@@ -369,24 +367,30 @@ class MergedGeometry:
             raise MissingFrameError(f"frame {ids[missing][0]} not present in any cluster")
         return rows
 
+    def _pixel_index(self, rows: np.ndarray, pixels: np.ndarray):
+        """(kept, at) of (N, 2) float64 subpixel coordinates, each of the
+        frame at its table row in rows (N,): kept numbers those whose nearest
+        integer pixel (np.rint, half to even) lies inside the frame's map,
+        and at is each one's flat index v * W + u. Pixels are rounded and
+        bounded in float64, and only those inside the map are cast to
+        integers, so a huge finite pixel cannot overflow the cast."""
+        width = self._pixel_table[0].take(rows)
+        u, v = np.rint(pixels).T
+        kept = np.flatnonzero((u >= 0) & (u < width) & (v >= 0) & (v < self._pixel_table[1].take(rows)))
+        return kept, (v.take(kept) * width.take(kept) + u.take(kept)).astype(np.int64)  # exact: below 2**53
+
     def depths(self, rows: np.ndarray, pixels: np.ndarray):
         """(kept, at, depths) of (N, 2) float64 subpixel coordinates, each of
         the frame at its table row in rows (N,).
 
-        Depth is read at the nearest integer pixel, by flat index straight
+        Depth is read at the pixel _pixel_index gives, by flat index straight
         from the holding cluster's depth stack. Only the valid samples
         (inside the map, depth > 0) are kept: kept numbers them in pixels, at
         is each one's flat index into its frame's maps and depths their depth
-        times the frame's depth scale, in float64. Pixels are rounded and
-        bounded in float64, and only those inside the map are cast to
-        integers, so a huge finite pixel cannot overflow the cast.
+        times the frame's depth scale, in float64.
         """
-        width, height, holder, offset = self._pixel_table
-        width = width.take(rows)
-        u, v = np.rint(pixels[:, 0]), np.rint(pixels[:, 1])
-        kept = np.flatnonzero((u >= 0) & (u < width) & (v >= 0) & (v < height.take(rows)))
-        at = (v.take(kept) * width.take(kept) + u.take(kept)).astype(np.int64)  # exact: whole numbers below 2**53
-        del u, v, width  # before the reads: a gate block's memory peaks here
+        kept, at = self._pixel_index(rows, pixels)
+        _, _, holder, offset = self._pixel_table
         rows = rows.take(kept)
         in_stack, holder = at + offset.take(rows), holder.take(rows)
         d = np.empty(len(kept), dtype=np.float32)
@@ -396,33 +400,36 @@ class MergedGeometry:
         ok = np.flatnonzero(d > 0)
         return kept.take(ok), at.take(ok), d.take(ok).astype(np.float64) * self._depth_scales.take(rows.take(ok))
 
+    def pixel_keys(self, rows: np.ndarray, pixels: np.ndarray) -> np.ndarray:
+        """Global pixel index key_base[row] + v * W + u (int64) of each pixel
+        _pixel_index keeps; a DataError names the frame of the first pixel
+        outside its image."""
+        kept, at = self._pixel_index(rows, pixels)
+        if len(kept) < len(pixels):
+            bad = np.setdiff1d(np.arange(len(pixels)), kept)[0]
+            (w, h), fid = self._pixel_table[:2, rows[bad]], self._ids[rows[bad]]
+            raise DataError(f"frame {fid}: match pixel {pixels[bad].tolist()} lies outside its {w}x{h} image")
+        return at + self.key_base.take(rows)
+
     def sample(self, frame_id: int, pixels: np.ndarray):
-        """Unproject subpixel coordinates through the global camera.
+        """Unproject subpixel coordinates through the global camera, the one
+        lift to world points (the gate reads depths() but forms none).
 
         Returns (points (N,3), confidences (N,), valid (N,) bool): the rows
-        of the valid samples (inside the map, depth > 0) hold what _lift
-        gives them and the confidence at the same integer pixel; rows of
-        invalid samples are left as NaN/0.
+        of the samples depths() keeps hold the pixel unprojected at its depth
+        and the confidence at the same stack index; the others stay NaN/0.
         """
         pixels = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
-        rows, at, lifted = self._lift(frame_id, pixels)
+        row = self.table_rows([frame_id])
+        kept, at, d = self.depths(np.repeat(row, len(pixels)), pixels)
+        _, _, holder, offset = self._pixel_table[:, row[0]].tolist()
         pts = np.full((len(pixels), 3), np.nan)
         confs = np.zeros(len(pixels))
         valid = np.zeros(len(pixels), dtype=bool)
-        pts[rows] = lifted
-        confs[rows] = self.frame_geometry(frame_id)[2].take(at)
-        valid[rows] = True
+        pts[kept] = unproject_pixels(pixels.take(kept, axis=0), d, self._cameras[row[0]])
+        confs[kept] = self._conf_stacks[holder].take(at + offset)
+        valid[kept] = True
         return pts, confs, valid
-
-    def _lift(self, frame_id: int, pixels: np.ndarray):
-        """The one lift of (N, 2) float64 subpixel coordinates to world
-        points, which sample uses: (rows, at, points), rows and at as
-        depths() gives them and points (len(rows), 3) the valid samples'
-        world points. The match gate reads depths() too but forms no world
-        point, so this lift is not shared with it."""
-        table_row = self.table_rows([frame_id])
-        rows, at, d = self.depths(np.repeat(table_row, len(pixels)), pixels)
-        return rows, at, unproject_pixels(pixels.take(rows, axis=0), d, self.camera(frame_id))
 
     def dense_cloud(self, cameras=None) -> PointCloud:
         """Every valid-depth pixel of every frame, unprojected in frame order.

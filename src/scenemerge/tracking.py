@@ -3,13 +3,13 @@
 Pairwise matches are cut into blocks of many edges' rows and verified by
 bidirectional reprojection against the globally aligned geometry, one
 block per call, which returns the rows that pass, then merged into tracks:
-the connected components of the match graph over keypoints keyed on
-(frame id, rounded pixel). Each verified block and its kept rows stream
-into a KeypointTable, which keeps one sorted keypoint table per frame and
-unions each batch of pairs into one int32 parent array over the keypoints
-as it is interned (hook and compress, in numpy), so neither the match
-sets nor the pairs are kept and tracking memory grows with keypoints, not
-pairs.
+the connected components of the match graph over keypoints. A keypoint is
+the map pixel the gate reads depth at, keyed by its global pixel index
+(frame offset + flat pixel index, MergedGeometry.pixel_keys). Each verified
+block and its kept rows stream into a KeypointTable, which interns a batch
+of rows with one sort and unions their pairs into one int32 parent array
+over the keypoints (hook and compress, in numpy), so neither the match sets
+nor the pairs are kept and tracking memory grows with keypoints, not pairs.
 The gate reads depth and cameras from MergedGeometry's per-frame tables
 and moves each pixel into the other camera through the edge's relative
 pose, forming no world point; fusion lifts keypoints to 3D with their
@@ -322,44 +322,42 @@ def _passes(merged, counts, src, pix_src, dst, pix_dst, tau_reproj: float) -> np
     return rows[np.sqrt(du * du + dv * dv) <= tau_reproj]
 
 
-# Pending keypoint rows (two per pair) that trigger interning and a union.
-_FLUSH_ROWS = 65_536
+# Pending keypoint rows (two per pair) that trigger interning and a union; at
+# 65,536 a flush's transients set run_tracking's traced peak (0.69x, not 0.53x).
+_FLUSH_ROWS = 32_768
 
 
 class KeypointTable:
-    """Verified pairs unioned into components over one keypoint table per frame.
+    """Verified pairs unioned into components over the keypoints of merged,
+    a MergedGeometry.
 
     The rows of the table are both keypoints of every pair added: blocks in
     the order added, the pairs of each at the kept rows given in order,
-    frame_i before frame_j, so pair p holds rows 2p and 2p + 1. Keypoint
-    identity is (frame id, pixel rounded half to even); a keypoint keeps the
-    first table row and first subpixel coordinate the table holds for it.
-    add() keeps no block: the kept pixels of each of its pieces wait in a
-    per-frame buffer until _FLUSH_ROWS rows are pending. A flush
-    interns each pending frame with one sort over its rounded (row, column)
-    keys, merged into that frame's sorted key table, then unions the
-    flushed pairs into one int32 parent array over the keypoints (_union)
-    and drops their ids. So besides the buffer, the table grows with
-    keypoints, not pairs. The buffer lets one sort serve many match sets; a
-    sorted insert per set made run_tracking 40% slower on the bench's
-    object-200 scene. Iterating the table yields one range of pair numbers
-    per add() that kept at least one pair, in order.
-
-    Ids are handed out as keypoints are interned, so they follow the flush
-    order; nothing downstream reads their values. keypoints() flushes and
-    hands over the per-keypoint arrays in id order with each keypoint's
-    component root; the table then takes no more pairs.
+    frame_i before frame_j, so pair p holds rows 2p and 2p + 1. A keypoint
+    is a global pixel index (merged.pixel_keys, which raises DataError for
+    a pixel outside its image); it keeps the first table row and subpixel
+    coordinate the table holds for it. add() keeps no block, only the keys
+    and pixels of its kept rows until _FLUSH_ROWS rows are pending. A flush
+    interns them with one sort against one sorted table of every key, hands
+    out ids to the new keys in key order (frame id order), then unions the
+    pairs into one int32 parent array over the ids (_union) and drops them,
+    so the table grows with keypoints, not pairs. Iterating the table yields
+    one range of pair numbers per add() that kept a pair, in order.
+    keypoints() hands over the per-keypoint arrays in id order with each
+    keypoint's component root; the table then takes no more pairs.
     """
 
-    def __init__(self):
-        self._pending = {}  # frame id -> [(first table row, pixels)]
+    def __init__(self, merged):
+        self._merged = merged
+        self._pending_keys, self._pending_pixels = [], []  # per add, in table row order
         self._pending_rows = 0
         self._n_rows = 0
-        self._sets = []  # pair numbers of each match set with pairs
-        self._keys = {}  # frame id -> (sorted int64 keys, their int32 ids)
-        self._first = [np.empty(0, dtype=np.int64)]  # per id, in id order
-        self._pixels = [np.empty((0, 2))]
-        self._runs = []  # (frame id, count) of each interned run of ids, in id order
+        self._sets = []  # pair numbers of each add with pairs
+        self._keys = np.empty(0, dtype=np.int64)  # every key interned, ascending
+        self._key_ids = np.empty(0, dtype=np.int32)  # the id of each
+        # per flush: the new ids' first table rows and pixels, and their count per frame
+        self._first, self._pixels = [np.empty(0, dtype=np.int64)], [np.empty((0, 2))]
+        self._frame_counts = [np.zeros(len(merged.key_base) - 1, dtype=np.intp)]
         self._parent = np.empty(0, dtype=np.int32)  # union-find forest over the ids
         self.n_keypoints = 0
 
@@ -377,13 +375,11 @@ class KeypointTable:
             raise ConfigError("keypoint table has handed over its keypoints; it takes no more match sets")
         if not len(rows):
             return
-        counts = _runs(rows, block.counts)  # kept rows of each piece
-        starts = np.cumsum(counts) - counts
-        for (fi, fj), start, n in zip(block.frames.tolist(), starts.tolist(), counts.tolist()):
-            if n:
-                kept = rows[start : start + n]
-                for side, fid, px in ((0, fi, block.pixels_i), (1, fj, block.pixels_j)):
-                    self._pending.setdefault(fid, []).append((self._n_rows + 2 * start + side, px.take(kept, axis=0)))
+        # the table rows of the frames of each kept row's two keypoints
+        frames = np.repeat(self._merged.table_rows(block.frames), _runs(rows, block.counts), axis=0).ravel()
+        pixels = np.stack([block.pixels_i.take(rows, axis=0), block.pixels_j.take(rows, axis=0)], axis=1).reshape(-1, 2)
+        self._pending_keys.append(self._merged.pixel_keys(frames, pixels))
+        self._pending_pixels.append(pixels)
         self._sets.append(range(self.n_pairs, self.n_pairs + len(rows)))
         self._n_rows += 2 * len(rows)
         self._pending_rows += 2 * len(rows)
@@ -391,93 +387,87 @@ class KeypointTable:
             self._flush()
 
     def _flush(self) -> None:
-        """Intern the pending rows, one frame at a time in frame id order,
-        then union their pairs."""
-        if not self._pending_rows:
+        """Intern the pending rows with one sort and union their pairs, each
+        transient freed before the next is made and the first pixels last."""
+        n = self._pending_rows
+        if not n:
             return
-        ids = np.empty(self._pending_rows, dtype=np.int32)  # per pending table row
-        base = self._n_rows - self._pending_rows
-        for fid in sorted(self._pending):
-            self._intern(fid, self._pending[fid], ids, base)
-        self._pending.clear()
+        if int(self._merged.key_base[-1]) * n >= 2**63:
+            raise DataError(f"{n} pending keypoint rows over {self._merged.key_base[-1]} pixels overflow the sort key")
+        # one in-place sort of key * n + row orders the rows by key, then by
+        # row, so each key's run starts at its first row
+        key = np.concatenate(self._pending_keys)
+        self._pending_keys.clear()
+        key *= n
+        key += np.arange(n)
+        key.sort()
+        row = key % n
+        key //= n
+        heads = np.ones(n, dtype=bool)  # the first sorted row of each key
+        np.not_equal(key[1:], key[:-1], out=heads[1:])
+        heads = np.flatnonzero(heads)
+        uniq, first = key.take(heads), row.take(heads)
+        del key
+
+        pos = np.searchsorted(self._keys, uniq)
+        seen = self._keys.take(np.minimum(pos, len(self._keys) - 1)) == uniq if len(self._keys) else pos < 0
+        new = np.flatnonzero(~seen)
+        if self.n_keypoints + len(new) >= 2**31:
+            raise DataError("more than 2**31 - 1 keypoints in one table")
+        uniq_ids = np.empty(len(uniq), dtype=np.int32)
+        uniq_ids[seen] = self._key_ids.take(pos[seen])
+        uniq_ids[new] = np.arange(self.n_keypoints, self.n_keypoints + len(new))
+        pos, fresh = pos.take(new), uniq.take(new)
+        del seen, uniq
+        ids = np.empty(n, dtype=np.int32)  # per pending row
+        ids[row] = np.repeat(uniq_ids, np.diff(heads, append=n))
+        del row, heads
+
+        self._keys = np.insert(self._keys, pos, fresh)
+        self._key_ids = np.insert(self._key_ids, pos, uniq_ids.take(new))
+        self._frame_counts.append(np.diff(np.searchsorted(fresh, self._merged.key_base)))
+        del pos, fresh, uniq_ids
+
+        first = first.take(new)
+        self._first.append(first + (self._n_rows - n))
+        self._pixels.append(np.concatenate(self._pending_pixels).take(first, axis=0))
+        self._pending_pixels.clear()
         self._pending_rows = 0
+        self.n_keypoints += len(new)
+        del first, new
         grown = np.arange(len(self._parent), self.n_keypoints, dtype=np.int32)
         self._parent = np.concatenate([self._parent, grown])
         _union(self._parent, ids.reshape(-1, 2))
-
-    def _intern(self, fid: int, blocks, ids: np.ndarray, base: int) -> None:
-        """Write the keypoint id of each pending row of frame fid into ids
-        (at its table row minus base), adding the keypoints not yet in the
-        frame's key table."""
-        table_rows, pixel_blocks = zip(*blocks)
-        px = np.concatenate(pixel_blocks)
-        uv = np.rint(px)
-        # bounds first, so an out-of-range pixel never reaches the cast
-        if not np.abs(uv).max() < 2**31:
-            (u0, v0), (u1, v1) = uv.min(axis=0), uv.max(axis=0)
-            raise DataError(
-                f"frame {fid}: match pixels must be finite and round to below 2**31 in magnitude, "
-                f"got rounded pixels from ({u0}, {v0}) to ({u1}, {v1})"
-            )
-        # row-major: the row in the high 32 bits, the signed column added below
-        key = uv[:, 1].astype(np.int64) * 2**32 + uv[:, 0].astype(np.int64)
-        # what np.unique(key, return_index=True, return_inverse=True)
-        # gives, from one unstable argsort: a third of np.unique's time
-        order = np.argsort(key)
-        key = key.take(order)
-        heads = np.ones(len(key), dtype=bool)  # the first sorted row of each key
-        np.not_equal(key[1:], key[:-1], out=heads[1:])
-        heads = np.flatnonzero(heads)
-        uniq, first = key[heads], np.minimum.reduceat(order, heads)
-
-        keys, key_ids = self._keys.get(fid, (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32)))
-        pos = np.searchsorted(keys, uniq)
-        seen = keys[np.minimum(pos, len(keys) - 1)] == uniq if len(keys) else np.zeros(len(uniq), dtype=bool)
-        new = np.flatnonzero(~seen)
-        if self.n_keypoints + len(new) >= 2**31:
-            raise DataError(f"frame {fid}: more than 2**31 - 1 keypoints in one table")
-        uniq_ids = np.empty(len(uniq), dtype=np.int32)
-        uniq_ids[seen] = key_ids[pos[seen]]
-        uniq_ids[new] = np.arange(self.n_keypoints, self.n_keypoints + len(new))
-        self.n_keypoints += len(new)
-        self._runs.append((fid, len(new)))
-        # insert the new keys into the frame's sorted table
-        at = pos[new] + np.arange(len(new))
-        old = np.ones(len(keys) + len(new), dtype=bool)
-        old[at] = False
-        merged_keys, merged_ids = np.empty(len(old), dtype=np.int64), np.empty(len(old), dtype=np.int32)
-        merged_keys[at], merged_keys[old] = uniq[new], keys
-        merged_ids[at], merged_ids[old] = uniq_ids[new], key_ids
-        self._keys[fid] = merged_keys, merged_ids
-
-        # a block's rows are every other table row from its first; rows
-        # counts them from base
-        sizes = [len(p) for p in pixel_blocks]
-        starts = np.array(table_rows) - base - 2 * (np.cumsum(sizes) - sizes)
-        rows = np.repeat(starts, sizes) + 2 * np.arange(len(px))
-        first = first[new]
-        self._first.append(rows.take(first) + base)
-        self._pixels.append(px[first])
-        ids[rows.take(order)] = np.repeat(uniq_ids, np.diff(heads, append=len(key)))
 
     def keypoints(self):
         """(first table row, frame id, subpixel coordinate, component root)
         of every keypoint, in id order.
 
         A keypoint's root (_find) is the smallest id in its component, so it
-        labels the component. The table hands the arrays over, so this runs
-        once and the table then takes no more match sets.
+        labels the component. This runs once: the key table and the forest
+        are dropped before the outputs are made, each filled part by part.
         """
         if self._keys is None:
             raise ConfigError("keypoint table has already handed over its keypoints")
         self._flush()
-        self._keys = None
-        first, self._first = np.concatenate(self._first), None
-        pixels, self._pixels = np.concatenate(self._pixels), None
-        runs, self._runs = np.array(self._runs, dtype=np.int64).reshape(-1, 2), None
-        frames = np.repeat(runs[:, 0], runs[:, 1])
-        parent, self._parent = self._parent, None
-        return first, frames, pixels, _find(parent, np.arange(len(first), dtype=np.int32))
+        self._keys = self._key_ids = None
+        root = _find(self._parent, np.arange(self.n_keypoints, dtype=np.int32))
+        self._parent = None
+        counts, self._frame_counts = np.concatenate(self._frame_counts), None
+        frames = np.repeat(np.resize(self._merged.frames(), len(counts)), counts)  # frames() once per flush
+        return _drain(self._first), frames, _drain(self._pixels), root
+
+
+def _drain(parts: list) -> np.ndarray:
+    """The concatenation of the non-empty list of arrays parts, filled part
+    by part; parts is emptied, each part dropped as it is copied."""
+    out = np.empty((sum(map(len, parts)),) + parts[0].shape[1:], dtype=parts[0].dtype)
+    end = 0
+    while parts:
+        part = parts.pop(0)
+        out[end : end + len(part)] = part
+        end += len(part)
+    return out
 
 
 def _union(parent: np.ndarray, pairs: np.ndarray) -> None:
@@ -524,8 +514,9 @@ def merge_tracks(table: KeypointTable, merged) -> Tracks:
     """Connected components over one KeypointTable, then fusion per component.
 
     The table labels each keypoint with its component, found by hook and
-    compress as the pairs streamed in (see its docstring for the table rows
-    and keypoint identity). Components with two keypoints in one frame are
+    compress as the pairs streamed in (see its docstring for the table rows;
+    a keypoint is a global pixel index of merged, one per map pixel).
+    Components with two keypoints in one frame are
     ambiguous and discarded. The remaining keypoints are lifted with one
     merged.sample call per frame, and a component keeps only its valid
     samples, needing at least 2 of them. Fusion follows
@@ -653,7 +644,7 @@ def run_tracking(
                 continue
             yield ms
 
-    table = KeypointTable()
+    table = KeypointTable(merged)
     for block in _blocks(match_sets(), max_keypoints):
         table.add(block, verify_matches(block, merged, tau_reproj))
 

@@ -585,13 +585,13 @@ class TestMergeClusters:
 
         want = []
         for row, (fid, (u, v)) in enumerate(zip(fids.tolist(), np.rint(pixels).tolist())):
-            _, depth, _, scale = merged.frame_geometry(fid)
+            depth, _, scale = merged._maps(merged.table_rows([fid])[0])
             h, w = depth.shape
             if 0 <= u < w and 0 <= v < h and depth[int(v), int(u)] > 0:
                 want.append((row, int(v) * w + int(u), float(depth[int(v), int(u)]) * scale))
         assert 0 < len(want) < len(pixels)
         assert list(zip(kept.tolist(), at.tolist(), depths.tolist())) == want
-        assert merged.frame_geometry(1)[1].shape == (6, 3) and merged.frame_geometry(2)[1].shape == (5, 7)
+        assert [merged._maps(row)[0].shape for row in merged.table_rows([1, 2])] == [(6, 3), (5, 7)]
         with pytest.raises(MissingFrameError, match="frame 9"):
             merged.table_rows([0, 9])
 

@@ -13,7 +13,9 @@ it keeps no package member alive. Only io_formats.py, which reads and
 writes every JSON file, and cli.py may import json, and cli.py may use it
 only as print(json.dumps(...)) to stdout. Only io_formats.py may call what
 reads or writes a file: open(), a path's read_bytes/read_text/write_bytes/
-write_text, numpy's load*/save*, fromfile and tofile.
+write_text, numpy's load*/save*, fromfile and tofile. Only the modules in
+ROUNDING_MODULES may name rint, each for the reason given, so the rule that
+turns a subpixel match coordinate into a map pixel has one home.
 """
 
 import ast
@@ -26,6 +28,10 @@ BROAD = {"Exception", "BaseException"}
 JSON_MODULES = ("io_formats.py", "cli.py")
 FILE_IO_MODULE = "io_formats.py"
 FILE_IO_ATTRS = {"open", "read_bytes", "read_text", "write_bytes", "write_text", "fromfile", "tofile"}
+ROUNDING_MODULES = {
+    "alignment.py": "MergedGeometry._pixel_index, the one rule from a subpixel match coordinate to a map pixel",
+    "synthetic.py": "_splat, rendering: the pixel a projected landmark lands on",
+}
 KEPT_UNREFERENCED = {
     "ba_loss": "test reference for the analytic gradient",
     "ba_gradients": "test reference for the analytic gradient",
@@ -242,3 +248,38 @@ def test_package_reads_and_writes_files_in_io_formats():
         for v in _file_io_violations(path.read_text(encoding="utf-8"), path.name)
     ]
     assert found == []
+
+
+def _rint_uses(source: str, name: str) -> list[str]:
+    """Uses of rint (an attribute such as np.rint, or an imported name)
+    outside ROUNDING_MODULES."""
+    if name in ROUNDING_MODULES:
+        return []
+    return [
+        f"{name}:{node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(ast.parse(source, filename=name))
+        if isinstance(node, ast.Attribute) and node.attr == "rint" or isinstance(node, ast.ImportFrom)
+        and any(alias.name == "rint" for alias in node.names)
+    ]
+
+
+@pytest.mark.parametrize(
+    "source, name, flagged",
+    [
+        ("uv = np.rint(px)", "tracking.py", ["tracking.py:1: np.rint"]),
+        ("uv = numpy.rint(px).astype(int)", "ba.py", ["ba.py:1: numpy.rint"]),
+        ("from numpy import rint", "tracking.py", ["tracking.py:1: from numpy import rint"]),
+        ("uv = np.rint(px)", "alignment.py", []),
+        ("uv = np.rint(px)", "synthetic.py", []),
+        ("uv = np.round(px)\nn = round(x)", "tracking.py", []),
+    ],
+)
+def test_rounding_rule(source, name, flagged):
+    assert _rint_uses(source, name) == flagged
+
+
+def test_package_rounds_pixels_in_one_place():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert [v for name, source in sources.items() for v in _rint_uses(source, name)] == []
+    still_rounding = {name for name in ROUNDING_MODULES if "rint" in sources.get(name, "")}
+    assert still_rounding == set(ROUNDING_MODULES), "a ROUNDING_MODULES entry no longer rounds"

@@ -94,9 +94,9 @@ def _block(ms):
     return MatchBlock(np.array([[ms.frame_i, ms.frame_j]]), np.array([len(ms)]), ms.pixels_i, ms.pixels_j)
 
 
-def _table(matches):
-    """A KeypointTable holding every pair of each match set, one add each."""
-    table = tracking.KeypointTable()
+def _table(matches, merged):
+    """A KeypointTable over merged holding every pair of each match set, one add each."""
+    table = tracking.KeypointTable(merged)
     for ms in matches:
         table.add(_block(ms), np.arange(len(ms)))
     return table
@@ -142,7 +142,9 @@ def _per_edge_verify(ms, merged, tau_reproj):
     only on the forward survivors. Its kept rows."""
 
     def reprojects(src, pix_src, dst, pix_dst):
-        rows, _, pts = merged._lift(src, pix_src)
+        pts, _, valid = merged.sample(src, pix_src)
+        rows = np.flatnonzero(valid)
+        pts = pts.take(rows, axis=0)
         uv, in_front = project_points(pts, merged.camera(dst))
         rows, uv = rows[in_front], uv.compress(in_front, axis=0)
         du, dv = np.clip(uv - pix_dst.take(rows, axis=0), -2 * tau_reproj, 2 * tau_reproj).T
@@ -559,7 +561,7 @@ class TestMergeTracks:
             _pair(0, 1, [((1.0, 1.0), (2.0, 1.0))]),
             _pair(1, 2, [((2.0, 1.0), (3.0, 4.0))]),
         ]
-        tracks = merge_tracks(_table(matches), merged)
+        tracks = merge_tracks(_table(matches, merged), merged)
         assert len(tracks) == 1
         assert _frames(tracks) == [[0, 1, 2]]
 
@@ -567,7 +569,7 @@ class TestMergeTracks:
         """Equal weights: fused = (p+q)/2 and C equals that confidence."""
         merged = _merged_flat([0, 1], conf_values=[0.7, 0.7])
         pa, pb = (1.0, 1.0), (5.0, 3.0)
-        tracks = merge_tracks(_table([_pair(0, 1, [(pa, pb)])]), merged)
+        tracks = merge_tracks(_table([_pair(0, 1, [(pa, pb)])], merged), merged)
         assert len(tracks) == 1
         p, _, _ = merged.sample(0, np.array([pa]))
         q, _, _ = merged.sample(1, np.array([pb]))
@@ -582,7 +584,7 @@ class TestMergeTracks:
         """
         merged = _merged_flat([0, 1], conf_values=[3.0, 1.0])
         pa, pb = (2.0, 2.0), (6.0, 5.0)
-        tracks = merge_tracks(_table([_pair(0, 1, [(pa, pb)])]), merged)
+        tracks = merge_tracks(_table([_pair(0, 1, [(pa, pb)])], merged), merged)
         p, _, _ = merged.sample(0, np.array([pa]))
         q, _, _ = merged.sample(1, np.array([pb]))
         assert np.allclose(tracks.points[0], p[0] + 0.25 * (q[0] - p[0]), atol=1e-12)
@@ -595,38 +597,27 @@ class TestMergeTracks:
             _pair(0, 1, [((1.0, 1.0), (4.0, 4.0))]),
             _pair(0, 1, [((6.0, 6.0), (4.0, 4.0))]),
         ]
-        assert len(merge_tracks(_table(matches), merged)) == 0
+        assert len(merge_tracks(_table(matches, merged), merged)) == 0
 
     def test_min_track_len(self):
         """A track needs 2 valid samples: a three-frame chain is kept whole,
-        a pair whose second pixel lands off the map is dropped."""
-        merged = _merged_flat([0, 1, 2])
+        a pair whose second pixel lies in the image at zero depth is
+        dropped."""
+        cluster = _flat_cluster([0, 1, 2])
+        cluster.depths[1, 1, 7] = 0.0  # pixel (7, 1) of frame 1
+        merged = MergedGeometry([cluster], [Sim3Transform.identity()])
         matches = [
             _pair(0, 1, [((1.0, 1.0), (2.0, 1.0))]),
             _pair(1, 2, [((2.0, 1.0), (3.0, 4.0))]),
         ]
-        assert merge_tracks(_table(matches), merged).lengths.tolist() == [3]
-        assert len(merge_tracks(_table([_pair(0, 1, [((1.0, 1.0), (20.0, 1.0))])]), merged)) == 0
+        assert merge_tracks(_table(matches, merged), merged).lengths.tolist() == [3]
+        assert not merged.sample(1, np.array([[7.0, 1.0]]))[2][0]
+        assert len(merge_tracks(_table([_pair(0, 1, [((1.0, 1.0), (7.0, 1.0))])], merged), merged)) == 0
 
     def test_non_finite_pixel_rejected(self):
         merged = _merged_flat([0, 1])
         with pytest.raises(DataError, match="finite"):
-            merge_tracks(_table([_pair(0, 1, [((1.0, 1.0), (2.0, 2.0)), ((np.nan, 3.0), (4.0, 4.0))])]), merged)
-
-    def test_huge_finite_pixel_rejected_naming_frame(self):
-        """A finite pixel too large to key fails with the frame's id before
-        any integer cast, so nothing warns."""
-        merged = _merged_flat([0, 1, 2])
-        matches = [
-            _pair(0, 1, [((1.0, 1.0), (2.0, 2.0))]),
-            _pair(2, 1, [((1e300, 3.0), (4.0, 4.0))]),
-        ]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DataError, match=r"^frame 2: match pixels must"):
-                merge_tracks(_table(matches), merged)
-            with pytest.raises(DataError, match=r"^frame 1: match pixels must"):
-                merge_tracks(_table([_pair(0, 1, [((1.0, 1.0), (-3e9, 2.0))])]), merged)
+            merge_tracks(_table([_pair(0, 1, [((1.0, 1.0), (2.0, 2.0)), ((np.nan, 3.0), (4.0, 4.0))])], merged), merged)
 
     def test_intern_matches_global_key_reference(self, monkeypatch):
         """A KeypointTable interns the keypoints one global key over the
@@ -635,11 +626,12 @@ class TestMergeTracks:
         the same partition into scipy's connected components over the
         reference's pairs, with each keypoint's root an id of its component,
         whether it interns once or flushes every 7 rows. The table has
-        unsorted sparse frame ids, frames on both sides of a pair, negative
-        pixels, half-pixel ties and per-frame spans far apart."""
+        unsorted sparse frame ids, frames on both sides of a pair, half-pixel
+        ties and pixels on the images' borders."""
         rng = np.random.default_rng(21)
         frame_ids = [40, 3, 17, 8, 25, 11]
-        shift = {f: rng.uniform(-500.0, 500.0, size=2) for f in frame_ids}
+        merged = _merged_flat(frame_ids, size=48)
+        shift = {f: rng.uniform(6.5, 40.5, size=2) for f in frame_ids}
         matches = []
         for _ in range(60):
             fi, fj = (int(f) for f in rng.choice(frame_ids, size=2, replace=False))
@@ -647,6 +639,9 @@ class TestMergeTracks:
             pi = np.round(rng.uniform(-6.0, 6.0, (n, 2)) * 2) / 2 + np.round(shift[fi])
             pj = rng.uniform(-6.0, 6.0, (n, 2)) + shift[fj]
             matches.append(MatchSet(fi, fj, pi, pj))
+        matches.append(_pair(3, 40, [((0.0, 47.0), (47.0, 0.0)), ((-0.5, 46.5), (47.4, -0.5))]))  # the borders
+        rounded = np.rint(np.concatenate([px for ms in matches for px in (ms.pixels_i, ms.pixels_j)]))
+        assert rounded.min() == 0 and rounded.max() == 47
         node, first, frames, pixels = _reference_intern_keypoints(matches)
         n_nodes = len(first)
         assert n_nodes < len(node)  # rows share nodes
@@ -666,7 +661,7 @@ class TestMergeTracks:
         expected = (first[order], frames[order], pixels[order])
         for flush_rows in (tracking._FLUSH_ROWS, 7):
             monkeypatch.setattr(tracking, "_FLUSH_ROWS", flush_rows)
-            table = _table(matches)
+            table = _table(matches, merged)
             assert [len(pairs) for pairs in table] == [len(ms) for ms in matches]
             assert table.n_pairs == len(node) // 2
             got_first, got_frames, got_pixels, root = table.keypoints()
@@ -699,7 +694,7 @@ class TestMergeTracks:
             rows_i, rows_j = rng.integers(0, 300, (2, 200))
             matches.append(MatchSet(int(fi), int(fj), keypoints[fi, rows_i], keypoints[fj, rows_j]))
         input_bytes = sum(ms.pixels_i.nbytes + ms.pixels_j.nbytes for ms in matches)
-        _, peak = traced_peak(lambda: merge_tracks(_table(matches), merged))
+        _, peak = traced_peak(lambda: merge_tracks(_table(matches, merged), merged))
         assert peak <= 2.0 * input_bytes, f"peak {peak / input_bytes:.2f}x the input pixel bytes"
 
     def test_merge_sort_key_holds_no_index_copy(self, traced_peak):
@@ -715,7 +710,7 @@ class TestMergeTracks:
         merged = _merged_flat([0, 1], size=size, baseline=0.0)
         v, u = np.mgrid[0:size, 0:size]
         pixels = np.stack([u.ravel(), v.ravel()], axis=1).astype(np.float64)
-        table = tracking.KeypointTable()
+        table = tracking.KeypointTable(merged)
         table.add(_block(MatchSet(0, 1, pixels, pixels)), np.arange(len(pixels)))
         table.add(_block(MatchSet(0, 1, pixels[:-1], pixels[1:])), np.arange(len(pixels) - 1))
         tracks, peak = traced_peak(lambda: merge_tracks(table, merged))
@@ -730,7 +725,7 @@ class TestMergeTracks:
             _pair(0, 1, [((1.4, 1.4), (3.0, 3.0))]),
             _pair(0, 2, [((0.6, 0.6), (5.0, 5.0))]),
         ]
-        tracks = merge_tracks(_table(matches), merged)
+        tracks = merge_tracks(_table(matches, merged), merged)
         assert list(tracks.lengths) == [3]
         obs = dict(_track_list(tracks)[0][2])
         assert np.allclose(obs[0], [1.4, 1.4])
@@ -746,7 +741,7 @@ class TestMergeTracks:
             px = tuple(rng.uniform(0.0, 7.0, size=2))
             qx = tuple(rng.uniform(0.0, 7.0, size=2))
             matches.append(_pair(f, f + 1, [(px, qx)]))
-        tracks = merge_tracks(_table(matches), merged)
+        tracks = merge_tracks(_table(matches, merged), merged)
         for point, confidence, observations in _track_list(tracks):
             member_pts = []
             member_confs = []
@@ -795,7 +790,7 @@ class TestMergeTracks:
                 expected.add(frozenset(comp))
 
         got = set()
-        for _, _, observations in _track_list(merge_tracks(_table(matches), merged)):
+        for _, _, observations in _track_list(merge_tracks(_table(matches, merged), merged)):
             got.add(frozenset((f, (float(uv[0]), float(uv[1]))) for f, uv in observations))
         assert got == expected
 
@@ -813,7 +808,7 @@ class TestMergeTracks:
             _pair(3, 4, [((2.0, 2.0), (3.0, 3.0))]),
             _pair(0, 4, [((1.0, 1.0), (3.0, 3.0))]),
         ]
-        tracks = merge_tracks(_table(matches), merged)
+        tracks = merge_tracks(_table(matches, merged), merged)
         assert _frames(tracks) == [[0, 1, 2, 3, 4], [0, 1]]
         assert [tuple(tracks.pixels[rows[0]]) for rows in tracks] == [(1.0, 1.0), (5.0, 5.0)]
         reference = _reference_merge_tracks(matches, merged)
@@ -830,11 +825,11 @@ class TestMergeTracks:
             _pair(0, 1, [((1.0, 1.0), (2.0, 2.0))]),
             MatchSet(frame_i=2, frame_j=3, pixels_i=empty, pixels_j=empty),
         ]
-        tracks = merge_tracks(_table(matches), merged)
+        tracks = merge_tracks(_table(matches, merged), merged)
         assert _frames(tracks) == [[0, 1]]
         reference = _reference_merge_tracks(matches, merged)
         assert list(map(_track_bits, _track_list(tracks))) == list(map(_track_bits, reference))
-        assert len(merge_tracks(_table(matches[::2]), merged)) == 0
+        assert len(merge_tracks(_table(matches[::2], merged), merged)) == 0
 
     def test_empty_and_rejected_pieces_add_nothing(self):
         """Empty match sets make no piece of any block, a piece whose rows
@@ -851,12 +846,13 @@ class TestMergeTracks:
         ]
         (block,) = tracking._blocks(iter(sets), 4096)
         assert block.frames.tolist() == [[0, 1], [2, 3], [1, 2]] and block.counts.tolist() == [2, 1, 2]
-        table = tracking.KeypointTable()
+        merged = _merged_flat(list(range(6)))
+        table = tracking.KeypointTable(merged)
         table.add(block, np.empty(0, dtype=np.intp))
         table.add(block, np.array([0, 1, 3]))  # the (2, 3) piece lost its row, the (1, 2) piece one of two
         table.add(block, np.empty(0, dtype=np.intp))
         assert [list(pairs) for pairs in table] == [[0, 1, 2]] and table.n_pairs == 3
-        alone = _table([sets[0], _pair(1, 2, [((2.0, 2.0), (5.0, 5.0))])])
+        alone = _table([sets[0], _pair(1, 2, [((2.0, 2.0), (5.0, 5.0))])], merged)
         for got, want in zip(table.keypoints(), alone.keypoints()):
             assert got.tobytes() == want.tobytes()
 
@@ -876,9 +872,132 @@ class TestMergeTracks:
             return sample(fid, pixels)
 
         monkeypatch.setattr(merged, "sample", counting_sample)
-        tracks = merge_tracks(_table(matches), merged)
+        tracks = merge_tracks(_table(matches, merged), merged)
         assert len(tracks) == 2
         assert sorted(calls) == [0, 1, 2, 3]
+
+
+class TestKeypointTable:
+    """A keypoint is MergedGeometry's pixel: the match pixel rounded (np.rint)
+    inside its frame's image, keyed by its global pixel index."""
+
+    @pytest.mark.parametrize(
+        "pixel, inside",
+        [
+            ((-0.5, 3.0), True),  # rounds to 0
+            ((-0.6, 3.0), False),  # rounds to -1
+            ((6.5, 3.0), True),  # half to even: 6
+            ((7.5, 3.0), False),  # half to even: 8, past the last column
+            ((7.4, 3.0), True),
+            ((3.0, -0.5), True),
+            ((3.0, -0.6), False),
+            ((3.0, 6.5), True),
+            ((3.0, 7.5), False),
+            ((3.0, 7.4), True),
+        ],
+    )
+    def test_add_accepts_exactly_the_pixels_the_gate_can_keep(self, pixel, inside):
+        """On 8x8 maps with depth everywhere, add accepts a pair iff
+        depths(), which the gate reads, keeps its pixel; the table then
+        holds the pixel as given, and a pixel outside fails naming frame 1."""
+        merged = _merged_flat([0, 1])
+        assert len(merged.depths(np.array([1]), np.array([pixel]))[0]) == inside
+        table = tracking.KeypointTable(merged)
+        block = _block(_pair(0, 1, [((1.0, 1.0), pixel)]))
+        if not inside:
+            with pytest.raises(DataError, match=r"^frame 1: match pixel .* lies outside its 8x8 image"):
+                table.add(block, np.arange(1))
+            return
+        table.add(block, np.arange(1))
+        first, frames, pixels, root = table.keypoints()
+        assert first.tolist() == [0, 1] and frames.tolist() == [0, 1] and root.tolist() == [0, 0]
+        assert pixels.tolist() == [[1.0, 1.0], list(pixel)]
+
+    def test_pixel_keys_are_frame_offset_plus_flat_index(self):
+        """The key of pixel (u, v) of the frame at table row r is
+        key_base[r] + v * W + u, with key_base the exclusive cumulative sum
+        of the frames' W * H in frames() order and the total at its end."""
+        a = _flat_cluster([7, 2], size=8)
+        b = _flat_cluster([4], size=6)
+        b = dataclasses.replace(b, cluster_id=1)
+        merged = MergedGeometry([a, b], [Sim3Transform.identity()] * 2)
+        assert merged.frames() == [2, 4, 7]
+        assert merged.key_base.tolist() == [0, 64, 100, 164]
+        rows = merged.table_rows([7, 4, 2, 7])
+        keys = merged.pixel_keys(rows, np.array([[3.0, 2.0], [5.4, 5.4], [0.0, 0.0], [7.0, 7.0]]))
+        assert keys.dtype == np.int64 and keys.tolist() == [100 + 19, 64 + 35, 0, 163]
+
+    def test_pixel_outside_image_rejected_naming_frame(self):
+        """A pixel outside its image, however large and on either side of a
+        pair, fails add with a DataError naming its frame before any integer
+        cast, so nothing warns, and the table keeps no pair."""
+        merged = _merged_flat([0, 1, 2])
+        pairs = [
+            (2, 0, ((1e300, 3.0), (4.0, 4.0))),  # outside in frame 2, the first frame of the pair
+            (0, 1, ((1.0, 1.0), (-3e9, 2.0))),
+            (2, 0, ((1.0, 1.0), (8.6, 1.0))),  # rounds to column 9 of 8
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for (fi, fj, bad), frame in zip(pairs, (2, 1, 0)):
+                table = tracking.KeypointTable(merged)
+                block = _block(_pair(fi, fj, [((1.0, 1.0), (2.0, 2.0)), bad]))
+                with pytest.raises(DataError, match=rf"^frame {frame}: match pixel .* lies outside its 8x8 image"):
+                    table.add(block, np.arange(2))
+                assert table.n_pairs == 0 and list(table) == []
+
+    def test_frame_no_cluster_holds_rejected(self):
+        table = tracking.KeypointTable(_merged_flat([0, 1]))
+        with pytest.raises(MissingFrameError, match="frame 5"):
+            table.add(_block(_pair(0, 5, [((1.0, 1.0), (2.0, 2.0))])), np.arange(1))
+
+    def test_every_row_the_gate_keeps_is_a_keypoint(self):
+        """On random match sets over identical cameras and 8x8 maps with depth
+        everywhere, with half-pixel ties and pixels up to 1.5 px outside the
+        maps, verify_matches keeps exactly the rows whose two pixels round
+        inside the maps, add accepts all of them, and adding any other row
+        raises DataError."""
+        merged = _merged_flat(list(range(4)), baseline=0.0)
+        rng = np.random.default_rng(17)
+        table = tracking.KeypointTable(merged)
+        rejected = 0
+        for _ in range(20):
+            fi, fj = (int(f) for f in rng.choice(4, size=2, replace=False))
+            pi = np.round(rng.uniform(-1.5, 8.5, (50, 2)) * 2) / 2
+            pj = pi + np.round(rng.uniform(-1.0, 1.0, (50, 2)) * 2) / 2
+            ms = MatchSet(fi, fj, pi, pj)
+            kept = _verify(ms, merged)
+            both = [np.rint(p) for p in (pi, pj)]
+            inside = np.all([(p >= 0) & (p < 8) for p in both], axis=(0, 2))
+            assert kept.tolist() == np.flatnonzero(inside).tolist()
+            table.add(_block(ms), kept)
+            for row in np.flatnonzero(~inside):
+                with pytest.raises(DataError, match="lies outside"):
+                    tracking.KeypointTable(merged).add(_block(ms), np.array([row]))
+                rejected += 1
+        assert table.n_pairs > 200 and rejected > 200
+        held = np.rint(table.keypoints()[2])
+        assert np.all((held >= 0) & (held < 8))
+
+    def test_keypoints_hold_only_their_outputs(self, traced_peak):
+        """keypoints() over 131,072 keypoints peaks (tracemalloc) below 40
+        bytes per keypoint: the 36 it hands over (int64 first row and frame,
+        float64 pixel, int32 root) and under 4 more. It finds the roots
+        before it makes the outputs and fills each output from its per-flush
+        parts; concatenating the parts first and finding the roots beside
+        the outputs read 52.0."""
+        size = 256
+        merged = _merged_flat([0, 1], size=size, baseline=0.0)
+        v, u = np.mgrid[0:size, 0:size]
+        pixels = np.stack([u.ravel(), v.ravel()], axis=1).astype(np.float64)
+        table = tracking.KeypointTable(merged)
+        table.add(_block(MatchSet(0, 1, pixels, pixels)), np.arange(len(pixels)))
+        table.add(_block(MatchSet(0, 1, pixels[:-1], pixels[1:])), np.arange(len(pixels) - 1))
+        (first, frames, kept, root), peak = traced_peak(table.keypoints)
+        assert table.n_keypoints == len(first) == 2 * size * size >= 131_072
+        assert len(np.unique(root)) == 1 and sorted(frames.tolist()) == [0] * size * size + [1] * size * size
+        per_keypoint = peak / table.n_keypoints
+        assert per_keypoint < 40, f"peak {per_keypoint:.1f} bytes per keypoint"
 
 
 class TestComponents:
@@ -987,7 +1106,7 @@ class TestRunTracking:
         assert len(reference) > 100
 
         def table():
-            table = tracking.KeypointTable()
+            table = tracking.KeypointTable(merged)
             for ms, rows in verified:
                 table.add(_block(ms), rows)
             return table
@@ -1079,8 +1198,8 @@ class TestRunTracking:
         (64 rows per call) keeps on every match set the rows of the per-edge
         gate, which lifted pixels to world points, and of both directions on
         every row. Every rejection branch occurs: outside the map, zero
-        depth, behind the camera, beyond tau and a huge finite pixel. None
-        raises a RuntimeWarning."""
+        depth, behind the camera, beyond tau and a huge finite pixel. The
+        keypoint table accepts every kept row. None raises a RuntimeWarning."""
         scene, spec, sim, plan, clusters, warps, merged = self._pipeline_pieces()
         assert len(clusters) == 3
         base = synthetic_matcher(scene, spec)
@@ -1125,9 +1244,12 @@ class TestRunTracking:
             warnings.simplefilter("error", RuntimeWarning)
             handed = _streamed_kept_rows(match_sets, merged)
             assert len(handed) == len(match_sets)
+            table = tracking.KeypointTable(merged)
             for ms, rows in zip(match_sets, handed):
                 reference = _reference_verify_matches(ms, merged, 8.0)[0]
                 assert rows.tolist() == _per_edge_verify(ms, merged, 8.0).tolist() == reference.tolist()
+                table.add(_block(ms), rows)  # every kept row is a keypoint
+            assert table.n_pairs == branches["kept"]
 
     @staticmethod
     def _pool_tracking(traced_peak, pairs):
