@@ -311,10 +311,11 @@ class MergedGeometry:
     and confidence maps at what flat offset in that cluster's stacks. The
     maps are read from the stacks in place, never copied. Depth values are
     multiplied by the scale when a pixel is lifted (in float64), since a
-    Sim(3)-transformed camera sees all depths scaled. _pixel_index is the
-    one rule from a match pixel to a map pixel: depths() reads the gate's
-    depths through it and pixel_keys() the keypoint identity of
-    tracking.KeypointTable, the global pixel index key_base[row] + v * W + u.
+    Sim(3)-transformed camera sees all depths scaled. pixel_keys() is the
+    one rule from a match pixel to a map pixel, its global pixel index
+    key_base[row] + v * W + u: tracking cuts each block of matches once
+    through it, and both the gate's depths() and the keypoint identity of
+    tracking.KeypointTable read those keys.
     """
 
     def __init__(self, clusters, transforms):
@@ -367,49 +368,40 @@ class MergedGeometry:
             raise MissingFrameError(f"frame {ids[missing][0]} not present in any cluster")
         return rows
 
-    def _pixel_index(self, rows: np.ndarray, pixels: np.ndarray):
-        """(kept, at) of (N, 2) float64 subpixel coordinates, each of the
-        frame at its table row in rows (N,): kept numbers those whose nearest
-        integer pixel (np.rint, half to even) lies inside the frame's map,
-        and at is each one's flat index v * W + u. Pixels are rounded and
-        bounded in float64, and only those inside the map are cast to
-        integers, so a huge finite pixel cannot overflow the cast."""
+    def pixel_keys(self, rows: np.ndarray, pixels: np.ndarray) -> np.ndarray:
+        """Global pixel index key_base[row] + v * W + u (int64) of (N, 2)
+        float64 subpixel coordinates, each of the frame at its table row in
+        rows (N,), or -1 where the nearest integer pixel (np.rint, half to
+        even) lies outside the frame's image. The one rule from a match
+        pixel to a map pixel: pixels are rounded, bounded and indexed in
+        float64 (exact below 2**53), and only the keys of those inside are
+        cast, so a huge finite pixel never reaches the cast."""
         width = self._pixel_table[0].take(rows)
         u, v = np.rint(pixels).T
-        kept = np.flatnonzero((u >= 0) & (u < width) & (v >= 0) & (v < self._pixel_table[1].take(rows)))
-        return kept, (v.take(kept) * width.take(kept) + u.take(kept)).astype(np.int64)  # exact: below 2**53
+        inside = (u >= 0) & (u < width) & (v >= 0) & (v < self._pixel_table[1].take(rows))
+        with np.errstate(over="ignore"):  # a huge pixel's index may overflow to inf; it is not inside
+            keys = v * width + u + self.key_base.take(rows)
+        return np.where(inside, keys, -1).astype(np.int64)
 
-    def depths(self, rows: np.ndarray, pixels: np.ndarray):
-        """(kept, at, depths) of (N, 2) float64 subpixel coordinates, each of
-        the frame at its table row in rows (N,).
+    def depths(self, rows: np.ndarray, keys: np.ndarray):
+        """(kept, depths) at the keys (N,) pixel_keys gives, each of the
+        frame at its table row in rows (N,).
 
-        Depth is read at the pixel _pixel_index gives, by flat index straight
-        from the holding cluster's depth stack. Only the valid samples
-        (inside the map, depth > 0) are kept: kept numbers them in pixels, at
-        is each one's flat index into its frame's maps and depths their depth
-        times the frame's depth scale, in float64.
+        Depth is read by flat index straight from the holding cluster's
+        depth stack. Only the valid samples (key >= 0, depth > 0) are kept:
+        kept numbers them in keys, and depths holds their depth times the
+        frame's depth scale, in float64.
         """
-        kept, at = self._pixel_index(rows, pixels)
+        kept = np.flatnonzero(keys >= 0)
         _, _, holder, offset = self._pixel_table
         rows = rows.take(kept)
-        in_stack, holder = at + offset.take(rows), holder.take(rows)
+        in_stack, holder = keys.take(kept) + (offset - self.key_base[:-1]).take(rows), holder.take(rows)
         d = np.empty(len(kept), dtype=np.float32)
         for ci, stack in enumerate(self._depth_stacks):
             sel = np.flatnonzero(holder == ci)
             d[sel] = stack.take(in_stack.take(sel))
         ok = np.flatnonzero(d > 0)
-        return kept.take(ok), at.take(ok), d.take(ok).astype(np.float64) * self._depth_scales.take(rows.take(ok))
-
-    def pixel_keys(self, rows: np.ndarray, pixels: np.ndarray) -> np.ndarray:
-        """Global pixel index key_base[row] + v * W + u (int64) of each pixel
-        _pixel_index keeps; a DataError names the frame of the first pixel
-        outside its image."""
-        kept, at = self._pixel_index(rows, pixels)
-        if len(kept) < len(pixels):
-            bad = np.setdiff1d(np.arange(len(pixels)), kept)[0]
-            (w, h), fid = self._pixel_table[:2, rows[bad]], self._ids[rows[bad]]
-            raise DataError(f"frame {fid}: match pixel {pixels[bad].tolist()} lies outside its {w}x{h} image")
-        return at + self.key_base.take(rows)
+        return kept.take(ok), d.take(ok).astype(np.float64) * self._depth_scales.take(rows.take(ok))
 
     def sample(self, frame_id: int, pixels: np.ndarray):
         """Unproject subpixel coordinates through the global camera, the one
@@ -420,14 +412,16 @@ class MergedGeometry:
         and the confidence at the same stack index; the others stay NaN/0.
         """
         pixels = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
-        row = self.table_rows([frame_id])
-        kept, at, d = self.depths(np.repeat(row, len(pixels)), pixels)
-        _, _, holder, offset = self._pixel_table[:, row[0]].tolist()
+        (row,) = self.table_rows([frame_id])
+        rows = np.full(len(pixels), row)
+        keys = self.pixel_keys(rows, pixels)
+        kept, d = self.depths(rows, keys)
+        _, _, holder, offset = self._pixel_table[:, row].tolist()
         pts = np.full((len(pixels), 3), np.nan)
         confs = np.zeros(len(pixels))
         valid = np.zeros(len(pixels), dtype=bool)
-        pts[kept] = unproject_pixels(pixels.take(kept, axis=0), d, self._cameras[row[0]])
-        confs[kept] = self._conf_stacks[holder].take(at + offset)
+        pts[kept] = unproject_pixels(pixels.take(kept, axis=0), d, self._cameras[row])
+        confs[kept] = self._conf_stacks[holder].take(keys.take(kept) + (offset - self.key_base[row]))
         valid[kept] = True
         return pts, confs, valid
 

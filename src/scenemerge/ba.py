@@ -2,11 +2,11 @@
 
 The objective is sum over tracks of C_l * sum over observations of
 (||y - pi(x)||^2 + eps)^(lambda/2), with lambda = 0.5 by default; eps
-smooths the non-differentiable point at zero residual. Observations whose
-point falls behind the camera contribute C_l * (B + Z^2) instead, pushing
-the point back in front. Updates are plain gradient descent with a cosine
-learning-rate schedule, per-block unit scaling, and rotation steps taken
-on the manifold via the exponential map.
+(_EPSILON, 1e-8) smooths the non-differentiable point at zero residual.
+Observations whose point falls behind the camera contribute C_l * (B + Z^2)
+instead, pushing the point back in front. Updates are plain gradient
+descent with a cosine learning-rate schedule, per-block unit scaling, and
+rotation steps taken on the manifold via the exponential map.
 
 Step rule: adaptive per-parameter steps, step_i = lr_t * unit_b *
 m_i / (d_i + delta), where m is the first-moment average of the true
@@ -79,6 +79,7 @@ from .geometry import CameraParams, CameraPose, pinhole_rows, rotation_exp
 _BEHIND_PENALTY = 1e4  # px-equivalent floor for behind-camera observations
 _NORM_FLOOR = 1e-30
 _BA_BLOCK = 4096  # observations per kernel block, so temporaries do not grow with M
+_EPSILON = 1e-8  # smoothing added to each squared residual norm before the power lambda/2
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,6 @@ class BAConfig:
     iterations: int = 300
     initial_lr: float = 3e-3
     lambda_exp: float = 0.5
-    epsilon: float = 1e-8
     optimize_intrinsics: bool = True
 
     def __post_init__(self):
@@ -98,8 +98,6 @@ class BAConfig:
             raise ConfigError(f"initial_lr must be positive and finite, got {self.initial_lr}")
         if not (0 < self.lambda_exp <= 2):
             raise ConfigError(f"lambda_exp must be in (0, 2], got {self.lambda_exp}")
-        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
 
     def learning_rate(self, iteration: int) -> float:
         """lr at a 0-based iteration; a cosine schedule anneals it toward zero."""
@@ -303,7 +301,7 @@ def _loss_terms(ws: _Workspace, cfg: BAConfig, r, t, k, points):
     block size changes no bit.
     """
     prob = ws.prob
-    lam, eps = cfg.lambda_exp, cfg.epsilon
+    lam = cfg.lambda_exp
     cam_tab, pt_tab = _tables(r, t, k, points, out=ws.tables)
     for start in range(0, prob.n_observations, _BA_BLOCK):
         obs = slice(start, start + _BA_BLOCK)
@@ -327,7 +325,7 @@ def _loss_terms(ws: _Workspace, cfg: BAConfig, r, t, k, points):
         s2, t0 = b["s2"][0], tmp[0]
         np.multiply(e[0], e[0], out=s2)
         s2 += np.multiply(e[1], e[1], out=t0)
-        s2 += eps
+        s2 += _EPSILON
         loss = ws.loss[obs]
         np.copyto(loss, s2)
         # in-place ** keeps the operator's bits (it takes sqrt for 0.5)

@@ -13,7 +13,8 @@ Conventions used throughout the package:
   columns, which BA calls on its per-observation rows. The world-to-camera
   step before it stays with each caller (a gemm for one camera, BA's
   per-observation sums), since the two differ in the last bit and every
-  artifact keeps its bits.
+  artifact keeps its bits. The one exception is the match gate:
+  tracking._transfers moves a pixel at its depth into the other camera.
 * The rotation primitives take stacks, (..., 3) vectors and (..., 3, 3)
   matrices, and give each row the bits a call on that row alone gives.
   Branches (small angle, zero axis, equal rotations) are picked per row

@@ -5,7 +5,8 @@ bidirectional reprojection against the globally aligned geometry, one
 block per call, which returns the rows that pass, then merged into tracks:
 the connected components of the match graph over keypoints. A keypoint is
 the map pixel the gate reads depth at, keyed by its global pixel index
-(frame offset + flat pixel index, MergedGeometry.pixel_keys). Each verified
+(frame offset + flat pixel index, MergedGeometry.pixel_keys) once, when its
+block is cut; the gate and the table read the block's keys. Each verified
 block and its kept rows stream into a KeypointTable, which interns a batch
 of rows with one sort and unions their pairs into one int32 parent array
 over the keypoints (hook and compress, in numpy), so neither the match sets
@@ -203,25 +204,29 @@ class MatchBlock:
     The block is cut into pieces, each a run of rows of one match set:
     frames (E, 2) holds each piece's (frame_i, frame_j) and counts (E,) its
     row count, and pixels_i and pixels_j (N, 2) hold the rows of every piece
-    in order. len() is N, the pairs offered.
+    in order; keys (N, 2) holds their MergedGeometry.pixel_keys (-1 outside
+    the image), computed once, at the cut. len() is N, the pairs offered.
     """
 
     frames: np.ndarray
     counts: np.ndarray
     pixels_i: np.ndarray
     pixels_j: np.ndarray
+    keys: np.ndarray
 
     @classmethod
-    def of(cls, pieces) -> "MatchBlock":
-        """The block of (match set, row slice) pieces, in order."""
+    def of(cls, pieces, merged) -> "MatchBlock":
+        """The block of (match set, row slice) pieces, in order, keyed in the
+        MergedGeometry merged; MissingFrameError names a frame it lacks."""
         pieces = list(pieces)
+        frames = np.array([(ms.frame_i, ms.frame_j) for ms, _ in pieces], dtype=np.int64).reshape(-1, 2)
         pixels_i = [ms.pixels_i[rows] for ms, rows in pieces]
-        return cls(
-            frames=np.array([(ms.frame_i, ms.frame_j) for ms, _ in pieces], dtype=np.int64).reshape(-1, 2),
-            counts=np.array([len(p) for p in pixels_i], dtype=np.int64),
-            pixels_i=np.concatenate(pixels_i).reshape(-1, 2),
-            pixels_j=np.concatenate([ms.pixels_j[rows] for ms, rows in pieces]).reshape(-1, 2),
-        )
+        counts = np.array([len(p) for p in pixels_i], dtype=np.int64)
+        pixels_i = np.concatenate(pixels_i).reshape(-1, 2)
+        pixels_j = np.concatenate([ms.pixels_j[rows] for ms, rows in pieces]).reshape(-1, 2)
+        at = np.repeat(merged.table_rows(frames), counts, axis=0)  # each row's two frames' table rows
+        keys = np.stack([merged.pixel_keys(at[:, 0], pixels_i), merged.pixel_keys(at[:, 1], pixels_j)], axis=1)
+        return cls(frames, counts, pixels_i, pixels_j, keys)
 
     def __len__(self) -> int:
         return len(self.pixels_i)
@@ -234,8 +239,8 @@ def verify_matches(block: MatchBlock, merged, tau_reproj: float = 8.0) -> np.nda
     A pair passes iff both pixels sample valid depth, pixel i moved at its
     depth into frame j's camera lands in front of it within tau_reproj of
     its partner, and the symmetric j to i check passes. merged's per-frame
-    tables give each row's depth (MergedGeometry.depths) and each piece's
-    transfer (_transfers); no world point is formed. Each direction
+    tables give each row's depth at its key (MergedGeometry.depths) and each
+    piece's transfer (_transfers); no world point is formed. Each direction
     transfers only the rows that can still pass, and the reverse check runs
     only on the pairs that survive the forward one, so the rows kept are
     those of checking both directions on every pair.
@@ -244,17 +249,10 @@ def verify_matches(block: MatchBlock, merged, tau_reproj: float = 8.0) -> np.nda
         raise ConfigError(f"tau_reproj must be positive and finite, got {tau_reproj}")
     if len(block) == 0:
         return np.empty(0, dtype=np.intp)
-    frame_i, frame_j = merged.table_rows(block.frames[:, 0]), merged.table_rows(block.frames[:, 1])
-    keep = _passes(merged, block.counts, frame_i, block.pixels_i, frame_j, block.pixels_j, tau_reproj)
-    back = _passes(
-        merged,
-        _runs(keep, block.counts),
-        frame_j,
-        block.pixels_j.take(keep, axis=0),
-        frame_i,
-        block.pixels_i.take(keep, axis=0),
-        tau_reproj,
-    )
+    (frame_i, frame_j), (keys_i, keys_j) = merged.table_rows(block.frames).T, block.keys.T
+    keep = _passes(merged, block.counts, frame_i, keys_i, block.pixels_i, frame_j, block.pixels_j, tau_reproj)
+    kept_i, kept_j = block.pixels_i.take(keep, axis=0), block.pixels_j.take(keep, axis=0)
+    back = _passes(merged, _runs(keep, block.counts), frame_j, keys_j.take(keep), kept_j, frame_i, kept_i, tau_reproj)
     return keep.take(back)
 
 
@@ -286,10 +284,10 @@ def _pinhole_matrices(k: np.ndarray) -> np.ndarray:
     return m
 
 
-def _passes(merged, counts, src, pix_src, dst, pix_dst, tau_reproj: float) -> np.ndarray:
-    """Rows of pix_src, in pieces of counts rows each moving from table row
-    src[piece] to dst[piece], whose pixel moved at its depth lands in front
-    of the dst camera within tau_reproj of its partner in pix_dst.
+def _passes(merged, counts, src, keys, pix_src, dst, pix_dst, tau_reproj: float) -> np.ndarray:
+    """Rows of pix_src (keys their keys), in pieces of counts rows each moving
+    from table row src[piece] to dst[piece], whose pixel moved at its depth
+    lands in front of the dst camera within tau_reproj of its partner.
 
     Only the rows with valid depth are moved, and each piece's transfer is
     repeated over its rows, so no per-row index is built. A row behind the
@@ -297,7 +295,7 @@ def _passes(merged, counts, src, pix_src, dst, pix_dst, tau_reproj: float) -> np
     quietly; the others' pixels are finite or, on overflow, infinite, and
     neither needs a guard.
     """
-    rows, _, z = merged.depths(np.repeat(src, counts), pix_src)
+    rows, z = merged.depths(np.repeat(src, counts), keys)
     transfer, runs = _transfers(merged, src, dst), _runs(rows, counts)
     u, v = pix_src.take(rows, axis=0).T
 
@@ -334,10 +332,11 @@ class KeypointTable:
     The rows of the table are both keypoints of every pair added: blocks in
     the order added, the pairs of each at the kept rows given in order,
     frame_i before frame_j, so pair p holds rows 2p and 2p + 1. A keypoint
-    is a global pixel index (merged.pixel_keys, which raises DataError for
-    a pixel outside its image); it keeps the first table row and subpixel
-    coordinate the table holds for it. add() keeps no block, only the keys
-    and pixels of its kept rows until _FLUSH_ROWS rows are pending. A flush
+    is a global pixel index, taken as given from the block's keys (a kept
+    key of -1, outside the image, raises DataError naming the frame); it
+    keeps the first table row and subpixel coordinate the table holds for
+    it. add() keeps no block, only the keys and pixels of its kept rows
+    until _FLUSH_ROWS rows are pending. A flush
     interns them with one sort against one sorted table of every key, hands
     out ids to the new keys in key order (frame id order), then unions the
     pairs into one int32 parent array over the ids (_union) and drops them,
@@ -375,11 +374,17 @@ class KeypointTable:
             raise ConfigError("keypoint table has handed over its keypoints; it takes no more match sets")
         if not len(rows):
             return
-        # the table rows of the frames of each kept row's two keypoints
-        frames = np.repeat(self._merged.table_rows(block.frames), _runs(rows, block.counts), axis=0).ravel()
-        pixels = np.stack([block.pixels_i.take(rows, axis=0), block.pixels_j.take(rows, axis=0)], axis=1).reshape(-1, 2)
-        self._pending_keys.append(self._merged.pixel_keys(frames, pixels))
-        self._pending_pixels.append(pixels)
+        keys = block.keys.take(rows, axis=0)
+        if keys.min() < 0:  # a kept pixel outside its image: name the first one's frame
+            pair, side = np.argwhere(keys < 0)[0]
+            row = rows[pair]
+            frame = block.frames[np.searchsorted(np.cumsum(block.counts), row, side="right"), side]
+            pixel, k = (block.pixels_i, block.pixels_j)[side][row].tolist(), self._merged.camera(frame).intrinsics
+            raise DataError(f"frame {frame}: match pixel {pixel} lies outside its {k.width}x{k.height} image")
+        self._pending_keys.append(keys.ravel())
+        self._pending_pixels.append(
+            np.stack([block.pixels_i.take(rows, axis=0), block.pixels_j.take(rows, axis=0)], axis=1).reshape(-1, 2)
+        )
         self._sets.append(range(self.n_pairs, self.n_pairs + len(rows)))
         self._n_rows += 2 * len(rows)
         self._pending_rows += 2 * len(rows)
@@ -645,7 +650,7 @@ def run_tracking(
             yield ms
 
     table = KeypointTable(merged)
-    for block in _blocks(match_sets(), max_keypoints):
+    for block in _blocks(match_sets(), merged, max_keypoints):
         table.add(block, verify_matches(block, merged, tau_reproj))
 
     tracks = merge_tracks(table, merged)
@@ -674,11 +679,11 @@ def _edge_matches(matcher, i: int, j: int) -> MatchSet:
 _VERIFY_BLOCK = 4_096
 
 
-def _blocks(match_sets, max_keypoints: int):
+def _blocks(match_sets, merged, max_keypoints: int):
     """The first max_keypoints rows of every match set, in order, cut into
-    MatchBlocks of _VERIFY_BLOCK rows (the last may hold fewer). A block
-    holds pieces of many match sets, and a match set may span several
-    blocks; a match set with no rows adds no piece."""
+    MatchBlocks of _VERIFY_BLOCK rows (the last may hold fewer), keyed in
+    merged. A block holds pieces of many match sets, and a match set may
+    span several blocks; a match set with no rows adds no piece."""
     pieces, filled = [], 0  # (match set, row slice) of the block being filled, and its rows
     for ms in match_sets:
         start, stop = 0, min(len(ms), max_keypoints)
@@ -688,7 +693,7 @@ def _blocks(match_sets, max_keypoints: int):
             filled += end - start
             start = end
             if filled == _VERIFY_BLOCK:
-                yield MatchBlock.of(pieces)
+                yield MatchBlock.of(pieces, merged)
                 pieces, filled = [], 0
     if pieces:
-        yield MatchBlock.of(pieces)
+        yield MatchBlock.of(pieces, merged)

@@ -559,13 +559,14 @@ class TestMergeClusters:
         assert np.abs(got - expected).max() < 1e-5
 
     def test_depths_read_each_frame_from_its_winning_cluster(self):
-        """depths, given the table rows of many frames at once, reads each
-        pixel from its frame's own map in the winning cluster: three clusters
-        of different image sizes and scales, two frames held twice, pixels
-        inside, on and past every edge, over holes and huge. Each kept row
-        has its flat index into the frame's map and that depth times the
-        cluster's scale, bit for bit; table_rows names a frame no cluster
-        holds."""
+        """depths, given the table rows of many frames at once and the keys
+        pixel_keys gives their pixels, reads each pixel from its frame's own
+        map in the winning cluster: three clusters of different image sizes
+        and scales, two frames held twice, pixels inside, on and past every
+        edge, over holes and huge. Each kept row has its flat index into the
+        frame's map (its key less the frame's key_base) and that depth times
+        the cluster's scale, bit for bit; table_rows names a frame no
+        cluster holds."""
         rng = np.random.default_rng(21)
 
         def frame(fid, h, w, conf):
@@ -581,7 +582,10 @@ class TestMergeClusters:
         fids = rng.integers(0, 6, 600)
         pixels = rng.uniform(-1.5, 8.5, (600, 2))
         pixels[::50, 0] = 1e300
-        kept, at, depths = merged.depths(merged.table_rows(fids), pixels)
+        rows = merged.table_rows(fids)
+        keys = merged.pixel_keys(rows, pixels)
+        kept, depths = merged.depths(rows, keys)
+        at = keys[kept] - merged.key_base[rows[kept]]
 
         want = []
         for row, (fid, (u, v)) in enumerate(zip(fids.tolist(), np.rint(pixels).tolist())):

@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from scenemerge import ba
 from scenemerge.ba import (
     BAConfig,
     BAGradients,
@@ -190,7 +191,7 @@ def _ref_loss_terms(prob: BAProblem, cfg: BAConfig, r, t, k, points):
     """The per-observation loss kernel in its stacked (M, 3, 3) form, with
     einsum for R x: (loss (M,), g_cam (M, 3), g_intr (M, 4), R x (M, 3),
     in_front (M,)), all before the confidence weight."""
-    lam, eps = cfg.lambda_exp, cfg.epsilon
+    lam, eps = cfg.lambda_exp, ba._EPSILON
     km = k[prob.camera_indices]
     rx = np.einsum("mij,mj->mi", r[prob.camera_indices], points[prob.point_indices])
     v = rx + t[prob.camera_indices]
@@ -376,7 +377,7 @@ class TestBAConfig:
         assert cfg.iterations == 300
         assert cfg.initial_lr == 3e-3
         assert cfg.lambda_exp == 0.5
-        assert cfg.epsilon == 1e-8
+        assert ba._EPSILON == 1e-8
         assert cfg.optimize_intrinsics is True
 
     def test_cosine_schedule(self):
@@ -399,13 +400,9 @@ class TestBAConfig:
             BAConfig(lambda_exp=0.0)
         with pytest.raises(ConfigError, match="lambda_exp"):
             BAConfig(lambda_exp=2.5)
-        with pytest.raises(ConfigError, match="epsilon"):
-            BAConfig(epsilon=0.0)
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ConfigError, match="initial_lr"):
                 BAConfig(initial_lr=bad)
-            with pytest.raises(ConfigError, match="epsilon"):
-                BAConfig(epsilon=bad)
             with pytest.raises(ConfigError, match="lambda_exp"):
                 BAConfig(lambda_exp=bad)
 
@@ -481,7 +478,7 @@ class TestBAProblem:
 
 
 class TestBALoss:
-    def test_hand_example_four_pixels(self):
+    def test_hand_example_four_pixels(self, monkeypatch):
         """Residual (4, 0) px with C=2, lambda=0.5: 2 * (16)^0.25 = 4.
         The second observation has zero confidence and zero residual so it
         contributes nothing."""
@@ -494,7 +491,8 @@ class TestBALoss:
             pixels=np.array([[36.0, 24.0], [32.0, 24.0]]),
             confidences=np.array([2.0, 0.0]),
         )
-        assert ba_loss(prob, BAConfig(epsilon=1e-300)) == pytest.approx(4.0, rel=1e-15)
+        monkeypatch.setattr(ba, "_EPSILON", 1e-300)
+        assert ba_loss(prob) == pytest.approx(4.0, rel=1e-15)
 
     def test_zero_residual_floor(self):
         """Exact observations cost sum(C) * eps^0.25 = 3 * 0.01."""
@@ -522,7 +520,7 @@ class TestBALoss:
         )
         assert ba_loss(prob) == pytest.approx(1.5 * (1e4 + 9.0), rel=1e-15)
 
-    def test_lambda_two_is_squared_norm(self):
+    def test_lambda_two_is_squared_norm(self, monkeypatch):
         """lambda=2 turns each term into C * (||e||^2 + eps): residual 3 px
         with C=1 costs 9."""
         cam = _front_camera()
@@ -534,7 +532,8 @@ class TestBALoss:
             pixels=np.array([[35.0, 24.0], [32.0, 24.0]]),
             confidences=np.array([1.0, 0.0]),
         )
-        cfg = BAConfig(lambda_exp=2.0, epsilon=1e-300)
+        monkeypatch.setattr(ba, "_EPSILON", 1e-300)
+        cfg = BAConfig(lambda_exp=2.0)
         assert ba_loss(prob, cfg) == pytest.approx(9.0, rel=1e-15)
 
     def test_gauge_invariance(self):
@@ -855,7 +854,6 @@ class TestBlockedKernel:
 
     @pytest.mark.parametrize("block", [7, 64])
     def test_block_size_keeps_bits(self, block, monkeypatch):
-        from scenemerge import ba
 
         prob = _behind_problem(23)
         _, front = predicted_pixels(prob)
@@ -879,7 +877,6 @@ class TestBlockedKernel:
         in front of their cameras (the kernel skips the behind-camera mask)
         and blocks with rows behind; both kinds keep the stacked reference's
         bits, at the start and after a few iterations."""
-        from scenemerge import ba
 
         monkeypatch.setattr(ba, "_BA_BLOCK", 8)
         prob = _behind_problem(23)
@@ -906,7 +903,6 @@ class TestBlockedKernel:
         pair shares one int32 index structure and both 0/1 matrices one
         vector of ones (33 here). Four matrices with int64 indices of their
         own held about 68."""
-        from scenemerge import ba
 
         prob = _large_problem()
         arrays = {}

@@ -265,7 +265,8 @@ class TestMatcherFromSceneDir:
 
         matcher = matcher_from_scene_dir(root)
         merged = MergedGeometry(clusters, [Sim3Transform.identity()] * len(clusters))
-        block = MatchBlock.of((matcher(i, j), slice(None)) for i, j in build_frame_graph(similarity, k=3).edges)
+        edges = build_frame_graph(similarity, k=3).edges
+        block = MatchBlock.of(((matcher(i, j), slice(None)) for i, j in edges), merged)
         assert len(block) > 0 and len(verify_matches(block, merged, tau_reproj=1.0)) == len(block)
 
 

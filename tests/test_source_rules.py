@@ -13,9 +13,10 @@ it keeps no package member alive. Only io_formats.py, which reads and
 writes every JSON file, and cli.py may import json, and cli.py may use it
 only as print(json.dumps(...)) to stdout. Only io_formats.py may call what
 reads or writes a file: open(), a path's read_bytes/read_text/write_bytes/
-write_text, numpy's load*/save*, fromfile and tofile. Only the modules in
-ROUNDING_MODULES may name rint, each for the reason given, so the rule that
-turns a subpixel match coordinate into a map pixel has one home.
+write_text, numpy's load*/save*, fromfile and tofile. Only the functions
+in ROUNDING_FUNCTIONS (module:function, or module:Class.method) may name
+rint, each for the reason given, so the rule that turns a subpixel match
+coordinate into a map pixel has one home.
 """
 
 import ast
@@ -28,9 +29,9 @@ BROAD = {"Exception", "BaseException"}
 JSON_MODULES = ("io_formats.py", "cli.py")
 FILE_IO_MODULE = "io_formats.py"
 FILE_IO_ATTRS = {"open", "read_bytes", "read_text", "write_bytes", "write_text", "fromfile", "tofile"}
-ROUNDING_MODULES = {
-    "alignment.py": "MergedGeometry._pixel_index, the one rule from a subpixel match coordinate to a map pixel",
-    "synthetic.py": "_splat, rendering: the pixel a projected landmark lands on",
+ROUNDING_FUNCTIONS = {
+    "alignment.py:MergedGeometry.pixel_keys": "the one rule from a subpixel match coordinate to a map pixel",
+    "synthetic.py:_splat": "rendering: the pixel a projected landmark lands on",
 }
 KEPT_UNREFERENCED = {
     "ba_loss": "test reference for the analytic gradient",
@@ -250,17 +251,30 @@ def test_package_reads_and_writes_files_in_io_formats():
     assert found == []
 
 
+def _rint_sites(source: str, name: str) -> list[tuple[str, int, str]]:
+    """Every use of rint (an attribute such as np.rint, or an imported
+    name) as (where, line, code): where is the function it sits in, as
+    module:qualified name, or the module alone at top level."""
+    out = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}" if ":" in where else f"{where}:{node.name}"
+        if isinstance(node, ast.Attribute) and node.attr == "rint" or isinstance(node, ast.ImportFrom) and any(
+            alias.name == "rint" for alias in node.names
+        ):
+            out.append((where, node.lineno, ast.unparse(node)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source, filename=name), name)
+    return out
+
+
 def _rint_uses(source: str, name: str) -> list[str]:
-    """Uses of rint (an attribute such as np.rint, or an imported name)
-    outside ROUNDING_MODULES."""
-    if name in ROUNDING_MODULES:
-        return []
-    return [
-        f"{name}:{node.lineno}: {ast.unparse(node)}"
-        for node in ast.walk(ast.parse(source, filename=name))
-        if isinstance(node, ast.Attribute) and node.attr == "rint" or isinstance(node, ast.ImportFrom)
-        and any(alias.name == "rint" for alias in node.names)
-    ]
+    """Uses of rint outside ROUNDING_FUNCTIONS."""
+    sites = _rint_sites(source, name)
+    return [f"{where}:{line}: {code}" for where, line, code in sites if where not in ROUNDING_FUNCTIONS]
 
 
 @pytest.mark.parametrize(
@@ -269,9 +283,27 @@ def _rint_uses(source: str, name: str) -> list[str]:
         ("uv = np.rint(px)", "tracking.py", ["tracking.py:1: np.rint"]),
         ("uv = numpy.rint(px).astype(int)", "ba.py", ["ba.py:1: numpy.rint"]),
         ("from numpy import rint", "tracking.py", ["tracking.py:1: from numpy import rint"]),
-        ("uv = np.rint(px)", "alignment.py", []),
-        ("uv = np.rint(px)", "synthetic.py", []),
+        ("uv = np.rint(px)", "alignment.py", ["alignment.py:1: np.rint"]),
+        ("uv = np.rint(px)", "synthetic.py", ["synthetic.py:1: np.rint"]),
         ("uv = np.round(px)\nn = round(x)", "tracking.py", []),
+        (
+            "class MergedGeometry:\n    def pixel_keys(self, px):\n        return np.rint(px)",
+            "alignment.py",
+            [],
+        ),
+        (
+            "class MergedGeometry:\n    def _pixel_index(self, px):\n        return np.rint(px)",
+            "alignment.py",
+            ["alignment.py:MergedGeometry._pixel_index:3: np.rint"],
+        ),
+        ("def pixel_keys(px):\n    return np.rint(px)", "alignment.py", ["alignment.py:pixel_keys:2: np.rint"]),
+        ("def _splat(uv):\n    return np.rint(uv)", "synthetic.py", []),
+        ("def _splat(uv):\n    return np.rint(uv)", "tracking.py", ["tracking.py:_splat:2: np.rint"]),
+        (
+            "def _splat(uv):\n    def inner(x):\n        return np.rint(x)\n    return inner(uv)",
+            "synthetic.py",
+            ["synthetic.py:_splat.inner:3: np.rint"],
+        ),
     ],
 )
 def test_rounding_rule(source, name, flagged):
@@ -281,5 +313,5 @@ def test_rounding_rule(source, name, flagged):
 def test_package_rounds_pixels_in_one_place():
     sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     assert [v for name, source in sources.items() for v in _rint_uses(source, name)] == []
-    still_rounding = {name for name in ROUNDING_MODULES if "rint" in sources.get(name, "")}
-    assert still_rounding == set(ROUNDING_MODULES), "a ROUNDING_MODULES entry no longer rounds"
+    rounding = {where for name, source in sources.items() for where, _, _ in _rint_sites(source, name)}
+    assert rounding == set(ROUNDING_FUNCTIONS), "a ROUNDING_FUNCTIONS entry no longer rounds"

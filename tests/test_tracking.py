@@ -89,16 +89,16 @@ def _pair(fi, fj, pixels):
     )
 
 
-def _block(ms):
-    """ms as a block of one piece, holding its pixel arrays uncopied."""
-    return MatchBlock(np.array([[ms.frame_i, ms.frame_j]]), np.array([len(ms)]), ms.pixels_i, ms.pixels_j)
+def _block(ms, merged):
+    """ms as a block of one piece, keyed in merged."""
+    return MatchBlock.of([(ms, slice(None))], merged)
 
 
 def _table(matches, merged):
     """A KeypointTable over merged holding every pair of each match set, one add each."""
     table = tracking.KeypointTable(merged)
     for ms in matches:
-        table.add(_block(ms), np.arange(len(ms)))
+        table.add(_block(ms, merged), np.arange(len(ms)))
     return table
 
 
@@ -109,7 +109,7 @@ def _kept(ms, rows):
 
 def _verify(ms, merged, tau_reproj=8.0):
     """The block gate on one match set: its kept rows."""
-    return verify_matches(MatchBlock.of([(ms, slice(None))]), merged, tau_reproj)
+    return verify_matches(_block(ms, merged), merged, tau_reproj)
 
 
 def _streamed_kept_rows(match_sets, merged, tau_reproj=8.0):
@@ -118,7 +118,7 @@ def _streamed_kept_rows(match_sets, merged, tau_reproj=8.0):
     piece's rows are recovered from its block's result by position in the
     stream. The blocks' pieces must hold the match sets' rows and frames,
     in order."""
-    blocks = list(tracking._blocks(iter(match_sets), max_keypoints=2**62))
+    blocks = list(tracking._blocks(iter(match_sets), merged, max_keypoints=2**62))
     frames = [np.repeat(b.frames, b.counts, axis=0) for b in blocks]
     frames = np.concatenate([np.empty((0, 2), dtype=np.int64)] + frames)
     sizes = [len(ms) for ms in match_sets]
@@ -537,12 +537,12 @@ class TestVerifyMatches:
         assert np.flatnonzero(~forward).tolist() == [2, 3, 4, 7, 8, 9, 10, 11, 14]
         assert np.flatnonzero(forward & ~reverse).tolist() == [5, 6, 12, 13]
         # each direction of the block gate alone, on every row
-        block, (row_0, row_1) = MatchBlock.of([(ms, slice(None))]), merged.table_rows([0, 1])
-        for src, pix_src, dst, pix_dst, want in (
-            ([row_0], block.pixels_i, [row_1], block.pixels_j, forward),
-            ([row_1], block.pixels_j, [row_0], block.pixels_i, reverse),
+        block, (row_0, row_1) = _block(ms, merged), merged.table_rows([0, 1])
+        for src, keys, pix_src, dst, pix_dst, want in (
+            ([row_0], block.keys[:, 0], block.pixels_i, [row_1], block.pixels_j, forward),
+            ([row_1], block.keys[:, 1], block.pixels_j, [row_0], block.pixels_i, reverse),
         ):
-            passed = tracking._passes(merged, block.counts, np.array(src), pix_src, np.array(dst), pix_dst, 1.0)
+            passed = tracking._passes(merged, block.counts, np.array(src), keys, pix_src, np.array(dst), pix_dst, 1.0)
             assert passed.tolist() == np.flatnonzero(want).tolist()
 
     def test_rejects_bad_tau(self):
@@ -675,7 +675,7 @@ class TestMergeTracks:
             assert partition.tolist() == expected_partition.tolist()
             assert np.array_equal(root.take(root), root)  # each root is an id of its own component
             with pytest.raises(ConfigError, match="handed over"):
-                table.add(_block(matches[0]), np.arange(len(matches[0])))
+                table.add(_block(matches[0], merged), np.arange(len(matches[0])))
             with pytest.raises(ConfigError, match="handed over"):
                 table.keypoints()
 
@@ -711,8 +711,8 @@ class TestMergeTracks:
         v, u = np.mgrid[0:size, 0:size]
         pixels = np.stack([u.ravel(), v.ravel()], axis=1).astype(np.float64)
         table = tracking.KeypointTable(merged)
-        table.add(_block(MatchSet(0, 1, pixels, pixels)), np.arange(len(pixels)))
-        table.add(_block(MatchSet(0, 1, pixels[:-1], pixels[1:])), np.arange(len(pixels) - 1))
+        table.add(_block(MatchSet(0, 1, pixels, pixels), merged), np.arange(len(pixels)))
+        table.add(_block(MatchSet(0, 1, pixels[:-1], pixels[1:]), merged), np.arange(len(pixels) - 1))
         tracks, peak = traced_peak(lambda: merge_tracks(table, merged))
         assert table.n_keypoints == 2 * size * size >= 200_000 and len(tracks) == 0
         per_keypoint = peak / table.n_keypoints
@@ -837,16 +837,16 @@ class TestMergeTracks:
         no pair and no range: the table holds what a table of the kept
         pieces alone holds."""
         empty = MatchSet(4, 5, np.zeros((0, 2)), np.zeros((0, 2)))
-        assert list(tracking._blocks(iter([empty, empty]), 4096)) == []
+        merged = _merged_flat(list(range(6)))
+        assert list(tracking._blocks(iter([empty, empty]), merged, 4096)) == []
         sets = [
             _pair(0, 1, [((1.0, 1.0), (2.0, 2.0)), ((3.0, 3.0), (4.0, 4.0))]),
             empty,
             _pair(2, 3, [((5.0, 5.0), (6.0, 6.0))]),
             _pair(1, 2, [((2.0, 2.0), (5.0, 5.0)), ((7.0, 7.0), (1.0, 1.0))]),
         ]
-        (block,) = tracking._blocks(iter(sets), 4096)
+        (block,) = tracking._blocks(iter(sets), merged, 4096)
         assert block.frames.tolist() == [[0, 1], [2, 3], [1, 2]] and block.counts.tolist() == [2, 1, 2]
-        merged = _merged_flat(list(range(6)))
         table = tracking.KeypointTable(merged)
         table.add(block, np.empty(0, dtype=np.intp))
         table.add(block, np.array([0, 1, 3]))  # the (2, 3) piece lost its row, the (1, 2) piece one of two
@@ -901,9 +901,10 @@ class TestKeypointTable:
         depths(), which the gate reads, keeps its pixel; the table then
         holds the pixel as given, and a pixel outside fails naming frame 1."""
         merged = _merged_flat([0, 1])
-        assert len(merged.depths(np.array([1]), np.array([pixel]))[0]) == inside
+        rows = np.array([1])
+        assert len(merged.depths(rows, merged.pixel_keys(rows, np.array([pixel])))[0]) == inside
         table = tracking.KeypointTable(merged)
-        block = _block(_pair(0, 1, [((1.0, 1.0), pixel)]))
+        block = _block(_pair(0, 1, [((1.0, 1.0), pixel)]), merged)
         if not inside:
             with pytest.raises(DataError, match=r"^frame 1: match pixel .* lies outside its 8x8 image"):
                 table.add(block, np.arange(1))
@@ -916,16 +917,18 @@ class TestKeypointTable:
     def test_pixel_keys_are_frame_offset_plus_flat_index(self):
         """The key of pixel (u, v) of the frame at table row r is
         key_base[r] + v * W + u, with key_base the exclusive cumulative sum
-        of the frames' W * H in frames() order and the total at its end."""
+        of the frames' W * H in frames() order and the total at its end; a
+        pixel that rounds outside its frame's image has key -1, even where
+        it lies inside a larger frame's."""
         a = _flat_cluster([7, 2], size=8)
         b = _flat_cluster([4], size=6)
         b = dataclasses.replace(b, cluster_id=1)
         merged = MergedGeometry([a, b], [Sim3Transform.identity()] * 2)
         assert merged.frames() == [2, 4, 7]
         assert merged.key_base.tolist() == [0, 64, 100, 164]
-        rows = merged.table_rows([7, 4, 2, 7])
-        keys = merged.pixel_keys(rows, np.array([[3.0, 2.0], [5.4, 5.4], [0.0, 0.0], [7.0, 7.0]]))
-        assert keys.dtype == np.int64 and keys.tolist() == [100 + 19, 64 + 35, 0, 163]
+        rows = merged.table_rows([7, 4, 2, 7, 4])
+        keys = merged.pixel_keys(rows, np.array([[3.0, 2.0], [5.4, 5.4], [0.0, 0.0], [7.0, 7.0], [6.0, 1.0]]))
+        assert keys.dtype == np.int64 and keys.tolist() == [100 + 19, 64 + 35, 0, 163, -1]
 
     def test_pixel_outside_image_rejected_naming_frame(self):
         """A pixel outside its image, however large and on either side of a
@@ -941,15 +944,19 @@ class TestKeypointTable:
             warnings.simplefilter("error")
             for (fi, fj, bad), frame in zip(pairs, (2, 1, 0)):
                 table = tracking.KeypointTable(merged)
-                block = _block(_pair(fi, fj, [((1.0, 1.0), (2.0, 2.0)), bad]))
+                block = _block(_pair(fi, fj, [((1.0, 1.0), (2.0, 2.0)), bad]), merged)
                 with pytest.raises(DataError, match=rf"^frame {frame}: match pixel .* lies outside its 8x8 image"):
                     table.add(block, np.arange(2))
                 assert table.n_pairs == 0 and list(table) == []
 
     def test_frame_no_cluster_holds_rejected(self):
-        table = tracking.KeypointTable(_merged_flat([0, 1]))
+        """A match set on a frame no cluster holds fails where its block is
+        cut, naming the frame."""
+        merged = _merged_flat([0, 1])
         with pytest.raises(MissingFrameError, match="frame 5"):
-            table.add(_block(_pair(0, 5, [((1.0, 1.0), (2.0, 2.0))])), np.arange(1))
+            _block(_pair(0, 5, [((1.0, 1.0), (2.0, 2.0))]), merged)
+        with pytest.raises(MissingFrameError, match="frame 5"):
+            list(tracking._blocks(iter([_pair(5, 1, [((1.0, 1.0), (2.0, 2.0))])]), merged, 4096))
 
     def test_every_row_the_gate_keeps_is_a_keypoint(self):
         """On random match sets over identical cameras and 8x8 maps with depth
@@ -970,10 +977,10 @@ class TestKeypointTable:
             both = [np.rint(p) for p in (pi, pj)]
             inside = np.all([(p >= 0) & (p < 8) for p in both], axis=(0, 2))
             assert kept.tolist() == np.flatnonzero(inside).tolist()
-            table.add(_block(ms), kept)
+            table.add(_block(ms, merged), kept)
             for row in np.flatnonzero(~inside):
                 with pytest.raises(DataError, match="lies outside"):
-                    tracking.KeypointTable(merged).add(_block(ms), np.array([row]))
+                    tracking.KeypointTable(merged).add(_block(ms, merged), np.array([row]))
                 rejected += 1
         assert table.n_pairs > 200 and rejected > 200
         held = np.rint(table.keypoints()[2])
@@ -991,8 +998,8 @@ class TestKeypointTable:
         v, u = np.mgrid[0:size, 0:size]
         pixels = np.stack([u.ravel(), v.ravel()], axis=1).astype(np.float64)
         table = tracking.KeypointTable(merged)
-        table.add(_block(MatchSet(0, 1, pixels, pixels)), np.arange(len(pixels)))
-        table.add(_block(MatchSet(0, 1, pixels[:-1], pixels[1:])), np.arange(len(pixels) - 1))
+        table.add(_block(MatchSet(0, 1, pixels, pixels), merged), np.arange(len(pixels)))
+        table.add(_block(MatchSet(0, 1, pixels[:-1], pixels[1:]), merged), np.arange(len(pixels) - 1))
         (first, frames, kept, root), peak = traced_peak(table.keypoints)
         assert table.n_keypoints == len(first) == 2 * size * size >= 131_072
         assert len(np.unique(root)) == 1 and sorted(frames.tolist()) == [0] * size * size + [1] * size * size
@@ -1108,7 +1115,7 @@ class TestRunTracking:
         def table():
             table = tracking.KeypointTable(merged)
             for ms, rows in verified:
-                table.add(_block(ms), rows)
+                table.add(_block(ms, merged), rows)
             return table
 
         runs, id_order = [], []
@@ -1140,6 +1147,55 @@ class TestRunTracking:
             forward_only += int(np.sum(~forward & reverse))
             reverse_only += int(np.sum(forward & ~reverse))
         assert forward_only > 0 and reverse_only > 0
+
+    def test_each_match_pixel_is_rounded_once(self, monkeypatch):
+        """Over one run_tracking in which the gate rejects some rows, the
+        blocks' cut, verification and interning hand MergedGeometry.pixel_keys
+        exactly the two pixels of every row offered, and KeypointTable.add
+        calls no MergedGeometry method on the rows it accepts: the gate and
+        the table read the keys the block was cut with instead of rounding
+        the pixels again. (merge_tracks' lift rounds through sample after.)"""
+        scene, spec, sim, plan, clusters, warps, merged = self._pipeline_pieces()
+        log = []  # ("call", method, rows), or ("enter"/"leave", stage), in order
+
+        def spy(name, method):
+            def spied(self, *args, **kwargs):
+                log.append(("call", name, len(args[0]) if name == "pixel_keys" else 0))
+                return method(self, *args, **kwargs)
+
+            return spied
+
+        def staged(stage, function):
+            def wrapped(*args, **kwargs):
+                log.append(("enter", stage, len(args[0]) if stage == "verify" else 0))
+                try:
+                    return function(*args, **kwargs)
+                finally:
+                    log.append(("leave", stage, 0))
+
+            return wrapped
+
+        for name, member in vars(MergedGeometry).items():
+            if callable(member) and name != "__init__":
+                monkeypatch.setattr(MergedGeometry, name, spy(name, member))
+        monkeypatch.setattr(tracking.KeypointTable, "add", staged("add", tracking.KeypointTable.add))
+        monkeypatch.setattr(tracking, "verify_matches", staged("verify", tracking.verify_matches))
+        monkeypatch.setattr(tracking, "merge_tracks", staged("merge", tracking.merge_tracks))
+        result = run_tracking(sim, merged, synthetic_matcher(scene, spec), k=5)
+
+        before_merge = log[: log.index(("enter", "merge", 0))]
+        offered = sum(rows for kind, stage, rows in before_merge if (kind, stage) == ("enter", "verify"))
+        assert 0 < result.verified_pairs < offered  # the gate rejects some rows
+        rounded = sum(rows for kind, name, rows in before_merge if (kind, name) == ("call", "pixel_keys"))
+        assert rounded == 2 * offered
+        in_add, called_in_add = False, []
+        for kind, name, _ in before_merge:
+            if kind != "call" and name == "add":
+                in_add = kind == "enter"
+            elif kind == "call" and in_add:
+                called_in_add.append(name)
+        assert called_in_add == []
+        assert any(entry == ("enter", "add", 0) for entry in before_merge)
 
     @pytest.mark.parametrize("block", [7, 64, pytest.param(tracking._VERIFY_BLOCK, id="default")])
     def test_block_size_keeps_rows_and_tracks(self, monkeypatch, block):
@@ -1248,7 +1304,7 @@ class TestRunTracking:
             for ms, rows in zip(match_sets, handed):
                 reference = _reference_verify_matches(ms, merged, 8.0)[0]
                 assert rows.tolist() == _per_edge_verify(ms, merged, 8.0).tolist() == reference.tolist()
-                table.add(_block(ms), rows)  # every kept row is a keypoint
+                table.add(_block(ms, merged), rows)  # every kept row is a keypoint
             assert table.n_pairs == branches["kept"]
 
     @staticmethod
