@@ -29,8 +29,8 @@ from pathlib import Path
 from .errors import ConfigError, DataError, DivergenceError
 from .io_formats import (
     JSON_FORMAT_VERSION,
-    _read_json,
-    plan_document,
+    document,
+    read_json,
     read_plan,
     read_ply,
     read_pose_map,
@@ -78,7 +78,7 @@ def _configure_logging() -> None:
 
 def _load_config_file(path) -> dict:
     try:
-        return _read_json(path, "config")
+        return read_json(path, "config")
     except DataError as e:
         raise ConfigError(str(e)) from None
 
@@ -114,7 +114,7 @@ def cmd_plan(args) -> None:
     cfg = _pipeline_config(args)
     plan = plan_scene(read_similarity(args.similarity), cfg.subset_size, cfg.overlap, n_subsequences=cfg.n_subsequences)
     if args.out is None:
-        print(json.dumps(plan_document(plan), indent=2))
+        print(json.dumps(document(plan), indent=2))
     else:
         write_plan(args.out, plan)
         print(f"wrote {args.out} ({len(plan.subsets)} subsets of {plan.subset_size})")

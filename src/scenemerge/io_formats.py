@@ -45,12 +45,17 @@ float "quality" carrying per-point confidence. The reader reads past any
 other vertex property (red/green/blue, normals).
 
 Manifests, poses, pairwise transforms, partition plans and gt/synth.json
-are UTF-8 JSON objects with a "format_version" field. The entries of a manifest's "images"
-and "clusters", of a poses file's "poses" and of a transforms file's
-"clusters" are records: read_record and record_document read and write each
-one from its dataclass fields, keys in field order, through the entry of
-_FIELD_CODECS for the field's annotation. Every record field is required
-except an image's image_path (absent reads as null); in the manifest's
+are UTF-8 JSON objects with a "format_version" field. A partition plan
+(ordering.SceneGraphPlan) and gt/synth.json (synthetic.SynthRecord) are
+each one record, which write_document and read_document write and read
+after the version; the entries of a manifest's "images" and "clusters", of
+a poses file's "poses" and of a transforms file's "clusters" are records
+too. read_record and record_document read and write a record from its
+dataclass fields, keys in field order, through the entry of _FIELD_CODECS
+for the field's annotation, or as a nested record when the annotation names
+another record class (gt/synth.json's perturb). A field annotated X | None
+may be absent and reads as None (an image's image_path, gt/synth.json's
+n_subsequences); every other record field is required. In the manifest's
 header, similarity_path (null) and units ("arbitrary") may be absent too.
 A float field takes a finite JSON number, never a bool or a string;
 translations are exactly 3 of them and Sim(3) scales are positive.
@@ -67,6 +72,7 @@ import json
 import math
 import os
 import struct
+import sys
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -104,6 +110,7 @@ _QUAT_NORM_TOL = 1e-3
 Quaternion = np.ndarray  # (w, x, y, z), norm within _QUAT_NORM_TOL of 1
 Vector3 = np.ndarray  # exactly 3 finite floats
 PositiveFloat = float  # finite and above 0
+Indices = np.ndarray  # int64 frame indices
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +255,11 @@ def write_manifest(path, manifest: SceneManifest) -> None:
         "images": [record_document(im) for im in manifest.images],
         "clusters": [record_document(c) for c in manifest.clusters],
     }
-    _write_json(path, doc)
+    write_json(path, doc)
 
 
 def read_manifest(path) -> SceneManifest:
-    doc = _read_json(path, "manifest")
+    doc = read_json(path, "manifest")
     _check_version(doc, path)
     return _construct(
         SceneManifest,
@@ -303,11 +310,11 @@ def camera_from_pose_record(rec: PoseRecord, width: int, height: int) -> CameraP
 
 
 def write_poses(path, records: list[PoseRecord]) -> None:
-    _write_json(path, {"format_version": JSON_FORMAT_VERSION, "poses": [record_document(r) for r in records]})
+    write_json(path, {"format_version": JSON_FORMAT_VERSION, "poses": [record_document(r) for r in records]})
 
 
 def read_poses(path) -> list[PoseRecord]:
-    doc = _read_json(path, "poses")
+    doc = read_json(path, "poses")
     _check_version(doc, path)
     return _read_records(PoseRecord, doc, "poses", path, "frame_id")
 
@@ -356,11 +363,11 @@ def sim3_from_transform_record(rec: TransformRecord) -> Sim3Transform:
 
 
 def write_transforms(path, records: list[TransformRecord]) -> None:
-    _write_json(path, {"format_version": JSON_FORMAT_VERSION, "clusters": [record_document(r) for r in records]})
+    write_json(path, {"format_version": JSON_FORMAT_VERSION, "clusters": [record_document(r) for r in records]})
 
 
 def read_transforms(path) -> list[TransformRecord]:
-    doc = _read_json(path, "transforms")
+    doc = read_json(path, "transforms")
     _check_version(doc, path)
     return _read_records(TransformRecord, doc, "clusters", path, "cluster_id")
 
@@ -556,38 +563,14 @@ def read_ply(path) -> PointCloud:
 # partition plans
 
 
-def plan_document(plan) -> dict:
-    """Plan as the JSON-serializable document written by write_plan."""
-    return {
-        "format_version": JSON_FORMAT_VERSION,
-        "subset_size": int(plan.subset_size),
-        "overlap": int(plan.overlap),
-        "n_subsequences": int(plan.n_subsequences),
-        "pseudo_order": [int(i) for i in plan.pseudo_order],
-        "interleaved_order": [int(i) for i in plan.interleaved_order],
-        "subsets": [[int(i) for i in s] for s in plan.subsets],
-    }
-
-
 def write_plan(path, plan) -> None:
-    _write_json(path, plan_document(plan))
+    write_document(path, plan)
 
 
 def read_plan(path):
     from .ordering import SceneGraphPlan
 
-    doc = _read_json(path, "plan")
-    _check_version(doc, path)
-    return _construct(
-        SceneGraphPlan,
-        path,
-        pseudo_order=_value(doc, "pseudo_order", _indices, path),
-        interleaved_order=_value(doc, "interleaved_order", _indices, path),
-        subsets=_value(doc, "subsets", lambda v: [_indices(s) for s in v], path),
-        subset_size=_value(doc, "subset_size", _int, path),
-        overlap=_value(doc, "overlap", _int, path),
-        n_subsequences=_value(doc, "n_subsequences", _int, path),
-    )
+    return read_document(path, SceneGraphPlan, "plan")
 
 
 # ---------------------------------------------------------------------------
@@ -607,8 +590,26 @@ def write_loss_csv(path, ba_result, cfg) -> None:
 # shared JSON plumbing
 
 
-def _write_json(path, doc) -> None:
+def write_json(path, doc) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+
+
+def document(record) -> dict:
+    """A record as the JSON document of its own file: format_version, then
+    its fields."""
+    return {"format_version": JSON_FORMAT_VERSION, **record_document(record)}
+
+
+def write_document(path, record) -> None:
+    write_json(path, document(record))
+
+
+def read_document(path, cls, kind: str):
+    """The cls record the JSON document at path holds, its format_version
+    checked; errors name the file, and kind names what it failed to be."""
+    doc = read_json(path, kind)
+    _check_version(doc, path)
+    return read_record(cls, doc, path)
 
 
 def _read_bytes(path, kind: str) -> bytearray:
@@ -626,7 +627,7 @@ def _read_bytes(path, kind: str) -> bytearray:
         raise DataError(f"{path}: cannot read {kind} file: {e.strerror or e}") from None
 
 
-def _read_json(path, kind: str) -> dict:
+def read_json(path, kind: str) -> dict:
     """The JSON object in the UTF-8 file at path; DataError subclasses name the file."""
     try:
         doc = json.loads(_read_bytes(path, kind).decode("utf-8"))
@@ -639,20 +640,27 @@ def _read_json(path, kind: str) -> dict:
     return doc
 
 
-def read_record(cls, entry: dict, where: str):
+def read_record(cls, entry: dict, where):
     """The cls record held in the JSON object entry.
 
     Each field's value is read by the reader _FIELD_CODECS lists for its
-    annotation. A field whose default is None may be absent; every other
-    field must be present. A missing field, a bad value, or a record cls
-    rejects raises SchemaViolationError naming where (the file and the
-    entry) and, for a field, the field.
+    annotation X, or, when X names another record class of cls's module,
+    is that nested record, read at "{where}: {field}". A field annotated
+    X | None may be absent or null and reads as None; every other field
+    must be present. A missing field, a bad value, or a record cls rejects
+    raises SchemaViolationError naming where (the file and the entry) and,
+    for a field, the field.
     """
-    values = {
-        f.name: _value(entry, f.name, _FIELD_CODECS[f.type][0], where)
-        for f in fields(cls)
-        if f.name in entry or f.default is not None
-    }
+    values = {}
+    for f in fields(cls):
+        kind = f.type.removesuffix(" | None")
+        if kind != f.type and entry.get(f.name) is None:
+            values[f.name] = None
+        elif kind in _FIELD_CODECS:
+            values[f.name] = _value(entry, f.name, _FIELD_CODECS[kind][0], where)
+        else:
+            nested = getattr(sys.modules[cls.__module__], kind)
+            values[f.name] = read_record(nested, _value(entry, f.name, _object, where), f"{where}: {f.name}")
     return _construct(cls, where, **values)
 
 
@@ -666,7 +674,12 @@ def _construct(cls, where, **values):
 
 def record_document(record) -> dict:
     """A record as the JSON object read_record reads back, keys in field order."""
-    return {f.name: _FIELD_CODECS[f.type][1](getattr(record, f.name)) for f in fields(record)}
+    doc = {}
+    for f in fields(record):
+        value, kind = getattr(record, f.name), f.type.removesuffix(" | None")
+        write = _FIELD_CODECS[kind][1] if kind in _FIELD_CODECS else record_document
+        doc[f.name] = None if value is None else write(value)
+    return doc
 
 
 def _read_records(cls, doc, key: str, path, unique: str) -> list:
@@ -809,7 +822,8 @@ _FIELD_CODECS = {
     "Quaternion": (_quat, _floats),
     "tuple[float, float, float]": (lambda v: tuple(_finite_floats(v, 3).tolist()), _floats),
     "str": (_str, str),
-    "str | None": (_optional_str, _optional_str),
+    "Indices": (_indices, np.ndarray.tolist),
+    "list[Indices]": (lambda v: [_indices(s) for s in _list(v)], lambda v: [s.tolist() for s in v]),
 }
 
 

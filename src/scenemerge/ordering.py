@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvalidSimilarityError
-from .io_formats import read_tensor
+from .io_formats import Indices, read_tensor
 
 _SIM_TOL = 1e-9
 _2OPT_TOL = 1e-12
@@ -64,14 +64,15 @@ def read_similarity(path) -> SimilarityMatrix:
 
 @dataclass(frozen=True)
 class SceneGraphPlan:
-    """Ordering plus partition: which frames form each reconstruction subset."""
+    """Ordering plus partition: which frames form each reconstruction
+    subset. Its fields are plan.json's, in file order."""
 
-    pseudo_order: np.ndarray
-    interleaved_order: np.ndarray
-    subsets: list[np.ndarray]
     subset_size: int
     overlap: int
     n_subsequences: int
+    pseudo_order: Indices
+    interleaved_order: Indices
+    subsets: list[Indices]
 
     def __post_init__(self):
         object.__setattr__(self, "pseudo_order", np.asarray(self.pseudo_order, dtype=np.int64))

@@ -33,22 +33,16 @@ from .evaluation import evaluate_trajectories, point_cloud_distance, umeyama_ali
 from .geometry import PointCloud
 from .io_formats import (
     JSON_FORMAT_VERSION,
-    _check_version,
-    _int,
-    _object,
-    _read_json,
-    _str,
-    _value,
-    _write_json,
     pose_record_from_camera,
+    read_document,
     read_gt_scene,
     read_manifest,
     read_ply,
     read_pose_map,
-    read_record,
-    record_document,
     sim3_from_transform_record,
     transform_record_from_sim3,
+    write_document,
+    write_json,
     write_loss_csv,
     write_plan,
     write_ply,
@@ -60,7 +54,7 @@ from .ordering import SimilarityMatrix, plan_scene, read_similarity
 from .synthetic import (
     GT_SCENE_NAME,
     PerturbationSpec,
-    check_scene_args,
+    SynthRecord,
     generate_scene,
     render_cluster,
     synthetic_matcher,
@@ -107,6 +101,8 @@ class PipelineConfig:
             raise ConfigError(f"tau_reproj must be positive and finite, got {self.tau_reproj}")
         if self.max_keypoints < 1:
             raise ConfigError(f"max_keypoints must be >= 1, got {self.max_keypoints}")
+        if self.n_subsequences is not None and self.n_subsequences < 1:
+            raise ConfigError(f"n_subsequences must be >= 1, got {self.n_subsequences}")
         self.ba_config()  # validates the BA fields
 
     def ba_config(self) -> BAConfig:
@@ -216,10 +212,10 @@ def synthesize_scene_dir(
     """Generate a scene, partition it, render per-subset clusters, and
     write the full interchange layout plus the gt/ directory.
 
-    gt/synth.json records the generation parameters and the partition
-    settings the clusters were cut with (n_subsequences is null when
-    derived); gt/scene.mrgt holds the generated scene itself, so later
-    stages read the deterministic synthetic matcher back from the
+    gt/synth.json holds the scene's SynthRecord: the generation parameters
+    and the partition settings the clusters were cut with (n_subsequences
+    is null when derived). gt/scene.mrgt holds the generated scene itself,
+    so later stages read the deterministic synthetic matcher back from the
     directory alone without generating the scene again. Returns the
     manifest path.
     """
@@ -239,53 +235,36 @@ def synthesize_scene_dir(
         clusters.append(c)
         warps.append(w)
     manifest_path = write_scene(out_dir, scene, clusters, similarity, warps=warps)
-    record = {
-        "format_version": JSON_FORMAT_VERSION,
-        "seed": seed,
-        "n_cameras": n_cameras,
-        "n_landmarks": n_landmarks,
-        "layout": layout,
-        "subset_size": subset_size,
-        "overlap": overlap,
-        "n_subsequences": n_subsequences,
-        "perturb": record_document(perturb),
-    }
-    _write_json(Path(out_dir) / "gt" / SYNTH_RECORD_NAME, record)
+    record = SynthRecord(seed, n_cameras, n_landmarks, layout, subset_size, overlap, n_subsequences, perturb)
+    write_document(Path(out_dir) / "gt" / SYNTH_RECORD_NAME, record)
     return manifest_path
 
 
-def matcher_from_scene_dir(scene_dir):
+def matcher_from_scene_dir(scene_dir, n_images: int | None = None):
     """The deterministic synthetic matcher recorded at synth time.
 
     Reads the ground-truth scene from gt/scene.mrgt and the seed and noise
-    model from gt/synth.json; the scene is never generated again. Raises
-    DataError when the record is absent (real scenes need a caller-supplied
-    matcher) or when the scene file is (the scene predates it and must be
-    synthesized again). A record that is not valid JSON, has another
-    format_version, lacks a field, or holds a value of the wrong type or
-    one generation rejects, and a scene file read_gt_scene rejects, raise
-    a DataError subclass naming the file and the field.
+    model from gt/synth.json's SynthRecord; the scene is never generated
+    again. Raises DataError when the record is absent (real scenes need a
+    caller-supplied matcher), when it records other than the n_images
+    cameras of the loaded scene, or when the scene file is absent (the
+    scene predates it and must be synthesized again). A record
+    read_document rejects, and a scene file read_gt_scene rejects, raise a
+    DataError subclass naming the file and the field.
     """
     path = Path(scene_dir) / "gt" / SYNTH_RECORD_NAME
     if not path.exists():
         raise DataError(
             f"{scene_dir} has no gt/{SYNTH_RECORD_NAME}; supply a matcher for non-synthetic scenes"
         )
-    record = _read_json(path, "synthetic record")
-    _check_version(record, path)
-    spec = read_record(PerturbationSpec, _value(record, "perturb", _object, path), f"{path}: perturb")
-    seed = _value(record, "seed", _int, path)
-    n_cameras = _value(record, "n_cameras", _int, path)
-    n_landmarks = _value(record, "n_landmarks", _int, path)
-    layout = _value(record, "layout", _str, path)
-    try:
-        check_scene_args(seed, n_cameras, n_landmarks, layout)
-    except ConfigError as e:
-        raise SchemaViolationError(f"{path}: {e}") from None
+    record = read_document(path, SynthRecord, "synthetic record")
+    if n_images is not None and record.n_cameras != n_images:
+        raise DataError(f"{path}: records {record.n_cameras} cameras, but the scene has {n_images} images")
     scene_path = path.parent / GT_SCENE_NAME
     if not scene_path.exists():
         raise DataError(f"{scene_path}: ground-truth scene file not found; synthesize the scene again")
-    return synthetic_matcher(read_gt_scene(scene_path, seed, layout, n_cameras, n_landmarks), spec)
+    scene = read_gt_scene(scene_path, record.seed, record.layout, record.n_cameras, record.n_landmarks)
+    return synthetic_matcher(scene, record.perturb)
 
 
 def align_clusters(clusters, conf_percentile: float = 70.0):
@@ -334,7 +313,7 @@ def track_scene(data: SceneData, merged: MergedGeometry, cfg: PipelineConfig, ma
     """Tracks across the scene's frame graph under cfg's k, tau_reproj and
     max_keypoints; the matcher defaults to the scene's synthetic one."""
     if matcher is None:
-        matcher = matcher_from_scene_dir(data.root)
+        matcher = matcher_from_scene_dir(data.root, data.n_images)
     return run_tracking(
         data.similarity, merged, matcher, k=cfg.k, tau_reproj=cfg.tau_reproj, max_keypoints=cfg.max_keypoints
     )
@@ -530,9 +509,9 @@ def write_run_artifacts(out_dir, result: PipelineResult, cfg: PipelineConfig) ->
     paths.update(write_ba_artifacts(out, result.cameras, result.ba, result.cloud, cfg.ba_config()))
     if result.metrics is not None:
         paths["metrics"] = out / "metrics.json"
-        _write_json(paths["metrics"], result.metrics)
+        write_json(paths["metrics"], result.metrics)
     paths["report"] = out / "report.json"
-    _write_json(paths["report"], result.report)
+    write_json(paths["report"], result.report)
     return paths
 
 

@@ -109,6 +109,25 @@ class PerturbationSpec:
 
 
 @dataclass(frozen=True)
+class SynthRecord:
+    """gt/synth.json: a synthetic scene directory's generation parameters,
+    and the partition settings its clusters were cut with (n_subsequences
+    is None when derived)."""
+
+    seed: int
+    n_cameras: int
+    n_landmarks: int
+    layout: str
+    subset_size: int
+    overlap: int
+    n_subsequences: int | None
+    perturb: PerturbationSpec
+
+    def __post_init__(self):
+        check_scene_args(self.seed, self.n_cameras, self.n_landmarks, self.layout)
+
+
+@dataclass(frozen=True)
 class SyntheticScene:
     """Ground truth: landmarks, cameras, and the co-visibility table."""
 

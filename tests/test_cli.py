@@ -1372,6 +1372,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{path}: " in err and message in err
 
+    def test_gt_for_another_camera_count_exits_3(self, scene_dir, staged, tmp_path, capsys):
+        """A gt/ directory synthesized for another camera count is refused
+        before the matcher sees an edge: run and track exit 3, naming
+        gt/synth.json and both counts, instead of indexing past the
+        recorded cameras."""
+        import shutil
+
+        small = tmp_path / "small"
+        synth = ["synth", "--seed", "3", "--cameras", "12", "--landmarks", "400", "--subset-size", "6"]
+        assert main(synth + ["--overlap", "2", "--out", str(small)]) == 0
+        scene = tmp_path / "scene"
+        shutil.copytree(scene_dir, scene)
+        for name in ("synth.json", "scene.mrgt"):
+            shutil.copy(small / "gt" / name, scene / "gt" / name)
+        capsys.readouterr()
+        message = f"{scene / 'gt' / 'synth.json'}: records 12 cameras, but the scene has {N_CAMERAS} images"
+        argv = ["run", "--scene", str(scene), "--subset-size", str(SUBSET_SIZE), "--overlap", str(OVERLAP)]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 3
+        assert message in capsys.readouterr().err
+        argv = ["track", "--plan", str(staged["plan"]), "--clusters", str(scene)]
+        assert main(argv + ["--transforms", str(staged["transforms"]), "--out", str(tmp_path / "t.bin")]) == 3
+        assert message in capsys.readouterr().err
+
     def test_run_has_no_synth_flag(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--synth", "--scene", str(tmp_path / "s"), "--out", str(tmp_path / "o")])

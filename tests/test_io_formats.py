@@ -908,7 +908,7 @@ class TestPinnedText:
 
     def test_plan(self, tmp_path):
         p = tmp_path / "plan.json"
-        write_plan(p, SceneGraphPlan([2, 0, 1, 3], [2, 1, 0, 3], [[2, 1, 0], [0, 3]], 3, 1, 2))
+        write_plan(p, SceneGraphPlan(3, 1, 2, [2, 0, 1, 3], [2, 1, 0, 3], [[2, 1, 0], [0, 3]]))
         assert p.read_text() == PLAN_TEXT
         got = read_plan(p)
         assert (got.subset_size, got.overlap, got.n_subsequences) == (3, 1, 2)

@@ -139,6 +139,9 @@ class TestPipelineConfig:
                 PipelineConfig(tau_reproj=bad)
         with pytest.raises(ConfigError, match="max_keypoints"):
             PipelineConfig(max_keypoints=0)
+        for bad in (0, -1):
+            with pytest.raises(ConfigError, match="n_subsequences must be >= 1"):
+                PipelineConfig(n_subsequences=bad)
         with pytest.raises(ConfigError, match="iterations"):
             PipelineConfig(ba_iterations=0)
 

@@ -13,7 +13,9 @@ it keeps no package member alive. Only io_formats.py, which reads and
 writes every JSON file, and cli.py may import json, and cli.py may use it
 only as print(json.dumps(...)) to stdout. Only io_formats.py may call what
 reads or writes a file: open(), a path's read_bytes/read_text/write_bytes/
-write_text, numpy's load*/save*, fromfile and tofile. Only the functions
+write_text, numpy's load*/save*, fromfile and tofile. No other module
+imports an underscore-prefixed name from io_formats.py, so the JSON field
+readers stay behind its record path. Only the functions
 in ROUNDING_FUNCTIONS (module:function, or module:Class.method) may name
 rint, each for the reason given, so the rule that turns a subpixel match
 coordinate into a map pixel has one home.
@@ -247,6 +249,47 @@ def test_package_reads_and_writes_files_in_io_formats():
         v
         for path in sorted(PACKAGE.glob("*.py"))
         for v in _file_io_violations(path.read_text(encoding="utf-8"), path.name)
+    ]
+    assert found == []
+
+
+def _private_io_imports(source: str, name: str) -> list[str]:
+    """Underscore-prefixed names a module other than FILE_IO_MODULE imports from it."""
+    if name == FILE_IO_MODULE:
+        return []
+    return [
+        f"{name}:{node.lineno}: {alias.name}"
+        for node in ast.walk(ast.parse(source, filename=name))
+        if isinstance(node, ast.ImportFrom) and node.module in ("io_formats", "scenemerge.io_formats")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+@pytest.mark.parametrize(
+    "source, name, flagged",
+    [
+        ("from .io_formats import _read_json, read_plan", "cli.py", ["cli.py:1: _read_json"]),
+        (
+            "from .io_formats import (\n    _int,\n    _value as v,\n)",
+            "pipeline.py",
+            ["pipeline.py:1: _int", "pipeline.py:1: _value"],
+        ),
+        ("from scenemerge.io_formats import _check_version", "pipeline.py", ["pipeline.py:1: _check_version"]),
+        ("from .io_formats import read_document, write_json", "pipeline.py", []),
+        ("from .geometry import _helper", "pipeline.py", []),
+        ("from .io_formats import _value", "io_formats.py", []),
+    ],
+)
+def test_private_io_import_rule(source, name, flagged):
+    assert _private_io_imports(source, name) == flagged
+
+
+def test_package_imports_only_public_io_formats_names():
+    found = [
+        v
+        for path in sorted(PACKAGE.glob("*.py"))
+        for v in _private_io_imports(path.read_text(encoding="utf-8"), path.name)
     ]
     assert found == []
 
