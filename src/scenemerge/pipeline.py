@@ -55,6 +55,7 @@ from .synthetic import (
     GT_SCENE_NAME,
     PerturbationSpec,
     SynthRecord,
+    consecutive_similarity,
     generate_scene,
     render_cluster,
     synthetic_matcher,
@@ -240,15 +241,17 @@ def synthesize_scene_dir(
     return manifest_path
 
 
-def matcher_from_scene_dir(scene_dir, n_images: int | None = None):
+def matcher_from_scene_dir(scene_dir, similarity: SimilarityMatrix | None = None):
     """The deterministic synthetic matcher recorded at synth time.
 
     Reads the ground-truth scene from gt/scene.mrgt and the seed and noise
     model from gt/synth.json's SynthRecord; the scene is never generated
     again. Raises DataError when the record is absent (real scenes need a
-    caller-supplied matcher), when it records other than the n_images
-    cameras of the loaded scene, or when the scene file is absent (the
-    scene predates it and must be synthesized again). A record
+    caller-supplied matcher), when the scene file is absent (the scene
+    predates it and must be synthesized again), or, given the scene's
+    similarity matrix, when gt/ belongs to another scene: the record holds
+    another camera count, or the co-visibility of consecutive frames
+    differs from the matrix, which synthesis wrote from it. A record
     read_document rejects, and a scene file read_gt_scene rejects, raise a
     DataError subclass naming the file and the field.
     """
@@ -258,12 +261,21 @@ def matcher_from_scene_dir(scene_dir, n_images: int | None = None):
             f"{scene_dir} has no gt/{SYNTH_RECORD_NAME}; supply a matcher for non-synthetic scenes"
         )
     record = read_document(path, SynthRecord, "synthetic record")
-    if n_images is not None and record.n_cameras != n_images:
-        raise DataError(f"{path}: records {record.n_cameras} cameras, but the scene has {n_images} images")
+    if similarity is not None and record.n_cameras != similarity.n:
+        raise DataError(f"{path}: records {record.n_cameras} cameras, but the scene has {similarity.n} images")
     scene_path = path.parent / GT_SCENE_NAME
     if not scene_path.exists():
         raise DataError(f"{scene_path}: ground-truth scene file not found; synthesize the scene again")
     scene = read_gt_scene(scene_path, record.seed, record.layout, record.n_cameras, record.n_landmarks)
+    if similarity is not None:
+        recorded, held = consecutive_similarity(scene).astype(np.float32), np.diagonal(similarity.values, 1)
+        differ = np.flatnonzero(recorded != held.astype(np.float32))
+        if len(differ):
+            i = differ[0]
+            raise DataError(
+                f"{path.parent}: ground truth of another scene: frames {i} and {i + 1} are co-visible "
+                f"{recorded[i]:.6g} there, but {held[i]:.6g} in the scene's similarity matrix"
+            )
     return synthetic_matcher(scene, record.perturb)
 
 
@@ -313,7 +325,7 @@ def track_scene(data: SceneData, merged: MergedGeometry, cfg: PipelineConfig, ma
     """Tracks across the scene's frame graph under cfg's k, tau_reproj and
     max_keypoints; the matcher defaults to the scene's synthetic one."""
     if matcher is None:
-        matcher = matcher_from_scene_dir(data.root, data.n_images)
+        matcher = matcher_from_scene_dir(data.root, data.similarity)
     return run_tracking(
         data.similarity, merged, matcher, k=cfg.k, tau_reproj=cfg.tau_reproj, max_keypoints=cfg.max_keypoints
     )

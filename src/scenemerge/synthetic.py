@@ -411,6 +411,12 @@ def synthetic_similarity(scene: SyntheticScene) -> SimilarityMatrix:
     return SimilarityMatrix(m)
 
 
+def consecutive_similarity(scene: SyntheticScene) -> np.ndarray:
+    """(n - 1,) entries (i, i + 1) of synthetic_similarity(scene), bit for bit, without the n x n product."""
+    v, seen = scene.visibility, np.count_nonzero(scene.visibility, axis=1).astype(np.float64)
+    return np.count_nonzero(v[:-1] & v[1:], axis=1) / np.sqrt(seen[:-1] * seen[1:])
+
+
 def synthetic_matcher(scene: SyntheticScene, perturb: PerturbationSpec):
     """Pluggable matcher: (frame_i, frame_j) -> MatchSet.
 

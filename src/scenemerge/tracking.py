@@ -19,8 +19,8 @@ per-observation 3D points by confidence-weighted averaging; the fused
 confidence is the mean of the observation confidences.
 
 All tracks live in one Tracks table (see its docstring). Canonical order:
-tracks by their first row in merge_tracks' keypoint table, each track's
-observations by frame id; tracks.bin stores the table as is.
+tracks by their union-find root, the id of their first keypoint, each
+track's observations by frame id; tracks.bin stores the table as is.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MatchSet:
-    """Putative pixel correspondences between two frames; every pixel is finite."""
+    """Putative pixel correspondences between two frames: two (N, 2) arrays of finite pixels."""
 
     frame_i: int
     frame_j: int
@@ -57,10 +57,10 @@ class MatchSet:
     def __post_init__(self):
         if self.frame_i == self.frame_j:
             raise ConfigError(f"match set must connect two distinct frames, got {self.frame_i} twice")
-        pi = np.asarray(self.pixels_i, dtype=np.float64).reshape(-1, 2)
-        pj = np.asarray(self.pixels_j, dtype=np.float64).reshape(-1, 2)
-        if len(pi) != len(pj):
-            raise DataError(f"match set pixel counts differ: {len(pi)} vs {len(pj)}")
+        pi = np.asarray(self.pixels_i, dtype=np.float64)
+        pj = np.asarray(self.pixels_j, dtype=np.float64)
+        if pi.ndim != 2 or pi.shape[1] != 2 or pj.shape != pi.shape:
+            raise DataError(f"match set ({self.frame_i}, {self.frame_j}): pixels {pi.shape} and {pj.shape}, not (N, 2)")
         if not (np.isfinite(pi).all() and np.isfinite(pj).all()):
             bad = np.flatnonzero(~(np.isfinite(pi).all(axis=1) & np.isfinite(pj).all(axis=1)))[0]
             raise DataError(
@@ -334,13 +334,14 @@ class KeypointTable:
     frame_i before frame_j, so pair p holds rows 2p and 2p + 1. A keypoint
     is a global pixel index, taken as given from the block's keys (a kept
     key of -1, outside the image, raises DataError naming the frame); it
-    keeps the first table row and subpixel coordinate the table holds for
-    it. add() keeps no block, only the keys and pixels of its kept rows
-    until _FLUSH_ROWS rows are pending. A flush
-    interns them with one sort against one sorted table of every key, hands
-    out ids to the new keys in key order (frame id order), then unions the
-    pairs into one int32 parent array over the ids (_union) and drops them,
-    so the table grows with keypoints, not pairs. Iterating the table yields
+    keeps the subpixel coordinate of its first table row. add() keeps no
+    block, only the keys and pixels of its kept rows until _FLUSH_ROWS rows
+    are pending. A flush interns them with one sort against one sorted
+    table of every key, hands out ids to the new keys in the order of their
+    first rows, then unions the pairs into one int32 parent array over the
+    ids (_union) and drops them, so the table grows with keypoints, not
+    pairs. Ids number the keypoints by first appearance, so a component's
+    root, its smallest id, is its first keypoint. Iterating the table yields
     one range of pair numbers per add() that kept a pair, in order.
     keypoints() hands over the per-keypoint arrays in id order with each
     keypoint's component root; the table then takes no more pairs.
@@ -350,22 +351,15 @@ class KeypointTable:
         self._merged = merged
         self._pending_keys, self._pending_pixels = [], []  # per add, in table row order
         self._pending_rows = 0
-        self._n_rows = 0
         self._sets = []  # pair numbers of each add with pairs
         self._keys = np.empty(0, dtype=np.int64)  # every key interned, ascending
         self._key_ids = np.empty(0, dtype=np.int32)  # the id of each
-        # per flush: the new ids' first table rows and pixels, and their count per frame
-        self._first, self._pixels = [np.empty(0, dtype=np.int64)], [np.empty((0, 2))]
-        self._frame_counts = [np.zeros(len(merged.key_base) - 1, dtype=np.intp)]
+        self._pixels = [np.empty((0, 2))]  # per flush: the new ids' pixels, in id order
         self._parent = np.empty(0, dtype=np.int32)  # union-find forest over the ids
-        self.n_keypoints = 0
+        self.n_keypoints = self.n_pairs = 0
 
     def __iter__(self):
         return iter(self._sets)
-
-    @property
-    def n_pairs(self) -> int:
-        return self._n_rows // 2
 
     def add(self, block: MatchBlock, rows: np.ndarray) -> None:
         """Append the pairs of block at rows, the ascending int array of
@@ -386,28 +380,29 @@ class KeypointTable:
             np.stack([block.pixels_i.take(rows, axis=0), block.pixels_j.take(rows, axis=0)], axis=1).reshape(-1, 2)
         )
         self._sets.append(range(self.n_pairs, self.n_pairs + len(rows)))
-        self._n_rows += 2 * len(rows)
+        self.n_pairs += len(rows)
         self._pending_rows += 2 * len(rows)
         if self._pending_rows >= _FLUSH_ROWS:
             self._flush()
 
     def _flush(self) -> None:
         """Intern the pending rows with one sort and union their pairs, each
-        transient freed before the next is made and the first pixels last."""
+        transient freed before the next is made and the new pixels last."""
         n = self._pending_rows
         if not n:
             return
-        if int(self._merged.key_base[-1]) * n >= 2**63:
+        shift = n.bit_length()  # bits that hold a row number
+        if int(self._merged.key_base[-1]) << shift >= 2**63:
             raise DataError(f"{n} pending keypoint rows over {self._merged.key_base[-1]} pixels overflow the sort key")
-        # one in-place sort of key * n + row orders the rows by key, then by
-        # row, so each key's run starts at its first row
+        # one in-place sort of key << shift | row orders the rows by key, then
+        # by row, so each key's run starts at its first row
         key = np.concatenate(self._pending_keys)
         self._pending_keys.clear()
-        key *= n
-        key += np.arange(n)
+        key <<= shift
+        key |= np.arange(n)
         key.sort()
-        row = key % n
-        key //= n
+        row = key & ((1 << shift) - 1)
+        key >>= shift
         heads = np.ones(n, dtype=bool)  # the first sorted row of each key
         np.not_equal(key[1:], key[:-1], out=heads[1:])
         heads = np.flatnonzero(heads)
@@ -419,48 +414,48 @@ class KeypointTable:
         new = np.flatnonzero(~seen)
         if self.n_keypoints + len(new) >= 2**31:
             raise DataError("more than 2**31 - 1 keypoints in one table")
+        first = first.take(new)
+        opens = np.sort(first)  # the new keys' first rows: their ids follow this order
+        ids = np.empty(n, dtype=np.int32)  # per pending row; first the new ids at their first rows
+        ids[opens] = np.arange(self.n_keypoints, self.n_keypoints + len(new), dtype=np.int32)
         uniq_ids = np.empty(len(uniq), dtype=np.int32)
         uniq_ids[seen] = self._key_ids.take(pos[seen])
-        uniq_ids[new] = np.arange(self.n_keypoints, self.n_keypoints + len(new))
+        uniq_ids[new] = ids.take(first)
         pos, fresh = pos.take(new), uniq.take(new)
-        del seen, uniq
-        ids = np.empty(n, dtype=np.int32)  # per pending row
+        del seen, uniq, first
         ids[row] = np.repeat(uniq_ids, np.diff(heads, append=n))
         del row, heads
 
         self._keys = np.insert(self._keys, pos, fresh)
         self._key_ids = np.insert(self._key_ids, pos, uniq_ids.take(new))
-        self._frame_counts.append(np.diff(np.searchsorted(fresh, self._merged.key_base)))
         del pos, fresh, uniq_ids
 
-        first = first.take(new)
-        self._first.append(first + (self._n_rows - n))
-        self._pixels.append(np.concatenate(self._pending_pixels).take(first, axis=0))
+        self._pixels.append(np.concatenate(self._pending_pixels).take(opens, axis=0))
         self._pending_pixels.clear()
         self._pending_rows = 0
         self.n_keypoints += len(new)
-        del first, new
-        grown = np.arange(len(self._parent), self.n_keypoints, dtype=np.int32)
-        self._parent = np.concatenate([self._parent, grown])
+        del opens, new
+        self._parent = np.append(self._parent, np.arange(len(self._parent), self.n_keypoints, dtype=np.int32))
         _union(self._parent, ids.reshape(-1, 2))
 
     def keypoints(self):
-        """(first table row, frame id, subpixel coordinate, component root)
-        of every keypoint, in id order.
+        """(frame id, subpixel coordinate, component root) of every keypoint, in id order.
 
         A keypoint's root (_find) is the smallest id in its component, so it
-        labels the component. This runs once: the key table and the forest
-        are dropped before the outputs are made, each filled part by part.
+        labels the component. This runs once: the forest is dropped before
+        the outputs are made, the frames read off the sorted key table, and
+        the pixels filled part by part.
         """
         if self._keys is None:
             raise ConfigError("keypoint table has already handed over its keypoints")
         self._flush()
-        self._keys = self._key_ids = None
         root = _find(self._parent, np.arange(self.n_keypoints, dtype=np.int32))
         self._parent = None
-        counts, self._frame_counts = np.concatenate(self._frame_counts), None
-        frames = np.repeat(np.resize(self._merged.frames(), len(counts)), counts)  # frames() once per flush
-        return _drain(self._first), frames, _drain(self._pixels), root
+        frames = np.empty(self.n_keypoints, dtype=np.int64)
+        runs = np.diff(np.searchsorted(self._keys, self._merged.key_base))
+        frames[self._key_ids] = np.repeat(self._merged.frames(), runs)
+        self._keys = self._key_ids = None
+        return frames, _drain(self._pixels), root
 
 
 def _drain(parts: list) -> np.ndarray:
@@ -511,10 +506,6 @@ def _find(parent: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return up
 
 
-# Keypoints per chunk of merge_tracks' sort-key gather.
-_KEY_CHUNK = 65_536
-
-
 def merge_tracks(table: KeypointTable, merged) -> Tracks:
     """Connected components over one KeypointTable, then fusion per component.
 
@@ -529,36 +520,26 @@ def merge_tracks(table: KeypointTable, merged) -> Tracks:
     block per track length K; each block sums its rows as a single track's
     arrays would, so the bits do not depend on the blocking.
 
-    Tracks come out in the order of their first table row, each with its
-    observations sorted by frame id. First rows are unique and a track
-    holds each frame once, so neither order reads a keypoint id.
+    One lexsort by (root, frame id) puts the tracks in the order of their
+    first keypoint in the table, each with its observations by frame id.
 
     The merge holds a few arrays per keypoint and nothing per pair, and
-    gathers each per-keypoint array into track order once. The sort key is
-    written over the first rows _KEY_CHUNK keypoints at a time, so no
-    full-size int64 copy of the int32 roots exists. Building a table
+    gathers each per-keypoint array into track order once. Building a table
     from match sets and merging it peaks below twice the bytes of their
     pixels; run_tracking, which streams verified rows into a table, peaks
     below 0.6x the bytes of the verified pixels, and twice the pairs over
     the same keypoints raise that peak by under 10% (tests/test_tracking.py
     checks these at ~200k pairs).
     """
-    first, node_frame, node_pixel, root = table.keypoints()
-    if not len(first):
+    node_frame, node_pixel, root = table.keypoints()
+    if not len(root):
         return Tracks([], [], [], [], [])
 
-    first_row = first.copy()  # each component's first table row, at its root
-    np.minimum.at(first_row, root, first)
-    # every keypoint's sort key, written over first a chunk at a time, so
-    # take never casts all the int32 roots to one int64 index
-    for start in range(0, len(root), _KEY_CHUNK):
-        chunk = slice(start, start + _KEY_CHUNK)
-        first[chunk] = first_row.take(root[chunk])
-    del first_row
-    order = np.lexsort((node_frame, first))
-    del first
-    comp, obs_frame = root.take(order), node_frame.take(order)
-    del root, node_frame
+    order = np.lexsort((node_frame, root))
+    comp = root.take(order)
+    del root
+    obs_frame = node_frame.take(order)
+    del node_frame
     ambiguous = np.zeros(len(order), dtype=bool)  # per root
     ambiguous[comp[1:][(comp[1:] == comp[:-1]) & (obs_frame[1:] == obs_frame[:-1])]] = True
     keep = np.flatnonzero(~ambiguous.take(comp))

@@ -1395,6 +1395,30 @@ class TestExitCodes:
         assert main(argv + ["--transforms", str(staged["transforms"]), "--out", str(tmp_path / "t.bin")]) == 3
         assert message in capsys.readouterr().err
 
+    def test_gt_of_another_scene_of_the_same_size_exits_3(self, scene_dir, staged, tmp_path, capsys):
+        """A gt/ synthesized for another scene with the same camera and
+        landmark counts and partition is refused: its ground-truth scene's
+        co-visibility of consecutive frames is not the scene's similarity
+        matrix, so run and track exit 3 naming gt/ (run used to exit 0 with
+        a handful of tracks, matched in the other scene's geometry)."""
+        import shutil
+
+        other = tmp_path / "other"
+        synth = ["synth", "--seed", str(SEED + 1), "--cameras", str(N_CAMERAS), "--landmarks", str(N_LANDMARKS)]
+        assert main(synth + ["--subset-size", str(SUBSET_SIZE), "--overlap", str(OVERLAP), "--out", str(other)]) == 0
+        scene = tmp_path / "scene"
+        shutil.copytree(scene_dir, scene)
+        for name in ("synth.json", "scene.mrgt"):
+            shutil.copy(other / "gt" / name, scene / "gt" / name)
+        capsys.readouterr()
+        message = f"{scene / 'gt'}: ground truth of another scene: frames "
+        argv = ["run", "--scene", str(scene), "--subset-size", str(SUBSET_SIZE), "--overlap", str(OVERLAP)]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 3
+        assert message in capsys.readouterr().err
+        argv = ["track", "--plan", str(staged["plan"]), "--clusters", str(scene)]
+        assert main(argv + ["--transforms", str(staged["transforms"]), "--out", str(tmp_path / "t.bin")]) == 3
+        assert message in capsys.readouterr().err
+
     def test_run_has_no_synth_flag(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--synth", "--scene", str(tmp_path / "s"), "--out", str(tmp_path / "o")])

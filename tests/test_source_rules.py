@@ -3,11 +3,12 @@
 No correctness check may rely on `assert`, which `python -O` strips, and no
 handler may catch every exception (a bare `except:`, `except Exception` or
 `except BaseException`), which would count a real bug as the failure it
-meant to absorb. Every top-level function and class must be referenced
-(as a name or an attribute) somewhere in the package, and every method or
-property other than a dunder must be named by an attribute somewhere in
-the package, unless KEPT_UNREFERENCED gives the reason it stays (members
-are listed as Class.member). An attribute read off a name imported from
+meant to absorb. Every top-level function, class and assigned name other
+than a dunder must be read (as a name or an attribute) somewhere in the
+package, and every method or property other than a dunder must be named by
+an attribute somewhere in the package, unless KEPT_UNREFERENCED gives the
+reason it stays (members are listed as Class.member); assigning a name
+does not read it. An attribute read off a name imported from
 outside the package (np.degrees, sparse.diags) belongs to that import, so
 it keeps no package member alive. Only io_formats.py, which reads and
 writes every JSON file, and cli.py may import json, and cli.py may use it
@@ -74,10 +75,15 @@ def _attribute_root(node):
     return node.id if isinstance(node, ast.Name) else None
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _unreferenced(sources: dict[str, str]) -> list[str]:
-    """Top-level functions and classes no Name or Attribute node refers to,
-    and non-dunder methods and properties (Class.member) no Attribute node names;
-    attributes of externally imported names do not count."""
+    """Top-level functions, classes and non-dunder assigned names that no
+    Name node reads and no Attribute node names, and non-dunder methods and
+    properties (Class.member) no Attribute node names; attributes of
+    externally imported names do not count."""
     defined, members, names, attrs = {}, {}, set(), set()
     for name, source in sources.items():
         tree = ast.parse(source, filename=name)
@@ -85,13 +91,16 @@ def _unreferenced(sources: dict[str, str]) -> list[str]:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined[node.name] = f"{name}:{node.lineno}"
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    for leaf in ast.walk(target):
+                        if isinstance(leaf, ast.Name) and not _dunder(leaf.id):
+                            defined[leaf.id] = f"{name}:{node.lineno}"
             for member in node.body if isinstance(node, ast.ClassDef) else []:
-                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
-                    member.name.startswith("__") and member.name.endswith("__")
-                ):
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)) and not _dunder(member.name):
                     members[f"{node.name}.{member.name}"] = (member.name, f"{name}:{member.lineno}")
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute) and _attribute_root(node) not in external:
                 attrs.add(node.attr)
@@ -126,13 +135,13 @@ def test_package_follows_rules():
     "sources, flagged",
     [
         ({"a.py": "def f():\n    pass\n\ndef g():\n    return f()"}, ["a.py:4: g"]),
-        ({"a.py": "class A:\n    pass", "b.py": "from .a import A\nx = A()"}, []),
-        ({"a.py": "def f():\n    pass", "b.py": "from . import a\ny = a.f"}, []),
+        ({"a.py": "class A:\n    pass", "b.py": "from .a import A\nx = A()"}, ["b.py:2: x"]),
+        ({"a.py": "def f():\n    pass", "b.py": "from . import a\ny = a.f"}, ["b.py:2: y"]),
         ({"a.py": "def f():\n    pass", "b.py": "from .a import f"}, ["a.py:1: f"]),
         ({"a.py": "class A:\n    def unused_method(self):\n        pass\n\nA()"}, ["a.py:2: A.unused_method"]),
-        ({"a.py": "class A:\n    @property\n    def p(self):\n        pass\n\ny = A().p"}, []),
+        ({"a.py": "class A:\n    @property\n    def p(self):\n        pass\n\ny = A().p"}, ["a.py:6: y"]),
         ({"a.py": "class A:\n    def __len__(self):\n        return 0\n\nA()"}, []),
-        ({"a.py": "class A:\n    def m(self):\n        pass\n\nm = A()"}, ["a.py:2: A.m"]),
+        ({"a.py": "class A:\n    def m(self):\n        pass\n\nm = A()"}, ["a.py:2: A.m", "a.py:5: m"]),
         (
             {"a.py": "import numpy as np\n\nclass A:\n    def degrees(self):\n        pass\n\nA()\nnp.degrees(1)"},
             ["a.py:4: A.degrees"],
@@ -141,6 +150,11 @@ def test_package_follows_rules():
             {"a.py": "class A:\n    def eye(self):\n        pass\n\nA()", "b.py": "from scipy import sparse\nsparse.eye"},
             ["a.py:2: A.eye"],
         ),
+        ({"a.py": "_CHUNK = 65_536\n\ndef f():\n    return 1\n\nf()"}, ["a.py:1: _CHUNK"]),
+        ({"a.py": "__all__ = ['f']\nLIMIT = 3\n\ndef f():\n    return LIMIT\n\nf()"}, []),
+        ({"a.py": "A, (B, C) = 1, (2, 3)\nx: int = A\nprint(B)"}, ["a.py:1: C", "a.py:2: x"]),
+        ({"a.py": "LIMIT = 3", "b.py": "from . import a\nprint(a.LIMIT)"}, []),
+        ({"a.py": "N = 1\n\ndef f():\n    global N\n    N = 2\n\nf()"}, ["a.py:1: N"]),
     ],
 )
 def test_dead_code_rule(sources, flagged):

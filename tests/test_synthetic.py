@@ -20,6 +20,7 @@ from scenemerge.synthetic import (
     _NEAR_PLANE,
     PerturbationSpec,
     _splat,
+    consecutive_similarity,
     generate_scene,
     render_cluster,
     render_depth,
@@ -305,6 +306,15 @@ class TestSyntheticSimilarity:
         sim = synthetic_similarity(scene).values
         iu = np.triu_indices(30, 1)
         assert sim[iu].min() == 0.0
+
+    def test_consecutive_similarity_is_the_matrix_diagonal(self):
+        """consecutive_similarity gives the entries (i, i + 1) of the full
+        matrix bit for bit, on both layouts."""
+        for layout in ("room", "object"):
+            scene = generate_scene(seed=4, n_cameras=20, n_landmarks=2000, layout=layout)
+            got = consecutive_similarity(scene)
+            assert got.dtype == np.float64 and len(got) == 19
+            assert got.tobytes() == np.diagonal(synthetic_similarity(scene).values, offset=1).tobytes()
 
     def test_similarity_decays_with_separation(self):
         """Spearman(index separation, similarity) < -0.8 over seeds.

@@ -327,8 +327,25 @@ class TestMatchSetAndTrack:
             MatchSet(frame_i=1, frame_j=1, pixels_i=np.zeros((1, 2)), pixels_j=np.zeros((1, 2)))
 
     def test_match_set_rejects_count_mismatch(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=r"^match set \(0, 1\): pixels \(2, 2\) and \(3, 2\), not \(N, 2\)$"):
             MatchSet(frame_i=0, frame_j=1, pixels_i=np.zeros((2, 2)), pixels_j=np.zeros((3, 2)))
+
+    @pytest.mark.parametrize(
+        "shape_i, shape_j, bad",
+        [
+            ((2, 3), (3, 2), r"\(2, 3\) and \(3, 2\)"),  # six values each, read as 3 pairs
+            ((3, 2), (6,), r"\(3, 2\) and \(6,\)"),
+            ((3, 2, 1), (3, 2), r"\(3, 2, 1\) and \(3, 2\)"),
+            ((0,), (0, 2), r"\(0,\) and \(0, 2\)"),
+        ],
+    )
+    def test_match_set_rejects_pixels_not_shaped_n_by_2(self, shape_i, shape_j, bad):
+        """A pixel array not shaped (N, 2) fails with a DataError naming both
+        frames, instead of being re-read as pairs."""
+        pixels_i = np.arange(np.prod(shape_i), dtype=np.float64).reshape(shape_i)
+        pixels_j = np.arange(np.prod(shape_j), dtype=np.float64).reshape(shape_j)
+        with pytest.raises(DataError, match=rf"^match set \(4, 9\): pixels {bad}, not \(N, 2\)$"):
+            MatchSet(frame_i=4, frame_j=9, pixels_i=pixels_i, pixels_j=pixels_j)
 
     def test_match_set_rejects_non_finite_pixels(self):
         with pytest.raises(DataError, match=r"match set \(3, 5\) row 1 holds a non-finite pixel"):
@@ -621,13 +638,13 @@ class TestMergeTracks:
 
     def test_intern_matches_global_key_reference(self, monkeypatch):
         """A KeypointTable interns the keypoints one global key over the
-        whole table does: taken in the order of their unique first table
-        rows, the same first rows, frames and kept subpixel coordinates, and
-        the same partition into scipy's connected components over the
-        reference's pairs, with each keypoint's root an id of its component,
-        whether it interns once or flushes every 7 rows. The table has
-        unsorted sparse frame ids, frames on both sides of a pair, half-pixel
-        ties and pixels on the images' borders."""
+        whole table does: its ids number them in the order of their unique
+        first table rows, with the same frames and kept subpixel
+        coordinates, and each keypoint's root is the smallest id of its
+        component among scipy's connected components over the reference's
+        pairs, whether it interns once or flushes every 7 rows. The table
+        has unsorted sparse frame ids, frames on both sides of a pair,
+        half-pixel ties and pixels on the images' borders."""
         rng = np.random.default_rng(21)
         frame_ids = [40, 3, 17, 8, 25, 11]
         merged = _merged_flat(frame_ids, size=48)
@@ -649,31 +666,20 @@ class TestMergeTracks:
         n_comp, component = connected_components(graph, directed=False)
         assert 1 < n_comp < n_nodes
 
-        def by_first_row(first, component):
-            """Every keypoint's component as the first row of its first
-            keypoint, in first-row order."""
-            order = np.argsort(first)
-            head = np.full(component.max() + 1, first.max() + 1)
-            np.minimum.at(head, component, first)
-            return order, head[component].take(order)
-
-        order, expected_partition = by_first_row(first, component)
-        expected = (first[order], frames[order], pixels[order])
+        order = np.argsort(first)  # the reference's nodes in first-row order: the table's ids
+        smallest = np.full(n_comp, n_nodes)  # the smallest id in each component
+        np.minimum.at(smallest, component.take(order), np.arange(n_nodes))
+        expected = (frames[order], pixels[order], smallest[component].take(order).astype(np.int32))
         for flush_rows in (tracking._FLUSH_ROWS, 7):
             monkeypatch.setattr(tracking, "_FLUSH_ROWS", flush_rows)
             table = _table(matches, merged)
             assert [len(pairs) for pairs in table] == [len(ms) for ms in matches]
             assert table.n_pairs == len(node) // 2
-            got_first, got_frames, got_pixels, root = table.keypoints()
+            got = table.keypoints()
             assert table.n_keypoints == n_nodes
-            assert (got_first.dtype, got_frames.dtype, got_pixels.dtype, root.dtype) == (
-                np.int64, np.int64, np.float64, np.int32
-            )
-            got_order, partition = by_first_row(got_first, root)
-            for a, b in zip((got_first[got_order], got_frames[got_order], got_pixels[got_order]), expected):
+            assert [a.dtype for a in got] == [np.int64, np.float64, np.int32]
+            for a, b in zip(got, expected):
                 assert a.tobytes() == b.tobytes()
-            assert partition.tolist() == expected_partition.tolist()
-            assert np.array_equal(root.take(root), root)  # each root is an id of its own component
             with pytest.raises(ConfigError, match="handed over"):
                 table.add(_block(matches[0], merged), np.arange(len(matches[0])))
             with pytest.raises(ConfigError, match="handed over"):
@@ -698,14 +704,15 @@ class TestMergeTracks:
         assert peak <= 2.0 * input_bytes, f"peak {peak / input_bytes:.2f}x the input pixel bytes"
 
     def test_merge_sort_key_holds_no_index_copy(self, traced_peak):
-        """merge_tracks over 204,800 keypoints peaks (tracemalloc) below 56
-        bytes per keypoint: the table's per-keypoint arrays (36 bytes), the
-        per-root first rows and the sort order, with the sort key written
-        over the first rows. Gathering the key with one take over every
-        int32 root casts them to a full int64 index first and read 60.1.
+        """merge_tracks over 204,800 keypoints peaks (tracemalloc) below 47
+        bytes per keypoint: the 28 bytes the table hands over, the int64
+        sort order, and under 10 more while it gathers the roots and frames
+        into track order one at a time and marks the ambiguous components.
+        Sorting by each component's first table row, handed over as 8 more
+        bytes per keypoint and reduced per root in the merge, read 49.1.
         Pixel p of frame 0 matches pixels p and p + 1 of frame 1, so one
         chain holds frame 1 many times and is dropped: fusion allocates
-        nothing and the peak is the sort's."""
+        nothing and the peak comes before it."""
         size = 320
         merged = _merged_flat([0, 1], size=size, baseline=0.0)
         v, u = np.mgrid[0:size, 0:size]
@@ -716,7 +723,7 @@ class TestMergeTracks:
         tracks, peak = traced_peak(lambda: merge_tracks(table, merged))
         assert table.n_keypoints == 2 * size * size >= 200_000 and len(tracks) == 0
         per_keypoint = peak / table.n_keypoints
-        assert per_keypoint < 56, f"peak {per_keypoint:.1f} bytes per keypoint"
+        assert per_keypoint < 47, f"peak {per_keypoint:.1f} bytes per keypoint"
 
     def test_subpixel_coordinates_share_rounded_node(self):
         """(1.4, 1.4) and (0.6, 0.6) both round to pixel (1, 1)."""
@@ -796,10 +803,11 @@ class TestMergeTracks:
 
 
     def test_tracks_in_first_seen_order(self):
-        """Tracks are ordered by their first keypoint in the table, not by
-        union-find root. The 5-frame component starts with the very first
-        keypoint but is merged by size under the root of a later pair, so
-        the union-find order puts the 2-frame component first."""
+        """Tracks are ordered by their first keypoint in the table, which is
+        their union-find root. The 5-frame component starts with the very
+        first keypoint; the reference's union by size roots it at a later
+        pair's keypoint, so its root order puts the 2-frame component
+        first."""
         merged = _merged_flat(list(range(5)))
         matches = [
             _pair(0, 1, [((1.0, 1.0), (2.0, 2.0))]),
@@ -910,8 +918,8 @@ class TestKeypointTable:
                 table.add(block, np.arange(1))
             return
         table.add(block, np.arange(1))
-        first, frames, pixels, root = table.keypoints()
-        assert first.tolist() == [0, 1] and frames.tolist() == [0, 1] and root.tolist() == [0, 0]
+        frames, pixels, root = table.keypoints()
+        assert frames.tolist() == [0, 1] and root.tolist() == [0, 0]
         assert pixels.tolist() == [[1.0, 1.0], list(pixel)]
 
     def test_pixel_keys_are_frame_offset_plus_flat_index(self):
@@ -983,16 +991,17 @@ class TestKeypointTable:
                     tracking.KeypointTable(merged).add(_block(ms, merged), np.array([row]))
                 rejected += 1
         assert table.n_pairs > 200 and rejected > 200
-        held = np.rint(table.keypoints()[2])
+        held = np.rint(table.keypoints()[1])
         assert np.all((held >= 0) & (held < 8))
 
     def test_keypoints_hold_only_their_outputs(self, traced_peak):
-        """keypoints() over 131,072 keypoints peaks (tracemalloc) below 40
-        bytes per keypoint: the 36 it hands over (int64 first row and frame,
-        float64 pixel, int32 root) and under 4 more. It finds the roots
-        before it makes the outputs and fills each output from its per-flush
-        parts; concatenating the parts first and finding the roots beside
-        the outputs read 52.0."""
+        """keypoints() over 131,072 keypoints peaks (tracemalloc) below 29
+        bytes per keypoint: the 28 it hands over (int64 frame, float64
+        pixel, int32 root) and under 1 more. It finds the roots before it
+        makes the outputs, reads the frames off the sorted key table and
+        fills the pixels from their per-flush parts; concatenating the parts
+        first and finding the roots beside the outputs read 52.0, and also
+        handing over each keypoint's int64 first table row read 36.0."""
         size = 256
         merged = _merged_flat([0, 1], size=size, baseline=0.0)
         v, u = np.mgrid[0:size, 0:size]
@@ -1000,11 +1009,11 @@ class TestKeypointTable:
         table = tracking.KeypointTable(merged)
         table.add(_block(MatchSet(0, 1, pixels, pixels), merged), np.arange(len(pixels)))
         table.add(_block(MatchSet(0, 1, pixels[:-1], pixels[1:]), merged), np.arange(len(pixels) - 1))
-        (first, frames, kept, root), peak = traced_peak(table.keypoints)
-        assert table.n_keypoints == len(first) == 2 * size * size >= 131_072
+        (frames, kept, root), peak = traced_peak(table.keypoints)
+        assert table.n_keypoints == len(frames) == 2 * size * size >= 131_072
         assert len(np.unique(root)) == 1 and sorted(frames.tolist()) == [0] * size * size + [1] * size * size
         per_keypoint = peak / table.n_keypoints
-        assert per_keypoint < 40, f"peak {per_keypoint:.1f} bytes per keypoint"
+        assert per_keypoint < 29, f"peak {per_keypoint:.1f} bytes per keypoint"
 
 
 class TestComponents:
@@ -1104,7 +1113,9 @@ class TestRunTracking:
         """On a 20-camera scene the array merge returns the loop reference's
         tracks: same points, confidences and observations, bit for bit,
         whether the keypoint table flushes every _FLUSH_ROWS rows or every 7
-        rows, which hands out the keypoint ids in another order."""
+        rows and whether run_tracking verifies _VERIFY_BLOCK rows per gate
+        call or 64. The table hands over the same keypoint ids and roots in
+        all four, whether it takes one add per match set or one per block."""
         scene, spec, sim, plan, clusters, warps, merged = self._pipeline_pieces()
         matcher = synthetic_matcher(scene, spec)
         match_sets = [matcher(i, j) for i, j in build_frame_graph(sim, 5).edges]
@@ -1112,23 +1123,32 @@ class TestRunTracking:
         reference = _reference_merge_tracks([_kept(ms, rows) for ms, rows in verified], merged)
         assert len(reference) > 100
 
-        def table():
+        def table(per_block):
+            """The table of the verified rows: one add per match set, or one
+            per block of _VERIFY_BLOCK rows, as run_tracking adds them."""
             table = tracking.KeypointTable(merged)
-            for ms, rows in verified:
-                table.add(_block(ms, merged), rows)
+            if per_block:
+                for block in tracking._blocks(iter(match_sets), merged, max_keypoints=2**62):
+                    table.add(block, verify_matches(block, merged))
+            else:
+                for ms, rows in verified:
+                    table.add(_block(ms, merged), rows)
             return table
 
-        runs, id_order = [], []
-        for flush_rows in (tracking._FLUSH_ROWS, 7):
+        runs, handed = [], []
+        settings = [(f, b) for f in (tracking._FLUSH_ROWS, 7) for b in (tracking._VERIFY_BLOCK, 64)]
+        for flush_rows, verify_block in settings:
             monkeypatch.setattr(tracking, "_FLUSH_ROWS", flush_rows)
-            tracks = list(map(_track_bits, _track_list(merge_tracks(table(), merged))))
+            monkeypatch.setattr(tracking, "_VERIFY_BLOCK", verify_block)
+            tracks = list(map(_track_bits, _track_list(merge_tracks(table(False), merged))))
             assert sorted(tracks) == sorted(map(_track_bits, reference))
             via_run = _track_list(run_tracking(sim, merged, matcher, k=5).tracks)
             assert list(map(_track_bits, via_run)) == tracks
             runs.append(tracks)
-            id_order.append(table().keypoints()[0])  # each keypoint's first table row, in id order
-        assert runs[0] == runs[1]
-        assert sorted(id_order[0]) == sorted(id_order[1]) and not np.array_equal(*id_order)
+            handed += [table(False).keypoints(), table(True).keypoints()]
+        assert all(run == runs[0] for run in runs)
+        for got in handed:
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in handed[0]]
 
     def test_verify_matches_reference_bit_for_bit(self):
         """On every edge of a 20-camera scene, checking the reverse direction
@@ -1386,6 +1406,24 @@ class TestRunTracking:
             return ms
 
         res = run_tracking(sim, merged, nan_pixel, k=2)
+        assert res.failed_edges == run_tracking(sim, merged, base, k=2).failed_edges + 1
+        assert len(res.tracks) > 0
+
+    def test_misshaped_matcher_pixels_fail_the_edge(self):
+        """A matcher whose MatchSet pixels are not shaped (N, 2) fails its edge
+        with the DataError of MatchSet, counted like any other failed edge."""
+        scene, spec, sim, plan, clusters, warps, merged = self._pipeline_pieces(n_cameras=10)
+        base = synthetic_matcher(scene, spec)
+        bad_edge = build_frame_graph(sim, 2).edges[0]
+
+        def transposed(i, j):
+            ms = base(i, j)
+            if (i, j) == bad_edge:
+                return MatchSet(i, j, ms.pixels_i.T, ms.pixels_j)
+            return ms
+
+        assert len(base(*bad_edge)) > 2
+        res = run_tracking(sim, merged, transposed, k=2)
         assert res.failed_edges == run_tracking(sim, merged, base, k=2).failed_edges + 1
         assert len(res.tracks) > 0
 
